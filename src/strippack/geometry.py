@@ -142,13 +142,6 @@ def spans_contain(spans, x) -> bool:
     return False
 
 
-def spans_length(spans):
-    total = None
-    for lo, hi in spans:
-        total = (hi - lo) if total is None else total + (hi - lo)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # public interval types
 # ---------------------------------------------------------------------------
@@ -189,10 +182,6 @@ class IntervalSet:
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(Interval(lo, hi) for lo, hi in self.spans)
 
     @property
     def total_length(self) -> Scalar:
@@ -402,28 +391,11 @@ class ObstacleGrid:
                             f"overlapping obstacles {col[j]} and {idx}")
                     col[j] = idx
 
-    def cell_rect(self, i: int, j: int) -> Rect:
-        return Rect.of(self.xs[i], self.ys[j], self.xs[i + 1], self.ys[j + 1])
-
-    def cell_area(self, i: int, j: int) -> Scalar:
-        return ((self.xs[i + 1] - self.xs[i])
-                * (self.ys[j + 1] - self.ys[j]))
-
-    def locate_col(self, x: Scalar) -> int:
-        """Column index whose open x-range a point just right of x falls in."""
-        from bisect import bisect_right
-        return bisect_right(self.xs, x) - 1
-
-    def locate_row_below(self, y: Scalar) -> int:
-        """Row index of the cell just below height y."""
-        from bisect import bisect_left
-        return bisect_left(self.ys, y) - 1
-
     def free_components(self) -> list[dict]:
         """4-connected components of free cells.
 
-        Returns dicts with keys ``cells`` (set of (i, j)), ``bounded``
-        (does not touch the ceiling row) and ``area``.
+        Returns dicts with keys ``cells`` (set of (i, j)) and ``bounded``
+        (does not touch the ceiling row).
         """
         seen = [[False] * self.ny for _ in range(self.nx)]
         comps = []
@@ -435,11 +407,9 @@ class ObstacleGrid:
                 seen[i0][j0] = True
                 cells = set()
                 bounded = True
-                area = ZERO
                 while stack:
                     i, j = stack.pop()
                     cells.add((i, j))
-                    area += self.cell_area(i, j)
                     if j == self.ny - 1:
                         bounded = False
                     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -449,7 +419,7 @@ class ObstacleGrid:
                                 and self.owner[ni][nj] is None:
                             seen[ni][nj] = True
                             stack.append((ni, nj))
-                comps.append({"cells": cells, "bounded": bounded, "area": area})
+                comps.append({"cells": cells, "bounded": bounded})
         comps.sort(key=lambda c: min(c["cells"]))
         return comps
 
@@ -459,59 +429,83 @@ def trace_boundary(cells: set[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
     (counterclockwise).  Vertices are grid indices (i, j).  Raises if the
     cell set has an interior island.
     """
-    edges: dict[tuple, list[tuple]] = {}
+    return walk_boundary(boundary_edges(cells))
 
-    def add(p, q):
-        edges.setdefault(p, []).append(q)
 
+def boundary_edges(cells: set[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
+    """Unit edges between a cell of the set and a cell outside it, directed
+    with the set on the left."""
+    edges = []
+    add = edges.append
     for (i, j) in cells:
         if (i, j - 1) not in cells:
-            add((i, j), (i + 1, j))          # bottom edge, eastward
+            add(((i, j), (i + 1, j)))          # bottom edge, eastward
         if (i + 1, j) not in cells:
-            add((i + 1, j), (i + 1, j + 1))  # right edge, northward
+            add(((i + 1, j), (i + 1, j + 1)))  # right edge, northward
         if (i, j + 1) not in cells:
-            add((i + 1, j + 1), (i, j + 1))  # top edge, westward
+            add(((i + 1, j + 1), (i, j + 1)))  # top edge, westward
         if (i - 1, j) not in cells:
-            add((i, j + 1), (i, j))          # left edge, southward
+            add(((i, j + 1), (i, j)))          # left edge, southward
+    return edges
 
-    total = sum(len(v) for v in edges.values())
-    start = min(edges)
+
+# left turn of each unit step direction
+_LEFT_OF = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
+
+
+def walk_boundary(edges) -> list[tuple[tuple, tuple]]:
+    """Join the directed unit boundary edges of a cell set into one cycle,
+    starting at the smallest vertex; the cycle holds the given edge tuples.
+
+    The cycle depends only on the set of edges, not on their order.  The
+    smallest vertex is a corner of a single cell, so it has one outgoing
+    edge.  At a pinch vertex, where two cells of the set meet only at a
+    corner, the walk turns left and so stays on the boundary of the cell it
+    follows.  Raises if the edges form more than one cycle, as they do for
+    a set with an interior island or with parts joined only at a corner.
+    """
+    out: dict[tuple, list[tuple]] = {}
+    for edge in edges:
+        out.setdefault(edge[0], []).append(edge)
+    start = min(out)
     cycle = []
-    cur = start
-    prev_dir = None
-    # left-turn priority keeps the walk on one closed curve at pinch points
-    left_of = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
+    prev = cur = start
     while True:
-        outs = edges[cur]
-        if prev_dir is None or len(outs) == 1:
-            nxt = outs.pop()
+        outs = out[cur]
+        if len(outs) == 1:
+            edge = outs.pop()
+            del out[cur]
         else:
-            pref = [left_of[prev_dir], prev_dir, left_of.get(left_of[prev_dir])]
-            nxt = None
-            for want in pref:
-                for cand in outs:
-                    d = (_sign(cand[0] - cur[0]), _sign(cand[1] - cur[1]))
-                    if d == want:
-                        nxt = cand
-                        break
-                if nxt is not None:
-                    break
-            assert nxt is not None
-            outs.remove(nxt)
-        cycle.append((cur, nxt))
-        prev_dir = (_sign(nxt[0] - cur[0]), _sign(nxt[1] - cur[1]))
-        if not edges[cur]:
-            del edges[cur]
-        cur = nxt
-        if cur == start and start not in edges:
+            turn = _LEFT_OF[(cur[0] - prev[0], cur[1] - prev[1])]
+            want = (cur[0] + turn[0], cur[1] + turn[1])
+            edge = next((e for e in outs if e[1] == want), None)
+            if edge is None:
+                raise GeometryError(f"no left turn at pinch vertex {cur}")
+            outs.remove(edge)
+        cycle.append(edge)
+        prev, cur = cur, edge[1]
+        if cur == start and start not in out:
             break
-    if len(cycle) != total:
+    if len(cycle) != len(edges):
         raise GeometryError("region boundary is not a single cycle")
     return cycle
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
+def simple_cycle(edges) -> Optional[list[tuple[tuple, tuple]]]:
+    """The cycle ``walk_boundary`` gives if the directed boundary edges form
+    one simple closed curve, visiting no vertex twice; otherwise None."""
+    succ = {edge[0]: edge for edge in edges}
+    if len(succ) != len(edges):
+        return None                 # a pinch vertex has two outgoing edges
+    start = min(succ)
+    cycle = []
+    edge = succ[start]
+    while True:
+        cycle.append(edge)
+        if edge[1] == start:
+            break
+        edge = succ[edge[1]]
+    return cycle if len(cycle) == len(succ) else None
 
 
 # ---------------------------------------------------------------------------

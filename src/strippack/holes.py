@@ -10,8 +10,21 @@ bounded by the squared lengths of at most four boundary segments, and those
 terms are charged to square sides.  A square never accumulates more than
 5/2 in total charge.
 
-Boundary bookkeeping runs on integer grid vertices; exact coordinates enter
-only through segment lengths and the diagonal-ray intersections.
+Geometry runs on one integer lattice per closed packing: the grid lines
+scaled by the LCM of their denominators.  Cell and hole areas, side lengths
+and diagonal crossings are integers; they become Fractions only where they
+leave the module (``Hole.area``, run ``side_lengths``, ``P``/``Q``, charge
+segments).
+
+A split cuts a hole along a horizontal line into the star below it (under
+a virtual lid) and the remainder.  The piece found first by growing both
+sides of the cut in lockstep is built from its own cells.  The other is
+derived from the parent: its boundary is the parent's with each boundary
+edge of the first piece toggled, and its area is the parent's minus that
+piece's.  The walk of a boundary depends only on its set of edges, so the
+derived cycle is the one tracing the cells would give, and every check
+runs on it as on a traced hole.  A split costs the smaller piece plus the
+boundaries.
 
 Structural facts used here are theorems for BottomLeft packings, so they
 are asserted and raise AnalysisError loudly when violated: that means an
@@ -23,10 +36,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .geometry import (ObstacleGrid, Rect, RectilinearRegion, merge_spans,
-                       trace_boundary)
+from .geometry import (ObstacleGrid, Rect, RectilinearRegion, boundary_edges,
+                       merge_spans, simple_cycle, trace_boundary,
+                       walk_boundary)
 from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import Packing, Placement, SquareItem
 
@@ -66,32 +81,6 @@ class VirtualLid:
         return self.mn_right - self.mn_left
 
 
-@dataclass(frozen=True)
-class Diagonal:
-    """A slope +-1 ray anchoring the hole area bounds.
-
-    The left diagonal (slope -1) starts where the boundary leaves the second
-    square; crossings of it back into the hole trigger splits.  The right
-    diagonal (slope +1) starts at the last transition and provably never
-    cuts the hole.
-    """
-
-    origin: tuple
-    slope: int
-
-    def __post_init__(self):
-        if self.slope not in (-1, 1):
-            raise AnalysisError("diagonal", f"slope {self.slope}")
-
-
-def left_diagonal(hole: "Hole") -> Diagonal:
-    return Diagonal(_diagonal_origin(hole), -1)
-
-
-def _sq(idx: int):
-    return ("sq", idx)
-
-
 OWNER_GROUND = ("ground",)
 OWNER_LWALL = ("lwall",)
 OWNER_RWALL = ("rwall",)
@@ -106,24 +95,26 @@ def close_packing(p: Packing) -> Packing:
 
 
 class _Context:
-    """Shared grid decomposition for all holes of one closed packing."""
+    """Shared grid decomposition for all holes of one closed packing.
+
+    ``X``/``Y`` are the grid lines times ``unit``, the LCM of their
+    denominators; ``dx``/``dy`` are the column widths and row heights.
+    """
 
     def __init__(self, p: Packing):
-        self.packing = p
         self.placements = p.placements
-        self.ceiling = p.height
-        self.grid = ObstacleGrid(p.obstacles(), self.ceiling)
+        self.grid = g = ObstacleGrid(p.obstacles(), p.height)
         self.copies: dict[int, VirtualLid] = {}
-        g = self.grid
-        self.cell_area = [[(g.xs[i + 1] - g.xs[i]) * (g.ys[j + 1] - g.ys[j])
-                           for j in range(g.ny)] for i in range(g.nx)]
+        self.unit = unit = lcm(*(v.denominator for v in g.xs + g.ys))
+        self.X = [x.numerator * (unit // x.denominator) for x in g.xs]
+        self.Y = [y.numerator * (unit // y.denominator) for y in g.ys]
+        self.dx = [b - a for a, b in zip(self.X, self.X[1:])]
+        self.dy = [b - a for a, b in zip(self.Y, self.Y[1:])]
+        self.sq_owner = [("sq", k) for k in range(len(self.placements))]
         # per-placement grid index rectangles (il, ir, jb, jt)
         self.idx_rect = [(g.xi[pl.left], g.xi[pl.right],
                           g.yi[pl.bottom], g.yi[pl.top])
                          for pl in self.placements]
-
-    def fpt(self, v: tuple[int, int]) -> tuple[Scalar, Scalar]:
-        return (self.grid.xs[v[0]], self.grid.ys[v[1]])
 
     def supported_spans(self, level: Scalar):
         """Closed x-spans with solid material immediately below a horizontal
@@ -138,7 +129,12 @@ class _Context:
 class _Run:
     owner: tuple
     points: list                       # grid vertices (i, j)
-    side_lengths: dict = field(default_factory=dict)
+    lengths: dict = field(default_factory=dict)   # per side, on the lattice
+    unit: int = 1
+
+    @property
+    def side_lengths(self) -> dict:
+        return {side: Fraction(v, self.unit) for side, v in self.lengths.items()}
 
     @property
     def start(self):
@@ -157,69 +153,41 @@ class _Run:
 
 
 class Hole:
-    """One hole: a set of free grid cells plus its traversed boundary."""
+    """One hole: a set of free grid cells plus its traversed boundary.
+
+    ``cycle`` is the directed boundary (interior on the left) and
+    ``area_units`` the area on the integer lattice.  ``overrides`` gives
+    the owners of the cut edges of earlier carves, each keyed by its left
+    end.
+    """
 
     def __init__(self, ctx: _Context, cells: frozenset,
                  overrides: Optional[dict] = None,
                  lid_virtual: Optional[VirtualLid] = None):
-        self.ctx = ctx
-        self.cells = cells
-        self.overrides = dict(overrides or {})
-        self.lid_virtual = lid_virtual
-        self._build()
+        """Trace a hole from its cells."""
+        self._build(ctx, cells, dict(overrides or {}), lid_virtual,
+                    trace_boundary(cells), _area_units(ctx, cells))
+
+    @classmethod
+    def from_boundary(cls, ctx: _Context, cells, overrides: dict,
+                      lid_virtual: Optional[VirtualLid], cycle: list,
+                      area_units: int) -> "Hole":
+        """A hole whose boundary cycle and area are already known."""
+        hole = cls.__new__(cls)
+        hole._build(ctx, cells, overrides, lid_virtual, cycle, area_units)
+        return hole
 
     # -- construction -------------------------------------------------------
 
-    def _resolve_owner(self, p1, p2):
-        """Owner of a directed boundary edge (interior on the left).
-
-        Carve overrides win over the raw grid: a virtual lid owns the whole
-        cut segment even where a real square happens to roof part of it.
-        """
-        grid = self.ctx.grid
-        key = (p1, p2) if p1 <= p2 else (p2, p1)
-        own = self.overrides.get(key)
-        if own is not None:
-            return own
-        (i1, j1), (i2, j2) = p1, p2
-        if j1 == j2:    # horizontal; outside below (eastward) or above
-            i = min(i1, i2)
-            if i2 > i1:
-                if j1 == 0:
-                    return OWNER_GROUND
-                cell = (i, j1 - 1)
-            else:
-                if j1 == grid.ny:
-                    raise AnalysisError("unbounded", "hole touches the ceiling")
-                cell = (i, j1)
-        else:           # vertical; outside right (northward) or left
-            j = min(j1, j2)
-            if j2 > j1:
-                if i1 == grid.nx:
-                    return OWNER_RWALL
-                cell = (i1, j)
-            else:
-                if i1 == 0:
-                    return OWNER_LWALL
-                cell = (i1 - 1, j)
-        owner = grid.owner[cell[0]][cell[1]]
-        if owner is not None:
-            return _sq(owner)
-        raise AnalysisError("boundary", f"free neighbor without seam at {key}")
-
-    def _build(self):
-        ctx = self.ctx
-        cycle = trace_boundary(self.cells)
-        edges = [(p1, p2, self._resolve_owner(p1, p2)) for p1, p2 in cycle]
-        runs: list[_Run] = []
-        for p1, p2, owner in edges:
-            if runs and runs[-1].owner == owner:
-                runs[-1].points.append(p2)
-            else:
-                runs.append(_Run(owner, [p1, p2]))
-        if len(runs) > 1 and runs[0].owner == runs[-1].owner:
-            runs[-1].points.extend(runs[0].points[1:])
-            runs[0] = runs.pop()
+    def _build(self, ctx: _Context, cells, overrides: dict,
+               lid_virtual: Optional[VirtualLid], cycle: list,
+               area_units: int):
+        self.ctx = ctx
+        self.cells = cells
+        self.overrides = overrides
+        self.lid_virtual = lid_virtual
+        self.cycle = cycle
+        runs = _runs(ctx, overrides, cycle)
         # Lemma 1: each square contributes one connected boundary curve
         seen = set()
         for r in runs:
@@ -236,11 +204,8 @@ class Hole:
         self.runs = runs[lid_idx:] + runs[:lid_idx]
         for r in self.runs:
             self._measure_sides(r)
-        area = ZERO
-        cell_area = ctx.cell_area
-        for (i, j) in self.cells:
-            area += cell_area[i][j]
-        self.area = area
+        self.area_units = area_units
+        self.area = Fraction(area_units, ctx.unit * ctx.unit)
         lid = self.runs[0]
         rect = lid.rect(ctx)
         if rect is None:
@@ -263,51 +228,50 @@ class Hole:
             # lid run follows the (northward) wall run
             w = next(i for i, r in enumerate(runs) if r.owner == OWNER_RWALL)
             return (w + 1) % len(runs)
-        best = None
-        best_key = None
-        for i, r in enumerate(runs):
-            for p1, p2 in zip(r.points, r.points[1:]):
-                if p1[1] == p2[1] and p2[0] < p1[0]:   # westward: interior below
-                    key = (-p1[1], p2[0])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = i
+        # the highest westward edge (interior below), leftmost among those
+        best = best_j = best_i = None
+        for idx, r in enumerate(runs):
+            for (i1, j1), (i2, j2) in zip(r.points, r.points[1:]):
+                if j1 == j2 and i2 < i1 and (
+                        best is None or j1 > best_j
+                        or (j1 == best_j and i2 < best_i)):
+                    best, best_j, best_i = idx, j1, i2
         if best is None:
             raise AnalysisError("lid", "no top boundary edge found")
         return best
 
     def _measure_sides(self, run: _Run):
         ctx = self.ctx
-        if run.owner[0] == "sq":
+        kind = run.owner[0]
+        if kind == "sq":
             il, ir, jb, jt = ctx.idx_rect[run.owner[1]]
-        elif run.owner[0] == "copy":
+        elif kind == "copy":
             il = ir = jb = jt = None
         else:
             return
-        xs, ys = ctx.grid.xs, ctx.grid.ys
-        totals = {SIDE_LEFT: ZERO, SIDE_BOTTOM: ZERO,
-                  SIDE_RIGHT: ZERO, SIDE_TOP: ZERO}
-        for p1, p2 in zip(run.points, run.points[1:]):
-            if p1[0] == p2[0]:
-                length = abs(ys[p2[1]] - ys[p1[1]])
-                if p1[0] == il:
-                    side = SIDE_LEFT
-                elif p1[0] == ir:
-                    side = SIDE_RIGHT
+        X, Y = ctx.X, ctx.Y
+        left = bottom = right = top = 0
+        for (i1, j1), (i2, j2) in zip(run.points, run.points[1:]):
+            if i1 == i2:
+                length = abs(Y[j2] - Y[j1])
+                if i1 == il:
+                    left += length
+                elif i1 == ir:
+                    right += length
                 else:
                     raise AnalysisError("boundary", "edge off its owner's sides")
             else:
-                length = abs(xs[p2[0]] - xs[p1[0]])
-                if run.owner[0] == "copy":
-                    side = SIDE_BOTTOM      # copies own only their cut line
-                elif p1[1] == jb:
-                    side = SIDE_BOTTOM
-                elif p1[1] == jt:
-                    side = SIDE_TOP
+                length = abs(X[i2] - X[i1])
+                # copies own only their cut line
+                if kind == "copy" or j1 == jb:
+                    bottom += length
+                elif j1 == jt:
+                    top += length
                 else:
                     raise AnalysisError("boundary", "edge off its owner's sides")
-            totals[side] += length
-        run.side_lengths = totals
+        run.lengths = {SIDE_LEFT: left, SIDE_BOTTOM: bottom,
+                       SIDE_RIGHT: right, SIDE_TOP: top}
+        run.unit = ctx.unit
 
     # -- structure accessors ------------------------------------------------
 
@@ -319,15 +283,9 @@ class Hole:
             return KIND_RIGHT_WALL
         return KIND_INTERIOR
 
-    def square_runs(self) -> list[_Run]:
-        return [r for r in self.runs if r.owner[0] in ("sq", "copy")]
-
     def contributing_squares(self) -> list[Placement]:
         return [self.ctx.placements[r.owner[1]] for r in self.runs
                 if r.owner[0] == "sq"]
-
-    def transition_points(self) -> list:
-        return [self.ctx.fpt(r.start) for r in self.runs]
 
     def region(self) -> RectilinearRegion:
         return RectilinearRegion.from_cells(
@@ -380,86 +338,134 @@ class Hole:
         raise AnalysisError("lemma3", "last square neither right nor top neighbor")
 
 
+def _runs(ctx: _Context, overrides: dict, cycle: list) -> list[_Run]:
+    """Group a boundary cycle into maximal runs of edges with one owner.
+
+    An edge's owner is its carve override if it has one (a virtual lid owns
+    the whole cut even where a real square happens to roof part of it),
+    else what lies on its right, outside the hole: a square, the ground or
+    a wall.  Overrides are horizontal cut edges keyed by their left end.
+    """
+    grid = ctx.grid
+    nx, ny, cell_owner, sq_owner = grid.nx, grid.ny, grid.owner, ctx.sq_owner
+    override = overrides.get
+    runs = []
+    last = points = None
+    for p1, p2 in cycle:
+        (i1, j1), (i2, j2) = p1, p2
+        owner = None
+        if j1 == j2:
+            if i2 > i1:                     # eastward: outside below
+                owner = override(p1)
+                if owner is None:
+                    if j1 == 0:
+                        owner = OWNER_GROUND
+                    else:
+                        idx = cell_owner[i1][j1 - 1]
+            else:                           # westward: outside above
+                owner = override(p2)
+                if owner is None:
+                    if j1 == ny:
+                        raise AnalysisError("unbounded",
+                                            "hole touches the ceiling")
+                    idx = cell_owner[i2][j1]
+        elif j2 > j1:                       # northward: outside right
+            if i1 == nx:
+                owner = OWNER_RWALL
+            else:
+                idx = cell_owner[i1][j1]
+        else:                               # southward: outside left
+            if i1 == 0:
+                owner = OWNER_LWALL
+            else:
+                idx = cell_owner[i1 - 1][j2]
+        if owner is None:
+            if idx is None:
+                key = (p1, p2) if p1 <= p2 else (p2, p1)
+                raise AnalysisError(
+                    "boundary", f"free neighbor without seam at {key}")
+            owner = sq_owner[idx]
+        if owner == last:
+            points.append(p2)
+        else:
+            points = [p1, p2]
+            runs.append(_Run(owner, points))
+            last = owner
+    if len(runs) > 1 and runs[0].owner == runs[-1].owner:
+        runs[-1].points.extend(runs[0].points[1:])
+        runs[0] = runs.pop()
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # diagonals and hole splitting
 # ---------------------------------------------------------------------------
 
-def _diagonal_origin(hole: Hole):
-    """Start of the left diagonal: the point where the boundary leaves the
-    second square, or that square's lower-right corner."""
+def _diagonal_origin(hole: Hole) -> tuple[int, int]:
+    """Start of the left diagonal, on the lattice: the point where the
+    boundary leaves the second square, or that square's lower-right
+    corner."""
+    ctx = hole.ctx
     a2 = hole._run_after_lid()
-    rect = a2.rect(hole.ctx)
-    p23 = hole.ctx.fpt(a2.end)
-    if p23[0] == rect.right:
-        return p23
-    return (rect.right, rect.bottom)
+    rect = a2.rect(ctx)
+    i, j = a2.end
+    if ctx.grid.xs[i] == rect.right:
+        return (ctx.X[i], ctx.Y[j])
+    return (ctx.X[ctx.grid.xi[rect.right]], ctx.Y[ctx.grid.yi[rect.bottom]])
 
 
-def _ray_hit(hole: Hole, origin):
+def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], int]]:
     """First counterclockwise boundary point where the slope -1 ray from
-    ``origin`` passes INTO the hole's interior (out of solid material).
+    ``origin`` passes INTO the hole's interior (out of solid material), on
+    the lattice, with the index of the square it leaves.
 
     The ray's own start qualifies when the hole lies immediately southeast
     of it (then the split degenerates to a cut through the start level).
     Points where the ray leaves the hole, grazes a corner, or dives into a
     seam or floor are not crossings in this sense.
     """
-    ctx = hole.ctx
-    xs, ys = ctx.grid.xs, ctx.grid.ys
-    c = origin[0] + origin[1]
+    X, Y = hole.ctx.X, hole.ctx.Y
+    ox, oy = origin
+    c = ox + oy
     for run in hole.runs[1:] + hole.runs[:1]:
         pts = run.points
         for a in range(len(pts) - 1):
             (i1, j1), (i2, j2) = pts[a], pts[a + 1]
             if i1 == i2:
-                x = xs[i1]
+                x = X[i1]
                 y = c - x
-                ylo, yhi = (ys[j1], ys[j2]) if j1 < j2 else (ys[j2], ys[j1])
-                if not (ylo <= y <= yhi):
+                if not (Y[j1] <= y <= Y[j2] or Y[j2] <= y <= Y[j1]):
                     continue
-                pt = (x, y)
             else:
-                y = ys[j1]
+                y = Y[j1]
                 x = c - y
-                xlo, xhi = (xs[i1], xs[i2]) if i1 < i2 else (xs[i2], xs[i1])
-                if not (xlo <= x <= xhi):
+                if not (X[i1] <= x <= X[i2] or X[i2] <= x <= X[i1]):
                     continue
-                pt = (x, y)
-            if pt[0] < origin[0]:
+            if x < ox:
                 continue
-            if _enters_hole_southeast(hole, pt):
-                return pt
+            owner = _enters_hole_southeast(hole, x, y)
+            if owner is not None:
+                return (x, y), owner
     return None
 
 
-def _enters_hole_southeast(hole: Hole, pt) -> bool:
-    """Is the cell infinitesimally southeast of pt a free cell of the hole
-    while the northwest side is solid?"""
-    grid = hole.ctx.grid
-    x, y = pt
-    ie = bisect_right(grid.xs, x) - 1          # column just right of x
-    js = bisect_left(grid.ys, y) - 1           # row just below y
+def _enters_hole_southeast(hole: Hole, x: int, y: int) -> Optional[int]:
+    """If the cell infinitesimally southeast of the lattice point (x, y) is
+    a cell of the hole and the northwest side is solid, the index of the
+    square there; otherwise None."""
+    ctx = hole.ctx
+    grid, X, Y = ctx.grid, ctx.X, ctx.Y
+    ie = bisect_right(X, x) - 1                # column just right of x
+    js = bisect_left(Y, y) - 1                 # row just below y
     if not (0 <= ie < grid.nx and 0 <= js < grid.ny):
-        return False
+        return None
     if (ie, js) not in hole.cells:
-        return False
-    iw = ie if grid.xs[ie] < x else ie - 1     # column just left of x
-    jn = js if grid.ys[js + 1] > y else js + 1  # row just above y
+        return None
+    iw = ie if X[ie] < x else ie - 1           # column just left of x
+    jn = js if Y[js + 1] > y else js + 1       # row just above y
     if not (0 <= iw < grid.nx and 0 <= jn < grid.ny):
-        return False
-    return grid.owner[iw][jn] is not None
-
-
-def _northwest_square(hole: Hole, pt) -> int:
-    grid = hole.ctx.grid
-    x, y = pt
-    ie = bisect_right(grid.xs, x) - 1
-    js = bisect_left(grid.ys, y) - 1
-    iw = ie if grid.xs[ie] < x else ie - 1
-    jn = js if grid.ys[js + 1] > y else js + 1
-    owner = grid.owner[iw][jn]
-    assert owner is not None
-    return owner
+        return None
+    return grid.owner[iw][jn]
 
 
 @dataclass(frozen=True)
@@ -472,12 +478,12 @@ class SplitEvent:
 
 
 def _find_split(hole: Hole) -> Optional[SplitEvent]:
-    origin = _diagonal_origin(hole)
-    pt = _ray_hit(hole, origin)
-    if pt is None:
+    hit = _ray_hit(hole, _diagonal_origin(hole))
+    if hit is None:
         return None
     ctx = hole.ctx
-    sq_idx = _northwest_square(hole, pt)
+    (x, y), sq_idx = hit
+    pt = (Fraction(x, ctx.unit), Fraction(y, ctx.unit))
     sq = ctx.placements[sq_idx]
     try:
         sq_run = next(r for r in hole.runs if r.owner == ("sq", sq_idx))
@@ -525,7 +531,12 @@ def _find_split(hole: Hole) -> Optional[SplitEvent]:
 
 
 def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
-    """Remove the sub-hole below the cut; returns (below, remainder)."""
+    """Remove the sub-hole below the cut; returns (below, remainder).
+
+    Of the two pieces, the one ``_sides_of_cut`` finds is built from its
+    own cells and the other is derived from ``hole``'s boundary; only a set
+    difference, in C, touches the larger piece's cells.
+    """
     ctx = hole.ctx
     grid = ctx.grid
     level = ev.lid.level
@@ -536,28 +547,26 @@ def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
               if (i, j_top - 1) in hole.cells]
     if not throat:
         raise AnalysisError("split", "empty throat under the cut")
-    below = set(throat)
-    stack = list(throat)
-    while stack:
-        i, j = stack.pop()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            cell = (i + di, j + dj)
-            if cell in below or cell not in hole.cells:
-                continue
-            if cell[1] + 1 > j_top:
-                continue
-            below.add(cell)
-            stack.append(cell)
-    rest = hole.cells - below
     over_star = dict(hole.overrides)
     over_rest = dict(hole.overrides)
     for i in range(i_lo, i_hi):
-        key = ((i, j_top), (i + 1, j_top))
-        over_star[key] = ("copy", ev.lid)
-        over_rest[key] = OWNER_SEAM
-    star = Hole(ctx, frozenset(below), over_star, lid_virtual=ev.lid)
-    remainder = Hole(ctx, frozenset(rest), over_rest,
-                     lid_virtual=hole.lid_virtual) if rest else None
+        over_star[(i, j_top)] = ("copy", ev.lid)
+        over_rest[(i, j_top)] = OWNER_SEAM
+    below, above, star_cycle = _sides_of_cut(hole, throat, j_top, i_lo, i_hi)
+    if below is not None:
+        star = Hole(ctx, frozenset(below), over_star, lid_virtual=ev.lid)
+        remainder = None
+        if len(below) < len(hole.cells):
+            remainder = Hole.from_boundary(
+                ctx, hole.cells - below, over_rest, hole.lid_virtual,
+                walk_boundary(_toggled(hole.cycle, star.cycle)),
+                hole.area_units - star.area_units)
+    else:
+        star = Hole.from_boundary(
+            ctx, hole.cells - above, over_star, ev.lid, star_cycle,
+            hole.area_units - _area_units(ctx, above))
+        remainder = (Hole(ctx, frozenset(above), over_rest,
+                          lid_virtual=hole.lid_virtual) if above else None)
     # uniqueness: at most one virtual copy per square
     key = ev.up.item.index
     if key in ctx.copies:
@@ -567,25 +576,99 @@ def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
     return star, remainder
 
 
+def _sides_of_cut(hole: Hole, throat: list, j_top: int, i_lo: int,
+                  i_hi: int) -> tuple[Optional[set], Optional[set],
+                                      Optional[list]]:
+    """Grow both sides of the cut in lockstep and return the first one
+    found, as ``(below, None, None)`` or ``(None, above, star_cycle)``.
+
+    ``below`` is what the cut carves off: the cells under the cut line
+    connected to the throat without crossing that line.  ``above`` grows
+    from the cells over the cut without crossing it downward.  If it ends
+    first without reaching the throat another way, and the rest of the hole
+    lies under the cut line inside one simple cycle, that rest is connected,
+    holds the throat and touches nothing else, so it is ``below``.
+    Otherwise ``below`` is grown to the end.
+    """
+    cells = hole.cells
+    below, grow_below = set(throat), list(throat)
+    over = [(i, j_top) for i in range(i_lo, i_hi) if (i, j_top) in cells]
+    above, grow_above = set(over), list(over)
+    while grow_below:
+        if grow_above is not None:
+            if not grow_above:
+                star_cycle = _star_cycle(hole, above, j_top)
+                if star_cycle is not None:
+                    return None, above, star_cycle
+                grow_above = None
+            else:
+                i, j = grow_above.pop()
+                for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                    if cell in above or cell not in cells:
+                        continue
+                    if cell[1] == j_top - 1 and i_lo <= cell[0] < i_hi:
+                        if j != j_top:      # the throat, reached around the cut
+                            grow_above = None
+                            break
+                        continue            # the throat, across the cut
+                    above.add(cell)
+                    grow_above.append(cell)
+        i, j = grow_below.pop()
+        for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if cell[1] < j_top and cell not in below and cell in cells:
+                below.add(cell)
+                grow_below.append(cell)
+    return below, None, None
+
+
+def _star_cycle(hole: Hole, above: set, j_top: int) -> Optional[list]:
+    """Boundary cycle of the hole minus ``above`` if that piece lies under
+    row ``j_top`` and its boundary is one simple cycle, else None."""
+    edges = _toggled(hole.cycle, boundary_edges(above))
+    if any(p[1] > j_top for p, _ in edges):
+        return None
+    return simple_cycle(edges)
+
+
+def _toggled(cycle: list, piece_edges) -> set:
+    """Directed boundary of a hole minus a piece of it, from the hole's
+    boundary and the piece's: an edge of both leaves, and any other edge of
+    the piece separates it from what is left, so its reverse joins."""
+    edges = set(cycle)
+    for p, q in piece_edges:
+        if (p, q) in edges:
+            edges.remove((p, q))
+        else:
+            edges.add((q, p))
+    return edges
+
+
+def _area_units(ctx: _Context, cells) -> int:
+    dx, dy = ctx.dx, ctx.dy
+    return sum(dx[i] * dy[j] for i, j in cells)
+
+
 def split_hole(hole: Hole) -> list[Hole]:
     """Fully process one hole: repeatedly carve away the part below each
-    diagonal crossing (each carved part re-enters processing as its own
-    hole with a virtual lid) until no crossing remains."""
-    if hole.touches_left:
-        return [hole]
+    diagonal crossing (each carved part is processed as its own hole with a
+    virtual lid, and its pieces come before the remainder's) until no
+    crossing remains."""
     out = []
-    current = hole
-    for _ in range(len(hole.cells) + 1):
-        ev = _find_split(current)
+    # (hole, carves it may still take); each carve removes at least one cell
+    pending = [(hole, len(hole.cells) + 1)]
+    while pending:
+        current, budget = pending.pop()
+        if budget == 0:
+            raise AnalysisError("split", "splitting did not terminate")
+        ev = None if current.touches_left else _find_split(current)
         if ev is None:
             out.append(current)
-            return out
+            continue
         star, remainder = _carve(current, ev)
-        out.extend(split_hole(star))
-        if remainder is None:
-            return out
-        current = remainder
-    raise AnalysisError("split", "splitting did not terminate")
+        if remainder is not None:
+            pending.append((remainder, budget - 1))
+        pending.append((star, len(star.cells) + 1))     # popped first
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +747,15 @@ def _assert_right_diagonal(hole: Hole):
     if hole.touches_right:
         return                      # cut off by the wall; no right diagonal
     last = hole._run_before_lid()
-    if hole.touches_left or hole.classify() == TYPE_I:
-        q_prime = hole.ctx.fpt(last.start)
-    else:
-        q_prime = hole.ctx.fpt(hole._run_before(last).start)
-    d = q_prime[0] - q_prime[1]
-    grid = hole.ctx.grid
+    if not (hole.touches_left or hole.classify() == TYPE_I):
+        last = hole._run_before(last)
+    X, Y = hole.ctx.X, hole.ctx.Y
+    qi, qj = last.start
+    qx = X[qi]
+    d = qx - Y[qj]
     for (i, j) in hole.cells:
-        l, r = grid.xs[i], grid.xs[i + 1]
-        b, t = grid.ys[j], grid.ys[j + 1]
-        lo = max(l, d + b)
-        hi = min(r, d + t, q_prime[0])
+        lo = max(X[i], d + Y[j])
+        hi = min(X[i + 1], d + Y[j + 1], qx)
         if lo < hi:
             raise AnalysisError("lemma4", "right diagonal cuts the hole")
 
@@ -727,10 +808,6 @@ def extract_holes(p_closed: Packing) -> list[Hole]:
         if comp["bounded"]:
             holes.append(Hole(ctx, frozenset(comp["cells"])))
     return holes
-
-
-def classify_hole(hole: Hole) -> str:
-    return hole.classify()
 
 
 @dataclass

@@ -324,7 +324,12 @@ class VerificationReport:
 
 def verify_packing(seq: Sequence[SquareItem],
                    pls: Sequence[Placement]) -> VerificationReport:
-    """Replay arrivals in order, checking all three constraints per step."""
+    """Replay arrivals in order, checking all three constraints per step.
+
+    The replay stops at the first failing step, so ``verdicts`` holds the
+    steps replayed: every step of a valid packing, or the steps up to and
+    including the first failure.
+    """
     if len(seq) != len(pls):
         raise PackingError("sequence and placement lists differ in length")
     for item, pl in zip(seq, pls):
@@ -332,7 +337,6 @@ def verify_packing(seq: Sequence[SquareItem],
             raise PackingError(f"item mismatch at index {item.index}")
     sofar = Packing.empty()
     verdicts = []
-    failure = None
     for step, pl in enumerate(pls, start=1):
         rect = pl.rect()
         overlap_free = pl.in_strip() and not any(
@@ -341,7 +345,7 @@ def verify_packing(seq: Sequence[SquareItem],
         reachable = is_tetris_reachable(sofar, pl) if overlap_free else False
         v = StepVerdict(overlap_free, supported, reachable)
         verdicts.append(v)
-        if failure is None and not v.ok:
-            failure = (step, v.violation)
+        if not v.ok:
+            return VerificationReport(tuple(verdicts), (step, v.violation))
         sofar = sofar.extended(pl)
-    return VerificationReport(tuple(verdicts), failure)
+    return VerificationReport(tuple(verdicts), None)

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strippack.geometry import (GeometryError, Interval, IntervalSet, Rect,
-                                StepProfile, free_components,
+                                StepProfile, boundary_edges, free_components,
                                 interval_set_intersect, interval_set_subtract,
-                                interval_set_union, profile_max_over)
+                                interval_set_union, profile_max_over,
+                                simple_cycle, trace_boundary, walk_boundary)
 
 Z = F(0)
 
@@ -152,3 +153,42 @@ class TestFreeComponents:
         total_free = ceiling * 1 - sum(r.area for r in obstacles)
         unbounded = total_free - sum(c.area for c in bounded)
         assert unbounded == 0   # lid spans the strip: nothing escapes
+
+
+class TestBoundaryWalk:
+    L_SHAPE = {(0, 0), (1, 0), (2, 0), (0, 1)}
+    # a ring with its top-right corner cell missing: (2, 1) and (1, 2) meet
+    # only at the vertex (2, 2), where the outer and inner boundary touch
+    PINCHED = {(i, j) for i in range(3) for j in range(3)} - {(1, 1), (2, 2)}
+
+    def test_l_shape_cycle(self):
+        cycle = trace_boundary(self.L_SHAPE)
+        assert cycle[0] == ((0, 0), (1, 0))
+        assert [p for p, _ in cycle] == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1),
+                                          (2, 1), (1, 1), (1, 2), (0, 2), (0, 1)]
+
+    def test_walk_ignores_edge_order(self):
+        for cells in (self.L_SHAPE, self.PINCHED):
+            edges = boundary_edges(cells)
+            assert walk_boundary(edges[::-1]) == walk_boundary(edges)
+
+    def test_pinch_turns_left(self):
+        cycle = trace_boundary(self.PINCHED)
+        assert len(cycle) == 16
+        at_pinch = [q for p, q in cycle if p == (2, 2)]
+        assert at_pinch == [(2, 1), (2, 3)]
+
+    def test_simple_cycle(self):
+        edges = boundary_edges(self.L_SHAPE)
+        assert simple_cycle(set(edges)) == trace_boundary(self.L_SHAPE)
+        assert simple_cycle(boundary_edges(self.PINCHED)) is None
+        assert simple_cycle(boundary_edges({(0, 0), (2, 0)})) is None
+
+    def test_corner_touching_cells_rejected(self):
+        with pytest.raises(GeometryError):
+            trace_boundary({(0, 0), (1, 1)})
+
+    def test_island_rejected(self):
+        ring = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
+        with pytest.raises(GeometryError):
+            trace_boundary(ring)

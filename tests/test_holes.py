@@ -1,13 +1,34 @@
+import hashlib
 from fractions import Fraction as F
+from types import SimpleNamespace
+
+import pytest
 
 from conftest import items, packing_of, random_items
+from strippack import holes
 from strippack.bottomleft import bl_run
+from strippack.geometry import trace_boundary
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
-                             TYPE_I, TYPE_II, close_packing, compute_charges,
-                             extract_holes, hole_area_bound,
+                             OWNER_SEAM, TYPE_I, TYPE_II, Hole, close_packing,
+                             compute_charges, extract_holes, hole_area_bound,
                              run_bottomleft_analysis, split_hole,
                              wall_hole_charges)
 from strippack.packing import Packing, SquareItem
+
+# the large-workload panel: 100 sides randint(2^14, 2^20) / 2^20
+LARGE_PANEL = [random_items(f"large:{i}", 100) for i in range(3)]
+# sha256 of run_bottomleft_analysis(bl_run(seq)).report() on the panel, as
+# computed by the cell-by-cell Fraction implementation
+LARGE_REPORT_SHA256 = [
+    "4a744676e8ec040b96eea326ca567862c2ec93e2938fee539bda14359f8e1e1c",
+    "0a41cd1c98743b8a73ccd5553415ef3b4e7c77e074cb941e476f5b652db6dd7d",
+    "a38450ccc63035c2431d25bb195efc6cce837aa8f64a525e446ffd6f23b973de",
+]
+
+
+def corpus_items(seed: int):
+    """Acceptance-corpus instance ``seed``: 30 sides, generator 1_000_000+seed."""
+    return random_items(1_000_000 + seed, 30)
 
 
 class TestClosePacking:
@@ -210,3 +231,105 @@ class TestIdentityAndInvariants:
         text = ana.report()
         assert "CHECK height-identity PASS" in text
         assert "CHECK max-charge PASS" in text
+
+
+def _below_cut(cells, throat, j_top):
+    """Reference flood fill: the cells under row ``j_top`` connected to the
+    throat without crossing it."""
+    below, stack = set(throat), list(throat)
+    while stack:
+        i, j = stack.pop()
+        for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if cell[1] < j_top and cell not in below and cell in cells:
+                below.add(cell)
+                stack.append(cell)
+    return below
+
+
+def _assert_same_hole(got, want):
+    assert got.cells == want.cells
+    assert got.cycle == want.cycle
+    assert [(r.owner, r.points, r.side_lengths) for r in got.runs] == \
+        [(r.owner, r.points, r.side_lengths) for r in want.runs]
+    assert (got.area, got.area_units, got.P, got.Q, got.kind) == \
+        (want.area, want.area_units, want.P, want.Q, want.kind)
+    assert got.lid_virtual is want.lid_virtual
+
+
+class TestIncrementalCarve:
+    def test_pieces_match_from_scratch(self, monkeypatch):
+        """Every carve's two pieces, one of them derived from the parent's
+        boundary, equal holes traced from scratch on the reference split."""
+        carve = holes._carve
+        seen = {"carves": 0, "below_smaller": 0, "rest_smaller": 0}
+
+        def checked(hole, ev):
+            ctx, cells, overrides = hole.ctx, hole.cells, dict(hole.overrides)
+            star, remainder = carve(hole, ev)
+            grid = ctx.grid
+            j_top = grid.yi[ev.lid.level]
+            cut = range(grid.xi[ev.lid.mn_left], grid.xi[ev.lid.mn_right])
+            throat = [(i, j_top - 1) for i in cut if (i, j_top - 1) in cells]
+            below = _below_cut(cells, throat, j_top)
+            rest = cells - below
+            over_star, over_rest = dict(overrides), dict(overrides)
+            for i in cut:
+                over_star[(i, j_top)] = ("copy", ev.lid)
+                over_rest[(i, j_top)] = OWNER_SEAM
+            _assert_same_hole(star, Hole(ctx, frozenset(below), over_star,
+                                         lid_virtual=ev.lid))
+            if rest:
+                _assert_same_hole(remainder, Hole(ctx, frozenset(rest), over_rest,
+                                                  lid_virtual=hole.lid_virtual))
+            else:
+                assert remainder is None
+            seen["carves"] += 1
+            seen["below_smaller" if len(below) < len(rest)
+                 else "rest_smaller"] += 1
+            return star, remainder
+
+        monkeypatch.setattr(holes, "_carve", checked)
+        for seq in LARGE_PANEL + [corpus_items(s) for s in range(50)]:
+            run_bottomleft_analysis(bl_run(seq))
+        # both pieces get derived on these instances
+        assert seen["below_smaller"] > 0 and seen["rest_smaller"] > 0
+        assert seen["carves"] > 1000
+
+    # Synthetic cuts at row 1 over column 0: the throat is (0, 0), the part
+    # above the cut starts at (0, 1), and a 10 x 5 block lies under the cut.
+    BLOCK = {(i, j) for i in range(10) for j in range(-4, 1)}
+    NOT_A_SIDE = {
+        # the part above runs around the cut into the throat
+        "around": BLOCK | {(0, 1), (1, 1)},
+        # a cell over the block is cut off from the part above
+        "over": BLOCK | {(0, 1), (5, 1)},
+        # the block has a pinch vertex at (4, -3), so its boundary is not
+        # a simple cycle
+        "pinch": (BLOCK - {(3, -4), (4, -3)}) | {(0, 1)},
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_A_SIDE))
+    def test_side_found_first_falls_back_to_flood(self, case):
+        cells = frozenset(self.NOT_A_SIDE[case])
+        hole = SimpleNamespace(cells=cells, cycle=trace_boundary(cells))
+        below, above, star_cycle = holes._sides_of_cut(
+            hole, [(0, 0)], 1, 0, 1)
+        assert (above, star_cycle) == (None, None)
+        assert below == _below_cut(cells, [(0, 0)], 1)
+
+    def test_part_above_found_first(self):
+        cells = frozenset(self.BLOCK | {(0, 1), (0, 2), (1, 2)})
+        hole = SimpleNamespace(cells=cells, cycle=trace_boundary(cells))
+        below, above, star_cycle = holes._sides_of_cut(
+            hole, [(0, 0)], 1, 0, 1)
+        assert below is None
+        assert above == {(0, 1), (0, 2), (1, 2)}
+        assert star_cycle == trace_boundary(self.BLOCK)
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("idx", range(len(LARGE_PANEL)))
+    def test_large_panel_reports(self, idx):
+        report = run_bottomleft_analysis(bl_run(LARGE_PANEL[idx])).report()
+        assert hashlib.sha256(report.encode()).hexdigest() == \
+            LARGE_REPORT_SHA256[idx]

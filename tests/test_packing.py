@@ -161,6 +161,17 @@ class TestVerifier:
         with pytest.raises(PackingError):
             verify_packing(seq, [])
 
+    def test_stops_at_first_failure(self):
+        seq = random_items(3, 100)
+        packed = bl_run(seq).placements
+        assert len(verify_packing(seq, packed).verdicts) == 100
+        pls = list(packed)
+        first = pls[0]
+        pls[1] = Placement(pls[1].item, first.x, first.y)   # onto square 1
+        report = verify_packing(seq, pls)
+        assert report.describe() == "overlap at step 2"
+        assert len(report.verdicts) == 2
+
     def test_height(self):
         assert packing_height(Packing.empty()) == 0
         assert packing_height(packing_of([(1, 0, 0)])) == 1
