@@ -20,27 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .bottomleft import BottomLeftState
 from .numbers import ONE, ZERO, Scalar
 from .packing import (Packing, PackingError, Placement, SquareItem,
-                      is_supported, is_tetris_reachable, verify_packing)
-from .slots import SlotStrategyState, round_to_dyadic
+                      check_step, verify_packing)
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
 
 TYPE_I = "I"
 TYPE_II = "II"
-
-StrategyFactory = Callable[[], object]   # () -> state with .place/.packing
-
-STRATEGIES: dict[str, StrategyFactory] = {
-    "bottomleft": BottomLeftState,
-    "slot": SlotStrategyState,
-}
-
 
 def classify_iteration(pl1: Placement, pl2: Placement,
                        h_prev: Scalar) -> str:
@@ -89,18 +78,18 @@ class AdversaryTranscript:
         return "\n".join(lines)
 
 
-def adversary_run(factory: StrategyFactory, m: int,
-                  eps: Scalar) -> AdversaryTranscript:
-    """Play m adaptive iterations against a fresh strategy state.
+def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
+    """Play m adaptive iterations against a fresh ``strategy()`` (see
+    ``packing.pack`` for the protocol).
 
-    Every placement the strategy returns is verified against its own packing
-    so far; an invalid one aborts with a diagnostic.
+    Every placement the strategy returns is checked against its own packing
+    so far; an invalid one aborts naming the square and the violation.
     """
     if m < 1:
         raise PackingError("need at least one iteration")
     if not (ZERO < eps < QUARTER):
         raise PackingError("epsilon must be in (0, 1/4)")
-    state = factory()
+    state = strategy()
     count = 0
 
     def send(side: Scalar) -> Placement:
@@ -108,13 +97,9 @@ def adversary_run(factory: StrategyFactory, m: int,
         count += 1
         before = state.packing
         pl = state.place(SquareItem(count, side))
-        rect = pl.rect()
-        if not pl.in_strip() or any(rect.interior_overlaps(q.rect()) for q in before):
-            raise PackingError(f"strategy overlaps at square {count}")
-        if not is_supported(before, pl):
-            raise PackingError(f"strategy floats square {count}")
-        if not is_tetris_reachable(before, pl):
-            raise PackingError(f"strategy teleports square {count}")
+        verdict = check_step(before, pl)
+        if not verdict.ok:
+            raise PackingError(f"strategy square {count}: {verdict.violation}")
         return pl
 
     records = []
@@ -167,22 +152,3 @@ def optimal_packing_for_transcript(t: AdversaryTranscript) -> Packing:
     if not report.ok:
         raise PackingError(f"optimal construction invalid: {report.describe()}")
     return Packing(tuple(placements))
-
-
-def optimal_height(t: AdversaryTranscript) -> Scalar:
-    return optimal_packing_for_transcript(t).height
-
-
-def slot_killer_instance(k: int, delta: Scalar, n: int) -> list[SquareItem]:
-    """n squares of side 2^-k + delta; delta must keep the rounded width at
-    2^-(k-1) so every slot wastes almost half its width."""
-    if k < 1 or n < 1:
-        raise PackingError("need k >= 1 and n >= 1")
-    side = Fraction(1, 2 ** k) + delta
-    if not (ZERO < delta and side <= ONE):
-        raise PackingError(f"delta {delta} out of range")
-    level, width = round_to_dyadic(side)
-    if level != k - 1:
-        raise PackingError(
-            f"side {side} rounds to width {width}, not 2^-{k - 1}")
-    return [SquareItem(i, side) for i in range(1, n + 1)]

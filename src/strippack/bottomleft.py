@@ -8,8 +8,6 @@ search is exact and terminates.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .geometry import merge_open_spans, spans_contain
 from .numbers import ONE, ZERO
 from .packing import (Packing, PackingError, Placement, SquareItem,
@@ -55,15 +53,8 @@ def _in_open(opens, x) -> bool:
     return False
 
 
-def bl_run(seq: Sequence[SquareItem]) -> Packing:
-    p = Packing.empty()
-    for item in seq:
-        p = p.extended(bl_place_next(p, item))
-    return p
-
-
 class BottomLeftState:
-    """Stateful wrapper used by the adversary harness."""
+    """The BottomLeft strategy, one square at a time."""
 
     def __init__(self):
         self.packing = Packing.empty()

@@ -10,20 +10,18 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .adversary import (STRATEGIES, adversary_run, optimal_packing_for_transcript,
-                        slot_killer_instance)
-from .bottomleft import bl_run
+from .adversary import adversary_run, optimal_packing_for_transcript
+from .bottomleft import BottomLeftState
 from .harness import (InstanceError, gen_random, instance_text, parse_instance,
                       parse_placements_csv, placements_csv, render_svg,
                       run_stats)
 from .holes import AnalysisError, run_bottomleft_analysis
 from .numbers import ScalarParseError, format_scalar, scalar
-from .packing import PackingError, verify_packing
+from .packing import PackingError, close_packing, pack, verify_packing
 from .shadows import charge_map, check_slot_bounds
-from .slots import slot_run
-from .holes import close_packing
+from .slots import SlotState, slot_killer_instance
 
-RUNNERS = {"bottomleft": bl_run, "slot": slot_run}
+STRATEGIES = {"bottomleft": BottomLeftState, "slot": SlotState}
 
 
 def _read(path: str) -> str:
@@ -45,7 +43,7 @@ def _parse_scalar_arg(text: str):
 
 def cmd_run(args) -> int:
     seq = parse_instance(_read(args.input))
-    p = RUNNERS[args.strategy](seq)
+    p = pack(STRATEGIES[args.strategy], seq)
     report = verify_packing(seq, p.placements)
     if not report.ok:
         print(f"CHECK run-self-verify FAIL {report.describe()}")
@@ -74,7 +72,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     seq = parse_instance(_read(args.input))
-    p = RUNNERS[args.strategy](seq)
+    p = pack(STRATEGIES[args.strategy], seq)
     if args.strategy == "bottomleft":
         try:
             analysis = run_bottomleft_analysis(p)
@@ -89,13 +87,14 @@ def cmd_analyze(args) -> int:
         return 0 if analysis.ok else 1
     closed = close_packing(p)
     cm = charge_map(closed)
-    bounds = check_slot_bounds(closed, cm)
+    checks = check_slot_bounds(closed, cm)
     for idx in sorted(cm.areas):
         print(f"square {idx}: charged-area {format_scalar(cm.areas[idx])}")
-    print(bounds.report())
+    for c in checks:
+        print(c.line())
     if args.svg:
         _write(args.svg, render_svg(closed))
-    return 0 if bounds.ok else 1
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def cmd_adversary(args) -> int:
@@ -120,7 +119,7 @@ def cmd_adversary(args) -> int:
 def cmd_killer(args) -> int:
     delta = _parse_scalar_arg(args.delta)
     seq = slot_killer_instance(args.k, delta, args.n)
-    p = slot_run(seq)
+    p = pack(SlotState, seq)
     if args.stats:
         for line in run_stats(seq, p).lines():
             print(line)
@@ -144,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="pack an instance with a strategy")
-    run.add_argument("--strategy", choices=sorted(RUNNERS), required=True)
+    run.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
     run.add_argument("--input", required=True)
     run.add_argument("--csv")
     run.add_argument("--svg")
@@ -157,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     ana = sub.add_parser("analyze", help="hole/charge or shadow analysis")
-    ana.add_argument("--strategy", choices=sorted(RUNNERS), required=True)
+    ana.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
     ana.add_argument("--input", required=True)
     ana.add_argument("--svg")
     ana.set_defaults(func=cmd_analyze)
 
     adv = sub.add_parser("adversary", help="adaptive lower-bound adversary")
-    adv.add_argument("--strategy", choices=sorted(RUNNERS), required=True)
+    adv.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
     adv.add_argument("--iterations", type=int, required=True)
     adv.add_argument("--epsilon", default="1/100")
     adv.add_argument("--report")

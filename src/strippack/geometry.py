@@ -1,6 +1,6 @@
 """Exact axis-aligned geometry.
 
-Intervals and normalized interval sets on the strip's x-axis, piecewise
+Closed intervals and span lists on the strip's x-axis, piecewise
 constant step profiles (the packing skyline), rectangles, rectilinear
 regions, and the grid decomposition used to find bounded free components.
 
@@ -10,7 +10,7 @@ run them on integer-rescaled coordinates.
 
 Conventions:
   * squares/rectangles are closed sets; "overlap" means interiors intersect;
-  * interval sets are closed and may contain degenerate single points
+  * span lists are closed and may contain degenerate single points
     (a square sliding along a touching boundary occupies such a point);
   * step-profile queries use the open interior of the query interval, so
     boundary-only contact neither blocks a drop nor provides support.
@@ -19,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .numbers import ONE, ZERO, Scalar
 
@@ -78,28 +78,6 @@ def intersect_spans(a, b):
     return out
 
 
-def subtract_spans_closed(a, b):
-    """Closure of (union a) minus (union b), both closed.
-
-    Removing a closed overlap keeps shared endpoints only when they are
-    limits of surviving material, i.e. degenerate leftovers vanish.
-    """
-    out = []
-    for alo, ahi in a:
-        cur = alo
-        for blo, bhi in b:
-            if bhi < cur or blo > ahi:
-                continue
-            if blo > cur:
-                out.append((cur, blo))
-            cur = max(cur, bhi)
-            if cur >= ahi:
-                break
-        if cur < ahi:
-            out.append((cur, ahi))
-    return merge_spans(out)
-
-
 def subtract_spans_open(a, opens):
     """(union a) minus (union of OPEN spans): endpoints survive, possibly as
     degenerate single-point spans."""
@@ -143,7 +121,7 @@ def spans_contain(spans, x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# public interval types
+# intervals and rectangles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -161,63 +139,6 @@ class Interval:
     def length(self) -> Scalar:
         return self.hi - self.lo
 
-    def contains(self, x: Scalar) -> bool:
-        return self.lo <= x <= self.hi
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Normalized set of pairwise-disjoint, non-touching closed intervals."""
-
-    spans: tuple[tuple[Scalar, Scalar], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Scalar, Scalar]]) -> "IntervalSet":
-        return cls(tuple(merge_spans(list(pairs))))
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
-        return cls.from_pairs((iv.lo, iv.hi) for iv in intervals)
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @property
-    def total_length(self) -> Scalar:
-        return sum((hi - lo for lo, hi in self.spans), ZERO)
-
-    def contains(self, x: Scalar) -> bool:
-        return spans_contain(self.spans, x)
-
-    def __bool__(self) -> bool:
-        return bool(self.spans)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(tuple(merge_spans(list(self.spans) + list(other.spans))))
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(tuple(intersect_spans(self.spans, other.spans)))
-
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(tuple(subtract_spans_closed(self.spans, other.spans)))
-
-
-def interval_set_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.union(b)
-
-
-def interval_set_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)
-
-
-def interval_set_subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.subtract(b)
-
-
-# ---------------------------------------------------------------------------
-# rectangles
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Rect:
@@ -344,10 +265,6 @@ class StepProfile:
                 starts.append(s)
                 values.append(val)
         return StepProfile(starts, values)
-
-
-def profile_max_over(profile: StepProfile, iv: Interval) -> Scalar:
-    return profile.max_over(iv.lo, iv.hi)
 
 
 # ---------------------------------------------------------------------------

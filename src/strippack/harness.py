@@ -47,7 +47,10 @@ def instance_text(items: Sequence[SquareItem]) -> str:
 
 def gen_random(n: int, seed: int, min_side: Scalar = Fraction(1, 64),
                max_side: Scalar = ONE) -> list[SquareItem]:
-    """Sides uniform over the denominator-2^20 grid within [min, max]."""
+    """n >= 0 sides uniform over the denominator-2^20 grid within
+    [min, max]."""
+    if n < 0:
+        raise InstanceError(f"need n >= 0, got {n}")
     if not (ZERO < min_side <= max_side <= ONE):
         raise InstanceError("need 0 < min <= max <= 1")
     lo = -((-min_side * GRID).__floor__())    # ceil
@@ -103,8 +106,6 @@ class RunStats:
     n: int
     height: Scalar
     area_sum: Scalar
-    hole_sum: Optional[Scalar] = None
-    max_charge: Optional[Scalar] = None
     max_side: Scalar = ZERO
 
     @property
@@ -117,23 +118,16 @@ class RunStats:
         return self.height / self.lower_bound if self.lower_bound > ZERO else ZERO
 
     def lines(self) -> list[str]:
-        out = [f"n {self.n}",
-               f"height {format_scalar(self.height)} (~{float(self.height):.6g})",
-               f"area-sum {format_scalar(self.area_sum)} (~{float(self.area_sum):.6g})",
-               f"ratio {format_scalar(self.ratio)} (~{float(self.ratio):.6g})"]
-        if self.hole_sum is not None:
-            out.insert(3, f"hole-sum {format_scalar(self.hole_sum)}")
-        if self.max_charge is not None:
-            out.append(f"max-charge {format_scalar(self.max_charge)}")
-        return out
+        return [f"n {self.n}",
+                f"height {format_scalar(self.height)} (~{float(self.height):.6g})",
+                f"area-sum {format_scalar(self.area_sum)} (~{float(self.area_sum):.6g})",
+                f"ratio {format_scalar(self.ratio)} (~{float(self.ratio):.6g})"]
 
 
-def run_stats(seq: Sequence[SquareItem], p: Packing,
-              hole_sum: Optional[Scalar] = None,
-              max_charge: Optional[Scalar] = None) -> RunStats:
+def run_stats(seq: Sequence[SquareItem], p: Packing) -> RunStats:
     area = sum((it.side ** 2 for it in seq), ZERO)
     biggest = max((it.side for it in seq), default=ZERO)
-    return RunStats(len(seq), p.height, area, hole_sum, max_charge, biggest)
+    return RunStats(len(seq), p.height, area, biggest)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .geometry import (ObstacleGrid, Rect, RectilinearRegion, boundary_edges,
                        merge_spans, simple_cycle, trace_boundary,
                        walk_boundary)
 from .numbers import HALF, ONE, ZERO, Scalar
-from .packing import Packing, Placement, SquareItem
+from .packing import Check, Packing, Placement, close_packing
 
 SIDE_LEFT = "left"
 SIDE_BOTTOM = "bottom"
@@ -85,13 +85,6 @@ OWNER_GROUND = ("ground",)
 OWNER_LWALL = ("lwall",)
 OWNER_RWALL = ("rwall",)
 OWNER_SEAM = ("seam",)
-
-
-def close_packing(p: Packing) -> Packing:
-    """Append the side-1 closing square; it can only rest at the packing
-    height with its left side on the wall."""
-    closing = SquareItem(len(p.placements) + 1, ONE)
-    return p.extended(Placement(closing, ZERO, p.height))
 
 
 class _Context:
@@ -736,12 +729,6 @@ def hole_area_bound(hole: Hole) -> Scalar:
     return bound
 
 
-def wall_hole_charges(hole: Hole) -> list[ChargeTerm]:
-    if not (hole.touches_left or hole.touches_right):
-        raise AnalysisError("wall", "not a wall hole")
-    return _charge_items(hole)
-
-
 def _assert_right_diagonal(hole: Hole):
     """The slope +1 diagonal from the last transition never cuts the hole."""
     if hole.touches_right:
@@ -808,19 +795,6 @@ def extract_holes(p_closed: Packing) -> list[Hole]:
         if comp["bounded"]:
             holes.append(Hole(ctx, frozenset(comp["cells"])))
     return holes
-
-
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    lhs: str
-    cmp: str
-    rhs: str
-
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"CHECK {self.name} {status} {self.lhs} {self.cmp} {self.rhs}"
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A packing is an ordered sequence of axis-aligned square placements in the
 semi-infinite strip [0,1] x [0,inf).  The verifier replays the arrival
-order and checks, per step:
+order and checks, per step (``check_step``):
 
   * overlap-freeness (closed squares, interiors disjoint, inside the strip),
   * gravity: the square rests on the strip bottom or on another square's top
@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .geometry import (IntervalSet, Rect, StepProfile, intersect_spans,
-                       spans_contain, spans_meet, subtract_spans_open)
+from .geometry import (Rect, StepProfile, intersect_spans, spans_contain,
+                       spans_meet, subtract_spans_open)
 from .numbers import ONE, ZERO, Scalar
 
 
@@ -125,8 +125,23 @@ class Packing:
         return [pl.rect() for pl in self.placements]
 
 
-def packing_height(p: Packing) -> Scalar:
-    return p.height
+def pack(strategy, seq: Sequence[SquareItem]) -> Packing:
+    """Place ``seq`` online with a fresh ``strategy()``.
+
+    A strategy is a class whose instances place one square at a time:
+    ``place(item) -> Placement`` on their own ``.packing``.
+    """
+    state = strategy()
+    for item in seq:
+        state.place(item)
+    return state.packing
+
+
+def close_packing(p: Packing) -> Packing:
+    """Append the side-1 closing square; it can only rest at the packing
+    height with its left side on the wall."""
+    closing = SquareItem(len(p.placements) + 1, ONE)
+    return p.extended(Placement(closing, ZERO, p.height))
 
 
 def rest_height(p: Packing, x: Scalar, a: Scalar) -> Scalar:
@@ -159,8 +174,8 @@ class ReachabilitySweep:
     """Finite description of all monotone-descent reachable left-edge
     positions of a square of fixed side.
 
-    ``levels()`` lists (y, reachable IntervalSet at exactly y) for each
-    event level; between events the set of the open slab below applies.
+    Each event level keeps the spans reachable exactly at it and those of
+    the open slab below it, down to the next event.
     """
 
     __slots__ = ("side", "start_y", "full", "_events", "_at", "_slabs")
@@ -191,10 +206,6 @@ class ReachabilitySweep:
         if ev[lo] == y:
             return self._at[lo]
         return self._slabs[lo - 1]      # open slab below the event above y
-
-    def levels(self):
-        return [(lv, IntervalSet(tuple(sp)))
-                for lv, sp in zip(self._events, self._at)]
 
 
 def reachable_positions(p: Packing, a: Scalar) -> ReachabilitySweep:
@@ -322,6 +333,17 @@ class VerificationReport:
         return f"{kind} at step {step}"
 
 
+def check_step(sofar: Packing, pl: Placement) -> StepVerdict:
+    """Check one arriving square against the packing before it: overlap,
+    then support, then reach; a square that overlaps is not reachable."""
+    rect = pl.rect()
+    overlap_free = pl.in_strip() and not any(
+        rect.interior_overlaps(q.rect()) for q in sofar)
+    supported = is_supported(sofar, pl)
+    reachable = is_tetris_reachable(sofar, pl) if overlap_free else False
+    return StepVerdict(overlap_free, supported, reachable)
+
+
 def verify_packing(seq: Sequence[SquareItem],
                    pls: Sequence[Placement]) -> VerificationReport:
     """Replay arrivals in order, checking all three constraints per step.
@@ -338,14 +360,28 @@ def verify_packing(seq: Sequence[SquareItem],
     sofar = Packing.empty()
     verdicts = []
     for step, pl in enumerate(pls, start=1):
-        rect = pl.rect()
-        overlap_free = pl.in_strip() and not any(
-            rect.interior_overlaps(q.rect()) for q in sofar)
-        supported = is_supported(sofar, pl)
-        reachable = is_tetris_reachable(sofar, pl) if overlap_free else False
-        v = StepVerdict(overlap_free, supported, reachable)
+        v = check_step(sofar, pl)
         verdicts.append(v)
         if not v.ok:
             return VerificationReport(tuple(verdicts), (step, v.violation))
         sofar = sofar.extended(pl)
     return VerificationReport(tuple(verdicts), None)
+
+
+# ---------------------------------------------------------------------------
+# report lines shared by both analyses
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Check:
+    """One ``CHECK`` report line: an exact comparison and its outcome."""
+
+    name: str
+    ok: bool
+    lhs: str
+    cmp: str
+    rhs: str
+
+    def line(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        return f"CHECK {self.name} {status} {self.lhs} {self.cmp} {self.rhs}"

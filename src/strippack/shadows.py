@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
 from .geometry import Interval, Rect
 from .numbers import ONE, ZERO, Scalar
-from .packing import Packing, PackingError, Placement
+from .packing import Check, Packing, PackingError, Placement
 from .slots import SlotId, round_to_dyadic
 
 EIGHT_THIRTEENTHS = Fraction(8, 13)
@@ -80,12 +81,6 @@ def shadowed_extent(pl: Placement) -> Rect:
                 Interval(pl.bottom, pl.top))
 
 
-@dataclass(frozen=True)
-class Widening:
-    owner: Placement
-    region: Rect
-
-
 def widening_of(pl: Placement) -> Rect:
     """(square union shadow) clipped to the square's own slot.
 
@@ -98,10 +93,6 @@ def widening_of(pl: Placement) -> Rect:
     slot = slot_of(pl)
     return Rect(Interval(max(ext.left, slot.left), min(ext.right, slot.right)),
                 Interval(pl.bottom, pl.top))
-
-
-def widening(pl: Placement) -> Widening:
-    return Widening(pl, widening_of(pl))
 
 
 @dataclass
@@ -167,22 +158,8 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     return ChargeMap(areas, regions, [w for _, _, _, w, _ in recs])
 
 
-@dataclass
-class SlotBoundsReport:
-    checks: list
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def report(self) -> str:
-        return "\n".join(c.line() for c in self.checks)
-
-
-def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> SlotBoundsReport:
+def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:
     """Exact per-square and aggregate bounds implied by the charge map."""
-    from .holes import Check   # shared report-line helper
-
     checks = []
     for pl in p_closed.placements:
         charged = cm.area_of(pl.item.index)
@@ -205,4 +182,4 @@ def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> SlotBoundsReport:
     checks.append(Check("theorem2",
                         height <= 2 * area_sum + EIGHT_THIRTEENTHS * closed_sum,
                         str(height), "<=", f"2*{area_sum} + 8/13*{closed_sum}"))
-    return SlotBoundsReport(checks)
+    return checks

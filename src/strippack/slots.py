@@ -12,7 +12,6 @@ against the raw packing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .geometry import StepProfile
 from .numbers import ONE, ZERO, Scalar
@@ -66,7 +65,8 @@ class SlotId:
 
 
 class SlotState:
-    """Mutable run state: placements, skyline, per-level slot heights."""
+    """The slot strategy, one square at a time: placements, skyline and
+    per-level slot heights."""
 
     def __init__(self):
         self._placements: list[Placement] = []
@@ -120,30 +120,16 @@ class SlotState:
                     heights[j] = pl.top
 
 
-def choose_slot(s: SlotState, k: int) -> SlotId:
-    return s.choose(k)
-
-
-def slot_place_next(s: SlotState, item: SquareItem) -> Placement:
-    return s.place(item)
-
-
-def slot_run(seq: Sequence[SquareItem]) -> Packing:
-    s = SlotState()
-    for item in seq:
-        s.place(item)
-    return s.packing
-
-
-class SlotStrategyState:
-    """Stateful wrapper used by the adversary harness."""
-
-    def __init__(self):
-        self._state = SlotState()
-
-    @property
-    def packing(self) -> Packing:
-        return self._state.packing
-
-    def place(self, item: SquareItem) -> Placement:
-        return self._state.place(item)
+def slot_killer_instance(k: int, delta: Scalar, n: int) -> list[SquareItem]:
+    """n squares of side 2^-k + delta; delta must keep the rounded width at
+    2^-(k-1) so every slot wastes almost half its width."""
+    if k < 1 or n < 1:
+        raise PackingError("need k >= 1 and n >= 1")
+    side = Fraction(1, 2 ** k) + delta
+    if not (ZERO < delta and side <= ONE):
+        raise PackingError(f"delta {delta} out of range")
+    level, width = round_to_dyadic(side)
+    if level != k - 1:
+        raise PackingError(
+            f"side {side} rounds to width {width}, not 2^-{k - 1}")
+    return [SquareItem(i, side) for i in range(1, n + 1)]

@@ -9,15 +9,14 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import grid_bfs_reachable
-from strippack.adversary import (STRATEGIES, adversary_run,
-                                 optimal_packing_for_transcript,
-                                 slot_killer_instance)
-from strippack.bottomleft import bl_run
-from strippack.holes import AnalysisError, close_packing, run_bottomleft_analysis
-from strippack.packing import (Placement, SquareItem, reachable_positions,
-                               verify_packing)
+from strippack.adversary import adversary_run, optimal_packing_for_transcript
+from strippack.bottomleft import BottomLeftState
+from strippack.cli import STRATEGIES
+from strippack.holes import AnalysisError, run_bottomleft_analysis
+from strippack.packing import (Placement, SquareItem, close_packing, pack,
+                               reachable_positions, verify_packing)
 from strippack.shadows import EIGHT_THIRTEENTHS, charge_map
-from strippack.slots import slot_run
+from strippack.slots import SlotState, slot_killer_instance
 
 CORPUS_SIZE = 1000
 CORPUS_N = 30
@@ -49,7 +48,7 @@ def corpus():
     lemma_failures = []
     for seed in range(CORPUS_SIZE):
         seq = corpus_instance(seed)
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         if len(packings) < 100:
             packings.append((seq, p))
         area = sum(it.side ** 2 for it in seq)
@@ -70,7 +69,7 @@ def corpus():
         rec["aggregate_ok"] = ana.hole_sum() <= F(5, 2) * (area + 1)
         rec["theorem1"] = p.height <= F(7, 2) * area + F(5, 2)
 
-        sp = slot_run(seq)
+        sp = pack(SlotState, seq)
         closed = close_packing(sp)
         cm = charge_map(closed)
         rec["slot_height"] = sp.height
@@ -133,7 +132,7 @@ def test_criterion_5_adversary_lower_bound(strategy):
 
 def test_criterion_6_slot_killer():
     seq = slot_killer_instance(6, F(1, 2 ** 12), 2 ** 12)
-    p = slot_run(seq)
+    p = pack(SlotState, seq)
     area = sum(it.side ** 2 for it in seq)
     ratio = p.height / area
     check("acceptance-6-slot-killer", ratio >= F(19, 10),
@@ -149,7 +148,7 @@ def test_criterion_7_reachability_oracle():
         n = rng.randint(1, 8)
         seq = [SquareItem(i, F(rng.randint(1, 16), 16))
                for i in range(1, n + 1)]
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         a = F(rng.randint(1, 16), 16)
         reach, nx, ny = grid_bfs_reachable(p, a, step)
         sweep = reachable_positions(p, a)

@@ -2,13 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from strippack.adversary import (STRATEGIES, TYPE_I, TYPE_II, adversary_run,
+from strippack.adversary import (TYPE_I, TYPE_II, adversary_run,
                                  classify_iteration,
-                                 optimal_packing_for_transcript,
-                                 slot_killer_instance)
+                                 optimal_packing_for_transcript)
+from strippack.bottomleft import BottomLeftState
+from strippack.cli import STRATEGIES
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               verify_packing)
-from strippack.slots import slot_run
+                               pack, verify_packing)
+from strippack.slots import SlotState, slot_killer_instance
 
 EPS = F(1, 100)
 
@@ -45,7 +46,7 @@ class StackerState:
 
 class TestAdversaryRuns:
     def test_bottomleft_one_iteration(self):
-        t = adversary_run(STRATEGIES["bottomleft"], 1, EPS)
+        t = adversary_run(BottomLeftState, 1, EPS)
         assert t.iterations[0].kind == TYPE_II
         assert t.final_height == F(5, 4) + EPS
 
@@ -55,7 +56,7 @@ class TestAdversaryRuns:
         assert t.final_height >= F(5, 4)
 
     def test_slot_one_iteration(self):
-        t = adversary_run(STRATEGIES["slot"], 1, EPS)
+        t = adversary_run(SlotState, 1, EPS)
         assert t.iterations[0].kind == TYPE_II
         assert t.final_height == F(5, 4) + EPS
 
@@ -67,13 +68,40 @@ class TestAdversaryRuns:
 
     def test_invalid_strategy_aborts(self):
         class Teleporter(StackerState):
+            """Drops every square at the origin: square 2 overlaps."""
+
             def place(self, item):
                 pl = Placement(item, F(0), F(0))
                 self.packing = self.packing.extended(pl)
                 return pl
 
-        with pytest.raises(PackingError):
-            adversary_run(Teleporter, 1, EPS)
+        class Floater(StackerState):
+            """Hangs square 1 in the air above the strip bottom."""
+
+            def place(self, item):
+                pl = Placement(item, F(0), self.packing.height + F(1, 8))
+                self.packing = self.packing.extended(pl)
+                return pl
+
+        class Tunneller(StackerState):
+            """Stacks two quarters and the 3/4+eps square at the wall, which
+            overhangs the floor out to x = 3/4+eps and leaves a column too
+            narrow for a quarter; then puts square 4 on the floor under the
+            overhang."""
+
+            def place(self, item):
+                if item.index != 4:
+                    return super().place(item)
+                pl = Placement(item, F(1, 4), F(0))
+                self.packing = self.packing.extended(pl)
+                return pl
+
+        for strategy, square, violation in ((Teleporter, 2, "overlap"),
+                                             (Floater, 1, "unsupported"),
+                                             (Tunneller, 4, "unreachable")):
+            with pytest.raises(PackingError) as exc:
+                adversary_run(strategy, 2, EPS)
+            assert str(exc.value) == f"strategy square {square}: {violation}"
 
 
 class TestOptimalConstruction:
@@ -85,19 +113,19 @@ class TestOptimalConstruction:
         assert opt.height <= 5 * (1 + 2 * EPS)
 
     def test_ratio_exceeds_competitive_floor(self):
-        t = adversary_run(STRATEGIES["bottomleft"], 4, EPS)
+        t = adversary_run(BottomLeftState, 4, EPS)
         opt = optimal_packing_for_transcript(t)
         assert t.final_height / opt.height >= F(122, 100)
         assert t.final_height == F(5) + F(4, 100)
 
     def test_transcript_serialization(self):
-        t = adversary_run(STRATEGIES["bottomleft"], 2, EPS)
+        t = adversary_run(BottomLeftState, 2, EPS)
         text = t.serialize()
         assert text.startswith("epsilon 1/100")
         assert "iteration 1 type" in text
 
     def test_emitted_items_replay(self):
-        t = adversary_run(STRATEGIES["bottomleft"], 3, EPS)
+        t = adversary_run(BottomLeftState, 3, EPS)
         emitted = t.emitted_items()
         assert emitted[0].side == F(1, 4)
         report = verify_packing(emitted, t.packing.placements)
@@ -108,14 +136,14 @@ class TestKillerInstance:
     def test_two_squares_stack_in_single_slot(self):
         seq = slot_killer_instance(1, F(1, 64), 2)
         assert [it.side for it in seq] == [F(33, 64)] * 2
-        p = slot_run(seq)
+        p = pack(SlotState, seq)
         assert p.height == F(33, 32)
         area = sum(it.side ** 2 for it in seq)
         assert area == 2 * F(33, 64) ** 2
 
     def test_ratio_approaches_two(self):
         seq = slot_killer_instance(6, F(1, 2 ** 12), 2 ** 8)
-        p = slot_run(seq)
+        p = pack(SlotState, seq)
         area = sum(it.side ** 2 for it in seq)
         assert p.height / area >= F(19, 10)
 

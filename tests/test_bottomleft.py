@@ -1,9 +1,9 @@
 from fractions import Fraction as F
 
 from conftest import items, random_items
-from strippack.bottomleft import bl_place_next, bl_run
+from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.geometry import merge_open_spans, spans_contain
-from strippack.packing import (Packing, SquareItem, reachable_positions,
+from strippack.packing import (Packing, SquareItem, pack, reachable_positions,
                                verify_packing)
 
 
@@ -17,37 +17,37 @@ class TestPlacementRule:
         assert (pl.x, pl.y) == (0, 0)
 
     def test_ground_row_before_stacking(self):
-        p = bl_run(items("1/4", "1/4"))
+        p = pack(BottomLeftState, items("1/4", "1/4"))
         assert coords(p) == [(0, 0), (F(1, 4), 0)]
 
     def test_no_ground_slot_rests_on_tops(self):
-        p = bl_run(items("1/4", "1/4", "51/100"))
+        p = pack(BottomLeftState, items("1/4", "1/4", "51/100"))
         assert coords(p)[-1] == (0, F(1, 4))
 
 
 class TestRuns:
     def test_single(self):
-        assert bl_run(items(1)).height == 1
+        assert pack(BottomLeftState, items(1)).height == 1
 
     def test_three_square_example(self):
-        p = bl_run(items("1/2", "1/2", "3/5"))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
         assert coords(p) == [(0, 0), (F(1, 2), 0), (0, F(1, 2))]
         assert p.height == F(11, 10)
 
     def test_adversary_iteration(self):
-        p = bl_run(items("1/4", "1/4", "51/100", "1/2", "1/2"))
+        p = pack(BottomLeftState, items("1/4", "1/4", "51/100", "1/2", "1/2"))
         assert p.height == F(5, 4) + F(1, 100)
 
     def test_outputs_verify(self):
         for seed in range(8):
             seq = random_items(seed, 12)
-            p = bl_run(seq)
+            p = pack(BottomLeftState, seq)
             assert verify_packing(seq, p.placements).ok
 
     def test_theorem1_bound(self):
         for seed in range(8):
             seq = random_items(100 + seed, 15)
-            p = bl_run(seq)
+            p = pack(BottomLeftState, seq)
             area = sum(it.side ** 2 for it in seq)
             assert p.height <= F(7, 2) * area + F(5, 2)
 

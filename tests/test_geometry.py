@@ -4,54 +4,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strippack.geometry import (GeometryError, Interval, IntervalSet, Rect,
-                                StepProfile, boundary_edges, free_components,
-                                interval_set_intersect, interval_set_subtract,
-                                interval_set_union, profile_max_over,
-                                simple_cycle, trace_boundary, walk_boundary)
+from strippack.geometry import (GeometryError, Interval, Rect, StepProfile,
+                                boundary_edges, free_components,
+                                intersect_spans, merge_spans, simple_cycle,
+                                spans_contain, subtract_spans_open,
+                                trace_boundary, walk_boundary)
 
 Z = F(0)
 
 
-def iset(*pairs):
-    return IntervalSet.from_pairs([(F(a), F(b)) for a, b in pairs])
+def spans(*pairs):
+    return [(F(a), F(b)) for a, b in pairs]
+
+
+def total_length(sp):
+    return sum((hi - lo for lo, hi in sp), Z)
 
 
 class TestIntervalSetOps:
+    """Hand cases for the closed span-list helpers."""
+
     def test_union_touching_merges(self):
-        assert interval_set_union(iset((0, "1/2")), iset(("1/2", 1))) == iset((0, 1))
+        assert merge_spans(spans((0, "1/2"), ("1/2", 1))) == spans((0, 1))
 
     def test_union_identity(self):
-        assert interval_set_union(IntervalSet.empty(), iset(("1/4", "3/4"))) \
-            == iset(("1/4", "3/4"))
+        assert merge_spans(spans(("1/4", "3/4"))) == spans(("1/4", "3/4"))
+        assert merge_spans([]) == []
 
     def test_union_hand(self):
-        a = iset((0, "1/4"), ("1/2", 1))
-        b = iset(("1/8", "5/8"))
-        assert interval_set_union(a, b) == iset((0, 1))
+        a = spans((0, "1/4"), ("1/2", 1))
+        b = spans(("1/8", "5/8"))
+        assert merge_spans(a + b) == spans((0, 1))
 
     def test_intersect_nested(self):
-        assert interval_set_intersect(iset((0, 1)), iset(("1/4", "1/2"))) \
-            == iset(("1/4", "1/2"))
+        assert intersect_spans(spans((0, 1)), spans(("1/4", "1/2"))) \
+            == spans(("1/4", "1/2"))
 
     def test_intersect_disjoint(self):
-        assert interval_set_intersect(iset((0, "1/4")), iset(("1/2", 1))) \
-            == IntervalSet.empty()
+        assert intersect_spans(spans((0, "1/4")), spans(("1/2", 1))) == []
 
     def test_intersect_hand(self):
-        a = iset((0, "1/2"), ("3/4", 1))
-        b = iset(("1/4", "7/8"))
-        assert interval_set_intersect(a, b) == iset(("1/4", "1/2"), ("3/4", "7/8"))
+        a = spans((0, "1/2"), ("3/4", 1))
+        b = spans(("1/4", "7/8"))
+        assert intersect_spans(a, b) == spans(("1/4", "1/2"), ("3/4", "7/8"))
 
     def test_subtract_middle(self):
-        assert interval_set_subtract(iset((0, 1)), iset(("1/4", "1/2"))) \
-            == iset((0, "1/4"), ("1/2", 1))
+        assert subtract_spans_open(spans((0, 1)), spans(("1/4", "1/2"))) \
+            == spans((0, "1/4"), ("1/2", 1))
 
     def test_subtract_identity(self):
-        assert interval_set_subtract(iset((0, 1)), IntervalSet.empty()) == iset((0, 1))
+        assert subtract_spans_open(spans((0, 1)), []) == spans((0, 1))
 
     def test_subtract_annihilation(self):
-        assert interval_set_subtract(iset((0, 1)), iset((0, 1))) == IntervalSet.empty()
+        # an open obstacle over the whole span leaves its two endpoints
+        assert subtract_spans_open(spans((0, 1)), spans((0, 1))) \
+            == spans((0, 0), (1, 1))
+        assert subtract_spans_open(spans((0, 1)), spans((-1, 2))) == []
 
     def test_bad_interval(self):
         with pytest.raises(GeometryError):
@@ -62,41 +70,65 @@ scalars = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 @st.composite
-def interval_sets(draw):
+def span_lists(draw):
+    """A normalized closed span list (degenerate spans allowed)."""
     pts = sorted(draw(st.lists(scalars, min_size=0, max_size=8)))
-    pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
-    return IntervalSet.from_pairs(pairs)
+    return merge_spans([(pts[i], pts[i + 1])
+                        for i in range(0, len(pts) - 1, 2)])
+
+
+@st.composite
+def open_spans(draw):
+    """Unsorted, possibly overlapping open obstacles, some degenerate."""
+    pairs = draw(st.lists(st.tuples(scalars, scalars), max_size=6))
+    return [(min(p), max(p)) for p in pairs]
 
 
 class TestIntervalSetProperties:
-    @given(interval_sets(), interval_sets())
+    @given(span_lists(), span_lists())
     @settings(max_examples=200)
     def test_inclusion_exclusion(self, a, b):
-        u = interval_set_union(a, b)
-        i = interval_set_intersect(a, b)
-        assert u.total_length + i.total_length == a.total_length + b.total_length
+        u = merge_spans(a + b)
+        i = intersect_spans(a, b)
+        assert total_length(u) + total_length(i) \
+            == total_length(a) + total_length(b)
 
-    @given(interval_sets(), interval_sets())
+    @given(span_lists(), open_spans())
     @settings(max_examples=200)
-    def test_subtract_union_roundtrip(self, a, b):
-        left = interval_set_union(interval_set_subtract(a, b),
-                                  interval_set_intersect(a, b))
-        # equality up to endpoint normalization: degenerate pieces may merge
-        assert left.total_length == a.total_length
-        for lo, hi in left.spans:
-            assert a.contains(lo) and a.contains(hi)
+    def test_subtract_union_roundtrip(self, a, opens):
+        rest = subtract_spans_open(a, opens)
+        cut = intersect_spans(a, merge_spans(opens))
+        # the two pieces share endpoints only, so lengths add up
+        assert total_length(rest) + total_length(cut) == total_length(a)
 
-    @given(interval_sets())
+    @given(span_lists(), open_spans())
+    @settings(max_examples=300)
+    def test_subtract_open_inside_and_clear(self, a, opens):
+        rest = subtract_spans_open(a, opens)
+        for lo, hi in rest:
+            assert lo <= hi
+            assert any(alo <= lo and hi <= ahi for alo, ahi in a)
+            for blo, bhi in opens:
+                assert blo == bhi or hi <= blo or bhi <= lo
+        # and nothing of a outside every obstacle is lost
+        marks = sorted({x for sp in a + opens for x in sp})
+        probes = marks + [(u + v) / 2 for u, v in zip(marks, marks[1:])]
+        for x in probes:
+            kept = spans_contain(a, x) and not any(
+                blo < x < bhi for blo, bhi in opens)
+            assert spans_contain(rest, x) == kept
+
+    @given(span_lists())
     @settings(max_examples=100)
     def test_normalized(self, a):
-        for (l1, h1), (l2, h2) in zip(a.spans, a.spans[1:]):
+        for (l1, h1), (l2, h2) in zip(a, a[1:]):
             assert h1 < l2
 
 
 class TestStepProfile:
     def test_flat(self):
         prof = StepProfile.constant(Z)
-        assert profile_max_over(prof, Interval(F(0), F(1))) == 0
+        assert prof.max_over(F(0), F(1)) == 0
 
     def test_open_interior_boundary_excluded(self):
         prof = StepProfile.constant(Z).raised(F(0), F(1, 2), F(1, 4))

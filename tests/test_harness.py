@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 
 from conftest import items
-from strippack.bottomleft import bl_run
+from strippack.bottomleft import BottomLeftState
 from strippack.cli import main
 from strippack.harness import (InstanceError, gen_random, instance_text,
                                parse_instance, parse_placements_csv,
                                placements_csv, render_svg, run_stats)
 from strippack.holes import run_bottomleft_analysis
-from strippack.packing import verify_packing
+from strippack.packing import pack, verify_packing
 
 
 class TestParseInstance:
@@ -46,15 +46,20 @@ class TestGenRandom:
             assert F(1, 64) <= it.side <= F(1, 2)
             assert (it.side * 2 ** 20).denominator == 1
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(InstanceError, match="n >= 0"):
+            gen_random(-3, 1)
+        assert gen_random(0, 1) == []
+
 
 class TestPlacementsCsv:
     def test_format(self):
-        p = bl_run(items(1))
+        p = pack(BottomLeftState, items(1))
         assert placements_csv(p) == "id,side,x,y\n1,1/1,0/1,0/1\n"
 
     def test_roundtrip_through_verify(self):
         seq = items("1/2", "1/2", "3/5")
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         pls = parse_placements_csv(placements_csv(p), seq)
         assert verify_packing(seq, pls).ok
 
@@ -67,7 +72,7 @@ class TestPlacementsCsv:
 class TestStats:
     def test_ratio_uses_max_of_area_and_side(self):
         seq = items("3/5")
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         stats = run_stats(seq, p)
         assert stats.lower_bound == F(3, 5)      # side beats area 9/25
         assert stats.ratio == 1
@@ -75,7 +80,7 @@ class TestStats:
 
 class TestSvg:
     def test_deterministic_and_wellformed(self):
-        p = bl_run(items("1/2", "1/2", "3/5"))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
         one = render_svg(p)
         two = render_svg(p)
         assert one == two
@@ -84,7 +89,7 @@ class TestSvg:
         assert one.rstrip().endswith("</svg>")
 
     def test_hole_overlay(self):
-        p = bl_run(items("1/2", "1/2", "3/5"))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
         ana = run_bottomleft_analysis(p)
         svg = render_svg(ana.closed, ana.holes)
         assert svg.count("fill-opacity") == len(
@@ -149,6 +154,26 @@ class TestCli:
                      "--out", str(out)]) == 0
         seq = parse_instance(out.read_text())
         assert len(seq) == 6
+
+    def test_gen_random_negative_n_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert main(["gen-random", "--n", "-3", "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert "n >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_instance_runs_and_analyzes(self, tmp_path, capsys):
+        out = tmp_path / "empty.txt"
+        assert main(["gen-random", "--n", "0", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == ""
+        for strategy in ("bottomleft", "slot"):
+            assert main(["run", "--strategy", strategy,
+                         "--input", str(out)]) == 0
+            assert "height 0" in capsys.readouterr().out
+            assert main(["analyze", "--strategy", strategy,
+                         "--input", str(out)]) == 0
+            assert "FAIL" not in capsys.readouterr().out
 
     def test_svg_outputs(self, three, tmp_path):
         svg = tmp_path / "o.svg"

@@ -6,19 +6,18 @@ import pytest
 
 from conftest import items, packing_of, random_items
 from strippack import holes
-from strippack.bottomleft import bl_run
+from strippack.bottomleft import BottomLeftState
 from strippack.geometry import trace_boundary
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
-                             OWNER_SEAM, TYPE_I, TYPE_II, Hole, close_packing,
+                             OWNER_SEAM, TYPE_I, TYPE_II, Hole,
                              compute_charges, extract_holes, hole_area_bound,
-                             run_bottomleft_analysis, split_hole,
-                             wall_hole_charges)
-from strippack.packing import Packing, SquareItem
+                             run_bottomleft_analysis, split_hole)
+from strippack.packing import Packing, SquareItem, close_packing, pack
 
 # the large-workload panel: 100 sides randint(2^14, 2^20) / 2^20
 LARGE_PANEL = [random_items(f"large:{i}", 100) for i in range(3)]
-# sha256 of run_bottomleft_analysis(bl_run(seq)).report() on the panel, as
-# computed by the cell-by-cell Fraction implementation
+# sha256 of run_bottomleft_analysis(pack(BottomLeftState, seq)).report() on
+# the panel, as computed by the cell-by-cell Fraction implementation
 LARGE_REPORT_SHA256 = [
     "4a744676e8ec040b96eea326ca567862c2ec93e2938fee539bda14359f8e1e1c",
     "0a41cd1c98743b8a73ccd5553415ef3b4e7c77e074cb941e476f5b652db6dd7d",
@@ -43,17 +42,19 @@ class TestClosePacking:
         assert closed.placements[-1].y == F(1, 2)
 
     def test_three_square(self):
-        closed = close_packing(bl_run(items("1/2", "1/2", "3/5")))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
+        closed = close_packing(p)
         assert closed.placements[-1].y == F(11, 10)
 
 
 class TestExtraction:
     def test_ground_rows_no_holes(self):
-        p = bl_run(items("1/2", "1/2"))
+        p = pack(BottomLeftState, items("1/2", "1/2"))
         assert extract_holes(close_packing(p)) == []
 
     def test_three_square_single_hole(self):
-        holes = extract_holes(close_packing(bl_run(items("1/2", "1/2", "3/5"))))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
+        holes = extract_holes(close_packing(p))
         assert len(holes) == 1
         h = holes[0]
         assert h.area == F(6, 25)
@@ -75,7 +76,7 @@ class TestExtraction:
     def test_flush_stack_is_type_two(self):
         # the last boundary square rests on the previous one (corner entry)
         seq = items("1/2", "1/16", "9/16", "3/8", "3/8", "15/16")
-        holes = extract_holes(close_packing(bl_run(seq)))
+        holes = extract_holes(close_packing(pack(BottomLeftState, seq)))
         interior = [h for h in holes if h.kind == KIND_INTERIOR]
         assert len(interior) == 1
         assert interior[0].classify() == TYPE_II
@@ -84,14 +85,15 @@ class TestExtraction:
 
 class TestSplitting:
     def test_diagonal_free_hole_unchanged(self):
-        holes = extract_holes(close_packing(bl_run(items("1/2", "1/2", "3/5"))))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
+        holes = extract_holes(close_packing(p))
         pieces = split_hole(holes[0])
         assert len(pieces) == 1
         assert pieces[0].lid_virtual is None
 
     def test_staircase_split_with_virtual_lid(self):
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         ana = run_bottomleft_analysis(p)
         assert [str(h.area) for h in ana.raw_holes] == ["21/64", "7/64"]
         assert len(ana.holes) == 3
@@ -105,7 +107,7 @@ class TestSplitting:
         # identical squares stack at the wall; every band becomes its own
         # hole under a virtual copy of the square beside it
         seq = items("11/20", "11/20", "11/20")
-        ana = run_bottomleft_analysis(bl_run(seq))
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         assert ana.ok
         virtual = [h for h in ana.holes if h.lid_virtual is not None]
         assert len(virtual) == 2
@@ -117,7 +119,7 @@ class TestSplitting:
     def test_copy_uniqueness_is_enforced(self):
         for seed in range(40):
             seq = random_items(seed, 10)
-            ana = run_bottomleft_analysis(bl_run(seq))
+            ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
             owners = [h.lid_virtual.owner.item.index
                       for h in ana.holes if h.lid_virtual is not None]
             assert len(owners) == len(set(owners))
@@ -128,7 +130,7 @@ class TestWallHoles:
         closed = close_packing(packing_of([("1/4", "1/4", 0)]))
         holes = extract_holes(closed)
         left = next(h for h in holes if h.kind == KIND_LEFT_WALL)
-        terms = wall_hole_charges(left)
+        terms = compute_charges([left]).terms
         assert [(t.square_index, t.side, t.coeff) for t in terms] == \
             [(2, "bottom", F(1)), (1, "left", F(1, 2))]
         assert left.area == F(1, 16)
@@ -138,12 +140,12 @@ class TestWallHoles:
         closed = close_packing(packing_of([("1/4", "1/4", 0)]))
         holes = extract_holes(closed)
         right = next(h for h in holes if h.kind == KIND_RIGHT_WALL)
-        terms = wall_hole_charges(right)
+        terms = compute_charges([right]).terms
         assert [(t.square_index, t.side, t.coeff) for t in terms] == \
             [(2, "bottom", F(1)), (1, "right", F(1, 2))]
 
     def test_ground_rows_have_no_wall_holes(self):
-        p = bl_run(items("1/2", "1/2"))
+        p = pack(BottomLeftState, items("1/2", "1/2"))
         assert extract_holes(close_packing(p)) == []
 
 
@@ -162,7 +164,7 @@ class TestCharges:
 
     def test_virtual_owner_bottom_three_halves(self):
         seq = items("15/16", "3/16", "9/16", "7/8", "3/8", "1/8", "1/8")
-        ana = run_bottomleft_analysis(bl_run(seq))
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         led = ana.ledger
         assert led.side_charge(4, "bottom") == 1
         assert led.side_charge(4, "bottom", virtual=True) == F(1, 2)
@@ -179,7 +181,7 @@ class TestOverhangTypeTwo:
         n = rng.randint(6, 16)
         seq = [SquareItem(i, F(rng.randint(2 ** 16, 2 ** 20), 2 ** 20))
                for i in range(1, n + 1)]
-        ana = run_bottomleft_analysis(bl_run(seq))
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         assert ana.ok
         fig4 = None
         from strippack.holes import _charge_items
@@ -201,7 +203,7 @@ class TestOverhangTypeTwo:
 class TestRegionConsistency:
     def test_rect_decomposition_matches_cells(self):
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
-        ana = run_bottomleft_analysis(bl_run(seq))
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         for h in ana.raw_holes + ana.holes:
             region = h.region()
             assert region.area == h.area
@@ -215,7 +217,7 @@ class TestIdentityAndInvariants:
     def test_height_identity_exact(self):
         for seed in range(20):
             seq = random_items(700 + seed, 12)
-            p = bl_run(seq)
+            p = pack(BottomLeftState, seq)
             ana = run_bottomleft_analysis(p)
             area = sum(it.side ** 2 for it in seq)
             assert p.height == area + ana.hole_sum()
@@ -223,11 +225,12 @@ class TestIdentityAndInvariants:
     def test_all_checks_pass_on_random_instances(self):
         for seed in range(25):
             seq = random_items(800 + seed, 14)
-            ana = run_bottomleft_analysis(bl_run(seq))
+            ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
             assert ana.ok, ana.report()
 
     def test_report_format(self):
-        ana = run_bottomleft_analysis(bl_run(items("1/2", "1/2", "3/5")))
+        p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
+        ana = run_bottomleft_analysis(p)
         text = ana.report()
         assert "CHECK height-identity PASS" in text
         assert "CHECK max-charge PASS" in text
@@ -290,7 +293,7 @@ class TestIncrementalCarve:
 
         monkeypatch.setattr(holes, "_carve", checked)
         for seq in LARGE_PANEL + [corpus_items(s) for s in range(50)]:
-            run_bottomleft_analysis(bl_run(seq))
+            run_bottomleft_analysis(pack(BottomLeftState, seq))
         # both pieces get derived on these instances
         assert seen["below_smaller"] > 0 and seen["rest_smaller"] > 0
         assert seen["carves"] > 1000
@@ -330,6 +333,7 @@ class TestIncrementalCarve:
 class TestGoldenReports:
     @pytest.mark.parametrize("idx", range(len(LARGE_PANEL)))
     def test_large_panel_reports(self, idx):
-        report = run_bottomleft_analysis(bl_run(LARGE_PANEL[idx])).report()
+        p = pack(BottomLeftState, LARGE_PANEL[idx])
+        report = run_bottomleft_analysis(p).report()
         assert hashlib.sha256(report.encode()).hexdigest() == \
             LARGE_REPORT_SHA256[idx]

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import grid_bfs_reachable, items, packing_of, random_items
-from strippack.bottomleft import bl_run
+from strippack.bottomleft import BottomLeftState
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               is_supported, is_tetris_reachable,
-                               packing_height, reachable_positions,
-                               rest_height, verify_packing)
+                               is_supported, is_tetris_reachable, pack,
+                               reachable_positions, rest_height,
+                               verify_packing)
 
 
 class TestRestHeight:
@@ -28,7 +28,7 @@ class TestRestHeight:
 
     def test_antitone_in_obstacles(self):
         for seed in range(10):
-            p = bl_run(random_items(seed, 6))
+            p = pack(BottomLeftState, random_items(seed, 6))
             sub = Packing(p.placements[:3])
             a = F(1, 4)
             for x in (F(0), F(1, 4), F(1, 2), F(3, 4)):
@@ -87,7 +87,7 @@ class TestReachability:
 
     def test_monotone_under_obstacle_removal(self):
         seq = random_items(3, 8, lo=F(1, 8), hi=F(1, 2))
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         smaller = Packing(p.placements[:-1])
         a = F(3, 16)
         full = reachable_positions(p, a)
@@ -105,7 +105,7 @@ class TestBfsOracleAgreement:
         rng = random.Random(seed)
         n = rng.randint(1, 6)
         seq = [SquareItem(i, F(rng.randint(1, 16), 16)) for i in range(1, n + 1)]
-        p = bl_run(seq)
+        p = pack(BottomLeftState, seq)
         a = F(rng.randint(1, 16), 16)
         step = F(1, 64)
         reach, nx, ny = grid_bfs_reachable(p, a, step)
@@ -163,7 +163,7 @@ class TestVerifier:
 
     def test_stops_at_first_failure(self):
         seq = random_items(3, 100)
-        packed = bl_run(seq).placements
+        packed = pack(BottomLeftState, seq).placements
         assert len(verify_packing(seq, packed).verdicts) == 100
         pls = list(packed)
         first = pls[0]
@@ -173,6 +173,6 @@ class TestVerifier:
         assert len(report.verdicts) == 2
 
     def test_height(self):
-        assert packing_height(Packing.empty()) == 0
-        assert packing_height(packing_of([(1, 0, 0)])) == 1
-        assert packing_height(packing_of([("1/2", 0, 0), ("1/2", 0, "1/2")])) == 1
+        assert Packing.empty().height == 0
+        assert packing_of([(1, 0, 0)]).height == 1
+        assert packing_of([("1/2", 0, 0), ("1/2", 0, "1/2")]).height == 1

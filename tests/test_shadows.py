@@ -2,15 +2,18 @@ import random
 from fractions import Fraction as F
 
 from conftest import items, random_items
-from strippack.holes import close_packing
-from strippack.packing import Placement, SquareItem
+from strippack.packing import Placement, SquareItem, close_packing, pack
 from strippack.shadows import (charge_map, check_slot_bounds, shadow_of,
                                shadowed_extent, slot_of, widening_of)
-from strippack.slots import slot_run
+from strippack.slots import SlotState
 
 
 def pl(side, x, y, idx=1):
     return Placement(SquareItem(idx, F(side)), F(x), F(y))
+
+
+def assert_bounds_hold(checks):
+    assert all(c.ok for c in checks), "\n".join(c.line() for c in checks)
 
 
 class TestShadow:
@@ -44,7 +47,7 @@ class TestShadow:
     def test_extent_contains_shadow_and_square(self):
         for seed in range(30):
             seq = random_items(1000 + seed, 8)
-            p = slot_run(seq)
+            p = pack(SlotState, seq)
             for q in p.placements:
                 from strippack.slots import round_to_dyadic
                 k, _ = round_to_dyadic(q.item.side)
@@ -56,7 +59,7 @@ class TestShadow:
     def test_widening_is_extent_clipped_to_own_slot(self):
         for seed in range(20):
             seq = random_items(1100 + seed, 8)
-            p = slot_run(seq)
+            p = pack(SlotState, seq)
             for q in p.placements:
                 slot = slot_of(q)
                 w = widening_of(q)
@@ -70,35 +73,34 @@ class TestShadow:
 
 class TestChargeMap:
     def test_single_unit_square_nothing_charged(self):
-        cm = charge_map(close_packing(slot_run(items(1))))
+        cm = charge_map(close_packing(pack(SlotState, items(1))))
         assert cm.areas == {}
 
     def test_ground_row_nothing_charged(self):
-        cm = charge_map(close_packing(slot_run(items("33/64"))))
+        cm = charge_map(close_packing(pack(SlotState, items("33/64"))))
         assert cm.areas == {}
 
     def test_three_square_hand_instance(self):
         # two 5/16 squares fill both half slots; the 5/8 square rests on
         # them and its widening starts exactly at their tops: no gaps
-        p = slot_run(items("5/16", "5/16", "5/8"))
+        p = pack(SlotState, items("5/16", "5/16", "5/8"))
         cm = charge_map(close_packing(p))
         assert cm.areas == {}
 
     def test_band_beside_a_half_slot_is_charged(self):
         # one half-slot square on a full-width square leaves a band beside
         # it, charged to the k=0 square above
-        p = slot_run(items("11/16", "3/8", "9/16"))
+        p = pack(SlotState, items("11/16", "3/8", "9/16"))
         closed = close_packing(p)
         cm = charge_map(closed)
         total = sum(cm.areas.values())
         assert total > 0
-        rep = check_slot_bounds(closed, cm)
-        assert rep.ok, rep.report()
+        assert_bounds_hold(check_slot_bounds(closed, cm))
 
     def test_coverage_and_disjointness(self):
         for seed in range(15):
             seq = random_items(1200 + seed, 12)
-            closed = close_packing(slot_run(seq))
+            closed = close_packing(pack(SlotState, seq))
             cm = charge_map(closed)
             regions = [r for rects in cm.regions.values() for r in rects]
             for i, a in enumerate(regions):
@@ -112,7 +114,7 @@ class TestChargeMap:
         # definition and compare with the reported regions
         for seed in range(6):
             seq = random_items(1300 + seed, 10)
-            closed = close_packing(slot_run(seq))
+            closed = close_packing(pack(SlotState, seq))
             cm = charge_map(closed)
             stops = [(q, widening_of(q)) for q in closed.placements]
             extents = [shadowed_extent(q) for q in closed.placements]
@@ -139,9 +141,8 @@ class TestBounds:
     def test_per_square_eight_thirteenths(self):
         for seed in range(25):
             seq = random_items(1400 + seed, 15)
-            closed = close_packing(slot_run(seq))
-            rep = check_slot_bounds(closed, charge_map(closed))
-            assert rep.ok, rep.report()
+            closed = close_packing(pack(SlotState, seq))
+            assert_bounds_hold(check_slot_bounds(closed, charge_map(closed)))
 
     def test_regression_k0_square_over_half_slot(self):
         # a 1/2-rounded square leaves a wide band beside it under a k=0
@@ -152,13 +153,11 @@ class TestBounds:
         for _ in range(n):
             sides.append(F(rng.randint(2 ** 20 // 64, 2 ** 20), 2 ** 20))
         seq = [SquareItem(i, s) for i, s in enumerate(sides, 1)]
-        closed = close_packing(slot_run(seq))
-        rep = check_slot_bounds(closed, charge_map(closed))
-        assert rep.ok, rep.report()
+        closed = close_packing(pack(SlotState, seq))
+        assert_bounds_hold(check_slot_bounds(closed, charge_map(closed)))
 
     def test_killer_instance_bounds_hold(self):
         side = F(1, 8) + F(1, 128)
         seq = items(*[str(side)] * 32)
-        closed = close_packing(slot_run(seq))
-        rep = check_slot_bounds(closed, charge_map(closed))
-        assert rep.ok
+        closed = close_packing(pack(SlotState, seq))
+        assert_bounds_hold(check_slot_bounds(closed, charge_map(closed)))
