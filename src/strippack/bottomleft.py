@@ -8,34 +8,40 @@ search is exact and terminates.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .geometry import merge_open_spans, spans_contain
-from .numbers import ONE, ZERO
+from .numbers import ZERO
 from .packing import (Packing, PackingError, Placement, SquareItem,
                       reachable_positions)
 
 
 def bl_place_next(p: Packing, item: SquareItem) -> Placement:
-    """Lowest reachable supported position, ties broken leftmost."""
+    """Lowest reachable supported position, ties broken leftmost.
+
+    The search runs on the packing's integer lattice; the candidate levels
+    are 0 and the lattice tops."""
     a = item.side
+    scale, rects = p.lattice(a.denominator)
     sweep = reachable_positions(p, a)
-    levels = sorted({ZERO} | {pl.top for pl in p.placements})
-    for y in levels:
-        reach = sweep.at_level(y)
+    sa = a.numerator * (scale // a.denominator)
+    supports_at: dict[int, list[tuple[int, int]]] = {}
+    for l, r, _, t in rects:
+        supports_at.setdefault(t, []).append((l - sa, r))
+    for y in sorted(supports_at.keys() | {0}):
+        reach = sweep.spans_at(y)
         if not reach:
             continue
-        if y == ZERO:
-            return Placement(item, reach[0][0], y)
-        supports = merge_open_spans(
-            [(pl.left - a, pl.right) for pl in p.placements if pl.top == y])
-        if not supports:
-            continue
+        if y == 0:
+            return Placement(item, Fraction(reach[0][0], scale), ZERO)
+        supports = merge_open_spans(supports_at[y])
         candidates = sorted({lo for lo, _ in reach}
-                            | {lo for lo, _ in supports if lo >= ZERO})
+                            | {lo for lo, _ in supports if lo >= 0})
         for x in candidates:
-            if x > ONE - a:
+            if x > scale - sa:
                 break
             if spans_contain(reach, x) and _in_open(supports, x):
-                return Placement(item, x, y)
+                return Placement(item, Fraction(x, scale), Fraction(y, scale))
         # a reachable supported position with no attained minimum would
         # contradict the level being minimal; re-check and fail loudly
         if any(rlo < shi and rhi > slo

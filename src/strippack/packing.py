@@ -12,13 +12,17 @@ order and checks, per step (``check_step``):
     is legal, so configuration obstacles are open rectangles).
 
 Reachability is computed by a downward plane sweep over configuration-space
-obstacle events.  Coordinates are rescaled to integers for the sweep; the
-rescaling is exact, so no semantics change.
+obstacle events.  Each packing keeps its squares on one integer lattice, the
+coordinates times the LCM of their denominators, indexed by bottom; the step
+checks, the sweep and the BottomLeft search run on it.  The rescaling is
+exact, so no semantics change, and because sides are at most 1 a check
+reads only the squares whose bottoms lie between 1 below the arriving
+square's bottom and its top.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -78,31 +82,102 @@ class Placement:
         return ZERO <= self.x and self.right <= ONE and self.y >= ZERO
 
 
+class _Lattice:
+    """The integer coordinates of a chain of packings.
+
+    ``rects[i]`` is placement i's ``(l, r, b, t)`` times ``scale``, the LCM
+    of every denominator fitted so far.  ``bottoms`` holds every ``b`` in
+    ascending order and ``order`` the placement index of each.  The
+    snapshots of one chain share a lattice and each reads the first entries,
+    as many as it has placements; only the newest appends.  Rescaling
+    multiplies every entry in place, which changes the representation and
+    not the geometry, so it keeps every sharing snapshot valid.
+    """
+
+    __slots__ = ("scale", "pls", "rects", "bottoms", "order")
+
+    def __init__(self):
+        self.scale = 1
+        self.pls: list[Placement] = []
+        self.rects: list[tuple[int, int, int, int]] = []
+        self.bottoms: list[int] = []
+        self.order: list[int] = []
+
+    def fit(self, *dens: int) -> int:
+        """Rescale, if needed, so that ``scale`` is a multiple of every
+        denominator given; returns the scale."""
+        scale = self.scale
+        for d in dens:
+            if scale % d:
+                scale = lcm(scale, d)
+        if scale != self.scale:
+            f = scale // self.scale
+            self.rects = [(l * f, r * f, b * f, t * f)
+                          for l, r, b, t in self.rects]
+            self.bottoms = [b * f for b in self.bottoms]
+            self.scale = scale
+        return scale
+
+    def coords(self, pl: Placement) -> tuple[int, int, int, int]:
+        """``pl``'s ``(l, r, b, t)`` on the lattice, fitted to it first."""
+        x, y, a = pl.x, pl.y, pl.item.side
+        scale = self.fit(x.denominator, y.denominator, a.denominator)
+        l = x.numerator * (scale // x.denominator)
+        b = y.numerator * (scale // y.denominator)
+        s = a.numerator * (scale // a.denominator)
+        return l, l + s, b, b + s
+
+    def append(self, pl: Placement) -> None:
+        rect = self.coords(pl)
+        k = bisect_right(self.bottoms, rect[2])
+        self.bottoms.insert(k, rect[2])
+        self.order.insert(k, len(self.pls))
+        self.pls.append(pl)
+        self.rects.append(rect)
+
+    @classmethod
+    def of(cls, pls: Sequence[Placement]) -> "_Lattice":
+        lat = cls()
+        for pl in pls:
+            lat.append(pl)
+        return lat
+
+
 class Packing:
-    """Immutable ordered packing with a cached top profile."""
+    """Immutable ordered packing with its height and, each built on first
+    use, its integer lattice (``lattice``) and its top profile.
 
-    __slots__ = ("placements", "_profile")
+    ``extended`` appends to the lattice this packing shares with the one it
+    came from, in O(1) amortized time plus a sorted insert; extending a
+    packing that has been extended before rebuilds its part of the lattice
+    first, each time, so both results stay valid.
+    """
 
-    def __init__(self, placements: Sequence[Placement] = (),
-                 _profile: Optional[StepProfile] = None):
-        self.placements: tuple[Placement, ...] = tuple(placements)
-        self._profile = _profile
+    __slots__ = ("_lat", "_n", "_height", "_profile", "_placements")
+
+    def __init__(self, placements: Sequence[Placement] = ()):
+        self._placements: Optional[tuple[Placement, ...]] = tuple(placements)
+        self._n = len(self._placements)
+        self._height = max((pl.top for pl in self._placements), default=ZERO)
+        self._profile: Optional[StepProfile] = None
+        self._lat: Optional[_Lattice] = None
 
     @classmethod
     def empty(cls) -> "Packing":
-        return cls((), StepProfile.constant(ZERO))
+        return cls()
 
     def __len__(self) -> int:
-        return len(self.placements)
+        return self._n
 
-    def __iter__(self):
-        return iter(self.placements)
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        if self._placements is None:
+            self._placements = tuple(self._lat.pls[:self._n])
+        return self._placements
 
-    def extended(self, pl: Placement) -> "Packing":
-        prof = None
-        if self._profile is not None:
-            prof = self._profile.raised(pl.left, pl.right, pl.top)
-        return Packing(self.placements + (pl,), prof)
+    @property
+    def height(self) -> Scalar:
+        return self._height
 
     @property
     def profile(self) -> StepProfile:
@@ -113,13 +188,42 @@ class Packing:
             self._profile = prof
         return self._profile
 
-    @property
-    def height(self) -> Scalar:
-        h = ZERO
-        for pl in self.placements:
-            if pl.top > h:
-                h = pl.top
-        return h
+    def _lattice(self) -> _Lattice:
+        if self._lat is None:
+            self._lat = _Lattice.of(self._placements)
+        return self._lat
+
+    def extended(self, pl: Placement) -> "Packing":
+        lat = self._lattice()
+        if len(lat.pls) != self._n:
+            lat = _Lattice.of(lat.pls[:self._n])    # a second branch
+        lat.append(pl)
+        nxt = Packing.__new__(Packing)
+        nxt._lat, nxt._n = lat, self._n + 1
+        nxt._placements = nxt._profile = None
+        nxt._height = max(self._height, pl.top)
+        return nxt
+
+    def lattice(self, *dens: int) -> tuple[int, Sequence[tuple[int, int, int, int]]]:
+        """``(scale, rects)``: ``rects[i]`` is placement i's ``(l, r, b, t)``
+        times ``scale``, and ``scale`` is a multiple of every denominator
+        given.  The rects are read-only."""
+        lat = self._lattice()
+        scale = lat.fit(*dens)
+        rects = lat.rects
+        return scale, rects if len(rects) == self._n else rects[:self._n]
+
+    def _window(self, lo: int, hi: Optional[int] = None
+                ) -> list[tuple[int, int, int, int]]:
+        """Lattice rects of the placements with ``lo <= b < hi``, on the
+        lattice's current scale.  The rects are read-only."""
+        lat, n = self._lattice(), self._n
+        bottoms, rects = lat.bottoms, lat.rects
+        k0 = bisect_left(bottoms, lo)
+        if k0 == 0 and hi is None and len(rects) == n:
+            return rects                # every placement: the live list
+        k1 = len(bottoms) if hi is None else bisect_left(bottoms, hi)
+        return [rects[i] for i in lat.order[k0:k1] if i < n]
 
     def obstacles(self) -> list[Rect]:
         return [pl.rect() for pl in self.placements]
@@ -140,7 +244,7 @@ def pack(strategy, seq: Sequence[SquareItem]) -> Packing:
 def close_packing(p: Packing) -> Packing:
     """Append the side-1 closing square; it can only rest at the packing
     height with its left side on the wall."""
-    closing = SquareItem(len(p.placements) + 1, ONE)
+    closing = SquareItem(len(p) + 1, ONE)
     return p.extended(Placement(closing, ZERO, p.height))
 
 
@@ -157,13 +261,16 @@ def rest_height(p: Packing, x: Scalar, a: Scalar) -> Scalar:
 
 def is_supported(p: Packing, pl: Placement) -> bool:
     """Gravity check: on the strip bottom, or on some square's top with
-    positive-length x-overlap."""
+    positive-length x-overlap.
+
+    A top at ``pl.y`` belongs to a square with bottom in ``[pl.y - 1,
+    pl.y)``, since sides are at most 1, so only that window is read."""
     if pl.y == ZERO:
         return True
-    for other in p.placements:
-        if other.top == pl.y and other.left < pl.right and pl.left < other.right:
-            return True
-    return False
+    lat = p._lattice()
+    l, r, b, _ = lat.coords(pl)
+    return any(qt == b and ql < r and l < qr
+               for ql, qr, _, qt in p._window(b - lat.scale, b))
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +281,27 @@ class ReachabilitySweep:
     """Finite description of all monotone-descent reachable left-edge
     positions of a square of fixed side.
 
-    Each event level keeps the spans reachable exactly at it and those of
-    the open slab below it, down to the next event.
+    Levels and spans are integers on the packing's lattice: the value v
+    stands for v / ``scale``.  Each event level keeps the spans reachable
+    exactly at it and those of the open slab below it, down to the next
+    event; below the last event nothing changes.
     """
 
-    __slots__ = ("side", "start_y", "full", "_events", "_at", "_slabs")
+    __slots__ = ("scale", "start", "full", "_events", "_at", "_slabs")
 
-    def __init__(self, side, start_y, full, events, at, slabs):
-        self.side = side
-        self.start_y = start_y          # at/above: everything reachable
+    def __init__(self, scale, start, full, events, at, slabs):
+        self.scale = scale
+        self.start = start              # at/above: everything reachable
         self.full = full                # spans of [0, 1-a]
         self._events = events           # descending event levels
         self._at = at                   # level -> spans exactly at level
         self._slabs = slabs             # parallel: spans in open slab below
 
-    def at_level(self, y: Scalar):
-        """Reachable left-edge x spans at height exactly y (closed spans)."""
+    def spans_at(self, y):
+        """Reachable left-edge spans at lattice level y (closed spans, on
+        the lattice)."""
         ev = self._events
-        if y >= self.start_y or not ev or y > ev[0]:
+        if y >= self.start or not ev or y > ev[0]:
             return self.full
         # first index with ev[i] <= y in the descending event list
         lo, hi = 0, len(ev)
@@ -207,50 +317,68 @@ class ReachabilitySweep:
             return self._at[lo]
         return self._slabs[lo - 1]      # open slab below the event above y
 
+    def at_level(self, y: Scalar) -> list[tuple[Scalar, Scalar]]:
+        """Reachable left-edge x spans at height exactly y (closed spans)."""
+        scale = self.scale
+        return [(Fraction(lo, scale), Fraction(hi, scale))
+                for lo, hi in self.spans_at(y * scale)]
 
-def reachable_positions(p: Packing, a: Scalar) -> ReachabilitySweep:
+
+def reachable_positions(p: Packing, a: Scalar,
+                        floor: Scalar = ZERO) -> ReachabilitySweep:
     """Downward plane sweep over the open configuration obstacles
-    (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a]."""
+    (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a].
+
+    The sweep describes the levels at or above ``floor`` only: it leaves out
+    every square whose top t_j is at or below the floor, and every event
+    below the floor.  ``at_level(y)`` for every y >= floor is what a sweep
+    over every square and every event gives:
+
+      * A left-out obstacle is open in y, so it holds no configuration at a
+        level >= t_j, and a path that never moves up reaches a level y only
+        through levels >= y >= floor >= t_j: such an obstacle never meets a
+        path to a level at or above the floor.
+      * In the sweep, every event of a left-out obstacle lies at or below
+        the floor (t_j <= floor and b_j - a < t_j).  Above the floor both
+        sweeps see the same events with the same active obstacles, so they
+        compute the same spans.  At the floor itself, the spans reachable
+        exactly there are computed before the obstacles entering there are
+        added, so one entering at t_j = floor changes nothing at that level;
+        and if the floor is left with no event at all, it sees the active
+        set of the slab above it, whose reachable spans are whole free
+        components and so are what the unfloored sweep finds at the floor.
+      * ``at_level(y)`` reads only events at or above y, and for a y
+        between events the slab below the last event above it, so events
+        below the floor are never read.
+
+    Only squares with t_j > floor are swept, and t_j <= b_j + 1, so the
+    candidates come from the bottom-sorted window b_j > floor - 1.
+    """
     if a > ONE or a <= ZERO:
         raise PackingError(f"side {a} outside (0, 1]")
-    scale = lcm(a.denominator, *(d for pl in p.placements
-                                 for d in (pl.x.denominator, pl.y.denominator,
-                                           pl.item.side.denominator))) \
-        if p.placements else a.denominator
-    sa = int(a * scale)
-    base_hi = scale - sa
-    full = [(0, base_hi)]
-    start_y = p.height
+    scale = p._lattice().fit(a.denominator, floor.denominator)
+    low = floor.numerator * (scale // floor.denominator)
+    rects = p._window(low - scale + 1)
+    sa = a.numerator * (scale // a.denominator)
+    full = [(0, scale - sa)]
+    h = p.height
+    start = h.numerator * (scale // h.denominator)
 
     # integer obstacle records: (shadow_lo, shadow_hi, act_lo, act_hi)
-    obs = []
-    for pl in p.placements:
-        sl = int(pl.x * scale)
-        sr = sl + int(pl.item.side * scale)
-        sb = int(pl.y * scale)
-        st = sb + int(pl.item.side * scale)
-        obs.append((sl - sa, sr, sb - sa, st))
-
+    obs = [(l - sa, r, b - sa, t) for l, r, b, t in rects]
     events: dict[int, tuple[list, list]] = {}
     for idx, (_, _, alo, ahi) in enumerate(obs):
-        if ahi > 0:
+        if ahi > low:
             events.setdefault(ahi, ([], []))[0].append(idx)   # activates below
-            if alo > 0:
+            if alo > 0 and alo >= low:
                 events.setdefault(alo, ([], []))[1].append(idx)  # deactivates
 
-    levels = sorted(events, reverse=True)
     active: list[tuple[int, int, int]] = []   # (shadow_lo, shadow_hi, idx)
     ev_out, at_out, slab_out = [], [], []
     r_prev = full
-    dead = False
-    for lv in levels:
+    for lv in sorted(events, reverse=True):
         entering, leaving = events[lv]
         leave_ids = set(leaving)
-        if dead:
-            ev_out.append(lv)
-            at_out.append([])
-            slab_out.append([])
-            continue
         at_active = [o for o in active if o[2] not in leave_ids] if leave_ids else active
         f_at = subtract_spans_open(full, [(o[0], o[1]) for o in at_active])
         r_at = [s for s in f_at if spans_meet([s], r_prev)]
@@ -266,25 +394,16 @@ def reachable_positions(p: Packing, a: Scalar) -> ReachabilitySweep:
         slab_out.append(r_below)
         r_prev = r_below
         if not r_below:
-            dead = True
-
-    inv = Fraction(1, scale)
-    to_frac = lambda spans: [(lo * inv, hi * inv) for lo, hi in spans]
-    return ReachabilitySweep(
-        a,
-        start_y,
-        [(ZERO, ONE - a)] if a < ONE else [(ZERO, ZERO)],
-        [lv * inv for lv in ev_out],
-        [to_frac(s) for s in at_out],
-        [to_frac(s) for s in slab_out],
-    )
+            break               # sealed: nothing below is reachable
+    return ReachabilitySweep(scale, start, full, ev_out, at_out, slab_out)
 
 
 def is_tetris_reachable(p: Packing, pl: Placement) -> bool:
     """Is (pl.x, pl.y) reachable from above the packing by a path that never
     moves up and keeps the square's interior clear of all placed squares?"""
-    sweep = reachable_positions(p, pl.item.side)
-    return spans_contain(sweep.at_level(pl.y), pl.x)
+    l, _, b, _ = p._lattice().coords(pl)
+    sweep = reachable_positions(p, pl.item.side, floor=pl.y)
+    return spans_contain(sweep.spans_at(b), l)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +454,16 @@ class VerificationReport:
 
 def check_step(sofar: Packing, pl: Placement) -> StepVerdict:
     """Check one arriving square against the packing before it: overlap,
-    then support, then reach; a square that overlaps is not reachable."""
-    rect = pl.rect()
+    then support, then reach; a square that overlaps is not reachable.
+
+    Only squares with bottom in ``[pl.y - 1, pl.top)`` can overlap it, as
+    sides are at most 1, so only that window is tested."""
+    lat = sofar._lattice()
+    l, r, b, t = lat.coords(pl)
+    rect = Rect.of(l, b, r, t)
     overlap_free = pl.in_strip() and not any(
-        rect.interior_overlaps(q.rect()) for q in sofar)
+        rect.interior_overlaps(Rect.of(ql, qb, qr, qt))
+        for ql, qr, qb, qt in sofar._window(b - lat.scale, t))
     supported = is_supported(sofar, pl)
     reachable = is_tetris_reachable(sofar, pl) if overlap_free else False
     return StepVerdict(overlap_free, supported, reachable)

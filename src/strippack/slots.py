@@ -12,6 +12,7 @@ against the raw packing.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .geometry import StepProfile
 from .numbers import ONE, ZERO, Scalar
@@ -72,10 +73,14 @@ class SlotState:
         self._placements: list[Placement] = []
         self._profile = StepProfile.constant(ZERO)
         self._heights: dict[int, list[Scalar]] = {}
+        self._packing: Optional[Packing] = None
 
     @property
     def packing(self) -> Packing:
-        return Packing(tuple(self._placements), self._profile.copy())
+        """Built on first use, then extended with every square placed."""
+        if self._packing is None:
+            self._packing = Packing(self._placements)
+        return self._packing
 
     def _level_heights(self, k: int) -> list[Scalar]:
         cached = self._heights.get(k)
@@ -108,6 +113,8 @@ class SlotState:
 
     def _record(self, pl: Placement) -> None:
         self._placements.append(pl)
+        if self._packing is not None:
+            self._packing = self._packing.extended(pl)
         self._profile = self._profile.raised(pl.left, pl.right, pl.top)
         for k, heights in self._heights.items():
             w = Fraction(1, 2 ** k)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -6,12 +7,28 @@ from strippack.adversary import (TYPE_I, TYPE_II, adversary_run,
                                  classify_iteration,
                                  optimal_packing_for_transcript)
 from strippack.bottomleft import BottomLeftState
-from strippack.cli import STRATEGIES
+from strippack.cli import STRATEGIES, main
+from strippack.harness import placements_csv
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                pack, verify_packing)
 from strippack.slots import SlotState, slot_killer_instance
 
 EPS = F(1, 100)
+
+# sha256 of `adversary --iterations 100 --epsilon 1/100` (the same for both
+# strategies), computed with the full-scan Fraction step checker: the
+# serialize() text (the --report file less its final newline), the
+# optimal-height line, and the placements CSVs of the strategy's packing
+# and of the band packing
+GOLDEN_M100_SHA256 = {
+    "report": "aeaaf9870e671c705150ec1fb2611b689d92f4b969de38df2f94fe7430ea9a11",
+    "optimal-height":
+        "32e052f4c1ef07b4d4fdac147d9faf0a4212f122b4cd60d39e97eb115243d238",
+    "strategy-csv":
+        "897051433323708a33fa4d070fb46a4ca269853b10ca3804a69a1f82ec11f11b",
+    "optimal-csv":
+        "e158f202cf3f4f342fa3b0f386737c356b95873f08730e96809263b465fd87ee",
+}
 
 
 def q(idx, x, y):
@@ -154,3 +171,22 @@ class TestKillerInstance:
     def test_too_large_delta_rejected(self):
         with pytest.raises(PackingError):
             slot_killer_instance(3, F(1, 4), 4)   # rounds past 2^-(k-1)
+
+
+class TestGoldenTranscripts:
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_m100(self, name, tmp_path, capsys):
+        sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        report = tmp_path / "report.txt"
+        assert main(["adversary", "--strategy", name, "--iterations", "100",
+                     "--epsilon", "1/100", "--report", str(report)]) == 0
+        line, = [s for s in capsys.readouterr().out.splitlines()
+                 if s.startswith("optimal-height")]
+        t = adversary_run(STRATEGIES[name], 100, EPS)
+        assert report.read_text() == t.serialize() + "\n"
+        assert sha(t.serialize()) == GOLDEN_M100_SHA256["report"]
+        assert sha(line) == GOLDEN_M100_SHA256["optimal-height"]
+        assert sha(placements_csv(t.packing)) == \
+            GOLDEN_M100_SHA256["strategy-csv"]
+        assert sha(placements_csv(optimal_packing_for_transcript(t))) == \
+            GOLDEN_M100_SHA256["optimal-csv"]
