@@ -272,21 +272,22 @@ class StepProfile:
 # ---------------------------------------------------------------------------
 
 class ObstacleGrid:
-    """Coordinate-compressed decomposition of [0,1] x [0, ceiling].
+    """Coordinate-compressed decomposition of [0, width] x [0, ceiling].
 
-    Cell (i, j) spans [xs[i], xs[i+1]] x [ys[j], ys[j+1]]; ``owner[i][j]`` is
-    the index of the obstacle covering it, or None for free space.
+    Obstacles are ``(l, r, b, t)`` tuples of any exactly ordered type; hole
+    analysis passes the packing's lattice integers.  Cell (i, j) spans
+    [xs[i], xs[i+1]] x [ys[j], ys[j+1]]; ``owner[i][j]`` is the index of the
+    obstacle covering it, or None for free space.
     """
 
-    def __init__(self, obstacles: Sequence[Rect], ceiling: Scalar):
-        xs = {ZERO, ONE}
-        ys = {ZERO, ceiling}
-        for r in obstacles:
-            if r.top > ceiling:
+    def __init__(self, obstacles: Sequence[tuple], width, ceiling):
+        xs = {0, width}
+        ys = {0, ceiling}
+        for l, r, b, t in obstacles:
+            if t > ceiling:
                 raise GeometryError("ceiling below an obstacle")
-            xs.update((r.left, r.right))
-            ys.update((r.bottom, r.top))
-        self.ceiling = ceiling
+            xs.update((l, r))
+            ys.update((b, t))
         self.xs = sorted(xs)
         self.ys = sorted(ys)
         self.xi = {x: i for i, x in enumerate(self.xs)}
@@ -296,13 +297,12 @@ class ObstacleGrid:
         self.owner: list[list[Optional[int]]] = [
             [None] * self.ny for _ in range(self.nx)
         ]
-        self.obstacles = list(obstacles)
-        for idx, r in enumerate(obstacles):
-            if r.width == 0 or r.height == 0:
+        for idx, (l, r, b, t) in enumerate(obstacles):
+            if l == r or b == t:
                 continue
-            for i in range(self.xi[r.left], self.xi[r.right]):
+            for i in range(self.xi[l], self.xi[r]):
                 col = self.owner[i]
-                for j in range(self.yi[r.bottom], self.yi[r.top]):
+                for j in range(self.yi[b], self.yi[t]):
                     if col[j] is not None:
                         raise GeometryError(
                             f"overlapping obstacles {col[j]} and {idx}")
@@ -489,7 +489,8 @@ def free_components(obstacles: Sequence[Rect], ceiling: Scalar
     """Bounded connected components of ([0,1] x [0, ceiling]) minus the
     obstacle interiors.  Components touching the ceiling are open to the
     space above and therefore not returned."""
-    grid = ObstacleGrid(obstacles, ceiling)
+    grid = ObstacleGrid([(r.left, r.right, r.bottom, r.top) for r in obstacles],
+                        ONE, ceiling)
     out = []
     for comp in grid.free_components():
         if comp["bounded"]:

@@ -10,11 +10,12 @@ bounded by the squared lengths of at most four boundary segments, and those
 terms are charged to square sides.  A square never accumulates more than
 5/2 in total charge.
 
-Geometry runs on one integer lattice per closed packing: the grid lines
-scaled by the LCM of their denominators.  Cell and hole areas, side lengths
-and diagonal crossings are integers; they become Fractions only where they
-leave the module (``Hole.area``, run ``side_lengths``, ``P``/``Q``, charge
-segments).
+Geometry runs on the closed packing's own lattice (``Packing.lattice``):
+every square is an integer ``(l, r, b, t)``, the grid is built on those
+integers, and grid lines, cell and hole areas, side lengths, cuts, virtual
+lids and diagonal crossings are lattice integers.  They become Fractions
+only where they leave the module (``Hole.area``, run ``side_lengths``,
+charge segments, ``Hole.region``).
 
 A split cuts a hole along a horizontal line into the star below it (under
 a virtual lid) and the remainder.  The piece found first by growing both
@@ -36,10 +37,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .geometry import (ObstacleGrid, Rect, RectilinearRegion, boundary_edges,
+from .geometry import (ObstacleGrid, RectilinearRegion, boundary_edges,
                        merge_spans, simple_cycle, trace_boundary,
                        walk_boundary)
 from .numbers import HALF, ONE, ZERO, Scalar
@@ -68,17 +68,15 @@ class AnalysisError(AssertionError):
 
 @dataclass(frozen=True)
 class VirtualLid:
-    """Imaginary copy of a square covering the unsupported cut MN."""
+    """Imaginary copy of a square covering the unsupported cut MN, on the
+    lattice: ``rect`` is ``(l, r, b, t)`` and MN runs from ``mn_left`` to
+    ``mn_right`` at height ``level``."""
 
     owner: Placement
-    rect: Rect
-    mn_left: Scalar
-    mn_right: Scalar
-    level: Scalar
-
-    @property
-    def span(self) -> Scalar:
-        return self.mn_right - self.mn_left
+    rect: tuple[int, int, int, int]
+    mn_left: int
+    mn_right: int
+    level: int
 
 
 OWNER_GROUND = ("ground",)
@@ -90,32 +88,32 @@ OWNER_SEAM = ("seam",)
 class _Context:
     """Shared grid decomposition for all holes of one closed packing.
 
-    ``X``/``Y`` are the grid lines times ``unit``, the LCM of their
-    denominators; ``dx``/``dy`` are the column widths and row heights.
+    ``scale`` and ``rects`` are the packing's lattice: the strip is
+    ``[0, scale]`` wide and ``rects[k]`` is square k's ``(l, r, b, t)``.
+    ``X``/``Y`` are the grid lines, ``dx``/``dy`` the column widths and
+    row heights, all lattice integers.
     """
 
     def __init__(self, p: Packing):
         self.placements = p.placements
-        self.grid = g = ObstacleGrid(p.obstacles(), p.height)
+        self.scale, self.rects = scale, rects = p.lattice()
+        ceiling = max((t for _, _, _, t in rects), default=0)
+        self.grid = g = ObstacleGrid(rects, scale, ceiling)
         self.copies: dict[int, VirtualLid] = {}
-        self.unit = unit = lcm(*(v.denominator for v in g.xs + g.ys))
-        self.X = [x.numerator * (unit // x.denominator) for x in g.xs]
-        self.Y = [y.numerator * (unit // y.denominator) for y in g.ys]
+        self.X, self.Y = g.xs, g.ys
         self.dx = [b - a for a, b in zip(self.X, self.X[1:])]
         self.dy = [b - a for a, b in zip(self.Y, self.Y[1:])]
-        self.sq_owner = [("sq", k) for k in range(len(self.placements))]
+        self.sq_owner = [("sq", k) for k in range(len(rects))]
         # per-placement grid index rectangles (il, ir, jb, jt)
-        self.idx_rect = [(g.xi[pl.left], g.xi[pl.right],
-                          g.yi[pl.bottom], g.yi[pl.top])
-                         for pl in self.placements]
+        self.idx_rect = [(g.xi[l], g.xi[r], g.yi[b], g.yi[t])
+                         for l, r, b, t in rects]
 
-    def supported_spans(self, level: Scalar):
+    def supported_spans(self, level: int):
         """Closed x-spans with solid material immediately below a horizontal
         line of this height: squares spanning the line from below.  A point
         of the line outside these spans has free space directly under it."""
-        spans = [(pl.left, pl.right) for pl in self.placements
-                 if pl.bottom < level <= pl.top]
-        return merge_spans(spans)
+        return merge_spans([(l, r) for l, r, b, t in self.rects
+                            if b < level <= t])
 
 
 @dataclass
@@ -123,11 +121,11 @@ class _Run:
     owner: tuple
     points: list                       # grid vertices (i, j)
     lengths: dict = field(default_factory=dict)   # per side, on the lattice
-    unit: int = 1
+    scale: int = 1
 
     @property
     def side_lengths(self) -> dict:
-        return {side: Fraction(v, self.unit) for side, v in self.lengths.items()}
+        return {side: Fraction(v, self.scale) for side, v in self.lengths.items()}
 
     @property
     def start(self):
@@ -137,9 +135,11 @@ class _Run:
     def end(self):
         return self.points[-1]
 
-    def rect(self, ctx: _Context) -> Optional[Rect]:
+    def rect(self, ctx: _Context) -> Optional[tuple[int, int, int, int]]:
+        """The owner's ``(l, r, b, t)`` on the lattice, or None for a
+        ground, wall or seam run."""
         if self.owner[0] == "sq":
-            return ctx.placements[self.owner[1]].rect()
+            return ctx.rects[self.owner[1]]
         if self.owner[0] == "copy":
             return self.owner[1].rect
         return None
@@ -149,9 +149,10 @@ class Hole:
     """One hole: a set of free grid cells plus its traversed boundary.
 
     ``cycle`` is the directed boundary (interior on the left) and
-    ``area_units`` the area on the integer lattice.  ``overrides`` gives
-    the owners of the cut edges of earlier carves, each keyed by its left
-    end.
+    ``area_units`` the area on the integer lattice.  ``P``/``Q`` are the
+    ends of the lid's bottom segment on the hole, as lattice points.
+    ``overrides`` gives the owners of the cut edges of earlier carves, each
+    keyed by its left end.
     """
 
     def __init__(self, ctx: _Context, cells: frozenset,
@@ -198,17 +199,17 @@ class Hole:
         for r in self.runs:
             self._measure_sides(r)
         self.area_units = area_units
-        self.area = Fraction(area_units, ctx.unit * ctx.unit)
+        self.area = Fraction(area_units, ctx.scale * ctx.scale)
         lid = self.runs[0]
         rect = lid.rect(ctx)
         if rect is None:
             raise AnalysisError("lid", f"lid owner {lid.owner} is not a square")
         jb = min(j for _, j in lid.points)
-        if ctx.grid.ys[jb] != rect.bottom:
+        if ctx.Y[jb] != rect[2]:
             raise AnalysisError("lid", "lid segment not on the lid's bottom")
         on_bottom = [i for i, j in lid.points if j == jb]
-        self.P = (ctx.grid.xs[min(on_bottom)], ctx.grid.ys[jb])
-        self.Q = (ctx.grid.xs[max(on_bottom)], ctx.grid.ys[jb])
+        self.P = (ctx.X[min(on_bottom)], ctx.Y[jb])
+        self.Q = (ctx.X[max(on_bottom)], ctx.Y[jb])
         if self.lid_virtual is not None and lid.owner[0] != "copy":
             raise AnalysisError("lid", "virtual-lid hole traversed a real lid")
 
@@ -264,7 +265,7 @@ class Hole:
                     raise AnalysisError("boundary", "edge off its owner's sides")
         run.lengths = {SIDE_LEFT: left, SIDE_BOTTOM: bottom,
                        SIDE_RIGHT: right, SIDE_TOP: top}
-        run.unit = ctx.unit
+        run.scale = ctx.scale
 
     # -- structure accessors ------------------------------------------------
 
@@ -281,8 +282,11 @@ class Hole:
                 if r.owner[0] == "sq"]
 
     def region(self) -> RectilinearRegion:
+        """The hole in strip coordinates (Fractions)."""
+        ctx = self.ctx
         return RectilinearRegion.from_cells(
-            set(self.cells), self.ctx.grid.xs, self.ctx.grid.ys)
+            set(self.cells), [Fraction(x, ctx.scale) for x in ctx.X],
+            [Fraction(y, ctx.scale) for y in ctx.Y])
 
     def _run_after_lid(self) -> _Run:
         if len(self.runs) < 2 or self.runs[1].rect(self.ctx) is None:
@@ -321,12 +325,11 @@ class Hole:
             if prev.owner in (OWNER_GROUND, OWNER_SEAM):
                 return TYPE_I
             raise AnalysisError("lemma3", f"odd run {prev.owner} before the last")
-        rect = last.rect(self.ctx)
-        if prev_rect.right == rect.left \
-                and min(prev_rect.top, rect.top) > max(prev_rect.bottom, rect.bottom):
+        pl, pr, pb, pt = prev_rect
+        l, r, b, t = last.rect(self.ctx)
+        if pr == l and min(pt, t) > max(pb, b):
             return TYPE_I
-        if prev_rect.top == rect.bottom \
-                and min(prev_rect.right, rect.right) > max(prev_rect.left, rect.left):
+        if pt == b and min(pr, r) > max(pl, l):
             return TYPE_II
         raise AnalysisError("lemma3", "last square neither right nor top neighbor")
 
@@ -400,11 +403,11 @@ def _diagonal_origin(hole: Hole) -> tuple[int, int]:
     corner."""
     ctx = hole.ctx
     a2 = hole._run_after_lid()
-    rect = a2.rect(ctx)
+    _, r, b, _ = a2.rect(ctx)
     i, j = a2.end
-    if ctx.grid.xs[i] == rect.right:
-        return (ctx.X[i], ctx.Y[j])
-    return (ctx.X[ctx.grid.xi[rect.right]], ctx.Y[ctx.grid.yi[rect.bottom]])
+    if ctx.X[i] == r:
+        return (r, ctx.Y[j])
+    return (r, b)
 
 
 def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], int]]:
@@ -461,51 +464,43 @@ def _enters_hole_southeast(hole: Hole, x: int, y: int) -> Optional[int]:
     return grid.owner[iw][jn]
 
 
-@dataclass(frozen=True)
-class SplitEvent:
-    case: str                          # "A" (right side) or "B" (bottom)
-    f_point: tuple
-    up: Placement
-    low: Placement
-    lid: VirtualLid
-
-
-def _find_split(hole: Hole) -> Optional[SplitEvent]:
+def _find_split(hole: Hole) -> Optional[VirtualLid]:
+    """The virtual lid over the cut below the hole's first left-diagonal
+    crossing, or None if no diagonal crosses the hole."""
     hit = _ray_hit(hole, _diagonal_origin(hole))
     if hit is None:
         return None
     ctx = hole.ctx
     (x, y), sq_idx = hit
-    pt = (Fraction(x, ctx.unit), Fraction(y, ctx.unit))
-    sq = ctx.placements[sq_idx]
+    _, r, b, _ = ctx.rects[sq_idx]
     try:
-        sq_run = next(r for r in hole.runs if r.owner == ("sq", sq_idx))
+        sq_run = next(run for run in hole.runs if run.owner == ("sq", sq_idx))
     except StopIteration:
         raise AnalysisError("split", f"crossing square {sq_idx} has no run")
-    if pt[1] == sq.bottom:
-        case = "B"
-        up = sq
+    if y == b:                  # on its bottom: it overhangs the next run
+        up = sq_idx
         low_run = hole._run_after(sq_run)
         if low_run.owner[0] != "sq":
             raise AnalysisError("lemma5", "no square below the overhang")
-        low = ctx.placements[low_run.owner[1]]
-    elif pt[0] == sq.right:
-        case = "A"
-        low = sq
+        low = low_run.owner[1]
+    elif x == r:                # on its right: it carries the run before
+        low = sq_idx
         up_run = hole._run_before(sq_run)
         if up_run.owner[0] != "sq":
             raise AnalysisError("lemma5", "no square above the split point")
-        up = ctx.placements[up_run.owner[1]]
+        up = up_run.owner[1]
     else:
-        raise AnalysisError("split", f"crossing {pt} on neither R nor B of {sq}")
+        raise AnalysisError(
+            "split", f"crossing ({x}, {y}) on neither R nor B of square {sq_idx}")
+    ul, ur, ub, _ = ctx.rects[up]
+    ll, lr, _, lt = ctx.rects[low]
     # Lemma: the upper square rests on the lower one
-    if not (up.bottom == low.top and up.left < low.right and low.left < up.right):
+    if not (ub == lt and ul < lr and ll < ur):
         raise AnalysisError(
             "lemma5", f"split pair not stacked: up={up} low={low}")
-    level = low.top
-    x_m = low.right
+    x_m = lr
     x_n = None
-    for lo, hi in ctx.supported_spans(level):
+    for lo, hi in ctx.supported_spans(lt):
         if lo > x_m:
             x_n = lo
             break
@@ -514,16 +509,16 @@ def _find_split(hole: Hole) -> Optional[SplitEvent]:
     if x_n is None:
         if not hole.touches_right:
             raise AnalysisError("cor1", "no support right of the cut")
-        x_n = ONE
-    if not (x_n - x_m) < up.side:
-        raise AnalysisError("lemma7", f"cut {x_n - x_m} not shorter than {up.side}")
-    lid = VirtualLid(owner=up,
-                     rect=Rect.of(x_n - up.side, level, x_n, level + up.side),
-                     mn_left=x_m, mn_right=x_n, level=level)
-    return SplitEvent(case, pt, up, low, lid)
+        x_n = ctx.scale
+    side = ur - ul
+    if not (x_n - x_m) < side:
+        raise AnalysisError("lemma7", f"cut {x_n - x_m} not shorter than {side}")
+    return VirtualLid(owner=ctx.placements[up],
+                      rect=(x_n - side, x_n, lt, lt + side),
+                      mn_left=x_m, mn_right=x_n, level=lt)
 
 
-def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
+def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     """Remove the sub-hole below the cut; returns (below, remainder).
 
     Of the two pieces, the one ``_sides_of_cut`` finds is built from its
@@ -532,10 +527,9 @@ def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
     """
     ctx = hole.ctx
     grid = ctx.grid
-    level = ev.lid.level
-    j_top = grid.yi[level]
-    i_lo = grid.xi[ev.lid.mn_left]
-    i_hi = grid.xi[ev.lid.mn_right]
+    j_top = grid.yi[lid.level]
+    i_lo = grid.xi[lid.mn_left]
+    i_hi = grid.xi[lid.mn_right]
     throat = [(i, j_top - 1) for i in range(i_lo, i_hi)
               if (i, j_top - 1) in hole.cells]
     if not throat:
@@ -543,11 +537,11 @@ def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
     over_star = dict(hole.overrides)
     over_rest = dict(hole.overrides)
     for i in range(i_lo, i_hi):
-        over_star[(i, j_top)] = ("copy", ev.lid)
+        over_star[(i, j_top)] = ("copy", lid)
         over_rest[(i, j_top)] = OWNER_SEAM
     below, above, star_cycle = _sides_of_cut(hole, throat, j_top, i_lo, i_hi)
     if below is not None:
-        star = Hole(ctx, frozenset(below), over_star, lid_virtual=ev.lid)
+        star = Hole(ctx, frozenset(below), over_star, lid_virtual=lid)
         remainder = None
         if len(below) < len(hole.cells):
             remainder = Hole.from_boundary(
@@ -556,16 +550,16 @@ def _carve(hole: Hole, ev: SplitEvent) -> tuple[Hole, Optional[Hole]]:
                 hole.area_units - star.area_units)
     else:
         star = Hole.from_boundary(
-            ctx, hole.cells - above, over_star, ev.lid, star_cycle,
+            ctx, hole.cells - above, over_star, lid, star_cycle,
             hole.area_units - _area_units(ctx, above))
         remainder = (Hole(ctx, frozenset(above), over_rest,
                           lid_virtual=hole.lid_virtual) if above else None)
     # uniqueness: at most one virtual copy per square
-    key = ev.up.item.index
+    key = lid.owner.item.index
     if key in ctx.copies:
         raise AnalysisError("copy-uniqueness",
                             f"square {key} used as a virtual lid twice")
-    ctx.copies[key] = ev.lid
+    ctx.copies[key] = lid
     return star, remainder
 
 
@@ -653,11 +647,11 @@ def split_hole(hole: Hole) -> list[Hole]:
         current, budget = pending.pop()
         if budget == 0:
             raise AnalysisError("split", "splitting did not terminate")
-        ev = None if current.touches_left else _find_split(current)
-        if ev is None:
+        lid = None if current.touches_left else _find_split(current)
+        if lid is None:
             out.append(current)
             continue
-        star, remainder = _carve(current, ev)
+        star, remainder = _carve(current, lid)
         if remainder is not None:
             pending.append((remainder, budget - 1))
         pending.append((star, len(star.cells) + 1))     # popped first

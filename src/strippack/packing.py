@@ -75,9 +75,6 @@ class Placement:
     def top(self) -> Scalar:
         return self.y + self.item.side
 
-    def rect(self) -> Rect:
-        return Rect.of(self.left, self.bottom, self.right, self.top)
-
     def in_strip(self) -> bool:
         return ZERO <= self.x and self.right <= ONE and self.y >= ZERO
 
@@ -225,9 +222,6 @@ class Packing:
         k1 = len(bottoms) if hi is None else bisect_left(bottoms, hi)
         return [rects[i] for i in lat.order[k0:k1] if i < n]
 
-    def obstacles(self) -> list[Rect]:
-        return [pl.rect() for pl in self.placements]
-
 
 def pack(strategy, seq: Sequence[SquareItem]) -> Packing:
     """Place ``seq`` online with a fresh ``strategy()``.
@@ -370,7 +364,7 @@ def reachable_positions(p: Packing, a: Scalar,
     for idx, (_, _, alo, ahi) in enumerate(obs):
         if ahi > low:
             events.setdefault(ahi, ([], []))[0].append(idx)   # activates below
-            if alo > 0 and alo >= low:
+            if alo >= low:
                 events.setdefault(alo, ([], []))[1].append(idx)  # deactivates
 
     active: list[tuple[int, int, int]] = []   # (shadow_lo, shadow_hi, idx)

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction as F
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import items, packing_of, random_items
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
 from strippack.geometry import trace_boundary
+from strippack.harness import render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_SEAM, TYPE_I, TYPE_II, Hole,
                              compute_charges, extract_holes, hole_area_bound,
@@ -23,6 +25,32 @@ LARGE_REPORT_SHA256 = [
     "0a41cd1c98743b8a73ccd5553415ef3b4e7c77e074cb941e476f5b652db6dd7d",
     "a38450ccc63035c2431d25bb195efc6cce837aa8f64a525e446ffd6f23b973de",
 ]
+
+
+def nondyadic_items(seed: int):
+    """40 sides k/315, so the lattice scale is no power of two."""
+    rng = Random(f"nondyadic:{seed}")
+    return [SquareItem(i, F(rng.randint(4, 315), 315)) for i in range(1, 41)]
+
+
+# sha256 of the report on nondyadic_items(0..2), computed on the Fraction
+# grid before hole analysis moved to the packing's lattice
+NONDYADIC_REPORT_SHA256 = [
+    "2c61f8bc91195f2813c696928c5ab1a32f2eddaca56ed4728402cd63c38bc9ca",
+    "463e308520690ad157cafb967bc86f87ad3ac57d4c7c30f3308e405cf60433cf",
+    "e475fe9a4dbbbfe7f005da3f2e4820442177f8c74a4f156ec4e0f4358b66f91c",
+]
+# sha256 of render_svg(closed, holes) with the hole overlay, computed the
+# same way: LARGE_PANEL[0] and nondyadic_items(0)
+SVG_SHA256 = {
+    "large:0": "fec85b7e2392a263ac2cb14581bbc83fb5c77fde39f8a21a35f308f8d774cf8a",
+    "nondyadic:0":
+        "1c3ba8382faab7a8b6b290721e95cde0da74da1eb7fab5a131d1aade4b7eface",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def corpus_items(seed: int):
@@ -266,21 +294,21 @@ class TestIncrementalCarve:
         carve = holes._carve
         seen = {"carves": 0, "below_smaller": 0, "rest_smaller": 0}
 
-        def checked(hole, ev):
+        def checked(hole, lid):
             ctx, cells, overrides = hole.ctx, hole.cells, dict(hole.overrides)
-            star, remainder = carve(hole, ev)
+            star, remainder = carve(hole, lid)
             grid = ctx.grid
-            j_top = grid.yi[ev.lid.level]
-            cut = range(grid.xi[ev.lid.mn_left], grid.xi[ev.lid.mn_right])
+            j_top = grid.yi[lid.level]
+            cut = range(grid.xi[lid.mn_left], grid.xi[lid.mn_right])
             throat = [(i, j_top - 1) for i in cut if (i, j_top - 1) in cells]
             below = _below_cut(cells, throat, j_top)
             rest = cells - below
             over_star, over_rest = dict(overrides), dict(overrides)
             for i in cut:
-                over_star[(i, j_top)] = ("copy", ev.lid)
+                over_star[(i, j_top)] = ("copy", lid)
                 over_rest[(i, j_top)] = OWNER_SEAM
             _assert_same_hole(star, Hole(ctx, frozenset(below), over_star,
-                                         lid_virtual=ev.lid))
+                                         lid_virtual=lid))
             if rest:
                 _assert_same_hole(remainder, Hole(ctx, frozenset(rest), over_rest,
                                                   lid_virtual=hole.lid_virtual))
@@ -335,5 +363,18 @@ class TestGoldenReports:
     def test_large_panel_reports(self, idx):
         p = pack(BottomLeftState, LARGE_PANEL[idx])
         report = run_bottomleft_analysis(p).report()
-        assert hashlib.sha256(report.encode()).hexdigest() == \
-            LARGE_REPORT_SHA256[idx]
+        assert _sha256(report) == LARGE_REPORT_SHA256[idx]
+
+    @pytest.mark.parametrize("seed", range(len(NONDYADIC_REPORT_SHA256)))
+    def test_nondyadic_reports(self, seed):
+        ana = run_bottomleft_analysis(pack(BottomLeftState,
+                                           nondyadic_items(seed)))
+        assert ana.closed.lattice()[0] % 2 == 1
+        assert any(h.lid_virtual is not None for h in ana.holes)
+        assert _sha256(ana.report()) == NONDYADIC_REPORT_SHA256[seed]
+
+    @pytest.mark.parametrize("name", sorted(SVG_SHA256))
+    def test_hole_overlay_svg(self, name):
+        seq = LARGE_PANEL[0] if name == "large:0" else nondyadic_items(0)
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
+        assert _sha256(render_svg(ana.closed, ana.holes)) == SVG_SHA256[name]

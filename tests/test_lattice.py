@@ -13,8 +13,8 @@ from conftest import items, packing_of, random_items
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES
-from strippack.geometry import (intersect_spans, spans_contain, spans_meet,
-                                subtract_spans_open)
+from strippack.geometry import (Rect, intersect_spans, spans_contain,
+                                spans_meet, subtract_spans_open)
 from strippack.packing import (Packing, Placement, SquareItem, StepVerdict,
                                check_step, is_supported, pack,
                                reachable_positions, verify_packing)
@@ -48,7 +48,7 @@ def reference_spans(p: Packing, a, y):
     events = {}
     for idx, (_, _, alo, ahi) in enumerate(obs):
         events.setdefault(ahi, ([], []))[0].append(idx)
-        if alo > 0:
+        if alo >= 0:
             events.setdefault(alo, ([], []))[1].append(idx)
     levels = sorted(events, reverse=True)
     yi = y * scale
@@ -75,10 +75,14 @@ def reference_spans(p: Packing, a, y):
     return [(F(lo, scale), F(hi, scale)) for lo, hi in spans]
 
 
+def rect_of(pl: Placement) -> Rect:
+    return Rect.of(pl.left, pl.bottom, pl.right, pl.top)
+
+
 def reference_step(sofar: Packing, pl: Placement) -> StepVerdict:
-    rect = pl.rect()
+    rect = rect_of(pl)
     overlap_free = pl.in_strip() and not any(
-        rect.interior_overlaps(q.rect()) for q in sofar.placements)
+        rect.interior_overlaps(rect_of(q)) for q in sofar.placements)
     supported = pl.y == 0 or any(
         q.top == pl.y and q.left < pl.right and pl.left < q.right
         for q in sofar.placements)

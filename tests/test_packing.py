@@ -4,6 +4,7 @@ import pytest
 
 from conftest import grid_bfs_reachable, items, packing_of, random_items
 from strippack.bottomleft import BottomLeftState
+from strippack.geometry import spans_contain
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                is_supported, is_tetris_reachable, pack,
                                reachable_positions, rest_height,
@@ -62,6 +63,20 @@ class TestReachability:
         sweep = reachable_positions(p, F(1, 2))
         assert sweep.at_level(F(0)) == [(F(1, 2), F(1, 2))]
         assert is_tetris_reachable(p, Placement(SquareItem(2, F(1, 2)), F(1, 2), F(0)))
+
+    def test_slide_under_a_square_at_the_ground(self):
+        # the half square's bottom is a above the strip floor: the quarter
+        # slides under it along the floor, though not in the slab above
+        p = packing_of([("1/4", 0, 0), ("1/2", 0, "1/4")])
+        a, step = F(1, 4), F(1, 8)
+        spans = reachable_positions(p, a).at_level(F(0))
+        assert spans == [(F(1, 4), F(3, 4))]
+        third = Placement(SquareItem(3, a), F(1, 4), F(0))
+        assert verify_packing([pl.item for pl in p.placements] + [third.item],
+                              list(p.placements) + [third]).ok
+        reach, nx, _ = grid_bfs_reachable(p, a, step)
+        assert {ix for ix in range(nx + 1) if spans_contain(spans, ix * step)} \
+            == {ix for ix, iy in reach if iy == 0} == set(range(2, nx + 1))
 
     def test_narrow_gap_floor_unreachable(self):
         p = packing_of([("2/5", 0, 0), ("2/5", 0, "2/5"),
