@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -189,82 +190,96 @@ class Rect:
 # ---------------------------------------------------------------------------
 
 class StepProfile:
-    """Piecewise-constant function over [0, 1], stored as breakpoints.
+    """Piecewise-constant function over [0, end), zero at first and
+    changed in place.
 
     ``starts[i]`` is the left end of segment i (``starts[0] == 0``); segment
-    i carries ``values[i]`` up to ``starts[i+1]`` (or 1 for the last one).
+    i carries ``values[i]`` up to ``starts[i+1]`` (or ``end`` for the last
+    one), and neighbouring segments carry different values.  Coordinates
+    may be any exactly ordered type; the slot strategy keeps its skyline in
+    the packing's lattice integers, with ``end`` the lattice scale.
     """
 
-    __slots__ = ("starts", "values")
+    __slots__ = ("end", "starts", "values")
 
-    def __init__(self, starts: Sequence[Scalar], values: Sequence[Scalar]):
-        if not starts or starts[0] != ZERO or len(starts) != len(values):
-            raise GeometryError("malformed profile breakpoints")
-        for a, b in zip(starts, starts[1:]):
-            if not a < b:
-                raise GeometryError("profile breakpoints not increasing")
-        if starts[-1] >= ONE:
-            raise GeometryError("profile breakpoints must stay below 1")
-        self.starts = list(starts)
-        self.values = list(values)
+    def __init__(self, end):
+        self.end = end
+        self.starts = [0]
+        self.values = [0]
 
-    @classmethod
-    def constant(cls, value: Scalar) -> "StepProfile":
-        return cls([ZERO], [value])
+    def scale_by(self, f) -> None:
+        """Multiply every coordinate and value by ``f``."""
+        self.end *= f
+        self.starts = [s * f for s in self.starts]
+        self.values = [v * f for v in self.values]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, StepProfile)
-                and self.starts == other.starts and self.values == other.values)
-
-    def copy(self) -> "StepProfile":
-        return StepProfile(self.starts, self.values)
-
-    def max_over(self, lo: Scalar, hi: Scalar) -> Scalar:
+    def max_over(self, lo, hi):
         """Max of the profile over the OPEN interior (lo, hi)."""
         if not lo < hi:
             raise GeometryError("max_over needs a positive-length interval")
-        best = None
-        n = len(self.starts)
-        for i in range(n):
-            seg_lo = self.starts[i]
-            seg_hi = self.starts[i + 1] if i + 1 < n else ONE
-            if seg_hi <= lo:
-                continue
-            if seg_lo >= hi:
-                break
-            v = self.values[i]
-            if best is None or v > best:
-                best = v
-        assert best is not None
-        return best
+        starts = self.starts
+        return max(self.values[bisect_right(starts, lo) - 1:
+                               bisect_left(starts, hi)])
 
-    def raised(self, lo: Scalar, hi: Scalar, value: Scalar) -> "StepProfile":
-        """New profile with [lo, hi] raised to max(old, value)."""
-        if lo >= hi:
-            return self.copy()
-        starts, values = [], []
-        n = len(self.starts)
+    def raised(self, lo, hi, value) -> None:
+        """Raise [lo, hi] to max(old, value), splicing only the segments
+        the interval touches and merging equal neighbours."""
+        if not lo < hi:
+            return
+        starts, values = self.starts, self.values
+        i = bisect_right(starts, lo) - 1
+        j = bisect_left(starts, hi)
+        new_s, new_v = [], []
+        prev = values[i - 1] if i else None
+        if starts[i] < lo:
+            new_s.append(starts[i])
+            new_v.append(values[i])
+            prev = values[i]
+        for m in range(i, j):
+            v = values[m] if values[m] > value else value
+            if v != prev:
+                new_s.append(starts[m] if starts[m] > lo else lo)
+                new_v.append(v)
+                prev = v
+        if j < len(starts) and starts[j] == hi:
+            if values[j] == prev:
+                j += 1                  # the next segment continues the last
+        elif hi < self.end and values[j - 1] != prev:
+            new_s.append(hi)            # the last segment continues past hi
+            new_v.append(values[j - 1])
+        starts[i:j] = new_s
+        values[i:j] = new_v
+
+    def lowest_cell(self, w) -> int:
+        """Index j of the leftmost of the lowest cells [j*w, (j+1)*w] tiling
+        [0, end), a cell's height being the max over its open interior.
+
+        A cell inside one segment takes that segment's value, and only the
+        leftmost such cell of a segment can win; every other cell straddles
+        a breakpoint.  So one pass over the segments finds the cell.  The
+        pass meets the candidate cells from left to right, so a later one
+        wins only when it is strictly lower."""
+        starts, values, end = self.starts, self.values, self.end
+        n = len(starts)
+        best = low = None               # the lowest cell so far, its height
+        cell = top = None               # cell straddling a breakpoint, its max
         for i in range(n):
-            seg_lo = self.starts[i]
-            seg_hi = self.starts[i + 1] if i + 1 < n else ONE
-            v = self.values[i]
-            pieces = []
-            if seg_hi <= lo or seg_lo >= hi:
-                pieces.append((seg_lo, v))
-            else:
-                if seg_lo < lo:
-                    pieces.append((seg_lo, v))
-                    seg_lo = lo
-                cut = min(seg_hi, hi)
-                pieces.append((seg_lo, v if v >= value else value))
-                if cut < seg_hi:
-                    pieces.append((cut, v))
-            for s, val in pieces:
-                if values and values[-1] == val:
-                    continue
-                starts.append(s)
-                values.append(val)
-        return StepProfile(starts, values)
+            v = values[i]
+            e = starts[i + 1] if i + 1 < n else end
+            if cell is not None:
+                if v > top:
+                    top = v
+                if (cell + 1) * w > e:
+                    continue            # the cell covers this whole segment
+                if best is None or top < low:
+                    best, low = cell, top
+                cell = None
+            j = -(-starts[i] // w)
+            if (j + 1) * w <= e and (best is None or v < low):
+                best, low = j, v
+            if e % w:
+                cell, top = e // w, v
+        return best
 
 
 # ---------------------------------------------------------------------------

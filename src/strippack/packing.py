@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .geometry import (Rect, StepProfile, intersect_spans, spans_contain,
-                       spans_meet, subtract_spans_open)
+from .geometry import (Rect, intersect_spans, spans_contain, spans_meet,
+                       subtract_spans_open)
 from .numbers import ONE, ZERO, Scalar
 
 
@@ -141,8 +141,8 @@ class _Lattice:
 
 
 class Packing:
-    """Immutable ordered packing with its height and, each built on first
-    use, its integer lattice (``lattice``) and its top profile.
+    """Immutable ordered packing with its height and its integer lattice
+    (``lattice``), built on first use.
 
     ``extended`` appends to the lattice this packing shares with the one it
     came from, in O(1) amortized time plus a sorted insert; extending a
@@ -150,13 +150,12 @@ class Packing:
     first, each time, so both results stay valid.
     """
 
-    __slots__ = ("_lat", "_n", "_height", "_profile", "_placements")
+    __slots__ = ("_lat", "_n", "_height", "_placements")
 
     def __init__(self, placements: Sequence[Placement] = ()):
         self._placements: Optional[tuple[Placement, ...]] = tuple(placements)
         self._n = len(self._placements)
         self._height = max((pl.top for pl in self._placements), default=ZERO)
-        self._profile: Optional[StepProfile] = None
         self._lat: Optional[_Lattice] = None
 
     @classmethod
@@ -176,15 +175,6 @@ class Packing:
     def height(self) -> Scalar:
         return self._height
 
-    @property
-    def profile(self) -> StepProfile:
-        if self._profile is None:
-            prof = StepProfile.constant(ZERO)
-            for pl in self.placements:
-                prof = prof.raised(pl.left, pl.right, pl.top)
-            self._profile = prof
-        return self._profile
-
     def _lattice(self) -> _Lattice:
         if self._lat is None:
             self._lat = _Lattice.of(self._placements)
@@ -197,7 +187,7 @@ class Packing:
         lat.append(pl)
         nxt = Packing.__new__(Packing)
         nxt._lat, nxt._n = lat, self._n + 1
-        nxt._placements = nxt._profile = None
+        nxt._placements = None
         nxt._height = max(self._height, pl.top)
         return nxt
 
@@ -248,9 +238,8 @@ def rest_height(p: Packing, x: Scalar, a: Scalar) -> Scalar:
     the open footprint (x, x+a)."""
     if not (ZERO <= x <= ONE - a):
         raise PackingError(f"x={x} out of range for side {a}")
-    if not p.placements:
-        return ZERO
-    return p.profile.max_over(x, x + a)
+    return max((pl.top for pl in p.placements
+                if pl.left < x + a and x < pl.right), default=ZERO)
 
 
 def is_supported(p: Packing, pl: Placement) -> bool:

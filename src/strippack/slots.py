@@ -3,16 +3,17 @@ vertical drop along the chosen slot's left boundary.
 
 The strip is divided, for every level k, into 2^k slots of width 2^-k.  A
 square is rounded up to the nearest power of 1/2 and dropped in the level-k
-slot with the lowest rest height (ties to the leftmost slot).  Per-level
-rest heights are cached and updated incrementally; they always equal the
-geometric rest height over the slot's open interior, which tests cross-check
-against the raw packing.
+slot with the lowest rest height (ties to the leftmost slot).  The only
+state besides the packing is its skyline, one step profile on the packing's
+integer lattice, changed in place: the lowest slot is found in one pass over
+its segments, so no level keeps a table of its 2^k slots and a level is
+bounded only by the size of the integers.  Tests cross-check every choice
+against the rest heights of the raw packing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .geometry import StepProfile
 from .numbers import ONE, ZERO, Scalar
@@ -20,15 +21,17 @@ from .packing import Packing, PackingError, Placement, SquareItem
 
 
 def round_to_dyadic(a: Scalar) -> tuple[int, Scalar]:
-    """Smallest power 2^-k with 2^-k >= a; returns (k, 2^-k)."""
+    """Smallest power 2^-k with 2^-k >= a; returns (k, 2^-k).
+
+    For a = p/q, k is the largest integer with p * 2^k <= q, which is the
+    difference of the bit lengths or one less."""
     if not (ZERO < a <= ONE):
         raise PackingError(f"side {a} outside (0, 1]")
-    k = 0
-    w = ONE
-    while w / 2 >= a:
-        w /= 2
-        k += 1
-    return k, w
+    p, q = a.numerator, a.denominator
+    k = q.bit_length() - p.bit_length()
+    if p << k > q:
+        k -= 1
+    return k, Fraction(1, 1 << k)
 
 
 class SlotId:
@@ -66,65 +69,43 @@ class SlotId:
 
 
 class SlotState:
-    """The slot strategy, one square at a time: placements, skyline and
-    per-level slot heights."""
+    """The slot strategy, one square at a time, on its packing and the
+    packing's skyline.
+
+    The skyline holds the packing's lattice integers at scale ``_scale``;
+    when the lattice grows it is multiplied through by the factor.
+    """
 
     def __init__(self):
-        self._placements: list[Placement] = []
-        self._profile = StepProfile.constant(ZERO)
-        self._heights: dict[int, list[Scalar]] = {}
-        self._packing: Optional[Packing] = None
+        self.packing = Packing.empty()
+        self._scale = 1
+        self._skyline = StepProfile(1)
 
-    @property
-    def packing(self) -> Packing:
-        """Built on first use, then extended with every square placed."""
-        if self._packing is None:
-            self._packing = Packing(self._placements)
-        return self._packing
-
-    def _level_heights(self, k: int) -> list[Scalar]:
-        cached = self._heights.get(k)
-        if cached is None:
-            w = Fraction(1, 2 ** k)
-            cached = [self._profile.max_over(j * w, (j + 1) * w)
-                      for j in range(2 ** k)]
-            self._heights[k] = cached
-        return cached
-
-    def drop_height(self, slot: SlotId) -> Scalar:
-        return self._level_heights(slot.level)[slot.index]
+    def _fit(self, *dens: int) -> int:
+        scale, _ = self.packing.lattice(*dens)
+        if scale != self._scale:
+            self._skyline.scale_by(scale // self._scale)
+            self._scale = scale
+        return scale
 
     def choose(self, k: int) -> SlotId:
-        heights = self._level_heights(k)
-        best = min(range(len(heights)), key=lambda j: (heights[j], j))
-        return SlotId(k, best)
+        return SlotId(k, self._skyline.lowest_cell(self._fit(2 ** k) >> k))
 
     def place(self, item: SquareItem) -> Placement:
-        k, _ = round_to_dyadic(item.side)
+        a = item.side
+        k, _ = round_to_dyadic(a)
         slot = self.choose(k)
-        x = slot.left
+        scale = self._fit(a.denominator)
+        l = slot.index * (scale >> k)
+        r = l + a.numerator * (scale // a.denominator)
         # the physical drop stops where the square itself lands; in the rare
         # case the slot's interior max sits beyond the footprint this is
         # lower, and it is what keeps the placement supported
-        y = self._profile.max_over(x, x + item.side) if self._placements else ZERO
-        pl = Placement(item, x, y)
-        self._record(pl)
+        b = self._skyline.max_over(l, r)
+        pl = Placement(item, Fraction(l, scale), Fraction(b, scale))
+        self.packing = self.packing.extended(pl)
+        self._skyline.raised(l, r, b + r - l)
         return pl
-
-    def _record(self, pl: Placement) -> None:
-        self._placements.append(pl)
-        if self._packing is not None:
-            self._packing = self._packing.extended(pl)
-        self._profile = self._profile.raised(pl.left, pl.right, pl.top)
-        for k, heights in self._heights.items():
-            w = Fraction(1, 2 ** k)
-            j0 = int(pl.left / w)
-            for j in range(j0, 2 ** k):
-                lo = j * w
-                if lo >= pl.right:
-                    break
-                if heights[j] < pl.top:
-                    heights[j] = pl.top
 
 
 def slot_killer_instance(k: int, delta: Scalar, n: int) -> list[SquareItem]:

@@ -23,6 +23,13 @@ def random_items(seed: int, n: int, lo=Fraction(1, 64), hi=Fraction(1)) -> list[
             for i in range(1, n + 1)]
 
 
+def nondyadic_items(seed: int) -> list[SquareItem]:
+    """40 sides k/315, so the lattice scale is no power of two."""
+    rng = random.Random(f"nondyadic:{seed}")
+    return [SquareItem(i, Fraction(rng.randint(4, 315), 315))
+            for i in range(1, 41)]
+
+
 def packing_of(coords) -> Packing:
     """Build a packing directly from (side, x, y) triples."""
     p = Packing.empty()

@@ -125,28 +125,69 @@ class TestIntervalSetProperties:
             assert h1 < l2
 
 
+def raised(lo, hi, value, prof=None):
+    prof = prof if prof is not None else StepProfile(F(1))
+    prof.raised(F(lo), F(hi), F(value))
+    return prof
+
+
 class TestStepProfile:
     def test_flat(self):
-        prof = StepProfile.constant(Z)
+        prof = StepProfile(F(1))
         assert prof.max_over(F(0), F(1)) == 0
 
     def test_open_interior_boundary_excluded(self):
-        prof = StepProfile.constant(Z).raised(F(0), F(1, 2), F(1, 4))
+        prof = raised(0, "1/2", "1/4")
         assert prof.max_over(F(1, 2), F(1)) == 0
 
     def test_spanning_query(self):
-        prof = StepProfile.constant(Z).raised(F(0), F(1, 2), F(1, 4))
+        prof = raised(0, "1/2", "1/4")
         assert prof.max_over(F(1, 4), F(3, 4)) == F(1, 4)
 
     def test_zero_length_query_rejected(self):
-        prof = StepProfile.constant(Z)
+        prof = StepProfile(F(1))
         with pytest.raises(GeometryError):
             prof.max_over(F(1, 2), F(1, 2))
 
     def test_raise_merges_breakpoints(self):
-        prof = StepProfile.constant(Z).raised(F(0), F(1, 2), F(1, 4))
-        prof = prof.raised(F(1, 2), F(1), F(1, 4))
-        assert prof == StepProfile.constant(F(1, 4))
+        prof = raised("1/2", 1, "1/4", raised(0, "1/2", "1/4"))
+        assert (prof.starts, prof.values) == ([0], [F(1, 4)])
+
+    def test_raise_merges_with_both_neighbours(self):
+        prof = raised("3/4", 1, "1/4", raised(0, "1/4", "1/4"))
+        raised("1/4", "3/4", "1/8", prof)
+        assert prof.values == [F(1, 4), F(1, 8), F(1, 4)]
+        raised("1/4", "3/4", "1/4", prof)
+        assert (prof.starts, prof.values) == ([0], [F(1, 4)])
+
+    def test_scale_by(self):
+        prof = raised("1/4", "1/2", "3/8")
+        prof.scale_by(8)
+        assert (prof.end, prof.starts, prof.values) == (8, [0, 2, 4], [0, 3, 0])
+
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(1, 16),
+                              st.integers(0, 9)), max_size=12),
+           st.sampled_from([1, 2, 4, 8, 16]))
+    @settings(max_examples=300)
+    def test_matches_dense_model(self, raises, cells):
+        """Integer profile on [0, 16) against one height per unit."""
+        prof = StepProfile(16)
+        dense = [0] * 16
+        for lo, length, value in raises:
+            hi = min(lo + length, 16)
+            prof.raised(lo, hi, value)
+            for x in range(lo, hi):
+                dense[x] = max(dense[x], value)
+            assert prof.values == [v for x, v in enumerate(dense)
+                                   if x == 0 or dense[x - 1] != v]
+            assert prof.starts == [x for x in range(16)
+                                   if x == 0 or dense[x - 1] != dense[x]]
+        for lo in range(16):
+            for hi in range(lo + 1, 17):
+                assert prof.max_over(lo, hi) == max(dense[lo:hi])
+        w = 16 // cells
+        tops = [max(dense[j * w:(j + 1) * w]) for j in range(cells)]
+        assert prof.lowest_cell(w) == min(range(cells), key=lambda j: (tops[j], j))
 
 
 def rect(x0, y0, x1, y1):

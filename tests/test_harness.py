@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -192,3 +196,52 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("5/4\n")
         assert main(["run", "--strategy", "slot", "--input", str(bad)]) == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli(*argv: str):
+    """Run the CLI in a fresh interpreter, killed after 10 s; returns the
+    exit code, stdout and wall seconds."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "strippack.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout, time.perf_counter() - start
+
+
+class TestTinySides:
+    """A slot side's level is bounded only by the size of the integers."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path: Path) -> Path:
+        path = tmp_path / "tiny.txt"
+        path.write_text("1/2\n1e-100\n1/3\n1/2\n")
+        return path
+
+    def test_run_slot(self, tiny):
+        code, out, wall = cli("run", "--strategy", "slot", "--input", str(tiny))
+        assert code == 0 and wall < 2
+        height = F(5, 6) + F(1, 10 ** 100)
+        assert f"height {height.numerator}/{height.denominator}" in out
+
+    def test_analyze_slot(self, tiny):
+        code, out, wall = cli("analyze", "--strategy", "slot",
+                              "--input", str(tiny))
+        assert code == 0 and wall < 2
+        assert "CHECK theorem2 PASS" in out
+
+    def test_killer_level_59(self):
+        code, out, wall = cli("killer", "--k", "60", "--delta",
+                              f"1/{2 ** 70}", "--n", "8")
+        assert code == 0 and wall < 2
+        assert out == f"height 1025/{2 ** 70}\n"
+
+    def test_single_side_two_to_minus_40(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text(f"1/{2 ** 40}\n")
+        code, out, wall = cli("run", "--strategy", "slot", "--input", str(path))
+        assert code == 0 and wall < 2
+        assert out == f"height 1/{2 ** 40}\n"

@@ -1,11 +1,10 @@
 import hashlib
 from fractions import Fraction as F
-from random import Random
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import items, packing_of, random_items
+from conftest import items, nondyadic_items, packing_of, random_items
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
 from strippack.geometry import trace_boundary
@@ -25,12 +24,6 @@ LARGE_REPORT_SHA256 = [
     "0a41cd1c98743b8a73ccd5553415ef3b4e7c77e074cb941e476f5b652db6dd7d",
     "a38450ccc63035c2431d25bb195efc6cce837aa8f64a525e446ffd6f23b973de",
 ]
-
-
-def nondyadic_items(seed: int):
-    """40 sides k/315, so the lattice scale is no power of two."""
-    rng = Random(f"nondyadic:{seed}")
-    return [SquareItem(i, F(rng.randint(4, 315), 315)) for i in range(1, 41)]
 
 
 # sha256 of the report on nondyadic_items(0..2), computed on the Fraction

@@ -1,11 +1,26 @@
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import items, random_items
+from conftest import items, nondyadic_items, random_items
+from strippack.cli import main
+from strippack.harness import instance_text, placements_csv
 from strippack.packing import PackingError, SquareItem, pack, rest_height, \
     verify_packing
-from strippack.slots import SlotId, SlotState, round_to_dyadic
+from strippack.slots import SlotId, SlotState, round_to_dyadic, \
+    slot_killer_instance
+
+
+def halving_round(a):
+    """round_to_dyadic as it was first written: halve 1 while the half
+    still covers a."""
+    k, w = 0, F(1)
+    while w / 2 >= a:
+        w /= 2
+        k += 1
+    return k, w
 
 
 class TestRounding:
@@ -19,6 +34,20 @@ class TestRounding:
     ])
     def test_examples(self, side, level, width):
         assert round_to_dyadic(F(side)) == (level, F(width))
+
+    def test_matches_halving_on_random_rationals(self):
+        rng = random.Random(700)
+        for _ in range(2000):
+            q = rng.randint(1, 2 ** rng.randint(1, 80))
+            a = F(rng.randint(1, q), q)
+            assert round_to_dyadic(a) == halving_round(a)
+
+    def test_matches_halving_near_powers_of_two(self):
+        tiny = F(1, 2 ** 500)
+        for k in range(401):
+            for a in (F(1, 2 ** k) - tiny, F(1, 2 ** k), F(1, 2 ** k) + tiny):
+                if a <= 1:
+                    assert round_to_dyadic(a) == halving_round(a), k
 
     def test_rejects_out_of_range(self):
         with pytest.raises(PackingError):
@@ -80,16 +109,94 @@ class TestRuns:
                 assert pl.right <= pl.x - (pl.x % width) + width
 
 
+def lowest_slot(p, k):
+    """The leftmost level-k slot of least rest height, by trying every one."""
+    slots = [SlotId(k, j) for j in range(2 ** k)]
+    return min(slots, key=lambda slot: (
+        rest_height(p, slot.left, slot.width), slot.index))
+
+
 class TestTreeGeometryConsistency:
-    def test_cached_heights_match_rest_height(self):
-        for seed in range(5):
-            seq = random_items(600 + seed, 10)
+    def test_choose_matches_brute_force_lowest_slot(self):
+        seqs = [random_items(600 + seed, 10) for seed in range(5)]
+        seqs += [nondyadic_items(seed)[:12] for seed in range(2)]
+        for seq in seqs:
             s = SlotState()
             for item in seq:
                 s.place(item)
-                p = s.packing
-                for k in range(0, 5):
-                    for j in range(2 ** k):
-                        slot = SlotId(k, j)
-                        assert s.drop_height(slot) == \
-                            rest_height(p, slot.left, slot.width)
+                for k in range(7):
+                    assert s.choose(k) == lowest_slot(s.packing, k)
+
+
+GRID = 2 ** 20
+
+
+def deep_items(i: int):
+    """The slot-deep bench panel: eight sides at levels 1-5, then four at
+    levels 10-13, drawn from Random("slot-deep:<i>")."""
+    rng = random.Random(f"slot-deep:{i}")
+    side = lambda k: F(rng.randint((GRID >> (k + 1)) + 1, GRID >> k), GRID)
+    shallow = [side(k) for k in (1, 2, 3, 3, 4, 4, 5, 5)]
+    deep = [side(k) for k in (10, 11, 12, 13)]
+    rng.shuffle(shallow)
+    rng.shuffle(deep)
+    return [SquareItem(j, a) for j, a in enumerate(shallow + deep, 1)]
+
+
+# sha256 of the slot placement CSV and of the `analyze --strategy slot`
+# report, computed with the dense per-level slot height tables
+DEEP_SHA256 = [
+    ("092eef1bb2d82136de398459b9c08f117ea39b76a298a9c9473dcfd99989520b",
+     "b510dce42d9d90e43a69f391aa915d912966ebdf1916f451d7aff6ecccd9689f"),
+    ("b7025f38856ff9ccde86a8603860248309f109206ad493581de745e684796c89",
+     "a2f055696cea1121188ae855cf8f81eeecec1ee519e3fc2ab8fce0784830b3fe"),
+    ("f730e6f8685ce660fc9d8ed1ba1c9d807fd10f5f3d7059f12814ffa8cef7544a",
+     "7f4cffb25fd106c98cc8878f7a2615bfe20485440b826abaf32aa573d5db60cf"),
+    ("b2c03e153e0cbc76fdf4c4d3ff6d036854e10303dc75e08d4f4f5a15e8a0e443",
+     "cf33d9d324c743764bef03379ddd80bc6c92afcebcb5768d9ac3ba5a0847ec12"),
+    ("21860c4f7bcfc48d5d31a2e5f4cbe5aa6983871639b1cfcfbd0696ce323b9461",
+     "5a7822f58cfcf8642727d56e0304b8f0a8d1ba9b6ae1a20891a7ece11e008c4a"),
+    ("f8a1aa299f980fbbcfc81e1f64703d737183cc15a42f959f337c7ae4f3b8faf7",
+     "537c0631a4f8055aec36d67546fe6b41e4e62ce7d92ad9f6e1aa21d2c9de8e4d"),
+    ("025cf51ddf11a8acb92140cd8cf8a56d86b538d555b57361c23a61b8cc8bb1f2",
+     "a3d7242a80e73ea17886d6e542403296eccb42eae02d6732140075c3a0720a36"),
+]
+NONDYADIC_SHA256 = [
+    ("a83f755f42b469eeaa9787e39dd35547b15c4720c7173263372625ba76b812d6",
+     "8ff42b9f62e5d2b6d43be14925199eaad0dbe109b2637449541eeb220819cc9e"),
+    ("591bbf6037266f2b2558867d360bf272343d82a120a43cc755017b8b7a52d917",
+     "c82793891659161ca08ade2987599c4a19ee60b080f7d6b0835232cd2fe83968"),
+    ("0717dec84dc4c5aabf6a0d0139ba1b99458f5058a73c17b28d2878e53f7d80b2",
+     "046557193475eb09bcbdafb60b6f0f9ea881a369d28a43691623de53855bc47d"),
+]
+# the acceptance killer: k = 6, delta = 1/4096, n = 4096
+KILLER_CSV_SHA256 = \
+    "222e07fa0d51f8bb4e6b3d9f48b2e3ff787eeb95ab22a7c50601b4f05b87f286"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenSlotPackings:
+    def _check(self, seq, pins, tmp_path, capsys):
+        assert _sha256(placements_csv(pack(SlotState, seq))) == pins[0]
+        inst = tmp_path / "inst.txt"
+        inst.write_text(instance_text(seq))
+        capsys.readouterr()
+        assert main(["analyze", "--strategy", "slot", "--input", str(inst)]) == 0
+        assert _sha256(capsys.readouterr().out) == pins[1]
+
+    @pytest.mark.parametrize("idx", range(len(DEEP_SHA256)))
+    def test_slot_deep_panel(self, idx, tmp_path, capsys):
+        self._check(deep_items(idx), DEEP_SHA256[idx], tmp_path, capsys)
+
+    @pytest.mark.parametrize("seed", range(len(NONDYADIC_SHA256)))
+    def test_nondyadic(self, seed, tmp_path, capsys):
+        self._check(nondyadic_items(seed), NONDYADIC_SHA256[seed], tmp_path,
+                    capsys)
+
+    def test_acceptance_killer(self):
+        seq = slot_killer_instance(6, F(1, 4096), 4096)
+        assert _sha256(placements_csv(pack(SlotState, seq))) == \
+            KILLER_CSV_SHA256
