@@ -3,7 +3,10 @@
 Candidate resting levels are 0 and the tops of placed squares; within a
 level the leftmost feasible x is one of finitely many event coordinates
 (reachable-corridor left endpoints and support-alignment positions), so the
-search is exact and terminates.
+search is exact and terminates.  The reachability sweep runs from the top
+down and stops at the first level sealed off from above; the levels are
+scanned upward from there, so a placement reads only the squares near the
+top of the packing.
 """
 
 from __future__ import annotations
@@ -19,22 +22,26 @@ from .packing import (Packing, PackingError, Placement, SquareItem,
 def bl_place_next(p: Packing, item: SquareItem) -> Placement:
     """Lowest reachable supported position, ties broken leftmost.
 
-    The search runs on the packing's integer lattice; the candidate levels
-    are 0 and the lattice tops."""
+    The search runs on the packing's integer lattice.  Nothing below the
+    sweep's lowest level is reachable, so the candidate levels are 0, if
+    that level is 0, and the tops at or above it.  Sides are at most 1, so
+    those tops come from the bottoms at or above 1 below that level, and
+    the tops at level y from the bottoms in [y - 1, y)."""
     a = item.side
-    scale, rects = p.lattice(a.denominator)
     sweep = reachable_positions(p, a)
+    scale, low = sweep.scale, sweep.lowest
     sa = a.numerator * (scale // a.denominator)
-    supports_at: dict[int, list[tuple[int, int]]] = {}
-    for l, r, _, t in rects:
-        supports_at.setdefault(t, []).append((l - sa, r))
-    for y in sorted(supports_at.keys() | {0}):
+    levels = {t for _, _, _, t in p.window(low - scale) if t >= low}
+    if low == 0:
+        levels.add(0)
+    for y in sorted(levels):
         reach = sweep.spans_at(y)
         if not reach:
             continue
         if y == 0:
             return Placement(item, Fraction(reach[0][0], scale), ZERO)
-        supports = merge_open_spans(supports_at[y])
+        supports = merge_open_spans([(l - sa, r) for l, r, _, t
+                                     in p.window(y - scale, y) if t == y])
         candidates = sorted({lo for lo, _ in reach}
                             | {lo for lo, _ in supports if lo >= 0})
         for x in candidates:

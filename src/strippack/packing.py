@@ -17,14 +17,17 @@ coordinates times the LCM of their denominators, indexed by bottom; the step
 checks, the sweep and the BottomLeft search run on it.  The rescaling is
 exact, so no semantics change, and because sides are at most 1 a check
 reads only the squares whose bottoms lie between 1 below the arriving
-square's bottom and its top.
+square's bottom and its top.  The sweep takes its events from the bottom
+index from the top down and stops at the first level sealed off from above,
+so it reads only the squares above that level.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Optional, Sequence
 
@@ -74,9 +77,6 @@ class Placement:
     @property
     def top(self) -> Scalar:
         return self.y + self.item.side
-
-    def in_strip(self) -> bool:
-        return ZERO <= self.x and self.right <= ONE and self.y >= ZERO
 
 
 class _Lattice:
@@ -200,8 +200,8 @@ class Packing:
         rects = lat.rects
         return scale, rects if len(rects) == self._n else rects[:self._n]
 
-    def _window(self, lo: int, hi: Optional[int] = None
-                ) -> list[tuple[int, int, int, int]]:
+    def window(self, lo: int, hi: Optional[int] = None
+               ) -> list[tuple[int, int, int, int]]:
         """Lattice rects of the placements with ``lo <= b < hi``, on the
         lattice's current scale.  The rects are read-only."""
         lat, n = self._lattice(), self._n
@@ -242,18 +242,17 @@ def rest_height(p: Packing, x: Scalar, a: Scalar) -> Scalar:
                 if pl.left < x + a and x < pl.right), default=ZERO)
 
 
-def is_supported(p: Packing, pl: Placement) -> bool:
+def is_supported(p: Packing, pl: Placement, at=None) -> bool:
     """Gravity check: on the strip bottom, or on some square's top with
-    positive-length x-overlap.
+    positive-length x-overlap.  ``at`` is ``pl``'s lattice ``(l, r, b, t)``
+    when the caller has it already.
 
     A top at ``pl.y`` belongs to a square with bottom in ``[pl.y - 1,
     pl.y)``, since sides are at most 1, so only that window is read."""
-    if pl.y == ZERO:
-        return True
     lat = p._lattice()
-    l, r, b, _ = lat.coords(pl)
-    return any(qt == b and ql < r and l < qr
-               for ql, qr, _, qt in p._window(b - lat.scale, b))
+    l, r, b, _ = at or lat.coords(pl)
+    return b == 0 or any(qt == b and ql < r and l < qr
+                         for ql, qr, _, qt in p.window(b - lat.scale, b))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +269,23 @@ class ReachabilitySweep:
     event; below the last event nothing changes.
     """
 
-    __slots__ = ("scale", "start", "full", "_events", "_at", "_slabs")
+    __slots__ = ("scale", "start", "full", "_events", "_at", "_slabs",
+                 "read")
 
-    def __init__(self, scale, start, full, events, at, slabs):
+    def __init__(self, scale, start, full, events, at, slabs, read):
         self.scale = scale
         self.start = start              # at/above: everything reachable
         self.full = full                # spans of [0, 1-a]
         self._events = events           # descending event levels
         self._at = at                   # level -> spans exactly at level
         self._slabs = slabs             # parallel: spans in open slab below
+        self.read = read                # index entries the sweep read
+
+    @property
+    def lowest(self) -> int:
+        """No level below this one has a reachable span: the last event if
+        the sweep sealed there, else 0."""
+        return self._events[-1] if self._slabs and not self._slabs[-1] else 0
 
     def spans_at(self, y):
         """Reachable left-edge spans at lattice level y (closed spans, on
@@ -336,40 +343,62 @@ def reachable_positions(p: Packing, a: Scalar,
 
     Only squares with t_j > floor are swept, and t_j <= b_j + 1, so the
     candidates come from the bottom-sorted window b_j > floor - 1.
+
+    The events are fed from the top down, and the sweep stops at the first
+    sealed level, so it reads only the squares above that level:
+
+      * Both events of a square lie at or below b_j + 1, since
+        b_j - a < t_j <= b_j + 1.  The window is walked in descending order
+        of bottom, and a square is pushed onto a max-heap of events while
+        the heap is empty or b_j + 1 is at least the heap's highest level.
+        A square not yet pushed then has b_j + 1 below that level, and so
+        has every one of its events: the highest event on the heap is the
+        highest one left in the window, and every event at that level is
+        on the heap.  The levels are handled in descending order, each with
+        the squares entering and leaving there, exactly as by a sweep over
+        the sorted events of the whole window.
+      * Once the slab below a level is sealed, nothing below it is
+        reachable and the sweep stops, so the squares whose events all lie
+        below it are never read.
     """
     if a > ONE or a <= ZERO:
         raise PackingError(f"side {a} outside (0, 1]")
-    scale = p._lattice().fit(a.denominator, floor.denominator)
+    lat = p._lattice()
+    scale = lat.fit(a.denominator, floor.denominator)
     low = floor.numerator * (scale // floor.denominator)
-    rects = p._window(low - scale + 1)
     sa = a.numerator * (scale // a.denominator)
     full = [(0, scale - sa)]
     h = p.height
     start = h.numerator * (scale // h.denominator)
+    bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n
+    stop = bisect_right(bottoms, low - scale)   # the window b_j > floor - 1
+    k = len(bottoms)
 
-    # integer obstacle records: (shadow_lo, shadow_hi, act_lo, act_hi)
-    obs = [(l - sa, r, b - sa, t) for l, r, b, t in rects]
-    events: dict[int, tuple[list, list]] = {}
-    for idx, (_, _, alo, ahi) in enumerate(obs):
-        if ahi > low:
-            events.setdefault(ahi, ([], []))[0].append(idx)   # activates below
-            if alo >= low:
-                events.setdefault(alo, ([], []))[1].append(idx)  # deactivates
-
-    active: list[tuple[int, int, int]] = []   # (shadow_lo, shadow_hi, idx)
+    heap: list[tuple[int, bool, int, int]] = []   # (-level, leaves, shadow)
+    active: list[tuple[int, int]] = []            # open shadows (l_j - a, r_j)
     ev_out, at_out, slab_out = [], [], []
     r_prev = full
-    for lv in sorted(events, reverse=True):
-        entering, leaving = events[lv]
-        leave_ids = set(leaving)
-        at_active = [o for o in active if o[2] not in leave_ids] if leave_ids else active
-        f_at = subtract_spans_open(full, [(o[0], o[1]) for o in at_active])
+    while True:
+        while k > stop and (not heap or bottoms[k - 1] + scale >= -heap[0][0]):
+            k -= 1
+            l, r, b, t = rects[order[k]]
+            if order[k] < n and t > low:
+                heappush(heap, (-t, False, l - sa, r))      # activates below
+                if b - sa >= low:
+                    heappush(heap, (sa - b, True, l - sa, r))   # deactivates
+        if not heap:
+            break
+        lv, entering = -heap[0][0], []
+        while heap and heap[0][0] == -lv:
+            _, leaves, lo, hi = heappop(heap)
+            if leaves:
+                active.remove((lo, hi))
+            else:
+                entering.append((lo, hi))
+        f_at = subtract_spans_open(full, active)
         r_at = [s for s in f_at if spans_meet([s], r_prev)]
-        for idx in entering:
-            insort(active, (obs[idx][0], obs[idx][1], idx))
-        if leave_ids:
-            active = [o for o in active if o[2] not in leave_ids]
-        f_below = subtract_spans_open(full, [(o[0], o[1]) for o in active])
+        active += entering
+        f_below = subtract_spans_open(full, active)
         entry = intersect_spans(r_at, f_below)
         r_below = [s for s in f_below if spans_meet([s], entry)]
         ev_out.append(lv)
@@ -378,13 +407,15 @@ def reachable_positions(p: Packing, a: Scalar,
         r_prev = r_below
         if not r_below:
             break               # sealed: nothing below is reachable
-    return ReachabilitySweep(scale, start, full, ev_out, at_out, slab_out)
+    return ReachabilitySweep(scale, start, full, ev_out, at_out, slab_out,
+                             len(bottoms) - k)
 
 
-def is_tetris_reachable(p: Packing, pl: Placement) -> bool:
+def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
     """Is (pl.x, pl.y) reachable from above the packing by a path that never
-    moves up and keeps the square's interior clear of all placed squares?"""
-    l, _, b, _ = p._lattice().coords(pl)
+    moves up and keeps the square's interior clear of all placed squares?
+    ``at`` is ``pl``'s lattice ``(l, r, b, t)`` when the caller has it."""
+    l, _, b, _ = at or p._lattice().coords(pl)
     sweep = reachable_positions(p, pl.item.side, floor=pl.y)
     return spans_contain(sweep.spans_at(b), l)
 
@@ -442,13 +473,13 @@ def check_step(sofar: Packing, pl: Placement) -> StepVerdict:
     Only squares with bottom in ``[pl.y - 1, pl.top)`` can overlap it, as
     sides are at most 1, so only that window is tested."""
     lat = sofar._lattice()
-    l, r, b, t = lat.coords(pl)
+    at = l, r, b, t = lat.coords(pl)
     rect = Rect.of(l, b, r, t)
-    overlap_free = pl.in_strip() and not any(
+    overlap_free = 0 <= l and r <= lat.scale and 0 <= b and not any(
         rect.interior_overlaps(Rect.of(ql, qb, qr, qt))
-        for ql, qr, qb, qt in sofar._window(b - lat.scale, t))
-    supported = is_supported(sofar, pl)
-    reachable = is_tetris_reachable(sofar, pl) if overlap_free else False
+        for ql, qr, qb, qt in sofar.window(b - lat.scale, t))
+    supported = is_supported(sofar, pl, at)
+    reachable = overlap_free and is_tetris_reachable(sofar, pl, at)
     return StepVerdict(overlap_free, supported, reachable)
 
 

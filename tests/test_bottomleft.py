@@ -1,14 +1,55 @@
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import items, random_items
-from strippack.bottomleft import BottomLeftState, bl_place_next
+from strippack.adversary import adversary_run
+from strippack.bottomleft import BottomLeftState, _in_open, bl_place_next
 from strippack.geometry import merge_open_spans, spans_contain
-from strippack.packing import (Packing, SquareItem, pack, reachable_positions,
-                               verify_packing)
+from strippack.numbers import ZERO
+from strippack.packing import (Packing, PackingError, Placement, SquareItem,
+                               pack, reachable_positions, verify_packing)
 
 
 def coords(p):
     return [(pl.x, pl.y) for pl in p.placements]
+
+
+def full_scan_place(p: Packing, item: SquareItem) -> Placement:
+    """bl_place_next as it was before the level scan started at the seal:
+    every top of the packing is a candidate level, grouped anew per call."""
+    a = item.side
+    scale, rects = p.lattice(a.denominator)
+    sweep = reachable_positions(p, a)
+    sa = a.numerator * (scale // a.denominator)
+    supports_at: dict[int, list[tuple[int, int]]] = {}
+    for l, r, _, t in rects:
+        supports_at.setdefault(t, []).append((l - sa, r))
+    for y in sorted(supports_at.keys() | {0}):
+        reach = sweep.spans_at(y)
+        if not reach:
+            continue
+        if y == 0:
+            return Placement(item, F(reach[0][0], scale), ZERO)
+        supports = merge_open_spans(supports_at[y])
+        candidates = sorted({lo for lo, _ in reach}
+                            | {lo for lo, _ in supports if lo >= 0})
+        for x in candidates:
+            if x > scale - sa:
+                break
+            if spans_contain(reach, x) and _in_open(supports, x):
+                return Placement(item, F(x, scale), F(y, scale))
+    raise PackingError("no feasible position found")
+
+
+class FullScanChecked(BottomLeftState):
+    """BottomLeft that checks every placement against the full scan."""
+
+    def place(self, item: SquareItem) -> Placement:
+        expected = full_scan_place(self.packing, item)
+        pl = super().place(item)
+        assert pl == expected, item
+        return pl
 
 
 class TestPlacementRule:
@@ -88,3 +129,25 @@ class TestLocalOptimality:
                     if y < chosen.y:
                         raise AssertionError("found position below the choice")
                     break
+
+
+class TestFullScanDifferential:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_corpus(self, seed):
+        pack(FullScanChecked, random_items(1_000_000 + seed, 30))
+
+    def test_adversary(self):
+        adversary_run(FullScanChecked, 100, F(1, 100))
+
+    def test_ladder_500(self):
+        pack(FullScanChecked, random_items("ladder:1:500", 500))
+
+    def test_only_top_one_scale_above_the_seal(self):
+        # the side-1 square seals the sweep at its own top, 25/16; its
+        # bottom, 9/16, is exactly one lattice scale below that level and
+        # is the only square the third one can rest on
+        seq = items("9/16", 1, "1/8")
+        p = pack(FullScanChecked, seq)
+        assert coords(p)[-1] == (0, F(25, 16))
+        sweep = reachable_positions(Packing(p.placements[:2]), F(1, 8))
+        assert (sweep.scale, sweep.lowest) == (16, 25)

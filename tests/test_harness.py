@@ -245,3 +245,23 @@ class TestTinySides:
         code, out, wall = cli("run", "--strategy", "slot", "--input", str(path))
         assert code == 0 and wall < 2
         assert out == f"height 1/{2 ** 40}\n"
+
+
+class TestBottomLeftThousands:
+    """A BottomLeft placement reads only the squares above the level that
+    seals the packing off, so n in the thousands packs in about a second."""
+
+    def test_adversary_1000_iterations(self):
+        code, out, wall = cli("adversary", "--strategy", "bottomleft",
+                              "--iterations", "1000")
+        assert code == 0 and wall < 10
+        assert "CHECK adversary-lemma8 PASS" in out
+
+    def test_run_3000_squares(self, tmp_path):
+        path = str(tmp_path / "n3000.txt")
+        assert cli("gen-random", "--n", "3000", "--seed", "7",
+                   "--out", path)[0] == 0
+        code, out, wall = cli("run", "--strategy", "bottomleft",
+                              "--input", path)
+        assert code == 0 and wall < 10
+        assert out.startswith("height ")

@@ -75,13 +75,47 @@ def reference_spans(p: Packing, a, y):
     return [(F(lo, scale), F(hi, scale)) for lo, hi in spans]
 
 
+def eager_sweep(p: Packing, a, floor=F(0)):
+    """``(_events, _at, _slabs)`` of reachable_positions as it was before
+    the events were fed from the top down: one event dict over the whole
+    floor window, sorted, swept until the first sealed level."""
+    scale, rects = p.lattice(a.denominator, floor.denominator)
+    low, sa = int(floor * scale), int(a * scale)
+    full = [(0, scale - sa)]
+    obs = [(l - sa, r, b - sa, t) for l, r, b, t in rects if b > low - scale]
+    events = {}
+    for idx, (_, _, alo, ahi) in enumerate(obs):
+        if ahi > low:
+            events.setdefault(ahi, ([], []))[0].append(idx)
+            if alo >= low:
+                events.setdefault(alo, ([], []))[1].append(idx)
+    active, ev_out, at_out, slab_out = [], [], [], []
+    r_prev = full
+    for lv in sorted(events, reverse=True):
+        entering, leaving = events[lv]
+        at_active = [o for o in active if o[2] not in leaving]
+        f_at = subtract_spans_open(full, [o[:2] for o in at_active])
+        r_at = [s for s in f_at if spans_meet([s], r_prev)]
+        active = sorted(at_active + [(obs[i][0], obs[i][1], i)
+                                     for i in entering])
+        f_below = subtract_spans_open(full, [o[:2] for o in active])
+        entry = intersect_spans(r_at, f_below)
+        r_prev = [s for s in f_below if spans_meet([s], entry)]
+        ev_out.append(lv)
+        at_out.append(r_at)
+        slab_out.append(r_prev)
+        if not r_prev:
+            break
+    return ev_out, at_out, slab_out
+
+
 def rect_of(pl: Placement) -> Rect:
     return Rect.of(pl.left, pl.bottom, pl.right, pl.top)
 
 
 def reference_step(sofar: Packing, pl: Placement) -> StepVerdict:
     rect = rect_of(pl)
-    overlap_free = pl.in_strip() and not any(
+    overlap_free = 0 <= pl.x and pl.right <= 1 and pl.y >= 0 and not any(
         rect.interior_overlaps(rect_of(q)) for q in sofar.placements)
     supported = pl.y == 0 or any(
         q.top == pl.y and q.left < pl.right and pl.left < q.right
@@ -212,6 +246,45 @@ class TestReachFloor:
     def test_adversary_every_top(self, adversary_packings):
         p = adversary_packings["bottomleft"]
         self.assert_floor_exact(p, [F(1, 4), F(1, 2) + EPS], reference=False)
+
+
+class TestLazySweep:
+    @staticmethod
+    def assert_every_arrival_agrees(pls):
+        p = Packing.empty()
+        for pl in pls:
+            for floor in (F(0), pl.y):
+                sweep = reachable_positions(p, pl.side, floor)
+                assert (sweep._events, sweep._at, sweep._slabs) == \
+                    eager_sweep(p, pl.side, floor), (pl, floor)
+            p = p.extended(pl)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_corpus(self, seed):
+        for strategy in (BottomLeftState, SlotState):
+            self.assert_every_arrival_agrees(
+                pack(strategy, corpus_items(seed)).placements)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_adversary(self, adversary_packings, name):
+        self.assert_every_arrival_agrees(adversary_packings[name].placements)
+
+    def test_side_one_top_where_another_square_leaves(self):
+        # for a = 1/4 the quarter at (0, 5/4) leaves at level 1, the top of
+        # the side-1 square, whose bottom is exactly 1 below that level
+        self.assert_every_arrival_agrees(packing_of([
+            (1, 0, 0), ("1/4", 0, 1), ("1/2", "1/4", 1), ("1/4", 0, "5/4"),
+            ("1/4", "1/4", "3/2")]).placements)
+
+    @pytest.mark.parametrize("m", [100, 400])
+    def test_bottomleft_reads_do_not_grow_with_m(self, m):
+        # the packing grows to 5m squares; each sweep stops at the seal
+        # just under the top and reads the same few squares at any m
+        p, most = Packing.empty(), 0
+        for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
+            most = max(most, reachable_positions(p, pl.side).read)
+            p = p.extended(pl)
+        assert len(p) == 5 * m and most <= 8
 
 
 # ---------------------------------------------------------------------------
