@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .numbers import ONE, ZERO, Scalar
+from .numbers import ZERO, Scalar
 
 
 class GeometryError(ValueError):
@@ -423,23 +423,6 @@ def walk_boundary(edges) -> list[tuple[tuple, tuple]]:
     return cycle
 
 
-def simple_cycle(edges) -> Optional[list[tuple[tuple, tuple]]]:
-    """The cycle ``walk_boundary`` gives if the directed boundary edges form
-    one simple closed curve, visiting no vertex twice; otherwise None."""
-    succ = {edge[0]: edge for edge in edges}
-    if len(succ) != len(edges):
-        return None                 # a pinch vertex has two outgoing edges
-    start = min(succ)
-    cycle = []
-    edge = succ[start]
-    while True:
-        cycle.append(edge)
-        if edge[1] == start:
-            break
-        edge = succ[edge[1]]
-    return cycle if len(cycle) == len(succ) else None
-
-
 # ---------------------------------------------------------------------------
 # rectilinear regions
 # ---------------------------------------------------------------------------
@@ -447,7 +430,7 @@ def simple_cycle(edges) -> Optional[list[tuple[tuple, tuple]]]:
 @dataclass(frozen=True)
 class RectilinearRegion:
     """Connected rectilinear region as interior-disjoint rects plus its
-    boundary cycle (counterclockwise vertices)."""
+    boundary cycle (counterclockwise corners)."""
 
     rects: tuple[Rect, ...]
     boundary: tuple[tuple[Scalar, Scalar], ...]
@@ -455,59 +438,3 @@ class RectilinearRegion:
     @property
     def area(self) -> Scalar:
         return sum((r.area for r in self.rects), ZERO)
-
-    @classmethod
-    def from_cells(cls, cells: set[tuple[int, int]], xs: Sequence[Scalar],
-                   ys: Sequence[Scalar]) -> "RectilinearRegion":
-        # vertical-slab decomposition: maximal vertical runs per column,
-        # then fuse equal-profile adjacent columns
-        cols: dict[int, list[tuple[int, int]]] = {}
-        for (i, j) in cells:
-            cols.setdefault(i, []).append((j, j + 1))
-        slabs = []
-        for i, runs in sorted(cols.items()):
-            runs.sort()
-            merged = [list(runs[0])]
-            for j0, j1 in runs[1:]:
-                if j0 == merged[-1][1]:
-                    merged[-1][1] = j1
-                else:
-                    merged.append([j0, j1])
-            slabs.append((i, [tuple(m) for m in merged]))
-        rects = []
-        pending: dict[tuple, int] = {}
-        prev_i = None
-        prev_runs: list = []
-        for i, runs in slabs:
-            if prev_i is not None and i == prev_i + 1 and runs == prev_runs:
-                for run in runs:
-                    pending[run] = pending[run]
-            else:
-                for run, start in pending.items():
-                    rects.append(_slab_rect(start, prev_i, run, xs, ys))
-                pending = {run: i for run in runs}
-            prev_i, prev_runs = i, runs
-        for run, start in pending.items():
-            rects.append(_slab_rect(start, prev_i, run, xs, ys))
-        rects.sort(key=lambda r: (r.left, r.bottom))
-        cycle = trace_boundary(cells)
-        points = tuple((xs[i], ys[j]) for (i, j), _ in cycle)
-        return cls(tuple(rects), points)
-
-
-def _slab_rect(i0: int, i1: int, run: tuple[int, int], xs, ys) -> Rect:
-    return Rect.of(xs[i0], ys[run[0]], xs[i1 + 1], ys[run[1]])
-
-
-def free_components(obstacles: Sequence[Rect], ceiling: Scalar
-                    ) -> list[RectilinearRegion]:
-    """Bounded connected components of ([0,1] x [0, ceiling]) minus the
-    obstacle interiors.  Components touching the ceiling are open to the
-    space above and therefore not returned."""
-    grid = ObstacleGrid([(r.left, r.right, r.bottom, r.top) for r in obstacles],
-                        ONE, ceiling)
-    out = []
-    for comp in grid.free_components():
-        if comp["bounded"]:
-            out.append(RectilinearRegion.from_cells(comp["cells"], grid.xs, grid.ys))
-    return out

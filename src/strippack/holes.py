@@ -11,21 +11,23 @@ terms are charged to square sides.  A square never accumulates more than
 5/2 in total charge.
 
 Geometry runs on the closed packing's own lattice (``Packing.lattice``):
-every square is an integer ``(l, r, b, t)``, the grid is built on those
-integers, and grid lines, cell and hole areas, side lengths, cuts, virtual
-lids and diagonal crossings are lattice integers.  They become Fractions
-only where they leave the module (``Hole.area``, run ``side_lengths``,
-charge segments, ``Hole.region``).
+every square is an integer ``(l, r, b, t)``, and corners, areas, side
+lengths, cuts, virtual lids and diagonal crossings are lattice integers.
+They become Fractions only where they leave the module (``Hole.area``, run
+``side_lengths``, charge segments, ``Hole.region``).
 
-A split cuts a hole along a horizontal line into the star below it (under
-a virtual lid) and the remainder.  The piece found first by growing both
-sides of the cut in lockstep is built from its own cells.  The other is
-derived from the parent: its boundary is the parent's with each boundary
-edge of the first piece toggled, and its area is the parent's minus that
-piece's.  The walk of a boundary depends only on its set of edges, so the
-derived cycle is the one tracing the cells would give, and every check
-runs on it as on a traced hole.  A split costs the smaller piece plus the
-boundaries.
+Raw holes are found once on a grid built on those integers: each bounded
+free component's unit-edge boundary is traced, every edge gets the owner
+outside it, and each run keeps only its corners.  From then on a hole is
+just its counterclockwise runs of corners.  Its area comes from the
+shoelace formula, a point test counts boundary crossings, and the right
+diagonal is checked against the hole's slabs (maximal x-strips of
+constant cross-section).  A split cuts a hole along a horizontal line from
+M to N into the star below it (under a virtual lid) and the remainder.
+Both pieces are spliced from the parent's runs at M and N: the star is the
+boundary from M to N closed by the lid's copy, the remainder the boundary
+from N to M closed by a seam, less any part of the cut that a real square
+roofs.  A split costs the parent's corners, not its cells.
 
 Structural facts used here are theorems for BottomLeft packings, so they
 are asserted and raise AnalysisError loudly when violated: that means an
@@ -34,14 +36,13 @@ implementation bug (or a non-BottomLeft input).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import (ObstacleGrid, RectilinearRegion, boundary_edges,
-                       merge_spans, simple_cycle, trace_boundary,
-                       walk_boundary)
+from .geometry import (ObstacleGrid, Rect, RectilinearRegion, merge_spans,
+                       trace_boundary)
 from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import Check, Packing, Placement, close_packing
 
@@ -86,12 +87,13 @@ OWNER_SEAM = ("seam",)
 
 
 class _Context:
-    """Shared grid decomposition for all holes of one closed packing.
+    """Shared lattice and grid for all holes of one closed packing.
 
     ``scale`` and ``rects`` are the packing's lattice: the strip is
     ``[0, scale]`` wide and ``rects[k]`` is square k's ``(l, r, b, t)``.
-    ``X``/``Y`` are the grid lines, ``dx``/``dy`` the column widths and
-    row heights, all lattice integers.
+    ``grid`` is the obstacle grid on those integers, with grid lines
+    ``X``/``Y``; extraction floods it, and the diagonal test reads which
+    square owns a point's northwest.
     """
 
     def __init__(self, p: Packing):
@@ -101,12 +103,7 @@ class _Context:
         self.grid = g = ObstacleGrid(rects, scale, ceiling)
         self.copies: dict[int, VirtualLid] = {}
         self.X, self.Y = g.xs, g.ys
-        self.dx = [b - a for a, b in zip(self.X, self.X[1:])]
-        self.dy = [b - a for a, b in zip(self.Y, self.Y[1:])]
         self.sq_owner = [("sq", k) for k in range(len(rects))]
-        # per-placement grid index rectangles (il, ir, jb, jt)
-        self.idx_rect = [(g.xi[l], g.xi[r], g.yi[b], g.yi[t])
-                         for l, r, b, t in rects]
 
     def supported_spans(self, level: int):
         """Closed x-spans with solid material immediately below a horizontal
@@ -119,7 +116,7 @@ class _Context:
 @dataclass
 class _Run:
     owner: tuple
-    points: list                       # grid vertices (i, j)
+    points: list                       # corners (x, y) on the lattice
     lengths: dict = field(default_factory=dict)   # per side, on the lattice
     scale: int = 1
 
@@ -145,43 +142,43 @@ class _Run:
         return None
 
 
-class Hole:
-    """One hole: a set of free grid cells plus its traversed boundary.
+def _extend(points: list, p: tuple[int, int]):
+    """Append the lattice point p to a corner list, dropping the last point
+    when it lies on the straight line from the one before it to p."""
+    if len(points) > 1:
+        (x0, y0), (x1, y1) = points[-2], points[-1]
+        if x0 == x1 == p[0] or y0 == y1 == p[1]:
+            points[-1] = p
+            return
+    points.append(p)
 
-    ``cycle`` is the directed boundary (interior on the left) and
-    ``area_units`` the area on the integer lattice.  ``P``/``Q`` are the
-    ends of the lid's bottom segment on the hole, as lattice points.
-    ``overrides`` gives the owners of the cut edges of earlier carves, each
-    keyed by its left end.
+
+def _edges(runs: list[_Run]):
+    """The boundary's segments ``((x1, y1), (x2, y2))`` in order."""
+    for run in runs:
+        yield from zip(run.points, run.points[1:])
+
+
+def _shoelace(runs: list[_Run]) -> int:
+    """Area enclosed by a counterclockwise boundary, on the lattice."""
+    return sum((x1 - x2) * y for (x1, y), (x2, _) in _edges(runs))
+
+
+class Hole:
+    """One hole: its counterclockwise boundary as runs of corners.
+
+    ``runs`` cuts the boundary (interior on the left) into maximal runs
+    with one owner, the lid's first.  A run's ``points`` are its corners on
+    the lattice, from the point where the run before it ends to the point
+    where the run after it starts.  ``area_units`` is the area on the
+    lattice.  ``P``/``Q`` are the ends of the lid's bottom segment on the
+    hole, as lattice points.
     """
 
-    def __init__(self, ctx: _Context, cells: frozenset,
-                 overrides: Optional[dict] = None,
+    def __init__(self, ctx: _Context, runs: list[_Run], area_units: int,
                  lid_virtual: Optional[VirtualLid] = None):
-        """Trace a hole from its cells."""
-        self._build(ctx, cells, dict(overrides or {}), lid_virtual,
-                    trace_boundary(cells), _area_units(ctx, cells))
-
-    @classmethod
-    def from_boundary(cls, ctx: _Context, cells, overrides: dict,
-                      lid_virtual: Optional[VirtualLid], cycle: list,
-                      area_units: int) -> "Hole":
-        """A hole whose boundary cycle and area are already known."""
-        hole = cls.__new__(cls)
-        hole._build(ctx, cells, overrides, lid_virtual, cycle, area_units)
-        return hole
-
-    # -- construction -------------------------------------------------------
-
-    def _build(self, ctx: _Context, cells, overrides: dict,
-               lid_virtual: Optional[VirtualLid], cycle: list,
-               area_units: int):
         self.ctx = ctx
-        self.cells = cells
-        self.overrides = overrides
         self.lid_virtual = lid_virtual
-        self.cycle = cycle
-        runs = _runs(ctx, overrides, cycle)
         # Lemma 1: each square contributes one connected boundary curve
         seen = set()
         for r in runs:
@@ -204,14 +201,16 @@ class Hole:
         rect = lid.rect(ctx)
         if rect is None:
             raise AnalysisError("lid", f"lid owner {lid.owner} is not a square")
-        jb = min(j for _, j in lid.points)
-        if ctx.Y[jb] != rect[2]:
+        yb = min(y for _, y in lid.points)
+        if yb != rect[2]:
             raise AnalysisError("lid", "lid segment not on the lid's bottom")
-        on_bottom = [i for i, j in lid.points if j == jb]
-        self.P = (ctx.X[min(on_bottom)], ctx.Y[jb])
-        self.Q = (ctx.X[max(on_bottom)], ctx.Y[jb])
+        on_bottom = [x for x, y in lid.points if y == yb]
+        self.P = (min(on_bottom), yb)
+        self.Q = (max(on_bottom), yb)
         if self.lid_virtual is not None and lid.owner[0] != "copy":
             raise AnalysisError("lid", "virtual-lid hole traversed a real lid")
+
+    # -- construction -------------------------------------------------------
 
     def _lid_index(self, runs) -> int:
         if self.touches_left:
@@ -223,49 +222,47 @@ class Hole:
             w = next(i for i, r in enumerate(runs) if r.owner == OWNER_RWALL)
             return (w + 1) % len(runs)
         # the highest westward edge (interior below), leftmost among those
-        best = best_j = best_i = None
+        best = best_y = best_x = None
         for idx, r in enumerate(runs):
-            for (i1, j1), (i2, j2) in zip(r.points, r.points[1:]):
-                if j1 == j2 and i2 < i1 and (
-                        best is None or j1 > best_j
-                        or (j1 == best_j and i2 < best_i)):
-                    best, best_j, best_i = idx, j1, i2
+            for (x1, y1), (x2, y2) in zip(r.points, r.points[1:]):
+                if y1 == y2 and x2 < x1 and (
+                        best is None or y1 > best_y
+                        or (y1 == best_y and x2 < best_x)):
+                    best, best_y, best_x = idx, y1, x2
         if best is None:
             raise AnalysisError("lid", "no top boundary edge found")
         return best
 
     def _measure_sides(self, run: _Run):
-        ctx = self.ctx
         kind = run.owner[0]
         if kind == "sq":
-            il, ir, jb, jt = ctx.idx_rect[run.owner[1]]
+            l, r, b, t = self.ctx.rects[run.owner[1]]
         elif kind == "copy":
-            il = ir = jb = jt = None
+            l = r = b = t = None
         else:
             return
-        X, Y = ctx.X, ctx.Y
         left = bottom = right = top = 0
-        for (i1, j1), (i2, j2) in zip(run.points, run.points[1:]):
-            if i1 == i2:
-                length = abs(Y[j2] - Y[j1])
-                if i1 == il:
+        for (x1, y1), (x2, y2) in zip(run.points, run.points[1:]):
+            if x1 == x2:
+                length = abs(y2 - y1)
+                if x1 == l:
                     left += length
-                elif i1 == ir:
+                elif x1 == r:
                     right += length
                 else:
                     raise AnalysisError("boundary", "edge off its owner's sides")
             else:
-                length = abs(X[i2] - X[i1])
+                length = abs(x2 - x1)
                 # copies own only their cut line
-                if kind == "copy" or j1 == jb:
+                if kind == "copy" or y1 == b:
                     bottom += length
-                elif j1 == jt:
+                elif y1 == t:
                     top += length
                 else:
                     raise AnalysisError("boundary", "edge off its owner's sides")
         run.lengths = {SIDE_LEFT: left, SIDE_BOTTOM: bottom,
                        SIDE_RIGHT: right, SIDE_TOP: top}
-        run.scale = ctx.scale
+        run.scale = self.ctx.scale
 
     # -- structure accessors ------------------------------------------------
 
@@ -281,12 +278,52 @@ class Hole:
         return [self.ctx.placements[r.owner[1]] for r in self.runs
                 if r.owner[0] == "sq"]
 
+    def slabs(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """The hole as maximal x-strips of constant cross-section, left to
+        right: ``(x0, x1, spans)`` on the lattice, where ``spans`` are the
+        ``(y0, y1)`` that the hole fills over the open strip, bottom up."""
+        starts: dict[int, list[int]] = {}
+        ends: dict[int, list[int]] = {}
+        for (x1, y1), (x2, _) in _edges(self.runs):
+            if x1 != x2:
+                starts.setdefault(min(x1, x2), []).append(y1)
+                ends.setdefault(max(x1, x2), []).append(y1)
+        out: list = []
+        active: list[int] = []          # heights of the edges over a strip
+        xs = sorted(starts.keys() | ends.keys())
+        for x0, x1 in zip(xs, xs[1:]):
+            for y in ends.get(x0, ()):
+                active.remove(y)
+            for y in starts.get(x0, ()):
+                insort(active, y)
+            spans = list(zip(active[::2], active[1::2]))
+            if out and out[-1][2] == spans:
+                out[-1] = (out[-1][0], x1, spans)
+            else:
+                out.append((x0, x1, spans))
+        return out
+
     def region(self) -> RectilinearRegion:
-        """The hole in strip coordinates (Fractions)."""
-        ctx = self.ctx
-        return RectilinearRegion.from_cells(
-            set(self.cells), [Fraction(x, ctx.scale) for x in ctx.X],
-            [Fraction(y, ctx.scale) for y in ctx.Y])
+        """The hole in strip coordinates (Fractions): its slabs as rects,
+        and its corners."""
+        s = self.ctx.scale
+        rects = tuple(Rect.of(Fraction(x0, s), Fraction(y0, s),
+                              Fraction(x1, s), Fraction(y1, s))
+                      for x0, x1, spans in self.slabs() for y0, y1 in spans)
+        corners = tuple((Fraction(x, s), Fraction(y, s))
+                        for run in self.runs for x, y in run.points[1:])
+        return RectilinearRegion(rects, corners)
+
+    def contains(self, x: int, y: int) -> bool:
+        """Whether the hole holds the lattice unit square southeast of the
+        point (x, y).  Counts the vertical boundary edges that the ray east
+        from the square's centre (x + 1/2, y - 1/2) crosses; the corners
+        are integers, so the ray never meets one."""
+        inside = False
+        for (x1, y1), (_, y2) in _edges(self.runs):
+            if x1 > x and (y1 < y) != (y2 < y):
+                inside = not inside
+        return inside
 
     def _run_after_lid(self) -> _Run:
         if len(self.runs) < 2 or self.runs[1].rect(self.ctx) is None:
@@ -334,37 +371,29 @@ class Hole:
         raise AnalysisError("lemma3", "last square neither right nor top neighbor")
 
 
-def _runs(ctx: _Context, overrides: dict, cycle: list) -> list[_Run]:
-    """Group a boundary cycle into maximal runs of edges with one owner.
+def _traced_runs(ctx: _Context, cycle: list) -> list[_Run]:
+    """Group a traced cycle of unit grid edges into maximal runs of edges
+    with one owner, kept as lattice corners.
 
-    An edge's owner is its carve override if it has one (a virtual lid owns
-    the whole cut even where a real square happens to roof part of it),
-    else what lies on its right, outside the hole: a square, the ground or
-    a wall.  Overrides are horizontal cut edges keyed by their left end.
+    An edge's owner is what lies on its right, outside the hole: a square,
+    the ground or a wall.
     """
-    grid = ctx.grid
+    grid, X, Y = ctx.grid, ctx.X, ctx.Y
     nx, ny, cell_owner, sq_owner = grid.nx, grid.ny, grid.owner, ctx.sq_owner
-    override = overrides.get
     runs = []
     last = points = None
-    for p1, p2 in cycle:
-        (i1, j1), (i2, j2) = p1, p2
+    for (i1, j1), (i2, j2) in cycle:
         owner = None
         if j1 == j2:
             if i2 > i1:                     # eastward: outside below
-                owner = override(p1)
-                if owner is None:
-                    if j1 == 0:
-                        owner = OWNER_GROUND
-                    else:
-                        idx = cell_owner[i1][j1 - 1]
+                if j1 == 0:
+                    owner = OWNER_GROUND
+                else:
+                    idx = cell_owner[i1][j1 - 1]
             else:                           # westward: outside above
-                owner = override(p2)
-                if owner is None:
-                    if j1 == ny:
-                        raise AnalysisError("unbounded",
-                                            "hole touches the ceiling")
-                    idx = cell_owner[i2][j1]
+                if j1 == ny:
+                    raise AnalysisError("unbounded", "hole touches the ceiling")
+                idx = cell_owner[i2][j1]
         elif j2 > j1:                       # northward: outside right
             if i1 == nx:
                 owner = OWNER_RWALL
@@ -377,18 +406,18 @@ def _runs(ctx: _Context, overrides: dict, cycle: list) -> list[_Run]:
                 idx = cell_owner[i1 - 1][j2]
         if owner is None:
             if idx is None:
-                key = (p1, p2) if p1 <= p2 else (p2, p1)
                 raise AnalysisError(
-                    "boundary", f"free neighbor without seam at {key}")
+                    "boundary", f"free cell outside the hole at {(i1, j1)}")
             owner = sq_owner[idx]
         if owner == last:
-            points.append(p2)
+            _extend(points, (X[i2], Y[j2]))
         else:
-            points = [p1, p2]
+            points = [(X[i1], Y[j1]), (X[i2], Y[j2])]
             runs.append(_Run(owner, points))
             last = owner
     if len(runs) > 1 and runs[0].owner == runs[-1].owner:
-        runs[-1].points.extend(runs[0].points[1:])
+        for p in runs[0].points[1:]:
+            _extend(runs[-1].points, p)
         runs[0] = runs.pop()
     return runs
 
@@ -401,12 +430,11 @@ def _diagonal_origin(hole: Hole) -> tuple[int, int]:
     """Start of the left diagonal, on the lattice: the point where the
     boundary leaves the second square, or that square's lower-right
     corner."""
-    ctx = hole.ctx
     a2 = hole._run_after_lid()
-    _, r, b, _ = a2.rect(ctx)
-    i, j = a2.end
-    if ctx.X[i] == r:
-        return (r, ctx.Y[j])
+    _, r, b, _ = a2.rect(hole.ctx)
+    x, y = a2.end
+    if x == r:
+        return (r, y)
     return (r, b)
 
 
@@ -420,48 +448,40 @@ def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], int]]:
     Points where the ray leaves the hole, grazes a corner, or dives into a
     seam or floor are not crossings in this sense.
     """
-    X, Y = hole.ctx.X, hole.ctx.Y
     ox, oy = origin
     c = ox + oy
-    for run in hole.runs[1:] + hole.runs[:1]:
-        pts = run.points
-        for a in range(len(pts) - 1):
-            (i1, j1), (i2, j2) = pts[a], pts[a + 1]
-            if i1 == i2:
-                x = X[i1]
-                y = c - x
-                if not (Y[j1] <= y <= Y[j2] or Y[j2] <= y <= Y[j1]):
-                    continue
-            else:
-                y = Y[j1]
-                x = c - y
-                if not (X[i1] <= x <= X[i2] or X[i2] <= x <= X[i1]):
-                    continue
-            if x < ox:
+    for (x1, y1), (x2, y2) in _edges(hole.runs[1:] + hole.runs[:1]):
+        if x1 == x2:
+            x = x1
+            y = c - x
+            if not (y1 <= y <= y2 or y2 <= y <= y1):
                 continue
-            owner = _enters_hole_southeast(hole, x, y)
-            if owner is not None:
-                return (x, y), owner
+        else:
+            y = y1
+            x = c - y
+            if not (x1 <= x <= x2 or x2 <= x <= x1):
+                continue
+        if x < ox:
+            continue
+        owner = _enters_hole_southeast(hole, x, y)
+        if owner is not None:
+            return (x, y), owner
     return None
 
 
 def _enters_hole_southeast(hole: Hole, x: int, y: int) -> Optional[int]:
-    """If the cell infinitesimally southeast of the lattice point (x, y) is
-    a cell of the hole and the northwest side is solid, the index of the
-    square there; otherwise None."""
-    ctx = hole.ctx
-    grid, X, Y = ctx.grid, ctx.X, ctx.Y
-    ie = bisect_right(X, x) - 1                # column just right of x
-    js = bisect_left(Y, y) - 1                 # row just below y
-    if not (0 <= ie < grid.nx and 0 <= js < grid.ny):
-        return None
-    if (ie, js) not in hole.cells:
-        return None
-    iw = ie if X[ie] < x else ie - 1           # column just left of x
-    jn = js if Y[js + 1] > y else js + 1       # row just above y
+    """If the hole lies immediately southeast of the lattice point (x, y)
+    and a square lies immediately northwest of it, that square's index;
+    otherwise None."""
+    grid, X, Y = hole.ctx.grid, hole.ctx.X, hole.ctx.Y
+    iw = bisect_left(X, x) - 1                 # column just left of x
+    jn = bisect_right(Y, y) - 1                # row just above y
     if not (0 <= iw < grid.nx and 0 <= jn < grid.ny):
         return None
-    return grid.owner[iw][jn]
+    owner = grid.owner[iw][jn]
+    if owner is None or not hole.contains(x, y):
+        return None
+    return owner
 
 
 def _find_split(hole: Hole) -> Optional[VirtualLid]:
@@ -521,140 +541,97 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
 def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     """Remove the sub-hole below the cut; returns (below, remainder).
 
-    Of the two pieces, the one ``_sides_of_cut`` finds is built from its
-    own cells and the other is derived from ``hole``'s boundary; only a set
-    difference, in C, touches the larger piece's cells.
+    The cut runs from M = (mn_left, level) to N = (mn_right, level), and
+    each lies on the hole's boundary once.  The star below the cut is the
+    boundary from M to N closed by the lid's copy from N back to M; the
+    remainder is the boundary from N to M closed by a seam from M to N.
+    The star's area comes from its corners and the remainder's is the rest
+    of the parent's; there is no remainder when that rest is empty, the
+    parent's boundary from N to M then being a square's bottom on the cut.
     """
     ctx = hole.ctx
-    grid = ctx.grid
-    j_top = grid.yi[lid.level]
-    i_lo = grid.xi[lid.mn_left]
-    i_hi = grid.xi[lid.mn_right]
-    throat = [(i, j_top - 1) for i in range(i_lo, i_hi)
-              if (i, j_top - 1) in hole.cells]
-    if not throat:
-        raise AnalysisError("split", "empty throat under the cut")
-    over_star = dict(hole.overrides)
-    over_rest = dict(hole.overrides)
-    for i in range(i_lo, i_hi):
-        over_star[(i, j_top)] = ("copy", lid)
-        over_rest[(i, j_top)] = OWNER_SEAM
-    below, above, star_cycle = _sides_of_cut(hole, throat, j_top, i_lo, i_hi)
-    if below is not None:
-        star = Hole(ctx, frozenset(below), over_star, lid_virtual=lid)
-        remainder = None
-        if len(below) < len(hole.cells):
-            remainder = Hole.from_boundary(
-                ctx, hole.cells - below, over_rest, hole.lid_virtual,
-                walk_boundary(_toggled(hole.cycle, star.cycle)),
-                hole.area_units - star.area_units)
-    else:
-        star = Hole.from_boundary(
-            ctx, hole.cells - above, over_star, lid, star_cycle,
-            hole.area_units - _area_units(ctx, above))
-        remainder = (Hole(ctx, frozenset(above), over_rest,
-                          lid_virtual=hole.lid_virtual) if above else None)
-    # uniqueness: at most one virtual copy per square
     key = lid.owner.item.index
     if key in ctx.copies:
         raise AnalysisError("copy-uniqueness",
                             f"square {key} used as a virtual lid twice")
+    m, n = (lid.mn_left, lid.level), (lid.mn_right, lid.level)
+    before_m, from_m = _cut(hole.runs, m)
+    to_n, from_n = _cut(from_m + before_m, n)
+    star_runs = _closed(to_n, ("copy", lid), n, m)
+    star_area = _shoelace(star_runs)
+    if not 0 < star_area <= hole.area_units:
+        raise AnalysisError("split", "the cut bounds no piece below it")
+    star = Hole(ctx, star_runs, star_area, lid)
+    remainder = None
+    if star_area < hole.area_units:
+        remainder = Hole(ctx, _closed(from_n, OWNER_SEAM, m, n),
+                         hole.area_units - star_area, hole.lid_virtual)
     ctx.copies[key] = lid
     return star, remainder
 
 
-def _sides_of_cut(hole: Hole, throat: list, j_top: int, i_lo: int,
-                  i_hi: int) -> tuple[Optional[set], Optional[set],
-                                      Optional[list]]:
-    """Grow both sides of the cut in lockstep and return the first one
-    found, as ``(below, None, None)`` or ``(None, above, star_cycle)``.
+def _cut(runs: list[_Run], p: tuple[int, int]) -> tuple[list, list]:
+    """Cut a chain of runs at the point p, which must lie on it once:
+    returns the runs up to p and the runs from p."""
+    x, y = p
+    at = []
+    for k, run in enumerate(runs):
+        for s, ((x1, y1), (x2, y2)) in enumerate(zip(run.points,
+                                                     run.points[1:])):
+            if (x2, y2) != p and (min(x1, x2) <= x <= max(x1, x2)
+                                  and min(y1, y2) <= y <= max(y1, y2)):
+                at.append((k, s))
+    if len(at) != 1:
+        raise AnalysisError("split", f"cut end {p} on the boundary {len(at)} times")
+    (k, s), = at
+    owner, points = runs[k].owner, runs[k].points
+    head = points[:s + 1] if points[s] == p else points[:s + 1] + [p]
+    return (runs[:k] + ([_Run(owner, head)] if len(head) > 1 else []),
+            [_Run(owner, [p] + points[s + 1:])] + runs[k + 1:])
 
-    ``below`` is what the cut carves off: the cells under the cut line
-    connected to the throat without crossing that line.  ``above`` grows
-    from the cells over the cut without crossing it downward.  If it ends
-    first without reaching the throat another way, and the rest of the hole
-    lies under the cut line inside one simple cycle, that rest is connected,
-    holds the throat and touches nothing else, so it is ``below``.
-    Otherwise ``below`` is grown to the end.
+
+def _closed(path: list[_Run], owner: tuple, a: tuple[int, int],
+            b: tuple[int, int]) -> list[_Run]:
+    """The boundary ``path`` from b to a, closed by a run of ``owner`` along
+    the cut from a to b.
+
+    Where the path's last edge into a, or its first edge out of b, runs
+    back along the cut, a real square's bottom roofs that end of the cut
+    and the overlap cancels.  Such a square rests on the support at that
+    end and its side rises beside the cut, so a trim never empties a run.
+    The closing run meets no run of its own owner: a copy is new to the
+    hole, and the cuts at one level span gaps between the supported spans
+    there, so their seams never meet.
     """
-    cells = hole.cells
-    below, grow_below = set(throat), list(throat)
-    over = [(i, j_top) for i in range(i_lo, i_hi) if (i, j_top) in cells]
-    above, grow_above = set(over), list(over)
-    while grow_below:
-        if grow_above is not None:
-            if not grow_above:
-                star_cycle = _star_cycle(hole, above, j_top)
-                if star_cycle is not None:
-                    return None, above, star_cycle
-                grow_above = None
-            else:
-                i, j = grow_above.pop()
-                for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                    if cell in above or cell not in cells:
-                        continue
-                    if cell[1] == j_top - 1 and i_lo <= cell[0] < i_hi:
-                        if j != j_top:      # the throat, reached around the cut
-                            grow_above = None
-                            break
-                        continue            # the throat, across the cut
-                    above.add(cell)
-                    grow_above.append(cell)
-        i, j = grow_below.pop()
-        for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if cell[1] < j_top and cell not in below and cell in cells:
-                below.add(cell)
-                grow_below.append(cell)
-    return below, None, None
-
-
-def _star_cycle(hole: Hole, above: set, j_top: int) -> Optional[list]:
-    """Boundary cycle of the hole minus ``above`` if that piece lies under
-    row ``j_top`` and its boundary is one simple cycle, else None."""
-    edges = _toggled(hole.cycle, boundary_edges(above))
-    if any(p[1] > j_top for p, _ in edges):
-        return None
-    return simple_cycle(edges)
-
-
-def _toggled(cycle: list, piece_edges) -> set:
-    """Directed boundary of a hole minus a piece of it, from the hole's
-    boundary and the piece's: an edge of both leaves, and any other edge of
-    the piece separates it from what is left, so its reverse joins."""
-    edges = set(cycle)
-    for p, q in piece_edges:
-        if (p, q) in edges:
-            edges.remove((p, q))
-        else:
-            edges.add((q, p))
-    return edges
-
-
-def _area_units(ctx: _Context, cells) -> int:
-    dx, dy = ctx.dx, ctx.dy
-    return sum(dx[i] * dy[j] for i, j in cells)
+    runs = list(path)
+    cut = [a, b]
+    for k, near, end in ((-1, -2, 0), (0, 1, 1)):
+        points = runs[k].points
+        q, e, o = points[near], cut[end], cut[1 - end]
+        if q[1] == e[1] and (q[0] - e[0]) * (o[0] - e[0]) > 0:
+            runs[k] = _Run(runs[k].owner, points[:-1] if k else points[1:])
+            cut[end] = q
+    return runs + [_Run(owner, cut)]
 
 
 def split_hole(hole: Hole) -> list[Hole]:
     """Fully process one hole: repeatedly carve away the part below each
     diagonal crossing (each carved part is processed as its own hole with a
     virtual lid, and its pieces come before the remainder's) until no
-    crossing remains."""
+    crossing remains.  Every carve puts a copy of a different square over
+    its cut (``_carve`` asserts it), so the carves end."""
     out = []
-    # (hole, carves it may still take); each carve removes at least one cell
-    pending = [(hole, len(hole.cells) + 1)]
+    pending = [hole]
     while pending:
-        current, budget = pending.pop()
-        if budget == 0:
-            raise AnalysisError("split", "splitting did not terminate")
+        current = pending.pop()
         lid = None if current.touches_left else _find_split(current)
         if lid is None:
             out.append(current)
             continue
         star, remainder = _carve(current, lid)
         if remainder is not None:
-            pending.append((remainder, budget - 1))
-        pending.append((star, len(star.cells) + 1))     # popped first
+            pending.append(remainder)
+        pending.append(star)                    # popped first
     return out
 
 
@@ -730,15 +707,12 @@ def _assert_right_diagonal(hole: Hole):
     last = hole._run_before_lid()
     if not (hole.touches_left or hole.classify() == TYPE_I):
         last = hole._run_before(last)
-    X, Y = hole.ctx.X, hole.ctx.Y
-    qi, qj = last.start
-    qx = X[qi]
-    d = qx - Y[qj]
-    for (i, j) in hole.cells:
-        lo = max(X[i], d + Y[j])
-        hi = min(X[i + 1], d + Y[j + 1], qx)
-        if lo < hi:
-            raise AnalysisError("lemma4", "right diagonal cuts the hole")
+    qx, qy = last.start
+    d = qx - qy
+    for x0, x1, spans in hole.slabs():
+        for y0, y1 in spans:
+            if max(x0, d + y0) < min(x1, d + y1, qx):
+                raise AnalysisError("lemma4", "right diagonal cuts the hole")
 
 
 class ChargeLedger:
@@ -787,7 +761,8 @@ def extract_holes(p_closed: Packing) -> list[Hole]:
     holes = []
     for comp in ctx.grid.free_components():
         if comp["bounded"]:
-            holes.append(Hole(ctx, frozenset(comp["cells"])))
+            runs = _traced_runs(ctx, trace_boundary(comp["cells"]))
+            holes.append(Hole(ctx, runs, _shoelace(runs)))
     return holes
 
 

@@ -265,3 +265,19 @@ class TestBottomLeftThousands:
                               "--input", path)
         assert code == 0 and wall < 10
         assert out.startswith("height ")
+
+
+class TestHoleAnalysisHundreds:
+    """A split splices the parent hole's corners and floods no cells, so
+    hole analysis at n in the hundreds takes about a second."""
+
+    def test_analyze_480_squares(self, tmp_path):
+        path = str(tmp_path / "n480.txt")
+        assert cli("gen-random", "--n", "480", "--seed", "7",
+                   "--out", path)[0] == 0
+        code, out, wall = cli("analyze", "--strategy", "bottomleft",
+                              "--input", path)
+        assert code == 0 and wall < 10
+        checks = [line for line in out.splitlines() if line.startswith("CHECK")]
+        assert len(checks) == 7
+        assert all(" PASS " in line for line in checks)

@@ -1,15 +1,17 @@
 import hashlib
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
 from conftest import items, nondyadic_items, packing_of, random_items
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
-from strippack.geometry import trace_boundary
+from strippack.geometry import Rect, trace_boundary
 from strippack.harness import render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
+                             OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
                              OWNER_SEAM, TYPE_I, TYPE_II, Hole,
                              compute_charges, extract_holes, hole_area_bound,
                              run_bottomleft_analysis, split_hole)
@@ -257,6 +259,10 @@ class TestIdentityAndInvariants:
         assert "CHECK max-charge PASS" in text
 
 
+# ---------------------------------------------------------------------------
+# the cell route: a from-scratch reference for every piece of a carve
+# ---------------------------------------------------------------------------
+
 def _below_cut(cells, throat, j_top):
     """Reference flood fill: the cells under row ``j_top`` connected to the
     throat without crossing it."""
@@ -270,85 +276,163 @@ def _below_cut(cells, throat, j_top):
     return below
 
 
-def _assert_same_hole(got, want):
-    assert got.cells == want.cells
-    assert got.cycle == want.cycle
+def _cell_runs(ctx, cells, overrides):
+    """Runs of the traced boundary of a cell set, as lattice corners.  A unit
+    edge's owner is its carve override, keyed by the cut edge's left end,
+    else the square, ground or wall on its right."""
+    grid, X, Y = ctx.grid, ctx.X, ctx.Y
+    runs = []
+    for (i1, j1), (i2, j2) in trace_boundary(cells):
+        if j1 == j2:
+            key = (min(i1, i2), j1)
+            if key in overrides:
+                owner = overrides[key]
+            elif i2 > i1:
+                owner = OWNER_GROUND if j1 == 0 else grid.owner[i1][j1 - 1]
+            else:
+                owner = grid.owner[i2][j1]
+        elif j2 > j1:
+            owner = OWNER_RWALL if i1 == grid.nx else grid.owner[i1][j1]
+        else:
+            owner = OWNER_LWALL if i1 == 0 else grid.owner[i1 - 1][j2]
+        assert owner is not None, "free cell outside the hole"
+        if isinstance(owner, int):
+            owner = ("sq", owner)
+        if runs and runs[-1][0] == owner:
+            runs[-1][1].append((X[i2], Y[j2]))
+        else:
+            runs.append((owner, [(X[i1], Y[j1]), (X[i2], Y[j2])]))
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        runs[-1][1].extend(runs[0][1][1:])
+        runs[0] = runs.pop()
+    return [holes._Run(owner, _corners(points)) for owner, points in runs]
+
+
+def _corners(points):
+    """The two ends of a path and the points where it turns."""
+    turns = [q for p, q, r in zip(points, points[1:], points[2:])
+             if not (p[0] == q[0] == r[0] or p[1] == q[1] == r[1])]
+    return [points[0]] + turns + [points[-1]]
+
+
+def _cell_rects(ctx, cells):
+    """Vertical-slab decomposition of a cell set in strip coordinates:
+    maximal vertical runs per grid column, equal neighbouring columns
+    fused, sorted by left then bottom."""
+    X, Y, s = ctx.X, ctx.Y, ctx.scale
+    cols = {}
+    for i, j in sorted(cells):
+        runs = cols.setdefault(i, [])
+        if runs and runs[-1][1] == j:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    slabs = []                          # [first column, last column, runs]
+    for i, runs in sorted(cols.items()):
+        if slabs and slabs[-1][1] == i - 1 and slabs[-1][2] == runs:
+            slabs[-1][1] = i
+        else:
+            slabs.append([i, i, runs])
+    rects = [Rect.of(F(X[i0], s), F(Y[j0], s), F(X[i1 + 1], s), F(Y[j1], s))
+             for i0, i1, runs in slabs for j0, j1 in runs]
+    return tuple(sorted(rects, key=lambda r: (r.left, r.bottom)))
+
+
+def _assert_cell_route(got, cells, overrides, lid_virtual):
+    """``got`` equals the hole the cell route builds from ``cells``."""
+    ctx = got.ctx
+    X, Y = ctx.X, ctx.Y
+    area = sum((X[i + 1] - X[i]) * (Y[j + 1] - Y[j]) for i, j in cells)
+    want = Hole(ctx, _cell_runs(ctx, cells, overrides), area, lid_virtual)
     assert [(r.owner, r.points, r.side_lengths) for r in got.runs] == \
         [(r.owner, r.points, r.side_lengths) for r in want.runs]
     assert (got.area, got.area_units, got.P, got.Q, got.kind) == \
         (want.area, want.area_units, want.P, want.Q, want.kind)
     assert got.lid_virtual is want.lid_virtual
+    assert got.region().rects == _cell_rects(ctx, cells)
 
 
 class TestIncrementalCarve:
     def test_pieces_match_from_scratch(self, monkeypatch):
-        """Every carve's two pieces, one of them derived from the parent's
-        boundary, equal holes traced from scratch on the reference split."""
-        carve = holes._carve
-        seen = {"carves": 0, "below_smaller": 0, "rest_smaller": 0}
+        """Every raw hole and both pieces of every carve, spliced from the
+        parent's corners, equal the holes the cell route traces from
+        scratch: the flood below the cut, the traced boundary with carve
+        overrides, the cell area and the slab rects of the cells."""
+        extract, carve = holes.extract_holes, holes._carve
+        known = {}                      # id(hole) -> (hole, cells, overrides)
+        seen = Counter()
+
+        def extracted(closed):
+            raw = extract(closed)
+            if raw:
+                comps = [c["cells"] for c in raw[0].ctx.grid.free_components()
+                         if c["bounded"]]
+                assert len(comps) == len(raw)
+                for hole, cells in zip(raw, comps):
+                    _assert_cell_route(hole, cells, {}, None)
+                    known[id(hole)] = (hole, frozenset(cells), {})
+            return raw
 
         def checked(hole, lid):
-            ctx, cells, overrides = hole.ctx, hole.cells, dict(hole.overrides)
+            _, cells, overrides = known.pop(id(hole))
             star, remainder = carve(hole, lid)
-            grid = ctx.grid
+            grid = hole.ctx.grid
             j_top = grid.yi[lid.level]
             cut = range(grid.xi[lid.mn_left], grid.xi[lid.mn_right])
             throat = [(i, j_top - 1) for i in cut if (i, j_top - 1) in cells]
-            below = _below_cut(cells, throat, j_top)
+            below = frozenset(_below_cut(cells, throat, j_top))
             rest = cells - below
             over_star, over_rest = dict(overrides), dict(overrides)
             for i in cut:
                 over_star[(i, j_top)] = ("copy", lid)
                 over_rest[(i, j_top)] = OWNER_SEAM
-            _assert_same_hole(star, Hole(ctx, frozenset(below), over_star,
-                                         lid_virtual=lid))
+            _assert_cell_route(star, below, over_star, lid)
+            known[id(star)] = (star, below, over_star)
             if rest:
-                _assert_same_hole(remainder, Hole(ctx, frozenset(rest), over_rest,
-                                                  lid_virtual=hole.lid_virtual))
+                _assert_cell_route(remainder, rest, over_rest, hole.lid_virtual)
+                known[id(remainder)] = (remainder, rest, over_rest)
+                roofed = any((i, j_top) not in cells for i in cut)
+                seen["trimmed" if roofed else "untrimmed"] += 1
             else:
                 assert remainder is None
             seen["carves"] += 1
-            seen["below_smaller" if len(below) < len(rest)
-                 else "rest_smaller"] += 1
             return star, remainder
 
+        monkeypatch.setattr(holes, "extract_holes", extracted)
         monkeypatch.setattr(holes, "_carve", checked)
-        for seq in LARGE_PANEL + [corpus_items(s) for s in range(50)]:
+        for seq in (LARGE_PANEL + [nondyadic_items(s) for s in range(3)]
+                    + [corpus_items(s) for s in range(50)]):
             run_bottomleft_analysis(pack(BottomLeftState, seq))
-        # both pieces get derived on these instances
-        assert seen["below_smaller"] > 0 and seen["rest_smaller"] > 0
         assert seen["carves"] > 1000
+        assert seen["trimmed"] > 0 and seen["untrimmed"] > 0
 
-    # Synthetic cuts at row 1 over column 0: the throat is (0, 0), the part
-    # above the cut starts at (0, 1), and a 10 x 5 block lies under the cut.
-    BLOCK = {(i, j) for i in range(10) for j in range(-4, 1)}
-    NOT_A_SIDE = {
-        # the part above runs around the cut into the throat
-        "around": BLOCK | {(0, 1), (1, 1)},
-        # a cell over the block is cut off from the part above
-        "over": BLOCK | {(0, 1), (5, 1)},
-        # the block has a pinch vertex at (4, -3), so its boundary is not
-        # a simple cycle
-        "pinch": (BLOCK - {(3, -4), (4, -3)}) | {(0, 1)},
-    }
 
-    @pytest.mark.parametrize("case", sorted(NOT_A_SIDE))
-    def test_side_found_first_falls_back_to_flood(self, case):
-        cells = frozenset(self.NOT_A_SIDE[case])
-        hole = SimpleNamespace(cells=cells, cycle=trace_boundary(cells))
-        below, above, star_cycle = holes._sides_of_cut(
-            hole, [(0, 0)], 1, 0, 1)
-        assert (above, star_cycle) == (None, None)
-        assert below == _below_cut(cells, [(0, 0)], 1)
+def _first_carve():
+    """A hole of the staircase example and the lid of its first carve."""
+    p = pack(BottomLeftState, items("7/8", 1, "1/2", "1/8", "3/8", "5/8"))
+    for hole in extract_holes(close_packing(p)):
+        lid = holes._find_split(hole)
+        if lid is not None:
+            return hole, lid
+    raise AssertionError("no carve")
 
-    def test_part_above_found_first(self):
-        cells = frozenset(self.BLOCK | {(0, 1), (0, 2), (1, 2)})
-        hole = SimpleNamespace(cells=cells, cycle=trace_boundary(cells))
-        below, above, star_cycle = holes._sides_of_cut(
-            hole, [(0, 0)], 1, 0, 1)
-        assert below is None
-        assert above == {(0, 1), (0, 2), (1, 2)}
-        assert star_cycle == trace_boundary(self.BLOCK)
+
+class TestCarveGuards:
+    def test_second_carve_under_one_square(self):
+        hole, lid = _first_carve()
+        holes._carve(hole, lid)
+        with pytest.raises(holes.AnalysisError) as err:
+            holes._carve(hole, lid)
+        assert err.value.name == "copy-uniqueness"
+
+    @pytest.mark.parametrize("end", ["mn_left", "mn_right"])
+    def test_cut_end_off_the_boundary(self, end):
+        hole, lid = _first_carve()
+        # a point left of the strip, or right of it
+        off = -1 if end == "mn_left" else hole.ctx.scale + 1
+        with pytest.raises(holes.AnalysisError) as err:
+            holes._carve(hole, replace(lid, **{end: off}))
+        assert err.value.name == "split"
 
 
 class TestGoldenReports:
