@@ -716,22 +716,26 @@ def _assert_right_diagonal(hole: Hole):
 
 
 class ChargeLedger:
-    """Per-square, per-side maximum charge coefficients plus the raw terms."""
+    """Per-square, per-side maximum charge coefficients plus the raw terms,
+    and each square's running sum of its coefficients."""
 
     def __init__(self):
         self.terms: list[ChargeTerm] = []
         self.max_coeff: dict[tuple[int, str, bool], Fraction] = {}
+        self._totals: dict[int, Fraction] = {}
 
     def add(self, terms: list[ChargeTerm]):
         for t in terms:
             self.terms.append(t)
             key = (t.square_index, t.side, t.virtual)
-            if self.max_coeff.get(key, ZERO) < t.coeff:
+            old = self.max_coeff.get(key, ZERO)
+            if old < t.coeff:
                 self.max_coeff[key] = t.coeff
+                self._totals[t.square_index] = (
+                    self._totals.get(t.square_index, ZERO) + t.coeff - old)
 
     def total_charge(self, square_index: int) -> Fraction:
-        return sum((c for (idx, _, _), c in self.max_coeff.items()
-                    if idx == square_index), ZERO)
+        return self._totals.get(square_index, ZERO)
 
     def side_charge(self, square_index: int, side: str,
                     virtual: bool = False) -> Fraction:

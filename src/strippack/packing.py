@@ -141,21 +141,24 @@ class _Lattice:
 
 
 class Packing:
-    """Immutable ordered packing with its height and its integer lattice
-    (``lattice``), built on first use.
+    """Immutable ordered packing with its integer lattice (``lattice``),
+    built on first use, and the index of its topmost placement, whose top
+    is the ``height``.
 
     ``extended`` appends to the lattice this packing shares with the one it
-    came from, in O(1) amortized time plus a sorted insert; extending a
-    packing that has been extended before rebuilds its part of the lattice
-    first, each time, so both results stay valid.
+    came from, in O(1) amortized time plus a sorted insert, and finds the new
+    top by comparing two lattice integers; extending a packing that has been
+    extended before rebuilds its part of the lattice first, each time, so
+    both results stay valid.
     """
 
-    __slots__ = ("_lat", "_n", "_height", "_placements")
+    __slots__ = ("_lat", "_n", "_top", "_placements")
 
     def __init__(self, placements: Sequence[Placement] = ()):
-        self._placements: Optional[tuple[Placement, ...]] = tuple(placements)
-        self._n = len(self._placements)
-        self._height = max((pl.top for pl in self._placements), default=ZERO)
+        pls = tuple(placements)
+        self._placements: Optional[tuple[Placement, ...]] = pls
+        self._n = len(pls)
+        self._top = max(range(self._n), key=lambda i: pls[i].top, default=-1)
         self._lat: Optional[_Lattice] = None
 
     @classmethod
@@ -173,7 +176,9 @@ class Packing:
 
     @property
     def height(self) -> Scalar:
-        return self._height
+        if not self._n:
+            return ZERO
+        return (self._placements or self._lat.pls)[self._top].top
 
     def _lattice(self) -> _Lattice:
         if self._lat is None:
@@ -185,10 +190,11 @@ class Packing:
         if len(lat.pls) != self._n:
             lat = _Lattice.of(lat.pls[:self._n])    # a second branch
         lat.append(pl)
+        top, rects = self._top, lat.rects
         nxt = Packing.__new__(Packing)
         nxt._lat, nxt._n = lat, self._n + 1
         nxt._placements = None
-        nxt._height = max(self._height, pl.top)
+        nxt._top = self._n if top < 0 or rects[-1][3] > rects[top][3] else top
         return nxt
 
     def lattice(self, *dens: int) -> tuple[int, Sequence[tuple[int, int, int, int]]]:
@@ -368,9 +374,8 @@ def reachable_positions(p: Packing, a: Scalar,
     low = floor.numerator * (scale // floor.denominator)
     sa = a.numerator * (scale // a.denominator)
     full = [(0, scale - sa)]
-    h = p.height
-    start = h.numerator * (scale // h.denominator)
     bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n
+    start = rects[p._top][3] if n else 0
     stop = bisect_right(bottoms, low - scale)   # the window b_j > floor - 1
     k = len(bottoms)
 

@@ -7,104 +7,76 @@ The widening is square-plus-shadow clipped to the square's own slot, which
 always spans the slot's full width.  Points below the closing square that
 lie in no widening are charged to the first widening straight above them;
 the charged area per square never exceeds 8/13 of its area.
+
+The charge map runs on the packing's integer lattice, fitted so that every
+slot boundary is an integer: extents, widenings and charged regions are
+integer ``(l, r, b, t)``, and one x-sweep keeps the rects spanning the
+current column in sorted lists (Bentley's sweep for the measure of a union
+of rectangles), so no column rescans every square.  Fractions are made only
+for the reported areas.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Interval, Rect
 from .numbers import ONE, ZERO, Scalar
 from .packing import Check, Packing, PackingError, Placement
-from .slots import SlotId, round_to_dyadic
+from .slots import round_to_dyadic
 
 EIGHT_THIRTEENTHS = Fraction(8, 13)
 
-
-@dataclass(frozen=True)
-class Shadow:
-    owner: Placement
-    pieces: tuple[Rect, ...]       # left and/or right enlargement, clipped
-    delta: Scalar
-    delta_prime: Scalar
-
-    @property
-    def area(self) -> Scalar:
-        return sum((r.area for r in self.pieces), ZERO)
-
-
-def slot_of(pl: Placement) -> SlotId:
-    """The slot a slot-strategy placement was dropped in."""
-    k, w = round_to_dyadic(pl.item.side)
-    index = pl.x / w
-    if index.denominator != 1:
-        raise PackingError(f"placement at {pl.x} is not on a level-{k} slot")
-    return SlotId(k, int(index))
-
-
-def shadow_of(pl: Placement, k: int) -> Shadow:
-    a = pl.item.side
-    y = Interval(pl.bottom, pl.top)
-    if k == 0:
-        # sides above 1/2 enlarge to the right only, clipped to the strip
-        hi = min(ONE, pl.right + a)
-        piece = Rect(Interval(pl.right, hi), y)
-        return Shadow(pl, (piece,) if hi > pl.right else (), a, a)
-    slot = SlotId(k, int(pl.x / Fraction(1, 2 ** k)))
-    parent_right = SlotId(k - 1, slot.index // 2).right
-    delta = parent_right - pl.right
-    delta_prime = min(a, delta)
-    pieces = []
-    if delta_prime > ZERO:
-        pieces.append(Rect(Interval(pl.right, pl.right + delta_prime), y))
-    left = a - delta_prime
-    if left > ZERO:
-        pieces.append(Rect(Interval(pl.left - left, pl.left), y))
-    return Shadow(pl, tuple(pieces), delta, delta_prime)
-
-
-def shadowed_extent(pl: Placement) -> Rect:
-    """Square union shadow at the owner's y-range, clipped to the strip.
-
-    This region is never charged to anybody: excluding the shadow together
-    with the square is what lets the accounting subtract a square's area
-    twice from the space it blocks.
-    """
-    k, _ = round_to_dyadic(pl.item.side)
-    shadow = shadow_of(pl, k)
-    lo, hi = pl.left, pl.right
-    for piece in shadow.pieces:
-        lo = min(lo, piece.left)
-        hi = max(hi, piece.right)
-    return Rect(Interval(max(lo, ZERO), min(hi, ONE)),
-                Interval(pl.bottom, pl.top))
-
-
-def widening_of(pl: Placement) -> Rect:
-    """(square union shadow) clipped to the square's own slot.
-
-    Upward rays attribute charges to widenings only: keeping attribution
-    inside the owner's slot is what keeps every charged region inside one
-    slot column, while the parts of a shadow that leak past the slot
-    boundary still shield the space below them (see shadowed_extent).
-    """
-    ext = shadowed_extent(pl)
-    slot = slot_of(pl)
-    return Rect(Interval(max(ext.left, slot.left), min(ext.right, slot.right)),
-                Interval(pl.bottom, pl.top))
+LatticeRect = tuple[int, int, int, int]
 
 
 @dataclass
 class ChargeMap:
-    """Exact charged areas and regions per square (by arrival index)."""
+    """Exact charged areas per square (by arrival index), and the charged
+    regions and widenings as ``(l, r, b, t)`` on the lattice: a value v
+    stands for v / ``scale``."""
 
     areas: dict[int, Scalar]
-    regions: dict[int, list[Rect]]
-    widenings: list[Rect]
+    regions: dict[int, list[LatticeRect]]
+    widenings: list[LatticeRect]
+    scale: int
 
     def area_of(self, index: int) -> Scalar:
         return self.areas.get(index, ZERO)
+
+
+def _extent_and_widening(pl: Placement, rect: LatticeRect, scale: int
+                         ) -> tuple[LatticeRect, LatticeRect, tuple[int, int]]:
+    """The shadowed extent (square union shadow, clipped to the strip), the
+    widening (the extent clipped to the square's own slot) and the widening's
+    tie key ``(k, slot index)``, on a lattice where the square's slot width
+    ``scale >> k`` is an integer.
+
+    The extent is never charged to anybody: excluding the shadow together
+    with the square is what lets the accounting subtract a square's area
+    twice from the space it blocks.  Rays attribute charges to widenings
+    only, which keeps every charged region inside one slot column, while
+    the parts of a shadow that leak past the slot boundary still shield the
+    space below them.
+    """
+    l, r, b, t = rect
+    k, _ = round_to_dyadic(pl.item.side)
+    w = scale >> k
+    j, off = divmod(l, w)
+    if off:
+        raise PackingError(f"placement at {pl.x} is not on a level-{k} slot")
+    s = r - l
+    if k == 0:
+        # sides above 1/2 enlarge to the right only, clipped to the strip
+        lo, hi = l, min(scale, r + s)
+    else:
+        # right up to the parent slot's right edge, the rest to the left:
+        # the extent stays inside the parent slot, so inside the strip
+        right = min(s, (j // 2 + 1) * 2 * w - r)
+        lo, hi = l - (s - right), r + right
+    return ((lo, hi, b, t), (max(lo, j * w), min(hi, (j + 1) * w), b, t),
+            (k, j))
 
 
 def charge_map(p_closed: Packing) -> ChargeMap:
@@ -114,48 +86,62 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     Ties (several widenings starting at the same height over a column) are
     broken toward the wider slot, then the lower slot index; points on a
     widening's boundary count as inside it.
+
+    The columns lie between consecutive x-edges of the extents and
+    widenings.  One sweep over the edges inserts a rect into its sorted
+    active list at its left edge and removes it at its right edge, so each
+    column walks only the rects that span it; there one region is charged
+    per gap below the top.
     """
     pls = p_closed.placements
     if not pls or pls[-1].item.side != ONE:
         raise PackingError("charge_map needs a packing closed with a side-1 square")
-    recs = []
-    for pl in pls:
-        k, _ = round_to_dyadic(pl.item.side)
-        slot = slot_of(pl)
-        recs.append((pl, k, slot, widening_of(pl), shadowed_extent(pl)))
-    xs = sorted({x for rec in recs for region in rec[3:]
-                 for x in (region.left, region.right)} | {ZERO, ONE})
-    areas: dict[int, Scalar] = {}
-    regions: dict[int, list[Rect]] = {}
-    ceiling = pls[-1].top
+    k_max = max(round_to_dyadic(pl.item.side)[0] for pl in pls)
+    scale, rects = p_closed.lattice(1 << k_max)
+    blockers: list[tuple[int, int, int]] = []       # (b, t, i) spanning x0
+    stops: list[tuple[int, int, int, int]] = []     # (b, k, slot index, i)
+    events: dict[int, list] = {0: [], scale: []}
+    widenings = []
+    for i, (pl, rect) in enumerate(zip(pls, rects)):
+        ext, wid, (k, j) = _extent_and_widening(pl, rect, scale)
+        widenings.append(wid)
+        b, t = rect[2], rect[3]
+        for active, (l, r, _, _), key in ((blockers, ext, (b, t, i)),
+                                          (stops, wid, (b, k, j, i))):
+            events.setdefault(l, []).append((active, key, True))
+            events.setdefault(r, []).append((active, key, False))
+    sums: dict[int, int] = {}
+    regions: dict[int, list[LatticeRect]] = {}
+    ceiling = rects[-1][3]
+    xs = sorted(events)
     for x0, x1 in zip(xs, xs[1:]):
-        blockers = sorted((e.bottom, e.top) for _, _, _, _, e in recs
-                          if e.left <= x0 and e.right >= x1)
-        stops = sorted((w.bottom, k, slot.index, pl)
-                       for pl, k, slot, w, _ in recs
-                       if w.left <= x0 and w.right >= x1)
-        cover = ZERO
+        for active, key, enters in events[x0]:
+            if enters:
+                insort(active, key)
+            else:
+                del active[bisect_left(active, key)]
+        cover = 0
         gaps = []
-        for bottom, top in blockers:
+        for bottom, top, _ in blockers:
             if bottom > cover:
                 gaps.append((cover, bottom))
             if top > cover:
                 cover = top
         if cover < ceiling:
-            raise PackingError(f"column [{x0},{x1}] not covered up to the top")
+            raise PackingError(f"column [{Fraction(x0, scale)},"
+                               f"{Fraction(x1, scale)}] not covered up to the top")
         si = 0
         for g_lo, g_hi in gaps:
-            while si < len(stops) and stops[si][0] < g_hi:
-                si += 1
+            si = bisect_left(stops, (g_hi,), si)
             if si == len(stops):
                 raise PackingError(
-                    f"no widening above the gap at [{x0},{x1}] x {g_lo}")
-            pl = stops[si][3]
-            idx = pl.item.index
-            areas[idx] = areas.get(idx, ZERO) + (g_hi - g_lo) * (x1 - x0)
-            regions.setdefault(idx, []).append(
-                Rect(Interval(x0, x1), Interval(g_lo, g_hi)))
-    return ChargeMap(areas, regions, [w for _, _, _, w, _ in recs])
+                    f"no widening above the gap at [{Fraction(x0, scale)},"
+                    f"{Fraction(x1, scale)}] x {Fraction(g_lo, scale)}")
+            idx = pls[stops[si][3]].item.index
+            sums[idx] = sums.get(idx, 0) + (g_hi - g_lo) * (x1 - x0)
+            regions.setdefault(idx, []).append((x0, x1, g_lo, g_hi))
+    areas = {idx: Fraction(v, scale * scale) for idx, v in sums.items()}
+    return ChargeMap(areas, regions, widenings, scale)
 
 
 def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:

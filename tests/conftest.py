@@ -30,6 +30,24 @@ def nondyadic_items(seed: int) -> list[SquareItem]:
             for i in range(1, 41)]
 
 
+def corpus_items(seed: int) -> list[SquareItem]:
+    """Acceptance-corpus instance ``seed``: 30 sides, generator 1_000_000+seed."""
+    return random_items(1_000_000 + seed, 30)
+
+
+def deep_items(i: int) -> list[SquareItem]:
+    """The slot-deep bench panel: eight sides at levels 1-5, then four at
+    levels 10-13, drawn from Random("slot-deep:<i>")."""
+    rng = random.Random(f"slot-deep:{i}")
+    side = lambda k: Fraction(rng.randint((GRID >> (k + 1)) + 1, GRID >> k),
+                              GRID)
+    shallow = [side(k) for k in (1, 2, 3, 3, 4, 4, 5, 5)]
+    deep = [side(k) for k in (10, 11, 12, 13)]
+    rng.shuffle(shallow)
+    rng.shuffle(deep)
+    return [SquareItem(j, a) for j, a in enumerate(shallow + deep, 1)]
+
+
 def packing_of(coords) -> Packing:
     """Build a packing directly from (side, x, y) triples."""
     p = Packing.empty()

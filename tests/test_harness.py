@@ -267,6 +267,20 @@ class TestBottomLeftThousands:
         assert out.startswith("height ")
 
 
+class TestSlotAnalysisThousands:
+    """The charge map sweeps x once on the packing's lattice, so the slot
+    analysis at n in the thousands takes about a second."""
+
+    def test_analyze_2000_squares(self, tmp_path):
+        path = str(tmp_path / "n2000.txt")
+        assert cli("gen-random", "--n", "2000", "--seed", "7",
+                   "--out", path)[0] == 0
+        code, out, wall = cli("analyze", "--strategy", "slot",
+                              "--input", path)
+        assert code == 0 and wall < 10
+        assert "CHECK theorem2 PASS" in out
+
+
 class TestHoleAnalysisHundreds:
     """A split splices the parent hole's corners and floods no cells, so
     hole analysis at n in the hundreds takes about a second."""

@@ -5,16 +5,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import items, nondyadic_items, packing_of, random_items
+from conftest import (corpus_items, items, nondyadic_items, packing_of,
+                      random_items)
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
 from strippack.geometry import Rect, trace_boundary
 from strippack.harness import render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
-                             OWNER_SEAM, TYPE_I, TYPE_II, Hole,
-                             compute_charges, extract_holes, hole_area_bound,
-                             run_bottomleft_analysis, split_hole)
+                             OWNER_SEAM, TYPE_I, TYPE_II, ChargeLedger,
+                             ChargeTerm, Hole, compute_charges, extract_holes,
+                             hole_area_bound, run_bottomleft_analysis,
+                             split_hole)
 from strippack.packing import Packing, SquareItem, close_packing, pack
 
 # the large-workload panel: 100 sides randint(2^14, 2^20) / 2^20
@@ -46,11 +48,6 @@ SVG_SHA256 = {
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def corpus_items(seed: int):
-    """Acceptance-corpus instance ``seed``: 30 sides, generator 1_000_000+seed."""
-    return random_items(1_000_000 + seed, 30)
 
 
 class TestClosePacking:
@@ -184,6 +181,24 @@ class TestCharges:
         assert ledger.side_charge(3, "bottom") == 1     # lid
         assert ledger.side_charge(1, "right") == F(1, 2)
         assert ledger.total_charge(3) == 1
+
+    def test_running_totals_equal_key_scan(self):
+        # a side whose maximum rises counts only its new maximum
+        ledger = ChargeLedger()
+        ledger.add([ChargeTerm(1, side, virtual, F(c), F(c), F(1))
+                    for side, virtual, c in (("right", False, "1/4"),
+                                             ("right", False, "1/2"),
+                                             ("right", False, "1/3"),
+                                             ("bottom", True, "1/2"))])
+        assert ledger.total_charge(1) == 1 and ledger.total_charge(2) == 0
+        for seed in range(20):
+            ana = run_bottomleft_analysis(
+                pack(BottomLeftState, corpus_items(seed)))
+            coeffs = ana.ledger.max_coeff
+            for pl in ana.closed.placements:
+                idx = pl.item.index
+                assert ana.ledger.total_charge(idx) == sum(
+                    (c for (i, _, _), c in coeffs.items() if i == idx), F(0))
 
     def test_virtual_owner_bottom_three_halves(self):
         seq = items("15/16", "3/16", "9/16", "7/8", "3/8", "1/8", "1/8")

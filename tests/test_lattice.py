@@ -343,6 +343,16 @@ class TestLatticeEdges:
         assert len(rects) == 3
         assert rects[-1] == (2 * scale // 3, scale, scale // 2, 5 * scale // 6)
 
+    def test_height_of_every_prefix(self):
+        # the top is tracked by index on the lattice, from a constructed
+        # packing as well as along a chain of extensions
+        pls = pack(BottomLeftState, random_items(77, 40)).placements
+        p = Packing(pls[:5])
+        for i in range(5, len(pls)):
+            p = p.extended(pls[i])
+            assert p.height == max(q.top for q in pls[:i + 1])
+        assert Packing(pls).height == p.height
+
     def test_empty_height_and_lattice(self):
         p = Packing.empty()
         assert p.height == 0

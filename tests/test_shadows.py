@@ -1,15 +1,144 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
-from conftest import items, random_items
-from strippack.packing import Placement, SquareItem, close_packing, pack
-from strippack.shadows import (charge_map, check_slot_bounds, shadow_of,
-                               shadowed_extent, slot_of, widening_of)
-from strippack.slots import SlotState
+import pytest
+
+from conftest import (corpus_items, deep_items, items, nondyadic_items,
+                      packing_of, random_items)
+from strippack.geometry import Interval, Rect
+from strippack.packing import (Packing, PackingError, Placement, SquareItem,
+                               close_packing, pack)
+from strippack.shadows import ChargeMap, charge_map, check_slot_bounds
+from strippack.slots import SlotId, SlotState, round_to_dyadic
+
+ZERO, ONE = F(0), F(1)
 
 
 def pl(side, x, y, idx=1):
     return Placement(SquareItem(idx, F(side)), F(x), F(y))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction charge map that re-filtered and re-sorted every square for
+# each x-column, kept as the reference for the lattice sweep
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Shadow:
+    owner: Placement
+    pieces: tuple[Rect, ...]       # left and/or right enlargement, clipped
+    delta: F
+    delta_prime: F
+
+    @property
+    def area(self) -> F:
+        return sum((r.area for r in self.pieces), ZERO)
+
+
+def slot_of(pl: Placement) -> SlotId:
+    """The slot a slot-strategy placement was dropped in."""
+    k, w = round_to_dyadic(pl.item.side)
+    index = pl.x / w
+    if index.denominator != 1:
+        raise PackingError(f"placement at {pl.x} is not on a level-{k} slot")
+    return SlotId(k, int(index))
+
+
+def shadow_of(pl: Placement, k: int) -> Shadow:
+    a = pl.item.side
+    y = Interval(pl.bottom, pl.top)
+    if k == 0:
+        # sides above 1/2 enlarge to the right only, clipped to the strip
+        hi = min(ONE, pl.right + a)
+        piece = Rect(Interval(pl.right, hi), y)
+        return Shadow(pl, (piece,) if hi > pl.right else (), a, a)
+    slot = SlotId(k, int(pl.x / F(1, 2 ** k)))
+    parent_right = SlotId(k - 1, slot.index // 2).right
+    delta = parent_right - pl.right
+    delta_prime = min(a, delta)
+    pieces = []
+    if delta_prime > ZERO:
+        pieces.append(Rect(Interval(pl.right, pl.right + delta_prime), y))
+    left = a - delta_prime
+    if left > ZERO:
+        pieces.append(Rect(Interval(pl.left - left, pl.left), y))
+    return Shadow(pl, tuple(pieces), delta, delta_prime)
+
+
+def shadowed_extent(pl: Placement) -> Rect:
+    """Square union shadow at the owner's y-range, clipped to the strip."""
+    k, _ = round_to_dyadic(pl.item.side)
+    shadow = shadow_of(pl, k)
+    lo, hi = pl.left, pl.right
+    for piece in shadow.pieces:
+        lo = min(lo, piece.left)
+        hi = max(hi, piece.right)
+    return Rect(Interval(max(lo, ZERO), min(hi, ONE)),
+                Interval(pl.bottom, pl.top))
+
+
+def widening_of(pl: Placement) -> Rect:
+    """(square union shadow) clipped to the square's own slot."""
+    ext = shadowed_extent(pl)
+    slot = slot_of(pl)
+    return Rect(Interval(max(ext.left, slot.left), min(ext.right, slot.right)),
+                Interval(pl.bottom, pl.top))
+
+
+def reference_charge_map(p_closed: Packing):
+    """(areas, regions, widenings) with Fraction ``Rect`` regions."""
+    pls = p_closed.placements
+    if not pls or pls[-1].item.side != ONE:
+        raise PackingError("charge_map needs a packing closed with a side-1 square")
+    recs = []
+    for q in pls:
+        k, _ = round_to_dyadic(q.item.side)
+        slot = slot_of(q)
+        recs.append((q, k, slot, widening_of(q), shadowed_extent(q)))
+    xs = sorted({x for rec in recs for region in rec[3:]
+                 for x in (region.left, region.right)} | {ZERO, ONE})
+    areas: dict[int, F] = {}
+    regions: dict[int, list[Rect]] = {}
+    ceiling = pls[-1].top
+    for x0, x1 in zip(xs, xs[1:]):
+        blockers = sorted((e.bottom, e.top) for _, _, _, _, e in recs
+                          if e.left <= x0 and e.right >= x1)
+        stops = sorted((w.bottom, k, slot.index, q)
+                       for q, k, slot, w, _ in recs
+                       if w.left <= x0 and w.right >= x1)
+        cover = ZERO
+        gaps = []
+        for bottom, top in blockers:
+            if bottom > cover:
+                gaps.append((cover, bottom))
+            if top > cover:
+                cover = top
+        if cover < ceiling:
+            raise PackingError(f"column [{x0},{x1}] not covered up to the top")
+        si = 0
+        for g_lo, g_hi in gaps:
+            while si < len(stops) and stops[si][0] < g_hi:
+                si += 1
+            if si == len(stops):
+                raise PackingError(
+                    f"no widening above the gap at [{x0},{x1}] x {g_lo}")
+            idx = stops[si][3].item.index
+            areas[idx] = areas.get(idx, ZERO) + (g_hi - g_lo) * (x1 - x0)
+            regions.setdefault(idx, []).append(
+                Rect(Interval(x0, x1), Interval(g_lo, g_hi)))
+    return areas, regions, [w for _, _, _, w, _ in recs]
+
+
+def as_rect(cm: ChargeMap, v) -> Rect:
+    """A lattice ``(l, r, b, t)`` of ``cm`` as the exact Fraction rect."""
+    s = cm.scale
+    l, r, b, t = v
+    return Rect.of(F(l, s), F(b, s), F(r, s), F(t, s))
+
+
+def region_rects(cm: ChargeMap) -> dict[int, list[Rect]]:
+    return {idx: [as_rect(cm, v) for v in vs] for idx, vs in cm.regions.items()}
 
 
 def assert_bounds_hold(checks):
@@ -38,7 +167,6 @@ class TestShadow:
         for seed in range(30):
             rng = random.Random(seed)
             side = F(rng.randint(1, 2 ** 19), 2 ** 20)   # at most 1/2
-            from strippack.slots import round_to_dyadic
             k, w = round_to_dyadic(side)
             j = rng.randrange(2 ** k)
             sh = shadow_of(pl(str(side), str(j * w), 0), k)
@@ -49,7 +177,6 @@ class TestShadow:
             seq = random_items(1000 + seed, 8)
             p = pack(SlotState, seq)
             for q in p.placements:
-                from strippack.slots import round_to_dyadic
                 k, _ = round_to_dyadic(q.item.side)
                 ext = shadowed_extent(q)
                 assert ext.left <= q.left and q.right <= ext.right
@@ -102,11 +229,13 @@ class TestChargeMap:
             seq = random_items(1200 + seed, 12)
             closed = close_packing(pack(SlotState, seq))
             cm = charge_map(closed)
-            regions = [r for rects in cm.regions.values() for r in rects]
+            regions = [r for rects in region_rects(cm).values()
+                       for r in rects]
+            widenings = [as_rect(cm, w) for w in cm.widenings]
             for i, a in enumerate(regions):
                 for b in regions[i + 1:]:
                     assert not a.interior_overlaps(b)
-                for w in cm.widenings:
+                for w in widenings:
                     assert not a.interior_overlaps(w)
 
     def test_pointwise_oracle(self):
@@ -131,7 +260,7 @@ class TestChargeMap:
                 if not above:
                     continue
                 owner = min(above)[1]
-                hit = [idx for idx, rects in cm.regions.items()
+                hit = [idx for idx, rects in region_rects(cm).items()
                        if any(r.left < x < r.right and r.bottom < y < r.top
                               for r in rects)]
                 assert hit == [owner] or (not hit and min(above)[0] == y)
@@ -161,3 +290,53 @@ class TestBounds:
         seq = items(*[str(side)] * 32)
         closed = close_packing(pack(SlotState, seq))
         assert_bounds_hold(check_slot_bounds(closed, charge_map(closed)))
+
+
+def killer_32():
+    return items(*[str(F(1, 8) + F(1, 128))] * 32)
+
+
+DIFFERENTIAL = (
+    [(f"corpus:{seed}", lambda seed=seed: corpus_items(seed))
+     for seed in range(50)]
+    + [(f"large:{i}", lambda i=i: random_items(f"large:{i}", 100))
+       for i in range(3)]
+    + [(f"slot-deep:{i}", lambda i=i: deep_items(i)) for i in range(7)]
+    + [(f"nondyadic:{seed}", lambda seed=seed: nondyadic_items(seed))
+       for seed in range(3)]
+    + [("killer:32", killer_32),
+       # widenings of two levels start at the same height over a gap
+       ("tie:1", lambda: items("1/16", "3/4", "9/16", "1/16", "5/8", "11/16",
+                               "1/4", "5/8", "7/16", "15/16", "1")),
+       ("tie:2", lambda: items("1/32", "3/4", "1/32", "7/32", "5/8",
+                               "27/32", "11/32", "31/32", "3/16"))])
+
+
+class TestAgainstReference:
+    """The lattice sweep gives exactly the Fraction column scan's charge
+    map: the same areas in the same key order, and the same regions and
+    widenings once their lattice integers are divided by the scale."""
+
+    @pytest.mark.parametrize("seq", [seq for _, seq in DIFFERENTIAL],
+                             ids=[name for name, _ in DIFFERENTIAL])
+    def test_equal_to_reference(self, seq):
+        closed = close_packing(pack(SlotState, seq()))
+        cm = charge_map(closed)
+        areas, regions, widenings = reference_charge_map(closed)
+        assert list(cm.areas.items()) == list(areas.items())
+        assert list(region_rects(cm).items()) == list(regions.items())
+        assert [as_rect(cm, w) for w in cm.widenings] == widenings
+
+    @pytest.mark.parametrize("p", [
+        pack(SlotState, corpus_items(0)),               # not closed
+        Packing(),
+        packing_of([("1/4", "1/8", 0), (1, 0, "1/4")]),   # off its slot
+        # a square above the closing one: no widening over the gap beside it
+        packing_of([("1/2", 0, 3), (1, 0, 0)]),
+    ], ids=["open", "empty", "off-slot", "no-widening"])
+    def test_same_errors(self, p):
+        with pytest.raises(PackingError) as want:
+            reference_charge_map(p)
+        with pytest.raises(PackingError) as got:
+            charge_map(p)
+        assert str(got.value) == str(want.value)

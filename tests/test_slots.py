@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import items, nondyadic_items, random_items
+from conftest import deep_items, items, nondyadic_items, random_items
 from strippack.cli import main
-from strippack.harness import instance_text, placements_csv
+from strippack.harness import instance_text, parse_instance, placements_csv
 from strippack.packing import PackingError, SquareItem, pack, rest_height, \
     verify_packing
 from strippack.slots import SlotId, SlotState, round_to_dyadic, \
@@ -128,21 +128,6 @@ class TestTreeGeometryConsistency:
                     assert s.choose(k) == lowest_slot(s.packing, k)
 
 
-GRID = 2 ** 20
-
-
-def deep_items(i: int):
-    """The slot-deep bench panel: eight sides at levels 1-5, then four at
-    levels 10-13, drawn from Random("slot-deep:<i>")."""
-    rng = random.Random(f"slot-deep:{i}")
-    side = lambda k: F(rng.randint((GRID >> (k + 1)) + 1, GRID >> k), GRID)
-    shallow = [side(k) for k in (1, 2, 3, 3, 4, 4, 5, 5)]
-    deep = [side(k) for k in (10, 11, 12, 13)]
-    rng.shuffle(shallow)
-    rng.shuffle(deep)
-    return [SquareItem(j, a) for j, a in enumerate(shallow + deep, 1)]
-
-
 # sha256 of the slot placement CSV and of the `analyze --strategy slot`
 # report, computed with the dense per-level slot height tables
 DEEP_SHA256 = [
@@ -169,6 +154,21 @@ NONDYADIC_SHA256 = [
     ("0717dec84dc4c5aabf6a0d0139ba1b99458f5058a73c17b28d2878e53f7d80b2",
      "046557193475eb09bcbdafb60b6f0f9ea881a369d28a43691623de53855bc47d"),
 ]
+# the same pins for the three large-panel instances (100 sides
+# randint(2^14, 2^20) / 2^20 from Random("large:<i>")) and for
+# `gen-random --n 240 --seed 7`, computed with the Fraction charge map that
+# re-sorted every x-column
+LARGE_SHA256 = [
+    ("2062dd6ce6fd35eeffa89582c275281a150678e5e3f747d08d13321dad712f92",
+     "2d7d22844effdb809906bd45b5aae40001ef1db7ebcb668deed0e318cd3fa49f"),
+    ("57868da1de6c7b7b5631a0c2331b1bb4b89c6a46fac16168043cdb4d391089ea",
+     "9d1df3c34886ed6ad66b2963aee5ee5144b2dc135dd272a03daa4663acbb38bc"),
+    ("ae1759fe54377e164ffe9d0a6434d031f1bb087cd6f903b698af4b4ca31c932a",
+     "46608fbf999ed6df8ada9ca6f9ca5afdd995ce3d5bff3aa54407a318cdcb14e1"),
+]
+RANDOM_240_SHA256 = (
+    "4a839ca5ec84df477c6d330eae1830e5736b2a6339d48de395df4e57dfe12806",
+    "7832907007aafab6147a142973b6ec69702e38c86ef2dc2d4eb2040062f269bd")
 # the acceptance killer: k = 6, delta = 1/4096, n = 4096
 KILLER_CSV_SHA256 = \
     "222e07fa0d51f8bb4e6b3d9f48b2e3ff787eeb95ab22a7c50601b4f05b87f286"
@@ -195,6 +195,18 @@ class TestGoldenSlotPackings:
     def test_nondyadic(self, seed, tmp_path, capsys):
         self._check(nondyadic_items(seed), NONDYADIC_SHA256[seed], tmp_path,
                     capsys)
+
+    @pytest.mark.parametrize("idx", range(len(LARGE_SHA256)))
+    def test_large_panel(self, idx, tmp_path, capsys):
+        self._check(random_items(f"large:{idx}", 100), LARGE_SHA256[idx],
+                    tmp_path, capsys)
+
+    def test_random_240(self, tmp_path, capsys):
+        path = tmp_path / "n240.txt"
+        assert main(["gen-random", "--n", "240", "--seed", "7",
+                     "--out", str(path)]) == 0
+        seq = parse_instance(path.read_text())
+        self._check(seq, RANDOM_240_SHA256, tmp_path, capsys)
 
     def test_acceptance_killer(self):
         seq = slot_killer_instance(6, F(1, 4096), 4096)
