@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numbers import ONE, ZERO, Scalar
+from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import (Packing, PackingError, Placement, SquareItem,
                       check_step, verify_packing)
 
 QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -60,14 +59,6 @@ class AdversaryTranscript:
     @property
     def final_height(self) -> Scalar:
         return self.iterations[-1].height_after if self.iterations else ZERO
-
-    def emitted_items(self) -> list[SquareItem]:
-        items = []
-        for rec in self.iterations:
-            for side in rec.sides:
-                if side > ZERO:
-                    items.append(SquareItem(len(items) + 1, side))
-        return items
 
     def serialize(self) -> str:
         lines = [f"epsilon {self.epsilon}"]

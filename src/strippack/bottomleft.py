@@ -70,7 +70,7 @@ class BottomLeftState:
     """The BottomLeft strategy, one square at a time."""
 
     def __init__(self):
-        self.packing = Packing.empty()
+        self.packing = Packing()
 
     def place(self, item: SquareItem) -> Placement:
         pl = bl_place_next(self.packing, item)

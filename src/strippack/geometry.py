@@ -1,8 +1,8 @@
 """Exact axis-aligned geometry.
 
-Closed intervals and span lists on the strip's x-axis, piecewise
-constant step profiles (the packing skyline), rectangles, rectilinear
-regions, and the grid decomposition used to find bounded free components.
+Closed span lists on the strip's x-axis, piecewise constant step profiles
+(the packing skyline), rectangles, and the grid decomposition used to find
+bounded free components and trace their boundaries.
 
 The low-level span helpers operate on plain ``(lo, hi)`` pairs and are
 generic over any exactly ordered numeric type, so the reachability sweep can
@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .numbers import ZERO, Scalar
+from .numbers import Scalar
 
 
 class GeometryError(ValueError):
@@ -122,63 +122,30 @@ def spans_contain(spans, x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# intervals and rectangles
+# rectangles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Interval:
-    """Closed interval on the x-axis; degenerate (lo == hi) allowed."""
+class Rect:
+    """Axis-aligned closed rectangle ``(left, right, bottom, top)``, in the
+    order of the lattice tuples; degenerate sides allowed."""
 
-    lo: Scalar
-    hi: Scalar
+    left: Scalar
+    right: Scalar
+    bottom: Scalar
+    top: Scalar
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise GeometryError(f"interval lo > hi: {self.lo} > {self.hi}")
-
-    @property
-    def length(self) -> Scalar:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned closed rectangle (x-range, y-range)."""
-
-    x: Interval
-    y: Interval
-
-    @classmethod
-    def of(cls, x0: Scalar, y0: Scalar, x1: Scalar, y1: Scalar) -> "Rect":
-        return cls(Interval(x0, x1), Interval(y0, y1))
-
-    @property
-    def left(self) -> Scalar:
-        return self.x.lo
-
-    @property
-    def right(self) -> Scalar:
-        return self.x.hi
-
-    @property
-    def bottom(self) -> Scalar:
-        return self.y.lo
-
-    @property
-    def top(self) -> Scalar:
-        return self.y.hi
+        if self.left > self.right or self.bottom > self.top:
+            raise GeometryError(f"rect with a negative side: {self}")
 
     @property
     def width(self) -> Scalar:
-        return self.x.length
+        return self.right - self.left
 
     @property
     def height(self) -> Scalar:
-        return self.y.length
-
-    @property
-    def area(self) -> Scalar:
-        return self.width * self.height
+        return self.top - self.bottom
 
     def interior_overlaps(self, other: "Rect") -> bool:
         return (self.left < other.right and other.left < self.right
@@ -421,20 +388,3 @@ def walk_boundary(edges) -> list[tuple[tuple, tuple]]:
     if len(cycle) != len(edges):
         raise GeometryError("region boundary is not a single cycle")
     return cycle
-
-
-# ---------------------------------------------------------------------------
-# rectilinear regions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RectilinearRegion:
-    """Connected rectilinear region as interior-disjoint rects plus its
-    boundary cycle (counterclockwise corners)."""
-
-    rects: tuple[Rect, ...]
-    boundary: tuple[tuple[Scalar, Scalar], ...]
-
-    @property
-    def area(self) -> Scalar:
-        return sum((r.area for r in self.rects), ZERO)

@@ -175,7 +175,7 @@ def render_svg(p: Packing, holes: Optional[Sequence] = None) -> str:
                    'text-anchor="middle" dominant-baseline="middle">'
                    f'{pl.item.index}</text>')
     for hole in holes or ():
-        for rect in hole.region().rects:
+        for rect in hole.region():
             out.append(f'<rect x="{X(rect.left)}" y="{Y(rect.top)}" '
                        f'width="{_fmt(float(rect.width) * _SVG_SCALE)}" '
                        f'height="{_fmt(float(rect.height) * _SVG_SCALE)}" '

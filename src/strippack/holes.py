@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import (ObstacleGrid, Rect, RectilinearRegion, merge_spans,
-                       trace_boundary)
+from .geometry import ObstacleGrid, Rect, merge_spans, trace_boundary
 from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import Check, Packing, Placement, close_packing
 
@@ -274,10 +273,6 @@ class Hole:
             return KIND_RIGHT_WALL
         return KIND_INTERIOR
 
-    def contributing_squares(self) -> list[Placement]:
-        return [self.ctx.placements[r.owner[1]] for r in self.runs
-                if r.owner[0] == "sq"]
-
     def slabs(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
         """The hole as maximal x-strips of constant cross-section, left to
         right: ``(x0, x1, spans)`` on the lattice, where ``spans`` are the
@@ -303,16 +298,13 @@ class Hole:
                 out.append((x0, x1, spans))
         return out
 
-    def region(self) -> RectilinearRegion:
-        """The hole in strip coordinates (Fractions): its slabs as rects,
-        and its corners."""
+    def region(self) -> tuple[Rect, ...]:
+        """The hole in strip coordinates (Fractions): its slabs as
+        interior-disjoint rects."""
         s = self.ctx.scale
-        rects = tuple(Rect.of(Fraction(x0, s), Fraction(y0, s),
-                              Fraction(x1, s), Fraction(y1, s))
-                      for x0, x1, spans in self.slabs() for y0, y1 in spans)
-        corners = tuple((Fraction(x, s), Fraction(y, s))
-                        for run in self.runs for x, y in run.points[1:])
-        return RectilinearRegion(rects, corners)
+        return tuple(Rect(Fraction(x0, s), Fraction(x1, s),
+                          Fraction(y0, s), Fraction(y1, s))
+                     for x0, x1, spans in self.slabs() for y0, y1 in spans)
 
     def contains(self, x: int, y: int) -> bool:
         """Whether the hole holds the lattice unit square southeast of the
@@ -716,41 +708,32 @@ def _assert_right_diagonal(hole: Hole):
 
 
 class ChargeLedger:
-    """Per-square, per-side maximum charge coefficients plus the raw terms,
-    and each square's running sum of its coefficients."""
+    """Per-square, per-side maximum charge coefficients, and each square's
+    running sum of them (``totals``).  Every coefficient is positive, so
+    the squares with a charge term are exactly the keys of ``totals``."""
 
     def __init__(self):
-        self.terms: list[ChargeTerm] = []
         self.max_coeff: dict[tuple[int, str, bool], Fraction] = {}
-        self._totals: dict[int, Fraction] = {}
+        self.totals: dict[int, Fraction] = {}
 
     def add(self, terms: list[ChargeTerm]):
         for t in terms:
-            self.terms.append(t)
             key = (t.square_index, t.side, t.virtual)
             old = self.max_coeff.get(key, ZERO)
             if old < t.coeff:
                 self.max_coeff[key] = t.coeff
-                self._totals[t.square_index] = (
-                    self._totals.get(t.square_index, ZERO) + t.coeff - old)
+                self.totals[t.square_index] = (
+                    self.totals.get(t.square_index, ZERO) + t.coeff - old)
 
     def total_charge(self, square_index: int) -> Fraction:
-        return self._totals.get(square_index, ZERO)
-
-    def side_charge(self, square_index: int, side: str,
-                    virtual: bool = False) -> Fraction:
-        return self.max_coeff.get((square_index, side, virtual), ZERO)
-
-    def bound_terms_sum(self) -> Scalar:
-        return sum((t.bound_part for t in self.terms), ZERO)
+        return self.totals.get(square_index, ZERO)
 
 
 def compute_charges(holes: Sequence[Hole]) -> ChargeLedger:
     ledger = ChargeLedger()
     for h in holes:
         ledger.add(_charge_items(h))
-    for idx in {t.square_index for t in ledger.terms}:
-        total = ledger.total_charge(idx)
+    for idx, total in ledger.totals.items():
         if total > Fraction(5, 2):
             raise AnalysisError("charge", f"square {idx} charged {total} > 5/2")
     return ledger
@@ -776,6 +759,7 @@ class BottomLeftAnalysis:
     closed: Packing
     raw_holes: list
     holes: list
+    bounds: list                # hole_area_bound of each of ``holes``
     ledger: ChargeLedger
     checks: list
 
@@ -783,20 +767,16 @@ class BottomLeftAnalysis:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def hole_sum(self) -> Scalar:
-        return sum((h.area for h in self.raw_holes), ZERO)
-
     def report(self) -> str:
         lines = []
-        for i, h in enumerate(self.holes, 1):
+        for i, (h, bound) in enumerate(zip(self.holes, self.bounds), 1):
             kind = h.kind
             typ = "-" if kind != KIND_INTERIOR else h.classify()
             lid = "virtual" if h.lid_virtual is not None else "real"
-            bound = sum((t.bound_part for t in _charge_items(h)), ZERO)
             lines.append(f"hole {i}: kind={kind} type={typ} lid={lid} "
                          f"area={h.area} bound={bound}")
-        for idx in sorted({t.square_index for t in self.ledger.terms}):
-            lines.append(f"square {idx}: charge={self.ledger.total_charge(idx)}")
+        for idx, total in sorted(self.ledger.totals.items()):
+            lines.append(f"square {idx}: charge={total}")
         lines.extend(c.line() for c in self.checks)
         return "\n".join(lines)
 
@@ -809,8 +789,7 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     finals = []
     for h in raw:
         finals.extend(split_hole(h))
-    for h in finals:
-        hole_area_bound(h)
+    bounds = [hole_area_bound(h) for h in finals]
     ledger = compute_charges(finals)
 
     checks = []
@@ -826,7 +805,7 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     checks.append(Check("aggregate-bound",
                         hole_sum <= Fraction(5, 2) * closed_area,
                         str(hole_sum), "<=", f"5/2 * {closed_area}"))
-    terms_sum = ledger.bound_terms_sum()
+    terms_sum = sum(bounds, ZERO)
     checks.append(Check("terms-soundness", hole_sum <= terms_sum,
                         str(hole_sum), "<=", str(terms_sum)))
     ledger_sum = sum((ledger.total_charge(pl.item.index) * pl.item.side ** 2
@@ -840,4 +819,4 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     checks.append(Check("theorem1",
                         height <= Fraction(7, 2) * area_sum + Fraction(5, 2),
                         str(height), "<=", f"7/2 * {area_sum} + 5/2"))
-    return BottomLeftAnalysis(p, closed, raw, finals, ledger, checks)
+    return BottomLeftAnalysis(p, closed, raw, finals, bounds, ledger, checks)

@@ -8,6 +8,8 @@ would corrupt them.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 Scalar = Fraction
@@ -19,6 +21,26 @@ HALF = Fraction(1, 2)
 
 class ScalarParseError(ValueError):
     """A token could not be read as an exact rational."""
+
+
+# the decimal exponent that ends a token such as ``1.5e-300``
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a decimal exponent whose magnitude reaches the interpreter's
+    int-string digit limit: ``Fraction`` would compute ``10**exp`` before
+    any range check (seconds for 1e-10000000), and a result with
+    that many digits could not be printed."""
+    m = _EXPONENT.search(text)
+    if m is None:
+        return
+    digits = m.group(1).replace("_", "").lstrip("0") or "0"
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if len(digits) > len(str(limit)) or int(digits) >= limit:
+        raise ScalarParseError(
+            f"bad scalar token {text!r}: decimal exponent out of range "
+            f"(magnitude must be below {limit})")
 
 
 def scalar(value: int | str | Fraction) -> Fraction:
@@ -37,6 +59,7 @@ def scalar(value: int | str | Fraction) -> Fraction:
         text = value.strip()
         if not text:
             raise ScalarParseError("empty scalar token")
+        _check_exponent(text)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
+from operator import neg
 from typing import Optional, Sequence
 
 from .geometry import (Rect, intersect_spans, spans_contain, spans_meet,
@@ -161,10 +161,6 @@ class Packing:
         self._top = max(range(self._n), key=lambda i: pls[i].top, default=-1)
         self._lat: Optional[_Lattice] = None
 
-    @classmethod
-    def empty(cls) -> "Packing":
-        return cls()
-
     def __len__(self) -> int:
         return self._n
 
@@ -238,16 +234,6 @@ def close_packing(p: Packing) -> Packing:
     return p.extended(Placement(closing, ZERO, p.height))
 
 
-def rest_height(p: Packing, x: Scalar, a: Scalar) -> Scalar:
-    """Landing height of a vertical drop: the smallest y such that the square
-    [x, x+a] x [y, y+a] clears every placed square whose x-extent overlaps
-    the open footprint (x, x+a)."""
-    if not (ZERO <= x <= ONE - a):
-        raise PackingError(f"x={x} out of range for side {a}")
-    return max((pl.top for pl in p.placements
-                if pl.left < x + a and x < pl.right), default=ZERO)
-
-
 def is_supported(p: Packing, pl: Placement, at=None) -> bool:
     """Gravity check: on the strip bottom, or on some square's top with
     positive-length x-overlap.  ``at`` is ``pl``'s lattice ``(l, r, b, t)``
@@ -299,25 +285,12 @@ class ReachabilitySweep:
         ev = self._events
         if y >= self.start or not ev or y > ev[0]:
             return self.full
-        # first index with ev[i] <= y in the descending event list
-        lo, hi = 0, len(ev)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ev[mid] > y:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(ev, -y, key=neg)   # first ev[i] <= y, descending
         if lo == len(ev):
             return self._slabs[-1]      # strictly below every event
         if ev[lo] == y:
             return self._at[lo]
         return self._slabs[lo - 1]      # open slab below the event above y
-
-    def at_level(self, y: Scalar) -> list[tuple[Scalar, Scalar]]:
-        """Reachable left-edge x spans at height exactly y (closed spans)."""
-        scale = self.scale
-        return [(Fraction(lo, scale), Fraction(hi, scale))
-                for lo, hi in self.spans_at(y * scale)]
 
 
 def reachable_positions(p: Packing, a: Scalar,
@@ -327,8 +300,8 @@ def reachable_positions(p: Packing, a: Scalar,
 
     The sweep describes the levels at or above ``floor`` only: it leaves out
     every square whose top t_j is at or below the floor, and every event
-    below the floor.  ``at_level(y)`` for every y >= floor is what a sweep
-    over every square and every event gives:
+    below the floor.  ``spans_at(y)`` for every lattice level y at or above
+    the floor is what a sweep over every square and every event gives:
 
       * A left-out obstacle is open in y, so it holds no configuration at a
         level >= t_j, and a path that never moves up reaches a level y only
@@ -343,7 +316,7 @@ def reachable_positions(p: Packing, a: Scalar,
         and if the floor is left with no event at all, it sees the active
         set of the slab above it, whose reachable spans are whole free
         components and so are what the unfloored sweep finds at the floor.
-      * ``at_level(y)`` reads only events at or above y, and for a y
+      * ``spans_at(y)`` reads only events at or above y, and for a y
         between events the slab below the last event above it, so events
         below the floor are never read.
 
@@ -479,10 +452,10 @@ def check_step(sofar: Packing, pl: Placement) -> StepVerdict:
     sides are at most 1, so only that window is tested."""
     lat = sofar._lattice()
     at = l, r, b, t = lat.coords(pl)
-    rect = Rect.of(l, b, r, t)
+    rect = Rect(*at)
     overlap_free = 0 <= l and r <= lat.scale and 0 <= b and not any(
-        rect.interior_overlaps(Rect.of(ql, qb, qr, qt))
-        for ql, qr, qb, qt in sofar.window(b - lat.scale, t))
+        rect.interior_overlaps(Rect(*q))
+        for q in sofar.window(b - lat.scale, t))
     supported = is_supported(sofar, pl, at)
     reachable = overlap_free and is_tetris_reachable(sofar, pl, at)
     return StepVerdict(overlap_free, supported, reachable)
@@ -501,7 +474,7 @@ def verify_packing(seq: Sequence[SquareItem],
     for item, pl in zip(seq, pls):
         if item.index != pl.item.index or item.side != pl.item.side:
             raise PackingError(f"item mismatch at index {item.index}")
-    sofar = Packing.empty()
+    sofar = Packing()
     verdicts = []
     for step, pl in enumerate(pls, start=1):
         v = check_step(sofar, pl)

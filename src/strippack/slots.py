@@ -1,14 +1,15 @@
 """The slot strategy: dyadic side rounding, lowest-slot selection, and a
 vertical drop along the chosen slot's left boundary.
 
-The strip is divided, for every level k, into 2^k slots of width 2^-k.  A
-square is rounded up to the nearest power of 1/2 and dropped in the level-k
-slot with the lowest rest height (ties to the leftmost slot).  The only
-state besides the packing is its skyline, one step profile on the packing's
-integer lattice, changed in place: the lowest slot is found in one pass over
-its segments, so no level keeps a table of its 2^k slots and a level is
-bounded only by the size of the integers.  Tests cross-check every choice
-against the rest heights of the raw packing.
+The strip is divided, for every level k, into 2^k slots of width 2^-k; a
+slot is its index j, and spans [j 2^-k, (j+1) 2^-k].  A square is rounded
+up to the nearest power of 1/2 and dropped in the level-k slot with the
+lowest rest height (ties to the leftmost slot).  The only state besides the
+packing is its skyline, one step profile on the packing's integer lattice,
+changed in place: the lowest slot is found in one pass over its segments,
+so no level keeps a table of its 2^k slots and a level is bounded only by
+the size of the integers.  Tests cross-check every choice against the rest
+heights of the raw packing.
 """
 
 from __future__ import annotations
@@ -34,40 +35,6 @@ def round_to_dyadic(a: Scalar) -> tuple[int, Scalar]:
     return k, Fraction(1, 1 << k)
 
 
-class SlotId:
-    """Slot of width 2^-level with x-range [index*2^-level, (index+1)*2^-level]."""
-
-    __slots__ = ("level", "index")
-
-    def __init__(self, level: int, index: int):
-        if not (0 <= index < 2 ** level):
-            raise PackingError(f"slot index {index} out of range at level {level}")
-        self.level = level
-        self.index = index
-
-    @property
-    def width(self) -> Scalar:
-        return Fraction(1, 2 ** self.level)
-
-    @property
-    def left(self) -> Scalar:
-        return self.index * self.width
-
-    @property
-    def right(self) -> Scalar:
-        return (self.index + 1) * self.width
-
-    def __eq__(self, other):
-        return (isinstance(other, SlotId)
-                and (self.level, self.index) == (other.level, other.index))
-
-    def __hash__(self):
-        return hash((self.level, self.index))
-
-    def __repr__(self):
-        return f"SlotId({self.level}, {self.index})"
-
-
 class SlotState:
     """The slot strategy, one square at a time, on its packing and the
     packing's skyline.
@@ -77,7 +44,7 @@ class SlotState:
     """
 
     def __init__(self):
-        self.packing = Packing.empty()
+        self.packing = Packing()
         self._scale = 1
         self._skyline = StepProfile(1)
 
@@ -88,15 +55,16 @@ class SlotState:
             self._scale = scale
         return scale
 
-    def choose(self, k: int) -> SlotId:
-        return SlotId(k, self._skyline.lowest_cell(self._fit(2 ** k) >> k))
+    def choose(self, k: int) -> int:
+        """Index j of the leftmost lowest level-k slot [j 2^-k, (j+1) 2^-k]."""
+        return self._skyline.lowest_cell(self._fit(2 ** k) >> k)
 
     def place(self, item: SquareItem) -> Placement:
         a = item.side
         k, _ = round_to_dyadic(a)
-        slot = self.choose(k)
+        j = self.choose(k)
         scale = self._fit(a.denominator)
-        l = slot.index * (scale >> k)
+        l = j * (scale >> k)
         r = l + a.numerator * (scale // a.denominator)
         # the physical drop stops where the square itself lands; in the rare
         # case the slot's interior max sits beyond the footprint this is

@@ -6,7 +6,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from strippack.packing import Packing, Placement, SquareItem
+from strippack.packing import Packing, PackingError, Placement, SquareItem
 
 GRID = 2 ** 20
 
@@ -50,11 +50,29 @@ def deep_items(i: int) -> list[SquareItem]:
 
 def packing_of(coords) -> Packing:
     """Build a packing directly from (side, x, y) triples."""
-    p = Packing.empty()
+    p = Packing()
     for i, (side, x, y) in enumerate(coords, 1):
         p = p.extended(Placement(SquareItem(i, Fraction(side)),
                                  Fraction(x), Fraction(y)))
     return p
+
+
+def rest_height(p: Packing, x: Fraction, a: Fraction) -> Fraction:
+    """Slot oracle: landing height of a vertical drop, the smallest y such
+    that the square [x, x+a] x [y, y+a] clears every placed square whose
+    x-extent overlaps the open footprint (x, x+a)."""
+    if not (0 <= x <= 1 - a):
+        raise PackingError(f"x={x} out of range for side {a}")
+    return max((pl.top for pl in p.placements
+                if pl.left < x + a and x < pl.right), default=Fraction(0))
+
+
+def at_level(sweep, y: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """A reachability sweep's left-edge spans at height exactly y, as
+    Fractions (``spans_at`` takes and returns lattice integers)."""
+    scale = sweep.scale
+    return [(Fraction(lo, scale), Fraction(hi, scale))
+            for lo, hi in sweep.spans_at(y * scale)]
 
 
 def grid_bfs_reachable(p: Packing, a: Fraction, step: Fraction):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import grid_bfs_reachable
+from conftest import at_level, grid_bfs_reachable
 from strippack.adversary import adversary_run, optimal_packing_for_transcript
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES
@@ -60,13 +60,14 @@ def corpus():
                 (seed, exc.name, [str(it.side) for it in seq]))
             records.append(rec)
             continue
-        rec["identity"] = p.height == area + ana.hole_sum()
-        rec["hole_sum"] = ana.hole_sum()
+        hole_sum = sum((h.area for h in ana.raw_holes), F(0))
+        rec["identity"] = p.height == area + hole_sum
+        rec["hole_sum"] = hole_sum
         rec["analysis_ok"] = ana.ok
         rec["max_charge"] = max(
             (ana.ledger.total_charge(pl.item.index)
              for pl in ana.closed.placements), default=F(0))
-        rec["aggregate_ok"] = ana.hole_sum() <= F(5, 2) * (area + 1)
+        rec["aggregate_ok"] = hole_sum <= F(5, 2) * (area + 1)
         rec["theorem1"] = p.height <= F(7, 2) * area + F(5, 2)
 
         sp = pack(SlotState, seq)
@@ -153,7 +154,7 @@ def test_criterion_7_reachability_oracle():
         reach, nx, ny = grid_bfs_reachable(p, a, step)
         sweep = reachable_positions(p, a)
         for iy in range(ny + 1):
-            spans = sweep.at_level(iy * step)
+            spans = at_level(sweep, iy * step)
             k = 0
             for ix in range(nx + 1):
                 x = ix * step

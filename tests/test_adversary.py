@@ -53,7 +53,7 @@ class StackerState:
     """Test strategy that always stacks at the left wall."""
 
     def __init__(self):
-        self.packing = Packing.empty()
+        self.packing = Packing()
 
     def place(self, item):
         pl = Placement(item, F(0), self.packing.height)
@@ -143,7 +143,8 @@ class TestOptimalConstruction:
 
     def test_emitted_items_replay(self):
         t = adversary_run(BottomLeftState, 3, EPS)
-        emitted = t.emitted_items()
+        sides = [a for rec in t.iterations for a in rec.sides if a > 0]
+        emitted = [SquareItem(i, a) for i, a in enumerate(sides, 1)]
         assert emitted[0].side == F(1, 4)
         report = verify_packing(emitted, t.packing.placements)
         assert report.ok

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import items, random_items
+from conftest import at_level, items, random_items
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, _in_open, bl_place_next
 from strippack.geometry import merge_open_spans, spans_contain
@@ -54,7 +54,7 @@ class FullScanChecked(BottomLeftState):
 
 class TestPlacementRule:
     def test_empty_strip_leftmost_bottom(self):
-        pl = bl_place_next(Packing.empty(), SquareItem(1, F(1, 2)))
+        pl = bl_place_next(Packing(), SquareItem(1, F(1, 2)))
         assert (pl.x, pl.y) == (0, 0)
 
     def test_ground_row_before_stacking(self):
@@ -97,7 +97,7 @@ class TestLocalOptimality:
     def test_chosen_position_is_lowest_then_leftmost(self):
         for seed in range(6):
             seq = random_items(200 + seed, 8, lo=F(1, 8))
-            p = Packing.empty()
+            p = Packing()
             for item in seq:
                 pl = bl_place_next(p, item)
                 self._assert_minimal(p, item, pl)
@@ -111,7 +111,7 @@ class TestLocalOptimality:
         for y in levels:
             if y > chosen.y:
                 break
-            reach = sweep.at_level(y)
+            reach = at_level(sweep, y)
             if not reach:
                 continue
             supports = [(F(0), F(1) - a)] if y == 0 else merge_open_spans(

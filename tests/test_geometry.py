@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strippack.geometry import (GeometryError, Interval, ObstacleGrid, Rect,
+from strippack.geometry import (GeometryError, ObstacleGrid, Rect,
                                 StepProfile, boundary_edges, intersect_spans,
                                 merge_spans, spans_contain,
                                 subtract_spans_open, trace_boundary,
@@ -63,7 +63,9 @@ class TestIntervalSetOps:
 
     def test_bad_interval(self):
         with pytest.raises(GeometryError):
-            Interval(F(1), F(0))
+            Rect(F(1), F(0), F(0), F(1))
+        with pytest.raises(GeometryError):
+            Rect(F(0), F(1), F(1), F(0))
 
 
 scalars = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -191,7 +193,7 @@ class TestStepProfile:
 
 
 def rect(x0, y0, x1, y1):
-    return Rect.of(F(x0), F(y0), F(x1), F(y1))
+    return Rect(F(x0), F(x1), F(y0), F(y1))
 
 
 def bounded_components(obstacles, ceiling):
@@ -235,7 +237,7 @@ class TestFreeComponents:
                      rect(0, "1/2", 1, "3/2")]
         ceiling = F(3, 2)
         bounded = bounded_components(obstacles, ceiling)
-        total_free = ceiling * 1 - sum(r.area for r in obstacles)
+        total_free = ceiling * 1 - sum(r.width * r.height for r in obstacles)
         unbounded = total_free - sum(area for _, area in bounded)
         assert unbounded == 0   # lid spans the strip: nothing escapes
 

@@ -14,6 +14,7 @@ from strippack.harness import (InstanceError, gen_random, instance_text,
                                parse_instance, parse_placements_csv,
                                placements_csv, render_svg, run_stats)
 from strippack.holes import run_bottomleft_analysis
+from strippack.numbers import ScalarParseError, scalar
 from strippack.packing import pack, verify_packing
 
 
@@ -97,7 +98,7 @@ class TestSvg:
         ana = run_bottomleft_analysis(p)
         svg = render_svg(ana.closed, ana.holes)
         assert svg.count("fill-opacity") == len(
-            [r for h in ana.holes for r in h.region().rects])
+            [r for h in ana.holes for r in h.region()])
 
 
 @pytest.fixture
@@ -201,15 +202,61 @@ class TestCli:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli(*argv: str):
+def spawn(*argv: str):
     """Run the CLI in a fresh interpreter, killed after 10 s; returns the
-    exit code, stdout and wall seconds."""
+    finished process and the wall seconds."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "strippack.cli", *argv],
                           capture_output=True, text=True, timeout=10,
                           env=dict(os.environ, PYTHONPATH=path))
-    return proc.returncode, proc.stdout, time.perf_counter() - start
+    return proc, time.perf_counter() - start
+
+
+def cli(*argv: str):
+    """``spawn``'s exit code, stdout and wall seconds."""
+    proc, wall = spawn(*argv)
+    return proc.returncode, proc.stdout, wall
+
+
+class TestHugeExponent:
+    """A decimal exponent whose magnitude reaches the int-string digit limit
+    (4300 by default) is rejected while parsing: ``Fraction`` would compute
+    10**exp first, which takes seconds at 1e-10000000."""
+
+    @pytest.mark.parametrize("token", ["1e-100000000", "1e100000000"])
+    def test_instance_exits_two_fast(self, tmp_path, token):
+        path = tmp_path / "one.txt"
+        path.write_text(f"{token}\n")
+        proc, wall = spawn("run", "--strategy", "bottomleft",
+                           "--input", str(path))
+        assert proc.returncode == 2 and wall < 2
+        assert proc.stderr.startswith(f"error: line 1: bad scalar token "
+                                      f"'{token}'")
+
+    def test_limit_is_the_boundary(self):
+        assert scalar("1e-4299") == F(1, 10 ** 4299)
+        assert scalar("1E+0_4_299") == 10 ** 4299
+        for token in ("1e-4300", "2.5e+4300", "1e0_4_300", "1e-" + "9" * 40):
+            with pytest.raises(ScalarParseError, match="exponent"):
+                scalar(token)
+        assert parse_instance("1e-100\n")[0].side == F(1, 10 ** 100)
+
+    def test_every_scalar_input(self, tmp_path, capsys):
+        csv = tmp_path / "p.csv"
+        csv.write_text("id,side,x,y\n1,1/2,0,1e-99999\n")
+        inst = tmp_path / "one.txt"
+        inst.write_text("1/2\n")
+        for argv in (["verify", "--input", str(inst), "--placements", str(csv)],
+                     ["killer", "--k", "3", "--delta", "1e-99999", "--n", "1"],
+                     ["adversary", "--strategy", "slot", "--iterations", "1",
+                      "--epsilon", "1e-99999"],
+                     ["gen-random", "--n", "1", "--seed", "1", "--min",
+                      "1e-99999", "--out", str(tmp_path / "g.txt")],
+                     ["gen-random", "--n", "1", "--seed", "1", "--max",
+                      "1e-99999", "--out", str(tmp_path / "g.txt")]):
+            assert main(argv) == 2, argv
+            assert "exponent out of range" in capsys.readouterr().err
 
 
 class TestTinySides:

@@ -15,8 +15,8 @@ from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
                              OWNER_SEAM, TYPE_I, TYPE_II, ChargeLedger,
                              ChargeTerm, Hole, compute_charges, extract_holes,
-                             hole_area_bound, run_bottomleft_analysis,
-                             split_hole)
+                             _charge_items, hole_area_bound,
+                             run_bottomleft_analysis, split_hole)
 from strippack.packing import Packing, SquareItem, close_packing, pack
 
 # the large-workload panel: 100 sides randint(2^14, 2^20) / 2^20
@@ -52,7 +52,7 @@ def _sha256(text: str) -> str:
 
 class TestClosePacking:
     def test_empty(self):
-        closed = close_packing(Packing.empty())
+        closed = close_packing(Packing())
         assert closed.placements[-1].x == 0
         assert closed.placements[-1].y == 0
         assert closed.height == 1
@@ -81,7 +81,7 @@ class TestExtraction:
         assert h.kind == KIND_RIGHT_WALL
         # closing square is the lid, the step square bounds on the left
         assert h.runs[0].owner == ("sq", 3)
-        assert len(h.contributing_squares()) == 3
+        assert len([r for r in h.runs if r.owner[0] == "sq"]) == 3
 
     def test_ground_gap_u_shape(self):
         p = packing_of([("2/5", 0, 0), ("2/5", "3/5", 0), (1, 0, "2/5")])
@@ -90,7 +90,7 @@ class TestExtraction:
         h = holes[0]
         assert h.kind == KIND_INTERIOR
         assert h.area == F(2, 25)
-        assert len(h.contributing_squares()) == 3
+        assert len([r for r in h.runs if r.owner[0] == "sq"]) == 3
         assert h.classify() == TYPE_I
 
     def test_flush_stack_is_type_two(self):
@@ -150,9 +150,11 @@ class TestWallHoles:
         closed = close_packing(packing_of([("1/4", "1/4", 0)]))
         holes = extract_holes(closed)
         left = next(h for h in holes if h.kind == KIND_LEFT_WALL)
-        terms = compute_charges([left]).terms
+        terms = _charge_items(left)
         assert [(t.square_index, t.side, t.coeff) for t in terms] == \
             [(2, "bottom", F(1)), (1, "left", F(1, 2))]
+        assert compute_charges([left]).max_coeff == \
+            {(2, "bottom", False): F(1), (1, "left", False): F(1, 2)}
         assert left.area == F(1, 16)
         assert hole_area_bound(left) == F(1, 16) + F(1, 32)
 
@@ -160,9 +162,11 @@ class TestWallHoles:
         closed = close_packing(packing_of([("1/4", "1/4", 0)]))
         holes = extract_holes(closed)
         right = next(h for h in holes if h.kind == KIND_RIGHT_WALL)
-        terms = compute_charges([right]).terms
+        terms = _charge_items(right)
         assert [(t.square_index, t.side, t.coeff) for t in terms] == \
             [(2, "bottom", F(1)), (1, "right", F(1, 2))]
+        assert compute_charges([right]).max_coeff == \
+            {(2, "bottom", False): F(1), (1, "right", False): F(1, 2)}
 
     def test_ground_rows_have_no_wall_holes(self):
         p = pack(BottomLeftState, items("1/2", "1/2"))
@@ -172,14 +176,14 @@ class TestWallHoles:
 class TestCharges:
     def test_no_holes_no_charges(self):
         ledger = compute_charges([])
-        assert ledger.terms == []
+        assert ledger.max_coeff == {} and ledger.totals == {}
 
     def test_type_one_charges(self):
         p = packing_of([("2/5", 0, 0), ("2/5", "3/5", 0), (1, 0, "2/5")])
         hole = extract_holes(p)[0]
         ledger = compute_charges(split_hole(hole))
-        assert ledger.side_charge(3, "bottom") == 1     # lid
-        assert ledger.side_charge(1, "right") == F(1, 2)
+        assert ledger.max_coeff[(3, "bottom", False)] == 1     # lid
+        assert ledger.max_coeff[(1, "right", False)] == F(1, 2)
         assert ledger.total_charge(3) == 1
 
     def test_running_totals_equal_key_scan(self):
@@ -203,11 +207,11 @@ class TestCharges:
     def test_virtual_owner_bottom_three_halves(self):
         seq = items("15/16", "3/16", "9/16", "7/8", "3/8", "1/8", "1/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
-        led = ana.ledger
-        assert led.side_charge(4, "bottom") == 1
-        assert led.side_charge(4, "bottom", virtual=True) == F(1, 2)
-        assert led.side_charge(4, "bottom") + \
-            led.side_charge(4, "bottom", virtual=True) == F(3, 2)
+        coeffs = ana.ledger.max_coeff
+        assert coeffs[(4, "bottom", False)] == 1
+        assert coeffs[(4, "bottom", True)] == F(1, 2)
+        assert coeffs[(4, "bottom", False)] + \
+            coeffs[(4, "bottom", True)] == F(3, 2)
 
 
 class TestOverhangTypeTwo:
@@ -222,7 +226,6 @@ class TestOverhangTypeTwo:
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         assert ana.ok
         fig4 = None
-        from strippack.holes import _charge_items
         for h in ana.holes:
             if h.kind != KIND_INTERIOR or h.lid_virtual is not None:
                 continue
@@ -243,9 +246,8 @@ class TestRegionConsistency:
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         for h in ana.raw_holes + ana.holes:
-            region = h.region()
-            assert region.area == h.area
-            rects = region.rects
+            rects = h.region()
+            assert sum(r.width * r.height for r in rects) == h.area
             for i, a in enumerate(rects):
                 for b in rects[i + 1:]:
                     assert not a.interior_overlaps(b)
@@ -258,7 +260,7 @@ class TestIdentityAndInvariants:
             p = pack(BottomLeftState, seq)
             ana = run_bottomleft_analysis(p)
             area = sum(it.side ** 2 for it in seq)
-            assert p.height == area + ana.hole_sum()
+            assert p.height == area + sum(h.area for h in ana.raw_holes)
 
     def test_all_checks_pass_on_random_instances(self):
         for seed in range(25):
@@ -348,7 +350,7 @@ def _cell_rects(ctx, cells):
             slabs[-1][1] = i
         else:
             slabs.append([i, i, runs])
-    rects = [Rect.of(F(X[i0], s), F(Y[j0], s), F(X[i1 + 1], s), F(Y[j1], s))
+    rects = [Rect(F(X[i0], s), F(X[i1 + 1], s), F(Y[j0], s), F(Y[j1], s))
              for i0, i1, runs in slabs for j0, j1 in runs]
     return tuple(sorted(rects, key=lambda r: (r.left, r.bottom)))
 
@@ -364,7 +366,7 @@ def _assert_cell_route(got, cells, overrides, lid_virtual):
     assert (got.area, got.area_units, got.P, got.Q, got.kind) == \
         (want.area, want.area_units, want.P, want.Q, want.kind)
     assert got.lid_virtual is want.lid_virtual
-    assert got.region().rects == _cell_rects(ctx, cells)
+    assert got.region() == _cell_rects(ctx, cells)
 
 
 class TestIncrementalCarve:

@@ -9,7 +9,7 @@ from math import lcm
 
 import pytest
 
-from conftest import items, packing_of, random_items
+from conftest import at_level, items, packing_of, random_items
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES
@@ -110,7 +110,7 @@ def eager_sweep(p: Packing, a, floor=F(0)):
 
 
 def rect_of(pl: Placement) -> Rect:
-    return Rect.of(pl.left, pl.bottom, pl.right, pl.top)
+    return Rect(pl.left, pl.right, pl.bottom, pl.top)
 
 
 def reference_step(sofar: Packing, pl: Placement) -> StepVerdict:
@@ -137,7 +137,7 @@ def adversary_packings():
 
 def assert_replay_agrees(pls):
     """Replay ``pls`` and compare every step's verdict with the reference."""
-    sofar = Packing.empty()
+    sofar = Packing()
     for step, pl in enumerate(pls, start=1):
         assert check_step(sofar, pl) == reference_step(sofar, pl), step
         sofar = sofar.extended(pl)
@@ -223,8 +223,9 @@ class TestReachFloor:
         for a in sides:
             ground = reachable_positions(p, a)      # floor 0: every square
             for y in levels:
-                spans = ground.at_level(y)
-                assert reachable_positions(p, a, floor=y).at_level(y) == spans
+                spans = at_level(ground, y)
+                floored = reachable_positions(p, a, floor=y)
+                assert at_level(floored, y) == spans
                 assert not reference or spans == reference_spans(p, a, y)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -238,8 +239,9 @@ class TestReachFloor:
         # under it at the floor level, though not in the slab just above
         p = packing_of([("1/4", 0, 0), ("1/2", "1/4", "1/2")])
         a, y = F(1, 4), F(1, 4)
-        assert reachable_positions(p, a, floor=y).at_level(y) == [(0, F(3, 4))]
-        assert reachable_positions(p, a, floor=y).at_level(F(1, 3)) == \
+        floored = reachable_positions(p, a, floor=y)
+        assert at_level(floored, y) == [(0, F(3, 4))]
+        assert at_level(floored, F(1, 3)) == \
             [(0, 0), (F(3, 4), F(3, 4))]
         self.assert_floor_exact(p, [a, F(1, 8), F(1, 2)])
 
@@ -251,7 +253,7 @@ class TestReachFloor:
 class TestLazySweep:
     @staticmethod
     def assert_every_arrival_agrees(pls):
-        p = Packing.empty()
+        p = Packing()
         for pl in pls:
             for floor in (F(0), pl.y):
                 sweep = reachable_positions(p, pl.side, floor)
@@ -280,7 +282,7 @@ class TestLazySweep:
     def test_bottomleft_reads_do_not_grow_with_m(self, m):
         # the packing grows to 5m squares; each sweep stops at the seal
         # just under the top and reads the same few squares at any m
-        p, most = Packing.empty(), 0
+        p, most = Packing(), 0
         for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
             most = max(most, reachable_positions(p, pl.side).read)
             p = p.extended(pl)
@@ -354,6 +356,6 @@ class TestLatticeEdges:
         assert Packing(pls).height == p.height
 
     def test_empty_height_and_lattice(self):
-        p = Packing.empty()
+        p = Packing()
         assert p.height == 0
         assert p.lattice() == (1, [])

@@ -2,18 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import grid_bfs_reachable, items, packing_of, random_items
+from conftest import (at_level, grid_bfs_reachable, items, packing_of,
+                      random_items, rest_height)
 from strippack.bottomleft import BottomLeftState
 from strippack.geometry import spans_contain
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                is_supported, is_tetris_reachable, pack,
-                               reachable_positions, rest_height,
-                               verify_packing)
+                               reachable_positions, verify_packing)
 
 
 class TestRestHeight:
     def test_empty(self):
-        assert rest_height(Packing.empty(), F(0), F(1, 2)) == 0
+        assert rest_height(Packing(), F(0), F(1, 2)) == 0
 
     def test_boundary_contact_does_not_block(self):
         p = packing_of([("1/2", 0, 0)])
@@ -25,7 +25,7 @@ class TestRestHeight:
 
     def test_out_of_range(self):
         with pytest.raises(PackingError):
-            rest_height(Packing.empty(), F(3, 4), F(1, 2))
+            rest_height(Packing(), F(3, 4), F(1, 2))
 
     def test_antitone_in_obstacles(self):
         for seed in range(10):
@@ -38,7 +38,7 @@ class TestRestHeight:
 
 class TestSupport:
     def test_strip_bottom(self):
-        assert is_supported(Packing.empty(),
+        assert is_supported(Packing(),
                             Placement(SquareItem(1, F(1)), F(0), F(0)))
 
     def test_positive_overlap(self):
@@ -54,14 +54,14 @@ class TestSupport:
 
 class TestReachability:
     def test_empty_strip_full_slab(self):
-        sweep = reachable_positions(Packing.empty(), F(1, 2))
-        assert sweep.at_level(F(0)) == [(F(0), F(1, 2))]
-        assert sweep.at_level(F(17, 3)) == [(F(0), F(1, 2))]
+        sweep = reachable_positions(Packing(), F(1, 2))
+        assert at_level(sweep, F(0)) == [(F(0), F(1, 2))]
+        assert at_level(sweep, F(17, 3)) == [(F(0), F(1, 2))]
 
     def test_slide_along_touching_boundary(self):
         p = packing_of([("1/2", 0, 0)])
         sweep = reachable_positions(p, F(1, 2))
-        assert sweep.at_level(F(0)) == [(F(1, 2), F(1, 2))]
+        assert at_level(sweep, F(0)) == [(F(1, 2), F(1, 2))]
         assert is_tetris_reachable(p, Placement(SquareItem(2, F(1, 2)), F(1, 2), F(0)))
 
     def test_slide_under_a_square_at_the_ground(self):
@@ -69,7 +69,7 @@ class TestReachability:
         # slides under it along the floor, though not in the slab above
         p = packing_of([("1/4", 0, 0), ("1/2", 0, "1/4")])
         a, step = F(1, 4), F(1, 8)
-        spans = reachable_positions(p, a).at_level(F(0))
+        spans = at_level(reachable_positions(p, a), F(0))
         assert spans == [(F(1, 4), F(3, 4))]
         third = Placement(SquareItem(3, a), F(1, 4), F(0))
         assert verify_packing([pl.item for pl in p.placements] + [third.item],
@@ -98,7 +98,7 @@ class TestReachability:
 
     def test_side_too_big_rejected(self):
         with pytest.raises(PackingError):
-            reachable_positions(Packing.empty(), F(3, 2))
+            reachable_positions(Packing(), F(3, 2))
 
     def test_monotone_under_obstacle_removal(self):
         seq = random_items(3, 8, lo=F(1, 8), hi=F(1, 2))
@@ -108,8 +108,8 @@ class TestReachability:
         full = reachable_positions(p, a)
         sub = reachable_positions(smaller, a)
         for y in [pl.top for pl in p.placements] + [F(0)]:
-            for lo, hi in full.at_level(y):
-                spans = sub.at_level(y)
+            for lo, hi in at_level(full, y):
+                spans = at_level(sub, y)
                 assert any(slo <= lo and hi <= shi for slo, shi in spans)
 
 
@@ -126,7 +126,7 @@ class TestBfsOracleAgreement:
         reach, nx, ny = grid_bfs_reachable(p, a, step)
         sweep = reachable_positions(p, a)
         for iy in range(ny + 1):
-            spans = sweep.at_level(iy * step)
+            spans = at_level(sweep, iy * step)
             k = 0
             for ix in range(nx + 1):
                 x = ix * step
@@ -188,6 +188,6 @@ class TestVerifier:
         assert len(report.verdicts) == 2
 
     def test_height(self):
-        assert Packing.empty().height == 0
+        assert Packing().height == 0
         assert packing_of([(1, 0, 0)]).height == 1
         assert packing_of([("1/2", 0, 0), ("1/2", 0, "1/2")]).height == 1

@@ -1,16 +1,17 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
 from conftest import (corpus_items, deep_items, items, nondyadic_items,
                       packing_of, random_items)
-from strippack.geometry import Interval, Rect
+from strippack.geometry import Rect
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                close_packing, pack)
 from strippack.shadows import ChargeMap, charge_map, check_slot_bounds
-from strippack.slots import SlotId, SlotState, round_to_dyadic
+from strippack.slots import SlotState, round_to_dyadic
 
 ZERO, ONE = F(0), F(1)
 
@@ -33,36 +34,51 @@ class Shadow:
 
     @property
     def area(self) -> F:
-        return sum((r.area for r in self.pieces), ZERO)
+        return sum((r.width * r.height for r in self.pieces), ZERO)
 
 
-def slot_of(pl: Placement) -> SlotId:
+class Slot(NamedTuple):
+    """The level-k slot [index 2^-k, (index+1) 2^-k]."""
+
+    k: int
+    index: int
+
+    @property
+    def left(self) -> F:
+        return F(self.index, 2 ** self.k)
+
+    @property
+    def right(self) -> F:
+        return F(self.index + 1, 2 ** self.k)
+
+
+def slot_of(pl: Placement) -> Slot:
     """The slot a slot-strategy placement was dropped in."""
     k, w = round_to_dyadic(pl.item.side)
     index = pl.x / w
     if index.denominator != 1:
         raise PackingError(f"placement at {pl.x} is not on a level-{k} slot")
-    return SlotId(k, int(index))
+    return Slot(k, int(index))
 
 
 def shadow_of(pl: Placement, k: int) -> Shadow:
     a = pl.item.side
-    y = Interval(pl.bottom, pl.top)
+    y = pl.bottom, pl.top
     if k == 0:
         # sides above 1/2 enlarge to the right only, clipped to the strip
         hi = min(ONE, pl.right + a)
-        piece = Rect(Interval(pl.right, hi), y)
+        piece = Rect(pl.right, hi, *y)
         return Shadow(pl, (piece,) if hi > pl.right else (), a, a)
-    slot = SlotId(k, int(pl.x / F(1, 2 ** k)))
-    parent_right = SlotId(k - 1, slot.index // 2).right
+    slot = Slot(k, int(pl.x / F(1, 2 ** k)))
+    parent_right = Slot(k - 1, slot.index // 2).right
     delta = parent_right - pl.right
     delta_prime = min(a, delta)
     pieces = []
     if delta_prime > ZERO:
-        pieces.append(Rect(Interval(pl.right, pl.right + delta_prime), y))
+        pieces.append(Rect(pl.right, pl.right + delta_prime, *y))
     left = a - delta_prime
     if left > ZERO:
-        pieces.append(Rect(Interval(pl.left - left, pl.left), y))
+        pieces.append(Rect(pl.left - left, pl.left, *y))
     return Shadow(pl, tuple(pieces), delta, delta_prime)
 
 
@@ -74,16 +90,15 @@ def shadowed_extent(pl: Placement) -> Rect:
     for piece in shadow.pieces:
         lo = min(lo, piece.left)
         hi = max(hi, piece.right)
-    return Rect(Interval(max(lo, ZERO), min(hi, ONE)),
-                Interval(pl.bottom, pl.top))
+    return Rect(max(lo, ZERO), min(hi, ONE), pl.bottom, pl.top)
 
 
 def widening_of(pl: Placement) -> Rect:
     """(square union shadow) clipped to the square's own slot."""
     ext = shadowed_extent(pl)
     slot = slot_of(pl)
-    return Rect(Interval(max(ext.left, slot.left), min(ext.right, slot.right)),
-                Interval(pl.bottom, pl.top))
+    return Rect(max(ext.left, slot.left), min(ext.right, slot.right),
+                pl.bottom, pl.top)
 
 
 def reference_charge_map(p_closed: Packing):
@@ -126,7 +141,7 @@ def reference_charge_map(p_closed: Packing):
             idx = stops[si][3].item.index
             areas[idx] = areas.get(idx, ZERO) + (g_hi - g_lo) * (x1 - x0)
             regions.setdefault(idx, []).append(
-                Rect(Interval(x0, x1), Interval(g_lo, g_hi)))
+                Rect(x0, x1, g_lo, g_hi))
     return areas, regions, [w for _, _, _, w, _ in recs]
 
 
@@ -134,7 +149,7 @@ def as_rect(cm: ChargeMap, v) -> Rect:
     """A lattice ``(l, r, b, t)`` of ``cm`` as the exact Fraction rect."""
     s = cm.scale
     l, r, b, t = v
-    return Rect.of(F(l, s), F(b, s), F(r, s), F(t, s))
+    return Rect(F(l, s), F(r, s), F(b, s), F(t, s))
 
 
 def region_rects(cm: ChargeMap) -> dict[int, list[Rect]]:

@@ -4,13 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import deep_items, items, nondyadic_items, random_items
+from conftest import (deep_items, items, nondyadic_items, random_items,
+                      rest_height)
 from strippack.cli import main
 from strippack.harness import instance_text, parse_instance, placements_csv
-from strippack.packing import PackingError, SquareItem, pack, rest_height, \
-    verify_packing
-from strippack.slots import SlotId, SlotState, round_to_dyadic, \
-    slot_killer_instance
+from strippack.packing import PackingError, SquareItem, pack, verify_packing
+from strippack.slots import SlotState, round_to_dyadic, slot_killer_instance
 
 
 def halving_round(a):
@@ -58,18 +57,18 @@ class TestRounding:
 
 class TestChooseSlot:
     def test_empty_ties_leftmost(self):
-        assert SlotState().choose(1) == SlotId(1, 0)
+        assert SlotState().choose(1) == 0
 
     def test_occupied_slot_skipped(self):
         s = SlotState()
         s.place(SquareItem(1, F(1, 2)))
-        assert s.choose(1) == SlotId(1, 1)
+        assert s.choose(1) == 1
 
     def test_equal_heights_tie_leftmost(self):
         s = SlotState()
         s.place(SquareItem(1, F(1, 2)))
         s.place(SquareItem(2, F(1, 2)))
-        assert s.choose(2) == SlotId(2, 0)
+        assert s.choose(2) == 0
 
 
 class TestRuns:
@@ -110,10 +109,10 @@ class TestRuns:
 
 
 def lowest_slot(p, k):
-    """The leftmost level-k slot of least rest height, by trying every one."""
-    slots = [SlotId(k, j) for j in range(2 ** k)]
-    return min(slots, key=lambda slot: (
-        rest_height(p, slot.left, slot.width), slot.index))
+    """The index of the leftmost level-k slot of least rest height, by
+    trying every one."""
+    w = F(1, 2 ** k)
+    return min(range(2 ** k), key=lambda j: (rest_height(p, j * w, w), j))
 
 
 class TestTreeGeometryConsistency:
