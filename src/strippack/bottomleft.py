@@ -1,19 +1,24 @@
 """The BottomLeft strategy: lowest, then leftmost, reachable supported spot.
 
-Candidate resting levels are 0 and the tops of placed squares; within a
-level the leftmost feasible x is one of finitely many event coordinates
-(reachable-corridor left endpoints and support-alignment positions), so the
-search is exact and terminates.  The reachability sweep runs from the top
-down and stops at the first level sealed off from above; the levels are
-scanned upward from there, so a placement reads only the squares near the
-top of the packing.
+Candidate resting levels are 0 and the tops of placed squares.  At a level
+y > 0 a position x is feasible when it lies in a closed reachable span and
+strictly inside the open support (l_j - a, r_j) of a square whose top is y.
+The candidates are the left ends of the reachable spans only.  The
+feasible points of a span reach down to its left end or to a support's left
+end that no support covers; a square at the latter is reachable and meets
+the tops at y only at a corner, so it could drop below y, and y is the
+lowest level with a feasible position.  The search is exact, and fails
+loudly if no candidate wins where a feasible position exists.
+
+The reachability sweep runs from the top down and stops at the first level
+sealed off from above; the levels are scanned upward from there, so a
+placement reads only the squares near the top of the packing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import merge_open_spans, spans_contain
 from .numbers import ZERO
 from .packing import (Packing, PackingError, Placement, SquareItem,
                       reachable_positions)
@@ -40,30 +45,17 @@ def bl_place_next(p: Packing, item: SquareItem) -> Placement:
             continue
         if y == 0:
             return Placement(item, Fraction(reach[0][0], scale), ZERO)
-        supports = merge_open_spans([(l - sa, r) for l, r, _, t
-                                     in p.window(y - scale, y) if t == y])
-        candidates = sorted({lo for lo, _ in reach}
-                            | {lo for lo, _ in supports if lo >= 0})
-        for x in candidates:
-            if x > scale - sa:
-                break
-            if spans_contain(reach, x) and _in_open(supports, x):
+        tops = [(l - sa, r) for l, r, _, t in p.window(y - scale, y)
+                if t == y]
+        for x, _ in reach:
+            if any(lo < x < hi for lo, hi in tops):
                 return Placement(item, Fraction(x, scale), Fraction(y, scale))
         # a reachable supported position with no attained minimum would
         # contradict the level being minimal; re-check and fail loudly
-        if any(rlo < shi and rhi > slo
-               for rlo, rhi in reach for slo, shi in supports):
+        if any(rlo < hi and rhi > lo
+               for rlo, rhi in reach for lo, hi in tops):
             raise PackingError("internal: minimum x not attained at minimal level")
     raise PackingError("internal: no feasible position found")
-
-
-def _in_open(opens, x) -> bool:
-    for lo, hi in opens:
-        if lo < x < hi:
-            return True
-        if lo >= x:
-            return False
-    return False
 
 
 class BottomLeftState:

@@ -193,7 +193,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InstanceError, ScalarParseError, PackingError, FileNotFoundError,
+    except (InstanceError, ScalarParseError, PackingError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

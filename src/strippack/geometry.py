@@ -1,17 +1,13 @@
 """Exact axis-aligned geometry.
 
-Closed span lists on the strip's x-axis, piecewise constant step profiles
-(the packing skyline), rectangles, and the grid decomposition used to find
-bounded free components and trace their boundaries.
-
-The low-level span helpers operate on plain ``(lo, hi)`` pairs and are
-generic over any exactly ordered numeric type, so the reachability sweep can
-run them on integer-rescaled coordinates.
+Rectangles, piecewise constant step profiles (the slot strategy's skyline),
+and the grid decomposition used to find bounded free components and trace
+their boundaries.  Coordinates may be any exactly ordered numeric type:
+the step checks and the grid run on the packing's lattice integers, and
+hole regions leave the analysis as Fraction rectangles.
 
 Conventions:
   * squares/rectangles are closed sets; "overlap" means interiors intersect;
-  * span lists are closed and may contain degenerate single points
-    (a square sliding along a touching boundary occupies such a point);
   * step-profile queries use the open interior of the query interval, so
     boundary-only contact neither blocks a drop nor provides support.
 """
@@ -27,98 +23,6 @@ from .numbers import Scalar
 
 class GeometryError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# span helpers (lists of (lo, hi) pairs, lo <= hi, any exact ordered type)
-# ---------------------------------------------------------------------------
-
-def merge_spans(spans):
-    """Sort and merge overlapping or touching closed spans."""
-    if not spans:
-        return []
-    spans = sorted(spans)
-    out = [spans[0]]
-    for lo, hi in spans[1:]:
-        plo, phi = out[-1]
-        if lo <= phi:
-            if hi > phi:
-                out[-1] = (plo, hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def merge_open_spans(spans):
-    """Merge strictly overlapping open spans; touching opens stay separate
-    (the shared endpoint is not covered).  Degenerate opens are dropped."""
-    spans = sorted(s for s in spans if s[0] < s[1])
-    out = []
-    for lo, hi in spans:
-        if out and lo < out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def intersect_spans(a, b):
-    """Intersection of two normalized closed span lists (degenerates kept)."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def subtract_spans_open(a, opens):
-    """(union a) minus (union of OPEN spans): endpoints survive, possibly as
-    degenerate single-point spans."""
-    opens = merge_open_spans(opens)
-    out = []
-    for alo, ahi in a:
-        cur = alo
-        for blo, bhi in opens:
-            if bhi <= cur or blo > ahi:
-                continue
-            if blo >= cur:
-                out.append((cur, blo))
-            cur = max(cur, bhi)
-            if cur > ahi:
-                break
-        if cur <= ahi:
-            out.append((cur, ahi))
-    return out
-
-
-def spans_meet(a, b) -> bool:
-    """Do two normalized closed span lists share at least one point?"""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][1] < b[j][0]:
-            i += 1
-        elif b[j][1] < a[i][0]:
-            j += 1
-        else:
-            return True
-    return False
-
-
-def spans_contain(spans, x) -> bool:
-    for lo, hi in spans:
-        if lo <= x <= hi:
-            return True
-        if lo > x:
-            return False
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import ObstacleGrid, Rect, merge_spans, trace_boundary
+from .geometry import ObstacleGrid, Rect, trace_boundary
 from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import Check, Packing, Placement, close_packing
 
@@ -104,13 +104,6 @@ class _Context:
         self.X, self.Y = g.xs, g.ys
         self.sq_owner = [("sq", k) for k in range(len(rects))]
 
-    def supported_spans(self, level: int):
-        """Closed x-spans with solid material immediately below a horizontal
-        line of this height: squares spanning the line from below.  A point
-        of the line outside these spans has free space directly under it."""
-        return merge_spans([(l, r) for l, r, b, t in self.rects
-                            if b < level <= t])
-
 
 @dataclass
 class _Run:
@@ -170,8 +163,7 @@ class Hole:
     with one owner, the lid's first.  A run's ``points`` are its corners on
     the lattice, from the point where the run before it ends to the point
     where the run after it starts.  ``area_units`` is the area on the
-    lattice.  ``P``/``Q`` are the ends of the lid's bottom segment on the
-    hole, as lattice points.
+    lattice.
     """
 
     def __init__(self, ctx: _Context, runs: list[_Run], area_units: int,
@@ -200,12 +192,8 @@ class Hole:
         rect = lid.rect(ctx)
         if rect is None:
             raise AnalysisError("lid", f"lid owner {lid.owner} is not a square")
-        yb = min(y for _, y in lid.points)
-        if yb != rect[2]:
+        if min(y for _, y in lid.points) != rect[2]:
             raise AnalysisError("lid", "lid segment not on the lid's bottom")
-        on_bottom = [x for x, y in lid.points if y == yb]
-        self.P = (min(on_bottom), yb)
-        self.Q = (max(on_bottom), yb)
         if self.lid_virtual is not None and lid.owner[0] != "copy":
             raise AnalysisError("lid", "virtual-lid hole traversed a real lid")
 
@@ -510,14 +498,13 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     if not (ub == lt and ul < lr and ll < ur):
         raise AnalysisError(
             "lemma5", f"split pair not stacked: up={up} low={low}")
+    # the squares spanning the cut's line from below: none may hold up
+    # its start, and the first one right of it ends the cut
     x_m = lr
-    x_n = None
-    for lo, hi in ctx.supported_spans(lt):
-        if lo > x_m:
-            x_n = lo
-            break
-        if hi > x_m:
-            raise AnalysisError("lemma6", "cut start is supported")
+    below = [(l, r) for l, r, b, t in ctx.rects if b < lt <= t]
+    if any(l <= x_m < r for l, r in below):
+        raise AnalysisError("lemma6", "cut start is supported")
+    x_n = min((l for l, _ in below if l > x_m), default=None)
     if x_n is None:
         if not hole.touches_right:
             raise AnalysisError("cor1", "no support right of the cut")

@@ -19,7 +19,9 @@ exact, so no semantics change, and because sides are at most 1 a check
 reads only the squares whose bottoms lie between 1 below the arriving
 square's bottom and its top.  The sweep takes its events from the bottom
 index from the top down and stops at the first level sealed off from above,
-so it reads only the squares above that level.
+so it reads only the squares above that level.  At each level it needs two
+passes over closed x-spans: the free spans outside the open shadows of the
+active squares, and those of them that meet the reachable spans above.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from math import lcm
 from operator import neg
 from typing import Optional, Sequence
 
-from .geometry import (Rect, intersect_spans, spans_contain, spans_meet,
-                       subtract_spans_open)
+from .geometry import Rect
 from .numbers import ONE, ZERO, Scalar
 
 
@@ -69,10 +70,6 @@ class Placement:
     @property
     def right(self) -> Scalar:
         return self.x + self.item.side
-
-    @property
-    def bottom(self) -> Scalar:
-        return self.y
 
     @property
     def top(self) -> Scalar:
@@ -320,6 +317,14 @@ def reachable_positions(p: Packing, a: Scalar,
         between events the slab below the last event above it, so events
         below the floor are never read.
 
+    At each level, the spans reachable there are the free spans (``_free``)
+    of the active set that meet the spans of the slab above (``_meeting``),
+    and the slab below keeps the free spans of the new active set that meet
+    those.  A square enters the slab below from the level only at a point
+    free in both, but a free span below lies wholly in the free set below,
+    so it meets that common part exactly where it meets the spans at the
+    level.
+
     Only squares with t_j > floor are swept, and t_j <= b_j + 1, so the
     candidates come from the bottom-sorted window b_j > floor - 1.
 
@@ -346,7 +351,8 @@ def reachable_positions(p: Packing, a: Scalar,
     scale = lat.fit(a.denominator, floor.denominator)
     low = floor.numerator * (scale // floor.denominator)
     sa = a.numerator * (scale // a.denominator)
-    full = [(0, scale - sa)]
+    w = scale - sa
+    full = [(0, w)]
     bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n
     start = rects[p._top][3] if n else 0
     stop = bisect_right(bottoms, low - scale)   # the window b_j > floor - 1
@@ -373,12 +379,9 @@ def reachable_positions(p: Packing, a: Scalar,
                 active.remove((lo, hi))
             else:
                 entering.append((lo, hi))
-        f_at = subtract_spans_open(full, active)
-        r_at = [s for s in f_at if spans_meet([s], r_prev)]
+        r_at = _meeting(_free(active, w), r_prev)
         active += entering
-        f_below = subtract_spans_open(full, active)
-        entry = intersect_spans(r_at, f_below)
-        r_below = [s for s in f_below if spans_meet([s], entry)]
+        r_below = _meeting(_free(active, w), r_at)
         ev_out.append(lv)
         at_out.append(r_at)
         slab_out.append(r_below)
@@ -389,13 +392,42 @@ def reachable_positions(p: Packing, a: Scalar,
                              len(bottoms) - k)
 
 
+def _free(opens, w):
+    """Closed spans of [0, w] outside every open span of ``opens``, in
+    ascending order; a point where two opens touch stays free, as a
+    single-point span.  Degenerate opens cover nothing."""
+    out, cur = [], 0
+    for lo, hi in sorted(opens):
+        if lo > w:
+            break
+        if hi > cur and hi > lo:
+            if lo >= cur:
+                out.append((cur, lo))
+            cur = hi
+    if cur <= w:
+        out.append((cur, w))
+    return out
+
+
+def _meeting(spans, marks):
+    """The spans, in ascending disjoint order, that share a point with some
+    span of ``marks``, also ascending and disjoint."""
+    out, j = [], 0
+    for lo, hi in spans:
+        while j < len(marks) and marks[j][1] < lo:
+            j += 1
+        if j < len(marks) and marks[j][0] <= hi:
+            out.append((lo, hi))
+    return out
+
+
 def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
     """Is (pl.x, pl.y) reachable from above the packing by a path that never
     moves up and keeps the square's interior clear of all placed squares?
     ``at`` is ``pl``'s lattice ``(l, r, b, t)`` when the caller has it."""
     l, _, b, _ = at or p._lattice().coords(pl)
     sweep = reachable_positions(p, pl.item.side, floor=pl.y)
-    return spans_contain(sweep.spans_at(b), l)
+    return any(lo <= l <= hi for lo, hi in sweep.spans_at(b))
 
 
 # ---------------------------------------------------------------------------

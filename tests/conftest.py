@@ -95,7 +95,7 @@ def grid_bfs_reachable(p: Packing, a: Fraction, step: Fraction):
     for pl in p.placements:
         ix_lo = _strict_above((pl.left - a) / step)
         ix_hi = _strict_below(pl.right / step, nx)
-        iy_lo = _strict_above((pl.bottom - a) / step)
+        iy_lo = _strict_above((pl.y - a) / step)
         iy_hi = _strict_below(pl.top / step, ny)
         for ix in range(ix_lo, ix_hi + 1):
             row = blocked[ix]

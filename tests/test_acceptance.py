@@ -175,10 +175,10 @@ def _mutate_overlap(seq, p):
     for j, pl in enumerate(pls):
         for other in pls[:j]:
             if other.right == pl.left \
-                    and min(other.top, pl.top) > max(other.bottom, pl.bottom):
+                    and min(other.top, pl.top) > max(other.y, pl.y):
                 pls[j] = Placement(pl.item, pl.x - shift, pl.y)
                 return pls, j + 1
-            if other.top == pl.bottom \
+            if other.top == pl.y \
                     and min(other.right, pl.right) > max(other.left, pl.left):
                 pls[j] = Placement(pl.item, pl.x, pl.y - shift)
                 return pls, j + 1

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import at_level, items, random_items
 from strippack.adversary import adversary_run
-from strippack.bottomleft import BottomLeftState, _in_open, bl_place_next
-from strippack.geometry import merge_open_spans, spans_contain
+from span_reference import _in_open, merge_open_spans, spans_contain
+from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.numbers import ZERO
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                pack, reachable_positions, verify_packing)

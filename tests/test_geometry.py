@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from span_reference import (intersect_spans, merge_spans, spans_contain,
+                            subtract_spans_open)
 from strippack.geometry import (GeometryError, ObstacleGrid, Rect,
-                                StepProfile, boundary_edges, intersect_spans,
-                                merge_spans, spans_contain,
-                                subtract_spans_open, trace_boundary,
+                                StepProfile, boundary_edges, trace_boundary,
                                 walk_boundary)
 
 Z = F(0)

@@ -193,6 +193,18 @@ class TestCli:
         assert main(["run", "--strategy", "slot", "--input",
                      "/nonexistent/file.txt"]) == 2
 
+    def test_directory_as_input_exit_two(self, tmp_path, capsys):
+        assert main(["run", "--strategy", "bottomleft",
+                     "--input", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_directory_as_placements_exit_two(self, three, tmp_path, capsys):
+        assert main(["verify", "--input", str(three),
+                     "--placements", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_bad_instance_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("5/4\n")

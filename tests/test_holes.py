@@ -363,8 +363,8 @@ def _assert_cell_route(got, cells, overrides, lid_virtual):
     want = Hole(ctx, _cell_runs(ctx, cells, overrides), area, lid_virtual)
     assert [(r.owner, r.points, r.side_lengths) for r in got.runs] == \
         [(r.owner, r.points, r.side_lengths) for r in want.runs]
-    assert (got.area, got.area_units, got.P, got.Q, got.kind) == \
-        (want.area, want.area_units, want.P, want.Q, want.kind)
+    assert (got.area, got.area_units, got.kind) == \
+        (want.area, want.area_units, want.kind)
     assert got.lid_virtual is want.lid_virtual
     assert got.region() == _cell_rects(ctx, cells)
 

@@ -13,8 +13,9 @@ from conftest import at_level, items, packing_of, random_items
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES
-from strippack.geometry import (Rect, intersect_spans, spans_contain,
-                                spans_meet, subtract_spans_open)
+from span_reference import (intersect_spans, spans_contain, spans_meet,
+                            subtract_spans_open)
+from strippack.geometry import Rect
 from strippack.packing import (Packing, Placement, SquareItem, StepVerdict,
                                check_step, is_supported, pack,
                                reachable_positions, verify_packing)
@@ -110,7 +111,7 @@ def eager_sweep(p: Packing, a, floor=F(0)):
 
 
 def rect_of(pl: Placement) -> Rect:
-    return Rect(pl.left, pl.right, pl.bottom, pl.top)
+    return Rect(pl.left, pl.right, pl.y, pl.top)
 
 
 def reference_step(sofar: Packing, pl: Placement) -> StepVerdict:
@@ -314,7 +315,7 @@ class TestLatticeEdges:
         scale, rects = p.lattice()
         assert scale % 15 == 0
         assert list(rects) == [
-            (pl.left * scale, pl.right * scale, pl.bottom * scale,
+            (pl.left * scale, pl.right * scale, pl.y * scale,
              pl.top * scale) for pl in p.placements]
         assert p.height == max(pl.top for pl in p.placements)
 

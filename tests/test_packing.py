@@ -2,13 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from conftest import (at_level, grid_bfs_reachable, items, packing_of,
                       random_items, rest_height)
+from span_reference import (intersect_spans, merge_spans, spans_contain,
+                            spans_meet, subtract_spans_open)
 from strippack.bottomleft import BottomLeftState
-from strippack.geometry import spans_contain
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               is_supported, is_tetris_reachable, pack,
-                               reachable_positions, verify_packing)
+                               _free, _meeting, is_supported,
+                               is_tetris_reachable, pack, reachable_positions,
+                               verify_packing)
 
 
 class TestRestHeight:
@@ -111,6 +116,65 @@ class TestReachability:
             for lo, hi in at_level(full, y):
                 spans = at_level(sub, y)
                 assert any(slo <= lo and hi <= shi for slo, shi in spans)
+
+
+# open shadows on a small lattice: degenerate, touching and nested ones
+# come up often, and ends run past both sides of [0, w]
+ends = st.integers(-4, 24)
+opens_lists = st.lists(st.tuples(ends, ends).map(sorted).map(tuple),
+                       max_size=8)
+widths = st.integers(0, 20)
+
+
+@st.composite
+def closed_lists(draw):
+    """A sorted list of disjoint closed spans, some single points."""
+    pts = sorted(draw(st.lists(ends, max_size=8)))
+    return merge_spans([(pts[i], pts[i + 1])
+                        for i in range(0, len(pts) - 1, 2)])
+
+
+class TestSpanPasses:
+    """``_free`` and ``_meeting`` against the reference span algebra."""
+
+    @given(opens_lists, widths)
+    @settings(max_examples=400)
+    @example([], 0)
+    @example([(0, 5)], 5)                       # one open over all of [0, w]
+    @example([(2, 5), (5, 9)], 12)              # touching: 5 stays free
+    @example([(1, 9), (3, 4), (3, 3)], 10)      # nested and degenerate
+    @example([(-3, 0), (10, 14), (12, 30)], 10)     # touching 0 and w
+    @example([(-5, -1), (11, 20)], 10)          # wholly outside
+    def test_free_is_subtract_open(self, opens, w):
+        assert _free(opens, w) == subtract_spans_open([(0, w)], opens)
+
+    @given(st.lists(st.tuples(st.fractions(-1, 2, max_denominator=12),
+                              st.fractions(-1, 2, max_denominator=12))
+                    .map(sorted).map(tuple), max_size=6),
+           st.fractions(0, 1, max_denominator=12))
+    @settings(max_examples=200)
+    def test_free_on_fractions(self, opens, w):
+        assert _free(opens, w) == subtract_spans_open([(0, w)], opens)
+
+    @given(opens_lists, widths, closed_lists())
+    @settings(max_examples=400)
+    @example([(2, 5), (5, 9)], 12, [(5, 5)])    # marks a single point
+    @example([(2, 5)], 12, [(0, 2), (5, 7)])    # marks touch both ends
+    def test_meeting_is_spans_meet_filter(self, opens, w, marks):
+        spans = _free(opens, w)
+        assert _meeting(spans, marks) == \
+            [s for s in spans if spans_meet([s], marks)]
+
+    @given(opens_lists, opens_lists, widths, closed_lists())
+    @settings(max_examples=400)
+    def test_sweep_step_needs_no_entry(self, active, entering, w, marks):
+        """A level's spans below meet the spans at it exactly where they
+        meet the part of those that is free below as well."""
+        r_at = _meeting(_free(active, w), marks)
+        f_below = subtract_spans_open([(0, w)], active + entering)
+        entry = intersect_spans(r_at, f_below)
+        assert _meeting(_free(active + entering, w), r_at) == \
+            [s for s in f_below if spans_meet([s], entry)]
 
 
 class TestBfsOracleAgreement:

@@ -63,7 +63,7 @@ def slot_of(pl: Placement) -> Slot:
 
 def shadow_of(pl: Placement, k: int) -> Shadow:
     a = pl.item.side
-    y = pl.bottom, pl.top
+    y = pl.y, pl.top
     if k == 0:
         # sides above 1/2 enlarge to the right only, clipped to the strip
         hi = min(ONE, pl.right + a)
@@ -90,7 +90,7 @@ def shadowed_extent(pl: Placement) -> Rect:
     for piece in shadow.pieces:
         lo = min(lo, piece.left)
         hi = max(hi, piece.right)
-    return Rect(max(lo, ZERO), min(hi, ONE), pl.bottom, pl.top)
+    return Rect(max(lo, ZERO), min(hi, ONE), pl.y, pl.top)
 
 
 def widening_of(pl: Placement) -> Rect:
@@ -98,7 +98,7 @@ def widening_of(pl: Placement) -> Rect:
     ext = shadowed_extent(pl)
     slot = slot_of(pl)
     return Rect(max(ext.left, slot.left), min(ext.right, slot.right),
-                pl.bottom, pl.top)
+                pl.y, pl.top)
 
 
 def reference_charge_map(p_closed: Packing):

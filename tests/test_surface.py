@@ -3,9 +3,10 @@
 Every module under src/strippack is parsed with ``ast``.  A function,
 method or class defined there must be referenced, as a name or an
 attribute, somewhere in the package (dunder methods are called by the
-interpreter and are exempt), and every name a module imports must be used in
-that module or listed in its ``__all__``.  A name that only the tests call
-belongs in the tests."""
+interpreter and are exempt), every attribute a method assigns on ``self``
+must be read somewhere in the package, and every name a module imports must
+be used in that module or listed in its ``__all__``.  A name that only the
+tests call belongs in the tests."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,20 @@ def test_every_definition_is_referenced():
                 if not dunder and node.name not in used:
                     unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, f"defined but never referenced in src: {unused}"
+
+
+def test_every_self_attribute_is_read():
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}:{node.lineno} self.{node.attr}"
+              for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"
+              and node.attr not in read]
+    assert not unread, f"assigned on self but never read in src: {unread}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
