@@ -13,21 +13,24 @@ terms are charged to square sides.  A square never accumulates more than
 Geometry runs on the closed packing's own lattice (``Packing.lattice``):
 every square is an integer ``(l, r, b, t)``, and corners, areas, side
 lengths, cuts, virtual lids and diagonal crossings are lattice integers.
-They become Fractions only where they leave the module (``Hole.area``, run
-``side_lengths``, charge segments, ``Hole.region``).
+They become Fractions only where they leave the module (``Hole.area``, the
+side lengths a charge reads, charge segments, ``Hole.region``).
 
-Raw holes are found once on a grid built on those integers: each bounded
-free component's unit-edge boundary is traced, every edge gets the owner
-outside it, and each run keeps only its corners.  From then on a hole is
-just its counterclockwise runs of corners.  Its area comes from the
-shoelace formula, a point test counts boundary crossings, and the right
-diagonal is checked against the hole's slabs (maximal x-strips of
-constant cross-section).  A split cuts a hole along a horizontal line from
-M to N into the star below it (under a virtual lid) and the remainder.
-Both pieces are spliced from the parent's runs at M and N: the star is the
-boundary from M to N closed by the lid's copy, the remainder the boundary
-from N to M closed by a seam, less any part of the cut that a real square
-roofs.  A split costs the parent's corners, not its cells.
+Raw holes are found once on a grid built on those integers, which nothing
+else reads: each bounded free component's unit-edge boundary is traced,
+every edge gets the owner outside it, and each run keeps only its
+corners.  From then on a hole is just its counterclockwise runs of corners,
+and the squares near a point come from the packing's bottom-sorted index
+(``Packing.window``).  A hole's area comes from the shoelace formula, a
+point test counts boundary crossings, and the right diagonal is checked
+against the hole's slabs (maximal x-strips of constant cross-section).  A
+split cuts a hole along a horizontal line from M to N into the star below
+it (under a virtual lid) and the remainder.  Both pieces are spliced from
+the parent's runs at M and N: the star is the boundary from M to N closed
+by the lid's copy, the remainder the boundary from N to M closed by a seam,
+less any part of the cut that a real square roofs.  A split costs the
+parent's corners, not its cells.  Runs never change once built, so pieces
+share them; a run's side is measured where a charge reads it.
 
 Structural facts used here are theorems for BottomLeft packings, so they
 are asserted and raise AnalysisError loudly when violated: that means an
@@ -36,8 +39,8 @@ implementation bug (or a non-BottomLeft input).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -86,35 +89,27 @@ OWNER_SEAM = ("seam",)
 
 
 class _Context:
-    """Shared lattice and grid for all holes of one closed packing.
+    """Shared lattice for all holes of one closed packing.
 
     ``scale`` and ``rects`` are the packing's lattice: the strip is
     ``[0, scale]`` wide and ``rects[k]`` is square k's ``(l, r, b, t)``.
-    ``grid`` is the obstacle grid on those integers, with grid lines
-    ``X``/``Y``; extraction floods it, and the diagonal test reads which
-    square owns a point's northwest.
+    ``window`` is the packing's bottom-sorted index of those rects
+    (``Packing.window``); splits read the squares near a point or a cut's
+    line from it.  ``copies`` holds the virtual lid of each square that
+    has one.
     """
 
     def __init__(self, p: Packing):
         self.placements = p.placements
-        self.scale, self.rects = scale, rects = p.lattice()
-        ceiling = max((t for _, _, _, t in rects), default=0)
-        self.grid = g = ObstacleGrid(rects, scale, ceiling)
+        self.scale, self.rects = p.lattice()
+        self.window = p.window
         self.copies: dict[int, VirtualLid] = {}
-        self.X, self.Y = g.xs, g.ys
-        self.sq_owner = [("sq", k) for k in range(len(rects))]
 
 
 @dataclass
 class _Run:
     owner: tuple
     points: list                       # corners (x, y) on the lattice
-    lengths: dict = field(default_factory=dict)   # per side, on the lattice
-    scale: int = 1
-
-    @property
-    def side_lengths(self) -> dict:
-        return {side: Fraction(v, self.scale) for side, v in self.lengths.items()}
 
     @property
     def start(self):
@@ -184,8 +179,6 @@ class Hole:
             raise AnalysisError("two-walls", "hole touches both strip walls")
         lid_idx = self._lid_index(runs)
         self.runs = runs[lid_idx:] + runs[:lid_idx]
-        for r in self.runs:
-            self._measure_sides(r)
         self.area_units = area_units
         self.area = Fraction(area_units, ctx.scale * ctx.scale)
         lid = self.runs[0]
@@ -219,37 +212,6 @@ class Hole:
         if best is None:
             raise AnalysisError("lid", "no top boundary edge found")
         return best
-
-    def _measure_sides(self, run: _Run):
-        kind = run.owner[0]
-        if kind == "sq":
-            l, r, b, t = self.ctx.rects[run.owner[1]]
-        elif kind == "copy":
-            l = r = b = t = None
-        else:
-            return
-        left = bottom = right = top = 0
-        for (x1, y1), (x2, y2) in zip(run.points, run.points[1:]):
-            if x1 == x2:
-                length = abs(y2 - y1)
-                if x1 == l:
-                    left += length
-                elif x1 == r:
-                    right += length
-                else:
-                    raise AnalysisError("boundary", "edge off its owner's sides")
-            else:
-                length = abs(x2 - x1)
-                # copies own only their cut line
-                if kind == "copy" or y1 == b:
-                    bottom += length
-                elif y1 == t:
-                    top += length
-                else:
-                    raise AnalysisError("boundary", "edge off its owner's sides")
-        run.lengths = {SIDE_LEFT: left, SIDE_BOTTOM: bottom,
-                       SIDE_RIGHT: right, SIDE_TOP: top}
-        run.scale = self.ctx.scale
 
     # -- structure accessors ------------------------------------------------
 
@@ -351,15 +313,15 @@ class Hole:
         raise AnalysisError("lemma3", "last square neither right nor top neighbor")
 
 
-def _traced_runs(ctx: _Context, cycle: list) -> list[_Run]:
+def _traced_runs(grid: ObstacleGrid, owners: list, cycle: list) -> list[_Run]:
     """Group a traced cycle of unit grid edges into maximal runs of edges
     with one owner, kept as lattice corners.
 
-    An edge's owner is what lies on its right, outside the hole: a square,
-    the ground or a wall.
+    An edge's owner is what lies on its right, outside the hole: a square
+    (``owners`` of the grid's obstacle index), the ground or a wall.
     """
-    grid, X, Y = ctx.grid, ctx.X, ctx.Y
-    nx, ny, cell_owner, sq_owner = grid.nx, grid.ny, grid.owner, ctx.sq_owner
+    X, Y = grid.xs, grid.ys
+    nx, ny, cell_owner = grid.nx, grid.ny, grid.owner
     runs = []
     last = points = None
     for (i1, j1), (i2, j2) in cycle:
@@ -388,7 +350,7 @@ def _traced_runs(ctx: _Context, cycle: list) -> list[_Run]:
             if idx is None:
                 raise AnalysisError(
                     "boundary", f"free cell outside the hole at {(i1, j1)}")
-            owner = sq_owner[idx]
+            owner = owners[idx]
         if owner == last:
             _extend(points, (X[i2], Y[j2]))
         else:
@@ -418,10 +380,10 @@ def _diagonal_origin(hole: Hole) -> tuple[int, int]:
     return (r, b)
 
 
-def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], int]]:
+def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], tuple]]:
     """First counterclockwise boundary point where the slope -1 ray from
     ``origin`` passes INTO the hole's interior (out of solid material), on
-    the lattice, with the index of the square it leaves.
+    the lattice, with the rect of the square it leaves.
 
     The ray's own start qualifies when the hole lies immediately southeast
     of it (then the split degenerates to a cut through the start level).
@@ -443,25 +405,23 @@ def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], int]]:
                 continue
         if x < ox:
             continue
-        owner = _enters_hole_southeast(hole, x, y)
-        if owner is not None:
-            return (x, y), owner
+        rect = _enters_hole_southeast(hole, x, y)
+        if rect is not None:
+            return (x, y), rect
     return None
 
 
-def _enters_hole_southeast(hole: Hole, x: int, y: int) -> Optional[int]:
+def _enters_hole_southeast(hole: Hole, x: int, y: int) -> Optional[tuple]:
     """If the hole lies immediately southeast of the lattice point (x, y)
-    and a square lies immediately northwest of it, that square's index;
-    otherwise None."""
-    grid, X, Y = hole.ctx.grid, hole.ctx.X, hole.ctx.Y
-    iw = bisect_left(X, x) - 1                 # column just left of x
-    jn = bisect_right(Y, y) - 1                # row just above y
-    if not (0 <= iw < grid.nx and 0 <= jn < grid.ny):
+    and a square lies immediately northwest of it, that square's rect;
+    otherwise None.  The square has ``l < x <= r`` and ``b <= y < t``, and
+    interiors are disjoint, so there is at most one."""
+    ctx = hole.ctx
+    rect = next((q for q in ctx.window(y - ctx.scale, y + 1)
+                 if q[0] < x <= q[1] and y < q[3]), None)
+    if rect is None or not hole.contains(x, y):
         return None
-    owner = grid.owner[iw][jn]
-    if owner is None or not hole.contains(x, y):
-        return None
-    return owner
+    return rect
 
 
 def _find_split(hole: Hole) -> Optional[VirtualLid]:
@@ -471,12 +431,13 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     if hit is None:
         return None
     ctx = hole.ctx
-    (x, y), sq_idx = hit
-    _, r, b, _ = ctx.rects[sq_idx]
-    try:
-        sq_run = next(run for run in hole.runs if run.owner == ("sq", sq_idx))
-    except StopIteration:
-        raise AnalysisError("split", f"crossing square {sq_idx} has no run")
+    (x, y), rect = hit
+    _, r, b, _ = rect
+    sq_run = next((run for run in hole.runs if run.rect(ctx) == rect), None)
+    if sq_run is None:
+        index = ctx.placements[ctx.rects.index(rect)].item.index
+        raise AnalysisError("split", f"crossing square {index} has no run")
+    sq_idx = sq_run.owner[1]
     if y == b:                  # on its bottom: it overhangs the next run
         up = sq_idx
         low_run = hole._run_after(sq_run)
@@ -501,7 +462,7 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     # the squares spanning the cut's line from below: none may hold up
     # its start, and the first one right of it ends the cut
     x_m = lr
-    below = [(l, r) for l, r, b, t in ctx.rects if b < lt <= t]
+    below = [(l, r) for l, r, _, t in ctx.window(lt - ctx.scale, lt) if t >= lt]
     if any(l <= x_m < r for l, r in below):
         raise AnalysisError("lemma6", "cut start is supported")
     x_n = min((l for l, _ in below if l > x_m), default=None)
@@ -632,6 +593,28 @@ class ChargeTerm:
         return self.coeff_full * self.segment * self.segment
 
 
+def _side_length(ctx: _Context, run: _Run, side: str) -> Fraction:
+    """The length of one side of a square or copy run's owner along the
+    run.  A copy owns only its cut, which lies on its bottom."""
+    l, r, b, t = run.rect(ctx)
+    copy = run.owner[0] == "copy"
+    if copy:
+        l = r = t = None
+    length = 0
+    for (x1, y1), (x2, y2) in zip(run.points, run.points[1:]):
+        if x1 == x2:
+            on = SIDE_LEFT if x1 == l else SIDE_RIGHT if x1 == r else None
+        else:
+            on = SIDE_BOTTOM if y1 == b else SIDE_TOP if y1 == t else None
+        if on is None:
+            owner = run.owner[1].owner if copy else ctx.placements[run.owner[1]]
+            raise AnalysisError("boundary", "edge off the sides of "
+                                f"{'the copy of ' * copy}square {owner.item.index}")
+        if on == side:
+            length += abs(x2 - x1) + abs(y2 - y1)
+    return Fraction(length, ctx.scale)
+
+
 def _charge_items(hole: Hole) -> list[ChargeTerm]:
     """Charged boundary terms of one diagonal-free hole, by hole kind."""
     ctx = hole.ctx
@@ -641,13 +624,13 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
         lid_square = lid.owner[1].owner
     else:
         lid_square = ctx.placements[lid.owner[1]]
-    beta1 = lid.side_lengths[SIDE_BOTTOM]
+    beta1 = _side_length(ctx, lid, SIDE_BOTTOM)
     items = [ChargeTerm(lid_square.item.index, SIDE_BOTTOM, lid_virtual,
                         HALF if lid_virtual else Fraction(1), Fraction(1),
                         beta1)]
 
     def term(run: _Run, side: str, coeff: Fraction):
-        seg = run.side_lengths[side]
+        seg = _side_length(ctx, run, side)
         if run.owner[0] == "copy":
             raise AnalysisError("charge", "side charge landed on a copy")
         sq = ctx.placements[run.owner[1]]
@@ -732,10 +715,13 @@ def compute_charges(holes: Sequence[Hole]) -> ChargeLedger:
 
 def extract_holes(p_closed: Packing) -> list[Hole]:
     ctx = _Context(p_closed)
+    rects = ctx.rects
+    grid = ObstacleGrid(rects, ctx.scale, max((t for *_, t in rects), default=0))
+    owners = [("sq", k) for k in range(len(rects))]
     holes = []
-    for comp in ctx.grid.free_components():
+    for comp in grid.free_components():
         if comp["bounded"]:
-            runs = _traced_runs(ctx, trace_boundary(comp["cells"]))
+            runs = _traced_runs(grid, owners, trace_boundary(comp["cells"]))
             holes.append(Hole(ctx, runs, _shoelace(runs)))
     return holes
 

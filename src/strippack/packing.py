@@ -60,10 +60,6 @@ class Placement:
     y: Scalar
 
     @property
-    def side(self) -> Scalar:
-        return self.item.side
-
-    @property
     def left(self) -> Scalar:
         return self.x
 

@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -9,15 +10,17 @@ from conftest import (corpus_items, items, nondyadic_items, packing_of,
                       random_items)
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
-from strippack.geometry import Rect, trace_boundary
+from strippack.geometry import ObstacleGrid, Rect, trace_boundary
 from strippack.harness import render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
-                             OWNER_SEAM, TYPE_I, TYPE_II, ChargeLedger,
+                             OWNER_SEAM, SIDE_BOTTOM, SIDE_LEFT, SIDE_RIGHT,
+                             SIDE_TOP, TYPE_I, TYPE_II, ChargeLedger,
                              ChargeTerm, Hole, compute_charges, extract_holes,
                              _charge_items, hole_area_bound,
                              run_bottomleft_analysis, split_hole)
 from strippack.packing import Packing, SquareItem, close_packing, pack
+from test_families import FAMILIES, family_items
 
 # the large-workload panel: 100 sides randint(2^14, 2^20) / 2^20
 LARGE_PANEL = [random_items(f"large:{i}", 100) for i in range(3)]
@@ -293,11 +296,18 @@ def _below_cut(cells, throat, j_top):
     return below
 
 
-def _cell_runs(ctx, cells, overrides):
+def _grid(ctx):
+    """The obstacle grid on a context's lattice rects, as extraction builds
+    it."""
+    ceiling = max((t for *_, t in ctx.rects), default=0)
+    return ObstacleGrid(ctx.rects, ctx.scale, ceiling)
+
+
+def _cell_runs(grid, cells, overrides):
     """Runs of the traced boundary of a cell set, as lattice corners.  A unit
     edge's owner is its carve override, keyed by the cut edge's left end,
     else the square, ground or wall on its right."""
-    grid, X, Y = ctx.grid, ctx.X, ctx.Y
+    X, Y = grid.xs, grid.ys
     runs = []
     for (i1, j1), (i2, j2) in trace_boundary(cells):
         if j1 == j2:
@@ -332,11 +342,11 @@ def _corners(points):
     return [points[0]] + turns + [points[-1]]
 
 
-def _cell_rects(ctx, cells):
-    """Vertical-slab decomposition of a cell set in strip coordinates:
-    maximal vertical runs per grid column, equal neighbouring columns
-    fused, sorted by left then bottom."""
-    X, Y, s = ctx.X, ctx.Y, ctx.scale
+def _cell_rects(grid, s, cells):
+    """Vertical-slab decomposition of a cell set in strip coordinates (the
+    lattice scaled down by ``s``): maximal vertical runs per grid column,
+    equal neighbouring columns fused, sorted by left then bottom."""
+    X, Y = grid.xs, grid.ys
     cols = {}
     for i, j in sorted(cells):
         runs = cols.setdefault(i, [])
@@ -355,18 +365,20 @@ def _cell_rects(ctx, cells):
     return tuple(sorted(rects, key=lambda r: (r.left, r.bottom)))
 
 
-def _assert_cell_route(got, cells, overrides, lid_virtual):
-    """``got`` equals the hole the cell route builds from ``cells``."""
+def _assert_cell_route(got, grid, cells, overrides, lid_virtual):
+    """``got`` equals the hole the cell route builds from ``cells`` on
+    ``grid``.  Side lengths follow from the owners and corners compared
+    here (``TestReferenceRoutes`` checks them)."""
     ctx = got.ctx
-    X, Y = ctx.X, ctx.Y
+    X, Y = grid.xs, grid.ys
     area = sum((X[i + 1] - X[i]) * (Y[j + 1] - Y[j]) for i, j in cells)
-    want = Hole(ctx, _cell_runs(ctx, cells, overrides), area, lid_virtual)
-    assert [(r.owner, r.points, r.side_lengths) for r in got.runs] == \
-        [(r.owner, r.points, r.side_lengths) for r in want.runs]
+    want = Hole(ctx, _cell_runs(grid, cells, overrides), area, lid_virtual)
+    assert [(r.owner, r.points) for r in got.runs] == \
+        [(r.owner, r.points) for r in want.runs]
     assert (got.area, got.area_units, got.kind) == \
         (want.area, want.area_units, want.kind)
     assert got.lid_virtual is want.lid_virtual
-    assert got.region() == _cell_rects(ctx, cells)
+    assert got.region() == _cell_rects(grid, ctx.scale, cells)
 
 
 class TestIncrementalCarve:
@@ -377,23 +389,25 @@ class TestIncrementalCarve:
         overrides, the cell area and the slab rects of the cells."""
         extract, carve = holes.extract_holes, holes._carve
         known = {}                      # id(hole) -> (hole, cells, overrides)
+        grids = {}                      # context -> its grid
         seen = Counter()
 
         def extracted(closed):
             raw = extract(closed)
             if raw:
-                comps = [c["cells"] for c in raw[0].ctx.grid.free_components()
+                grid = grids[raw[0].ctx] = _grid(raw[0].ctx)
+                comps = [c["cells"] for c in grid.free_components()
                          if c["bounded"]]
                 assert len(comps) == len(raw)
                 for hole, cells in zip(raw, comps):
-                    _assert_cell_route(hole, cells, {}, None)
+                    _assert_cell_route(hole, grid, cells, {}, None)
                     known[id(hole)] = (hole, frozenset(cells), {})
             return raw
 
         def checked(hole, lid):
             _, cells, overrides = known.pop(id(hole))
             star, remainder = carve(hole, lid)
-            grid = hole.ctx.grid
+            grid = grids[hole.ctx]
             j_top = grid.yi[lid.level]
             cut = range(grid.xi[lid.mn_left], grid.xi[lid.mn_right])
             throat = [(i, j_top - 1) for i in cut if (i, j_top - 1) in cells]
@@ -403,10 +417,11 @@ class TestIncrementalCarve:
             for i in cut:
                 over_star[(i, j_top)] = ("copy", lid)
                 over_rest[(i, j_top)] = OWNER_SEAM
-            _assert_cell_route(star, below, over_star, lid)
+            _assert_cell_route(star, grid, below, over_star, lid)
             known[id(star)] = (star, below, over_star)
             if rest:
-                _assert_cell_route(remainder, rest, over_rest, hole.lid_virtual)
+                _assert_cell_route(remainder, grid, rest, over_rest,
+                                   hole.lid_virtual)
                 known[id(remainder)] = (remainder, rest, over_rest)
                 roofed = any((i, j_top) not in cells for i in cut)
                 seen["trimmed" if roofed else "untrimmed"] += 1
@@ -418,10 +433,164 @@ class TestIncrementalCarve:
         monkeypatch.setattr(holes, "extract_holes", extracted)
         monkeypatch.setattr(holes, "_carve", checked)
         for seq in (LARGE_PANEL + [nondyadic_items(s) for s in range(3)]
-                    + [corpus_items(s) for s in range(50)]):
+                    + [corpus_items(s) for s in range(50)]
+                    + [family_items(f, s) for f in sorted(FAMILIES)
+                       for s in range(10)]):
             run_bottomleft_analysis(pack(BottomLeftState, seq))
-        assert seen["carves"] > 1000
+            grids.clear()
+        assert seen["carves"] > 2000
         assert seen["trimmed"] > 0 and seen["untrimmed"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the replaced routes: every side of every run, and the grid's owner lookup
+# ---------------------------------------------------------------------------
+
+def _measure_sides(ctx, run):
+    """The reference for ``_side_length``: the four side lengths of a run's
+    owner along it, on the lattice, or None for a ground, wall or seam
+    run."""
+    kind = run.owner[0]
+    if kind == "sq":
+        l, r, b, t = ctx.rects[run.owner[1]]
+    elif kind == "copy":
+        l = r = b = t = None
+    else:
+        return None
+    left = bottom = right = top = 0
+    for (x1, y1), (x2, y2) in zip(run.points, run.points[1:]):
+        if x1 == x2:
+            length = abs(y2 - y1)
+            if x1 == l:
+                left += length
+            elif x1 == r:
+                right += length
+            else:
+                raise holes.AnalysisError("boundary", "edge off its owner's sides")
+        else:
+            length = abs(x2 - x1)
+            # copies own only their cut line
+            if kind == "copy" or y1 == b:
+                bottom += length
+            elif y1 == t:
+                top += length
+            else:
+                raise holes.AnalysisError("boundary", "edge off its owner's sides")
+    return {SIDE_LEFT: left, SIDE_BOTTOM: bottom,
+            SIDE_RIGHT: right, SIDE_TOP: top}
+
+
+def _grid_enters_hole_southeast(grid, hole, x, y):
+    """The reference for ``_enters_hole_southeast``, on the obstacle grid:
+    the index of the square owning the cell northwest of (x, y) if the
+    hole lies southeast of the point, else None."""
+    X, Y = grid.xs, grid.ys
+    iw = bisect_left(X, x) - 1                 # column just left of x
+    jn = bisect_right(Y, y) - 1                # row just above y
+    if not (0 <= iw < grid.nx and 0 <= jn < grid.ny):
+        return None
+    owner = grid.owner[iw][jn]
+    if owner is None or not hole.contains(x, y):
+        return None
+    return owner
+
+
+class TestReferenceRoutes:
+    def test_side_lengths_and_northwest_lookups(self, monkeypatch):
+        """On every run of every raw hole and every piece, ``_side_length``
+        equals the four-side measurement on all four sides, and every
+        lookup of the square northwest of a point, read from the lattice
+        index, equals the grid's."""
+        extract, carve = holes.extract_holes, holes._carve
+        enters = holes._enters_hole_southeast
+        grids = {}      # keyed on the context itself: an id() is reused
+        seen = Counter()
+
+        def check_sides(hole):
+            ctx = hole.ctx
+            for run in hole.runs:
+                want = _measure_sides(ctx, run)
+                if want is not None:
+                    assert {side: holes._side_length(ctx, run, side)
+                            for side in want} == \
+                        {side: F(v, ctx.scale) for side, v in want.items()}
+                    seen["runs"] += 1
+            seen["holes"] += 1
+
+        def extracted(closed):
+            raw = extract(closed)
+            for hole in raw:
+                check_sides(hole)
+            return raw
+
+        def carved(hole, lid):
+            pieces = carve(hole, lid)
+            for piece in pieces:
+                if piece is not None:
+                    check_sides(piece)
+            return pieces
+
+        def looked_up(hole, x, y):
+            ctx = hole.ctx
+            if ctx not in grids:
+                grids[ctx] = _grid(ctx)
+            got = enters(hole, x, y)
+            want = _grid_enters_hole_southeast(grids[ctx], hole, x, y)
+            assert got == (None if want is None else ctx.rects[want])
+            seen["lookups"] += 1
+            seen["found"] += got is not None
+            return got
+
+        monkeypatch.setattr(holes, "extract_holes", extracted)
+        monkeypatch.setattr(holes, "_carve", carved)
+        monkeypatch.setattr(holes, "_enters_hole_southeast", looked_up)
+        for seq in (LARGE_PANEL + [nondyadic_items(s) for s in range(3)]
+                    + [corpus_items(s) for s in range(50)]
+                    + [family_items(f, s) for f in sorted(FAMILIES)
+                       for s in range(50)]):
+            run_bottomleft_analysis(pack(BottomLeftState, seq))
+            grids.clear()
+        assert seen["holes"] > 10000 and seen["runs"] > 100000
+        assert 0 < seen["found"] < seen["lookups"]
+
+    def test_northwest_lookup_at_every_corner(self):
+        """The lattice lookup equals the grid's at every corner of every
+        raw hole, not only where a diagonal meets the boundary."""
+        found = 0
+        for seq in (LARGE_PANEL + [corpus_items(s) for s in range(50)]
+                    + [family_items(f, s) for f in sorted(FAMILIES)
+                       for s in range(10)]):
+            raw = extract_holes(close_packing(pack(BottomLeftState, seq)))
+            if raw:
+                ctx = raw[0].ctx
+                grid = _grid(ctx)
+            for hole in raw:
+                for x, y in {p for run in hole.runs for p in run.points}:
+                    got = holes._enters_hole_southeast(hole, x, y)
+                    want = _grid_enters_hole_southeast(grid, hole, x, y)
+                    assert got == (None if want is None else ctx.rects[want])
+                    found += got is not None
+        assert found > 0
+
+    def test_edge_off_the_sides_names_the_owner(self):
+        """An edge on none of its owner's sides fails loudly and names the
+        owner; a copy's only side is its cut."""
+        hole, lid = _first_carve()
+        ctx = hole.ctx
+        run = next(r for r in hole.runs if r.owner[0] == "sq")
+        l, r, b, t = run.rect(ctx)
+        square = f"square {ctx.placements[run.owner[1]].item.index}"
+        cl, cr, cb, ct = lid.rect
+        copy = f"the copy of square {lid.owner.item.index}"
+        for points, owner, name in (
+                ([(l - 1, b), (l - 1, t)], run.owner, square),
+                ([(l, b - 1), (r, b - 1)], run.owner, square),
+                ([(cl, cb), (cl, ct)], ("copy", lid), copy),
+                ([(cr, ct), (cl, ct)], ("copy", lid), copy)):
+            with pytest.raises(holes.AnalysisError) as err:
+                holes._side_length(ctx, holes._Run(owner, points), SIDE_LEFT)
+            assert err.value.name == "boundary"
+            assert str(err.value).endswith(f"off the sides of {name}")
 
 
 def _first_carve():

@@ -44,7 +44,7 @@ def reference_spans(p: Packing, a, y):
     full = [(0, scale - sa)]
     obs = []
     for pl in pls:
-        sl, sb, s = int(pl.x * scale), int(pl.y * scale), int(pl.side * scale)
+        sl, sb, s = int(pl.x * scale), int(pl.y * scale), int(pl.item.side * scale)
         obs.append((sl - sa, sl + s, sb - sa, sb + s))
     events = {}
     for idx, (_, _, alo, ahi) in enumerate(obs):
@@ -122,7 +122,7 @@ def reference_step(sofar: Packing, pl: Placement) -> StepVerdict:
         q.top == pl.y and q.left < pl.right and pl.left < q.right
         for q in sofar.placements)
     reachable = overlap_free and spans_contain(
-        reference_spans(sofar, pl.side, pl.y), pl.x)
+        reference_spans(sofar, pl.item.side, pl.y), pl.x)
     return StepVerdict(overlap_free, supported, reachable)
 
 
@@ -159,16 +159,16 @@ def corruptions(pls, seed: int, count: int):
     for _ in range(count):
         k = rng.randrange(1, len(pls))
         pl, other = pls[k], pls[rng.randrange(k)]
-        a = pl.side
+        a = pl.item.side
         kind = rng.randrange(3)
         if kind == 0:
-            x = min(max(other.x + rng.choice(offsets) * other.side - a / 2,
+            x = min(max(other.x + rng.choice(offsets) * other.item.side - a / 2,
                         F(0)), 1 - a)
             moved = Placement(pl.item, x, other.y)
         elif kind == 1:
             moved = Placement(pl.item, pl.x, pl.y + rng.choice(offsets))
         else:
-            x = min(other.x + rng.choice(offsets) * other.side, 1 - a)
+            x = min(other.x + rng.choice(offsets) * other.item.side, 1 - a)
             moved = Placement(pl.item, x, other.top)
         out.append((pls[:k], moved))
     return out
@@ -232,7 +232,7 @@ class TestReachFloor:
     @pytest.mark.parametrize("seed", range(50))
     def test_corpus_every_top(self, seed):
         p = pack(BottomLeftState, corpus_items(seed))
-        sides = [F(1, 64), F(1, 3), F(1), p.placements[seed % 30].side]
+        sides = [F(1, 64), F(1, 3), F(1), p.placements[seed % 30].item.side]
         self.assert_floor_exact(p, sides)
 
     def test_slide_under_a_square_at_the_floor(self):
@@ -257,9 +257,9 @@ class TestLazySweep:
         p = Packing()
         for pl in pls:
             for floor in (F(0), pl.y):
-                sweep = reachable_positions(p, pl.side, floor)
+                sweep = reachable_positions(p, pl.item.side, floor)
                 assert (sweep._events, sweep._at, sweep._slabs) == \
-                    eager_sweep(p, pl.side, floor), (pl, floor)
+                    eager_sweep(p, pl.item.side, floor), (pl, floor)
             p = p.extended(pl)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -285,7 +285,7 @@ class TestLazySweep:
         # just under the top and reads the same few squares at any m
         p, most = Packing(), 0
         for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
-            most = max(most, reachable_positions(p, pl.side).read)
+            most = max(most, reachable_positions(p, pl.item.side).read)
             p = p.extended(pl)
         assert len(p) == 5 * m and most <= 8
 
