@@ -88,9 +88,9 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         count += 1
         before = state.packing
         pl = state.place(SquareItem(count, side))
-        verdict = check_step(before, pl)
-        if not verdict.ok:
-            raise PackingError(f"strategy square {count}: {verdict.violation}")
+        violation = check_step(before, pl)
+        if violation:
+            raise PackingError(f"strategy square {count}: {violation}")
         return pl
 
     records = []

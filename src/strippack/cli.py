@@ -34,13 +34,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _parse_scalar_arg(text: str):
-    try:
-        return scalar(text)
-    except ScalarParseError as exc:
-        raise InstanceError(str(exc)) from exc
-
-
 def cmd_run(args) -> int:
     seq = parse_instance(_read(args.input))
     p = pack(STRATEGIES[args.strategy], seq)
@@ -98,7 +91,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    eps = _parse_scalar_arg(args.epsilon)
+    eps = scalar(args.epsilon)
     transcript = adversary_run(STRATEGIES[args.strategy], args.iterations, eps)
     opt = optimal_packing_for_transcript(transcript)
     h = transcript.final_height
@@ -117,7 +110,7 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_killer(args) -> int:
-    delta = _parse_scalar_arg(args.delta)
+    delta = scalar(args.delta)
     seq = slot_killer_instance(args.k, delta, args.n)
     p = pack(SlotState, seq)
     if args.stats:
@@ -128,8 +121,7 @@ def cmd_killer(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
-    items = gen_random(args.n, args.seed, _parse_scalar_arg(args.min),
-                       _parse_scalar_arg(args.max))
+    items = gen_random(args.n, args.seed, scalar(args.min), scalar(args.max))
     _write(args.out, instance_text(items))
     print(f"wrote {args.n} sides to {args.out}")
     return 0

@@ -273,11 +273,11 @@ class Hole:
         return self.runs[1]
 
     def _run_before_lid(self) -> _Run:
+        # never a wall: a left wall run follows the lid, and a right-wall
+        # hole never asks
         if len(self.runs) < 2:
             raise AnalysisError("structure", "hole has a single run")
         last = self.runs[-1]
-        if last.owner[0] in ("lwall", "rwall"):
-            last = self.runs[-2]
         if last.rect(self.ctx) is None:
             raise AnalysisError("structure", "no square run before the lid")
         return last
@@ -318,7 +318,11 @@ def _traced_runs(grid: ObstacleGrid, owners: list, cycle: list) -> list[_Run]:
     with one owner, kept as lattice corners.
 
     An edge's owner is what lies on its right, outside the hole: a square
-    (``owners`` of the grid's obstacle index), the ground or a wall.
+    (``owners`` of the grid's obstacle index), the ground or a wall.  The
+    cycle starts at the lower-left corner of the hole's smallest cell: the
+    first edge has the cell below or the ground outside, the last the cell
+    to the left or the left wall, and a square holding both would hold that
+    cell, so the first and last runs never share an owner.
     """
     X, Y = grid.xs, grid.ys
     nx, ny, cell_owner = grid.nx, grid.ny, grid.owner
@@ -357,10 +361,6 @@ def _traced_runs(grid: ObstacleGrid, owners: list, cycle: list) -> list[_Run]:
             points = [(X[i1], Y[j1]), (X[i2], Y[j2])]
             runs.append(_Run(owner, points))
             last = owner
-    if len(runs) > 1 and runs[0].owner == runs[-1].owner:
-        for p in runs[0].points[1:]:
-            _extend(runs[-1].points, p)
-        runs[0] = runs.pop()
     return runs
 
 
@@ -728,7 +728,6 @@ def extract_holes(p_closed: Packing) -> list[Hole]:
 
 @dataclass
 class BottomLeftAnalysis:
-    packing: Packing
     closed: Packing
     raw_holes: list
     holes: list
@@ -792,4 +791,4 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     checks.append(Check("theorem1",
                         height <= Fraction(7, 2) * area_sum + Fraction(5, 2),
                         str(height), "<=", f"7/2 * {area_sum} + 5/2"))
-    return BottomLeftAnalysis(p, closed, raw, finals, bounds, ledger, checks)
+    return BottomLeftAnalysis(closed, raw, finals, bounds, ledger, checks)

@@ -2,7 +2,7 @@
 
 A packing is an ordered sequence of axis-aligned square placements in the
 semi-infinite strip [0,1] x [0,inf).  The verifier replays the arrival
-order and checks, per step (``check_step``):
+order; per step, ``check_step`` names the first of these rules broken:
 
   * overlap-freeness (closed squares, interiors disjoint, inside the strip),
   * gravity: the square rests on the strip bottom or on another square's top
@@ -430,35 +430,8 @@ def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
 # verifier
 # ---------------------------------------------------------------------------
 
-VIOLATION_OVERLAP = "overlap"
-VIOLATION_UNSUPPORTED = "unsupported"
-VIOLATION_UNREACHABLE = "unreachable"
-
-
-@dataclass(frozen=True)
-class StepVerdict:
-    overlap_free: bool
-    supported: bool
-    reachable: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.overlap_free and self.supported and self.reachable
-
-    @property
-    def violation(self) -> Optional[str]:
-        if not self.overlap_free:
-            return VIOLATION_OVERLAP
-        if not self.supported:
-            return VIOLATION_UNSUPPORTED
-        if not self.reachable:
-            return VIOLATION_UNREACHABLE
-        return None
-
-
 @dataclass(frozen=True)
 class VerificationReport:
-    verdicts: tuple[StepVerdict, ...]
     first_failure: Optional[tuple[int, str]]   # (1-based step, violation)
 
     @property
@@ -472,45 +445,43 @@ class VerificationReport:
         return f"{kind} at step {step}"
 
 
-def check_step(sofar: Packing, pl: Placement) -> StepVerdict:
-    """Check one arriving square against the packing before it: overlap,
-    then support, then reach; a square that overlaps is not reachable.
+def check_step(sofar: Packing, pl: Placement) -> Optional[str]:
+    """The first rule the arriving square breaks against the packing before
+    it, or None: ``"overlap"``, then ``"unsupported"``, then
+    ``"unreachable"``.  A rule is decided only if every rule before it holds.
 
     Only squares with bottom in ``[pl.y - 1, pl.top)`` can overlap it, as
     sides are at most 1, so only that window is tested."""
     lat = sofar._lattice()
     at = l, r, b, t = lat.coords(pl)
     rect = Rect(*at)
-    overlap_free = 0 <= l and r <= lat.scale and 0 <= b and not any(
-        rect.interior_overlaps(Rect(*q))
-        for q in sofar.window(b - lat.scale, t))
-    supported = is_supported(sofar, pl, at)
-    reachable = overlap_free and is_tetris_reachable(sofar, pl, at)
-    return StepVerdict(overlap_free, supported, reachable)
+    if not (0 <= l and r <= lat.scale and 0 <= b) or any(
+            rect.interior_overlaps(Rect(*q))
+            for q in sofar.window(b - lat.scale, t)):
+        return "overlap"
+    if not is_supported(sofar, pl, at):
+        return "unsupported"
+    if not is_tetris_reachable(sofar, pl, at):
+        return "unreachable"
+    return None
 
 
 def verify_packing(seq: Sequence[SquareItem],
                    pls: Sequence[Placement]) -> VerificationReport:
-    """Replay arrivals in order, checking all three constraints per step.
-
-    The replay stops at the first failing step, so ``verdicts`` holds the
-    steps replayed: every step of a valid packing, or the steps up to and
-    including the first failure.
-    """
+    """Replay arrivals in order, checking each step with ``check_step``;
+    the replay stops at the first step that breaks a rule."""
     if len(seq) != len(pls):
         raise PackingError("sequence and placement lists differ in length")
     for item, pl in zip(seq, pls):
         if item.index != pl.item.index or item.side != pl.item.side:
             raise PackingError(f"item mismatch at index {item.index}")
     sofar = Packing()
-    verdicts = []
     for step, pl in enumerate(pls, start=1):
-        v = check_step(sofar, pl)
-        verdicts.append(v)
-        if not v.ok:
-            return VerificationReport(tuple(verdicts), (step, v.violation))
+        violation = check_step(sofar, pl)
+        if violation:
+            return VerificationReport((step, violation))
         sofar = sofar.extended(pl)
-    return VerificationReport(tuple(verdicts), None)
+    return VerificationReport(None)
 
 
 # ---------------------------------------------------------------------------

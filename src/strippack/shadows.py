@@ -34,12 +34,11 @@ LatticeRect = tuple[int, int, int, int]
 @dataclass
 class ChargeMap:
     """Exact charged areas per square (by arrival index), and the charged
-    regions and widenings as ``(l, r, b, t)`` on the lattice: a value v
-    stands for v / ``scale``."""
+    regions as ``(l, r, b, t)`` on the lattice: a value v stands for
+    v / ``scale``."""
 
     areas: dict[int, Scalar]
     regions: dict[int, list[LatticeRect]]
-    widenings: list[LatticeRect]
     scale: int
 
     def area_of(self, index: int) -> Scalar:
@@ -101,10 +100,8 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     blockers: list[tuple[int, int, int]] = []       # (b, t, i) spanning x0
     stops: list[tuple[int, int, int, int]] = []     # (b, k, slot index, i)
     events: dict[int, list] = {0: [], scale: []}
-    widenings = []
     for i, (pl, rect) in enumerate(zip(pls, rects)):
         ext, wid, (k, j) = _extent_and_widening(pl, rect, scale)
-        widenings.append(wid)
         b, t = rect[2], rect[3]
         for active, (l, r, _, _), key in ((blockers, ext, (b, t, i)),
                                           (stops, wid, (b, k, j, i))):
@@ -141,7 +138,7 @@ def charge_map(p_closed: Packing) -> ChargeMap:
             sums[idx] = sums.get(idx, 0) + (g_hi - g_lo) * (x1 - x0)
             regions.setdefault(idx, []).append((x0, x1, g_lo, g_hi))
     areas = {idx: Fraction(v, scale * scale) for idx, v in sums.items()}
-    return ChargeMap(areas, regions, widenings, scale)
+    return ChargeMap(areas, regions, scale)
 
 
 def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:

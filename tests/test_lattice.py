@@ -16,9 +16,9 @@ from strippack.cli import STRATEGIES
 from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
 from strippack.geometry import Rect
-from strippack.packing import (Packing, Placement, SquareItem, StepVerdict,
-                               check_step, is_supported, pack,
-                               reachable_positions, verify_packing)
+from strippack.packing import (Packing, Placement, SquareItem, check_step,
+                               is_supported, pack, reachable_positions,
+                               verify_packing)
 from strippack.slots import SlotState
 
 EPS = F(1, 100)
@@ -114,16 +114,19 @@ def rect_of(pl: Placement) -> Rect:
     return Rect(pl.left, pl.right, pl.y, pl.top)
 
 
-def reference_step(sofar: Packing, pl: Placement) -> StepVerdict:
+def reference_step(sofar: Packing, pl: Placement):
+    """The first of the three rules ``pl`` breaks, or None."""
     rect = rect_of(pl)
-    overlap_free = 0 <= pl.x and pl.right <= 1 and pl.y >= 0 and not any(
-        rect.interior_overlaps(rect_of(q)) for q in sofar.placements)
-    supported = pl.y == 0 or any(
-        q.top == pl.y and q.left < pl.right and pl.left < q.right
-        for q in sofar.placements)
-    reachable = overlap_free and spans_contain(
-        reference_spans(sofar, pl.item.side, pl.y), pl.x)
-    return StepVerdict(overlap_free, supported, reachable)
+    if not (0 <= pl.x and pl.right <= 1 and pl.y >= 0) or any(
+            rect.interior_overlaps(rect_of(q)) for q in sofar.placements):
+        return "overlap"
+    if not (pl.y == 0 or any(
+            q.top == pl.y and q.left < pl.right and pl.left < q.right
+            for q in sofar.placements)):
+        return "unsupported"
+    if not spans_contain(reference_spans(sofar, pl.item.side, pl.y), pl.x):
+        return "unreachable"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,7 @@ def assert_corruptions_agree(pls, seed, count):
         sofar = Packing(prefix)
         verdict = check_step(sofar, moved)
         assert verdict == reference_step(sofar, moved), (len(prefix), moved)
-        seen.add(verdict.violation)
+        seen.add(verdict)
     return seen
 
 
@@ -213,7 +216,7 @@ class TestStepDifferential:
                           (1, 0, "1/4")]).placements
         inside = Placement(SquareItem(4, F(1, 4)), F(3, 8), F(0))
         verdict = check_step(Packing(pls), inside)
-        assert verdict.violation == "unreachable"
+        assert verdict == "unreachable"
         assert verdict == reference_step(Packing(pls), inside)
 
 
@@ -301,10 +304,10 @@ class TestLatticeEdges:
         p = packing_of([(1, 0, bottom)])
         pl = Placement(SquareItem(2, F(1, 2)), F(1, 4), bottom + 1)
         assert is_supported(p, pl)
-        assert check_step(p, pl).ok
+        assert check_step(p, pl) is None
         assert check_step(p, pl) == reference_step(p, pl)
         higher = Placement(SquareItem(2, F(1, 2)), F(1, 4), bottom + F(3, 2))
-        assert check_step(p, higher).violation == "unsupported"
+        assert check_step(p, higher) == "unsupported"
 
     def test_rescale_mid_packing(self):
         seq = items("1/2", "1/4", "1/8", "1/2", "1/16", "1/3", "1/5", "1/4",
@@ -334,14 +337,14 @@ class TestLatticeEdges:
         # each branch takes a square where only the other one's would clash
         on_right = Placement(SquareItem(4, F(1, 3)), F(2, 3), F(1, 2))
         on_left = Placement(SquareItem(4, F(1, 2)), F(0), F(1, 2))
-        assert check_step(one, on_right).ok
-        assert check_step(two, on_left).ok
-        assert check_step(one, on_left).violation == "overlap"
-        assert check_step(two, on_right).violation == "overlap"
+        assert check_step(one, on_right) is None
+        assert check_step(two, on_left) is None
+        assert check_step(one, on_left) == "overlap"
+        assert check_step(two, on_right) == "overlap"
         # growing either branch further leaves the other as it was
         three = one.extended(on_right)
         assert len(three) == 4 and len(two) == 3
-        assert check_step(two, on_left).ok
+        assert check_step(two, on_left) is None
         scale, rects = two.lattice()
         assert len(rects) == 3
         assert rects[-1] == (2 * scale // 3, scale, scale // 2, 5 * scale // 6)

@@ -9,9 +9,10 @@ from conftest import (at_level, grid_bfs_reachable, items, packing_of,
                       random_items, rest_height)
 from span_reference import (intersect_spans, merge_spans, spans_contain,
                             spans_meet, subtract_spans_open)
+import strippack.packing
 from strippack.bottomleft import BottomLeftState
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               _free, _meeting, is_supported,
+                               _free, _meeting, check_step, is_supported,
                                is_tetris_reachable, pack, reachable_positions,
                                verify_packing)
 
@@ -240,16 +241,37 @@ class TestVerifier:
         with pytest.raises(PackingError):
             verify_packing(seq, [])
 
-    def test_stops_at_first_failure(self):
+    def test_stops_at_first_failure(self, monkeypatch):
+        calls = []
+
+        def counted(sofar, pl):
+            calls.append(pl)
+            return check_step(sofar, pl)
+
+        monkeypatch.setattr(strippack.packing, "check_step", counted)
         seq = random_items(3, 100)
         packed = pack(BottomLeftState, seq).placements
-        assert len(verify_packing(seq, packed).verdicts) == 100
+        assert verify_packing(seq, packed).ok
+        assert len(calls) == 100
         pls = list(packed)
         first = pls[0]
         pls[1] = Placement(pls[1].item, first.x, first.y)   # onto square 1
+        calls.clear()
         report = verify_packing(seq, pls)
         assert report.describe() == "overlap at step 2"
-        assert len(report.verdicts) == 2
+        assert len(calls) == 2
+
+    def test_step_stops_at_first_broken_rule(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a later rule was decided")
+
+        p = packing_of([("1/2", 0, 0)])
+        monkeypatch.setattr(strippack.packing, "is_tetris_reachable", never)
+        floating = Placement(SquareItem(2, F(1, 4)), F(1, 2), F(1, 4))
+        assert check_step(p, floating) == "unsupported"
+        monkeypatch.setattr(strippack.packing, "is_supported", never)
+        overlapping = Placement(SquareItem(2, F(1, 4)), F(1, 4), F(1, 4))
+        assert check_step(p, overlapping) == "overlap"
 
     def test_height(self):
         assert Packing().height == 0

@@ -10,7 +10,8 @@ from conftest import (corpus_items, deep_items, items, nondyadic_items,
 from strippack.geometry import Rect
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                close_packing, pack)
-from strippack.shadows import ChargeMap, charge_map, check_slot_bounds
+from strippack.shadows import (ChargeMap, _extent_and_widening, charge_map,
+                               check_slot_bounds)
 from strippack.slots import SlotState, round_to_dyadic
 
 ZERO, ONE = F(0), F(1)
@@ -156,6 +157,15 @@ def region_rects(cm: ChargeMap) -> dict[int, list[Rect]]:
     return {idx: [as_rect(cm, v) for v in vs] for idx, vs in cm.regions.items()}
 
 
+def lattice_widenings(cm: ChargeMap, closed: Packing) -> list[Rect]:
+    """The widenings ``_extent_and_widening`` gives on the closed packing's
+    lattice, which ``charge_map`` fitted to ``cm.scale``."""
+    scale, rects = closed.lattice()
+    assert scale == cm.scale
+    return [as_rect(cm, _extent_and_widening(q, rect, scale)[1])
+            for q, rect in zip(closed.placements, rects)]
+
+
 def assert_bounds_hold(checks):
     assert all(c.ok for c in checks), "\n".join(c.line() for c in checks)
 
@@ -246,7 +256,7 @@ class TestChargeMap:
             cm = charge_map(closed)
             regions = [r for rects in region_rects(cm).values()
                        for r in rects]
-            widenings = [as_rect(cm, w) for w in cm.widenings]
+            widenings = lattice_widenings(cm, closed)
             for i, a in enumerate(regions):
                 for b in regions[i + 1:]:
                     assert not a.interior_overlaps(b)
@@ -340,7 +350,7 @@ class TestAgainstReference:
         areas, regions, widenings = reference_charge_map(closed)
         assert list(cm.areas.items()) == list(areas.items())
         assert list(region_rects(cm).items()) == list(regions.items())
-        assert [as_rect(cm, w) for w in cm.widenings] == widenings
+        assert lattice_widenings(cm, closed) == widenings
 
     @pytest.mark.parametrize("p", [
         pack(SlotState, corpus_items(0)),               # not closed
