@@ -43,10 +43,21 @@ def classify_iteration(pl1: Placement, pl2: Placement,
     return TYPE_II
 
 
+def _band(kind: str, eps: Scalar) -> list[tuple[Scalar, Scalar, Scalar]]:
+    """The squares of one iteration of type ``kind`` as ``(side, x, y)``, in
+    the order the adversary sends them, with ``(x, y)`` each square's place
+    in the iteration's band above the band's base."""
+    if kind == TYPE_I:
+        return [(QUARTER, ZERO, ZERO), (QUARTER, QUARTER, ZERO),
+                (Fraction(3, 4) + eps, ZERO, QUARTER)]
+    big = HALF + eps
+    return [(QUARTER, big, ZERO), (QUARTER, big, QUARTER), (big, ZERO, ZERO),
+            (HALF, ZERO, big), (HALF, HALF, big)]
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     kind: str
-    sides: tuple[Scalar, ...]      # five entries; unsent squares are zero
     height_after: Scalar
 
 
@@ -61,11 +72,14 @@ class AdversaryTranscript:
         return self.iterations[-1].height_after if self.iterations else ZERO
 
     def serialize(self) -> str:
+        """One line per iteration; the sides of a type I iteration are
+        padded to five with zeros."""
         lines = [f"epsilon {self.epsilon}"]
         for i, rec in enumerate(self.iterations, 1):
-            sides = " ".join(str(s) for s in rec.sides)
-            lines.append(f"iteration {i} type {rec.kind} sides {sides} "
-                         f"height {rec.height_after}")
+            sides = [str(a) for a, _, _ in _band(rec.kind, self.epsilon)]
+            sides += ["0"] * (5 - len(sides))
+            lines.append(f"iteration {i} type {rec.kind} sides "
+                         f"{' '.join(sides)} height {rec.height_after}")
         return "\n".join(lines)
 
 
@@ -99,16 +113,10 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         pl1 = send(QUARTER)
         pl2 = send(QUARTER)
         kind = classify_iteration(pl1, pl2, h_prev)
-        if kind == TYPE_I:
-            send(Fraction(3, 4) + eps)
-            sides = (QUARTER, QUARTER, Fraction(3, 4) + eps, ZERO, ZERO)
-        else:
-            send(HALF + eps)
-            send(HALF)
-            send(HALF)
-            sides = (QUARTER, QUARTER, HALF + eps, HALF, HALF)
+        for side, _, _ in _band(kind, eps)[2:]:
+            send(side)
         h_prev = state.packing.height
-        records.append(IterationRecord(kind, sides, h_prev))
+        records.append(IterationRecord(kind, h_prev))
     return AdversaryTranscript(eps, records, state.packing)
 
 
@@ -118,28 +126,12 @@ def optimal_packing_for_transcript(t: AdversaryTranscript) -> Packing:
     eps = t.epsilon
     base = ZERO
     placements: list[Placement] = []
-    count = 0
-
-    def put(side: Scalar, x: Scalar, y: Scalar):
-        nonlocal count
-        count += 1
-        placements.append(Placement(SquareItem(count, side), x, y))
-
     for rec in t.iterations:
-        if rec.kind == TYPE_I:
-            put(QUARTER, ZERO, base)
-            put(QUARTER, QUARTER, base)
-            put(Fraction(3, 4) + eps, ZERO, base + QUARTER)
-        else:
-            big = HALF + eps
-            put(QUARTER, big, base)
-            put(QUARTER, big, base + QUARTER)
-            put(big, ZERO, base)
-            put(HALF, ZERO, base + big)
-            put(HALF, HALF, base + big)
+        for side, x, y in _band(rec.kind, eps):
+            item = SquareItem(len(placements) + 1, side)
+            placements.append(Placement(item, x, base + y))
         base += ONE + eps
-    items = [pl.item for pl in placements]
-    report = verify_packing(items, placements)
-    if not report.ok:
-        raise PackingError(f"optimal construction invalid: {report.describe()}")
-    return Packing(tuple(placements))
+    failure = verify_packing([pl.item for pl in placements], placements)
+    if failure:
+        raise PackingError(f"optimal construction invalid: {failure}")
+    return Packing(placements)

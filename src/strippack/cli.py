@@ -37,9 +37,9 @@ def _write(path: str, text: str) -> None:
 def cmd_run(args) -> int:
     seq = parse_instance(_read(args.input))
     p = pack(STRATEGIES[args.strategy], seq)
-    report = verify_packing(seq, p.placements)
-    if not report.ok:
-        print(f"CHECK run-self-verify FAIL {report.describe()}")
+    failure = verify_packing(seq, p.placements)
+    if failure:
+        print(f"CHECK run-self-verify FAIL {failure}")
         return 1
     if args.csv:
         _write(args.csv, placements_csv(p))
@@ -55,12 +55,9 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     seq = parse_instance(_read(args.input))
     pls = parse_placements_csv(_read(args.placements), seq)
-    report = verify_packing(seq, pls)
-    if report.ok:
-        print("valid")
-        return 0
-    print(report.describe())
-    return 1
+    failure = verify_packing(seq, pls)
+    print(failure or "valid")
+    return 1 if failure else 0
 
 
 def cmd_analyze(args) -> int:
@@ -189,9 +186,6 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AnalysisError as exc:
-        print(f"CHECK {exc.name} FAIL {exc}")
-        return 1
 
 
 if __name__ == "__main__":

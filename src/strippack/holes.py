@@ -73,13 +73,11 @@ class AnalysisError(AssertionError):
 class VirtualLid:
     """Imaginary copy of a square covering the unsupported cut MN, on the
     lattice: ``rect`` is ``(l, r, b, t)`` and MN runs from ``mn_left`` to
-    ``mn_right`` at height ``level``."""
+    the copy's right side ``r`` along its bottom ``b``."""
 
     owner: Placement
     rect: tuple[int, int, int, int]
     mn_left: int
-    mn_right: int
-    level: int
 
 
 OWNER_GROUND = ("ground",)
@@ -95,15 +93,15 @@ class _Context:
     ``[0, scale]`` wide and ``rects[k]`` is square k's ``(l, r, b, t)``.
     ``window`` is the packing's bottom-sorted index of those rects
     (``Packing.window``); splits read the squares near a point or a cut's
-    line from it.  ``copies`` holds the virtual lid of each square that
-    has one.
+    line from it.  ``copies`` holds the index of each square that has a
+    virtual lid.
     """
 
     def __init__(self, p: Packing):
         self.placements = p.placements
         self.scale, self.rects = p.lattice()
         self.window = p.window
-        self.copies: dict[int, VirtualLid] = {}
+        self.copies: set[int] = set()
 
 
 @dataclass
@@ -475,13 +473,13 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
         raise AnalysisError("lemma7", f"cut {x_n - x_m} not shorter than {side}")
     return VirtualLid(owner=ctx.placements[up],
                       rect=(x_n - side, x_n, lt, lt + side),
-                      mn_left=x_m, mn_right=x_n, level=lt)
+                      mn_left=x_m)
 
 
 def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     """Remove the sub-hole below the cut; returns (below, remainder).
 
-    The cut runs from M = (mn_left, level) to N = (mn_right, level), and
+    The cut runs from M = (mn_left, b) to N = (r, b) on the lid's bottom, and
     each lies on the hole's boundary once.  The star below the cut is the
     boundary from M to N closed by the lid's copy from N back to M; the
     remainder is the boundary from N to M closed by a seam from M to N.
@@ -494,7 +492,8 @@ def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     if key in ctx.copies:
         raise AnalysisError("copy-uniqueness",
                             f"square {key} used as a virtual lid twice")
-    m, n = (lid.mn_left, lid.level), (lid.mn_right, lid.level)
+    _, r, b, _ = lid.rect
+    m, n = (lid.mn_left, b), (r, b)
     before_m, from_m = _cut(hole.runs, m)
     to_n, from_n = _cut(from_m + before_m, n)
     star_runs = _closed(to_n, ("copy", lid), n, m)
@@ -506,7 +505,7 @@ def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     if star_area < hole.area_units:
         remainder = Hole(ctx, _closed(from_n, OWNER_SEAM, m, n),
                          hole.area_units - star_area, hole.lid_virtual)
-    ctx.copies[key] = lid
+    ctx.copies.add(key)
     return star, remainder
 
 
@@ -585,12 +584,13 @@ class ChargeTerm:
     side: str
     virtual: bool              # charged to the square's virtual copy
     coeff: Fraction            # ledger coefficient (virtual lid bottom: 1/2)
-    coeff_full: Fraction       # per-hole bound coefficient (lid bottom: 1)
     segment: Scalar
 
     @property
     def bound_part(self) -> Scalar:
-        return self.coeff_full * self.segment * self.segment
+        """Term in the hole's bound: a virtual lid's bottom counts in full."""
+        coeff = ONE if self.virtual else self.coeff
+        return coeff * self.segment * self.segment
 
 
 def _side_length(ctx: _Context, run: _Run, side: str) -> Fraction:
@@ -626,15 +626,14 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
         lid_square = ctx.placements[lid.owner[1]]
     beta1 = _side_length(ctx, lid, SIDE_BOTTOM)
     items = [ChargeTerm(lid_square.item.index, SIDE_BOTTOM, lid_virtual,
-                        HALF if lid_virtual else Fraction(1), Fraction(1),
-                        beta1)]
+                        HALF if lid_virtual else Fraction(1), beta1)]
 
     def term(run: _Run, side: str, coeff: Fraction):
         seg = _side_length(ctx, run, side)
         if run.owner[0] == "copy":
             raise AnalysisError("charge", "side charge landed on a copy")
         sq = ctx.placements[run.owner[1]]
-        items.append(ChargeTerm(sq.item.index, side, False, coeff, coeff, seg))
+        items.append(ChargeTerm(sq.item.index, side, False, coeff, seg))
 
     if hole.touches_left:
         term(hole._run_before_lid(), SIDE_LEFT, HALF)
@@ -729,7 +728,6 @@ def extract_holes(p_closed: Packing) -> list[Hole]:
 @dataclass
 class BottomLeftAnalysis:
     closed: Packing
-    raw_holes: list
     holes: list
     bounds: list                # hole_area_bound of each of ``holes``
     ledger: ChargeLedger
@@ -791,4 +789,4 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     checks.append(Check("theorem1",
                         height <= Fraction(7, 2) * area_sum + Fraction(5, 2),
                         str(height), "<=", f"7/2 * {area_sum} + 5/2"))
-    return BottomLeftAnalysis(closed, raw, finals, bounds, ledger, checks)
+    return BottomLeftAnalysis(closed, finals, bounds, ledger, checks)

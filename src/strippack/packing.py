@@ -134,9 +134,10 @@ class _Lattice:
 
 
 class Packing:
-    """Immutable ordered packing with its integer lattice (``lattice``),
-    built on first use, and the index of its topmost placement, whose top
-    is the ``height``.
+    """Immutable ordered packing on its integer lattice, and the index of
+    its topmost placement (the first of equal tops), whose top is the
+    ``height``.  ``placements`` is a tuple view of the lattice's placements,
+    built on first use when the packing came from ``extended``.
 
     ``extended`` appends to the lattice this packing shares with the one it
     came from, in O(1) amortized time plus a sorted insert, and finds the new
@@ -149,10 +150,11 @@ class Packing:
 
     def __init__(self, placements: Sequence[Placement] = ()):
         pls = tuple(placements)
+        self._lat = _Lattice.of(pls)
         self._placements: Optional[tuple[Placement, ...]] = pls
         self._n = len(pls)
-        self._top = max(range(self._n), key=lambda i: pls[i].top, default=-1)
-        self._lat: Optional[_Lattice] = None
+        rects = self._lat.rects
+        self._top = max(range(self._n), key=lambda i: rects[i][3], default=-1)
 
     def __len__(self) -> int:
         return self._n
@@ -167,15 +169,10 @@ class Packing:
     def height(self) -> Scalar:
         if not self._n:
             return ZERO
-        return (self._placements or self._lat.pls)[self._top].top
-
-    def _lattice(self) -> _Lattice:
-        if self._lat is None:
-            self._lat = _Lattice.of(self._placements)
-        return self._lat
+        return self._lat.pls[self._top].top
 
     def extended(self, pl: Placement) -> "Packing":
-        lat = self._lattice()
+        lat = self._lat
         if len(lat.pls) != self._n:
             lat = _Lattice.of(lat.pls[:self._n])    # a second branch
         lat.append(pl)
@@ -190,7 +187,7 @@ class Packing:
         """``(scale, rects)``: ``rects[i]`` is placement i's ``(l, r, b, t)``
         times ``scale``, and ``scale`` is a multiple of every denominator
         given.  The rects are read-only."""
-        lat = self._lattice()
+        lat = self._lat
         scale = lat.fit(*dens)
         rects = lat.rects
         return scale, rects if len(rects) == self._n else rects[:self._n]
@@ -199,7 +196,7 @@ class Packing:
                ) -> list[tuple[int, int, int, int]]:
         """Lattice rects of the placements with ``lo <= b < hi``, on the
         lattice's current scale.  The rects are read-only."""
-        lat, n = self._lattice(), self._n
+        lat, n = self._lat, self._n
         bottoms, rects = lat.bottoms, lat.rects
         k0 = bisect_left(bottoms, lo)
         if k0 == 0 and hi is None and len(rects) == n:
@@ -234,7 +231,7 @@ def is_supported(p: Packing, pl: Placement, at=None) -> bool:
 
     A top at ``pl.y`` belongs to a square with bottom in ``[pl.y - 1,
     pl.y)``, since sides are at most 1, so only that window is read."""
-    lat = p._lattice()
+    lat = p._lat
     l, r, b, _ = at or lat.coords(pl)
     return b == 0 or any(qt == b and ql < r and l < qr
                          for ql, qr, _, qt in p.window(b - lat.scale, b))
@@ -343,7 +340,7 @@ def reachable_positions(p: Packing, a: Scalar,
     """
     if a > ONE or a <= ZERO:
         raise PackingError(f"side {a} outside (0, 1]")
-    lat = p._lattice()
+    lat = p._lat
     scale = lat.fit(a.denominator, floor.denominator)
     low = floor.numerator * (scale // floor.denominator)
     sa = a.numerator * (scale // a.denominator)
@@ -421,7 +418,7 @@ def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
     """Is (pl.x, pl.y) reachable from above the packing by a path that never
     moves up and keeps the square's interior clear of all placed squares?
     ``at`` is ``pl``'s lattice ``(l, r, b, t)`` when the caller has it."""
-    l, _, b, _ = at or p._lattice().coords(pl)
+    l, _, b, _ = at or p._lat.coords(pl)
     sweep = reachable_positions(p, pl.item.side, floor=pl.y)
     return any(lo <= l <= hi for lo, hi in sweep.spans_at(b))
 
@@ -430,21 +427,6 @@ def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
 # verifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    first_failure: Optional[tuple[int, str]]   # (1-based step, violation)
-
-    @property
-    def ok(self) -> bool:
-        return self.first_failure is None
-
-    def describe(self) -> str:
-        if self.ok:
-            return "valid"
-        step, kind = self.first_failure
-        return f"{kind} at step {step}"
-
-
 def check_step(sofar: Packing, pl: Placement) -> Optional[str]:
     """The first rule the arriving square breaks against the packing before
     it, or None: ``"overlap"``, then ``"unsupported"``, then
@@ -452,7 +434,7 @@ def check_step(sofar: Packing, pl: Placement) -> Optional[str]:
 
     Only squares with bottom in ``[pl.y - 1, pl.top)`` can overlap it, as
     sides are at most 1, so only that window is tested."""
-    lat = sofar._lattice()
+    lat = sofar._lat
     at = l, r, b, t = lat.coords(pl)
     rect = Rect(*at)
     if not (0 <= l and r <= lat.scale and 0 <= b) or any(
@@ -467,9 +449,10 @@ def check_step(sofar: Packing, pl: Placement) -> Optional[str]:
 
 
 def verify_packing(seq: Sequence[SquareItem],
-                   pls: Sequence[Placement]) -> VerificationReport:
+                   pls: Sequence[Placement]) -> Optional[str]:
     """Replay arrivals in order, checking each step with ``check_step``;
-    the replay stops at the first step that breaks a rule."""
+    the replay stops at the first step that breaks a rule and returns
+    ``"<rule> at step <k>"`` (k 1-based), or None if every step holds."""
     if len(seq) != len(pls):
         raise PackingError("sequence and placement lists differ in length")
     for item, pl in zip(seq, pls):
@@ -479,9 +462,9 @@ def verify_packing(seq: Sequence[SquareItem],
     for step, pl in enumerate(pls, start=1):
         violation = check_step(sofar, pl)
         if violation:
-            return VerificationReport((step, violation))
+            return f"{violation} at step {step}"
         sofar = sofar.extended(pl)
-    return VerificationReport(None)
+    return None
 
 
 # ---------------------------------------------------------------------------

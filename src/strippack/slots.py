@@ -39,20 +39,20 @@ class SlotState:
     """The slot strategy, one square at a time, on its packing and the
     packing's skyline.
 
-    The skyline holds the packing's lattice integers at scale ``_scale``;
-    when the lattice grows it is multiplied through by the factor.
+    The skyline holds the packing's lattice integers; its ``end`` is the
+    lattice scale it was built on.  When the lattice grows the skyline is
+    multiplied through by the factor.
     """
 
     def __init__(self):
         self.packing = Packing()
-        self._scale = 1
         self._skyline = StepProfile(1)
 
     def _fit(self, *dens: int) -> int:
         scale, _ = self.packing.lattice(*dens)
-        if scale != self._scale:
-            self._skyline.scale_by(scale // self._scale)
-            self._scale = scale
+        skyline = self._skyline
+        if scale != skyline.end:
+            skyline.scale_by(scale // skyline.end)
         return scale
 
     def choose(self, k: int) -> int:

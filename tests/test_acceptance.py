@@ -12,7 +12,8 @@ from conftest import at_level, grid_bfs_reachable
 from strippack.adversary import adversary_run, optimal_packing_for_transcript
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES
-from strippack.holes import AnalysisError, run_bottomleft_analysis
+from strippack.holes import (AnalysisError, extract_holes,
+                             run_bottomleft_analysis)
 from strippack.packing import (Placement, SquareItem, close_packing, pack,
                                reachable_positions, verify_packing)
 from strippack.shadows import EIGHT_THIRTEENTHS, charge_map
@@ -60,7 +61,7 @@ def corpus():
                 (seed, exc.name, [str(it.side) for it in seq]))
             records.append(rec)
             continue
-        hole_sum = sum((h.area for h in ana.raw_holes), F(0))
+        hole_sum = sum((h.area for h in extract_holes(ana.closed)), F(0))
         rec["identity"] = p.height == area + hole_sum
         rec["hole_sum"] = hole_sum
         rec["analysis_ok"] = ana.ok
@@ -212,16 +213,16 @@ def test_criterion_8_verifier_sensitivity(corpus):
     for seq, p in corpus["packings"]:
         pls, step = _mutate_overlap(seq, p)
         rep = verify_packing(seq, pls)
-        if rep.first_failure != (step, "overlap"):
-            failures.append(("overlap", rep.first_failure))
+        if rep != f"overlap at step {step}":
+            failures.append(("overlap", rep))
         pls, step = _mutate_float(seq, p)
         rep = verify_packing(seq, pls)
-        if rep.first_failure != (step, "unsupported"):
-            failures.append(("float", rep.first_failure))
+        if rep != f"unsupported at step {step}":
+            failures.append(("float", rep))
         seq2, pls2, step = _extend_sealed(seq, p)
         rep = verify_packing(seq2, pls2)
-        if rep.first_failure != (step, "unreachable"):
-            failures.append(("sealed", rep.first_failure))
+        if rep != f"unreachable at step {step}":
+            failures.append(("sealed", rep))
     check("acceptance-8-verifier-sensitivity", not failures,
           f"300 mutations over 100 packings rejected with correct classes"
           if not failures else f"misclassified: {failures[:5]}")

@@ -83,7 +83,7 @@ class TestRuns:
         for seed in range(8):
             seq = random_items(seed, 12)
             p = pack(BottomLeftState, seq)
-            assert verify_packing(seq, p.placements).ok
+            assert verify_packing(seq, p.placements) is None
 
     def test_theorem1_bound(self):
         for seed in range(8):

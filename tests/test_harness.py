@@ -66,7 +66,7 @@ class TestPlacementsCsv:
         seq = items("1/2", "1/2", "3/5")
         p = pack(BottomLeftState, seq)
         pls = parse_placements_csv(placements_csv(p), seq)
-        assert verify_packing(seq, pls).ok
+        assert verify_packing(seq, pls) is None
 
     def test_mismatch_rejected(self):
         seq = items("1/2")

@@ -118,13 +118,14 @@ class TestSplitting:
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         p = pack(BottomLeftState, seq)
         ana = run_bottomleft_analysis(p)
-        assert [str(h.area) for h in ana.raw_holes] == ["21/64", "7/64"]
+        raw = extract_holes(ana.closed)
+        assert [str(h.area) for h in raw] == ["21/64", "7/64"]
         assert len(ana.holes) == 3
         virtual = [h for h in ana.holes if h.lid_virtual is not None]
         assert len(virtual) == 1
         assert virtual[0].lid_virtual.owner.item.index == 6
         assert virtual[0].area == F(3, 32)
-        assert sum(h.area for h in ana.holes) == sum(h.area for h in ana.raw_holes)
+        assert sum(h.area for h in ana.holes) == sum(h.area for h in raw)
 
     def test_deep_wall_void_cascade(self):
         # identical squares stack at the wall; every band becomes its own
@@ -192,7 +193,7 @@ class TestCharges:
     def test_running_totals_equal_key_scan(self):
         # a side whose maximum rises counts only its new maximum
         ledger = ChargeLedger()
-        ledger.add([ChargeTerm(1, side, virtual, F(c), F(c), F(1))
+        ledger.add([ChargeTerm(1, side, virtual, F(c), F(1))
                     for side, virtual, c in (("right", False, "1/4"),
                                              ("right", False, "1/2"),
                                              ("right", False, "1/3"),
@@ -215,6 +216,18 @@ class TestCharges:
         assert coeffs[(4, "bottom", True)] == F(1, 2)
         assert coeffs[(4, "bottom", False)] + \
             coeffs[(4, "bottom", True)] == F(3, 2)
+
+    def test_virtual_lid_bottom_counts_in_full_in_the_bound(self):
+        # the copy's bottom enters the hole's own bound with coefficient 1
+        # and the owner's ledger with 1/2
+        seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
+        hole, = (h for h in ana.holes if h.lid_virtual is not None)
+        lid = _charge_items(hole)[0]
+        assert (lid.square_index, lid.side, lid.virtual) == (6, "bottom", True)
+        assert lid.segment > 0 and lid.bound_part == lid.segment ** 2
+        assert lid.coeff == F(1, 2)
+        assert ana.ledger.max_coeff[(6, "bottom", True)] == F(1, 2)
 
 
 class TestOverhangTypeTwo:
@@ -248,7 +261,7 @@ class TestRegionConsistency:
     def test_rect_decomposition_matches_cells(self):
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
-        for h in ana.raw_holes + ana.holes:
+        for h in extract_holes(ana.closed) + ana.holes:
             rects = h.region()
             assert sum(r.width * r.height for r in rects) == h.area
             for i, a in enumerate(rects):
@@ -263,7 +276,8 @@ class TestIdentityAndInvariants:
             p = pack(BottomLeftState, seq)
             ana = run_bottomleft_analysis(p)
             area = sum(it.side ** 2 for it in seq)
-            assert p.height == area + sum(h.area for h in ana.raw_holes)
+            raw = extract_holes(ana.closed)
+            assert p.height == area + sum(h.area for h in raw)
 
     def test_all_checks_pass_on_random_instances(self):
         for seed in range(25):
@@ -408,8 +422,9 @@ class TestIncrementalCarve:
             _, cells, overrides = known.pop(id(hole))
             star, remainder = carve(hole, lid)
             grid = grids[hole.ctx]
-            j_top = grid.yi[lid.level]
-            cut = range(grid.xi[lid.mn_left], grid.xi[lid.mn_right])
+            _, r, b, _ = lid.rect
+            j_top = grid.yi[b]
+            cut = range(grid.xi[lid.mn_left], grid.xi[r])
             throat = [(i, j_top - 1) for i in cut if (i, j_top - 1) in cells]
             below = frozenset(_below_cut(cells, throat, j_top))
             rest = cells - below
@@ -614,10 +629,14 @@ class TestCarveGuards:
     @pytest.mark.parametrize("end", ["mn_left", "mn_right"])
     def test_cut_end_off_the_boundary(self, end):
         hole, lid = _first_carve()
-        # a point left of the strip, or right of it
-        off = -1 if end == "mn_left" else hole.ctx.scale + 1
+        # a point left of the strip, or right of it (N is the copy's right)
+        if end == "mn_left":
+            lid = replace(lid, mn_left=-1)
+        else:
+            l, _, b, t = lid.rect
+            lid = replace(lid, rect=(l, hole.ctx.scale + 1, b, t))
         with pytest.raises(holes.AnalysisError) as err:
-            holes._carve(hole, replace(lid, **{end: off}))
+            holes._carve(hole, lid)
         assert err.value.name == "split"
 
 

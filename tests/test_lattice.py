@@ -20,6 +20,7 @@ from strippack.packing import (Packing, Placement, SquareItem, check_step,
                                is_supported, pack, reachable_positions,
                                verify_packing)
 from strippack.slots import SlotState
+from test_families import FAMILIES, family_items
 
 EPS = F(1, 100)
 VIOLATIONS = ("overlap", "unsupported", "unreachable")
@@ -313,7 +314,7 @@ class TestLatticeEdges:
         seq = items("1/2", "1/4", "1/8", "1/2", "1/16", "1/3", "1/5", "1/4",
                     "1/3", "3/5")
         p = pack(BottomLeftState, seq)
-        assert verify_packing(seq, p.placements).ok
+        assert verify_packing(seq, p.placements) is None
         assert_replay_agrees(p.placements)
         scale, rects = p.lattice()
         assert scale % 15 == 0
@@ -333,7 +334,7 @@ class TestLatticeEdges:
         assert (one.height, two.height) == (F(1), F(5, 6))
         for branch in (one, two):
             assert verify_packing([pl.item for pl in branch.placements],
-                                  branch.placements).ok
+                                  branch.placements) is None
         # each branch takes a square where only the other one's would clash
         on_right = Placement(SquareItem(4, F(1, 3)), F(2, 3), F(1, 2))
         on_left = Placement(SquareItem(4, F(1, 2)), F(0), F(1, 2))
@@ -363,3 +364,43 @@ class TestLatticeEdges:
         p = Packing()
         assert p.height == 0
         assert p.lattice() == (1, [])
+
+
+def assert_built_equals_grown(pls):
+    """``Packing(pls)`` is what extending the empty packing by each of
+    ``pls`` gives: the same placements, top, lattice and windows."""
+    built, grown = Packing(pls), Packing()
+    for pl in pls:
+        grown = grown.extended(pl)
+    assert built.placements == grown.placements == tuple(pls)
+    assert (built.height, built._top) == (grown.height, grown._top)
+    scale, rects = built.lattice()
+    grown_scale, grown_rects = grown.lattice()
+    assert (scale, list(rects)) == (grown_scale, list(grown_rects))
+    assert list(built.window(0)) == list(grown.window(0))
+    for _, _, b, t in rects:
+        for lo, hi in ((b - scale, t), (b, None)):
+            assert built.window(lo, hi) == grown.window(lo, hi)
+
+
+class TestBuiltPacking:
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_corpus(self, strategy):
+        for seed in range(20):
+            pls = pack(STRATEGIES[strategy], corpus_items(seed)).placements
+            assert_built_equals_grown(pls)
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families(self, family, strategy):
+        for seed in range(5):
+            p = pack(STRATEGIES[strategy], family_items(family, seed))
+            assert_built_equals_grown(p.placements)
+
+    def test_shared_top_keeps_the_first(self):
+        # tops 1/4, 1/2, 1/2: the second square is the topmost
+        pls = [Placement(SquareItem(i, F(a)), F(x), F(y)) for i, (a, x, y)
+               in enumerate([("1/4", 0, 0), ("1/2", "1/2", 0),
+                             ("1/4", 0, "1/4")], 1)]
+        assert_built_equals_grown(pls)
+        assert Packing(pls)._top == 1 and Packing(pls).height == F(1, 2)

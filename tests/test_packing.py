@@ -79,7 +79,7 @@ class TestReachability:
         assert spans == [(F(1, 4), F(3, 4))]
         third = Placement(SquareItem(3, a), F(1, 4), F(0))
         assert verify_packing([pl.item for pl in p.placements] + [third.item],
-                              list(p.placements) + [third]).ok
+                              list(p.placements) + [third]) is None
         reach, nx, _ = grid_bfs_reachable(p, a, step)
         assert {ix for ix in range(nx + 1) if spans_contain(spans, ix * step)} \
             == {ix for ix, iy in reach if iy == 0} == set(range(2, nx + 1))
@@ -206,20 +206,18 @@ class TestVerifier:
     def test_single_square_passes(self):
         seq = items(1)
         pls = [Placement(seq[0], F(0), F(0))]
-        assert verify_packing(seq, pls).ok
+        assert verify_packing(seq, pls) is None
 
     def test_overlap_detected(self):
         seq = items("1/2", "1/2")
         pls = [Placement(seq[0], F(0), F(0)),
                Placement(seq[1], F(1, 4), F(0))]
-        report = verify_packing(seq, pls)
-        assert report.first_failure == (2, "overlap")
-        assert report.describe() == "overlap at step 2"
+        assert verify_packing(seq, pls) == "overlap at step 2"
 
     def test_floating_detected(self):
         seq = items("1/2")
         pls = [Placement(seq[0], F(0), F(1, 2))]
-        assert verify_packing(seq, pls).first_failure == (1, "unsupported")
+        assert verify_packing(seq, pls) == "unsupported at step 1"
 
     def test_unreachable_detected(self):
         # two pillars, a sealing lid, then a square inside the cavity
@@ -228,13 +226,12 @@ class TestVerifier:
                Placement(seq[1], F(3, 4), F(0)),
                Placement(seq[2], F(0), F(1, 4)),
                Placement(seq[3], F(3, 8), F(0))]
-        report = verify_packing(seq, pls)
-        assert report.first_failure == (4, "unreachable")
+        assert verify_packing(seq, pls) == "unreachable at step 4"
 
     def test_out_of_strip_is_overlap_class(self):
         seq = items("1/2")
         pls = [Placement(seq[0], F(3, 4), F(0))]
-        assert verify_packing(seq, pls).first_failure == (1, "overlap")
+        assert verify_packing(seq, pls) == "overlap at step 1"
 
     def test_mismatch_rejected(self):
         seq = items("1/2")
@@ -251,14 +248,13 @@ class TestVerifier:
         monkeypatch.setattr(strippack.packing, "check_step", counted)
         seq = random_items(3, 100)
         packed = pack(BottomLeftState, seq).placements
-        assert verify_packing(seq, packed).ok
+        assert verify_packing(seq, packed) is None
         assert len(calls) == 100
         pls = list(packed)
         first = pls[0]
         pls[1] = Placement(pls[1].item, first.x, first.y)   # onto square 1
         calls.clear()
-        report = verify_packing(seq, pls)
-        assert report.describe() == "overlap at step 2"
+        assert verify_packing(seq, pls) == "overlap at step 2"
         assert len(calls) == 2
 
     def test_step_stops_at_first_broken_rule(self, monkeypatch):

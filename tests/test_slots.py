@@ -90,13 +90,13 @@ class TestRuns:
         seq = items(*(["17/64"] * 8))
         p = pack(SlotState, seq)
         assert p.height == F(17, 16)
-        assert verify_packing(seq, p.placements).ok
+        assert verify_packing(seq, p.placements) is None
 
     def test_outputs_verify_and_support(self):
         for seed in range(8):
             seq = random_items(400 + seed, 15)
             p = pack(SlotState, seq)
-            assert verify_packing(seq, p.placements).ok
+            assert verify_packing(seq, p.placements) is None
 
     def test_slot_containment(self):
         for seed in range(6):
