@@ -22,15 +22,16 @@ every edge gets the owner outside it, and each run keeps only its
 corners.  From then on a hole is just its counterclockwise runs of corners,
 and the squares near a point come from the packing's bottom-sorted index
 (``Packing.window``).  A hole's area comes from the shoelace formula, a
-point test counts boundary crossings, and the right diagonal is checked
-against the hole's slabs (maximal x-strips of constant cross-section).  A
-split cuts a hole along a horizontal line from M to N into the star below
-it (under a virtual lid) and the remainder.  Both pieces are spliced from
-the parent's runs at M and N: the star is the boundary from M to N closed
-by the lid's copy, the remainder the boundary from N to M closed by a seam,
-less any part of the cut that a real square roofs.  A split costs the
-parent's corners, not its cells.  Runs never change once built, so pieces
-share them; a run's side is measured where a charge reads it.
+boundary point's side from the boundary's turn there, and the right
+diagonal is checked against the hole's slabs (maximal x-strips of constant
+cross-section).  A split cuts a hole along a horizontal line from M to N
+into the star below it (under a virtual lid) and the remainder: the star
+is the boundary from M to N closed by the lid's copy, the remainder the
+boundary from N through the lid to M closed by a seam, less any part of
+the cut that a real square roofs.  A split walks only the small remainder;
+the star is a slice of the parent's runs and inherits its facts.  Runs
+never change once built, so pieces share them; a run's side is measured
+where a charge reads it.
 
 Structural facts used here are theorems for BottomLeft packings, so they
 are asserted and raise AnalysisError loudly when violated: that means an
@@ -40,6 +41,7 @@ implementation bug (or a non-BottomLeft input).
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -109,14 +111,6 @@ class _Run:
     owner: tuple
     points: list                       # corners (x, y) on the lattice
 
-    @property
-    def start(self):
-        return self.points[0]
-
-    @property
-    def end(self):
-        return self.points[-1]
-
     def rect(self, ctx: _Context) -> Optional[tuple[int, int, int, int]]:
         """The owner's ``(l, r, b, t)`` on the lattice, or None for a
         ground, wall or seam run."""
@@ -149,6 +143,11 @@ def _shoelace(runs: list[_Run]) -> int:
     return sum((x1 - x2) * y for (x1, y), (x2, _) in _edges(runs))
 
 
+def _heading(p: tuple[int, int], q: tuple[int, int]) -> int:
+    """0, 1, 2 or 3 as the edge from p to q heads east, north, west, south."""
+    return 2 * (q[0] < p[0]) if p[1] == q[1] else 1 + 2 * (q[1] < p[1])
+
+
 class Hole:
     """One hole: its counterclockwise boundary as runs of corners.
 
@@ -156,27 +155,36 @@ class Hole:
     with one owner, the lid's first.  A run's ``points`` are its corners on
     the lattice, from the point where the run before it ends to the point
     where the run after it starts.  ``area_units`` is the area on the
-    lattice.
+    lattice; ``corners`` counts the visits to each corner (the points of
+    each run but its first), two at a pinch.  A star (``_carve``) passes
+    its ``corners`` and its runs copy first: Lemma 1 held for its parent,
+    and a wall run, next to the parent's lid, is the star's second or last.
     """
 
     def __init__(self, ctx: _Context, runs: list[_Run], area_units: int,
-                 lid_virtual: Optional[VirtualLid] = None):
+                 lid_virtual: Optional[VirtualLid] = None, corners=None):
         self.ctx = ctx
         self.lid_virtual = lid_virtual
-        # Lemma 1: each square contributes one connected boundary curve
-        seen = set()
-        for r in runs:
-            if r.owner[0] in ("sq", "copy", "lwall", "rwall"):
-                if r.owner in seen:
-                    raise AnalysisError(
-                        "lemma1", f"owner {r.owner} contributes twice")
-                seen.add(r.owner)
+        star = corners is not None
+        if star:        # Lemma 1 holds as for the parent (see above)
+            seen = [r.owner for r in runs[1:2] + runs[-1:]]
+        else:
+            # Lemma 1: each square contributes one connected boundary curve
+            seen = set()
+            for r in runs:
+                if r.owner[0] in ("sq", "copy", "lwall", "rwall"):
+                    if r.owner in seen:
+                        raise AnalysisError(
+                            "lemma1", f"owner {r.owner} contributes twice")
+                    seen.add(r.owner)
+        self.corners = corners if star else Counter(
+            p for r in runs for p in r.points[1:])
         self.touches_left = OWNER_LWALL in seen
         self.touches_right = OWNER_RWALL in seen
         if self.touches_left and self.touches_right:
             raise AnalysisError("two-walls", "hole touches both strip walls")
-        lid_idx = self._lid_index(runs)
-        self.runs = runs[lid_idx:] + runs[:lid_idx]
+        lid_idx = 0 if star else self._lid_index(runs)     # a star's: the copy
+        self.runs = runs[lid_idx:] + runs[:lid_idx] if lid_idx else runs
         self.area_units = area_units
         self.area = Fraction(area_units, ctx.scale * ctx.scale)
         lid = self.runs[0]
@@ -254,11 +262,17 @@ class Hole:
                           Fraction(y0, s), Fraction(y1, s))
                      for x0, x1, spans in self.slabs() for y0, y1 in spans)
 
-    def contains(self, x: int, y: int) -> bool:
+    def contains(self, x: int, y: int, turn=None) -> bool:
         """Whether the hole holds the lattice unit square southeast of the
-        point (x, y).  Counts the vertical boundary edges that the ray east
-        from the square's centre (x + 1/2, y - 1/2) crosses; the corners
-        are integers, so the ray never meets one."""
+        point (x, y).  With ``turn``, the boundary's headings (``_heading``)
+        into and out of the point, the hole near it lies counterclockwise
+        from the heading out to the heading back, and the square, 7/8 of a
+        turn from east, lies wholly in or out of that.  At a pinch (passed
+        twice) or without ``turn``, count the crossings of the ray east from
+        the square's centre, which meets no corner."""
+        if turn is not None and self.corners[(x, y)] < 2:
+            into, out = turn
+            return (7 - 2 * out) % 8 < 2 * ((into + 2 - out) % 4)
         inside = False
         for (x1, y1), (_, y2) in _edges(self.runs):
             if x1 > x and (y1 < y) != (y2 < y):
@@ -280,14 +294,6 @@ class Hole:
             raise AnalysisError("structure", "no square run before the lid")
         return last
 
-    def _run_before(self, run: _Run) -> _Run:
-        pos = self.runs.index(run)
-        return self.runs[(pos - 1) % len(self.runs)]
-
-    def _run_after(self, run: _Run) -> _Run:
-        pos = self.runs.index(run)
-        return self.runs[(pos + 1) % len(self.runs)]
-
     def classify(self) -> str:
         """Type I if the last boundary square is a right neighbor of the
         previous one, Type II if it rests on the previous one's top.  A
@@ -296,7 +302,7 @@ class Hole:
         if self.touches_left or self.touches_right:
             raise AnalysisError("classify", "wall holes are not typed")
         last = self._run_before_lid()
-        prev = self._run_before(last)
+        prev = self.runs[-2]
         prev_rect = prev.rect(self.ctx)
         if prev_rect is None:
             if prev.owner in (OWNER_GROUND, OWNER_SEAM):
@@ -372,54 +378,56 @@ def _diagonal_origin(hole: Hole) -> tuple[int, int]:
     corner."""
     a2 = hole._run_after_lid()
     _, r, b, _ = a2.rect(hole.ctx)
-    x, y = a2.end
-    if x == r:
-        return (r, y)
-    return (r, b)
+    x, y = a2.points[-1]
+    return (r, y if x == r else b)
 
 
-def _ray_hit(hole: Hole, origin) -> Optional[tuple[tuple[int, int], tuple]]:
-    """First counterclockwise boundary point where the slope -1 ray from
-    ``origin`` passes INTO the hole's interior (out of solid material), on
-    the lattice, with the rect of the square it leaves.
+def _ray_hit(hole: Hole, origin) -> Optional[tuple]:
+    """First counterclockwise boundary point, from the run after the lid,
+    where the slope -1 ray from ``origin`` passes INTO the hole's interior
+    (out of solid material), on the lattice, with the rect of the square it
+    leaves and the position of the run whose edge leaves the point.
 
     The ray's own start qualifies when the hole lies immediately southeast
     of it (then the split degenerates to a cut through the start level).
     Points where the ray leaves the hole, grazes a corner, or dives into a
-    seam or floor are not crossings in this sense.
+    seam or floor are not crossings in this sense.  A point where an edge
+    ends is tried with the edge that leaves it.
     """
     ox, oy = origin
     c = ox + oy
-    for (x1, y1), (x2, y2) in _edges(hole.runs[1:] + hole.runs[:1]):
-        if x1 == x2:
-            x = x1
-            y = c - x
-            if not (y1 <= y <= y2 or y2 <= y <= y1):
-                continue
-        else:
-            y = y1
-            x = c - y
-            if not (x1 <= x <= x2 or x2 <= x <= x1):
-                continue
-        if x < ox:
-            continue
-        rect = _enters_hole_southeast(hole, x, y)
-        if rect is not None:
-            return (x, y), rect
+    runs = hole.runs
+    back = runs[0].points[-2]
+    for k in range(1 - len(runs), 1):       # from the run after the lid
+        pts = runs[k].points
+        for p, q in zip(pts, pts[1:]):
+            (x1, y1), (x2, y2) = p, q
+            if x1 == x2:
+                x, y = x1, c - x1
+                on = y1 <= y <= y2 or y2 <= y <= y1
+            else:
+                x, y = c - y1, y1
+                on = x1 <= x <= x2 or x2 <= x <= x1
+            if on and x >= ox and (x, y) != q:
+                out = _heading(p, q)
+                turn = (_heading(back, p) if (x, y) == p else out, out)
+                rect = _enters_hole_southeast(hole, x, y, turn)
+                if rect is not None:
+                    return (x, y), rect, k % len(runs)
+            back = p
     return None
 
 
-def _enters_hole_southeast(hole: Hole, x: int, y: int) -> Optional[tuple]:
+def _enters_hole_southeast(hole: Hole, x: int, y: int,
+                           turn=None) -> Optional[tuple]:
     """If the hole lies immediately southeast of the lattice point (x, y)
-    and a square lies immediately northwest of it, that square's rect;
-    otherwise None.  The square has ``l < x <= r`` and ``b <= y < t``, and
-    interiors are disjoint, so there is at most one."""
+    (``Hole.contains`` with ``turn``) and a square immediately northwest,
+    that square's rect; otherwise None.  The square has ``l < x <= r`` and
+    ``b <= y < t``, and interiors are disjoint, so there is at most one."""
     ctx = hole.ctx
     rect = next((q for q in ctx.window(y - ctx.scale, y + 1)
                  if q[0] < x <= q[1] and y < q[3]), None)
-    if rect is None or not hole.contains(x, y):
-        return None
-    return rect
+    return rect if rect is not None and hole.contains(x, y, turn) else None
 
 
 def _find_split(hole: Hole) -> Optional[VirtualLid]:
@@ -428,23 +436,24 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     hit = _ray_hit(hole, _diagonal_origin(hole))
     if hit is None:
         return None
-    ctx = hole.ctx
-    (x, y), rect = hit
+    ctx, runs = hole.ctx, hole.runs
+    (x, y), rect, k = hit
     _, r, b, _ = rect
-    sq_run = next((run for run in hole.runs if run.rect(ctx) == rect), None)
-    if sq_run is None:
+    if runs[k].rect(ctx) != rect:   # its side ends at the point
+        k -= 1
+    if runs[k].rect(ctx) != rect:
         index = ctx.placements[ctx.rects.index(rect)].item.index
         raise AnalysisError("split", f"crossing square {index} has no run")
-    sq_idx = sq_run.owner[1]
+    sq_idx = runs[k].owner[1]
     if y == b:                  # on its bottom: it overhangs the next run
         up = sq_idx
-        low_run = hole._run_after(sq_run)
+        low_run = runs[(k + 1) % len(runs)]
         if low_run.owner[0] != "sq":
             raise AnalysisError("lemma5", "no square below the overhang")
         low = low_run.owner[1]
     elif x == r:                # on its right: it carries the run before
         low = sq_idx
-        up_run = hole._run_before(sq_run)
+        up_run = runs[k - 1]
         if up_run.owner[0] != "sq":
             raise AnalysisError("lemma5", "no square above the split point")
         up = up_run.owner[1]
@@ -482,10 +491,12 @@ def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     The cut runs from M = (mn_left, b) to N = (r, b) on the lid's bottom, and
     each lies on the hole's boundary once.  The star below the cut is the
     boundary from M to N closed by the lid's copy from N back to M; the
-    remainder is the boundary from N to M closed by a seam from M to N.
-    The star's area comes from its corners and the remainder's is the rest
-    of the parent's; there is no remainder when that rest is empty, the
-    parent's boundary from N to M then being a square's bottom on the cut.
+    remainder is the boundary from N through the lid to M, closed by a seam
+    from M to N.  There is no remainder when its area is zero, its boundary
+    from N to M then being a square's bottom on the cut.  Only the
+    remainder is walked: M forward from the lid, N back to it, and its
+    corners for its area; the star is a slice of the parent's runs with the
+    rest of the area, and takes over the parent's corner counts.
     """
     ctx = hole.ctx
     key = lid.owner.item.index
@@ -494,45 +505,65 @@ def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
                             f"square {key} used as a virtual lid twice")
     _, r, b, _ = lid.rect
     m, n = (lid.mn_left, b), (r, b)
-    before_m, from_m = _cut(hole.runs, m)
-    to_n, from_n = _cut(from_m + before_m, n)
-    star_runs = _closed(to_n, ("copy", lid), n, m)
-    star_area = _shoelace(star_runs)
-    if not 0 < star_area <= hole.area_units:
+    runs = hole.runs
+    at_m = _locate(hole, m, range(len(runs)))
+    at_n = _locate(hole, n, range(len(runs) - 1, -1, -1))
+    if at_m[0] == 0 or at_n <= at_m:
+        raise AnalysisError("lid", "the star holds the parent's lid")
+    (i, s, _), (j, t, _) = at_m, at_n
+    path = runs[i:j + 1]
+    before_m, path[0] = _split(runs[i], s, m)
+    path[-1:], from_n = _split(path[-1], t - s if i == j else t, n)
+    rest = [from_n] + runs[j + 1:] + runs[:i] + before_m
+    rest_area = _shoelace(rest) + (m[0] - n[0]) * b
+    if not 0 <= rest_area < hole.area_units:
         raise AnalysisError("split", "the cut bounds no piece below it")
-    star = Hole(ctx, star_runs, star_area, lid)
+    kept = i + max(len(path) - 1, 1)    # the star keeps runs[i + 1:kept]
+    hole.corners.subtract(p for run in runs[:i + 1] + runs[kept:]
+                          for p in run.points[1:])
+    path.insert(0, _closed(path, ("copy", lid), n, m))
+    hole.corners.update(p for run in path[:2] + path[2:][-1:]
+                        for p in run.points[1:])
+    star = Hole(ctx, path, hole.area_units - rest_area, lid, hole.corners)
     remainder = None
-    if star_area < hole.area_units:
-        remainder = Hole(ctx, _closed(from_n, OWNER_SEAM, m, n),
-                         hole.area_units - star_area, hole.lid_virtual)
+    if rest_area:
+        rest.append(_closed(rest, OWNER_SEAM, m, n))
+        remainder = Hole(ctx, rest, rest_area, hole.lid_virtual)
     ctx.copies.add(key)
     return star, remainder
 
 
-def _cut(runs: list[_Run], p: tuple[int, int]) -> tuple[list, list]:
-    """Cut a chain of runs at the point p, which must lie on it once:
-    returns the runs up to p and the runs from p."""
+def _locate(hole: Hole, p: tuple[int, int], order: range) -> tuple:
+    """The run (searched in ``order``) and segment that hold the point p on
+    the hole's boundary, and p's distance along the segment, which holds
+    its points but its last.  p must lie on one segment, at no pinch."""
     x, y = p
-    at = []
-    for k, run in enumerate(runs):
-        for s, ((x1, y1), (x2, y2)) in enumerate(zip(run.points,
-                                                     run.points[1:])):
+    for k in order:
+        pts = hole.runs[k].points
+        for s, ((x1, y1), (x2, y2)) in enumerate(zip(pts, pts[1:])):
             if (x2, y2) != p and (min(x1, x2) <= x <= max(x1, x2)
                                   and min(y1, y2) <= y <= max(y1, y2)):
-                at.append((k, s))
-    if len(at) != 1:
-        raise AnalysisError("split", f"cut end {p} on the boundary {len(at)} times")
-    (k, s), = at
-    owner, points = runs[k].owner, runs[k].points
-    head = points[:s + 1] if points[s] == p else points[:s + 1] + [p]
-    return (runs[:k] + ([_Run(owner, head)] if len(head) > 1 else []),
-            [_Run(owner, [p] + points[s + 1:])] + runs[k + 1:])
+                times = hole.corners[p] + ((x1, y1) != p)
+                if times != 1:
+                    raise AnalysisError(
+                        "split", f"cut end {p} on the boundary {times} times")
+                return k, s, abs(x - x1) + abs(y - y1)
+    raise AnalysisError("split", f"cut end {p} on the boundary 0 times")
+
+
+def _split(run: _Run, s: int, p: tuple[int, int]) -> tuple[list, _Run]:
+    """The run up to the point p on its segment s, in a list that is empty
+    where p is its first corner, and the run from p."""
+    pts = run.points
+    head = pts[:s + 1] if pts[s] == p else pts[:s + 1] + [p]
+    return ([_Run(run.owner, head)] if len(head) > 1 else [],
+            _Run(run.owner, [p] + pts[s + 1:]))
 
 
 def _closed(path: list[_Run], owner: tuple, a: tuple[int, int],
-            b: tuple[int, int]) -> list[_Run]:
-    """The boundary ``path`` from b to a, closed by a run of ``owner`` along
-    the cut from a to b.
+            b: tuple[int, int]) -> _Run:
+    """The run of ``owner`` along the cut from a to b that closes the
+    boundary ``path`` from b to a, trimming the path in place.
 
     Where the path's last edge into a, or its first edge out of b, runs
     back along the cut, a real square's bottom roofs that end of the cut
@@ -542,15 +573,14 @@ def _closed(path: list[_Run], owner: tuple, a: tuple[int, int],
     hole, and the cuts at one level span gaps between the supported spans
     there, so their seams never meet.
     """
-    runs = list(path)
     cut = [a, b]
     for k, near, end in ((-1, -2, 0), (0, 1, 1)):
-        points = runs[k].points
+        points = path[k].points
         q, e, o = points[near], cut[end], cut[1 - end]
         if q[1] == e[1] and (q[0] - e[0]) * (o[0] - e[0]) > 0:
-            runs[k] = _Run(runs[k].owner, points[:-1] if k else points[1:])
+            path[k] = _Run(path[k].owner, points[:-1] if k else points[1:])
             cut[end] = q
-    return runs + [_Run(owner, cut)]
+    return _Run(owner, cut)
 
 
 def split_hole(hole: Hole) -> list[Hole]:
@@ -643,7 +673,7 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
         return items
     if hole.classify() == TYPE_II:
         last = hole._run_before_lid()
-        prev = hole._run_before(last)
+        prev = hole.runs[-2]
         if prev.owner[0] != "sq":
             raise AnalysisError("structure", "no square carries the overhang")
         term(last, SIDE_BOTTOM, Fraction(1))
@@ -667,8 +697,8 @@ def _assert_right_diagonal(hole: Hole):
         return                      # cut off by the wall; no right diagonal
     last = hole._run_before_lid()
     if not (hole.touches_left or hole.classify() == TYPE_I):
-        last = hole._run_before(last)
-    qx, qy = last.start
+        last = hole.runs[-2]
+    qx, qy = last.points[0]
     d = qx - qy
     for x0, x1, spans in hole.slabs():
         for y0, y1 in spans:

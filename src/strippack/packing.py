@@ -338,12 +338,12 @@ def reachable_positions(p: Packing, a: Scalar,
         reachable and the sweep stops, so the squares whose events all lie
         below it are never read.
     """
-    if a > ONE or a <= ZERO:
-        raise PackingError(f"side {a} outside (0, 1]")
     lat = p._lat
     scale = lat.fit(a.denominator, floor.denominator)
     low = floor.numerator * (scale // floor.denominator)
     sa = a.numerator * (scale // a.denominator)
+    if not 0 < sa <= scale:
+        raise PackingError(f"side {a} outside (0, 1]")
     w = scale - sa
     full = [(0, w)]
     bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n

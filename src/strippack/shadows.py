@@ -34,12 +34,11 @@ LatticeRect = tuple[int, int, int, int]
 @dataclass
 class ChargeMap:
     """Exact charged areas per square (by arrival index), and the charged
-    regions as ``(l, r, b, t)`` on the lattice: a value v stands for
-    v / ``scale``."""
+    regions as ``(l, r, b, t)`` on the closed packing's lattice, at the
+    scale ``charge_map`` fitted it to (``Packing.lattice``)."""
 
     areas: dict[int, Scalar]
     regions: dict[int, list[LatticeRect]]
-    scale: int
 
     def area_of(self, index: int) -> Scalar:
         return self.areas.get(index, ZERO)
@@ -138,7 +137,7 @@ def charge_map(p_closed: Packing) -> ChargeMap:
             sums[idx] = sums.get(idx, 0) + (g_hi - g_lo) * (x1 - x0)
             regions.setdefault(idx, []).append((x0, x1, g_lo, g_hi))
     areas = {idx: Fraction(v, scale * scale) for idx, v in sums.items()}
-    return ChargeMap(areas, regions, scale)
+    return ChargeMap(areas, regions)
 
 
 def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:

@@ -40,6 +40,10 @@ NONDYADIC_REPORT_SHA256 = [
     "463e308520690ad157cafb967bc86f87ad3ac57d4c7c30f3308e405cf60433cf",
     "e475fe9a4dbbbfe7f005da3f2e4820442177f8c74a4f156ec4e0f4358b66f91c",
 ]
+# sha256 of the report on random_items("ladder:1:480", 480), computed by
+# the splice that walked the parent's whole boundary on every carve
+LADDER_480_REPORT_SHA256 = \
+    "576918dfb6ec9c2a72a7f374d1f9f0a71b56288c36edcbfa8f75d5e7b7a0c85a"
 # sha256 of render_svg(closed, holes) with the hole overlay, computed the
 # same way: LARGE_PANEL[0] and nondyadic_items(0)
 SVG_SHA256 = {
@@ -545,11 +549,11 @@ class TestReferenceRoutes:
                     check_sides(piece)
             return pieces
 
-        def looked_up(hole, x, y):
+        def looked_up(hole, x, y, turn=None):
             ctx = hole.ctx
             if ctx not in grids:
                 grids[ctx] = _grid(ctx)
-            got = enters(hole, x, y)
+            got = enters(hole, x, y, turn)
             want = _grid_enters_hole_southeast(grids[ctx], hole, x, y)
             assert got == (None if want is None else ctx.rects[want])
             seen["lookups"] += 1
@@ -608,6 +612,111 @@ class TestReferenceRoutes:
             assert str(err.value).endswith(f"off the sides of {name}")
 
 
+# ---------------------------------------------------------------------------
+# the whole-ring splice: the reference for every piece of a carve
+# ---------------------------------------------------------------------------
+
+def _cut(runs, p):
+    """Cut a chain of runs at the point p, which must lie on it once:
+    returns the runs up to p and the runs from p."""
+    x, y = p
+    at = []
+    for k, run in enumerate(runs):
+        for s, ((x1, y1), (x2, y2)) in enumerate(zip(run.points,
+                                                     run.points[1:])):
+            if (x2, y2) != p and (min(x1, x2) <= x <= max(x1, x2)
+                                  and min(y1, y2) <= y <= max(y1, y2)):
+                at.append((k, s))
+    if len(at) != 1:
+        raise holes.AnalysisError(
+            "split", f"cut end {p} on the boundary {len(at)} times")
+    (k, s), = at
+    owner, points = runs[k].owner, runs[k].points
+    head = points[:s + 1] if points[s] == p else points[:s + 1] + [p]
+    return (runs[:k] + ([holes._Run(owner, head)] if len(head) > 1 else []),
+            [holes._Run(owner, [p] + points[s + 1:])] + runs[k + 1:])
+
+
+def _splice(hole, lid):
+    """The pieces of a carve as the parent's whole ring cut at M and N
+    gives them: the star's area from its own corners, every piece built
+    from scratch.  Reads the parent and changes nothing."""
+    ctx = hole.ctx
+    _, r, b, _ = lid.rect
+    m, n = (lid.mn_left, b), (r, b)
+    before_m, from_m = _cut(hole.runs, m)
+    to_n, from_n = _cut(from_m + before_m, n)
+    star_runs = list(to_n)
+    star_runs.append(holes._closed(star_runs, ("copy", lid), n, m))
+    star_area = holes._shoelace(star_runs)
+    assert 0 < star_area <= hole.area_units
+    star = Hole(ctx, star_runs, star_area, lid)
+    if star_area == hole.area_units:
+        return star, None
+    rest = list(from_n)
+    rest.append(holes._closed(rest, OWNER_SEAM, m, n))
+    return star, Hole(ctx, rest, hole.area_units - star_area, hole.lid_virtual)
+
+
+def _same_piece(got, want):
+    """Equal runs (owner and corners, lid first), area, lid and walls, and
+    corner counts equal to a recount of the runs."""
+    assert [(r.owner, r.points) for r in got.runs] == \
+        [(r.owner, r.points) for r in want.runs]
+    assert (got.area_units, got.area, got.lid_virtual) == \
+        (want.area_units, want.area, want.lid_virtual)
+    assert (got.touches_left, got.touches_right) == \
+        (want.touches_left, want.touches_right)
+    assert {p: c for p, c in got.corners.items() if c} == want.corners
+
+
+class TestSpliceReference:
+    def test_pieces_equal_the_whole_ring_splice(self, monkeypatch):
+        """Both pieces of every carve, found by walking only the
+        remainder, equal the splice of the parent's whole ring, run for
+        run; and the star's corner counts, derived from the parent's,
+        equal a recount of its runs."""
+        carve = holes._carve
+        seen = Counter()
+
+        def checked(hole, lid):
+            want = _splice(hole, lid)
+            star, remainder = carve(hole, lid)
+            _same_piece(star, want[0])
+            if want[1] is None:
+                assert remainder is None
+            else:
+                _same_piece(remainder, want[1])
+                seen["remainder corners"] += sum(len(r.points) - 1
+                                                 for r in remainder.runs)
+            seen["carves"] += 1
+            seen["star corners"] += sum(len(r.points) - 1 for r in star.runs)
+            return star, remainder
+
+        monkeypatch.setattr(holes, "_carve", checked)
+        for seq in (LARGE_PANEL + [corpus_items(s) for s in range(50)]
+                    + [family_items(f, s) for f in sorted(FAMILIES)
+                       for s in range(10)]
+                    + [random_items("ladder:1:480", 480)]):
+            run_bottomleft_analysis(pack(BottomLeftState, seq))
+        assert seen["carves"] > 2000
+        # the star keeps most of the parent: what is walked is small
+        assert seen["star corners"] > 5 * seen["remainder corners"]
+
+
+def _pinch_hole():
+    """A hand-built hole through a pinch corner, and its packing.  On a
+    lattice of scale 4 it is the two unit boxes [0, 1]^2 and [1, 2]^2,
+    meeting at (1, 1), under the square [1, 2] x [2, 3]."""
+    p = packing_of([("1/4", "1/4", "1/2")])
+    ctx = holes._Context(p)
+    assert ctx.rects[0] == (1, 2, 2, 3)
+    lid_run = holes._Run(("sq", 0), [(2, 2), (1, 2)])
+    chain = holes._Run(OWNER_GROUND, [(1, 2), (1, 1), (0, 1), (0, 0),
+                                      (1, 0), (1, 1), (2, 1), (2, 2)])
+    return p, Hole(ctx, [lid_run, chain], 2)
+
+
 def _first_carve():
     """A hole of the staircase example and the lid of its first carve."""
     p = pack(BottomLeftState, items("7/8", 1, "1/2", "1/8", "3/8", "5/8"))
@@ -639,6 +748,89 @@ class TestCarveGuards:
             holes._carve(hole, lid)
         assert err.value.name == "split"
 
+    @pytest.mark.parametrize("end", ["M", "N"])
+    def test_cut_end_on_a_pinch_corner(self, end):
+        """A cut end the boundary passes twice, at a pinch corner, fails
+        as the whole-ring splice fails there."""
+        p, hole = _pinch_hole()
+        assert hole.corners[(1, 1)] == 2
+        # M at the pinch, or M at (0, 1) and N at the pinch
+        m, r = (1, 2) if end == "M" else (0, 1)
+        lid = holes.VirtualLid(p.placements[0], (r - 1, r, 1, 2), m)
+        for carve in (_splice, holes._carve):
+            with pytest.raises(holes.AnalysisError) as err:
+                carve(hole, lid)
+            assert err.value.name == "split"
+            assert str(err.value).endswith("on the boundary 2 times")
+
+    @pytest.mark.parametrize("where", ["N before M", "M on the lid"])
+    def test_star_through_the_lid(self, where):
+        """A cut whose star would hold the parent's lid fails as the
+        whole-ring splice fails there.  On a lattice of scale 2 the hole is
+        the box [0, 2]^2 under the square [0, 1] x [2, 3]."""
+        p = packing_of([("1/2", 0, 1)])
+        lid_run = holes._Run(("sq", 0), [(2, 2), (0, 2)])
+        ring = holes._Run(OWNER_GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])
+        # M = (2, 1) and N = (0, 1); or M = (1, 2) and N = (2, 2)
+        rect, m = ((-1, 0, 1, 2), 2) if where[0] == "N" else ((1, 2, 2, 3), 1)
+        lid = holes.VirtualLid(p.placements[0], rect, m)
+        for carve in (_splice, holes._carve):
+            hole = Hole(holes._Context(p), [lid_run, ring], 4)
+            with pytest.raises(holes.AnalysisError) as err:
+                carve(hole, lid)
+            assert err.value.name == "lid"
+
+    def test_pinch_corner_contains_counts_crossings(self):
+        """At a pinch corner the turn of one pass, south then west, spans
+        three quarters, the southeast one among them, which the hole does
+        not hold; so ``contains`` counts crossings there."""
+        _, hole = _pinch_hole()
+        # south then west, and north then east
+        for turn in ((3, 2), (1, 0)):
+            assert hole.contains(1, 1, turn) is hole.contains(1, 1) is False
+        assert hole.contains(1, 2, (2, 3)) and hole.contains(0, 1, (2, 3))
+
+
+class TestLocalContains:
+    def test_turn_answer_equals_crossing_count(self, monkeypatch):
+        """At every ray candidate on the structured families, whose
+        touching corners and coincident edges are where a local answer can
+        go wrong, ``contains`` from the turn equals the crossing count."""
+        contains = Hole.contains
+        seen = Counter()
+
+        def checked(hole, x, y, turn=None):
+            got = contains(hole, x, y, turn)
+            if turn is not None:
+                assert got == contains(hole, x, y)
+                seen[got] += 1
+            return got
+
+        monkeypatch.setattr(Hole, "contains", checked)
+        for seq in [family_items(f, s) for f in sorted(FAMILIES)
+                    for s in range(50)]:
+            run_bottomleft_analysis(pack(BottomLeftState, seq))
+        assert seen[True] > 1000 and seen[False] > 1000
+
+    def test_turn_answer_at_every_corner(self):
+        """At every corner of every raw hole, with the turn there, the
+        answer equals the crossing count: each kind of turn, not only those
+        the diagonals meet."""
+        turns = Counter()
+        for seq in (LARGE_PANEL + [family_items(f, s) for f in sorted(FAMILIES)
+                                   for s in range(10)]):
+            for hole in extract_holes(close_packing(pack(BottomLeftState, seq))):
+                ring = [p for run in hole.runs for p in run.points[1:]]
+                for back, (x, y), ahead in zip(ring[-1:] + ring, ring,
+                                               ring[1:] + ring[:1]):
+                    turn = (holes._heading(back, (x, y)),
+                            holes._heading((x, y), ahead))
+                    assert hole.contains(x, y, turn) == hole.contains(x, y)
+                    turns[turn] += 1
+        # all eight quarter turns, left and right, occur
+        assert {(a, b) for a in range(4) for b in range(4)
+                if (a - b) % 2} <= set(turns)
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("idx", range(len(LARGE_PANEL)))
@@ -654,6 +846,12 @@ class TestGoldenReports:
         assert ana.closed.lattice()[0] % 2 == 1
         assert any(h.lid_virtual is not None for h in ana.holes)
         assert _sha256(ana.report()) == NONDYADIC_REPORT_SHA256[seed]
+
+    def test_ladder_480_report(self):
+        """n=480, where splits dominated the analysis."""
+        p = pack(BottomLeftState, random_items("ladder:1:480", 480))
+        report = run_bottomleft_analysis(p).report()
+        assert _sha256(report) == LADDER_480_REPORT_SHA256
 
     @pytest.mark.parametrize("name", sorted(SVG_SHA256))
     def test_hole_overlay_svg(self, name):

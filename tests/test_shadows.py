@@ -146,23 +146,25 @@ def reference_charge_map(p_closed: Packing):
     return areas, regions, [w for _, _, _, w, _ in recs]
 
 
-def as_rect(cm: ChargeMap, v) -> Rect:
-    """A lattice ``(l, r, b, t)`` of ``cm`` as the exact Fraction rect."""
-    s = cm.scale
+def as_rect(scale: int, v) -> Rect:
+    """A lattice ``(l, r, b, t)`` at ``scale`` as the exact Fraction rect."""
     l, r, b, t = v
-    return Rect(F(l, s), F(r, s), F(b, s), F(t, s))
+    return Rect(F(l, scale), F(r, scale), F(b, scale), F(t, scale))
 
 
-def region_rects(cm: ChargeMap) -> dict[int, list[Rect]]:
-    return {idx: [as_rect(cm, v) for v in vs] for idx, vs in cm.regions.items()}
+def region_rects(cm: ChargeMap, closed: Packing) -> dict[int, list[Rect]]:
+    """The charged regions as Fraction rects, on the closed packing's
+    lattice, which ``charge_map`` fitted."""
+    scale = closed.lattice()[0]
+    return {idx: [as_rect(scale, v) for v in vs]
+            for idx, vs in cm.regions.items()}
 
 
-def lattice_widenings(cm: ChargeMap, closed: Packing) -> list[Rect]:
+def lattice_widenings(closed: Packing) -> list[Rect]:
     """The widenings ``_extent_and_widening`` gives on the closed packing's
-    lattice, which ``charge_map`` fitted to ``cm.scale``."""
+    lattice, which ``charge_map`` fitted."""
     scale, rects = closed.lattice()
-    assert scale == cm.scale
-    return [as_rect(cm, _extent_and_widening(q, rect, scale)[1])
+    return [as_rect(scale, _extent_and_widening(q, rect, scale)[1])
             for q, rect in zip(closed.placements, rects)]
 
 
@@ -254,9 +256,9 @@ class TestChargeMap:
             seq = random_items(1200 + seed, 12)
             closed = close_packing(pack(SlotState, seq))
             cm = charge_map(closed)
-            regions = [r for rects in region_rects(cm).values()
+            regions = [r for rects in region_rects(cm, closed).values()
                        for r in rects]
-            widenings = lattice_widenings(cm, closed)
+            widenings = lattice_widenings(closed)
             for i, a in enumerate(regions):
                 for b in regions[i + 1:]:
                     assert not a.interior_overlaps(b)
@@ -285,7 +287,7 @@ class TestChargeMap:
                 if not above:
                     continue
                 owner = min(above)[1]
-                hit = [idx for idx, rects in region_rects(cm).items()
+                hit = [idx for idx, rects in region_rects(cm, closed).items()
                        if any(r.left < x < r.right and r.bottom < y < r.top
                               for r in rects)]
                 assert hit == [owner] or (not hit and min(above)[0] == y)
@@ -349,8 +351,8 @@ class TestAgainstReference:
         cm = charge_map(closed)
         areas, regions, widenings = reference_charge_map(closed)
         assert list(cm.areas.items()) == list(areas.items())
-        assert list(region_rects(cm).items()) == list(regions.items())
-        assert lattice_widenings(cm, closed) == widenings
+        assert list(region_rects(cm, closed).items()) == list(regions.items())
+        assert lattice_widenings(closed) == widenings
 
     @pytest.mark.parametrize("p", [
         pack(SlotState, corpus_items(0)),               # not closed
