@@ -1,10 +1,12 @@
 """Exact axis-aligned geometry.
 
 Rectangles, piecewise constant step profiles (the slot strategy's skyline),
-and the grid decomposition used to find bounded free components and trace
-their boundaries.  Coordinates may be any exactly ordered numeric type:
-the step checks and the grid run on the packing's lattice integers, and
-hole regions leave the analysis as Fraction rectangles.
+and the free components of the strip below a ceiling: one sweep in x cuts
+the free space into gap rects and joins them, and one walk over a
+component's rects keeps the corners of its boundary.  Coordinates may be
+any exactly ordered numeric type: the step checks and the sweep run on the
+packing's lattice integers, and hole regions leave the analysis as Fraction
+rectangles.
 
 Conventions:
   * squares/rectangles are closed sets; "overlap" means interiors intersect;
@@ -14,9 +16,9 @@ Conventions:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .numbers import Scalar
 
@@ -154,141 +156,204 @@ class StepProfile:
 
 
 # ---------------------------------------------------------------------------
-# grid decomposition of the strip below a ceiling
+# free components of the strip below a ceiling
 # ---------------------------------------------------------------------------
 
-class ObstacleGrid:
-    """Coordinate-compressed decomposition of [0, width] x [0, ceiling].
+class AnalysisError(AssertionError):
+    """A proven structural property failed: implementation bug or bad input."""
 
-    Obstacles are ``(l, r, b, t)`` tuples of any exactly ordered type; hole
-    analysis passes the packing's lattice integers.  Cell (i, j) spans
-    [xs[i], xs[i+1]] x [ys[j], ys[j+1]]; ``owner[i][j]`` is the index of the
-    obstacle covering it, or None for free space.
+    def __init__(self, name: str, detail: str = ""):
+        self.name = name
+        super().__init__(f"{name}: {detail}" if detail else name)
+
+
+# owners of a boundary piece that lies on no obstacle
+GROUND, LEFT_WALL, RIGHT_WALL = -1, -2, -3
+
+
+class _Gap:
+    """A free gap ``(lo, hi)`` from ``x0`` on, the rect ``[x0, x] x [lo,
+    hi]`` once it closes at x.  ``pieces`` are its boundary segments ``(p,
+    q, owner)`` with the gap on their left; ``under`` and ``over`` are
+    ``(since, owner)`` of its bottom and its top."""
+
+    __slots__ = ("x0", "lo", "hi", "under", "over", "pieces")
+
+    def __init__(self, x0, lo, hi, below, above):
+        self.x0, self.lo, self.hi = x0, lo, hi
+        self.under, self.over, self.pieces = (x0, below), (x0, above), []
+
+    def owners(self, x, below, above):
+        """From x on, ``below`` lies under the gap and ``above`` over it: end
+        the bottom and top pieces whose owner changes (both at a close)."""
+        (xb, ob), (xa, oa) = self.under, self.over
+        if ob != below:
+            self.pieces.append(((xb, self.lo), (x, self.lo), ob))
+            self.under = (x, below)
+        if oa != above:
+            self.pieces.append(((x, self.hi), (xa, self.hi), oa))
+            self.over = (x, above)
+
+
+def _cover(solid: list, lo, hi):
+    """The parts ``(y0, y1, owner)`` of (lo, hi) that the sorted disjoint
+    extents ``solid`` cover, bottom up."""
+    for b, t, k in solid[max(bisect_left(solid, (lo,)) - 1, 0):]:
+        if b >= hi:
+            return
+        if t > lo:
+            yield max(b, lo), min(t, hi), k
+
+
+class ObstacleGrid:
+    """The free part of [0, width] x [0, ceiling] outside interior-disjoint
+    obstacles ``(l, r, b, t)`` of positive size, as gap rects from one
+    sweep in x.  Obstacles that overlap or reach above the ceiling, and a
+    gap that meets the ceiling, raise AnalysisError, which names obstacles
+    by their place in ``obstacles`` and the x where the sweep found it.
+
+    The sweep keeps the column's extents ``(b, t, owner)`` and free gaps
+    ``(lo, hi)``, both sorted; the walls are the extents outside the strip.
+    Where extents end or start, it rebuilds the gaps in a window around
+    them, grown until no gap crosses its ends.  A gap equal on both sides
+    of x continues; the others close as rects, and each new gap is joined
+    with every closed one that shares a positive length of the line x.
+    ``rects`` holds the gaps in the order of their lower-left corners, and
+    ``joins`` the joined pairs.  ``nx`` and ``ny`` count the cells of the
+    coordinate-compressed strip, which is never built.
     """
 
     def __init__(self, obstacles: Sequence[tuple], width, ceiling):
-        xs = {0, width}
+        starts: dict = {width: [(0, ceiling, RIGHT_WALL)]}
+        ends: dict = {0: [(0, ceiling, LEFT_WALL)]}
         ys = {0, ceiling}
-        for l, r, b, t in obstacles:
+        for k, (l, r, b, t) in enumerate(obstacles):
             if t > ceiling:
-                raise GeometryError("ceiling below an obstacle")
-            xs.update((l, r))
+                raise AnalysisError("ceiling", f"obstacle {k} reaches above it")
+            starts.setdefault(l, []).append((b, t, k))
+            ends.setdefault(r, []).append((b, t, k))
             ys.update((b, t))
-        self.xs = sorted(xs)
-        self.ys = sorted(ys)
-        self.xi = {x: i for i, x in enumerate(self.xs)}
-        self.yi = {y: j for j, y in enumerate(self.ys)}
-        self.nx = len(self.xs) - 1
-        self.ny = len(self.ys) - 1
-        self.owner: list[list[Optional[int]]] = [
-            [None] * self.ny for _ in range(self.nx)
-        ]
-        for idx, (l, r, b, t) in enumerate(obstacles):
-            if l == r or b == t:
-                continue
-            for i in range(self.xi[l], self.xi[r]):
-                col = self.owner[i]
-                for j in range(self.yi[b], self.yi[t]):
-                    if col[j] is not None:
-                        raise GeometryError(
-                            f"overlapping obstacles {col[j]} and {idx}")
-                    col[j] = idx
+        xs = sorted(starts.keys() | ends.keys())
+        self.nx, self.ny = len(xs) - 1, len(ys) - 1
+        self.rects, self.joins = [], []
+        act, gaps = [(0, ceiling, LEFT_WALL)], []    # the column's, bottom up
+        for x in xs:
+            gone, born = sorted(ends.get(x, ())), sorted(starts.get(x, ()))
+            for e in gone:
+                del act[bisect_left(act, e)]
+            for e in born:
+                hit = next(_cover(act, e[0], e[1]), None)
+                if hit is not None:
+                    raise AnalysisError("overlap", f"obstacles {hit[2]} and "
+                                        f"{e[2]} overlap at x = {x}")
+                insort(act, e)
+            changed = sorted(gone + born)
+            i = 0
+            while i < len(changed):
+                y0, y1, _ = changed[i]
+                while i < len(changed) and changed[i][0] <= y1:
+                    y1 = max(y1, changed[i][1])
+                    i += 1
+                    g0 = bisect_left(gaps, y0, key=lambda g: g.hi)
+                    g1 = bisect_right(gaps, y1, key=lambda g: g.lo)
+                    if g0 < g1:
+                        y0, y1 = min(y0, gaps[g0].lo), max(y1, gaps[g1 - 1].hi)
+                gaps[g0:g1] = self._rebuild(x, gaps[g0:g1], act, y0, y1,
+                                            gone, born)
 
-    def free_components(self) -> list[dict]:
-        """4-connected components of free cells.
+    def __repr__(self):
+        return f"ObstacleGrid({self.nx} x {self.ny} cells, {len(self.rects)} gaps)"
 
-        Returns dicts with keys ``cells`` (set of (i, j)) and ``bounded``
-        (does not touch the ceiling row).
-        """
-        seen = [[False] * self.ny for _ in range(self.nx)]
-        comps = []
-        for i0 in range(self.nx):
-            for j0 in range(self.ny):
-                if seen[i0][j0] or self.owner[i0][j0] is not None:
-                    continue
-                stack = [(i0, j0)]
-                seen[i0][j0] = True
-                cells = set()
-                bounded = True
-                while stack:
-                    i, j = stack.pop()
-                    cells.add((i, j))
-                    if j == self.ny - 1:
-                        bounded = False
-                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        ni, nj = i + di, j + dj
-                        if 0 <= ni < self.nx and 0 <= nj < self.ny \
-                                and not seen[ni][nj] \
-                                and self.owner[ni][nj] is None:
-                            seen[ni][nj] = True
-                            stack.append((ni, nj))
-                comps.append({"cells": cells, "bounded": bounded})
-        comps.sort(key=lambda c: min(c["cells"]))
-        return comps
+    def _rebuild(self, x, old: list, act: list, y0, y1, gone: list,
+                 born: list) -> list[_Gap]:
+        """The gaps after x of the window [y0, y1], from the ground or an
+        extent's top to an extent's bottom, outside the extents ``act``.
+        A gap equal to one of ``old`` continues; the others open against
+        the extents ``gone`` at x, the old ones left close against those
+        ``born``, and a closed and an opened one sharing a positive length
+        of the line x are joined."""
+        keep = {(g.lo, g.hi): g for g in old}
+        col, opened = [], []
+        lo, j = y0, bisect_left(act, (y0,))
+        below = act[j - 1][2] if j and act[j - 1][1] == y0 else GROUND
+        while j < len(act) and act[j][0] <= y1:
+            hi, top, above = act[j]
+            if hi > lo:
+                g = keep.pop((lo, hi), None)
+                if g is not None:
+                    g.owners(x, below, above)
+                else:
+                    g = _Gap(x, lo, hi, below, above)
+                    g.pieces += [((x, b), (x, a), o)
+                                 for a, b, o in _cover(gone, lo, hi)]
+                    self.rects.append(g)
+                    opened.append(g)
+                col.append(g)
+            lo, below, j = top, above, j + 1
+        if lo < y1:
+            raise AnalysisError("unbounded", f"a gap meets the ceiling at x = {x}")
+        for g in keep.values():
+            g.pieces += [((x, a), (x, b), o)
+                         for a, b, o in _cover(born, g.lo, g.hi)]
+            g.owners(x, None, None)
+            self.joins += [(g, h) for h in opened
+                           if max(g.lo, h.lo) < min(g.hi, h.hi)]
+        return col
 
+    def free_components(self) -> list[list[_Gap]]:
+        """The components of the free space, by union-find over the joins:
+        each its rects in order, the first holding the lowest cell of its
+        leftmost column, and in the order of that cell."""
+        parent = {g: g for g in self.rects}
 
-def trace_boundary(cells: set[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
-    """Directed boundary cycle of a connected cell set, interior on the left
-    (counterclockwise).  Vertices are grid indices (i, j).  Raises if the
-    cell set has an interior island.
-    """
-    return walk_boundary(boundary_edges(cells))
+        def root(g):
+            while parent[g] is not g:     # halving the path
+                parent[g] = g = parent[parent[g]]
+            return g
 
-
-def boundary_edges(cells: set[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
-    """Unit edges between a cell of the set and a cell outside it, directed
-    with the set on the left."""
-    edges = []
-    add = edges.append
-    for (i, j) in cells:
-        if (i, j - 1) not in cells:
-            add(((i, j), (i + 1, j)))          # bottom edge, eastward
-        if (i + 1, j) not in cells:
-            add(((i + 1, j), (i + 1, j + 1)))  # right edge, northward
-        if (i, j + 1) not in cells:
-            add(((i + 1, j + 1), (i, j + 1)))  # top edge, westward
-        if (i - 1, j) not in cells:
-            add(((i, j + 1), (i, j)))          # left edge, southward
-    return edges
-
-
-# left turn of each unit step direction
-_LEFT_OF = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
+        for g, h in self.joins:
+            parent[root(g)] = root(h)
+        comps: dict[_Gap, list[_Gap]] = {}
+        for g in self.rects:
+            comps.setdefault(root(g), []).append(g)
+        return list(comps.values())
 
 
-def walk_boundary(edges) -> list[tuple[tuple, tuple]]:
-    """Join the directed unit boundary edges of a cell set into one cycle,
-    starting at the smallest vertex; the cycle holds the given edge tuples.
+def trace_boundary(component: Sequence[_Gap]) -> list[tuple[int, list]]:
+    """The counterclockwise boundary of a free component as runs ``(owner,
+    points)``: maximal stretches of one owner (an obstacle's index, the
+    ground or a wall), each kept as its ends and the corners between.
 
-    The cycle depends only on the set of edges, not on their order.  The
-    smallest vertex is a corner of a single cell, so it has one outgoing
-    edge.  At a pinch vertex, where two cells of the set meet only at a
-    corner, the walk turns left and so stays on the boundary of the cell it
-    follows.  Raises if the edges form more than one cycle, as they do for
-    a set with an interior island or with parts joined only at a corner.
-    """
-    out: dict[tuple, list[tuple]] = {}
-    for edge in edges:
-        out.setdefault(edge[0], []).append(edge)
-    start = min(out)
-    cycle = []
-    prev = cur = start
+    The walk starts east from the lower-left corner of the component's
+    first rect.  At a pinch vertex, where the component meets itself at a
+    point, it turns left, so that vertex is a corner twice.  Raises
+    AnalysisError if the pieces form more than one cycle."""
+    out: dict = {}
+    for g in component:
+        for p, q, owner in g.pieces:
+            out.setdefault(p, []).append((q, owner))
+    start = prev = cur = (component[0].x0, component[0].lo)
+    runs, points, last = [], None, None
     while True:
-        outs = out[cur]
-        if len(outs) == 1:
-            edge = outs.pop()
-            del out[cur]
-        else:
-            turn = _LEFT_OF[(cur[0] - prev[0], cur[1] - prev[1])]
-            want = (cur[0] + turn[0], cur[1] + turn[1])
-            edge = next((e for e in outs if e[1] == want), None)
-            if edge is None:
-                raise GeometryError(f"no left turn at pinch vertex {cur}")
-            outs.remove(edge)
-        cycle.append(edge)
-        prev, cur = cur, edge[1]
-        if cur == start and start not in out:
+        outs = out.get(cur, [])
+        dx, dy = cur[0] - prev[0], cur[1] - prev[1]
+        # one way on, or at a pinch the left turn (positive cross product)
+        ways = [k for k, (q, _) in enumerate(outs) if len(outs) == 1
+                or dx * (q[1] - cur[1]) > dy * (q[0] - cur[0])]
+        if not ways:
             break
-    if len(cycle) != len(edges):
-        raise GeometryError("region boundary is not a single cycle")
-    return cycle
+        q, owner = outs.pop(ways[0])
+        if owner != last:
+            points, last = [cur, q], owner
+            runs.append((owner, points))
+        elif points[-2][0] == cur[0] == q[0] or points[-2][1] == cur[1] == q[1]:
+            points[-1] = q              # straight on: cur is no corner
+        else:
+            points.append(q)
+        prev, cur = cur, q
+        if cur == start:
+            break
+    if cur != start or any(out.values()):
+        raise AnalysisError("boundary", f"the free component at {start} is "
+                            "not bounded by one cycle")
+    return runs

@@ -16,11 +16,11 @@ lengths, cuts, virtual lids and diagonal crossings are lattice integers.
 They become Fractions only where they leave the module (``Hole.area``, the
 side lengths a charge reads, charge segments, ``Hole.region``).
 
-Raw holes are found once on a grid built on those integers, which nothing
-else reads: each bounded free component's unit-edge boundary is traced,
-every edge gets the owner outside it, and each run keeps only its
-corners.  From then on a hole is just its counterclockwise runs of corners,
-and the squares near a point come from the packing's bottom-sorted index
+Raw holes come from one sweep in x over those rects: each free component
+is a set of gap rects, and one walk over them keeps only the corners of
+its counterclockwise boundary, in runs of the square, wall or ground
+outside.  From then on a hole is just those runs of corners, and the
+squares near a point come from the packing's bottom-sorted index
 (``Packing.window``).  A hole's area comes from the shoelace formula, a
 boundary point's side from the boundary's turn there, and the right
 diagonal is checked against the hole's slabs (maximal x-strips of constant
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import ObstacleGrid, Rect, trace_boundary
+from .geometry import (GROUND, LEFT_WALL, RIGHT_WALL, AnalysisError,
+                       ObstacleGrid, Rect, trace_boundary)
 from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import Check, Packing, Placement, close_packing
 
@@ -61,14 +62,6 @@ TYPE_II = "II"
 KIND_INTERIOR = "interior"
 KIND_LEFT_WALL = "left-wall"
 KIND_RIGHT_WALL = "right-wall"
-
-
-class AnalysisError(AssertionError):
-    """A proven structural property failed: implementation bug or bad input."""
-
-    def __init__(self, name: str, detail: str = ""):
-        self.name = name
-        super().__init__(f"{name}: {detail}" if detail else name)
 
 
 @dataclass(frozen=True)
@@ -119,17 +112,6 @@ class _Run:
         if self.owner[0] == "copy":
             return self.owner[1].rect
         return None
-
-
-def _extend(points: list, p: tuple[int, int]):
-    """Append the lattice point p to a corner list, dropping the last point
-    when it lies on the straight line from the one before it to p."""
-    if len(points) > 1:
-        (x0, y0), (x1, y1) = points[-2], points[-1]
-        if x0 == x1 == p[0] or y0 == y1 == p[1]:
-            points[-1] = p
-            return
-    points.append(p)
 
 
 def _edges(runs: list[_Run]):
@@ -315,57 +297,6 @@ class Hole:
         if pt == b and min(pr, r) > max(pl, l):
             return TYPE_II
         raise AnalysisError("lemma3", "last square neither right nor top neighbor")
-
-
-def _traced_runs(grid: ObstacleGrid, owners: list, cycle: list) -> list[_Run]:
-    """Group a traced cycle of unit grid edges into maximal runs of edges
-    with one owner, kept as lattice corners.
-
-    An edge's owner is what lies on its right, outside the hole: a square
-    (``owners`` of the grid's obstacle index), the ground or a wall.  The
-    cycle starts at the lower-left corner of the hole's smallest cell: the
-    first edge has the cell below or the ground outside, the last the cell
-    to the left or the left wall, and a square holding both would hold that
-    cell, so the first and last runs never share an owner.
-    """
-    X, Y = grid.xs, grid.ys
-    nx, ny, cell_owner = grid.nx, grid.ny, grid.owner
-    runs = []
-    last = points = None
-    for (i1, j1), (i2, j2) in cycle:
-        owner = None
-        if j1 == j2:
-            if i2 > i1:                     # eastward: outside below
-                if j1 == 0:
-                    owner = OWNER_GROUND
-                else:
-                    idx = cell_owner[i1][j1 - 1]
-            else:                           # westward: outside above
-                if j1 == ny:
-                    raise AnalysisError("unbounded", "hole touches the ceiling")
-                idx = cell_owner[i2][j1]
-        elif j2 > j1:                       # northward: outside right
-            if i1 == nx:
-                owner = OWNER_RWALL
-            else:
-                idx = cell_owner[i1][j1]
-        else:                               # southward: outside left
-            if i1 == 0:
-                owner = OWNER_LWALL
-            else:
-                idx = cell_owner[i1 - 1][j2]
-        if owner is None:
-            if idx is None:
-                raise AnalysisError(
-                    "boundary", f"free cell outside the hole at {(i1, j1)}")
-            owner = owners[idx]
-        if owner == last:
-            _extend(points, (X[i2], Y[j2]))
-        else:
-            points = [(X[i1], Y[j1]), (X[i2], Y[j2])]
-            runs.append(_Run(owner, points))
-            last = owner
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -743,15 +674,18 @@ def compute_charges(holes: Sequence[Hole]) -> ChargeLedger:
 # ---------------------------------------------------------------------------
 
 def extract_holes(p_closed: Packing) -> list[Hole]:
+    """The raw holes of a closed packing, each its boundary as runs of
+    corners, in the order of their lower-left corners."""
     ctx = _Context(p_closed)
     rects = ctx.rects
     grid = ObstacleGrid(rects, ctx.scale, max((t for *_, t in rects), default=0))
-    owners = [("sq", k) for k in range(len(rects))]
+    walls = {GROUND: OWNER_GROUND, LEFT_WALL: OWNER_LWALL,
+             RIGHT_WALL: OWNER_RWALL}
     holes = []
     for comp in grid.free_components():
-        if comp["bounded"]:
-            runs = _traced_runs(grid, owners, trace_boundary(comp["cells"]))
-            holes.append(Hole(ctx, runs, _shoelace(runs)))
+        runs = [_Run(walls[k] if k < 0 else ("sq", k), points)
+                for k, points in trace_boundary(comp)]
+        holes.append(Hole(ctx, runs, _shoelace(runs)))
     return holes
 
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_reference import (ObstacleGrid, boundary_edges, trace_boundary,
+                            walk_boundary)
 from span_reference import (intersect_spans, merge_spans, spans_contain,
                             subtract_spans_open)
-from strippack.geometry import (GeometryError, ObstacleGrid, Rect,
-                                StepProfile, boundary_edges, trace_boundary,
-                                walk_boundary)
+from strippack import geometry
+from strippack.geometry import GeometryError, Rect, StepProfile
 
 Z = F(0)
 
@@ -273,3 +274,24 @@ class TestBoundaryWalk:
         ring = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
         with pytest.raises(GeometryError):
             trace_boundary(ring)
+
+
+class TestSweepFailures:
+    """The sweep over gap rects fails with an AnalysisError named for its
+    cause, on a strip 4 wide: overlapping obstacles, an obstacle above the
+    ceiling, a gap that meets the ceiling, and a square floating inside a
+    hole, whose boundary is then two cycles."""
+
+    @pytest.mark.parametrize("name, obstacles, ceiling", [
+        ("overlap", [(0, 2, 0, 2), (1, 3, 1, 3), (0, 4, 3, 7)], 7),
+        ("ceiling", [(0, 4, 3, 8)], 7),
+        ("unbounded", [(0, 2, 0, 2)], 4),
+        ("boundary", [(1, 2, 1, 2), (0, 4, 3, 7)], 7),
+    ])
+    def test_failure_names_its_cause(self, name, obstacles, ceiling):
+        with pytest.raises(geometry.AnalysisError) as err:
+            for comp in geometry.ObstacleGrid(obstacles, 4,
+                                              ceiling).free_components():
+                geometry.trace_boundary(comp)
+        assert err.value.name == name
+

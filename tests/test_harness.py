@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import items
+from conftest import items, packing_of
+from strippack import cli as cli_module
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import main
 from strippack.harness import (InstanceError, gen_random, instance_text,
@@ -210,6 +211,19 @@ class TestCli:
         bad.write_text("5/4\n")
         assert main(["run", "--strategy", "slot", "--input", str(bad)]) == 2
 
+    def test_analyze_overlap_names_the_squares(self, three, monkeypatch,
+                                               capsys):
+        """Overlapping squares fail the hole sweep as an analysis check that
+        names them and the x, with the instance echoed, not as a usage
+        error."""
+        overlapping = packing_of([("1/2", 0, 0), ("1/2", "1/4", "1/4")])
+        monkeypatch.setattr(cli_module, "pack", lambda *_: overlapping)
+        assert main(["analyze", "--strategy", "bottomleft",
+                     "--input", str(three)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("CHECK overlap FAIL overlap: obstacles 0 and 1 "
+                              "overlap at x = 1\ninstance:\n")
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -354,3 +368,37 @@ class TestHoleAnalysisHundreds:
         checks = [line for line in out.splitlines() if line.startswith("CHECK")]
         assert len(checks) == 7
         assert all(" PASS " in line for line in checks)
+
+
+class TestHoleAnalysisThousands:
+    """Raw holes come from one sweep over gap rects, with no cell grid, so
+    the whole hole analysis at n in the thousands takes seconds and stays
+    small.  The child reports its own peak RSS."""
+
+    CHILD = ("import resource, sys\n"
+             "from strippack.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "print(f'maxrss_kb {rss}')\n"
+             "sys.exit(code)\n")
+
+    def test_analyze_4000_squares(self, tmp_path):
+        path = str(tmp_path / "n4000.txt")
+        assert cli("gen-random", "--n", "4000", "--seed", "7",
+                   "--out", path)[0] == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "analyze", "--strategy",
+             "bottomleft", "--input", path],
+            capture_output=True, text=True, timeout=10, env=env)
+        wall = time.perf_counter() - start
+        assert proc.returncode == 0 and wall < 10, proc.stderr
+        lines = proc.stdout.splitlines()
+        checks = [line for line in lines if line.startswith("CHECK")]
+        assert len(checks) == 7
+        assert all(" PASS " in line for line in checks)
+        rss_kb = int(lines[-1].removeprefix("maxrss_kb "))
+        assert rss_kb < 150 * 1024
+

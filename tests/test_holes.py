@@ -8,9 +8,12 @@ import pytest
 
 from conftest import (corpus_items, items, nondyadic_items, packing_of,
                       random_items)
+import grid_reference
+from grid_reference import grid as _grid, trace_boundary
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
-from strippack.geometry import ObstacleGrid, Rect, trace_boundary
+from strippack.geometry import (GROUND, LEFT_WALL, ObstacleGrid, Rect,
+                                trace_boundary as sweep_trace)
 from strippack.harness import render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
@@ -108,6 +111,116 @@ class TestExtraction:
         assert len(interior) == 1
         assert interior[0].classify() == TYPE_II
         assert interior[0].area == F(7, 256)
+
+
+# ---------------------------------------------------------------------------
+# the sweep over gap rects against the dense-grid reference
+# ---------------------------------------------------------------------------
+
+SWEEP_PANELS = {
+    "corpus": lambda: [corpus_items(s) for s in range(50)],
+    "large": lambda: LARGE_PANEL,
+    "nondyadic": lambda: [nondyadic_items(s) for s in range(3)],
+    "ladder480": lambda: [random_items("ladder:1:480", 480)],
+    "families": lambda: [family_items(f, s) for f in sorted(FAMILIES)
+                         for s in range(5)],
+}
+
+
+def _same_raw_hole(got, want):
+    """Equal runs (owners and corners, the lid first), corner counts,
+    area, kind, lid and slab rects."""
+    assert [(r.owner, r.points) for r in got.runs] == \
+        [(r.owner, r.points) for r in want.runs]
+    assert got.corners == want.corners
+    assert (got.area_units, got.area, got.kind, got.lid_virtual) == \
+        (want.area_units, want.area, want.kind, want.lid_virtual)
+    assert got.region() == want.region()
+
+
+def _sweep(closed):
+    """The sweep on a closed packing's lattice, as extraction builds it."""
+    scale, rects = closed.lattice()
+    return ObstacleGrid(rects, scale, max(t for *_, t in rects))
+
+
+class TestSweepAgainstGrid:
+    @pytest.mark.parametrize("panel", sorted(SWEEP_PANELS))
+    def test_raw_holes_equal_the_grid_reference(self, panel):
+        """Every raw hole the sweep finds equals, in order, the hole the
+        dense grid's flood and unit-edge trace find."""
+        count = 0
+        for seq in SWEEP_PANELS[panel]():
+            closed = close_packing(pack(BottomLeftState, seq))
+            got = extract_holes(closed)
+            want = grid_reference.extract_holes(closed)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                _same_raw_hole(g, w)
+            count += len(got)
+        assert count > 0
+
+
+class TestSweepTraps:
+    """Hand-built closed packings on a lattice of scale 4 (sides in
+    quarters), each at a place where a sweep and a flood can disagree."""
+
+    def test_wall_holes_stay_apart(self):
+        """Three holes on the left wall, between squares on the wall, stay
+        three holes: the first column's gaps come from what starts at x = 0,
+        so no gap of zero width there shares a length with all three."""
+        closed = packing_of([("1/4", 0, "1/4"), ("1/4", 0, "3/4"),
+                             ("3/4", "1/4", 0), ("1/2", "1/4", "3/4"),
+                             ("1/4", "3/4", "3/4"), ("1/4", "3/4", 1),
+                             (1, 0, "5/4")])
+        raw = extract_holes(closed)
+        assert [(h.kind, h.area) for h in raw] == [(KIND_LEFT_WALL, F(1, 16))] * 3
+        assert [h.runs[0].owner for h in raw] == [("sq", 0), ("sq", 1), ("sq", 6)]
+        for got, want in zip(raw, grid_reference.extract_holes(closed)):
+            _same_raw_hole(got, want)
+
+    def test_pinch_vertex_turns_left_and_counts_twice(self):
+        """A ring around a square, pinched where that square's corner meets
+        the corner of the one at its upper right: the walk reaches the pinch
+        along the upper square's bottom, turns left around the ring's inner
+        square, and leaves up the upper square's left side, so the pinch is
+        a corner twice.  The upper square then bounds the hole twice, which
+        Lemma 1 rules out, on the grid as in the sweep."""
+        closed = packing_of([("1/4", "1/4", "1/4"), ("1/4", "1/2", "1/2"),
+                             ("1/4", "3/4", 0), ("1/4", "3/4", "1/4"),
+                             ("1/4", "3/4", "1/2"), (1, 0, "3/4")])
+        comps = _sweep(closed).free_components()
+        assert len(comps) == 1
+        runs = sweep_trace(comps[0])
+        assert runs == [
+            (GROUND, [(0, 0), (3, 0)]), (2, [(3, 0), (3, 1)]),
+            (3, [(3, 1), (3, 2)]), (1, [(3, 2), (2, 2)]),
+            (0, [(2, 2), (2, 1), (1, 1), (1, 2), (2, 2)]),
+            (1, [(2, 2), (2, 3)]), (5, [(2, 3), (0, 3)]),
+            (LEFT_WALL, [(0, 3), (0, 0)])]
+        corners = Counter(q for _, points in runs for q in points[1:])
+        assert corners[(2, 2)] == 2
+        assert set(corners.values()) == {1, 2}
+        for extract in (extract_holes, grid_reference.extract_holes):
+            with pytest.raises(holes.AnalysisError) as err:
+                extract(closed)
+            assert err.value.name == "lemma1"
+
+    def test_gap_continues_where_its_owners_change(self):
+        """Squares end beside a gap where others of the same height start,
+        below it and above it: the gap continues as one rect, and its bottom
+        and top change owner there."""
+        closed = packing_of([("1/4", 0, 0), ("1/4", "1/4", 0), ("1/2", "1/2", 0),
+                             ("1/4", 0, "1/2"), ("1/4", "1/4", "1/2"),
+                             ("1/4", "1/2", "1/2"), ("1/4", "3/4", "1/2"),
+                             (1, 0, "3/4")])
+        assert [(g.x0, g.lo, g.hi) for g in _sweep(closed).rects] == [(0, 1, 2)]
+        hole, = extract_holes(closed)
+        assert [(r.owner, r.points) for r in hole.runs] == [
+            (("sq", 3), [(1, 2), (0, 2)]), (OWNER_LWALL, [(0, 2), (0, 1)]),
+            (("sq", 0), [(0, 1), (1, 1)]), (("sq", 1), [(1, 1), (2, 1)]),
+            (("sq", 2), [(2, 1), (2, 2)]), (("sq", 4), [(2, 2), (1, 2)])]
+        _same_raw_hole(hole, *grid_reference.extract_holes(closed))
 
 
 class TestSplitting:
@@ -312,13 +425,6 @@ def _below_cut(cells, throat, j_top):
                 below.add(cell)
                 stack.append(cell)
     return below
-
-
-def _grid(ctx):
-    """The obstacle grid on a context's lattice rects, as extraction builds
-    it."""
-    ceiling = max((t for *_, t in ctx.rects), default=0)
-    return ObstacleGrid(ctx.rects, ctx.scale, ceiling)
 
 
 def _cell_runs(grid, cells, overrides):
