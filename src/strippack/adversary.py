@@ -88,7 +88,8 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
     ``packing.pack`` for the protocol).
 
     Every placement the strategy returns is checked against its own packing
-    so far; an invalid one aborts naming the square and the violation.
+    so far, on the lattice rect its extension stored; an invalid one aborts
+    naming the square and the violation.
     """
     if m < 1:
         raise PackingError("need at least one iteration")
@@ -102,7 +103,7 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         count += 1
         before = state.packing
         pl = state.place(SquareItem(count, side))
-        violation = check_step(before, pl)
+        violation = check_step(before, pl, state.packing.lattice()[1][-1])
         if violation:
             raise PackingError(f"strategy square {count}: {violation}")
         return pl

@@ -35,7 +35,7 @@ def bl_place_next(p: Packing, item: SquareItem) -> Placement:
     a = item.side
     sweep = reachable_positions(p, a)
     scale, low = sweep.scale, sweep.lowest
-    sa = a.numerator * (scale // a.denominator)
+    (sa,) = p.units(a)
     levels = {t for _, _, _, t in p.window(low - scale) if t >= low}
     if low == 0:
         levels.add(0)

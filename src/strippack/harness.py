@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 from .numbers import ONE, ZERO, Scalar, ScalarParseError, format_scalar, scalar
 from .packing import Packing, Placement, SquareItem
 
-GRID_BITS = 20
-GRID = 2 ** GRID_BITS
+GRID = 2 ** 20
 
 
 class InstanceError(ValueError):
@@ -146,10 +145,8 @@ def _fmt(v: float) -> str:
 def render_svg(p: Packing, holes: Optional[Sequence] = None) -> str:
     """Deterministic SVG: strip outline, one labeled rect per square in
     arrival order, optional hatched hole overlays (y axis points up)."""
-    height = p.height if p.height > ZERO else ONE
-    H = float(height)
     W = _SVG_SCALE
-    total_h = H * _SVG_SCALE
+    total_h = float(p.height or ONE) * _SVG_SCALE
 
     def X(v) -> str:
         return _fmt(float(v) * _SVG_SCALE)

@@ -580,11 +580,8 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
     """Charged boundary terms of one diagonal-free hole, by hole kind."""
     ctx = hole.ctx
     lid = hole.runs[0]
-    lid_virtual = lid.owner[0] == "copy"
-    if lid_virtual:
-        lid_square = lid.owner[1].owner
-    else:
-        lid_square = ctx.placements[lid.owner[1]]
+    lid_virtual, key = lid.owner[0] == "copy", lid.owner[1]
+    lid_square = key.owner if lid_virtual else ctx.placements[key]
     beta1 = _side_length(ctx, lid, SIDE_BOTTOM)
     items = [ChargeTerm(lid_square.item.index, SIDE_BOTTOM, lid_virtual,
                         HALF if lid_virtual else Fraction(1), beta1)]
@@ -720,9 +717,7 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     evaluate every exact accounting identity and bound."""
     closed = close_packing(p)
     raw = extract_holes(closed)
-    finals = []
-    for h in raw:
-        finals.extend(split_hole(h))
+    finals = [piece for h in raw for piece in split_hole(h)]
     bounds = [hole_area_bound(h) for h in finals]
     ledger = compute_charges(finals)
 

@@ -1,9 +1,9 @@
 """Exact rational scalars: parsing, formatting, shared constants.
 
-Every coordinate, side length, area and charge in this package is a
-`fractions.Fraction`.  Floats never enter the pipeline: contact and
-tie-breaking decisions are equality-sensitive, so a single rounding error
-would corrupt them.
+Sides, coordinates, areas and charges enter and leave as Fractions; inside,
+the geometry runs on integers of one lattice, each value converted once, in
+``packing._Lattice``.  Floats never enter: contact and tie-breaking
+decisions are equality-sensitive, so one rounding error would corrupt them.
 """
 
 from __future__ import annotations

@@ -11,17 +11,12 @@ order; per step, ``check_step`` names the first of these rules broken:
     (the square may move left/right/down; sliding along touching boundaries
     is legal, so configuration obstacles are open rectangles).
 
-Reachability is computed by a downward plane sweep over configuration-space
-obstacle events.  Each packing keeps its squares on one integer lattice, the
-coordinates times the LCM of their denominators, indexed by bottom; the step
-checks, the sweep and the BottomLeft search run on it.  The rescaling is
-exact, so no semantics change, and because sides are at most 1 a check
-reads only the squares whose bottoms lie between 1 below the arriving
-square's bottom and its top.  The sweep takes its events from the bottom
-index from the top down and stops at the first level sealed off from above,
-so it reads only the squares above that level.  At each level it needs two
-passes over closed x-spans: the free spans outside the open shadows of the
-active squares, and those of them that meet the reachable spans above.
+Each packing keeps its squares on one integer lattice (``_Lattice``, the
+only place where a rational becomes an integer), indexed by bottom; the
+step checks, the downward reachability sweep and the BottomLeft search run
+on it.  The rescaling is exact, so no semantics change, and because sides
+are at most 1 a check reads only the squares whose bottoms lie between 1
+below the arriving square's bottom and its top.
 """
 
 from __future__ import annotations
@@ -73,7 +68,8 @@ class Placement:
 
 
 class _Lattice:
-    """The integer coordinates of a chain of packings.
+    """The integer coordinates of a chain of packings, and the one place
+    where a rational becomes an integer (``units``).
 
     ``rects[i]`` is placement i's ``(l, r, b, t)`` times ``scale``, the LCM
     of every denominator fitted so far.  ``bottoms`` holds every ``b`` in
@@ -81,7 +77,8 @@ class _Lattice:
     snapshots of one chain share a lattice and each reads the first entries,
     as many as it has placements; only the newest appends.  Rescaling
     multiplies every entry in place, which changes the representation and
-    not the geometry, so it keeps every sharing snapshot valid.
+    not the geometry, so it keeps every sharing snapshot valid.  ``of``
+    and the verifier know every placement at once and fit them all first.
     """
 
     __slots__ = ("scale", "pls", "rects", "bottoms", "order")
@@ -93,32 +90,38 @@ class _Lattice:
         self.bottoms: list[int] = []
         self.order: list[int] = []
 
-    def fit(self, *dens: int) -> int:
+    def fit(self, *values: Scalar) -> None:
         """Rescale, if needed, so that ``scale`` is a multiple of every
-        denominator given; returns the scale."""
+        value's denominator."""
         scale = self.scale
-        for d in dens:
-            if scale % d:
-                scale = lcm(scale, d)
+        for v in values:
+            if scale % v.denominator:
+                scale = lcm(scale, v.denominator)
         if scale != self.scale:
             f = scale // self.scale
             self.rects = [(l * f, r * f, b * f, t * f)
                           for l, r, b, t in self.rects]
             self.bottoms = [b * f for b in self.bottoms]
             self.scale = scale
-        return scale
+
+    def units(self, *values: Scalar) -> list[int]:
+        """The values times ``scale``, fitted to them first."""
+        scale, out = self.scale, []
+        for v in values:
+            d = v.denominator
+            if scale % d:
+                self.fit(*values)
+                return self.units(*values)
+            out.append(v.numerator * (scale // d))
+        return out
 
     def coords(self, pl: Placement) -> tuple[int, int, int, int]:
         """``pl``'s ``(l, r, b, t)`` on the lattice, fitted to it first."""
-        x, y, a = pl.x, pl.y, pl.item.side
-        scale = self.fit(x.denominator, y.denominator, a.denominator)
-        l = x.numerator * (scale // x.denominator)
-        b = y.numerator * (scale // y.denominator)
-        s = a.numerator * (scale // a.denominator)
+        l, b, s = self.units(pl.x, pl.y, pl.item.side)
         return l, l + s, b, b + s
 
-    def append(self, pl: Placement) -> None:
-        rect = self.coords(pl)
+    def append(self, pl: Placement, at=None) -> None:
+        rect = at or self.coords(pl)
         k = bisect_right(self.bottoms, rect[2])
         self.bottoms.insert(k, rect[2])
         self.order.insert(k, len(self.pls))
@@ -128,6 +131,7 @@ class _Lattice:
     @classmethod
     def of(cls, pls: Sequence[Placement]) -> "_Lattice":
         lat = cls()
+        lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
         for pl in pls:
             lat.append(pl)
         return lat
@@ -143,7 +147,8 @@ class Packing:
     came from, in O(1) amortized time plus a sorted insert, and finds the new
     top by comparing two lattice integers; extending a packing that has been
     extended before rebuilds its part of the lattice first, each time, so
-    both results stay valid.
+    both results stay valid.  ``at``, here and below, is the arriving
+    square's lattice ``(l, r, b, t)`` when the caller has it.
     """
 
     __slots__ = ("_lat", "_n", "_top", "_placements")
@@ -167,15 +172,13 @@ class Packing:
 
     @property
     def height(self) -> Scalar:
-        if not self._n:
-            return ZERO
-        return self._lat.pls[self._top].top
+        return self._lat.pls[self._top].top if self._n else ZERO
 
-    def extended(self, pl: Placement) -> "Packing":
+    def extended(self, pl: Placement, at=None) -> "Packing":
         lat = self._lat
-        if len(lat.pls) != self._n:
-            lat = _Lattice.of(lat.pls[:self._n])    # a second branch
-        lat.append(pl)
+        if len(lat.pls) != self._n:     # a second branch, on its own scale
+            lat, at = _Lattice.of(lat.pls[:self._n]), None
+        lat.append(pl, at)
         top, rects = self._top, lat.rects
         nxt = Packing.__new__(Packing)
         nxt._lat, nxt._n = lat, self._n + 1
@@ -183,14 +186,17 @@ class Packing:
         nxt._top = self._n if top < 0 or rects[-1][3] > rects[top][3] else top
         return nxt
 
-    def lattice(self, *dens: int) -> tuple[int, Sequence[tuple[int, int, int, int]]]:
+    def units(self, *values: Scalar) -> list[int]:
+        return self._lat.units(*values)
+
+    def lattice(self, *values: Scalar) -> tuple[int, Sequence[tuple[int, int, int, int]]]:
         """``(scale, rects)``: ``rects[i]`` is placement i's ``(l, r, b, t)``
-        times ``scale``, and ``scale`` is a multiple of every denominator
-        given.  The rects are read-only."""
+        times ``scale``, and ``scale`` is a multiple of every value's
+        denominator.  The rects are read-only."""
         lat = self._lat
-        scale = lat.fit(*dens)
+        lat.fit(*values)
         rects = lat.rects
-        return scale, rects if len(rects) == self._n else rects[:self._n]
+        return lat.scale, rects if len(rects) == self._n else rects[:self._n]
 
     def window(self, lo: int, hi: Optional[int] = None
                ) -> list[tuple[int, int, int, int]]:
@@ -221,13 +227,13 @@ def close_packing(p: Packing) -> Packing:
     """Append the side-1 closing square; it can only rest at the packing
     height with its left side on the wall."""
     closing = SquareItem(len(p) + 1, ONE)
-    return p.extended(Placement(closing, ZERO, p.height))
+    s, t = p._lat.scale, p._lat.rects[p._top][3] if len(p) else 0
+    return p.extended(Placement(closing, ZERO, p.height), (0, s, t, t + s))
 
 
 def is_supported(p: Packing, pl: Placement, at=None) -> bool:
     """Gravity check: on the strip bottom, or on some square's top with
-    positive-length x-overlap.  ``at`` is ``pl``'s lattice ``(l, r, b, t)``
-    when the caller has it already.
+    positive-length x-overlap.
 
     A top at ``pl.y`` belongs to a square with bottom in ``[pl.y - 1,
     pl.y)``, since sides are at most 1, so only that window is read."""
@@ -241,6 +247,7 @@ def is_supported(p: Packing, pl: Placement, at=None) -> bool:
 # reachability sweep
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class ReachabilitySweep:
     """Finite description of all monotone-descent reachable left-edge
     positions of a square of fixed side.
@@ -251,17 +258,13 @@ class ReachabilitySweep:
     event; below the last event nothing changes.
     """
 
-    __slots__ = ("scale", "start", "full", "_events", "_at", "_slabs",
-                 "read")
-
-    def __init__(self, scale, start, full, events, at, slabs, read):
-        self.scale = scale
-        self.start = start              # at/above: everything reachable
-        self.full = full                # spans of [0, 1-a]
-        self._events = events           # descending event levels
-        self._at = at                   # level -> spans exactly at level
-        self._slabs = slabs             # parallel: spans in open slab below
-        self.read = read                # index entries the sweep read
+    scale: int
+    start: int                  # at/above: everything reachable
+    full: list                  # spans of [0, 1-a]
+    _events: list               # descending event levels
+    _at: list                   # level -> spans exactly at level
+    _slabs: list                # parallel: spans in open slab below
+    read: int                   # index entries the sweep read
 
     @property
     def lowest(self) -> int:
@@ -283,10 +286,11 @@ class ReachabilitySweep:
         return self._slabs[lo - 1]      # open slab below the event above y
 
 
-def reachable_positions(p: Packing, a: Scalar,
-                        floor: Scalar = ZERO) -> ReachabilitySweep:
+def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
+                        at=None) -> ReachabilitySweep:
     """Downward plane sweep over the open configuration obstacles
-    (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a].
+    (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a].  ``at``, a
+    lattice rect of side ``a`` at the floor, saves converting both.
 
     The sweep describes the levels at or above ``floor`` only: it leaves out
     every square whose top t_j is at or below the floor, and every event
@@ -339,9 +343,8 @@ def reachable_positions(p: Packing, a: Scalar,
         below it are never read.
     """
     lat = p._lat
-    scale = lat.fit(a.denominator, floor.denominator)
-    low = floor.numerator * (scale // floor.denominator)
-    sa = a.numerator * (scale // a.denominator)
+    sa, low = (at[1] - at[0], at[2]) if at else lat.units(a, floor)
+    scale = lat.scale
     if not 0 < sa <= scale:
         raise PackingError(f"side {a} outside (0, 1]")
     w = scale - sa
@@ -416,18 +419,17 @@ def _meeting(spans, marks):
 
 def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
     """Is (pl.x, pl.y) reachable from above the packing by a path that never
-    moves up and keeps the square's interior clear of all placed squares?
-    ``at`` is ``pl``'s lattice ``(l, r, b, t)`` when the caller has it."""
-    l, _, b, _ = at or p._lat.coords(pl)
-    sweep = reachable_positions(p, pl.item.side, floor=pl.y)
-    return any(lo <= l <= hi for lo, hi in sweep.spans_at(b))
+    moves up and keeps the square's interior clear of all placed squares?"""
+    at = at or p._lat.coords(pl)
+    sweep = reachable_positions(p, pl.item.side, pl.y, at)
+    return any(lo <= at[0] <= hi for lo, hi in sweep.spans_at(at[2]))
 
 
 # ---------------------------------------------------------------------------
 # verifier
 # ---------------------------------------------------------------------------
 
-def check_step(sofar: Packing, pl: Placement) -> Optional[str]:
+def check_step(sofar: Packing, pl: Placement, at=None) -> Optional[str]:
     """The first rule the arriving square breaks against the packing before
     it, or None: ``"overlap"``, then ``"unsupported"``, then
     ``"unreachable"``.  A rule is decided only if every rule before it holds.
@@ -435,7 +437,7 @@ def check_step(sofar: Packing, pl: Placement) -> Optional[str]:
     Only squares with bottom in ``[pl.y - 1, pl.top)`` can overlap it, as
     sides are at most 1, so only that window is tested."""
     lat = sofar._lat
-    at = l, r, b, t = lat.coords(pl)
+    at = l, r, b, t = at or lat.coords(pl)
     rect = Rect(*at)
     if not (0 <= l and r <= lat.scale and 0 <= b) or any(
             rect.interior_overlaps(Rect(*q))
@@ -452,18 +454,21 @@ def verify_packing(seq: Sequence[SquareItem],
                    pls: Sequence[Placement]) -> Optional[str]:
     """Replay arrivals in order, checking each step with ``check_step``;
     the replay stops at the first step that breaks a rule and returns
-    ``"<rule> at step <k>"`` (k 1-based), or None if every step holds."""
+    ``"<rule> at step <k>"`` (k 1-based), or None if every step holds.
+    Each step converts its square once, on a lattice fitted to all."""
     if len(seq) != len(pls):
         raise PackingError("sequence and placement lists differ in length")
     for item, pl in zip(seq, pls):
         if item.index != pl.item.index or item.side != pl.item.side:
             raise PackingError(f"item mismatch at index {item.index}")
     sofar = Packing()
+    sofar._lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
     for step, pl in enumerate(pls, start=1):
-        violation = check_step(sofar, pl)
+        at = sofar._lat.coords(pl)
+        violation = check_step(sofar, pl, at)
         if violation:
             return f"{violation} at step {step}"
-        sofar = sofar.extended(pl)
+        sofar = sofar.extended(pl, at)
     return None
 
 

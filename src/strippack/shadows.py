@@ -94,8 +94,8 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     pls = p_closed.placements
     if not pls or pls[-1].item.side != ONE:
         raise PackingError("charge_map needs a packing closed with a side-1 square")
-    k_max = max(round_to_dyadic(pl.item.side)[0] for pl in pls)
-    scale, rects = p_closed.lattice(1 << k_max)
+    scale, rects = p_closed.lattice(
+        *(round_to_dyadic(pl.item.side)[1] for pl in pls))
     blockers: list[tuple[int, int, int]] = []       # (b, t, i) spanning x0
     stops: list[tuple[int, int, int, int]] = []     # (b, k, slot index, i)
     events: dict[int, list] = {0: [], scale: []}

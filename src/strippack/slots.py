@@ -39,40 +39,41 @@ class SlotState:
     """The slot strategy, one square at a time, on its packing and the
     packing's skyline.
 
-    The skyline holds the packing's lattice integers; its ``end`` is the
-    lattice scale it was built on.  When the lattice grows the skyline is
-    multiplied through by the factor.
+    The skyline holds the packing's lattice integers, with ``end`` the
+    scale it was built on.  Any caller's conversion may grow the lattice,
+    so ``_units`` compares the scales and multiplies the skyline through.
     """
 
     def __init__(self):
         self.packing = Packing()
         self._skyline = StepProfile(1)
 
-    def _fit(self, *dens: int) -> int:
-        scale, _ = self.packing.lattice(*dens)
-        skyline = self._skyline
+    def _units(self, *values: Scalar) -> list[int]:
+        out = self.packing.units(*values, ONE)     # ONE's units: the scale
+        scale, skyline = out.pop(), self._skyline
         if scale != skyline.end:
             skyline.scale_by(scale // skyline.end)
-        return scale
+        return out
 
-    def choose(self, k: int) -> int:
-        """Index j of the leftmost lowest level-k slot [j 2^-k, (j+1) 2^-k]."""
-        return self._skyline.lowest_cell(self._fit(2 ** k) >> k)
+    def choose(self, width: Scalar) -> int:
+        """Index j of the leftmost lowest slot [j width, (j+1) width]."""
+        return self._skyline.lowest_cell(self._units(width)[0])
 
     def place(self, item: SquareItem) -> Placement:
         a = item.side
-        k, _ = round_to_dyadic(a)
-        j = self.choose(k)
-        scale = self._fit(a.denominator)
-        l = j * (scale >> k)
-        r = l + a.numerator * (scale // a.denominator)
+        _, width = round_to_dyadic(a)
+        j = self.choose(width)
+        w, s = self._units(width, a)
+        scale = self._skyline.end
+        l = j * w
+        r = l + s
         # the physical drop stops where the square itself lands; in the rare
         # case the slot's interior max sits beyond the footprint this is
         # lower, and it is what keeps the placement supported
         b = self._skyline.max_over(l, r)
         pl = Placement(item, Fraction(l, scale), Fraction(b, scale))
-        self.packing = self.packing.extended(pl)
-        self._skyline.raised(l, r, b + r - l)
+        self.packing = self.packing.extended(pl, (l, r, b, b + s))
+        self._skyline.raised(l, r, b + s)
         return pl
 
 

@@ -19,7 +19,7 @@ def full_scan_place(p: Packing, item: SquareItem) -> Placement:
     """bl_place_next as it was before the level scan started at the seal:
     every top of the packing is a candidate level, grouped anew per call."""
     a = item.side
-    scale, rects = p.lattice(a.denominator)
+    scale, rects = p.lattice(a)
     sweep = reachable_positions(p, a)
     sa = a.numerator * (scale // a.denominator)
     supports_at: dict[int, list[tuple[int, int]]] = {}

@@ -16,9 +16,9 @@ from strippack.cli import STRATEGIES
 from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
 from strippack.geometry import Rect
-from strippack.packing import (Packing, Placement, SquareItem, check_step,
-                               is_supported, pack, reachable_positions,
-                               verify_packing)
+from strippack.packing import (Packing, Placement, SquareItem, _Lattice,
+                               check_step, is_supported, pack,
+                               reachable_positions, verify_packing)
 from strippack.slots import SlotState
 from test_families import FAMILIES, family_items
 
@@ -81,7 +81,7 @@ def eager_sweep(p: Packing, a, floor=F(0)):
     """``(_events, _at, _slabs)`` of reachable_positions as it was before
     the events were fed from the top down: one event dict over the whole
     floor window, sorted, swept until the first sealed level."""
-    scale, rects = p.lattice(a.denominator, floor.denominator)
+    scale, rects = p.lattice(a, floor)
     low, sa = int(floor * scale), int(a * scale)
     full = [(0, scale - sa)]
     obs = [(l - sa, r, b - sa, t) for l, r, b, t in rects if b > low - scale]
@@ -350,6 +350,30 @@ class TestLatticeEdges:
         assert len(rects) == 3
         assert rects[-1] == (2 * scale // 3, scale, scale // 2, 5 * scale // 6)
 
+    def test_branch_drops_a_rect_of_the_shared_lattice(self):
+        # the first branch's third square brings a 3 into the shared
+        # lattice; the second branch rebuilds on halves, a smaller scale
+        # than the one its ``at`` was computed on
+        base = packing_of([("1/2", 0, 0), ("1/2", "1/2", 0)])
+        first = Placement(SquareItem(3, F(1, 3)), F(0), F(1, 2))
+        second = Placement(SquareItem(3, F(1, 2)), F(1, 2), F(1, 2))
+        shared = base._lat
+        one = base.extended(first, shared.coords(first))
+        at = shared.coords(second)
+        assert shared.scale == 6 and at == (3, 6, 3, 6)
+        two = base.extended(second, at)
+        for branch, pl in ((one, first), (two, second)):
+            fresh = Packing([*base.placements, pl])
+            scale, rects = branch.lattice()
+            fresh_scale, fresh_rects = fresh.lattice()
+            assert (scale, list(rects)) == (fresh_scale, list(fresh_rects))
+            assert (branch.height, branch._top) == (fresh.height, fresh._top)
+            for _, _, b, t in rects:
+                for lo, hi in ((b - scale, t), (b, None), (0, None)):
+                    assert branch.window(lo, hi) == fresh.window(lo, hi)
+        assert two.lattice() == (2, [(0, 1, 0, 1), (1, 2, 0, 1),
+                                     (1, 2, 1, 2)])
+
     def test_height_of_every_prefix(self):
         # the top is tracked by index on the lattice, from a constructed
         # packing as well as along a chain of extensions
@@ -404,3 +428,68 @@ class TestBuiltPacking:
                              ("1/4", 0, "1/4")], 1)]
         assert_built_equals_grown(pls)
         assert Packing(pls)._top == 1 and Packing(pls).height == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# conversions: every rational becomes a lattice integer in ``_Lattice.units``
+# ---------------------------------------------------------------------------
+
+def prime_items(n: int):
+    """Sides ``(p // 3)/p`` for n primes from the 11th on: every square
+    brings a new denominator."""
+    primes, k = [], 2
+    while len(primes) < 10 + n:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return [SquareItem(i, F(q // 3, q)) for i, q in enumerate(primes[10:], 1)]
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of ``_Lattice.units`` calls and of rescales, as they happen."""
+    counts = {"units": 0, "rescales": 0}
+    units, fit = _Lattice.units, _Lattice.fit
+
+    def counted_units(self, *values):
+        counts["units"] += 1
+        return units(self, *values)
+
+    def counted_fit(self, *values):
+        scale = self.scale
+        f = fit(self, *values)
+        counts["rescales"] += self.scale != scale
+        return f
+
+    monkeypatch.setattr(_Lattice, "units", counted_units)
+    monkeypatch.setattr(_Lattice, "fit", counted_fit)
+    return counts
+
+
+class TestOneConversion:
+    def test_verify_converts_each_placement_once(self, conversions):
+        seq = random_items(5, 100)
+        pls = pack(BottomLeftState, seq).placements
+        conversions.update(units=0, rescales=0)
+        assert verify_packing(seq, pls) is None
+        assert conversions == {"units": 100, "rescales": 1}
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_adversary_checks_convert_nothing(self, conversions, name):
+        # the strategy converts each square as it places it; the check of
+        # each step reads the rect the extension stored
+        transcript = adversary_run(STRATEGIES[name], 30, EPS)
+        during_run = conversions["units"]
+        conversions.update(units=0)
+        alone = pack(STRATEGIES[name],
+                     [pl.item for pl in transcript.packing.placements])
+        assert alone.placements == transcript.packing.placements
+        assert during_run == conversions["units"] > 0
+
+    def test_verify_fits_the_prime_family_once(self, conversions):
+        seq = prime_items(700)
+        pls = pack(SlotState, seq).placements
+        assert conversions["rescales"] >= 700   # online: one per new prime
+        conversions.update(units=0, rescales=0)
+        assert verify_packing(seq, pls) is None
+        assert conversions == {"units": 700, "rescales": 1}

@@ -241,9 +241,9 @@ class TestVerifier:
     def test_stops_at_first_failure(self, monkeypatch):
         calls = []
 
-        def counted(sofar, pl):
+        def counted(sofar, pl, *args, **kwargs):
             calls.append(pl)
-            return check_step(sofar, pl)
+            return check_step(sofar, pl, *args, **kwargs)
 
         monkeypatch.setattr(strippack.packing, "check_step", counted)
         seq = random_items(3, 100)

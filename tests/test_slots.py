@@ -8,7 +8,8 @@ from conftest import (deep_items, items, nondyadic_items, random_items,
                       rest_height)
 from strippack.cli import main
 from strippack.harness import instance_text, parse_instance, placements_csv
-from strippack.packing import PackingError, SquareItem, pack, verify_packing
+from strippack.packing import (PackingError, SquareItem, pack,
+                               reachable_positions, verify_packing)
 from strippack.slots import SlotState, round_to_dyadic, slot_killer_instance
 
 
@@ -57,18 +58,32 @@ class TestRounding:
 
 class TestChooseSlot:
     def test_empty_ties_leftmost(self):
-        assert SlotState().choose(1) == 0
+        assert SlotState().choose(F(1, 2)) == 0
 
     def test_occupied_slot_skipped(self):
         s = SlotState()
         s.place(SquareItem(1, F(1, 2)))
-        assert s.choose(1) == 1
+        assert s.choose(F(1, 2)) == 1
 
     def test_equal_heights_tie_leftmost(self):
         s = SlotState()
         s.place(SquareItem(1, F(1, 2)))
         s.place(SquareItem(2, F(1, 2)))
-        assert s.choose(2) == 0
+        assert s.choose(F(1, 4)) == 0
+
+
+class TestSkylineScale:
+    @pytest.mark.parametrize("seq", [random_items(700, 15),
+                                     nondyadic_items(0)[:15]])
+    def test_query_between_arrivals_rescales(self, seq):
+        # each query fits a new odd denominator into the strategy's
+        # lattice; the skyline must follow it, not only its own fits
+        plain = pack(SlotState, seq).placements
+        s = SlotState()
+        for i, item in enumerate(seq):
+            s.place(item)
+            reachable_positions(s.packing, F(1, 2 * i + 3))
+        assert s.packing.placements == plain
 
 
 class TestRuns:
@@ -124,7 +139,7 @@ class TestTreeGeometryConsistency:
             for item in seq:
                 s.place(item)
                 for k in range(7):
-                    assert s.choose(k) == lowest_slot(s.packing, k)
+                    assert s.choose(F(1, 2 ** k)) == lowest_slot(s.packing, k)
 
 
 # sha256 of the slot placement CSV and of the `analyze --strategy slot`
