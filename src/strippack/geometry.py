@@ -71,20 +71,28 @@ class StepProfile:
     one), and neighbouring segments carry different values.  Coordinates
     may be any exactly ordered type; the slot strategy keeps its skyline in
     the packing's lattice integers, with ``end`` the lattice scale.
+
+    ``lowest_cell`` keeps the candidate cells of ``_w``, the last width it
+    was asked about: ``_js`` their indices in order and ``_tops`` their
+    heights, or None until a second query at that width.  ``raised`` grows
+    ``[_lo, _hi]``, the range that the kept candidates have not seen.
     """
 
-    __slots__ = ("end", "starts", "values")
+    __slots__ = ("end", "starts", "values", "_w", "_js", "_tops", "_lo", "_hi")
 
     def __init__(self, end):
         self.end = end
         self.starts = [0]
         self.values = [0]
+        self._w = self._js = self._tops = None
+        self._lo, self._hi = end, 0
 
     def scale_by(self, f) -> None:
         """Multiply every coordinate and value by ``f``."""
         self.end *= f
         self.starts = [s * f for s in self.starts]
         self.values = [v * f for v in self.values]
+        self._w = self._js = self._tops = None
 
     def max_over(self, lo, hi):
         """Max of the profile over the OPEN interior (lo, hi)."""
@@ -99,6 +107,10 @@ class StepProfile:
         the interval touches and merging equal neighbours."""
         if not lo < hi:
             return
+        if lo < self._lo:
+            self._lo = lo
+        if hi > self._hi:
+            self._hi = hi
         starts, values = self.starts, self.values
         i = bisect_right(starts, lo) - 1
         j = bisect_left(starts, hi)
@@ -129,9 +141,26 @@ class StepProfile:
 
         A cell inside one segment takes that segment's value, and only the
         leftmost such cell of a segment can win; every other cell straddles
-        a breakpoint.  So one pass over the segments finds the cell.  The
-        pass meets the candidate cells from left to right, so a later one
-        wins only when it is strictly lower."""
+        a breakpoint.  A query at a new width finds the lowest of these
+        candidates in one pass over the segments, meeting them from left to
+        right, so a later one wins only when it is strictly lower.  The
+        next query at the same width keeps the candidates, and later ones
+        rescan only the cells that the raises since then may have changed:
+        a cell's height and candidacy read only the breakpoints in
+        ((j-1)w, (j+1)w), so a raise of [lo, hi] reaches the cells from
+        lo // w to the first one right of hi."""
+        if w == self._w:
+            n = self.end // w
+            if self._js is None:
+                self._js, self._tops = self._candidates(w, 0, n)
+            elif self._lo <= self._hi:
+                j0, j1 = self._lo // w, min(-(-self._hi // w) + 1, n)
+                a, b = bisect_left(self._js, j0), bisect_left(self._js, j1)
+                self._js[a:b], self._tops[a:b] = self._candidates(w, j0, j1)
+            self._lo, self._hi = self.end, 0
+            tops = self._tops
+            return self._js[tops.index(min(tops))]
+        self._w, self._js = w, None
         starts, values, end = self.starts, self.values, self.end
         n = len(starts)
         best = low = None               # the lowest cell so far, its height
@@ -153,6 +182,34 @@ class StepProfile:
             if e % w:
                 cell, top = e // w, v
         return best
+
+    def _candidates(self, w, j0, j1) -> tuple[list, list]:
+        """The candidate cells j0 <= j < j1, left to right, and their
+        heights, from only the segments that meet those cells."""
+        starts, values, end = self.starts, self.values, self.end
+        n, stop = len(starts), j1 * w
+        js, tops = [], []
+        cell = top = None
+        i = bisect_right(starts, j0 * w) - 1
+        while i < n and starts[i] < stop:
+            s, v = starts[i], values[i]
+            i += 1
+            e = starts[i] if i < n else end
+            if cell is not None:
+                if v > top:
+                    top = v
+                if (cell + 1) * w > e:
+                    continue
+                js.append(cell)
+                tops.append(top)
+                cell = None
+            j = -(-s // w)
+            if (j + 1) * w <= e and j0 <= j < j1:
+                js.append(j)
+                tops.append(v)
+            if e % w:
+                cell, top = e // w, v       # past j1 only if the loop ends
+        return js, tops
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,19 @@ slot is its index j, and spans [j 2^-k, (j+1) 2^-k].  A square is rounded
 up to the nearest power of 1/2 and dropped in the level-k slot with the
 lowest rest height (ties to the leftmost slot).  The only state besides the
 packing is its skyline, one step profile on the packing's integer lattice,
-changed in place: the lowest slot is found in one pass over its segments,
-so no level keeps a table of its 2^k slots and a level is bounded only by
-the size of the integers.  Tests cross-check every choice against the rest
+changed in place.  The lowest slot is found among the skyline's candidate
+cells: the leftmost whole slot of each segment and every slot that
+straddles a breakpoint.  The skyline keeps the candidates of the width it
+was last asked about, so a square of the same level as the one before it
+rescans only the slots that square touched.  No level keeps a table of its
+2^k slots, and a level is bounded only by the size of the integers.  Tests cross-check every choice against the rest
 heights of the raw packing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import StepProfile
 from .numbers import ONE, ZERO, Scalar
@@ -32,7 +36,13 @@ def round_to_dyadic(a: Scalar) -> tuple[int, Scalar]:
     k = q.bit_length() - p.bit_length()
     if p << k > q:
         k -= 1
-    return k, Fraction(1, 1 << k)
+    return k, _dyadic(k)
+
+
+@lru_cache(maxsize=64)
+def _dyadic(k: int) -> Fraction:
+    """2^-k, built once for the levels in use."""
+    return Fraction(1, 1 << k)
 
 
 class SlotState:
@@ -55,15 +65,16 @@ class SlotState:
             skyline.scale_by(scale // skyline.end)
         return out
 
-    def choose(self, width: Scalar) -> int:
-        """Index j of the leftmost lowest slot [j width, (j+1) width]."""
-        return self._skyline.lowest_cell(self._units(width)[0])
+    def choose(self, w: int) -> int:
+        """Index j of the leftmost lowest slot [j w, (j+1) w], for a slot
+        width ``w`` in lattice units."""
+        return self._skyline.lowest_cell(w)
 
     def place(self, item: SquareItem) -> Placement:
         a = item.side
         _, width = round_to_dyadic(a)
-        j = self.choose(width)
         w, s = self._units(width, a)
+        j = self.choose(w)
         scale = self._skyline.end
         l = j * w
         r = l + s

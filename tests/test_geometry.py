@@ -128,6 +128,9 @@ class TestIntervalSetProperties:
             assert h1 < l2
 
 
+CELLS = [1, 2, 4, 8, 16]
+
+
 def raised(lo, hi, value, prof=None):
     prof = prof if prof is not None else StepProfile(F(1))
     prof.raised(F(lo), F(hi), F(value))
@@ -168,29 +171,54 @@ class TestStepProfile:
         prof.scale_by(8)
         assert (prof.end, prof.starts, prof.values) == (8, [0, 2, 4], [0, 3, 0])
 
-    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(1, 16),
-                              st.integers(0, 9)), max_size=12),
-           st.sampled_from([1, 2, 4, 8, 16]))
+    @given(st.lists(st.one_of(
+               st.tuples(st.integers(0, 15), st.integers(1, 16),
+                         st.integers(0, 9),
+                         st.one_of(st.none(), st.sampled_from(CELLS))),
+               st.sampled_from([2, 3])), max_size=16),
+           st.sampled_from(CELLS))
     @settings(max_examples=300)
-    def test_matches_dense_model(self, raises, cells):
-        """Integer profile on [0, 16) against one height per unit."""
+    def test_matches_dense_model(self, steps, cells):
+        """Integer profile on [0, 16) against one height per unit, scaled
+        by ``f``.  After every raise, ``lowest_cell`` is asked at ``cells``
+        cells, and now and then at a second count, which sends the next
+        query at ``cells`` back to a cold scan.  An integer step multiplies
+        the profile through, which must drop what it kept: after a
+        doubling, the first query asks at the lattice width asked last."""
         prof = StepProfile(16)
-        dense = [0] * 16
-        for lo, length, value in raises:
+        dense, f, asked = [0] * 16, 1, [1]
+
+        def check_lowest(cells):
+            asked.append(cells)
+            w = 16 // cells
+            tops = [max(dense[j * w:(j + 1) * w]) for j in range(cells)]
+            assert prof.lowest_cell(w * f) == \
+                min(range(cells), key=lambda j: (tops[j], j))
+
+        for step in steps:
+            if isinstance(step, int):
+                prof.scale_by(step)
+                f *= step
+                if step == 2 and asked[-1] < 16:
+                    check_lowest(2 * asked[-1])
+                check_lowest(cells)
+                continue
+            lo, length, value, other = step
             hi = min(lo + length, 16)
-            prof.raised(lo, hi, value)
+            prof.raised(lo * f, hi * f, value * f)
             for x in range(lo, hi):
                 dense[x] = max(dense[x], value)
-            assert prof.values == [v for x, v in enumerate(dense)
+            assert prof.values == [v * f for x, v in enumerate(dense)
                                    if x == 0 or dense[x - 1] != v]
-            assert prof.starts == [x for x in range(16)
+            assert prof.starts == [x * f for x in range(16)
                                    if x == 0 or dense[x - 1] != dense[x]]
+            check_lowest(cells)
+            if other is not None:
+                check_lowest(other)
         for lo in range(16):
             for hi in range(lo + 1, 17):
-                assert prof.max_over(lo, hi) == max(dense[lo:hi])
-        w = 16 // cells
-        tops = [max(dense[j * w:(j + 1) * w]) for j in range(cells)]
-        assert prof.lowest_cell(w) == min(range(cells), key=lambda j: (tops[j], j))
+                assert prof.max_over(lo * f, hi * f) == max(dense[lo:hi]) * f
+        check_lowest(cells)
 
 
 def rect(x0, y0, x1, y1):

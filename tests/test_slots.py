@@ -1,12 +1,17 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import (deep_items, items, nondyadic_items, random_items,
                       rest_height)
 from strippack.cli import main
+from strippack.geometry import StepProfile
 from strippack.harness import instance_text, parse_instance, placements_csv
 from strippack.packing import (PackingError, SquareItem, pack,
                                reachable_positions, verify_packing)
@@ -56,20 +61,25 @@ class TestRounding:
             round_to_dyadic(F(3, 2))
 
 
+def choose(s, width):
+    """``s.choose`` for a slot width given as a rational."""
+    return s.choose(*s._units(width))
+
+
 class TestChooseSlot:
     def test_empty_ties_leftmost(self):
-        assert SlotState().choose(F(1, 2)) == 0
+        assert choose(SlotState(), F(1, 2)) == 0
 
     def test_occupied_slot_skipped(self):
         s = SlotState()
         s.place(SquareItem(1, F(1, 2)))
-        assert s.choose(F(1, 2)) == 1
+        assert choose(s, F(1, 2)) == 1
 
     def test_equal_heights_tie_leftmost(self):
         s = SlotState()
         s.place(SquareItem(1, F(1, 2)))
         s.place(SquareItem(2, F(1, 2)))
-        assert s.choose(F(1, 4)) == 0
+        assert choose(s, F(1, 4)) == 0
 
 
 class TestSkylineScale:
@@ -139,7 +149,87 @@ class TestTreeGeometryConsistency:
             for item in seq:
                 s.place(item)
                 for k in range(7):
-                    assert s.choose(F(1, 2 ** k)) == lowest_slot(s.packing, k)
+                    assert choose(s, F(1, 2 ** k)) == lowest_slot(s.packing, k)
+
+    def test_cached_choice_matches_brute_force_lowest_slot(self):
+        """Squares of one or two levels in a row, so that most choices
+        come from the skyline's kept candidates; each placement must land
+        in the lowest slot the packing had before it."""
+        seqs = [random_items(610 + seed, 24, F(1, 8) + F(1, 2 ** 20), F(1, 4))
+                for seed in range(3)]
+        seqs += [random_items(620 + seed, 24, F(1, 16) + F(1, 2 ** 20), F(1, 4))
+                 for seed in range(3)]
+        seqs.append(slot_killer_instance(4, F(1, 256), 40))
+        for seq in seqs:
+            s = SlotState()
+            for item in seq:
+                k, width = round_to_dyadic(item.side)
+                j = lowest_slot(s.packing, k)
+                assert s.place(item).x == j * width
+
+
+class _Reads(list):
+    """A list that counts the items read from it while ``count`` is on."""
+
+    count, reads = False, 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if _Reads.count:
+            _Reads.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        if _Reads.count:
+            _Reads.reads += len(self)
+        return super().__iter__()
+
+
+class TestLowestSlotWork:
+    def test_killer_reads_few_segments_per_placement(self, monkeypatch):
+        """Every segment the lowest-slot search visits has its height read
+        once, so the heights read count the segments.  A scan of the whole
+        skyline reads about 64 per placement on the acceptance killer."""
+        lowest = StepProfile.lowest_cell
+
+        def counted(self, w):
+            if type(self.values) is not _Reads:     # a rescale replaced it
+                self.values = _Reads(self.values)
+            _Reads.count = True
+            try:
+                return lowest(self, w)
+            finally:
+                _Reads.count = False
+
+        monkeypatch.setattr(StepProfile, "lowest_cell", counted)
+        monkeypatch.setattr(_Reads, "reads", 0)
+        seq = slot_killer_instance(6, F(1, 4096), 4096)
+        assert _sha256(placements_csv(pack(SlotState, seq))) == \
+            KILLER_CSV_SHA256
+        assert _Reads.reads / len(seq) < 6
+
+    def test_deep_killer_in_bounded_time(self):
+        """2^11 slots in a row stay open.  With a scan of the whole skyline
+        per placement the run took 8-11 s, with kept candidates under 1 s
+        (Python 3.11.7, 2 vCPUs)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+        child = ("import time\n"
+                 "from fractions import Fraction\n"
+                 "from strippack.packing import pack\n"
+                 "from strippack.slots import SlotState, slot_killer_instance\n"
+                 "seq = slot_killer_instance(12, Fraction(1, 2 ** 20), 8192)\n"
+                 "start = time.perf_counter()\n"
+                 "height = pack(SlotState, seq).height\n"
+                 "print(time.perf_counter() - start, height)\n")
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        wall, height = proc.stdout.split()
+        assert F(height) == F(257, 2 ** 18)
+        assert float(wall) < 3
 
 
 # sha256 of the slot placement CSV and of the `analyze --strategy slot`
