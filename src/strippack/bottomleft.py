@@ -19,23 +19,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numbers import ZERO
 from .packing import (Packing, PackingError, Placement, SquareItem,
                       reachable_positions)
 
 
-def bl_place_next(p: Packing, item: SquareItem) -> Placement:
-    """Lowest reachable supported position, ties broken leftmost.
+def bl_place_next(p: Packing, item: SquareItem) -> tuple[Placement, tuple]:
+    """Lowest reachable supported spot, ties broken leftmost, and its rect.
 
-    The search runs on the packing's integer lattice.  Nothing below the
-    sweep's lowest level is reachable, so the candidate levels are 0, if
-    that level is 0, and the tops at or above it.  Sides are at most 1, so
-    those tops come from the bottoms at or above 1 below that level, and
-    the tops at level y from the bottoms in [y - 1, y)."""
+    The search runs on the packing's integer lattice, with the side
+    converted once, and the rect is the square's ``(l, r, b, t)`` there.
+    Nothing below the sweep's lowest level is reachable, so the candidate
+    levels are 0, if that level is 0, and the tops at or above it.  Sides
+    are at most 1, so those tops come from the bottoms at or above 1 below
+    that level, and the tops at level y from the bottoms in [y - 1, y)."""
     a = item.side
-    sweep = reachable_positions(p, a)
-    scale, low = sweep.scale, sweep.lowest
     (sa,) = p.units(a)
+    sweep = reachable_positions(p, a, at=(0, sa, 0, sa))
+    scale, low = sweep.scale, sweep.lowest
     levels = {t for _, _, _, t in p.window(low - scale) if t >= low}
     if low == 0:
         levels.add(0)
@@ -43,13 +43,12 @@ def bl_place_next(p: Packing, item: SquareItem) -> Placement:
         reach = sweep.spans_at(y)
         if not reach:
             continue
-        if y == 0:
-            return Placement(item, Fraction(reach[0][0], scale), ZERO)
         tops = [(l - sa, r) for l, r, _, t in p.window(y - scale, y)
                 if t == y]
         for x, _ in reach:
-            if any(lo < x < hi for lo, hi in tops):
-                return Placement(item, Fraction(x, scale), Fraction(y, scale))
+            if y == 0 or any(lo < x < hi for lo, hi in tops):
+                return (Placement(item, Fraction(x, scale), Fraction(y, scale)),
+                        (x, x + sa, y, y + sa))
         # a reachable supported position with no attained minimum would
         # contradict the level being minimal; re-check and fail loudly
         if any(rlo < hi and rhi > lo
@@ -65,6 +64,6 @@ class BottomLeftState:
         self.packing = Packing()
 
     def place(self, item: SquareItem) -> Placement:
-        pl = bl_place_next(self.packing, item)
-        self.packing = self.packing.extended(pl)
+        pl, at = bl_place_next(self.packing, item)
+        self.packing = self.packing.extended(pl, at)
         return pl

@@ -12,9 +12,10 @@ terms are charged to square sides.  A square never accumulates more than
 
 Geometry runs on the closed packing's own lattice (``Packing.lattice``):
 every square is an integer ``(l, r, b, t)``, and corners, areas, side
-lengths, cuts, virtual lids and diagonal crossings are lattice integers.
-They become Fractions only where they leave the module (``Hole.area``, the
-side lengths a charge reads, charge segments, ``Hole.region``).
+lengths, cuts, virtual lids, diagonal crossings and charge segments are
+lattice integers, as is twice each hole's bound.  They become Fractions
+only where they leave the module (``Hole.area``, ``Hole.region``, the
+bound ``hole_area_bound`` returns, the analysis checks).
 
 Raw holes come from one sweep in x over those rects: each free component
 is a set of gap rects, and one walk over them keeps only the corners of
@@ -44,11 +45,11 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (GROUND, LEFT_WALL, RIGHT_WALL, AnalysisError,
                        ObstacleGrid, Rect, trace_boundary)
-from .numbers import HALF, ONE, ZERO, Scalar
+from .numbers import HALF, ONE, ZERO
 from .packing import Check, Packing, Placement, close_packing
 
 SIDE_LEFT = "left"
@@ -62,6 +63,8 @@ TYPE_II = "II"
 KIND_INTERIOR = "interior"
 KIND_LEFT_WALL = "left-wall"
 KIND_RIGHT_WALL = "right-wall"
+
+MAX_CHARGE = Fraction(5, 2)     # no square collects more (Theorem 1)
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,6 @@ class Hole:
         lid_idx = 0 if star else self._lid_index(runs)     # a star's: the copy
         self.runs = runs[lid_idx:] + runs[:lid_idx] if lid_idx else runs
         self.area_units = area_units
-        self.area = Fraction(area_units, ctx.scale * ctx.scale)
         lid = self.runs[0]
         rect = lid.rect(ctx)
         if rect is None:
@@ -202,6 +204,10 @@ class Hole:
         return best
 
     # -- structure accessors ------------------------------------------------
+
+    @property
+    def area(self) -> Fraction:
+        return Fraction(self.area_units, self.ctx.scale ** 2)
 
     @property
     def kind(self) -> str:
@@ -545,18 +551,12 @@ class ChargeTerm:
     side: str
     virtual: bool              # charged to the square's virtual copy
     coeff: Fraction            # ledger coefficient (virtual lid bottom: 1/2)
-    segment: Scalar
-
-    @property
-    def bound_part(self) -> Scalar:
-        """Term in the hole's bound: a virtual lid's bottom counts in full."""
-        coeff = ONE if self.virtual else self.coeff
-        return coeff * self.segment * self.segment
+    segment: int               # the charged length, on the lattice
 
 
-def _side_length(ctx: _Context, run: _Run, side: str) -> Fraction:
-    """The length of one side of a square or copy run's owner along the
-    run.  A copy owns only its cut, which lies on its bottom."""
+def _side_length(ctx: _Context, run: _Run, side: str) -> int:
+    """The lattice length of one side of a square or copy run's owner
+    along the run.  A copy owns only its cut, which lies on its bottom."""
     l, r, b, t = run.rect(ctx)
     copy = run.owner[0] == "copy"
     if copy:
@@ -573,7 +573,7 @@ def _side_length(ctx: _Context, run: _Run, side: str) -> Fraction:
                                 f"{'the copy of ' * copy}square {owner.item.index}")
         if on == side:
             length += abs(x2 - x1) + abs(y2 - y1)
-    return Fraction(length, ctx.scale)
+    return length
 
 
 def _charge_items(hole: Hole) -> list[ChargeTerm]:
@@ -584,7 +584,7 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
     lid_square = key.owner if lid_virtual else ctx.placements[key]
     beta1 = _side_length(ctx, lid, SIDE_BOTTOM)
     items = [ChargeTerm(lid_square.item.index, SIDE_BOTTOM, lid_virtual,
-                        HALF if lid_virtual else Fraction(1), beta1)]
+                        HALF if lid_virtual else ONE, beta1)]
 
     def term(run: _Run, side: str, coeff: Fraction):
         seg = _side_length(ctx, run, side)
@@ -604,15 +604,19 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
         prev = hole.runs[-2]
         if prev.owner[0] != "sq":
             raise AnalysisError("structure", "no square carries the overhang")
-        term(last, SIDE_BOTTOM, Fraction(1))
+        term(last, SIDE_BOTTOM, ONE)
         term(prev, SIDE_LEFT, HALF)
     return items
 
 
-def hole_area_bound(hole: Hole) -> Scalar:
-    """Bound the hole area by its charged boundary segments and assert it."""
-    bound = sum((t.bound_part for t in _charge_items(hole)), ZERO)
-    if hole.area > bound:
+def hole_area_bound(hole: Hole, terms: list[ChargeTerm]) -> Fraction:
+    """Bound the hole area by its charge terms and assert it: each squared
+    segment times its coefficient, 1/2 or 1, a virtual lid's bottom
+    counting in full, so that twice the bound is a lattice integer."""
+    twice = sum(t.segment ** 2 * (2 if t.virtual or t.coeff == ONE else 1)
+                for t in terms)
+    bound = Fraction(twice, 2 * hole.ctx.scale ** 2)
+    if 2 * hole.area_units > twice:
         raise AnalysisError(
             "area-bound", f"hole area {hole.area} exceeds bound {bound}")
     _assert_right_diagonal(hole)
@@ -635,33 +639,28 @@ def _assert_right_diagonal(hole: Hole):
 
 
 class ChargeLedger:
-    """Per-square, per-side maximum charge coefficients, and each square's
-    running sum of them (``totals``).  Every coefficient is positive, so
-    the squares with a charge term are exactly the keys of ``totals``."""
+    """Per-square, per-side maximum charge coefficients of the terms, and
+    each square's sum of them (``totals``).  Every coefficient is positive,
+    so the squares with a charge term are exactly the keys of ``totals``."""
 
-    def __init__(self):
+    def __init__(self, terms: Iterable[ChargeTerm]):
         self.max_coeff: dict[tuple[int, str, bool], Fraction] = {}
-        self.totals: dict[int, Fraction] = {}
-
-    def add(self, terms: list[ChargeTerm]):
         for t in terms:
             key = (t.square_index, t.side, t.virtual)
-            old = self.max_coeff.get(key, ZERO)
-            if old < t.coeff:
-                self.max_coeff[key] = t.coeff
-                self.totals[t.square_index] = (
-                    self.totals.get(t.square_index, ZERO) + t.coeff - old)
+            self.max_coeff[key] = max(self.max_coeff.get(key, ZERO), t.coeff)
+        self.totals: dict[int, Fraction] = {}
+        for (idx, _, _), coeff in self.max_coeff.items():
+            self.totals[idx] = self.totals.get(idx, ZERO) + coeff
 
     def total_charge(self, square_index: int) -> Fraction:
         return self.totals.get(square_index, ZERO)
 
 
-def compute_charges(holes: Sequence[Hole]) -> ChargeLedger:
-    ledger = ChargeLedger()
-    for h in holes:
-        ledger.add(_charge_items(h))
+def compute_charges(terms: Sequence[list[ChargeTerm]]) -> ChargeLedger:
+    """The ledger of the final holes' charge terms, one list per hole."""
+    ledger = ChargeLedger(t for hole_terms in terms for t in hole_terms)
     for idx, total in ledger.totals.items():
-        if total > Fraction(5, 2):
+        if total > MAX_CHARGE:
             raise AnalysisError("charge", f"square {idx} charged {total} > 5/2")
     return ledger
 
@@ -718,21 +717,23 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     closed = close_packing(p)
     raw = extract_holes(closed)
     finals = [piece for h in raw for piece in split_hole(h)]
-    bounds = [hole_area_bound(h) for h in finals]
-    ledger = compute_charges(finals)
+    terms = [_charge_items(h) for h in finals]
+    bounds = [hole_area_bound(h, t) for h, t in zip(finals, terms)]
+    ledger = compute_charges(terms)
 
     checks = []
     area_sum = sum((pl.item.side ** 2 for pl in p.placements), ZERO)
-    hole_sum = sum((h.area for h in raw), ZERO)
+    unit = closed.lattice()[0] ** 2     # the unit square's lattice area
+    hole_sum = Fraction(sum(h.area_units for h in raw), unit)
     height = p.height
     checks.append(Check("height-identity", height == area_sum + hole_sum,
                         str(height), "==", f"{area_sum} + {hole_sum}"))
-    final_sum = sum((h.area for h in finals), ZERO)
+    final_sum = Fraction(sum(h.area_units for h in finals), unit)
     checks.append(Check("split-conservation", final_sum == hole_sum,
                         str(final_sum), "==", str(hole_sum)))
     closed_area = area_sum + ONE
     checks.append(Check("aggregate-bound",
-                        hole_sum <= Fraction(5, 2) * closed_area,
+                        hole_sum <= MAX_CHARGE * closed_area,
                         str(hole_sum), "<=", f"5/2 * {closed_area}"))
     terms_sum = sum(bounds, ZERO)
     checks.append(Check("terms-soundness", hole_sum <= terms_sum,
@@ -741,9 +742,8 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
                       for pl in closed.placements), ZERO)
     checks.append(Check("ledger-soundness", hole_sum <= ledger_sum,
                         str(hole_sum), "<=", str(ledger_sum)))
-    max_charge = max((ledger.total_charge(pl.item.index)
-                      for pl in closed.placements), default=ZERO)
-    checks.append(Check("max-charge", max_charge <= Fraction(5, 2),
+    max_charge = max(ledger.totals.values(), default=ZERO)
+    checks.append(Check("max-charge", max_charge <= MAX_CHARGE,
                         str(max_charge), "<=", "5/2"))
     checks.append(Check("theorem1",
                         height <= Fraction(7, 2) * area_sum + Fraction(5, 2),

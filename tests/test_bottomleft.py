@@ -54,8 +54,8 @@ class FullScanChecked(BottomLeftState):
 
 class TestPlacementRule:
     def test_empty_strip_leftmost_bottom(self):
-        pl = bl_place_next(Packing(), SquareItem(1, F(1, 2)))
-        assert (pl.x, pl.y) == (0, 0)
+        pl, at = bl_place_next(Packing(), SquareItem(1, F(1, 2)))
+        assert (pl.x, pl.y) == (0, 0) and at == (0, 1, 0, 1)
 
     def test_ground_row_before_stacking(self):
         p = pack(BottomLeftState, items("1/4", "1/4"))
@@ -99,9 +99,9 @@ class TestLocalOptimality:
             seq = random_items(200 + seed, 8, lo=F(1, 8))
             p = Packing()
             for item in seq:
-                pl = bl_place_next(p, item)
+                pl, at = bl_place_next(p, item)
                 self._assert_minimal(p, item, pl)
-                p = p.extended(pl)
+                p = p.extended(pl, at)
 
     @staticmethod
     def _assert_minimal(p, item, chosen):

@@ -255,7 +255,7 @@ class TestSplitting:
         owners = {h.lid_virtual.owner.item.index for h in virtual}
         assert owners == {2, 3}
         for h in ana.holes:
-            assert hole_area_bound(h) >= h.area
+            assert hole_area_bound(h, _charge_items(h)) >= h.area
 
     def test_copy_uniqueness_is_enforced(self):
         for seed in range(40):
@@ -274,10 +274,10 @@ class TestWallHoles:
         terms = _charge_items(left)
         assert [(t.square_index, t.side, t.coeff) for t in terms] == \
             [(2, "bottom", F(1)), (1, "left", F(1, 2))]
-        assert compute_charges([left]).max_coeff == \
+        assert compute_charges([terms]).max_coeff == \
             {(2, "bottom", False): F(1), (1, "left", False): F(1, 2)}
         assert left.area == F(1, 16)
-        assert hole_area_bound(left) == F(1, 16) + F(1, 32)
+        assert hole_area_bound(left, terms) == F(1, 16) + F(1, 32)
 
     def test_right_wall_charges(self):
         closed = close_packing(packing_of([("1/4", "1/4", 0)]))
@@ -286,7 +286,7 @@ class TestWallHoles:
         terms = _charge_items(right)
         assert [(t.square_index, t.side, t.coeff) for t in terms] == \
             [(2, "bottom", F(1)), (1, "right", F(1, 2))]
-        assert compute_charges([right]).max_coeff == \
+        assert compute_charges([terms]).max_coeff == \
             {(2, "bottom", False): F(1), (1, "right", False): F(1, 2)}
 
     def test_ground_rows_have_no_wall_holes(self):
@@ -302,19 +302,19 @@ class TestCharges:
     def test_type_one_charges(self):
         p = packing_of([("2/5", 0, 0), ("2/5", "3/5", 0), (1, 0, "2/5")])
         hole = extract_holes(p)[0]
-        ledger = compute_charges(split_hole(hole))
+        ledger = compute_charges([_charge_items(h) for h in split_hole(hole)])
         assert ledger.max_coeff[(3, "bottom", False)] == 1     # lid
         assert ledger.max_coeff[(1, "right", False)] == F(1, 2)
         assert ledger.total_charge(3) == 1
 
     def test_running_totals_equal_key_scan(self):
         # a side whose maximum rises counts only its new maximum
-        ledger = ChargeLedger()
-        ledger.add([ChargeTerm(1, side, virtual, F(c), F(1))
-                    for side, virtual, c in (("right", False, "1/4"),
-                                             ("right", False, "1/2"),
-                                             ("right", False, "1/3"),
-                                             ("bottom", True, "1/2"))])
+        ledger = ChargeLedger([ChargeTerm(1, side, virtual, F(c), 1)
+                               for side, virtual, c in (
+                                   ("right", False, "1/4"),
+                                   ("right", False, "1/2"),
+                                   ("right", False, "1/3"),
+                                   ("bottom", True, "1/2"))])
         assert ledger.total_charge(1) == 1 and ledger.total_charge(2) == 0
         for seed in range(20):
             ana = run_bottomleft_analysis(
@@ -340,9 +340,11 @@ class TestCharges:
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         hole, = (h for h in ana.holes if h.lid_virtual is not None)
-        lid = _charge_items(hole)[0]
+        terms = _charge_items(hole)
+        lid, s = terms[0], hole.ctx.scale
         assert (lid.square_index, lid.side, lid.virtual) == (6, "bottom", True)
-        assert lid.segment > 0 and lid.bound_part == lid.segment ** 2
+        assert lid.segment > 0 and hole_area_bound(hole, terms) == \
+            F(lid.segment, s) ** 2 + _reference_bound(hole, terms[1:])
         assert lid.coeff == F(1, 2)
         assert ana.ledger.max_coeff[(6, "bottom", True)] == F(1, 2)
 
@@ -371,7 +373,74 @@ class TestOverhangTypeTwo:
         h, terms = fig4
         assert [t.side for t in terms] == ["bottom", "right", "bottom", "left"]
         assert [t.coeff for t in terms] == [1, F(1, 2), 1, F(1, 2)]
-        assert h.area <= sum(t.bound_part for t in terms)
+        assert h.area <= _reference_bound(h, terms)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route: the reference for the lattice bound and ledger
+# ---------------------------------------------------------------------------
+
+def _reference_bound(hole, terms):
+    """A hole's bound as the Fraction route summed it: each term's
+    coefficient times its squared segment in strip units, a virtual lid's
+    bottom counting in full."""
+    s = hole.ctx.scale
+    return sum(((F(1) if t.virtual else t.coeff) * F(t.segment, s) ** 2
+                for t in terms), F(0))
+
+
+class _ReferenceLedger:
+    """The ledger term by term: a term that raises its side's maximum adds
+    the rise to its square's running total."""
+
+    def __init__(self):
+        self.max_coeff, self.totals = {}, {}
+
+    def add(self, terms):
+        for t in terms:
+            key = (t.square_index, t.side, t.virtual)
+            old = self.max_coeff.get(key, F(0))
+            if old < t.coeff:
+                self.max_coeff[key] = t.coeff
+                self.totals[t.square_index] = (
+                    self.totals.get(t.square_index, F(0)) + t.coeff - old)
+
+
+class TestLatticeCharges:
+    @pytest.mark.parametrize("panel", sorted(SWEEP_PANELS))
+    def test_bounds_and_ledger_equal_the_fraction_route(self, panel):
+        """Every final hole's bound, from twice the bound on the lattice,
+        equals the Fraction sum of its terms; the ledger's maxima (in key
+        order) and totals equal the term-by-term ledger's."""
+        count = 0
+        for seq in SWEEP_PANELS[panel]():
+            ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
+            ref = _ReferenceLedger()
+            for h, bound in zip(ana.holes, ana.bounds):
+                terms = _charge_items(h)
+                assert bound == _reference_bound(h, terms)
+                ref.add(terms)
+            assert list(ana.ledger.max_coeff.items()) == \
+                list(ref.max_coeff.items())
+            assert list(ana.ledger.totals.items()) == list(ref.totals.items())
+            count += len(ana.holes)
+        assert count > 0
+
+    def test_terms_built_once_per_final_hole(self, monkeypatch):
+        """The bound and the ledger read the same terms: each final hole's
+        are built once."""
+        charge_items = holes._charge_items
+        built = Counter()
+
+        def counted(hole):
+            built[id(hole)] += 1
+            return charge_items(hole)
+
+        monkeypatch.setattr(holes, "_charge_items", counted)
+        for seq in LARGE_PANEL + [nondyadic_items(0)]:
+            built.clear()
+            ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
+            assert built == Counter(id(h) for h in ana.holes)
 
 
 class TestRegionConsistency:
@@ -637,8 +706,7 @@ class TestReferenceRoutes:
                 want = _measure_sides(ctx, run)
                 if want is not None:
                     assert {side: holes._side_length(ctx, run, side)
-                            for side in want} == \
-                        {side: F(v, ctx.scale) for side, v in want.items()}
+                            for side in want} == want
                     seen["runs"] += 1
             seen["holes"] += 1
 

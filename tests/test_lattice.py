@@ -467,6 +467,16 @@ def conversions(monkeypatch):
 
 
 class TestOneConversion:
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_strategy_converts_each_square_once(self, conversions, name):
+        # the strategy converts the side; the sweep and the extension read
+        # the rect it hands them.  A conversion that rescales the lattice
+        # calls itself once more on the new scale.
+        seq = random_items(5, 100)
+        pack(STRATEGIES[name], seq)
+        assert conversions["units"] - conversions["rescales"] == len(seq)
+        assert conversions["rescales"] >= 1
+
     def test_verify_converts_each_placement_once(self, conversions):
         seq = random_items(5, 100)
         pls = pack(BottomLeftState, seq).placements
