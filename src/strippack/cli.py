@@ -71,19 +71,19 @@ def cmd_analyze(args) -> int:
             print("instance:")
             sys.stdout.write(instance_text(seq))
             return 1
-        print(analysis.report())
         if args.svg:
             _write(args.svg, render_svg(analysis.closed, analysis.holes))
+        print(analysis.report())
         return 0 if analysis.ok else 1
     closed = close_packing(p)
     cm = charge_map(closed)
     checks = check_slot_bounds(closed, cm)
+    if args.svg:
+        _write(args.svg, render_svg(closed))
     for idx in sorted(cm.areas):
         print(f"square {idx}: charged-area {format_scalar(cm.areas[idx])}")
     for c in checks:
         print(c.line())
-    if args.svg:
-        _write(args.svg, render_svg(closed))
     return 0 if all(c.ok for c in checks) else 1
 
 

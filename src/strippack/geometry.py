@@ -1,11 +1,12 @@
 """Exact axis-aligned geometry.
 
 Rectangles, piecewise constant step profiles (the slot strategy's skyline),
-and the free components of the strip below a ceiling: one sweep in x cuts
-the free space into gap rects and joins them, and one walk over a
-component's rects keeps the corners of its boundary.  Coordinates may be
-any exactly ordered numeric type: the step checks and the sweep run on the
-packing's lattice integers, and hole regions leave the analysis as Fraction
+and the free components of the strip below a ceiling: the parts of the
+obstacles' sides, the walls and the ground that no opposite side covers
+are the pieces of their boundaries, one walk joins the pieces into cycles,
+and each cycle keeps its corners.  Coordinates may be any exactly ordered
+numeric type: the step checks and the boundary pieces run on the packing's
+lattice integers, and hole regions leave the analysis as Fraction
 rectangles.
 
 Conventions:
@@ -16,8 +17,9 @@ Conventions:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .numbers import Scalar
@@ -228,189 +230,141 @@ class AnalysisError(AssertionError):
 GROUND, LEFT_WALL, RIGHT_WALL = -1, -2, -3
 
 
-class _Gap:
-    """A free gap ``(lo, hi)`` from ``x0`` on, the rect ``[x0, x] x [lo,
-    hi]`` once it closes at x.  ``pieces`` are its boundary segments ``(p,
-    q, owner)`` with the gap on their left; ``under`` and ``over`` are
-    ``(since, owner)`` of its bottom and its top."""
-
-    __slots__ = ("x0", "lo", "hi", "under", "over", "pieces")
-
-    def __init__(self, x0, lo, hi, below, above):
-        self.x0, self.lo, self.hi = x0, lo, hi
-        self.under, self.over, self.pieces = (x0, below), (x0, above), []
-
-    def owners(self, x, below, above):
-        """From x on, ``below`` lies under the gap and ``above`` over it: end
-        the bottom and top pieces whose owner changes (both at a close)."""
-        (xb, ob), (xa, oa) = self.under, self.over
-        if ob != below:
-            self.pieces.append(((xb, self.lo), (x, self.lo), ob))
-            self.under = (x, below)
-        if oa != above:
-            self.pieces.append(((x, self.hi), (xa, self.hi), oa))
-            self.over = (x, above)
+def _uncovered(sides: list, covers: list):
+    """The parts ``(lo, hi, owner)`` of the sides ``(lo, hi, owner)`` on one
+    line that none of the opposite sides ``covers`` on that line reaches."""
+    covers = sorted(covers)
+    for lo, hi, k in sides:
+        j = max(bisect_left(covers, (lo,)) - 1, 0)
+        while j < len(covers) and covers[j][0] < hi:
+            c0, c1, _ = covers[j]
+            if c0 > lo:
+                yield lo, c0, k
+            lo, j = max(lo, c1), j + 1
+        if lo < hi:
+            yield lo, hi, k
 
 
-def _cover(solid: list, lo, hi):
-    """The parts ``(y0, y1, owner)`` of (lo, hi) that the sorted disjoint
-    extents ``solid`` cover, bottom up."""
-    for b, t, k in solid[max(bisect_left(solid, (lo,)) - 1, 0):]:
-        if b >= hi:
-            return
-        if t > lo:
-            yield max(b, lo), min(t, hi), k
+def _first_overlap(obstacles: Sequence[tuple]):
+    """``(x, j, k)`` for the least x where an obstacle k starting there
+    overlaps an obstacle j, the lowest one it overlaps; None if none do.
+    Obstacles start in the order ``(l, b, t, k)``, and the active ones are
+    disjoint, so only the two beside k's place among them can overlap it."""
+    act, ends = [], []              # (b, t, k) bottom up; a heap of (r, ...)
+    for l, b, t, k, r in sorted((l, b, t, k, r)
+                                for k, (l, r, b, t) in enumerate(obstacles)):
+        while ends and ends[0][0] <= l:
+            del act[bisect_left(act, heappop(ends)[1:])]
+        i = bisect_left(act, (b, t, k))
+        for j in (i - 1, i):
+            if 0 <= j < len(act) and act[j][0] < t and b < act[j][1]:
+                return l, act[j][2], k
+        act.insert(i, (b, t, k))
+        heappush(ends, (r, b, t, k))
+    return None
 
 
 class ObstacleGrid:
     """The free part of [0, width] x [0, ceiling] outside interior-disjoint
-    obstacles ``(l, r, b, t)`` of positive size, as gap rects from one
-    sweep in x.  Obstacles that overlap or reach above the ceiling, and a
-    gap that meets the ceiling, raise AnalysisError, which names obstacles
-    by their place in ``obstacles`` and the x where the sweep found it.
+    obstacles ``(l, r, b, t)`` of positive size in the strip, as the pieces
+    ``(p, q, owner)`` of its boundary, each with the free space on its left.
 
-    The sweep keeps the column's extents ``(b, t, owner)`` and free gaps
-    ``(lo, hi)``, both sorted; the walls are the extents outside the strip.
-    Where extents end or start, it rebuilds the gaps in a window around
-    them, grown until no gap crosses its ends.  A gap equal on both sides
-    of x continues; the others close as rects, and each new gap is joined
-    with every closed one that shares a positive length of the line x.
-    ``rects`` holds the gaps in the order of their lower-left corners, and
-    ``joins`` the joined pairs.  ``nx`` and ``ny`` count the cells of the
+    A side of an obstacle, a wall or the ground bounds free space wherever
+    no opposite side lies on its line: the left wall is a right side at
+    x = 0, the right wall a left side at x = width and the ground a top at
+    y = 0, and tops at the ceiling bound nothing.  Obstacles above the
+    ceiling, obstacles that overlap and free space that meets the ceiling
+    raise AnalysisError, which names obstacles by their place in
+    ``obstacles``; the last two name the least x where they occur, an
+    overlap first.  ``nx`` and ``ny`` count the cells of the
     coordinate-compressed strip, which is never built.
     """
 
     def __init__(self, obstacles: Sequence[tuple], width, ceiling):
-        starts: dict = {width: [(0, ceiling, RIGHT_WALL)]}
-        ends: dict = {0: [(0, ceiling, LEFT_WALL)]}
-        ys = {0, ceiling}
+        xs: dict = {0: ([], [(0, ceiling, LEFT_WALL)]),     # x: (lefts, rights)
+                    width: ([(0, ceiling, RIGHT_WALL)], [])}
+        ys: dict = {0: ([], [(0, width, GROUND)])}          # y: (bottoms, tops)
         for k, (l, r, b, t) in enumerate(obstacles):
             if t > ceiling:
                 raise AnalysisError("ceiling", f"obstacle {k} reaches above it")
-            starts.setdefault(l, []).append((b, t, k))
-            ends.setdefault(r, []).append((b, t, k))
-            ys.update((b, t))
-        xs = sorted(starts.keys() | ends.keys())
-        self.nx, self.ny = len(xs) - 1, len(ys) - 1
-        self.rects, self.joins = [], []
-        act, gaps = [(0, ceiling, LEFT_WALL)], []    # the column's, bottom up
-        for x in xs:
-            gone, born = sorted(ends.get(x, ())), sorted(starts.get(x, ()))
-            for e in gone:
-                del act[bisect_left(act, e)]
-            for e in born:
-                hit = next(_cover(act, e[0], e[1]), None)
-                if hit is not None:
-                    raise AnalysisError("overlap", f"obstacles {hit[2]} and "
-                                        f"{e[2]} overlap at x = {x}")
-                insort(act, e)
-            changed = sorted(gone + born)
-            i = 0
-            while i < len(changed):
-                y0, y1, _ = changed[i]
-                while i < len(changed) and changed[i][0] <= y1:
-                    y1 = max(y1, changed[i][1])
-                    i += 1
-                    g0 = bisect_left(gaps, y0, key=lambda g: g.hi)
-                    g1 = bisect_right(gaps, y1, key=lambda g: g.lo)
-                    if g0 < g1:
-                        y0, y1 = min(y0, gaps[g0].lo), max(y1, gaps[g1 - 1].hi)
-                gaps[g0:g1] = self._rebuild(x, gaps[g0:g1], act, y0, y1,
-                                            gone, born)
+            xs.setdefault(l, ([], []))[0].append((b, t, k))
+            xs.setdefault(r, ([], []))[1].append((b, t, k))
+            ys.setdefault(b, ([], []))[0].append((l, r, k))
+            ys.setdefault(t, ([], []))[1].append((l, r, k))
+        self.nx, self.ny = len(xs) - 1, len(ys.keys() | {ceiling}) - 1
+        self.pieces = pieces = []
+        for x, (lefts, rights) in xs.items():
+            pieces += [((x, lo), (x, hi), k)                # northward
+                       for lo, hi, k in _uncovered(lefts, rights)]
+            pieces += [((x, hi), (x, lo), k)                # southward
+                       for lo, hi, k in _uncovered(rights, lefts)]
+        # the least x of a vertical piece that reaches the ceiling
+        reach = min((p[0] for p, q, _ in pieces if ceiling in (p[1], q[1])),
+                    default=None)
+        for y, (bottoms, tops) in ys.items():
+            pieces += [((hi, y), (lo, y), k)                # westward
+                       for lo, hi, k in _uncovered(bottoms, tops)]
+            if y < ceiling:
+                pieces += [((lo, y), (hi, y), k)            # eastward
+                           for lo, hi, k in _uncovered(tops, bottoms)]
+        hit = _first_overlap(obstacles)
+        if hit is not None and (reach is None or hit[0] <= reach):
+            raise AnalysisError("overlap", f"obstacles {hit[1]} and {hit[2]} "
+                                f"overlap at x = {hit[0]}")
+        if reach is not None:
+            raise AnalysisError("unbounded",
+                                f"a gap meets the ceiling at x = {reach}")
 
     def __repr__(self):
-        return f"ObstacleGrid({self.nx} x {self.ny} cells, {len(self.rects)} gaps)"
+        return (f"ObstacleGrid({self.nx} x {self.ny} cells, "
+                f"{len(self.pieces)} pieces)")
 
-    def _rebuild(self, x, old: list, act: list, y0, y1, gone: list,
-                 born: list) -> list[_Gap]:
-        """The gaps after x of the window [y0, y1], from the ground or an
-        extent's top to an extent's bottom, outside the extents ``act``.
-        A gap equal to one of ``old`` continues; the others open against
-        the extents ``gone`` at x, the old ones left close against those
-        ``born``, and a closed and an opened one sharing a positive length
-        of the line x are joined."""
-        keep = {(g.lo, g.hi): g for g in old}
-        col, opened = [], []
-        lo, j = y0, bisect_left(act, (y0,))
-        below = act[j - 1][2] if j and act[j - 1][1] == y0 else GROUND
-        while j < len(act) and act[j][0] <= y1:
-            hi, top, above = act[j]
-            if hi > lo:
-                g = keep.pop((lo, hi), None)
-                if g is not None:
-                    g.owners(x, below, above)
-                else:
-                    g = _Gap(x, lo, hi, below, above)
-                    g.pieces += [((x, b), (x, a), o)
-                                 for a, b, o in _cover(gone, lo, hi)]
-                    self.rects.append(g)
-                    opened.append(g)
-                col.append(g)
-            lo, below, j = top, above, j + 1
-        if lo < y1:
-            raise AnalysisError("unbounded", f"a gap meets the ceiling at x = {x}")
-        for g in keep.values():
-            g.pieces += [((x, a), (x, b), o)
-                         for a, b, o in _cover(born, g.lo, g.hi)]
-            g.owners(x, None, None)
-            self.joins += [(g, h) for h in opened
-                           if max(g.lo, h.lo) < min(g.hi, h.hi)]
-        return col
+    def free_components(self) -> list[list[tuple]]:
+        """The boundary cycle of each free component, counterclockwise from
+        its least point ``(x, y)``, in the order of that point.
 
-    def free_components(self) -> list[list[_Gap]]:
-        """The components of the free space, by union-find over the joins:
-        each its rects in order, the first holding the lowest cell of its
-        leftmost column, and in the order of that cell."""
-        parent = {g: g for g in self.rects}
-
-        def root(g):
-            while parent[g] is not g:     # halving the path
-                parent[g] = g = parent[parent[g]]
-            return g
-
-        for g, h in self.joins:
-            parent[root(g)] = root(h)
-        comps: dict[_Gap, list[_Gap]] = {}
-        for g in self.rects:
-            comps.setdefault(root(g), []).append(g)
-        return list(comps.values())
+        Each piece leads on to the one piece that leaves its end, or, at a
+        pinch vertex where free space meets itself at a point, to the left
+        turn, so that vertex is a corner twice.  A cycle that leaves its
+        least point northward is clockwise: it rings obstacles floating
+        inside a component, which is then bounded by more than one cycle,
+        and raises AnalysisError."""
+        out: dict = {}
+        for piece in self.pieces:
+            out.setdefault(piece[0], []).append(piece)
+        cycles, seen = [], set()
+        for piece in self.pieces:
+            cycle = []
+            while piece not in seen:
+                seen.add(piece)
+                cycle.append(piece)
+                (x0, y0), (x, y), _ = piece
+                outs = out[x, y]
+                # one way on, or at a pinch the left turn (positive cross product)
+                piece = outs[0] if len(outs) == 1 else next(
+                    q for q in outs
+                    if (x - x0) * (q[1][1] - y) > (y - y0) * (q[1][0] - x))
+            if cycle:
+                i = cycle.index(min(cycle))
+                cycles.append(cycle[i:] + cycle[:i])
+        cycles.sort()
+        for (p, q, _), *_ in cycles:
+            if p[0] == q[0]:
+                raise AnalysisError("boundary", f"the free component around "
+                                    f"{p} is not bounded by one cycle")
+        return cycles
 
 
-def trace_boundary(component: Sequence[_Gap]) -> list[tuple[int, list]]:
-    """The counterclockwise boundary of a free component as runs ``(owner,
-    points)``: maximal stretches of one owner (an obstacle's index, the
-    ground or a wall), each kept as its ends and the corners between.
-
-    The walk starts east from the lower-left corner of the component's
-    first rect.  At a pinch vertex, where the component meets itself at a
-    point, it turns left, so that vertex is a corner twice.  Raises
-    AnalysisError if the pieces form more than one cycle."""
-    out: dict = {}
-    for g in component:
-        for p, q, owner in g.pieces:
-            out.setdefault(p, []).append((q, owner))
-    start = prev = cur = (component[0].x0, component[0].lo)
-    runs, points, last = [], None, None
-    while True:
-        outs = out.get(cur, [])
-        dx, dy = cur[0] - prev[0], cur[1] - prev[1]
-        # one way on, or at a pinch the left turn (positive cross product)
-        ways = [k for k, (q, _) in enumerate(outs) if len(outs) == 1
-                or dx * (q[1] - cur[1]) > dy * (q[0] - cur[0])]
-        if not ways:
-            break
-        q, owner = outs.pop(ways[0])
+def trace_boundary(cycle: Sequence[tuple]) -> list[tuple[int, list]]:
+    """A boundary cycle's pieces as runs ``(owner, points)``: maximal
+    stretches of one owner (an obstacle's index, the ground or a wall),
+    each kept as its ends and the corners between.  A piece is a whole
+    uncovered part of a side, so two pieces of one owner in a row meet at
+    a corner."""
+    runs, last = [], None
+    for p, q, owner in cycle:
         if owner != last:
-            points, last = [cur, q], owner
+            points, last = [p], owner
             runs.append((owner, points))
-        elif points[-2][0] == cur[0] == q[0] or points[-2][1] == cur[1] == q[1]:
-            points[-1] = q              # straight on: cur is no corner
-        else:
-            points.append(q)
-        prev, cur = cur, q
-        if cur == start:
-            break
-    if cur != start or any(out.values()):
-        raise AnalysisError("boundary", f"the free component at {start} is "
-                            "not bounded by one cycle")
+        points.append(q)
     return runs

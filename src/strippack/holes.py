@@ -17,22 +17,23 @@ lattice integers, as is twice each hole's bound.  They become Fractions
 only where they leave the module (``Hole.area``, ``Hole.region``, the
 bound ``hole_area_bound`` returns, the analysis checks).
 
-Raw holes come from one sweep in x over those rects: each free component
-is a set of gap rects, and one walk over them keeps only the corners of
-its counterclockwise boundary, in runs of the square, wall or ground
-outside.  From then on a hole is just those runs of corners, and the
-squares near a point come from the packing's bottom-sorted index
-(``Packing.window``).  A hole's area comes from the shoelace formula, a
-boundary point's side from the boundary's turn there, and the right
-diagonal is checked against the hole's slabs (maximal x-strips of constant
-cross-section).  A split cuts a hole along a horizontal line from M to N
-into the star below it (under a virtual lid) and the remainder: the star
-is the boundary from M to N closed by the lid's copy, the remainder the
-boundary from N through the lid to M closed by a seam, less any part of
-the cut that a real square roofs.  A split walks only the small remainder;
-the star is a slice of the parent's runs and inherits its facts.  Runs
-never change once built, so pieces share them; a run's side is measured
-where a charge reads it.
+Raw holes come straight from those rects' sides: the parts that no
+opposite side covers are the pieces of the free space's boundary (Lemma 1:
+each square adds one connected piece of a hole's boundary), one walk joins
+them into a counterclockwise cycle per hole, and each cycle keeps only its
+corners, in runs of the square, wall or ground outside.  From then on a
+hole is just those runs of corners, and the squares near a point come from
+the packing's bottom-sorted index (``Packing.window``).  A hole's area
+comes from the shoelace formula, a boundary point's side from the
+boundary's turn there, and the right diagonal is checked against the
+hole's slabs (maximal x-strips of constant cross-section).  A split cuts a
+hole along a horizontal line from M to N into the star below it (under a
+virtual lid) and the remainder: the star is the boundary from M to N
+closed by the lid's copy, the remainder the boundary from N through the
+lid to M closed by a seam, less any part of the cut that a real square
+roofs.  A split walks only the small remainder; the star is a slice of the
+parent's runs and inherits its facts.  Runs never change once built, so
+pieces share them; a run's side is measured where a charge reads it.
 
 Structural facts used here are theorems for BottomLeft packings, so they
 are asserted and raise AnalysisError loudly when violated: that means an

@@ -5,10 +5,11 @@ The closed packing's strip is cut into a grid on every distinct x and y,
 solid cells included.  The free cells are flooded into 4-connected
 components, each bounded component's unit-edge boundary is traced
 counterclockwise, every unit edge gets the owner outside it, and each run
-of one owner keeps only its corners.  The package now finds raw holes with
-one x-sweep over gap rects (``geometry.ObstacleGrid``); the tests keep this
-route as the oracle that sweep is checked against.  It costs (n+1)^2 cells,
-so it suits only instances of a few hundred squares.
+of one owner keeps only its corners.  The package now finds raw holes
+from the uncovered parts of the squares' sides, walked into cycles
+(``geometry.ObstacleGrid``); the tests keep this route as the oracle those
+cycles are checked against.  It costs (n+1)^2 cells, so it suits only
+instances of a few hundred squares.
 """
 
 from typing import Optional, Sequence

@@ -305,10 +305,10 @@ class TestBoundaryWalk:
 
 
 class TestSweepFailures:
-    """The sweep over gap rects fails with an AnalysisError named for its
-    cause, on a strip 4 wide: overlapping obstacles, an obstacle above the
-    ceiling, a gap that meets the ceiling, and a square floating inside a
-    hole, whose boundary is then two cycles."""
+    """The free space's boundary pieces fail with an AnalysisError named
+    for its cause, on a strip 4 wide: overlapping obstacles, an obstacle
+    above the ceiling, a gap that meets the ceiling, and a square floating
+    inside a hole, whose boundary is then two cycles."""
 
     @pytest.mark.parametrize("name, obstacles, ceiling", [
         ("overlap", [(0, 2, 0, 2), (1, 3, 1, 3), (0, 4, 3, 7)], 7),
@@ -323,3 +323,20 @@ class TestSweepFailures:
                 geometry.trace_boundary(comp)
         assert err.value.name == name
 
+    @pytest.mark.parametrize("obstacles, message", [
+        # the overlap at x = 1 comes before free space meets the ceiling
+        # at x = 3
+        ([(0, 2, 0, 2), (1, 3, 1, 3), (0, 3, 6, 7)],
+         "overlap: obstacles 0 and 1 overlap at x = 1"),
+        # free space meets the ceiling at the left wall, before the
+        # overlap at x = 3
+        ([(0, 1, 0, 1), (2, 4, 0, 2), (3, 4, 1, 3), (1, 4, 6, 7)],
+         "unbounded: a gap meets the ceiling at x = 0"),
+        # both faults first appear at x = 1, and the overlap is named
+        ([(0, 2, 0, 2), (1, 2, 1, 3), (0, 1, 6, 7)],
+         "overlap: obstacles 0 and 1 overlap at x = 1"),
+    ])
+    def test_the_fault_at_the_least_x_is_named(self, obstacles, message):
+        with pytest.raises(geometry.AnalysisError) as err:
+            geometry.ObstacleGrid(obstacles, 4, 7)
+        assert str(err.value) == message

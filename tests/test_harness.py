@@ -187,6 +187,18 @@ class TestCli:
                      "--svg", str(svg)]) == 0
         assert svg.read_text().startswith('<?xml')
 
+    @pytest.mark.parametrize("strategy", ["bottomleft", "slot"])
+    def test_analyze_unwritable_svg_prints_no_report(self, strategy, tmp_path,
+                                                     capsys):
+        """Both analyze kinds write the SVG before they print, as ``run``
+        does, so a path that cannot be written is a usage error alone."""
+        inst = tmp_path / "two.txt"
+        inst.write_text("1/2\n1/2\n")
+        assert main(["analyze", "--strategy", strategy, "--input", str(inst),
+                     "--svg", str(tmp_path / "missing" / "o.svg")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["run", "--strategy", "nope", "--input", "x"]) == 2
 
@@ -213,8 +225,8 @@ class TestCli:
 
     def test_analyze_overlap_names_the_squares(self, three, monkeypatch,
                                                capsys):
-        """Overlapping squares fail the hole sweep as an analysis check that
-        names them and the x, with the instance echoed, not as a usage
+        """Overlapping squares fail hole extraction as an analysis check
+        that names them and the x, with the instance echoed, not as a usage
         error."""
         overlapping = packing_of([("1/2", 0, 0), ("1/2", "1/4", "1/4")])
         monkeypatch.setattr(cli_module, "pack", lambda *_: overlapping)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -12,8 +13,8 @@ import grid_reference
 from grid_reference import grid as _grid, trace_boundary
 from strippack import holes
 from strippack.bottomleft import BottomLeftState
-from strippack.geometry import (GROUND, LEFT_WALL, ObstacleGrid, Rect,
-                                trace_boundary as sweep_trace)
+from strippack.geometry import (GROUND, LEFT_WALL, GeometryError, ObstacleGrid,
+                                Rect, trace_boundary as sweep_trace)
 from strippack.harness import render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
@@ -138,16 +139,32 @@ def _same_raw_hole(got, want):
     assert got.region() == want.region()
 
 
-def _sweep(closed):
-    """The sweep on a closed packing's lattice, as extraction builds it."""
+def _pieces(closed):
+    """The boundary pieces of a closed packing's free space, on its lattice,
+    as extraction builds them."""
     scale, rects = closed.lattice()
     return ObstacleGrid(rects, scale, max(t for *_, t in rects))
+
+
+def _disjoint_squares(w, seed, tries=12):
+    """Up to ``tries`` disjoint squares with sides and corners in 1/w,
+    dropped at random on [0, 1]^2 where they fit, under a side-1 lid."""
+    rng = random.Random(f"disjoint:{w}:{seed}")
+    rects = []
+    for _ in range(tries):
+        s = rng.randint(1, w // 2)
+        l, b = rng.randint(0, w - s), rng.randint(0, w - s)
+        if all(r <= l or l + s <= ol or t <= b or b + s <= ob
+               for ol, r, ob, t in rects):
+            rects.append((l, l + s, b, b + s))
+    return close_packing(packing_of([(F(r - l, w), F(l, w), F(b, w))
+                                     for l, r, b, _ in rects]))
 
 
 class TestSweepAgainstGrid:
     @pytest.mark.parametrize("panel", sorted(SWEEP_PANELS))
     def test_raw_holes_equal_the_grid_reference(self, panel):
-        """Every raw hole the sweep finds equals, in order, the hole the
+        """Every raw hole extraction finds equals, in order, the hole the
         dense grid's flood and unit-edge trace find."""
         count = 0
         for seq in SWEEP_PANELS[panel]():
@@ -160,15 +177,45 @@ class TestSweepAgainstGrid:
             count += len(got)
         assert count > 0
 
+    @pytest.mark.parametrize("w", [4, 6, 8])
+    def test_any_disjoint_squares_match_the_grid_reference(self, w):
+        """Disjoint squares that no strategy placed make islands and holes
+        that meet both walls, which BottomLeft never does: extraction
+        returns the reference's holes wherever it returns any, and raises
+        wherever it raises.  An island raises GeometryError on the grid
+        and ``boundary`` here, found before any hole is built, so it may
+        also take the place of a hole's own fault."""
+        outcomes = Counter()
+        for seed in range(1000):
+            closed = _disjoint_squares(w, seed)
+            try:
+                want = grid_reference.extract_holes(closed)
+            except (GeometryError, holes.AnalysisError) as exc:
+                with pytest.raises(holes.AnalysisError) as err:
+                    extract_holes(closed)
+                assert err.value.name in {getattr(exc, "name", None),
+                                          "boundary"}
+                if isinstance(exc, GeometryError):
+                    assert err.value.name == "boundary"
+                outcomes["rejected"] += 1
+                continue
+            got = extract_holes(closed)
+            assert len(got) == len(want)
+            for g, h in zip(got, want):
+                _same_raw_hole(g, h)
+            outcomes["accepted"] += 1
+        assert outcomes["accepted"] > 50 and outcomes["rejected"] > 50
+
 
 class TestSweepTraps:
     """Hand-built closed packings on a lattice of scale 4 (sides in
-    quarters), each at a place where a sweep and a flood can disagree."""
+    quarters), each at a place where boundary pieces and a flood can
+    disagree."""
 
     def test_wall_holes_stay_apart(self):
         """Three holes on the left wall, between squares on the wall, stay
-        three holes: the first column's gaps come from what starts at x = 0,
-        so no gap of zero width there shares a length with all three."""
+        three holes: the squares' left sides cover the wall between them,
+        so the wall's uncovered parts are three pieces, one per hole."""
         closed = packing_of([("1/4", 0, "1/4"), ("1/4", 0, "3/4"),
                              ("3/4", "1/4", 0), ("1/2", "1/4", "3/4"),
                              ("1/4", "3/4", "3/4"), ("1/4", "3/4", 1),
@@ -189,7 +236,7 @@ class TestSweepTraps:
         closed = packing_of([("1/4", "1/4", "1/4"), ("1/4", "1/2", "1/2"),
                              ("1/4", "3/4", 0), ("1/4", "3/4", "1/4"),
                              ("1/4", "3/4", "1/2"), (1, 0, "3/4")])
-        comps = _sweep(closed).free_components()
+        comps = _pieces(closed).free_components()
         assert len(comps) == 1
         runs = sweep_trace(comps[0])
         assert runs == [
@@ -207,14 +254,13 @@ class TestSweepTraps:
             assert err.value.name == "lemma1"
 
     def test_gap_continues_where_its_owners_change(self):
-        """Squares end beside a gap where others of the same height start,
-        below it and above it: the gap continues as one rect, and its bottom
-        and top change owner there."""
+        """Squares end beside a hole where others of the same height start,
+        below it and above it: the hole's bottom and top change owner there,
+        and each square's side is a run of its own."""
         closed = packing_of([("1/4", 0, 0), ("1/4", "1/4", 0), ("1/2", "1/2", 0),
                              ("1/4", 0, "1/2"), ("1/4", "1/4", "1/2"),
                              ("1/4", "1/2", "1/2"), ("1/4", "3/4", "1/2"),
                              (1, 0, "3/4")])
-        assert [(g.x0, g.lo, g.hi) for g in _sweep(closed).rects] == [(0, 1, 2)]
         hole, = extract_holes(closed)
         assert [(r.owner, r.points) for r in hole.runs] == [
             (("sq", 3), [(1, 2), (0, 2)]), (OWNER_LWALL, [(0, 2), (0, 1)]),
