@@ -41,8 +41,6 @@ def bl_place_next(p: Packing, item: SquareItem) -> tuple[Placement, tuple]:
         levels.add(0)
     for y in sorted(levels):
         reach = sweep.spans_at(y)
-        if not reach:
-            continue
         tops = [(l - sa, r) for l, r, _, t in p.window(y - scale, y)
                 if t == y]
         for x, _ in reach:

@@ -75,9 +75,10 @@ class StepProfile:
     the packing's lattice integers, with ``end`` the lattice scale.
 
     ``lowest_cell`` keeps the candidate cells of ``_w``, the last width it
-    was asked about: ``_js`` their indices in order and ``_tops`` their
-    heights, or None until a second query at that width.  ``raised`` grows
-    ``[_lo, _hi]``, the range that the kept candidates have not seen.
+    was asked about, which one scan (``_candidates``) lists at every width:
+    ``_js`` their indices in order and ``_tops`` their heights.  ``raised``
+    grows ``[_lo, _hi]``, the range that the kept candidates have not seen,
+    and ``scale_by`` forgets the width.
     """
 
     __slots__ = ("end", "starts", "values", "_w", "_js", "_tops", "_lo", "_hi")
@@ -94,7 +95,7 @@ class StepProfile:
         self.end *= f
         self.starts = [s * f for s in self.starts]
         self.values = [v * f for v in self.values]
-        self._w = self._js = self._tops = None
+        self._w = None
 
     def max_over(self, lo, hi):
         """Max of the profile over the OPEN interior (lo, hi)."""
@@ -143,47 +144,25 @@ class StepProfile:
 
         A cell inside one segment takes that segment's value, and only the
         leftmost such cell of a segment can win; every other cell straddles
-        a breakpoint.  A query at a new width finds the lowest of these
-        candidates in one pass over the segments, meeting them from left to
-        right, so a later one wins only when it is strictly lower.  The
-        next query at the same width keeps the candidates, and later ones
-        rescan only the cells that the raises since then may have changed:
-        a cell's height and candidacy read only the breakpoints in
-        ((j-1)w, (j+1)w), so a raise of [lo, hi] reaches the cells from
-        lo // w to the first one right of hi."""
-        if w == self._w:
-            n = self.end // w
-            if self._js is None:
-                self._js, self._tops = self._candidates(w, 0, n)
-            elif self._lo <= self._hi:
-                j0, j1 = self._lo // w, min(-(-self._hi // w) + 1, n)
-                a, b = bisect_left(self._js, j0), bisect_left(self._js, j1)
-                self._js[a:b], self._tops[a:b] = self._candidates(w, j0, j1)
-            self._lo, self._hi = self.end, 0
-            tops = self._tops
-            return self._js[tops.index(min(tops))]
-        self._w, self._js = w, None
-        starts, values, end = self.starts, self.values, self.end
-        n = len(starts)
-        best = low = None               # the lowest cell so far, its height
-        cell = top = None               # cell straddling a breakpoint, its max
-        for i in range(n):
-            v = values[i]
-            e = starts[i + 1] if i + 1 < n else end
-            if cell is not None:
-                if v > top:
-                    top = v
-                if (cell + 1) * w > e:
-                    continue            # the cell covers this whole segment
-                if best is None or top < low:
-                    best, low = cell, top
-                cell = None
-            j = -(-starts[i] // w)
-            if (j + 1) * w <= e and (best is None or v < low):
-                best, low = j, v
-            if e % w:
-                cell, top = e // w, v
-        return best
+        a breakpoint.  One scan lists these candidates at every width: a
+        query at a new width lists all of them in one pass over the segments
+        and keeps them, and a later query at the same width rescans only the
+        cells that the raises since then may have changed: a cell's height
+        and candidacy read only the breakpoints in ((j-1)w, (j+1)w), so a
+        raise of [lo, hi] reaches the cells from lo // w to the first one
+        right of hi.  The candidates are kept left to right, so the first of
+        the lowest is the leftmost."""
+        n = self.end // w
+        if w != self._w:
+            self._w = w
+            self._js, self._tops = self._candidates(w, 0, n)
+        elif self._lo <= self._hi:
+            j0, j1 = self._lo // w, min(-(-self._hi // w) + 1, n)
+            a, b = bisect_left(self._js, j0), bisect_left(self._js, j1)
+            self._js[a:b], self._tops[a:b] = self._candidates(w, j0, j1)
+        self._lo, self._hi = self.end, 0
+        tops = self._tops
+        return self._js[tops.index(min(tops))]
 
     def _candidates(self, w, j0, j1) -> tuple[list, list]:
         """The candidate cells j0 <= j < j1, left to right, and their
@@ -191,7 +170,7 @@ class StepProfile:
         starts, values, end = self.starts, self.values, self.end
         n, stop = len(starts), j1 * w
         js, tops = [], []
-        cell = top = None
+        cell = top = None               # cell straddling a breakpoint, its max
         i = bisect_right(starts, j0 * w) - 1
         while i < n and starts[i] < stop:
             s, v = starts[i], values[i]
@@ -201,7 +180,7 @@ class StepProfile:
                 if v > top:
                     top = v
                 if (cell + 1) * w > e:
-                    continue
+                    continue            # the cell covers this whole segment
                 js.append(cell)
                 tops.append(top)
                 cell = None

@@ -43,28 +43,21 @@ def _check_exponent(text: str) -> None:
             f"(magnitude must be below {limit})")
 
 
-def scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a ``p/q`` string or a finite decimal string to Fraction.
+def scalar(text: str) -> Fraction:
+    """Read a ``p/q`` or finite decimal token of the command line or of an
+    instance or CSV file as a Fraction.
 
-    Floats are rejected on purpose; they carry binary rounding that an exact
-    pipeline must never absorb.
+    A decimal is read exactly, never through a float: a float carries
+    binary rounding that an exact pipeline must never absorb.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ScalarParseError(f"not a scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if not text:
-            raise ScalarParseError("empty scalar token")
-        _check_exponent(text)
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarParseError(f"bad scalar token {text!r}: {exc}") from exc
-    raise ScalarParseError(f"not a scalar: {value!r}")
+    text = text.strip()
+    if not text:
+        raise ScalarParseError("empty scalar token")
+    _check_exponent(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScalarParseError(f"bad scalar token {text!r}: {exc}") from exc
 
 
 def format_scalar(x: Fraction) -> str:

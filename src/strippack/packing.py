@@ -106,14 +106,13 @@ class _Lattice:
 
     def units(self, *values: Scalar) -> list[int]:
         """The values times ``scale``, fitted to them first."""
-        scale, out = self.scale, []
+        scale = self.scale
         for v in values:
-            d = v.denominator
-            if scale % d:
+            if scale % v.denominator:
                 self.fit(*values)
-                return self.units(*values)
-            out.append(v.numerator * (scale // d))
-        return out
+                scale = self.scale
+                break
+        return [v.numerator * (scale // v.denominator) for v in values]
 
     def coords(self, pl: Placement) -> tuple[int, int, int, int]:
         """``pl``'s ``(l, r, b, t)`` on the lattice, fitted to it first."""
@@ -264,7 +263,6 @@ class ReachabilitySweep:
     _events: list               # descending event levels
     _at: list                   # level -> spans exactly at level
     _slabs: list                # parallel: spans in open slab below
-    read: int                   # index entries the sweep read
 
     @property
     def lowest(self) -> int:
@@ -384,8 +382,7 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
         r_prev = r_below
         if not r_below:
             break               # sealed: nothing below is reachable
-    return ReachabilitySweep(scale, start, full, ev_out, at_out, slab_out,
-                             len(bottoms) - k)
+    return ReachabilitySweep(scale, start, full, ev_out, at_out, slab_out)
 
 
 def _free(opens, w):

@@ -8,11 +8,13 @@ lowest rest height (ties to the leftmost slot).  The only state besides the
 packing is its skyline, one step profile on the packing's integer lattice,
 changed in place.  The lowest slot is found among the skyline's candidate
 cells: the leftmost whole slot of each segment and every slot that
-straddles a breakpoint.  The skyline keeps the candidates of the width it
-was last asked about, so a square of the same level as the one before it
-rescans only the slots that square touched.  No level keeps a table of its
-2^k slots, and a level is bounded only by the size of the integers.  Tests cross-check every choice against the rest
-heights of the raw packing.
+straddles a breakpoint.  One scan lists them at every width.  The skyline
+keeps the candidates of the width it was last asked about, so a square of
+the same level as the one before it rescans only the slots that square
+touched, and a square of a new level lists them all once.  No level keeps
+a table of its 2^k slots, and a level is bounded only by the size of the
+integers.  Tests cross-check every choice against the rest heights of the
+raw packing.
 """
 
 from __future__ import annotations

@@ -237,6 +237,52 @@ class TestCli:
                               "overlap at x = 1\ninstance:\n")
 
 
+class TestInputErrors:
+    """Each input error of the CLI exits 2 with its message on stderr and
+    nothing on stdout."""
+
+    @staticmethod
+    def assert_rejected(argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("1/2", "1/4", "need 0 < min <= max <= 1"),
+        ("1/3", "1/3", "no grid point in the requested range")])
+    def test_gen_random_range(self, tmp_path, capsys, lo, hi, message):
+        out = tmp_path / "g.txt"
+        self.assert_rejected(["gen-random", "--n", "3", "--seed", "1",
+                              "--min", lo, "--max", hi, "--out", str(out)],
+                             message, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("id,side,x\n", "placements CSV must start with 'id,side,x,y'"),
+        ("id,side,x,y\n1,1/2,0\n", "line 2: expected 4 fields"),
+        ("id,side,x,y\n1,1/2,0,0\n2,1/2,1/2,0\n",
+         "2 placements for 3 squares"),
+        ("id,side,x,y\n1,3/2,0,0\n", "side 3/2 outside (0, 1]")])
+    def test_verify_placements(self, three, tmp_path, capsys, rows, message):
+        csv = tmp_path / "p.csv"
+        csv.write_text(rows)
+        self.assert_rejected(["verify", "--input", str(three),
+                              "--placements", str(csv)], message, capsys)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--iterations", "0"], "need at least one iteration"),
+        (["--iterations", "4", "--epsilon", "1/4"],
+         "epsilon must be in (0, 1/4)"),
+        (["--iterations", "4", "--epsilon", " "], "empty scalar token")])
+    def test_adversary(self, capsys, flags, message):
+        self.assert_rejected(["adversary", "--strategy", "bottomleft", *flags],
+                             message, capsys)
+
+    def test_killer_k_zero(self, capsys):
+        self.assert_rejected(["killer", "--k", "0", "--delta", "1/4096",
+                              "--n", "4"], "need k >= 1 and n >= 1", capsys)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

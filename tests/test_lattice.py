@@ -255,6 +255,16 @@ class TestReachFloor:
         self.assert_floor_exact(p, [F(1, 4), F(1, 2) + EPS], reference=False)
 
 
+class _CountedRects(list):
+    """A list that counts the entries read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 class TestLazySweep:
     @staticmethod
     def assert_every_arrival_agrees(pls):
@@ -286,10 +296,14 @@ class TestLazySweep:
     @pytest.mark.parametrize("m", [100, 400])
     def test_bottomleft_reads_do_not_grow_with_m(self, m):
         # the packing grows to 5m squares; each sweep stops at the seal
-        # just under the top and reads the same few squares at any m
+        # just under the top and reads the same few squares at any m: the
+        # top square's rect, then the rect of each index entry it consumes
         p, most = Packing(), 0
         for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
-            most = max(most, reachable_positions(p, pl.item.side).read)
+            p.units(pl.item.side)       # a rescale would replace the rects
+            p._lat.rects = rects = _CountedRects(p._lat.rects)
+            reachable_positions(p, pl.item.side)
+            most = max(most, rects.reads)
             p = p.extended(pl)
         assert len(p) == 5 * m and most <= 8
 
@@ -470,11 +484,10 @@ class TestOneConversion:
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_strategy_converts_each_square_once(self, conversions, name):
         # the strategy converts the side; the sweep and the extension read
-        # the rect it hands them.  A conversion that rescales the lattice
-        # calls itself once more on the new scale.
+        # the rect it hands them
         seq = random_items(5, 100)
         pack(STRATEGIES[name], seq)
-        assert conversions["units"] - conversions["rescales"] == len(seq)
+        assert conversions["units"] == len(seq)
         assert conversions["rescales"] >= 1
 
     def test_verify_converts_each_placement_once(self, conversions):

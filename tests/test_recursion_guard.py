@@ -4,15 +4,13 @@ Recursion whose depth grows with n fails on large valid input with the
 interpreter's RecursionError, so every loop over squares, holes or runs is
 written as a loop.  Every module under src/strippack is parsed with
 ``ast``, and a function that calls itself, by its bare name or as
-``self.<name>``, fails.  The one exception is ``_Lattice.units``: it calls
-itself once after ``fit``, which makes the scale a multiple of every
-denominator, so that call cannot call it again."""
+``self.<name>``, fails."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "strippack"
-ALLOWED = {("packing.py", "_Lattice.units")}
+ALLOWED = set()
 
 
 def _calls_itself(call: ast.Call, name: str) -> bool:
@@ -45,7 +43,7 @@ def test_no_function_calls_itself():
     outside = [f"{p}:{line} in {name}" for p, name, line in found
                if (p, name) not in ALLOWED]
     assert not outside, f"recursive calls: {outside}"
-    # the allowed case calls itself once, and still exists
+    # each allowed case calls itself once, and still exists
     assert [(p, name) for p, name, _ in found] == sorted(ALLOWED)
 
 
