@@ -10,9 +10,10 @@ the tops at y only at a corner, so it could drop below y, and y is the
 lowest level with a feasible position.  The search is exact, and fails
 loudly if no candidate wins where a feasible position exists.
 
-The reachability sweep runs from the top down and stops at the first level
-sealed off from above; the levels are scanned upward from there, so a
-placement reads only the squares near the top of the packing.
+The reachability sweep runs from the top down, stops at the first level
+sealed off from above, and hands over each level where a square can rest
+with that level's reachable spans and supports; the levels are walked
+upward from there, so a placement reads only the squares the sweep read.
 """
 
 from __future__ import annotations
@@ -28,21 +29,13 @@ def bl_place_next(p: Packing, item: SquareItem) -> tuple[Placement, tuple]:
 
     The search runs on the packing's integer lattice, with the side
     converted once, and the rect is the square's ``(l, r, b, t)`` there.
-    Nothing below the sweep's lowest level is reachable, so the candidate
-    levels are 0, if that level is 0, and the tops at or above it.  Sides
-    are at most 1, so those tops come from the bottoms at or above 1 below
-    that level, and the tops at level y from the bottoms in [y - 1, y)."""
+    The candidate levels, their reachable spans and their supports are the
+    sweep's ``levels``: the floor, then each event up from the seal."""
     a = item.side
     (sa,) = p.units(a)
     sweep = reachable_positions(p, a, at=(0, sa, 0, sa))
-    scale, low = sweep.scale, sweep.lowest
-    levels = {t for _, _, _, t in p.window(low - scale) if t >= low}
-    if low == 0:
-        levels.add(0)
-    for y in sorted(levels):
-        reach = sweep.spans_at(y)
-        tops = [(l - sa, r) for l, r, _, t in p.window(y - scale, y)
-                if t == y]
+    scale = sweep.scale
+    for y, reach, tops in sweep.levels():
         for x, _ in reach:
             if y == 0 or any(lo < x < hi for lo, hi in tops):
                 return (Placement(item, Fraction(x, scale), Fraction(y, scale)),

@@ -197,16 +197,12 @@ class Packing:
         rects = lat.rects
         return lat.scale, rects if len(rects) == self._n else rects[:self._n]
 
-    def window(self, lo: int, hi: Optional[int] = None
-               ) -> list[tuple[int, int, int, int]]:
+    def window(self, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
         """Lattice rects of the placements with ``lo <= b < hi``, on the
-        lattice's current scale.  The rects are read-only."""
+        lattice's current scale."""
         lat, n = self._lat, self._n
         bottoms, rects = lat.bottoms, lat.rects
-        k0 = bisect_left(bottoms, lo)
-        if k0 == 0 and hi is None and len(rects) == n:
-            return rects                # every placement: the live list
-        k1 = len(bottoms) if hi is None else bisect_left(bottoms, hi)
+        k0, k1 = bisect_left(bottoms, lo), bisect_left(bottoms, hi)
         return [rects[i] for i in lat.order[k0:k1] if i < n]
 
 
@@ -253,28 +249,24 @@ class ReachabilitySweep:
 
     Levels and spans are integers on the packing's lattice: the value v
     stands for v / ``scale``.  Each event level keeps the spans reachable
-    exactly at it and those of the open slab below it, down to the next
-    event; below the last event nothing changes.
+    exactly at it, those of the open slab below it, down to the next event,
+    and the shadows (l_j - a, r_j) of the tops at it; below the last event
+    nothing changes.  ``levels`` walks every level a square can rest on.
     """
 
     scale: int
-    start: int                  # at/above: everything reachable
+    floor: int                  # lowest level described
     full: list                  # spans of [0, 1-a]
     _events: list               # descending event levels
     _at: list                   # level -> spans exactly at level
     _slabs: list                # parallel: spans in open slab below
-
-    @property
-    def lowest(self) -> int:
-        """No level below this one has a reachable span: the last event if
-        the sweep sealed there, else 0."""
-        return self._events[-1] if self._slabs and not self._slabs[-1] else 0
+    _entering: list             # parallel: shadows of the tops at level
 
     def spans_at(self, y):
         """Reachable left-edge spans at lattice level y (closed spans, on
         the lattice)."""
         ev = self._events
-        if y >= self.start or not ev or y > ev[0]:
+        if not ev or y > ev[0]:     # at ev[0] nothing is active yet either
             return self.full
         lo = bisect_left(ev, -y, key=neg)   # first ev[i] <= y, descending
         if lo == len(ev):
@@ -282,6 +274,15 @@ class ReachabilitySweep:
         if ev[lo] == y:
             return self._at[lo]
         return self._slabs[lo - 1]      # open slab below the event above y
+
+    def levels(self):
+        """``(y, spans reachable at y, shadows of the tops at y)`` from the
+        bottom up: the floor, unless an event is there, then each event."""
+        ev = self._events
+        if not ev or ev[-1] > self.floor:
+            yield self.floor, self.spans_at(self.floor), []
+        yield from zip(reversed(ev), reversed(self._at),
+                       reversed(self._entering))
 
 
 def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
@@ -348,13 +349,12 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
     w = scale - sa
     full = [(0, w)]
     bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n
-    start = rects[p._top][3] if n else 0
     stop = bisect_right(bottoms, low - scale)   # the window b_j > floor - 1
     k = len(bottoms)
 
     heap: list[tuple[int, bool, int, int]] = []   # (-level, leaves, shadow)
     active: list[tuple[int, int]] = []            # open shadows (l_j - a, r_j)
-    ev_out, at_out, slab_out = [], [], []
+    ev_out, at_out, slab_out, ent_out = [], [], [], []
     r_prev = full
     while True:
         while k > stop and (not heap or bottoms[k - 1] + scale >= -heap[0][0]):
@@ -379,10 +379,12 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
         ev_out.append(lv)
         at_out.append(r_at)
         slab_out.append(r_below)
+        ent_out.append(entering)
         r_prev = r_below
         if not r_below:
             break               # sealed: nothing below is reachable
-    return ReachabilitySweep(scale, start, full, ev_out, at_out, slab_out)
+    return ReachabilitySweep(scale, low, full, ev_out, at_out, slab_out,
+                             ent_out)
 
 
 def _free(opens, w):

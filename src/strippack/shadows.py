@@ -108,7 +108,6 @@ def charge_map(p_closed: Packing) -> ChargeMap:
             events.setdefault(r, []).append((active, key, False))
     sums: dict[int, int] = {}
     regions: dict[int, list[LatticeRect]] = {}
-    ceiling = rects[-1][3]
     xs = sorted(events)
     for x0, x1 in zip(xs, xs[1:]):
         for active, key, enters in events[x0]:
@@ -123,9 +122,6 @@ def charge_map(p_closed: Packing) -> ChargeMap:
                 gaps.append((cover, bottom))
             if top > cover:
                 cover = top
-        if cover < ceiling:
-            raise PackingError(f"column [{Fraction(x0, scale)},"
-                               f"{Fraction(x1, scale)}] not covered up to the top")
         si = 0
         for g_lo, g_hi in gaps:
             si = bisect_left(stops, (g_hi,), si)

@@ -150,4 +150,5 @@ class TestFullScanDifferential:
         p = pack(FullScanChecked, seq)
         assert coords(p)[-1] == (0, F(25, 16))
         sweep = reachable_positions(Packing(p.placements[:2]), F(1, 8))
-        assert (sweep.scale, sweep.lowest) == (16, 25)
+        first = next(y for y, reach, _ in sweep.levels() if reach)
+        assert (sweep.scale, first) == (16, 25)

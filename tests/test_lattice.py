@@ -11,7 +11,7 @@ import pytest
 
 from conftest import at_level, items, packing_of, random_items
 from strippack.adversary import adversary_run
-from strippack.bottomleft import BottomLeftState
+from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
 from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
@@ -307,6 +307,20 @@ class TestLazySweep:
             p = p.extended(pl)
         assert len(p) == 5 * m and most <= 8
 
+    @pytest.mark.parametrize("m", [100, 400])
+    def test_bottomleft_reads_only_what_its_sweep_reads(self, m):
+        # the candidate levels and their supports come from the sweep, so
+        # a placement reads no rect of the lattice beyond the sweep's reads
+        p = Packing()
+        for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
+            p.units(pl.item.side)       # a rescale would replace the rects
+            p._lat.rects = rects = _CountedRects(p._lat.rects)
+            reachable_positions(p, pl.item.side)
+            swept, rects.reads = rects.reads, 0
+            assert bl_place_next(p, pl.item)[0] == pl
+            assert rects.reads == swept, pl
+            p = p.extended(pl)
+
 
 # ---------------------------------------------------------------------------
 # lattice edge cases
@@ -382,8 +396,9 @@ class TestLatticeEdges:
             fresh_scale, fresh_rects = fresh.lattice()
             assert (scale, list(rects)) == (fresh_scale, list(fresh_rects))
             assert (branch.height, branch._top) == (fresh.height, fresh._top)
+            above = max(t for _, _, _, t in rects)   # above every bottom
             for _, _, b, t in rects:
-                for lo, hi in ((b - scale, t), (b, None), (0, None)):
+                for lo, hi in ((b - scale, t), (b, above), (0, above)):
                     assert branch.window(lo, hi) == fresh.window(lo, hi)
         assert two.lattice() == (2, [(0, 1, 0, 1), (1, 2, 0, 1),
                                      (1, 2, 1, 2)])
@@ -415,9 +430,10 @@ def assert_built_equals_grown(pls):
     scale, rects = built.lattice()
     grown_scale, grown_rects = grown.lattice()
     assert (scale, list(rects)) == (grown_scale, list(grown_rects))
-    assert list(built.window(0)) == list(grown.window(0))
+    above = max((t for _, _, _, t in rects), default=0)  # above every bottom
+    assert built.window(0, above) == grown.window(0, above)
     for _, _, b, t in rects:
-        for lo, hi in ((b - scale, t), (b, None)):
+        for lo, hi in ((b - scale, t), (b, above)):
             assert built.window(lo, hi) == grown.window(lo, hi)
 
 

@@ -238,6 +238,16 @@ class TestVerifier:
         with pytest.raises(PackingError):
             verify_packing(seq, [])
 
+    def test_item_mismatch_names_the_index(self):
+        # equal lengths, so only the per-item comparison can reject them
+        seq = items("1/2", "1/4")
+        first = Placement(seq[0], F(0), F(0))
+        for other in (SquareItem(2, F(1, 8)), SquareItem(3, F(1, 4))):
+            pls = [first, Placement(other, F(1, 2), F(0))]
+            with pytest.raises(PackingError,
+                               match=r"^item mismatch at index 2$"):
+                verify_packing(seq, pls)
+
     def test_stops_at_first_failure(self, monkeypatch):
         calls = []
 

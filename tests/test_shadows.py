@@ -300,6 +300,14 @@ class TestBounds:
             closed = close_packing(pack(SlotState, seq))
             assert_bounds_hold(check_slot_bounds(closed, charge_map(closed)))
 
+    def test_charge_above_the_bound_fails_per_square(self):
+        # square 1 has side 1/2, so its bound is 8/13 * 1/4 = 2/13
+        closed = close_packing(pack(SlotState, items("1/2")))
+        checks = check_slot_bounds(closed, ChargeMap({1: F(1, 4)}, {}))
+        assert [c.line() for c in checks[:2]] == [
+            "CHECK slot-per-square-1 FAIL 1/4 <= 2/13",
+            "CHECK slot-per-square FAIL max |F|/a^2 = 1 <= 8/13"]
+
     def test_regression_k0_square_over_half_slot(self):
         # a 1/2-rounded square leaves a wide band beside it under a k=0
         # square; the bound only holds because widenings cover shadows
