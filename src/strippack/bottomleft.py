@@ -7,8 +7,11 @@ The candidates are the left ends of the reachable spans only.  The
 feasible points of a span reach down to its left end or to a support's left
 end that no support covers; a square at the latter is reachable and meets
 the tops at y only at a corner, so it could drop below y, and y is the
-lowest level with a feasible position.  The search is exact, and fails
-loudly if no candidate wins where a feasible position exists.
+lowest level with a feasible position.  The search is exact, and some
+candidate wins: at the floor, 0, every reachable position is supported;
+a sweep sealed above the floor has spans at its lowest event, as they
+contain those of the slab above, and the left end of the first one, free
+there but sealed off below, lies strictly inside a support entering there.
 
 The reachability sweep runs from the top down, stops at the first level
 sealed off from above, and hands over each level where a square can rest
@@ -20,8 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .packing import (Packing, PackingError, Placement, SquareItem,
-                      reachable_positions)
+from .packing import Packing, Placement, SquareItem, reachable_positions
 
 
 def bl_place_next(p: Packing, item: SquareItem) -> tuple[Placement, tuple]:
@@ -40,12 +42,6 @@ def bl_place_next(p: Packing, item: SquareItem) -> tuple[Placement, tuple]:
             if y == 0 or any(lo < x < hi for lo, hi in tops):
                 return (Placement(item, Fraction(x, scale), Fraction(y, scale)),
                         (x, x + sa, y, y + sa))
-        # a reachable supported position with no attained minimum would
-        # contradict the level being minimal; re-check and fail loudly
-        if any(rlo < hi and rhi > lo
-               for rlo, rhi in reach for lo, hi in tops):
-            raise PackingError("internal: minimum x not attained at minimal level")
-    raise PackingError("internal: no feasible position found")
 
 
 class BottomLeftState:

@@ -106,10 +106,8 @@ class StepProfile:
                                bisect_left(starts, hi)])
 
     def raised(self, lo, hi, value) -> None:
-        """Raise [lo, hi] to max(old, value), splicing only the segments
-        the interval touches and merging equal neighbours."""
-        if not lo < hi:
-            return
+        """Raise [lo, hi], lo < hi, to max(old, value), splicing only the
+        segments the interval touches and merging equal neighbours."""
         if lo < self._lo:
             self._lo = lo
         if hi > self._hi:

@@ -37,7 +37,8 @@ pieces share them; a run's side is measured where a charge reads it.
 
 Structural facts used here are theorems for BottomLeft packings, so they
 are asserted and raise AnalysisError loudly when violated: that means an
-implementation bug (or a non-BottomLeft input).
+implementation bug (or a non-BottomLeft input).  A fact that an earlier
+check or the construction itself implies is not checked again.
 """
 
 from __future__ import annotations
@@ -145,6 +146,10 @@ class Hole:
     each run but its first), two at a pinch.  A star (``_carve``) passes
     its ``corners`` and its runs copy first: Lemma 1 held for its parent,
     and a wall run, next to the parent's lid, is the star's second or last.
+    In every hole ``runs[1]`` and ``runs[-1]`` are square runs unless they
+    are walls: a cycle of one owner would ring an island, a copy is only a lid,
+    and the ground and seams head east, so they meet no end of a lid, which
+    heads west along the hole's top or turns onto a vertical side.
     """
 
     def __init__(self, ctx: _Context, runs: list[_Run], area_units: int,
@@ -172,13 +177,7 @@ class Hole:
         lid_idx = 0 if star else self._lid_index(runs)     # a star's: the copy
         self.runs = runs[lid_idx:] + runs[:lid_idx] if lid_idx else runs
         self.area_units = area_units
-        lid = self.runs[0]
-        rect = lid.rect(ctx)
-        if rect is None:
-            raise AnalysisError("lid", f"lid owner {lid.owner} is not a square")
-        if min(y for _, y in lid.points) != rect[2]:
-            raise AnalysisError("lid", "lid segment not on the lid's bottom")
-        if self.lid_virtual is not None and lid.owner[0] != "copy":
+        if self.lid_virtual is not None and self.runs[0].owner[0] != "copy":
             raise AnalysisError("lid", "virtual-lid hole traversed a real lid")
 
     # -- construction -------------------------------------------------------
@@ -200,8 +199,6 @@ class Hole:
                         best is None or y1 > best_y
                         or (y1 == best_y and x2 < best_x)):
                     best, best_y, best_x = idx, y1, x2
-        if best is None:
-            raise AnalysisError("lid", "no top boundary edge found")
         return best
 
     # -- structure accessors ------------------------------------------------
@@ -268,29 +265,11 @@ class Hole:
                 inside = not inside
         return inside
 
-    def _run_after_lid(self) -> _Run:
-        if len(self.runs) < 2 or self.runs[1].rect(self.ctx) is None:
-            raise AnalysisError("structure", "no square run after the lid")
-        return self.runs[1]
-
-    def _run_before_lid(self) -> _Run:
-        # never a wall: a left wall run follows the lid, and a right-wall
-        # hole never asks
-        if len(self.runs) < 2:
-            raise AnalysisError("structure", "hole has a single run")
-        last = self.runs[-1]
-        if last.rect(self.ctx) is None:
-            raise AnalysisError("structure", "no square run before the lid")
-        return last
-
     def classify(self) -> str:
-        """Type I if the last boundary square is a right neighbor of the
-        previous one, Type II if it rests on the previous one's top.  A
-        pseudo-floor (ground or carve seam) before the last square acts as a
-        top that never gets charged, which matches the Type I shape."""
-        if self.touches_left or self.touches_right:
-            raise AnalysisError("classify", "wall holes are not typed")
-        last = self._run_before_lid()
+        """An interior hole's type: I if the last boundary square is a right
+        neighbor of the previous one, II if it rests on the previous one's
+        top.  A pseudo-floor (ground or carve seam) before the last square
+        acts as a top that is never charged, matching the Type I shape."""
         prev = self.runs[-2]
         prev_rect = prev.rect(self.ctx)
         if prev_rect is None:
@@ -298,7 +277,7 @@ class Hole:
                 return TYPE_I
             raise AnalysisError("lemma3", f"odd run {prev.owner} before the last")
         pl, pr, pb, pt = prev_rect
-        l, r, b, t = last.rect(self.ctx)
+        l, r, b, t = self.runs[-1].rect(self.ctx)
         if pr == l and min(pt, t) > max(pb, b):
             return TYPE_I
         if pt == b and min(pr, r) > max(pl, l):
@@ -314,7 +293,7 @@ def _diagonal_origin(hole: Hole) -> tuple[int, int]:
     """Start of the left diagonal, on the lattice: the point where the
     boundary leaves the second square, or that square's lower-right
     corner."""
-    a2 = hole._run_after_lid()
+    a2 = hole.runs[1]
     _, r, b, _ = a2.rect(hole.ctx)
     x, y = a2.points[-1]
     return (r, y if x == r else b)
@@ -380,8 +359,9 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     if runs[k].rect(ctx) != rect:   # its side ends at the point
         k -= 1
     if runs[k].rect(ctx) != rect:
-        index = ctx.placements[ctx.rects.index(rect)].item.index
-        raise AnalysisError("split", f"crossing square {index} has no run")
+        raise AnalysisError("split", "crossing square "
+                            f"{ctx.placements[ctx.rects.index(rect)].item.index}"
+                            " has no run")
     sq_idx = runs[k].owner[1]
     if y == b:                  # on its bottom: it overhangs the next run
         up = sq_idx
@@ -589,24 +569,18 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
 
     def term(run: _Run, side: str, coeff: Fraction):
         seg = _side_length(ctx, run, side)
-        if run.owner[0] == "copy":
-            raise AnalysisError("charge", "side charge landed on a copy")
         sq = ctx.placements[run.owner[1]]
         items.append(ChargeTerm(sq.item.index, side, False, coeff, seg))
 
     if hole.touches_left:
-        term(hole._run_before_lid(), SIDE_LEFT, HALF)
+        term(hole.runs[-1], SIDE_LEFT, HALF)
         return items
-    term(hole._run_after_lid(), SIDE_RIGHT, HALF)
+    term(hole.runs[1], SIDE_RIGHT, HALF)
     if hole.touches_right:
         return items
     if hole.classify() == TYPE_II:
-        last = hole._run_before_lid()
-        prev = hole.runs[-2]
-        if prev.owner[0] != "sq":
-            raise AnalysisError("structure", "no square carries the overhang")
-        term(last, SIDE_BOTTOM, ONE)
-        term(prev, SIDE_LEFT, HALF)
+        term(hole.runs[-1], SIDE_BOTTOM, ONE)
+        term(hole.runs[-2], SIDE_LEFT, HALF)
     return items
 
 
@@ -628,7 +602,7 @@ def _assert_right_diagonal(hole: Hole):
     """The slope +1 diagonal from the last transition never cuts the hole."""
     if hole.touches_right:
         return                      # cut off by the wall; no right diagonal
-    last = hole._run_before_lid()
+    last = hole.runs[-1]
     if not (hole.touches_left or hole.classify() == TYPE_I):
         last = hole.runs[-2]
     qx, qy = last.points[0]

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from strippack import adversary
 from strippack.adversary import (TYPE_I, TYPE_II, adversary_run,
                                  classify_iteration,
                                  optimal_packing_for_transcript)
@@ -128,6 +129,16 @@ class TestOptimalConstruction:
         t = adversary_run(factory, 5, EPS)
         opt = optimal_packing_for_transcript(t)     # verifies internally
         assert opt.height <= 5 * (1 + 2 * EPS)
+
+    def test_invalid_band_is_refused(self, monkeypatch):
+        """The band packing is verified before it is returned: a band whose
+        squares overlap fails with the first broken rule."""
+        t = adversary_run(BottomLeftState, 1, EPS)
+        monkeypatch.setattr(adversary, "_band", lambda *_: [
+            (F(1, 2), F(0), F(0)), (F(1, 2), F(1, 4), F(0))])
+        with pytest.raises(PackingError) as err:
+            optimal_packing_for_transcript(t)
+        assert str(err.value) == "optimal construction invalid: overlap at step 2"
 
     def test_ratio_exceeds_competitive_floor(self):
         t = adversary_run(BottomLeftState, 4, EPS)

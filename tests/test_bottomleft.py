@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -152,3 +153,31 @@ class TestFullScanDifferential:
         sweep = reachable_positions(Packing(p.placements[:2]), F(1, 8))
         first = next(y for y, reach, _ in sweep.levels() if reach)
         assert (sweep.scale, first) == (16, 25)
+
+
+def gravity_packing(rng: random.Random, n: int, grid: int) -> Packing:
+    """n squares of sides k/grid, each dropped at a random x on the grid
+    onto the highest top beneath it: supported, but not BottomLeft's."""
+    pls: list[Placement] = []
+    for i in range(1, n + 1):
+        k = rng.randint(1, grid)
+        a, x = F(k, grid), F(rng.randint(0, grid - k), grid)
+        y = max((pl.top for pl in pls if pl.left < x + a and x < pl.right),
+                default=ZERO)
+        pls.append(Placement(SquareItem(i, a), x, y))
+    return Packing(pls)
+
+
+class TestUnbuiltPackings:
+    def test_gravity_drops_match_the_full_scan(self):
+        """Above packings that BottomLeft did not build the search finds
+        the full scan's spot: 300 seeded gravity-drop packings, six sides
+        each."""
+        rng = random.Random("gravity-drop")
+        sides = [F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+        for case in range(300):
+            p = gravity_packing(rng, rng.randint(2, 8), rng.choice([4, 6, 8]))
+            for a in sides:
+                item = SquareItem(len(p.placements) + 1, a)
+                assert bl_place_next(p, item)[0] == full_scan_place(p, item), \
+                    (case, a)

@@ -236,6 +236,20 @@ class TestCli:
         assert out.startswith("CHECK overlap FAIL overlap: obstacles 0 and 1 "
                               "overlap at x = 1\ninstance:\n")
 
+    def test_run_self_verify_failure_writes_no_csv(self, tmp_path, monkeypatch,
+                                                   capsys):
+        """A packing that fails its own replay exits 1 with the first
+        broken rule as a check line, before any output file is written."""
+        overlapping = packing_of([("1/2", 0, 0), ("1/2", "1/4", 0)])
+        monkeypatch.setattr(cli_module, "pack", lambda *_: overlapping)
+        inst, csv = tmp_path / "two.txt", tmp_path / "out.csv"
+        inst.write_text("1/2\n1/2\n")
+        assert main(["run", "--strategy", "bottomleft", "--input", str(inst),
+                     "--csv", str(csv)]) == 1
+        assert capsys.readouterr().out == \
+            "CHECK run-self-verify FAIL overlap at step 2\n"
+        assert not csv.exists()
+
 
 class TestInputErrors:
     """Each input error of the CLI exits 2 with its message on stderr and

@@ -11,11 +11,12 @@ from conftest import (corpus_items, items, nondyadic_items, packing_of,
                       random_items)
 import grid_reference
 from grid_reference import grid as _grid, trace_boundary
-from strippack import holes
+from strippack import cli as cli_module, holes
 from strippack.bottomleft import BottomLeftState
+from strippack.cli import main
 from strippack.geometry import (GROUND, LEFT_WALL, GeometryError, ObstacleGrid,
                                 Rect, trace_boundary as sweep_trace)
-from strippack.harness import render_svg
+from strippack.harness import instance_text, render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
                              OWNER_SEAM, SIDE_BOTTOM, SIDE_LEFT, SIDE_RIGHT,
@@ -1009,6 +1010,45 @@ class TestCarveGuards:
         for turn in ((3, 2), (1, 0)):
             assert hole.contains(1, 1, turn) is hole.contains(1, 1) is False
         assert hole.contains(1, 2, (2, 3)) and hole.contains(0, 1, (2, 3))
+
+
+# closed packings (side, x, y), in arrival order, that BottomLeft would not
+# build, each breaking one of the paper's facts; found by a search over
+# random gravity-drop packings
+PAPER_GUARD_PINS = [
+    ("area-bound: hole area 1/2 exceeds bound 3/8",
+     [("1/2", "1/2", 0), ("1/2", "1/2", "1/2"), ("3/4", 0, 1)]),
+    ("lemma4: right diagonal cuts the hole",
+     [("1/6", "1/3", 0), ("1/6", "1/2", 0), ("2/3", "1/6", "1/6")]),
+    ("lemma3: last square neither right nor top neighbor",
+     [("1/4", "1/2", 0), ("1/2", "1/2", "1/4"), ("1/4", "1/4", 0),
+      ("1/4", "1/8", "1/4"), ("1/2", 0, "1/2")]),
+    ("lemma7: cut 1 not shorter than 1",
+     [("1/2", "1/4", 0), ("1/4", "1/4", "1/2"), (1, 0, "3/4"),
+      ("1/2", "1/2", "7/4"), (1, 0, "9/4"), (1, 0, "13/4"),
+      ("1/4", "1/4", "17/4")]),
+]
+
+
+class TestPaperGuards:
+    @pytest.mark.parametrize("message, squares", PAPER_GUARD_PINS,
+                             ids=[m.split(":")[0] for m, _ in PAPER_GUARD_PINS])
+    def test_guard_names_the_fact(self, message, squares, tmp_path,
+                                  monkeypatch, capsys):
+        """The analysis raises the guard, and ``analyze`` turns it into
+        that check's FAIL line with the instance echoed."""
+        name = message.split(":")[0]
+        with pytest.raises(holes.AnalysisError) as err:
+            run_bottomleft_analysis(packing_of(squares))
+        assert err.value.name == name and str(err.value) == message
+        text = instance_text(items(*(side for side, _, _ in squares)))
+        inst = tmp_path / "squares.txt"
+        inst.write_text(text)
+        monkeypatch.setattr(cli_module, "pack", lambda *_: packing_of(squares))
+        assert main(["analyze", "--strategy", "bottomleft",
+                     "--input", str(inst)]) == 1
+        assert capsys.readouterr().out == \
+            f"CHECK {name} FAIL {message}\ninstance:\n{text}"
 
 
 class TestLocalContains:
