@@ -105,7 +105,7 @@ class RunStats:
     n: int
     height: Scalar
     area_sum: Scalar
-    max_side: Scalar = ZERO
+    max_side: Scalar
 
     @property
     def lower_bound(self) -> Scalar:

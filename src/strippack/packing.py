@@ -25,7 +25,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import lcm
-from operator import neg
 from typing import Optional, Sequence
 
 from .geometry import Rect
@@ -106,12 +105,8 @@ class _Lattice:
 
     def units(self, *values: Scalar) -> list[int]:
         """The values times ``scale``, fitted to them first."""
+        self.fit(*values)
         scale = self.scale
-        for v in values:
-            if scale % v.denominator:
-                self.fit(*values)
-                scale = self.scale
-                break
         return [v.numerator * (scale // v.denominator) for v in values]
 
     def coords(self, pl: Placement) -> tuple[int, int, int, int]:
@@ -242,59 +237,22 @@ def is_supported(p: Packing, pl: Placement, at=None) -> bool:
 # reachability sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class ReachabilitySweep:
-    """Finite description of all monotone-descent reachable left-edge
-    positions of a square of fixed side.
-
-    Levels and spans are integers on the packing's lattice: the value v
-    stands for v / ``scale``.  Each event level keeps the spans reachable
-    exactly at it, those of the open slab below it, down to the next event,
-    and the shadows (l_j - a, r_j) of the tops at it; below the last event
-    nothing changes.  ``levels`` walks every level a square can rest on.
-    """
-
-    scale: int
-    floor: int                  # lowest level described
-    full: list                  # spans of [0, 1-a]
-    _events: list               # descending event levels
-    _at: list                   # level -> spans exactly at level
-    _slabs: list                # parallel: spans in open slab below
-    _entering: list             # parallel: shadows of the tops at level
-
-    def spans_at(self, y):
-        """Reachable left-edge spans at lattice level y (closed spans, on
-        the lattice)."""
-        ev = self._events
-        if not ev or y > ev[0]:     # at ev[0] nothing is active yet either
-            return self.full
-        lo = bisect_left(ev, -y, key=neg)   # first ev[i] <= y, descending
-        if lo == len(ev):
-            return self._slabs[-1]      # strictly below every event
-        if ev[lo] == y:
-            return self._at[lo]
-        return self._slabs[lo - 1]      # open slab below the event above y
-
-    def levels(self):
-        """``(y, spans reachable at y, shadows of the tops at y)`` from the
-        bottom up: the floor, unless an event is there, then each event."""
-        ev = self._events
-        if not ev or ev[-1] > self.floor:
-            yield self.floor, self.spans_at(self.floor), []
-        yield from zip(reversed(ev), reversed(self._at),
-                       reversed(self._entering))
-
-
 def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
-                        at=None) -> ReachabilitySweep:
+                        at=None) -> tuple[int, list[tuple[int, int]]]:
     """Downward plane sweep over the open configuration obstacles
     (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a].  ``at``, a
     lattice rect of side ``a`` at the floor, saves converting both.
 
-    The sweep describes the levels at or above ``floor`` only: it leaves out
+    Returns ``(y, spans)`` on the packing's lattice, where the value v
+    stands for v / scale: y is the lowest level at or above ``floor`` that
+    a path from above reaches, which is the level where the sweep seals if
+    that lies above the floor and the floor otherwise, and ``spans`` are
+    the closed left-edge spans reachable exactly at y, in ascending order.
+
+    The sweep reads the levels at or above ``floor`` only: it leaves out
     every square whose top t_j is at or below the floor, and every event
-    below the floor.  ``spans_at(y)`` for every lattice level y at or above
-    the floor is what a sweep over every square and every event gives:
+    below the floor.  At every level at or above the floor it finds what a
+    sweep over every square and every event finds:
 
       * A left-out obstacle is open in y, so it holds no configuration at a
         level >= t_j, and a path that never moves up reaches a level y only
@@ -309,9 +267,6 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
         and if the floor is left with no event at all, it sees the active
         set of the slab above it, whose reachable spans are whole free
         components and so are what the unfloored sweep finds at the floor.
-      * ``spans_at(y)`` reads only events at or above y, and for a y
-        between events the slab below the last event above it, so events
-        below the floor are never read.
 
     At each level, the spans reachable there are the free spans (``_free``)
     of the active set that meet the spans of the slab above (``_meeting``),
@@ -354,8 +309,7 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
 
     heap: list[tuple[int, bool, int, int]] = []   # (-level, leaves, shadow)
     active: list[tuple[int, int]] = []            # open shadows (l_j - a, r_j)
-    ev_out, at_out, slab_out, ent_out = [], [], [], []
-    r_prev = full
+    lv, r_prev = None, full     # last event level, spans of the slab below
     while True:
         while k > stop and (not heap or bottoms[k - 1] + scale >= -heap[0][0]):
             k -= 1
@@ -365,7 +319,7 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
                 if b - sa >= low:
                     heappush(heap, (sa - b, True, l - sa, r))   # deactivates
         if not heap:
-            break
+            return low, r_at if lv == low else r_prev
         lv, entering = -heap[0][0], []
         while heap and heap[0][0] == -lv:
             _, leaves, lo, hi = heappop(heap)
@@ -375,16 +329,9 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
                 entering.append((lo, hi))
         r_at = _meeting(_free(active, w), r_prev)
         active += entering
-        r_below = _meeting(_free(active, w), r_at)
-        ev_out.append(lv)
-        at_out.append(r_at)
-        slab_out.append(r_below)
-        ent_out.append(entering)
-        r_prev = r_below
-        if not r_below:
-            break               # sealed: nothing below is reachable
-    return ReachabilitySweep(scale, low, full, ev_out, at_out, slab_out,
-                             ent_out)
+        r_prev = _meeting(_free(active, w), r_at)
+        if not r_prev:
+            return lv, r_at     # sealed: nothing below is reachable
 
 
 def _free(opens, w):
@@ -420,8 +367,8 @@ def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
     """Is (pl.x, pl.y) reachable from above the packing by a path that never
     moves up and keeps the square's interior clear of all placed squares?"""
     at = at or p._lat.coords(pl)
-    sweep = reachable_positions(p, pl.item.side, pl.y, at)
-    return any(lo <= at[0] <= hi for lo, hi in sweep.spans_at(at[2]))
+    y, spans = reachable_positions(p, pl.item.side, pl.y, at)
+    return y == at[2] and any(lo <= at[0] <= hi for lo, hi in spans)
 
 
 # ---------------------------------------------------------------------------

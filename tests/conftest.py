@@ -6,7 +6,8 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from strippack.packing import Packing, PackingError, Placement, SquareItem
+from strippack.packing import (Packing, PackingError, Placement, SquareItem,
+                               reachable_positions)
 
 GRID = 2 ** 20
 
@@ -67,12 +68,21 @@ def rest_height(p: Packing, x: Fraction, a: Fraction) -> Fraction:
                 if pl.left < x + a and x < pl.right), default=Fraction(0))
 
 
-def at_level(sweep, y: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """A reachability sweep's left-edge spans at height exactly y, as
-    Fractions (``spans_at`` takes and returns lattice integers)."""
-    scale = sweep.scale
-    return [(Fraction(lo, scale), Fraction(hi, scale))
-            for lo, hi in sweep.spans_at(y * scale)]
+def spans_at(p: Packing, a: Fraction, y: Fraction) -> list[tuple[int, int]]:
+    """Left-edge spans of side ``a`` reachable at height exactly y, on the
+    packing's lattice: the sweep floored at y finds every level at or above
+    y as an unfloored one does, so its spans if it returns y itself, and
+    none if it seals above y."""
+    level, spans = reachable_positions(p, a, floor=y)
+    return spans if level == p.units(y)[0] else []
+
+
+def at_level(p: Packing, a: Fraction,
+             y: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """``spans_at`` as Fractions."""
+    spans = spans_at(p, a, y)
+    (scale,) = p.units(Fraction(1))
+    return [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in spans]
 
 
 def grid_bfs_reachable(p: Packing, a: Fraction, step: Fraction):

@@ -15,7 +15,7 @@ from strippack.cli import STRATEGIES
 from strippack.holes import (AnalysisError, extract_holes,
                              run_bottomleft_analysis)
 from strippack.packing import (Placement, SquareItem, close_packing, pack,
-                               reachable_positions, verify_packing)
+                               verify_packing)
 from strippack.shadows import EIGHT_THIRTEENTHS, charge_map
 from strippack.slots import SlotState, slot_killer_instance
 
@@ -153,9 +153,8 @@ def test_criterion_7_reachability_oracle():
         p = pack(BottomLeftState, seq)
         a = F(rng.randint(1, 16), 16)
         reach, nx, ny = grid_bfs_reachable(p, a, step)
-        sweep = reachable_positions(p, a)
         for iy in range(ny + 1):
-            spans = at_level(sweep, iy * step)
+            spans = at_level(p, a, iy * step)
             k = 0
             for ix in range(nx + 1):
                 x = ix * step

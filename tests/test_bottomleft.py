@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import at_level, items, random_items
+from conftest import at_level, items, random_items, spans_at
 from strippack.adversary import adversary_run
 from span_reference import _in_open, merge_open_spans, spans_contain
 from strippack.bottomleft import BottomLeftState, bl_place_next
@@ -17,17 +17,18 @@ def coords(p):
 
 
 def full_scan_place(p: Packing, item: SquareItem) -> Placement:
-    """bl_place_next as it was before the level scan started at the seal:
-    every top of the packing is a candidate level, grouped anew per call."""
+    """BottomLeft by its definition: the floor and every top of the packing
+    are candidate levels, grouped anew per call, and at each from the bottom
+    up the leftmost spot that is reachable, read from a sweep floored at
+    that level, and supported by a top there."""
     a = item.side
     scale, rects = p.lattice(a)
-    sweep = reachable_positions(p, a)
     sa = a.numerator * (scale // a.denominator)
     supports_at: dict[int, list[tuple[int, int]]] = {}
     for l, r, _, t in rects:
         supports_at.setdefault(t, []).append((l - sa, r))
     for y in sorted(supports_at.keys() | {0}):
-        reach = sweep.spans_at(y)
+        reach = spans_at(p, a, F(y, scale))
         if not reach:
             continue
         if y == 0:
@@ -107,12 +108,11 @@ class TestLocalOptimality:
     @staticmethod
     def _assert_minimal(p, item, chosen):
         a = item.side
-        sweep = reachable_positions(p, a)
         levels = sorted({F(0)} | {q.top for q in p.placements})
         for y in levels:
             if y > chosen.y:
                 break
-            reach = at_level(sweep, y)
+            reach = at_level(p, a, y)
             if not reach:
                 continue
             supports = [(F(0), F(1) - a)] if y == 0 else merge_open_spans(
@@ -150,9 +150,9 @@ class TestFullScanDifferential:
         seq = items("9/16", 1, "1/8")
         p = pack(FullScanChecked, seq)
         assert coords(p)[-1] == (0, F(25, 16))
-        sweep = reachable_positions(Packing(p.placements[:2]), F(1, 8))
-        first = next(y for y, reach, _ in sweep.levels() if reach)
-        assert (sweep.scale, first) == (16, 25)
+        two = Packing(p.placements[:2])
+        assert reachable_positions(two, F(1, 8)) == (25, [(0, 14)])
+        assert two.units(F(1)) == [16]
 
 
 def gravity_packing(rng: random.Random, n: int, grid: int) -> Packing:

@@ -17,9 +17,10 @@ from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
 from strippack.geometry import Rect
 from strippack.packing import (Packing, Placement, SquareItem, _Lattice,
-                               check_step, is_supported, pack,
-                               reachable_positions, verify_packing)
+                               check_step, is_supported, is_tetris_reachable,
+                               pack, reachable_positions, verify_packing)
 from strippack.slots import SlotState
+from test_bottomleft import gravity_packing
 from test_families import FAMILIES, family_items
 
 EPS = F(1, 100)
@@ -78,9 +79,11 @@ def reference_spans(p: Packing, a, y):
 
 
 def eager_sweep(p: Packing, a, floor=F(0)):
-    """``(_events, _at, _slabs)`` of reachable_positions as it was before
-    the events were fed from the top down: one event dict over the whole
-    floor window, sorted, swept until the first sealed level."""
+    """The per-event record of reachable_positions as it was before the
+    events were fed from the top down: one event dict over the whole floor
+    window, sorted, swept until the first sealed level.  Returns the
+    descending event levels, the spans reachable exactly at each and those
+    of the open slab below each, on the packing's lattice."""
     scale, rects = p.lattice(a, floor)
     low, sa = int(floor * scale), int(a * scale)
     full = [(0, scale - sa)]
@@ -111,8 +114,40 @@ def eager_sweep(p: Packing, a, floor=F(0)):
     return ev_out, at_out, slab_out
 
 
+def recorded_spans(record, w, y):
+    """The spans at lattice level y in an ``eager_sweep`` record: those at
+    y if it is an event, else those of the slab below the last event above
+    it, or all of [0, w] above every event."""
+    spans = [(0, w)]
+    for lv, at, slab in zip(*record):
+        if lv < y:
+            break
+        spans = at if lv == y else slab
+    return spans
+
+
+def eager_lowest(p: Packing, a, floor=F(0)):
+    """The lowest level at or above the floor that ``eager_sweep`` reaches,
+    and its spans: the last event if the sweep sealed there, else the
+    floor."""
+    scale, _ = p.lattice(a, floor)
+    low, w = int(floor * scale), scale - int(a * scale)
+    record = ev, at, slabs = eager_sweep(p, a, floor)
+    if slabs and not slabs[-1]:
+        return ev[-1], at[-1]
+    return low, recorded_spans(record, w, low)
+
+
 def rect_of(pl: Placement) -> Rect:
     return Rect(pl.left, pl.right, pl.y, pl.top)
+
+
+def reference_supported(sofar: Packing, pl: Placement) -> bool:
+    """On the strip bottom, or on the top of some earlier square with
+    positive overlap."""
+    return pl.y == 0 or any(
+        q.top == pl.y and q.left < pl.right and pl.left < q.right
+        for q in sofar.placements)
 
 
 def reference_step(sofar: Packing, pl: Placement):
@@ -121,9 +156,7 @@ def reference_step(sofar: Packing, pl: Placement):
     if not (0 <= pl.x and pl.right <= 1 and pl.y >= 0) or any(
             rect.interior_overlaps(rect_of(q)) for q in sofar.placements):
         return "overlap"
-    if not (pl.y == 0 or any(
-            q.top == pl.y and q.left < pl.right and pl.left < q.right
-            for q in sofar.placements)):
+    if not reference_supported(sofar, pl):
         return "unsupported"
     if not spans_contain(reference_spans(sofar, pl.item.side, pl.y), pl.x):
         return "unreachable"
@@ -224,14 +257,22 @@ class TestStepDifferential:
 class TestReachFloor:
     @staticmethod
     def assert_floor_exact(p, sides, reference=True):
+        """The sweep floored at each level finds there what the reference
+        finds, or, with ``reference`` off, what ``eager_sweep`` over every
+        square records there."""
         levels = sorted({F(0)} | {pl.top for pl in p.placements})
         for a in sides:
-            ground = reachable_positions(p, a)      # floor 0: every square
+            scale, _ = p.lattice(a)
+            record = eager_sweep(p, a)      # floor 0: every square
+            w = scale - int(a * scale)
             for y in levels:
-                spans = at_level(ground, y)
-                floored = reachable_positions(p, a, floor=y)
-                assert at_level(floored, y) == spans
-                assert not reference or spans == reference_spans(p, a, y)
+                spans = at_level(p, a, y)
+                if reference:
+                    assert spans == reference_spans(p, a, y), (a, y)
+                else:
+                    recorded = recorded_spans(record, w, int(y * scale))
+                    assert spans == [(F(lo, scale), F(hi, scale))
+                                     for lo, hi in recorded], (a, y)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_corpus_every_top(self, seed):
@@ -244,10 +285,8 @@ class TestReachFloor:
         # under it at the floor level, though not in the slab just above
         p = packing_of([("1/4", 0, 0), ("1/2", "1/4", "1/2")])
         a, y = F(1, 4), F(1, 4)
-        floored = reachable_positions(p, a, floor=y)
-        assert at_level(floored, y) == [(0, F(3, 4))]
-        assert at_level(floored, F(1, 3)) == \
-            [(0, 0), (F(3, 4), F(3, 4))]
+        assert at_level(p, a, y) == [(0, F(3, 4))]
+        assert at_level(p, a, F(1, 3)) == [(0, 0), (F(3, 4), F(3, 4))]
         self.assert_floor_exact(p, [a, F(1, 8), F(1, 2)])
 
     def test_adversary_every_top(self, adversary_packings):
@@ -271,9 +310,8 @@ class TestLazySweep:
         p = Packing()
         for pl in pls:
             for floor in (F(0), pl.y):
-                sweep = reachable_positions(p, pl.item.side, floor)
-                assert (sweep._events, sweep._at, sweep._slabs) == \
-                    eager_sweep(p, pl.item.side, floor), (pl, floor)
+                assert reachable_positions(p, pl.item.side, floor) == \
+                    eager_lowest(p, pl.item.side, floor), (pl, floor)
             p = p.extended(pl)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -320,6 +358,63 @@ class TestLazySweep:
             assert bl_place_next(p, pl.item)[0] == pl
             assert rects.reads == swept, pl
             p = p.extended(pl)
+
+
+class TestSweepLevelIsSupported:
+    """Every spot reachable at the sweep's level is supported, the fact
+    that lets BottomLeft take the first span's left end there."""
+
+    @staticmethod
+    def assert_level_supported(p: Packing, item: SquareItem):
+        """The span ends at the returned level, and every lattice point of a
+        span where support can change: the ends of the shadows (l_j - a,
+        r_j) of the tops there, and the points next to them.  Support is a
+        union of those open shadows, so a span with an unsupported lattice
+        point has one among these."""
+        a = item.side
+        y, spans = reachable_positions(p, a)
+        if y == 0:
+            return
+        scale, rects = p.lattice()
+        sa = int(a * scale)
+        ends = {e + d for l, r, _, t in rects if t == y
+                for e in (l - sa, r) for d in (-1, 0, 1)}
+        for lo, hi in spans:
+            for x in {lo, hi} | {e for e in ends if lo <= e <= hi}:
+                pl = Placement(item, F(x, scale), F(y, scale))
+                assert reference_supported(p, pl), (item, x, y, scale)
+
+    def assert_every_arrival(self, pls):
+        for k, pl in enumerate(pls):
+            self.assert_level_supported(Packing(pls[:k]), pl.item)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_corpus(self, seed):
+        self.assert_every_arrival(
+            pack(BottomLeftState, corpus_items(seed)).placements)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_adversary(self, adversary_packings, name):
+        self.assert_every_arrival(adversary_packings[name].placements)
+
+    def test_gravity_drops(self):
+        rng = random.Random("gravity-drop")
+        sides = [F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+        for _ in range(300):
+            p = gravity_packing(rng, rng.randint(2, 8), rng.choice([4, 6, 8]))
+            for a in sides:
+                self.assert_level_supported(p, SquareItem(len(p) + 1, a))
+
+    def test_sealed_above_the_floor(self):
+        # test_sealed_cavity's packing: the lid seals the sweep at its top,
+        # and the cavity under it is out of reach
+        p = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0), (1, 0, "1/4")])
+        a = F(1, 4)
+        y, spans = reachable_positions(p, a)
+        scale, _ = p.lattice()
+        assert (F(y, scale), spans) == (F(5, 4), [(0, scale - int(a * scale))])
+        inside = Placement(SquareItem(4, a), F(3, 8), F(0))
+        assert not is_tetris_reachable(p, inside)
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,12 @@ class TestSupport:
 
 class TestReachability:
     def test_empty_strip_full_slab(self):
-        sweep = reachable_positions(Packing(), F(1, 2))
-        assert at_level(sweep, F(0)) == [(F(0), F(1, 2))]
-        assert at_level(sweep, F(17, 3)) == [(F(0), F(1, 2))]
+        assert at_level(Packing(), F(1, 2), F(0)) == [(F(0), F(1, 2))]
+        assert at_level(Packing(), F(1, 2), F(17, 3)) == [(F(0), F(1, 2))]
 
     def test_slide_along_touching_boundary(self):
         p = packing_of([("1/2", 0, 0)])
-        sweep = reachable_positions(p, F(1, 2))
-        assert at_level(sweep, F(0)) == [(F(1, 2), F(1, 2))]
+        assert at_level(p, F(1, 2), F(0)) == [(F(1, 2), F(1, 2))]
         assert is_tetris_reachable(p, Placement(SquareItem(2, F(1, 2)), F(1, 2), F(0)))
 
     def test_slide_under_a_square_at_the_ground(self):
@@ -75,7 +73,7 @@ class TestReachability:
         # slides under it along the floor, though not in the slab above
         p = packing_of([("1/4", 0, 0), ("1/2", 0, "1/4")])
         a, step = F(1, 4), F(1, 8)
-        spans = at_level(reachable_positions(p, a), F(0))
+        spans = at_level(p, a, F(0))
         assert spans == [(F(1, 4), F(3, 4))]
         third = Placement(SquareItem(3, a), F(1, 4), F(0))
         assert verify_packing([pl.item for pl in p.placements] + [third.item],
@@ -111,11 +109,9 @@ class TestReachability:
         p = pack(BottomLeftState, seq)
         smaller = Packing(p.placements[:-1])
         a = F(3, 16)
-        full = reachable_positions(p, a)
-        sub = reachable_positions(smaller, a)
         for y in [pl.top for pl in p.placements] + [F(0)]:
-            for lo, hi in at_level(full, y):
-                spans = at_level(sub, y)
+            for lo, hi in at_level(p, a, y):
+                spans = at_level(smaller, a, y)
                 assert any(slo <= lo and hi <= shi for slo, shi in spans)
 
 
@@ -189,9 +185,8 @@ class TestBfsOracleAgreement:
         a = F(rng.randint(1, 16), 16)
         step = F(1, 64)
         reach, nx, ny = grid_bfs_reachable(p, a, step)
-        sweep = reachable_positions(p, a)
         for iy in range(ny + 1):
-            spans = at_level(sweep, iy * step)
+            spans = at_level(p, a, iy * step)
             k = 0
             for ix in range(nx + 1):
                 x = ix * step
