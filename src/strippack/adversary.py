@@ -30,6 +30,7 @@ QUARTER = Fraction(1, 4)
 TYPE_I = "I"
 TYPE_II = "II"
 
+
 def classify_iteration(pl1: Placement, pl2: Placement,
                        h_prev: Scalar) -> str:
     """Type I iff the two quarters are stacked directly at the previous

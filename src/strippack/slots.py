@@ -95,11 +95,9 @@ def slot_killer_instance(k: int, delta: Scalar, n: int) -> list[SquareItem]:
     2^-(k-1) so every slot wastes almost half its width."""
     if k < 1 or n < 1:
         raise PackingError("need k >= 1 and n >= 1")
-    side = Fraction(1, 2 ** k) + delta
-    if not (ZERO < delta and side <= ONE):
-        raise PackingError(f"delta {delta} out of range")
-    level, width = round_to_dyadic(side)
-    if level != k - 1:
+    # the side rounds to 2^-(k-1) exactly when 0 < delta <= 2^-k
+    if not (ZERO < delta <= ONE and k <= round_to_dyadic(delta)[0]):
         raise PackingError(
-            f"side {side} rounds to width {width}, not 2^-{k - 1}")
+            f"delta {delta} out of range: need 0 < delta <= 2^-{k}")
+    side = Fraction(1, 2 ** k) + delta
     return [SquareItem(i, side) for i in range(1, n + 1)]

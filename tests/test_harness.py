@@ -296,6 +296,15 @@ class TestInputErrors:
         self.assert_rejected(["killer", "--k", "0", "--delta", "1/4096",
                               "--n", "4"], "need k >= 1 and n >= 1", capsys)
 
+    @pytest.mark.parametrize("k, delta", [("20000", "1/3"), ("3", "0"),
+                                          ("3", "1/7")])
+    def test_killer_delta_out_of_range(self, capsys, k, delta):
+        """The range is read from k and delta alone, so at k = 20000 the
+        error names the delta, not the side's digit count."""
+        self.assert_rejected(
+            ["killer", "--k", k, "--delta", delta, "--n", "1"],
+            f"delta {delta} out of range: need 0 < delta <= 2^-{k}", capsys)
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -1012,27 +1012,81 @@ class TestCarveGuards:
         assert hole.contains(1, 2, (2, 3)) and hole.contains(0, 1, (2, 3))
 
 
+class TestStarWalls:
+    def test_wall_run_is_second_or_last(self, monkeypatch):
+        """A star reads its walls from its second and last runs only, so
+        ``classify`` takes a run with no rect before the last for the
+        ground or a seam.  On every star of the corpus start, the six
+        families and the ladder n=480, a wall run is one of those two."""
+        carve = holes._carve
+        seen = Counter()
+
+        def checked(hole, lid):
+            star, remainder = carve(hole, lid)
+            last = len(star.runs) - 1
+            walls = {i for i, run in enumerate(star.runs)
+                     if run.owner in (OWNER_LWALL, OWNER_RWALL)}
+            assert walls <= {1, last}
+            seen["wall" if walls else "no wall"] += 1
+            return star, remainder
+
+        monkeypatch.setattr(holes, "_carve", checked)
+        for seq in ([corpus_items(s) for s in range(50)]
+                    + [family_items(f, s) for f in sorted(FAMILIES)
+                       for s in range(10)]
+                    + [random_items("ladder:1:480", 480)]):
+            run_bottomleft_analysis(pack(BottomLeftState, seq))
+        assert seen["wall"] > 0 and seen["no wall"] > 0
+
+
 # closed packings (side, x, y), in arrival order, that BottomLeft would not
-# build, each breaking one of the paper's facts; found by a search over
-# random gravity-drop packings
-PAPER_GUARD_PINS = [
-    ("area-bound: hole area 1/2 exceeds bound 3/8",
-     [("1/2", "1/2", 0), ("1/2", "1/2", "1/2"), ("3/4", 0, 1)]),
-    ("lemma4: right diagonal cuts the hole",
-     [("1/6", "1/3", 0), ("1/6", "1/2", 0), ("2/3", "1/6", "1/6")]),
-    ("lemma3: last square neither right nor top neighbor",
-     [("1/4", "1/2", 0), ("1/2", "1/2", "1/4"), ("1/4", "1/4", 0),
-      ("1/4", "1/8", "1/4"), ("1/2", 0, "1/2")]),
-    ("lemma7: cut 1 not shorter than 1",
-     [("1/2", "1/4", 0), ("1/4", "1/4", "1/2"), (1, 0, "3/4"),
-      ("1/2", "1/2", "7/4"), (1, 0, "9/4"), (1, 0, "13/4"),
-      ("1/4", "1/4", "17/4")]),
-]
+# build, each breaking one of the paper's facts, by the id of its test.
+# Searches found them, over random gravity-drop packings and over squares
+# put anywhere on the 1/8 grid where a side touches the ground, a wall or
+# an earlier square, all but lemma5-no-square-below, which was built by
+# hand on the 1/16 grid
+PAPER_GUARD_PINS = {
+    "area-bound": ("area-bound: hole area 1/2 exceeds bound 3/8",
+                   [("1/2", "1/2", 0), ("1/2", "1/2", "1/2"), ("3/4", 0, 1)]),
+    "lemma4": ("lemma4: right diagonal cuts the hole",
+               [("1/6", "1/3", 0), ("1/6", "1/2", 0), ("2/3", "1/6", "1/6")]),
+    "lemma3": ("lemma3: last square neither right nor top neighbor",
+               [("1/4", "1/2", 0), ("1/2", "1/2", "1/4"), ("1/4", "1/4", 0),
+                ("1/4", "1/8", "1/4"), ("1/2", 0, "1/2")]),
+    "lemma7": ("lemma7: cut 1 not shorter than 1",
+               [("1/2", "1/4", 0), ("1/4", "1/4", "1/2"), (1, 0, "3/4"),
+                ("1/2", "1/2", "7/4"), (1, 0, "9/4"), (1, 0, "13/4"),
+                ("1/4", "1/4", "17/4")]),
+    # the diagonal leaves square 2 at its lower-right corner, where squares
+    # 3 (northeast) and 1 (southwest) bound the hole
+    "split-no-run": ("split: crossing square 2 has no run",
+                     [("3/8", "3/8", 0), ("1/8", "5/8", "3/8"),
+                      ("1/8", "3/4", "3/8"), ("1/4", "3/8", "1/2")]),
+    # the diagonal crosses the right side of square 4, left of which is
+    # the ground
+    "lemma5-no-square-above": (
+        "lemma5: no square above the split point",
+        [("1/4", 0, "1/4"), ("1/2", "1/2", "3/8"), ("3/8", "1/8", "1/2"),
+         ("1/4", "5/8", 0), ("1/4", "1/4", 0)]),
+    # the star under square 2's copy: its diagonal, from square 1, enters
+    # it from another hole at a corner, where no crossing counts, and
+    # leaves square 3 through its bottom; square 3 is the star's last run,
+    # and the copy follows it
+    "lemma5-no-square-below": (
+        "lemma5: no square below the overhang",
+        [("1/4", 0, "1/2"), ("3/8", "1/16", "3/4"), ("7/16", "9/16", "5/16"),
+         ("1/8", "1/4", "9/16"), ("1/16", "3/8", "9/16"),
+         ("1/16", "3/8", "7/16"), ("1/16", "7/16", "1/2"),
+         ("1/4", "1/4", "3/16"), ("5/16", "11/16", 0), ("1/4", 0, 0)]),
+    # square 2 hangs from the side of square 1, whose top is above its bottom
+    "lemma5-not-stacked": ("lemma5: split pair not stacked: up=1 low=0",
+                           [("1/2", "1/4", 0), ("1/8", "3/4", "3/8")]),
+}
 
 
 class TestPaperGuards:
-    @pytest.mark.parametrize("message, squares", PAPER_GUARD_PINS,
-                             ids=[m.split(":")[0] for m, _ in PAPER_GUARD_PINS])
+    @pytest.mark.parametrize("message, squares", PAPER_GUARD_PINS.values(),
+                             ids=PAPER_GUARD_PINS)
     def test_guard_names_the_fact(self, message, squares, tmp_path,
                                   monkeypatch, capsys):
         """The analysis raises the guard, and ``analyze`` turns it into
@@ -1049,6 +1103,28 @@ class TestPaperGuards:
                      "--input", str(inst)]) == 1
         assert capsys.readouterr().out == \
             f"CHECK {name} FAIL {message}\ninstance:\n{text}"
+
+    def test_charge_over_five_halves_fails_the_check(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """A square charged over 5/2 raises nothing: ``analyze`` prints the
+        full report, whose ``max-charge`` check fails, and exits 1."""
+        charge_items = holes._charge_items
+
+        def lifted(hole):
+            # the lid side's coefficient becomes 3
+            terms = charge_items(hole)
+            return terms + [replace(terms[0], coeff=F(3))]
+
+        monkeypatch.setattr(holes, "_charge_items", lifted)
+        seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
+        ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
+        failed = [c.line() for c in ana.checks if not c.ok]
+        assert failed == ["CHECK max-charge FAIL 7/2 <= 5/2"]
+        inst = tmp_path / "squares.txt"
+        inst.write_text(instance_text(seq))
+        assert main(["analyze", "--strategy", "bottomleft",
+                     "--input", str(inst)]) == 1
+        assert capsys.readouterr().out == ana.report() + "\n"
 
 
 class TestLocalContains:
