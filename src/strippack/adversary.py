@@ -104,7 +104,7 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         count += 1
         before = state.packing
         pl = state.place(SquareItem(count, side))
-        violation = check_step(before, pl, state.packing.lattice()[1][-1])
+        violation = check_step(before, state.packing.lattice()[1][-1])
         if violation:
             raise PackingError(f"strategy square {count}: {violation}")
         return pl

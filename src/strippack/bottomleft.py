@@ -25,7 +25,7 @@ def bl_place_next(p: Packing, item: SquareItem) -> tuple[Placement, tuple]:
     Every spot reachable at the sweep's level is supported, so the spot
     is the left end of the first span there."""
     sa, scale = p.units(item.side, ONE)     # ONE's units: the scale
-    y, spans = reachable_positions(p, item.side, at=(0, sa, 0, sa))
+    y, spans = reachable_positions(p, (0, sa, 0, sa))
     x = spans[0][0]
     return (Placement(item, Fraction(x, scale), Fraction(y, scale)),
             (x, x + sa, y, y + sa))

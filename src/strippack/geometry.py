@@ -25,10 +25,6 @@ from typing import Sequence
 from .numbers import Scalar
 
 
-class GeometryError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # rectangles
 # ---------------------------------------------------------------------------
@@ -36,16 +32,13 @@ class GeometryError(ValueError):
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned closed rectangle ``(left, right, bottom, top)``, in the
-    order of the lattice tuples; degenerate sides allowed."""
+    order of the lattice tuples; degenerate sides allowed.  Callers build
+    it with ``left <= right`` and ``bottom <= top``."""
 
     left: Scalar
     right: Scalar
     bottom: Scalar
     top: Scalar
-
-    def __post_init__(self):
-        if self.left > self.right or self.bottom > self.top:
-            raise GeometryError(f"rect with a negative side: {self}")
 
     @property
     def width(self) -> Scalar:
@@ -98,9 +91,8 @@ class StepProfile:
         self._w = None
 
     def max_over(self, lo, hi):
-        """Max of the profile over the OPEN interior (lo, hi)."""
-        if not lo < hi:
-            raise GeometryError("max_over needs a positive-length interval")
+        """Max of the profile over the OPEN interior (lo, hi), for
+        ``lo < hi``."""
         starts = self.starts
         return max(self.values[bisect_right(starts, lo) - 1:
                                bisect_left(starts, hi)])

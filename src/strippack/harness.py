@@ -85,9 +85,10 @@ def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement
         try:
             idx = int(parts[0])
             side, x, y = (scalar(tok) for tok in parts[1:])
+            item = SquareItem(idx, side)
         except (ValueError, ScalarParseError) as exc:
             raise InstanceError(f"line {lineno}: {exc}") from exc
-        pls.append(Placement(SquareItem(idx, side), x, y))
+        pls.append(Placement(item, x, y))
     if len(pls) != len(seq):
         raise InstanceError(f"{len(pls)} placements for {len(seq)} squares")
     for item, pl in zip(seq, pls):

@@ -358,7 +358,7 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     if runs[k].rect(ctx) != rect:
         raise AnalysisError("split", "crossing square "
                             f"{ctx.placements[ctx.rects.index(rect)].item.index}"
-                            " has no run")
+                            " has no run at the crossing")
     sq_idx = runs[k].owner[1]
     # a boundary point (a cut's too) lies in no square's open interior, so
     # the point is on the square's bottom or, if above it, on its right
@@ -379,7 +379,9 @@ def _find_split(hole: Hole) -> Optional[VirtualLid]:
     # Lemma: the upper square rests on the lower one
     if not (ub == lt and ul < lr and ll < ur):
         raise AnalysisError(
-            "lemma5", f"split pair not stacked: up={up} low={low}")
+            "lemma5", "split pair not stacked: "
+            f"up={ctx.placements[up].item.index} "
+            f"low={ctx.placements[low].item.index}")
     # The cut starts at M = (lr, lt).  As up's run and low's are adjacent,
     # the boundary leaves M down low's right side, so the lattice cell
     # southeast of M is free: no square spanning the cut's line from below

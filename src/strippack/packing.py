@@ -142,7 +142,7 @@ class Packing:
     top by comparing two lattice integers; extending a packing that has been
     extended before rebuilds its part of the lattice first, each time, so
     both results stay valid.  ``at``, here and below, is the arriving
-    square's lattice ``(l, r, b, t)`` when the caller has it.
+    square's lattice ``(l, r, b, t)``, built here when the caller has none.
     """
 
     __slots__ = ("_lat", "_n", "_top", "_placements")
@@ -221,27 +221,25 @@ def close_packing(p: Packing) -> Packing:
     return p.extended(Placement(closing, ZERO, p.height), (0, s, t, t + s))
 
 
-def is_supported(p: Packing, pl: Placement, at=None) -> bool:
-    """Gravity check: on the strip bottom, or on some square's top with
-    positive-length x-overlap.
+def is_supported(p: Packing, at) -> bool:
+    """Gravity check: the square at ``at`` rests on the strip bottom, or on
+    some square's top with positive-length x-overlap.
 
-    A top at ``pl.y`` belongs to a square with bottom in ``[pl.y - 1,
-    pl.y)``, since sides are at most 1, so only that window is read."""
-    lat = p._lat
-    l, r, b, _ = at or lat.coords(pl)
+    A top at its bottom b belongs to a square with bottom in ``[b - 1, b)``,
+    since sides are at most 1, so only that window is read."""
+    l, r, b, _ = at
     return b == 0 or any(qt == b and ql < r and l < qr
-                         for ql, qr, _, qt in p.window(b - lat.scale, b))
+                         for ql, qr, _, qt in p.window(b - p._lat.scale, b))
 
 
 # ---------------------------------------------------------------------------
 # reachability sweep
 # ---------------------------------------------------------------------------
 
-def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
-                        at=None) -> tuple[int, list[tuple[int, int]]]:
-    """Downward plane sweep over the open configuration obstacles
-    (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a].  ``at``, a
-    lattice rect of side ``a`` at the floor, saves converting both.
+def reachable_positions(p: Packing, at) -> tuple[int, list[tuple[int, int]]]:
+    """Downward plane sweep, for a square of side a whose lattice rect
+    ``at`` has its bottom at ``floor``, over the open configuration
+    obstacles (l_j - a, r_j) x (b_j - a, t_j), clipped to x in [0, 1-a].
 
     Returns ``(y, spans)`` on the packing's lattice, where the value v
     stands for v / scale: y is the lowest level at or above ``floor`` that
@@ -297,10 +295,7 @@ def reachable_positions(p: Packing, a: Scalar, floor: Scalar = ZERO,
         below it are never read.
     """
     lat = p._lat
-    sa, low = (at[1] - at[0], at[2]) if at else lat.units(a, floor)
-    scale = lat.scale
-    if not 0 < sa <= scale:
-        raise PackingError(f"side {a} outside (0, 1]")
+    sa, low, scale = at[1] - at[0], at[2], lat.scale
     w = scale - sa
     full = [(0, w)]
     bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n
@@ -363,11 +358,10 @@ def _meeting(spans, marks):
     return out
 
 
-def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
-    """Is (pl.x, pl.y) reachable from above the packing by a path that never
-    moves up and keeps the square's interior clear of all placed squares?"""
-    at = at or p._lat.coords(pl)
-    y, spans = reachable_positions(p, pl.item.side, pl.y, at)
+def is_tetris_reachable(p: Packing, at) -> bool:
+    """Is the square at ``at`` reachable from above the packing by a path
+    that never moves up and keeps its interior clear of placed squares?"""
+    y, spans = reachable_positions(p, at)
     return y == at[2] and any(lo <= at[0] <= hi for lo, hi in spans)
 
 
@@ -375,23 +369,23 @@ def is_tetris_reachable(p: Packing, pl: Placement, at=None) -> bool:
 # verifier
 # ---------------------------------------------------------------------------
 
-def check_step(sofar: Packing, pl: Placement, at=None) -> Optional[str]:
-    """The first rule the arriving square breaks against the packing before
-    it, or None: ``"overlap"``, then ``"unsupported"``, then
+def check_step(sofar: Packing, at) -> Optional[str]:
+    """The first rule the arriving square at ``at`` breaks against the
+    packing before it, or None: ``"overlap"``, then ``"unsupported"``, then
     ``"unreachable"``.  A rule is decided only if every rule before it holds.
 
-    Only squares with bottom in ``[pl.y - 1, pl.top)`` can overlap it, as
-    sides are at most 1, so only that window is tested."""
+    Only squares with bottom in ``[b - 1, t)`` can overlap it, as sides
+    are at most 1, so only that window is tested."""
     lat = sofar._lat
-    at = l, r, b, t = at or lat.coords(pl)
+    l, r, b, t = at
     rect = Rect(*at)
     if not (0 <= l and r <= lat.scale and 0 <= b) or any(
             rect.interior_overlaps(Rect(*q))
             for q in sofar.window(b - lat.scale, t)):
         return "overlap"
-    if not is_supported(sofar, pl, at):
+    if not is_supported(sofar, at):
         return "unsupported"
-    if not is_tetris_reachable(sofar, pl, at):
+    if not is_tetris_reachable(sofar, at):
         return "unreachable"
     return None
 
@@ -411,7 +405,7 @@ def verify_packing(seq: Sequence[SquareItem],
     sofar._lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
     for step, pl in enumerate(pls, start=1):
         at = sofar._lat.coords(pl)
-        violation = check_step(sofar, pl, at)
+        violation = check_step(sofar, at)
         if violation:
             return f"{violation} at step {step}"
         sofar = sofar.extended(pl, at)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numbers import ONE, ZERO, Scalar
-from .packing import Check, Packing, PackingError, Placement
+from .packing import Check, Packing, Placement
 from .slots import round_to_dyadic
 
 EIGHT_THIRTEENTHS = Fraction(8, 13)
@@ -49,7 +49,7 @@ def _extent_and_widening(pl: Placement, rect: LatticeRect, scale: int
     """The shadowed extent (square union shadow, clipped to the strip), the
     widening (the extent clipped to the square's own slot) and the widening's
     tie key ``(k, slot index)``, on a lattice where the square's slot width
-    ``scale >> k`` is an integer.
+    ``scale >> k`` is an integer and, as ``SlotState`` places it, divides l.
 
     The extent is never charged to anybody: excluding the shadow together
     with the square is what lets the accounting subtract a square's area
@@ -61,9 +61,7 @@ def _extent_and_widening(pl: Placement, rect: LatticeRect, scale: int
     l, r, b, t = rect
     k, _ = round_to_dyadic(pl.item.side)
     w = scale >> k
-    j, off = divmod(l, w)
-    if off:
-        raise PackingError(f"placement at {pl.x} is not on a level-{k} slot")
+    j = l // w
     s = r - l
     if k == 0:
         # sides above 1/2 enlarge to the right only, clipped to the strip
@@ -89,11 +87,10 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     widenings.  One sweep over the edges inserts a rect into its sorted
     active list at its left edge and removes it at its right edge, so each
     column walks only the rects that span it; there one region is charged
-    per gap below the top.
+    per gap below the top.  ``p_closed`` ends with ``close_packing``'s square:
+    its widening spans the strip at the highest bottom, so one tops every gap.
     """
     pls = p_closed.placements
-    if not pls or pls[-1].item.side != ONE:
-        raise PackingError("charge_map needs a packing closed with a side-1 square")
     scale, rects = p_closed.lattice(
         *(round_to_dyadic(pl.item.side)[1] for pl in pls))
     blockers: list[tuple[int, int, int]] = []       # (b, t, i) spanning x0
@@ -125,10 +122,6 @@ def charge_map(p_closed: Packing) -> ChargeMap:
         si = 0
         for g_lo, g_hi in gaps:
             si = bisect_left(stops, (g_hi,), si)
-            if si == len(stops):
-                raise PackingError(
-                    f"no widening above the gap at [{Fraction(x0, scale)},"
-                    f"{Fraction(x1, scale)}] x {Fraction(g_lo, scale)}")
             idx = pls[stops[si][3]].item.index
             sums[idx] = sums.get(idx, 0) + (g_hi - g_lo) * (x1 - x0)
             regions.setdefault(idx, []).append((x0, x1, g_lo, g_hi))

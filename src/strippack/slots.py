@@ -31,9 +31,8 @@ def round_to_dyadic(a: Scalar) -> tuple[int, Scalar]:
     """Smallest power 2^-k with 2^-k >= a; returns (k, 2^-k).
 
     For a = p/q, k is the largest integer with p * 2^k <= q, which is the
-    difference of the bit lengths or one less."""
-    if not (ZERO < a <= ONE):
-        raise PackingError(f"side {a} outside (0, 1]")
+    difference of the bit lengths or one less.  Callers pass a square's
+    side or a value already checked to lie in (0, 1]."""
     p, q = a.numerator, a.denominator
     k = q.bit_length() - p.bit_length()
     if p << k > q:

@@ -49,6 +49,20 @@ def deep_items(i: int) -> list[SquareItem]:
     return [SquareItem(j, a) for j, a in enumerate(shallow + deep, 1)]
 
 
+def rect_on(p: Packing, pl: Placement) -> tuple[int, int, int, int]:
+    """``pl``'s ``(l, r, b, t)`` on ``p``'s lattice, the input of the step
+    checks."""
+    return p._lat.coords(pl)
+
+
+def floor_rect(p: Packing, a: Fraction,
+               floor: Fraction = Fraction(0)) -> tuple[int, int, int, int]:
+    """The lattice rect of a side-``a`` square at x = 0 with its bottom on
+    ``floor``, the input of the reachability sweep."""
+    sa, low = p.units(a, floor)
+    return 0, sa, low, low + sa
+
+
 def packing_of(coords) -> Packing:
     """Build a packing directly from (side, x, y) triples."""
     p = Packing()
@@ -73,7 +87,7 @@ def spans_at(p: Packing, a: Fraction, y: Fraction) -> list[tuple[int, int]]:
     packing's lattice: the sweep floored at y finds every level at or above
     y as an unfloored one does, so its spans if it returns y itself, and
     none if it seals above y."""
-    level, spans = reachable_positions(p, a, floor=y)
+    level, spans = reachable_positions(p, floor_rect(p, a, y))
     return spans if level == p.units(y)[0] else []
 
 

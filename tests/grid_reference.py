@@ -14,9 +14,12 @@ instances of a few hundred squares.
 
 from typing import Optional, Sequence
 
-from strippack.geometry import GeometryError
 from strippack.holes import (OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
                              AnalysisError, Hole, _Context, _Run, _shoelace)
+
+
+class GridError(ValueError):
+    """The reference grid or a boundary walk on it is malformed."""
 
 
 class ObstacleGrid:
@@ -32,7 +35,7 @@ class ObstacleGrid:
         ys = {0, ceiling}
         for l, r, b, t in obstacles:
             if t > ceiling:
-                raise GeometryError("ceiling below an obstacle")
+                raise GridError("ceiling below an obstacle")
             xs.update((l, r))
             ys.update((b, t))
         self.xs = sorted(xs)
@@ -51,7 +54,7 @@ class ObstacleGrid:
                 col = self.owner[i]
                 for j in range(self.yi[b], self.yi[t]):
                     if col[j] is not None:
-                        raise GeometryError(
+                        raise GridError(
                             f"overlapping obstacles {col[j]} and {idx}")
                     col[j] = idx
 
@@ -145,14 +148,14 @@ def walk_boundary(edges) -> list[tuple[tuple, tuple]]:
             want = (cur[0] + turn[0], cur[1] + turn[1])
             edge = next((e for e in outs if e[1] == want), None)
             if edge is None:
-                raise GeometryError(f"no left turn at pinch vertex {cur}")
+                raise GridError(f"no left turn at pinch vertex {cur}")
             outs.remove(edge)
         cycle.append(edge)
         prev, cur = cur, edge[1]
         if cur == start and start not in out:
             break
     if len(cycle) != len(edges):
-        raise GeometryError("region boundary is not a single cycle")
+        raise GridError("region boundary is not a single cycle")
     return cycle
 
 

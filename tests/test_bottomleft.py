@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import at_level, items, random_items, spans_at
+from conftest import at_level, floor_rect, items, random_items, spans_at
 from strippack.adversary import adversary_run
 from span_reference import _in_open, merge_open_spans, spans_contain
 from strippack.bottomleft import BottomLeftState, bl_place_next
@@ -151,7 +151,8 @@ class TestFullScanDifferential:
         p = pack(FullScanChecked, seq)
         assert coords(p)[-1] == (0, F(25, 16))
         two = Packing(p.placements[:2])
-        assert reachable_positions(two, F(1, 8)) == (25, [(0, 14)])
+        assert reachable_positions(two, floor_rect(two, F(1, 8))) == \
+            (25, [(0, 14)])
         assert two.units(F(1)) == [16]
 
 

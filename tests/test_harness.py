@@ -276,7 +276,7 @@ class TestInputErrors:
         ("id,side,x,y\n1,1/2,0\n", "line 2: expected 4 fields"),
         ("id,side,x,y\n1,1/2,0,0\n2,1/2,1/2,0\n",
          "2 placements for 3 squares"),
-        ("id,side,x,y\n1,3/2,0,0\n", "side 3/2 outside (0, 1]")])
+        ("id,side,x,y\n1,3/2,0,0\n", "line 2: side 3/2 outside (0, 1]")])
     def test_verify_placements(self, three, tmp_path, capsys, rows, message):
         csv = tmp_path / "p.csv"
         csv.write_text(rows)

@@ -10,12 +10,12 @@ import pytest
 from conftest import (corpus_items, items, nondyadic_items, packing_of,
                       random_items)
 import grid_reference
-from grid_reference import grid as _grid, trace_boundary
+from grid_reference import GridError, grid as _grid, trace_boundary
 from strippack import cli as cli_module, holes
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import main
-from strippack.geometry import (GROUND, LEFT_WALL, GeometryError, ObstacleGrid,
-                                Rect, trace_boundary as sweep_trace)
+from strippack.geometry import (GROUND, LEFT_WALL, ObstacleGrid, Rect,
+                                trace_boundary as sweep_trace)
 from strippack.harness import instance_text, render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
@@ -183,7 +183,7 @@ class TestSweepAgainstGrid:
         """Disjoint squares that no strategy placed make islands and holes
         that meet both walls, which BottomLeft never does: extraction
         returns the reference's holes wherever it returns any, and raises
-        wherever it raises.  An island raises GeometryError on the grid
+        wherever it raises.  An island raises GridError on the grid
         and ``boundary`` here, found before any hole is built, so it may
         also take the place of a hole's own fault."""
         outcomes = Counter()
@@ -191,12 +191,12 @@ class TestSweepAgainstGrid:
             closed = _disjoint_squares(w, seed)
             try:
                 want = grid_reference.extract_holes(closed)
-            except (GeometryError, holes.AnalysisError) as exc:
+            except (GridError, holes.AnalysisError) as exc:
                 with pytest.raises(holes.AnalysisError) as err:
                     extract_holes(closed)
                 assert err.value.name in {getattr(exc, "name", None),
                                           "boundary"}
-                if isinstance(exc, GeometryError):
+                if isinstance(exc, GridError):
                     assert err.value.name == "boundary"
                 outcomes["rejected"] += 1
                 continue
@@ -1059,7 +1059,7 @@ PAPER_GUARD_PINS = {
                 ("1/4", "1/4", "17/4")]),
     # the diagonal leaves square 2 at its lower-right corner, where squares
     # 3 (northeast) and 1 (southwest) bound the hole
-    "split-no-run": ("split: crossing square 2 has no run",
+    "split-no-run": ("split: crossing square 2 has no run at the crossing",
                      [("3/8", "3/8", 0), ("1/8", "5/8", "3/8"),
                       ("1/8", "3/4", "3/8"), ("1/4", "3/8", "1/2")]),
     # the diagonal crosses the right side of square 4, left of which is
@@ -1079,7 +1079,7 @@ PAPER_GUARD_PINS = {
          ("1/16", "3/8", "7/16"), ("1/16", "7/16", "1/2"),
          ("1/4", "1/4", "3/16"), ("5/16", "11/16", 0), ("1/4", 0, 0)]),
     # square 2 hangs from the side of square 1, whose top is above its bottom
-    "lemma5-not-stacked": ("lemma5: split pair not stacked: up=1 low=0",
+    "lemma5-not-stacked": ("lemma5: split pair not stacked: up=2 low=1",
                            [("1/2", "1/4", 0), ("1/8", "3/4", "3/8")]),
 }
 

@@ -9,7 +9,8 @@ from math import lcm
 
 import pytest
 
-from conftest import at_level, items, packing_of, random_items
+from conftest import (at_level, floor_rect, items, packing_of, random_items,
+                      rect_on)
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
@@ -177,7 +178,8 @@ def assert_replay_agrees(pls):
     """Replay ``pls`` and compare every step's verdict with the reference."""
     sofar = Packing()
     for step, pl in enumerate(pls, start=1):
-        assert check_step(sofar, pl) == reference_step(sofar, pl), step
+        assert check_step(sofar, rect_on(sofar, pl)) == \
+            reference_step(sofar, pl), step
         sofar = sofar.extended(pl)
     return sofar
 
@@ -215,7 +217,7 @@ def assert_corruptions_agree(pls, seed, count):
     seen = set()
     for prefix, moved in corruptions(pls, seed, count):
         sofar = Packing(prefix)
-        verdict = check_step(sofar, moved)
+        verdict = check_step(sofar, rect_on(sofar, moved))
         assert verdict == reference_step(sofar, moved), (len(prefix), moved)
         seen.add(verdict)
     return seen
@@ -249,9 +251,10 @@ class TestStepDifferential:
         pls = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0),
                           (1, 0, "1/4")]).placements
         inside = Placement(SquareItem(4, F(1, 4)), F(3, 8), F(0))
-        verdict = check_step(Packing(pls), inside)
+        p = Packing(pls)
+        verdict = check_step(p, rect_on(p, inside))
         assert verdict == "unreachable"
-        assert verdict == reference_step(Packing(pls), inside)
+        assert verdict == reference_step(p, inside)
 
 
 class TestReachFloor:
@@ -310,7 +313,8 @@ class TestLazySweep:
         p = Packing()
         for pl in pls:
             for floor in (F(0), pl.y):
-                assert reachable_positions(p, pl.item.side, floor) == \
+                at = floor_rect(p, pl.item.side, floor)
+                assert reachable_positions(p, at) == \
                     eager_lowest(p, pl.item.side, floor), (pl, floor)
             p = p.extended(pl)
 
@@ -340,7 +344,7 @@ class TestLazySweep:
         for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
             p.units(pl.item.side)       # a rescale would replace the rects
             p._lat.rects = rects = _CountedRects(p._lat.rects)
-            reachable_positions(p, pl.item.side)
+            reachable_positions(p, floor_rect(p, pl.item.side))
             most = max(most, rects.reads)
             p = p.extended(pl)
         assert len(p) == 5 * m and most <= 8
@@ -353,7 +357,7 @@ class TestLazySweep:
         for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
             p.units(pl.item.side)       # a rescale would replace the rects
             p._lat.rects = rects = _CountedRects(p._lat.rects)
-            reachable_positions(p, pl.item.side)
+            reachable_positions(p, floor_rect(p, pl.item.side))
             swept, rects.reads = rects.reads, 0
             assert bl_place_next(p, pl.item)[0] == pl
             assert rects.reads == swept, pl
@@ -372,7 +376,7 @@ class TestSweepLevelIsSupported:
         union of those open shadows, so a span with an unsupported lattice
         point has one among these."""
         a = item.side
-        y, spans = reachable_positions(p, a)
+        y, spans = reachable_positions(p, floor_rect(p, a))
         if y == 0:
             return
         scale, rects = p.lattice()
@@ -410,11 +414,11 @@ class TestSweepLevelIsSupported:
         # and the cavity under it is out of reach
         p = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0), (1, 0, "1/4")])
         a = F(1, 4)
-        y, spans = reachable_positions(p, a)
+        y, spans = reachable_positions(p, floor_rect(p, a))
         scale, _ = p.lattice()
         assert (F(y, scale), spans) == (F(5, 4), [(0, scale - int(a * scale))])
         inside = Placement(SquareItem(4, a), F(3, 8), F(0))
-        assert not is_tetris_reachable(p, inside)
+        assert not is_tetris_reachable(p, rect_on(p, inside))
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +431,11 @@ class TestLatticeEdges:
         # the side-1 square's bottom is exactly pl.y - 1, the window's edge
         p = packing_of([(1, 0, bottom)])
         pl = Placement(SquareItem(2, F(1, 2)), F(1, 4), bottom + 1)
-        assert is_supported(p, pl)
-        assert check_step(p, pl) is None
-        assert check_step(p, pl) == reference_step(p, pl)
+        assert is_supported(p, rect_on(p, pl))
+        assert check_step(p, rect_on(p, pl)) is None
+        assert check_step(p, rect_on(p, pl)) == reference_step(p, pl)
         higher = Placement(SquareItem(2, F(1, 2)), F(1, 4), bottom + F(3, 2))
-        assert check_step(p, higher) == "unsupported"
+        assert check_step(p, rect_on(p, higher)) == "unsupported"
 
     def test_rescale_mid_packing(self):
         seq = items("1/2", "1/4", "1/8", "1/2", "1/16", "1/3", "1/5", "1/4",
@@ -461,14 +465,14 @@ class TestLatticeEdges:
         # each branch takes a square where only the other one's would clash
         on_right = Placement(SquareItem(4, F(1, 3)), F(2, 3), F(1, 2))
         on_left = Placement(SquareItem(4, F(1, 2)), F(0), F(1, 2))
-        assert check_step(one, on_right) is None
-        assert check_step(two, on_left) is None
-        assert check_step(one, on_left) == "overlap"
-        assert check_step(two, on_right) == "overlap"
+        assert check_step(one, rect_on(one, on_right)) is None
+        assert check_step(two, rect_on(two, on_left)) is None
+        assert check_step(one, rect_on(one, on_left)) == "overlap"
+        assert check_step(two, rect_on(two, on_right)) == "overlap"
         # growing either branch further leaves the other as it was
         three = one.extended(on_right)
         assert len(three) == 4 and len(two) == 3
-        assert check_step(two, on_left) is None
+        assert check_step(two, rect_on(two, on_left)) is None
         scale, rects = two.lattice()
         assert len(rects) == 3
         assert rects[-1] == (2 * scale // 3, scale, scale // 2, 5 * scale // 6)

@@ -6,15 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (at_level, grid_bfs_reachable, items, packing_of,
-                      random_items, rest_height)
+                      random_items, rect_on, rest_height)
 from span_reference import (intersect_spans, merge_spans, spans_contain,
                             spans_meet, subtract_spans_open)
 import strippack.packing
 from strippack.bottomleft import BottomLeftState
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                _free, _meeting, check_step, is_supported,
-                               is_tetris_reachable, pack, reachable_positions,
-                               verify_packing)
+                               is_tetris_reachable, pack, verify_packing)
 
 
 class TestRestHeight:
@@ -44,18 +43,19 @@ class TestRestHeight:
 
 class TestSupport:
     def test_strip_bottom(self):
-        assert is_supported(Packing(),
-                            Placement(SquareItem(1, F(1)), F(0), F(0)))
+        p = Packing()
+        assert is_supported(p, rect_on(p, Placement(SquareItem(1, F(1)),
+                                                    F(0), F(0))))
 
     def test_positive_overlap(self):
         p = packing_of([("1/2", 0, 0)])
         pl = Placement(SquareItem(2, F(1, 4)), F(1, 4), F(1, 2))
-        assert is_supported(p, pl)
+        assert is_supported(p, rect_on(p, pl))
 
     def test_corner_contact_is_not_support(self):
         p = packing_of([("1/2", 0, 0)])
         pl = Placement(SquareItem(2, F(1, 4)), F(1, 2), F(1, 2))
-        assert not is_supported(p, pl)
+        assert not is_supported(p, rect_on(p, pl))
 
 
 class TestReachability:
@@ -66,7 +66,8 @@ class TestReachability:
     def test_slide_along_touching_boundary(self):
         p = packing_of([("1/2", 0, 0)])
         assert at_level(p, F(1, 2), F(0)) == [(F(1, 2), F(1, 2))]
-        assert is_tetris_reachable(p, Placement(SquareItem(2, F(1, 2)), F(1, 2), F(0)))
+        pl = Placement(SquareItem(2, F(1, 2)), F(1, 2), F(0))
+        assert is_tetris_reachable(p, rect_on(p, pl))
 
     def test_slide_under_a_square_at_the_ground(self):
         # the half square's bottom is a above the strip floor: the quarter
@@ -86,23 +87,21 @@ class TestReachability:
         p = packing_of([("2/5", 0, 0), ("2/5", 0, "2/5"),
                         ("2/5", "3/5", 0), ("2/5", "3/5", "2/5")])
         pl = Placement(SquareItem(5, F(1, 4)), F(9, 20), F(0))
-        assert not is_tetris_reachable(p, pl)
+        assert not is_tetris_reachable(p, rect_on(p, pl))
 
     def test_sealed_lid(self):
         p = packing_of([("1/2", 0, 0), ("1/2", "1/2", 0), (1, 0, "1/2")])
         below = Placement(SquareItem(4, F(1, 4)), F(0), F(1, 2))
         above = Placement(SquareItem(4, F(1, 4)), F(0), F(3, 2))
-        assert not is_tetris_reachable(p, below)
-        assert is_tetris_reachable(p, above)
+        assert not is_tetris_reachable(p, rect_on(p, below))
+        assert is_tetris_reachable(p, rect_on(p, above))
 
     def test_side_one_needs_clear_column(self):
         p = packing_of([("1/4", "1/2", 0)])
-        assert not is_tetris_reachable(p, Placement(SquareItem(2, F(1)), F(0), F(0)))
-        assert is_tetris_reachable(p, Placement(SquareItem(2, F(1)), F(0), F(1, 4)))
-
-    def test_side_too_big_rejected(self):
-        with pytest.raises(PackingError):
-            reachable_positions(Packing(), F(3, 2))
+        ground = Placement(SquareItem(2, F(1)), F(0), F(0))
+        on_top = Placement(SquareItem(2, F(1)), F(0), F(1, 4))
+        assert not is_tetris_reachable(p, rect_on(p, ground))
+        assert is_tetris_reachable(p, rect_on(p, on_top))
 
     def test_monotone_under_obstacle_removal(self):
         seq = random_items(3, 8, lo=F(1, 8), hi=F(1, 2))
@@ -246,9 +245,9 @@ class TestVerifier:
     def test_stops_at_first_failure(self, monkeypatch):
         calls = []
 
-        def counted(sofar, pl, *args, **kwargs):
-            calls.append(pl)
-            return check_step(sofar, pl, *args, **kwargs)
+        def counted(sofar, at):
+            calls.append(at)
+            return check_step(sofar, at)
 
         monkeypatch.setattr(strippack.packing, "check_step", counted)
         seq = random_items(3, 100)
@@ -269,10 +268,10 @@ class TestVerifier:
         p = packing_of([("1/2", 0, 0)])
         monkeypatch.setattr(strippack.packing, "is_tetris_reachable", never)
         floating = Placement(SquareItem(2, F(1, 4)), F(1, 2), F(1, 4))
-        assert check_step(p, floating) == "unsupported"
+        assert check_step(p, rect_on(p, floating)) == "unsupported"
         monkeypatch.setattr(strippack.packing, "is_supported", never)
         overlapping = Placement(SquareItem(2, F(1, 4)), F(1, 4), F(1, 4))
-        assert check_step(p, overlapping) == "overlap"
+        assert check_step(p, rect_on(p, overlapping)) == "overlap"
 
     def test_height(self):
         assert Packing().height == 0

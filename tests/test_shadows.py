@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import (corpus_items, deep_items, items, nondyadic_items,
-                      packing_of, random_items)
+                      random_items)
 from strippack.geometry import Rect
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                close_packing, pack)
@@ -361,17 +361,3 @@ class TestAgainstReference:
         assert list(cm.areas.items()) == list(areas.items())
         assert list(region_rects(cm, closed).items()) == list(regions.items())
         assert lattice_widenings(closed) == widenings
-
-    @pytest.mark.parametrize("p", [
-        pack(SlotState, corpus_items(0)),               # not closed
-        Packing(),
-        packing_of([("1/4", "1/8", 0), (1, 0, "1/4")]),   # off its slot
-        # a square above the closing one: no widening over the gap beside it
-        packing_of([("1/2", 0, 3), (1, 0, 0)]),
-    ], ids=["open", "empty", "off-slot", "no-widening"])
-    def test_same_errors(self, p):
-        with pytest.raises(PackingError) as want:
-            reference_charge_map(p)
-        with pytest.raises(PackingError) as got:
-            charge_map(p)
-        assert str(got.value) == str(want.value)

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (deep_items, items, nondyadic_items, random_items,
-                      rest_height)
+from conftest import (deep_items, floor_rect, items, nondyadic_items,
+                      random_items, rest_height)
 from strippack.cli import main
 from strippack.geometry import StepProfile
 from strippack.harness import instance_text, parse_instance, placements_csv
-from strippack.packing import (PackingError, SquareItem, pack,
-                               reachable_positions, verify_packing)
+from strippack.packing import (SquareItem, pack, reachable_positions,
+                               verify_packing)
 from strippack.slots import SlotState, round_to_dyadic, slot_killer_instance
 
 
@@ -54,12 +54,6 @@ class TestRounding:
                 if a <= 1:
                     assert round_to_dyadic(a) == halving_round(a), k
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(PackingError):
-            round_to_dyadic(F(0))
-        with pytest.raises(PackingError):
-            round_to_dyadic(F(3, 2))
-
 
 def choose(s, width):
     """``s.choose`` for a slot width given as a rational."""
@@ -92,7 +86,8 @@ class TestSkylineScale:
         s = SlotState()
         for i, item in enumerate(seq):
             s.place(item)
-            reachable_positions(s.packing, F(1, 2 * i + 3))
+            p = s.packing
+            reachable_positions(p, floor_rect(p, F(1, 2 * i + 3)))
         assert s.packing.placements == plain
 
 
