@@ -16,7 +16,13 @@ only place where a rational becomes an integer), indexed by bottom; the
 step checks, the downward reachability sweep and the BottomLeft search run
 on it.  The rescaling is exact, so no semantics change, and because sides
 are at most 1 a check reads only the squares whose bottoms lie between 1
-below the arriving square's bottom and its top.
+below the arriving square's bottom and its top.  The verifier and the
+adversary read the skyline first (``StepChecker``): if the square lies in
+the strip and m, the highest top over its open x-range, is at most its
+bottom b, no earlier square reaches above b there, so (1) none overlaps
+it, (2) its straight drop from above is clear, obstacles being open, and
+(3) it is supported exactly when b == 0 or m == b.  Only other squares
+get the full ``check_step``, so every verdict stays the same.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import Optional, Sequence
 
-from .geometry import Rect
+from .geometry import Rect, StepProfile
 from .numbers import ONE, ZERO, Scalar
 
 
@@ -390,10 +396,31 @@ def check_step(sofar: Packing, at) -> Optional[str]:
     return None
 
 
+class StepChecker:
+    """``check_step`` for one chain of packings in arrival order, from
+    ``sky``, the highest top over each point of the strip, where it can
+    be; ``sky`` follows the lattice's scale."""
+
+    def __init__(self):
+        self.sky = StepProfile(1)
+
+    def check(self, sofar: Packing, at) -> Optional[str]:
+        l, r, b, t = at
+        scale, sky = sofar._lat.scale, self.sky
+        if scale != sky.end:
+            sky.scale_by(scale // sky.end)
+        m = sky.max_over(l, r) if 0 <= l and r <= scale else b + 1
+        violation = ("unsupported" if m < b else
+                     check_step(sofar, at) if m > b else None)
+        if violation is None:
+            sky.raised(l, r, t)
+        return violation
+
+
 def verify_packing(seq: Sequence[SquareItem],
                    pls: Sequence[Placement]) -> Optional[str]:
-    """Replay arrivals in order, checking each step with ``check_step``;
-    the replay stops at the first step that breaks a rule and returns
+    """Replay arrivals in order, checking each step skyline first with one
+    ``StepChecker``, and stop at the first step that breaks a rule:
     ``"<rule> at step <k>"`` (k 1-based), or None if every step holds.
     Each step converts its square once, on a lattice fitted to all."""
     if len(seq) != len(pls):
@@ -401,11 +428,11 @@ def verify_packing(seq: Sequence[SquareItem],
     for item, pl in zip(seq, pls):
         if item.index != pl.item.index or item.side != pl.item.side:
             raise PackingError(f"item mismatch at index {item.index}")
-    sofar = Packing()
+    sofar, checker = Packing(), StepChecker()
     sofar._lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
     for step, pl in enumerate(pls, start=1):
         at = sofar._lat.coords(pl)
-        violation = check_step(sofar, at)
+        violation = checker.check(sofar, at)
         if violation:
             return f"{violation} at step {step}"
         sofar = sofar.extended(pl, at)

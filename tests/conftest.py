@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
                                reachable_positions)
@@ -61,6 +65,50 @@ def floor_rect(p: Packing, a: Fraction,
     ``floor``, the input of the reachability sweep."""
     sa, low = p.units(a, floor)
     return 0, sa, low, low + sa
+
+
+def window_reads(run) -> int:
+    """The rects that ``Packing.window`` returns while ``run()`` runs.  In
+    ``verify_packing`` only the step checker's fallback, ``check_step``
+    with its support test, reads windows, so this counts what the fallback
+    reads."""
+    reads, window = 0, Packing.window
+
+    def counted(self, lo, hi):
+        nonlocal reads
+        out = window(self, lo, hi)
+        reads += len(out)
+        return out
+
+    Packing.window = counted
+    try:
+        run()
+    finally:
+        Packing.window = window
+    return reads
+
+
+def assert_grows_linearly(count, n: int,
+                          slack=Fraction(1, 4)) -> tuple[int, int]:
+    """Growth gate on one layer's work count for one input family:
+    ``count(4 n) <= 4 (1 + slack) count(n)``.  Returns both counts.  A
+    count that is 0 at n must stay 0 at 4n."""
+    small, large = count(n), count(4 * n)
+    assert large <= 4 * (1 + slack) * small, (n, small, large)
+    return small, large
+
+
+def fresh_python(code: str, timeout: float = 60) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` on its path and
+    return what it prints; a failure fails the calling test."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def packing_of(coords) -> Packing:

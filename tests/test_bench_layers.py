@@ -39,6 +39,10 @@ def test_every_patched_name_resolves(layers):
 def test_cli_passes_through_every_patch(layers, tmp_path, capsys):
     inst = tmp_path / "three.txt"
     inst.write_text("1/2\n1/2\n3/5\n")
+    # BottomLeft tucks 1/5 under the 4/5 square's overhang, at (3/10, 0):
+    # a step the skyline cannot settle, so its check reads the support
+    tuck = tmp_path / "tuck.txt"
+    tuck.write_text("3/10\n4/5\n1/5\n")
     csv = tmp_path / "out.csv"
     tracer = layers.Tracer()
     undo = layers.install(tracer)
@@ -49,6 +53,8 @@ def test_cli_passes_through_every_patch(layers, tmp_path, capsys):
                      ["analyze", "--strategy", "bottomleft"],
                      ["analyze", "--strategy", "slot"]):
             assert main(argv + ["--input", str(inst)]) == 0
+        assert main(["run", "--strategy", "bottomleft",
+                     "--input", str(tuck)]) == 0
         assert main(["adversary", "--strategy", "slot",
                      "--iterations", "1"]) == 0
     finally:

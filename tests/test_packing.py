@@ -12,8 +12,9 @@ from span_reference import (intersect_spans, merge_spans, spans_contain,
 import strippack.packing
 from strippack.bottomleft import BottomLeftState
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               _free, _meeting, check_step, is_supported,
-                               is_tetris_reachable, pack, verify_packing)
+                               StepChecker, _free, _meeting, check_step,
+                               is_supported, is_tetris_reachable, pack,
+                               verify_packing)
 
 
 class TestRestHeight:
@@ -243,13 +244,16 @@ class TestVerifier:
                 verify_packing(seq, pls)
 
     def test_stops_at_first_failure(self, monkeypatch):
+        # every step goes through the checker, which calls check_step only
+        # for the steps the skyline cannot settle
         calls = []
+        check = StepChecker.check
 
-        def counted(sofar, at):
+        def counted(self, sofar, at):
             calls.append(at)
-            return check_step(sofar, at)
+            return check(self, sofar, at)
 
-        monkeypatch.setattr(strippack.packing, "check_step", counted)
+        monkeypatch.setattr(StepChecker, "check", counted)
         seq = random_items(3, 100)
         packed = pack(BottomLeftState, seq).placements
         assert verify_packing(seq, packed) is None

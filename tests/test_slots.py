@@ -1,15 +1,11 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
-from conftest import (deep_items, floor_rect, items, nondyadic_items,
-                      random_items, rest_height)
+from conftest import (deep_items, floor_rect, fresh_python, items,
+                      nondyadic_items, random_items, rest_height)
 from strippack.cli import main
 from strippack.geometry import StepProfile
 from strippack.harness import instance_text, parse_instance, placements_csv
@@ -207,9 +203,6 @@ class TestLowestSlotWork:
         """2^11 slots in a row stay open.  With a scan of the whole skyline
         per placement the run took 8-11 s, with kept candidates under 1 s
         (Python 3.11.7, 2 vCPUs)."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src),
-                                             os.environ.get("PYTHONPATH")]))
         child = ("import time\n"
                  "from fractions import Fraction\n"
                  "from strippack.packing import pack\n"
@@ -218,11 +211,7 @@ class TestLowestSlotWork:
                  "start = time.perf_counter()\n"
                  "height = pack(SlotState, seq).height\n"
                  "print(time.perf_counter() - start, height)\n")
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                              text=True, timeout=60,
-                              env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0, proc.stderr
-        wall, height = proc.stdout.split()
+        wall, height = fresh_python(child).split()
         assert F(height) == F(257, 2 ** 18)
         assert float(wall) < 3
 
