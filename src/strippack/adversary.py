@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .numbers import HALF, ONE, ZERO, Scalar
 from .packing import (Packing, PackingError, Placement, SquareItem,
-                      StepChecker, verify_packing)
+                      check_step, verify_packing)
 
 QUARTER = Fraction(1, 4)
 
@@ -88,21 +88,21 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
     """Play m adaptive iterations against a fresh ``strategy()`` (see
     ``packing.pack`` for the protocol).
 
-    Every placement the strategy returns is checked, skyline first, against
-    its own packing so far by one ``StepChecker`` on the lattice rect its
-    extension stored; an invalid one aborts naming the square and violation.
+    Every placement the strategy returns is checked by ``check_step``
+    against the packing before it, on the lattice and skyline they share;
+    an invalid one aborts naming the square and violation.
     """
     if m < 1:
         raise PackingError("need at least one iteration")
     if not (ZERO < eps < QUARTER):
         raise PackingError("epsilon must be in (0, 1/4)")
-    state, checker = strategy(), StepChecker()
+    state = strategy()
 
     def send(side: Scalar) -> Placement:
         before = state.packing
         count = len(before) + 1
         pl = state.place(SquareItem(count, side))
-        violation = checker.check(before, state.packing.lattice()[1][-1])
+        violation = check_step(before, state.packing.lattice()[1][-1])
         if violation:
             raise PackingError(f"strategy square {count}: {violation}")
         return pl

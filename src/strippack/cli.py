@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .adversary import adversary_run, optimal_packing_for_transcript
 from .bottomleft import BottomLeftState
@@ -124,7 +125,9 @@ def cmd_gen_random(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="strippack",
         description="Online square packing in a unit strip under Tetris "

@@ -64,8 +64,8 @@ class StepProfile:
     ``starts[i]`` is the left end of segment i (``starts[0] == 0``); segment
     i carries ``values[i]`` up to ``starts[i+1]`` (or ``end`` for the last
     one), and neighbouring segments carry different values.  Coordinates
-    may be any exactly ordered type; the slot strategy keeps its skyline in
-    the packing's lattice integers, with ``end`` the lattice scale.
+    may be any exactly ordered type; a packing's lattice keeps the skyline
+    of its tops in its integers, with ``end`` its scale, and rescales it.
 
     ``lowest_cell`` keeps the candidate cells of ``_w``, the last width it
     was asked about, which one scan (``_candidates``) lists at every width:

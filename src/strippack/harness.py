@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numbers import ONE, ZERO, Scalar, ScalarParseError, format_scalar, scalar
+from .numbers import ONE, ZERO, Scalar, format_scalar, scalar
 from .packing import Packing, Placement, SquareItem
 
 GRID = 2 ** 20
@@ -31,12 +31,9 @@ def parse_instance(text: str) -> list[SquareItem]:
         if not line:
             continue
         try:
-            side = scalar(line)
-        except ScalarParseError as exc:
+            items.append(SquareItem(len(items) + 1, scalar(line)))
+        except ValueError as exc:
             raise InstanceError(f"line {lineno}: {exc}") from exc
-        if not (ZERO < side <= ONE):
-            raise InstanceError(f"line {lineno}: side {side} outside (0, 1]")
-        items.append(SquareItem(len(items) + 1, side))
     return items
 
 
@@ -86,7 +83,7 @@ def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement
             idx = int(parts[0])
             side, x, y = (scalar(tok) for tok in parts[1:])
             item = SquareItem(idx, side)
-        except (ValueError, ScalarParseError) as exc:
+        except ValueError as exc:
             raise InstanceError(f"line {lineno}: {exc}") from exc
         pls.append(Placement(item, x, y))
     if len(pls) != len(seq):

@@ -16,13 +16,13 @@ only place where a rational becomes an integer), indexed by bottom; the
 step checks, the downward reachability sweep and the BottomLeft search run
 on it.  The rescaling is exact, so no semantics change, and because sides
 are at most 1 a check reads only the squares whose bottoms lie between 1
-below the arriving square's bottom and its top.  The verifier and the
-adversary read the skyline first (``StepChecker``): if the square lies in
-the strip and m, the highest top over its open x-range, is at most its
-bottom b, no earlier square reaches above b there, so (1) none overlaps
-it, (2) its straight drop from above is clear, obstacles being open, and
-(3) it is supported exactly when b == 0 or m == b.  Only other squares
-get the full ``check_step``, so every verdict stays the same.
+below the arriving square's bottom and its top.  ``check_step`` reads the
+lattice's skyline of the tops first: if the square lies in the strip and
+m, the highest top over its open x-range, is at most its bottom b, no
+earlier square reaches above b there, so (1) none overlaps it, (2) its
+straight drop from above is clear, obstacles being open, and (3) it is
+supported exactly when b == 0 or m == b.  Other squares, and snapshots the
+skyline has passed, go to ``check_rules``, so every verdict stays the same.
 """
 
 from __future__ import annotations
@@ -80,13 +80,15 @@ class _Lattice:
     of every denominator fitted so far.  ``bottoms`` holds every ``b`` in
     ascending order and ``order`` the placement index of each.  The
     snapshots of one chain share a lattice and each reads the first entries,
-    as many as it has placements; only the newest appends.  Rescaling
-    multiplies every entry in place, which changes the representation and
-    not the geometry, so it keeps every sharing snapshot valid.  ``of``
-    and the verifier know every placement at once and fit them all first.
+    as many as it has placements; only the newest appends.  ``sky`` is the
+    skyline of the first ``sky_n`` rects (``Packing.skyline``).  Rescaling
+    multiplies every entry and ``sky`` in place, which changes the
+    representation and not the geometry, so it keeps every sharing
+    snapshot valid.  ``of`` and the verifier know every placement at once
+    and fit them all first.
     """
 
-    __slots__ = ("scale", "pls", "rects", "bottoms", "order")
+    __slots__ = ("scale", "pls", "rects", "bottoms", "order", "sky", "sky_n")
 
     def __init__(self):
         self.scale = 1
@@ -94,6 +96,8 @@ class _Lattice:
         self.rects: list[tuple[int, int, int, int]] = []
         self.bottoms: list[int] = []
         self.order: list[int] = []
+        self.sky: Optional[StepProfile] = None
+        self.sky_n = 0
 
     def fit(self, *values: Scalar) -> None:
         """Rescale, if needed, so that ``scale`` is a multiple of every
@@ -107,6 +111,8 @@ class _Lattice:
             self.rects = [(l * f, r * f, b * f, t * f)
                           for l, r, b, t in self.rects]
             self.bottoms = [b * f for b in self.bottoms]
+            if self.sky is not None:
+                self.sky.scale_by(f)
             self.scale = scale
 
     def units(self, *values: Scalar) -> list[int]:
@@ -188,6 +194,19 @@ class Packing:
 
     def units(self, *values: Scalar) -> list[int]:
         return self._lat.units(*values)
+
+    def skyline(self) -> Optional[StepProfile]:
+        """The lattice's skyline, raised through this packing's rects, or
+        None if it has been raised past them.  Read-only."""
+        lat = self._lat
+        if lat.sky is None:
+            lat.sky = StepProfile(lat.scale)
+        elif self._n < lat.sky_n:
+            return None
+        for l, r, _, t in lat.rects[lat.sky_n:self._n]:
+            lat.sky.raised(l, r, t)
+        lat.sky_n = self._n
+        return lat.sky
 
     def lattice(self, *values: Scalar) -> tuple[int, Sequence[tuple[int, int, int, int]]]:
         """``(scale, rects)``: ``rects[i]`` is placement i's ``(l, r, b, t)``
@@ -377,11 +396,26 @@ def is_tetris_reachable(p: Packing, at) -> bool:
 
 def check_step(sofar: Packing, at) -> Optional[str]:
     """The first rule the arriving square at ``at`` breaks against the
-    packing before it, or None: ``"overlap"``, then ``"unsupported"``, then
-    ``"unreachable"``.  A rule is decided only if every rule before it holds.
+    packing before it, whose squares lie in the strip, or None:
+    ``"overlap"``, then ``"unsupported"``, then ``"unreachable"``; settled
+    from the skyline as the module docstring says, else by ``check_rules``."""
+    l, r, b, _ = at
+    if 0 <= l and r <= sofar._lat.scale:
+        sky = sofar.skyline()
+        if sky is not None:
+            m = sky.max_over(l, r)
+            if m < b:
+                return "unsupported"
+            if m == b:
+                return None
+    return check_rules(sofar, at)
 
-    Only squares with bottom in ``[b - 1, t)`` can overlap it, as sides
-    are at most 1, so only that window is tested."""
+
+def check_rules(sofar: Packing, at) -> Optional[str]:
+    """``check_step`` by the rules alone, each decided only if every rule
+    before it holds.  Only squares with bottom in ``[b - 1, t)`` can
+    overlap the square, as sides are at most 1, so only that window is
+    tested."""
     lat = sofar._lat
     l, r, b, t = at
     rect = Rect(*at)
@@ -396,43 +430,22 @@ def check_step(sofar: Packing, at) -> Optional[str]:
     return None
 
 
-class StepChecker:
-    """``check_step`` for one chain of packings in arrival order, from
-    ``sky``, the highest top over each point of the strip, where it can
-    be; ``sky`` follows the lattice's scale."""
-
-    def __init__(self):
-        self.sky = StepProfile(1)
-
-    def check(self, sofar: Packing, at) -> Optional[str]:
-        l, r, b, t = at
-        scale, sky = sofar._lat.scale, self.sky
-        if scale != sky.end:
-            sky.scale_by(scale // sky.end)
-        m = sky.max_over(l, r) if 0 <= l and r <= scale else b + 1
-        violation = ("unsupported" if m < b else
-                     check_step(sofar, at) if m > b else None)
-        if violation is None:
-            sky.raised(l, r, t)
-        return violation
-
-
 def verify_packing(seq: Sequence[SquareItem],
                    pls: Sequence[Placement]) -> Optional[str]:
-    """Replay arrivals in order, checking each step skyline first with one
-    ``StepChecker``, and stop at the first step that breaks a rule:
-    ``"<rule> at step <k>"`` (k 1-based), or None if every step holds.
-    Each step converts its square once, on a lattice fitted to all."""
+    """Replay arrivals in order through ``check_step`` and stop at the
+    first step that breaks a rule: ``"<rule> at step <k>"`` (k 1-based),
+    or None if every step holds.  Each step converts its square once, on a
+    lattice fitted to all."""
     if len(seq) != len(pls):
         raise PackingError("sequence and placement lists differ in length")
     for item, pl in zip(seq, pls):
         if item.index != pl.item.index or item.side != pl.item.side:
             raise PackingError(f"item mismatch at index {item.index}")
-    sofar, checker = Packing(), StepChecker()
+    sofar = Packing()
     sofar._lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
     for step, pl in enumerate(pls, start=1):
         at = sofar._lat.coords(pl)
-        violation = checker.check(sofar, at)
+        violation = check_step(sofar, at)
         if violation:
             return f"{violation} at step {step}"
         sofar = sofar.extended(pl, at)

@@ -4,11 +4,13 @@ vertical drop along the chosen slot's left boundary.
 The strip is divided, for every level k, into 2^k slots of width 2^-k; a
 slot is its index j, and spans [j 2^-k, (j+1) 2^-k].  A square is rounded
 up to the nearest power of 1/2 and dropped in the level-k slot with the
-lowest rest height (ties to the leftmost slot).  The only state besides the
-packing is its skyline, one step profile on the packing's integer lattice,
-changed in place.  The lowest slot is found among the skyline's candidate
-cells: the leftmost whole slot of each segment and every slot that
-straddles a breakpoint.  One scan lists them at every width.  The skyline
+lowest rest height (ties to the leftmost slot).  The strategy keeps no
+state besides its packing: it reads the skyline that the packing's lattice
+keeps, one step profile of the tops on the lattice's integers, raised in
+place and rescaled with the lattice.  The lowest slot is found among the
+skyline's candidate cells: the leftmost whole slot of each segment and
+every slot that straddles a breakpoint.  One scan lists them at every
+width.  The skyline
 keeps the candidates of the width it was last asked about, so a square of
 the same level as the one before it rescans only the slots that square
 touched, and a square of a new level lists them all once.  No level keeps
@@ -22,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import StepProfile
 from .numbers import ONE, ZERO, Scalar
 from .packing import Packing, PackingError, Placement, SquareItem
 
@@ -48,44 +49,29 @@ def _dyadic(k: int) -> Fraction:
 
 class SlotState:
     """The slot strategy, one square at a time, on its packing and the
-    packing's skyline.
-
-    The skyline holds the packing's lattice integers, with ``end`` the
-    scale it was built on.  Any caller's conversion may grow the lattice,
-    so ``_units`` compares the scales and multiplies the skyline through.
-    """
+    skyline of the packing's lattice."""
 
     def __init__(self):
         self.packing = Packing()
-        self._skyline = StepProfile(1)
-
-    def _units(self, *values: Scalar) -> list[int]:
-        out = self.packing.units(*values, ONE)     # ONE's units: the scale
-        scale, skyline = out.pop(), self._skyline
-        if scale != skyline.end:
-            skyline.scale_by(scale // skyline.end)
-        return out
 
     def choose(self, w: int) -> int:
         """Index j of the leftmost lowest slot [j w, (j+1) w], for a slot
         width ``w`` in lattice units."""
-        return self._skyline.lowest_cell(w)
+        return self.packing.skyline().lowest_cell(w)
 
     def place(self, item: SquareItem) -> Placement:
         a = item.side
         _, width = round_to_dyadic(a)
-        w, s = self._units(width, a)
-        j = self.choose(w)
-        scale = self._skyline.end
-        l = j * w
+        p = self.packing
+        w, s, scale = p.units(width, a, ONE)    # ONE's units: the scale
+        l = self.choose(w) * w
         r = l + s
         # the physical drop stops where the square itself lands; in the rare
         # case the slot's interior max sits beyond the footprint this is
         # lower, and it is what keeps the placement supported
-        b = self._skyline.max_over(l, r)
+        b = p.skyline().max_over(l, r)
         pl = Placement(item, Fraction(l, scale), Fraction(b, scale))
-        self.packing = self.packing.extended(pl, (l, r, b, b + s))
-        self._skyline.raised(l, r, b + s)
+        self.packing = p.extended(pl, (l, r, b, b + s))
         return pl
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -251,6 +252,25 @@ class TestCli:
         assert not csv.exists()
 
 
+class TestParserBuiltOnce:
+    def test_two_calls_build_one_parser(self, three, monkeypatch, capsys):
+        """Building the parser took about half of a 30-square ``run``;
+        a process builds it at most once, whichever call comes first."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            assert main(["run", "--strategy", "slot",
+                         "--input", str(three)]) == 0
+        assert capsys.readouterr().out == "height 11/10\n" * 2
+        assert progs.count("strippack") <= 1
+
+
 class TestInputErrors:
     """Each input error of the CLI exits 2 with its message on stderr and
     nothing on stdout."""
@@ -282,6 +302,18 @@ class TestInputErrors:
         csv.write_text(rows)
         self.assert_rejected(["verify", "--input", str(three),
                               "--placements", str(csv)], message, capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/2\n3/2\n", "line 2: side 3/2 outside (0, 1]"),
+        ("0\n", "line 1: side 0 outside (0, 1]"),
+        ("1/2\nbanana\n",
+         "line 2: bad scalar token 'banana': Invalid literal for Fraction: "
+         "'banana'")])
+    def test_instance(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        self.assert_rejected(["run", "--strategy", "slot", "--input",
+                              str(path)], message, capsys)
 
     @pytest.mark.parametrize("flags, message", [
         (["--iterations", "0"], "need at least one iteration"),

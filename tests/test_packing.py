@@ -12,7 +12,7 @@ from span_reference import (intersect_spans, merge_spans, spans_contain,
 import strippack.packing
 from strippack.bottomleft import BottomLeftState
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               StepChecker, _free, _meeting, check_step,
+                               _free, _meeting, check_step,
                                is_supported, is_tetris_reachable, pack,
                                verify_packing)
 
@@ -244,16 +244,16 @@ class TestVerifier:
                 verify_packing(seq, pls)
 
     def test_stops_at_first_failure(self, monkeypatch):
-        # every step goes through the checker, which calls check_step only
-        # for the steps the skyline cannot settle
+        # every step goes through check_step, which reads the skyline
+        # first and runs the rules only where it cannot settle the step
         calls = []
-        check = StepChecker.check
+        check = strippack.packing.check_step
 
-        def counted(self, sofar, at):
+        def counted(sofar, at):
             calls.append(at)
-            return check(self, sofar, at)
+            return check(sofar, at)
 
-        monkeypatch.setattr(StepChecker, "check", counted)
+        monkeypatch.setattr(strippack.packing, "check_step", counted)
         seq = random_items(3, 100)
         packed = pack(BottomLeftState, seq).placements
         assert verify_packing(seq, packed) is None

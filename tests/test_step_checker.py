@@ -1,12 +1,11 @@
-"""The skyline-first step checker against ``check_step``, and growth gates
-on the work of its fallback.
+"""``check_step``, which reads the skyline first, against the rules alone
+(``check_rules``), and growth gates on the work of its fallback.
 
-``StepChecker`` settles a step from the skyline of the tops when the
-square lies at or above every top over its x-range, and calls
-``check_step`` otherwise; the two must agree on every step, valid or not,
-including which rule is named first."""
+``check_step`` settles a step from the skyline of the tops, which the
+packing's lattice keeps, when the square lies at or above every top over
+its x-range, and calls ``check_rules`` otherwise; the two must agree on
+every step, valid or not, including which rule is named first."""
 
-import copy
 import random
 from fractions import Fraction as F
 
@@ -18,7 +17,8 @@ from conftest import (assert_grows_linearly, fresh_python, packing_of,
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
-from strippack.packing import (Packing, Placement, SquareItem, StepChecker,
+from strippack.geometry import StepProfile
+from strippack.packing import (Packing, Placement, SquareItem, check_rules,
                                check_step, pack, verify_packing)
 from strippack.slots import SlotState, slot_killer_instance
 from test_bottomleft import gravity_packing
@@ -43,27 +43,44 @@ def mutants(sofar: Packing, at):
     return out
 
 
+def assert_step_agrees(sofar: Packing, at, seen: set, where) -> None:
+    """``check_step`` and ``check_rules`` accept the square at ``at`` and
+    give the same verdict on each of its mutants; adds each mutant's
+    ``(kind, verdict)`` to ``seen``."""
+    for kind, bad in mutants(sofar, at):
+        verdict = check_rules(sofar, bad)
+        assert check_step(sofar, bad) == verdict, (where, kind, bad)
+        seen.add((kind, verdict))
+    assert (check_step(sofar, at), check_rules(sofar, at)) == (None, None), \
+        where
+
+
 def assert_checker_agrees(pls, seen: set):
-    """Replay ``pls`` on a lattice fitted as they arrive, so it rescales
-    mid-run, through one ``StepChecker``.  At every step the checker and
-    ``check_step`` accept the square and give the same verdict on each of
-    its mutants; a mutant is checked on a copy of the checker, as a step
-    that holds raises the skyline.  Adds each mutant's ``(kind, verdict)``
-    to ``seen``, and returns the checker, the packing and the scales seen."""
-    checker, sofar, scales = StepChecker(), Packing(), set()
+    """Replay ``pls`` on a lattice fitted as they arrive, so that ``fit``
+    rescales the skyline mid-run, with ``assert_step_agrees`` at every
+    step; every step is served by the one skyline of the chain.  Then
+    recheck a few steps on their older snapshots, which the skyline has
+    passed, and on a branch from each, which gets a skyline of its own.
+    Returns the packing and the scales seen."""
+    sofar, scales, snapshots = Packing(), set(), []
     for step, pl in enumerate(pls, start=1):
         at = rect_on(sofar, pl)
         scales.add(sofar._lat.scale)
-        for kind, bad in mutants(sofar, at):
-            verdict = check_step(sofar, bad)
-            assert copy.deepcopy(checker).check(sofar, bad) == verdict, \
-                (step, kind, bad)
-            seen.add((kind, verdict))
-        assert (checker.check(sofar, at), check_step(sofar, at)) == \
-            (None, None), step
+        assert_step_agrees(sofar, at, seen, step)
+        assert sofar.skyline() is sofar._lat.sky
+        snapshots.append(sofar)
         sofar = sofar.extended(pl, at)
-    assert checker.sky.end == sofar._lat.scale
-    return checker, sofar, scales
+    assert sofar.skyline().end == sofar._lat.scale
+    for k in range(0, len(pls) - 2, max(1, len(pls) // 5)):
+        older = snapshots[k]
+        assert older.skyline() is None, k
+        assert_step_agrees(older, rect_on(older, pls[k]), seen, ("older", k))
+        branch = older.extended(pls[k])
+        assert branch._lat is not older._lat
+        assert_step_agrees(branch, rect_on(branch, pls[k + 1]), seen,
+                           ("branch", k))
+        assert branch.skyline() is branch._lat.sky is not sofar._lat.sky
+    return sofar, scales
 
 
 def assert_each_rule_broken(seen: set):
@@ -98,12 +115,12 @@ class TestAgainstCheckStep:
         seen = set()
         for _ in range(300):
             p = gravity_packing(rng, rng.randint(2, 8), rng.choice([4, 6, 8]))
-            checker, sofar, _ = assert_checker_agrees(p.placements, seen)
+            sofar, _ = assert_checker_agrees(p.placements, seen)
             for a in sides:
                 item = SquareItem(len(sofar) + 1, a)
                 at = rect_on(sofar, bl_place_next(sofar, item)[0])
-                assert copy.deepcopy(checker).check(sofar, at) == \
-                    check_step(sofar, at) is None, (sofar.placements, a)
+                assert check_step(sofar, at) == check_rules(sofar, at) \
+                    is None, (sofar.placements, a)
         assert_each_rule_broken(seen)
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -111,28 +128,29 @@ class TestAgainstCheckStep:
         # the 3/4 + eps square brings a denominator the quarters lack
         seen = set()
         pls = adversary_run(STRATEGIES[name], 100, EPS).packing.placements
-        _, _, scales = assert_checker_agrees(pls, seen)
+        _, scales = assert_checker_agrees(pls, seen)
         assert len(scales) > 1
         assert_each_rule_broken(seen)
 
     def test_sealed_cavity(self):
         # two pillars under a lid: the skyline over the cavity is the lid's
-        # top, so the checker falls back and names the cavity unreachable
+        # top, so check_step falls back and names the cavity unreachable
         pls = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0),
                           (1, 0, "1/4")]).placements
-        checker, sofar, _ = assert_checker_agrees(pls, set())
+        sofar, _ = assert_checker_agrees(pls, set())
         inside = rect_on(sofar, Placement(SquareItem(4, F(1, 4)),
                                           F(3, 8), F(0)))
-        assert checker.check(sofar, inside) == check_step(sofar, inside) == \
+        assert check_step(sofar, inside) == check_rules(sofar, inside) == \
             "unreachable"
 
     def test_skyline_settles_without_check_step(self, monkeypatch):
         """Squares at or above every top over their x-range, on the ground,
-        on a top or floating, never reach ``check_step``."""
+        on a top or floating, never reach the rules."""
         def never(*args):
-            raise AssertionError("check_step was called")
+            raise AssertionError("a rule was run")
 
-        monkeypatch.setattr(strippack.packing, "check_step", never)
+        for rule in ("check_rules", "is_supported", "is_tetris_reachable"):
+            monkeypatch.setattr(strippack.packing, rule, never)
         seq = [SquareItem(i, F(1, 4)) for i in range(1, 6)]
         row = [Placement(seq[i], F(i, 4), F(0)) for i in range(4)]
         on_top = Placement(seq[4], F(1, 2), F(1, 4))
@@ -140,6 +158,41 @@ class TestAgainstCheckStep:
         floating = Placement(seq[4], F(1, 2), F(1, 3))
         assert verify_packing(seq, row + [floating]) == \
             "unsupported at step 5"
+
+
+class TestOneSkyline:
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_adversary_raises_each_square_once(self, name, monkeypatch):
+        """The slot strategy chooses on the lattice's skyline and the
+        adversary checks on it, so the 500 squares of m=100 build one
+        skyline and raise it once each (a skyline per reader raised each
+        square twice)."""
+        built, raised = [], []
+        init, raise_ = StepProfile.__init__, StepProfile.raised
+
+        def counted_init(self, end):
+            built.append(end)
+            init(self, end)
+
+        def counted_raised(self, lo, hi, value):
+            raised.append(lo)
+            raise_(self, lo, hi, value)
+
+        monkeypatch.setattr(StepProfile, "__init__", counted_init)
+        monkeypatch.setattr(StepProfile, "raised", counted_raised)
+        adversary_run(STRATEGIES[name], 100, F(1, 100))
+        assert len(built) == 1
+        assert len(raised) <= 500
+
+    def test_slot_adversary_settles_every_step(self, monkeypatch):
+        """A slot square drops onto the skyline, and the adversary checks
+        it on the snapshot the strategy chose on, so no step needs the
+        rules."""
+        def never(*args):
+            raise AssertionError("a rule was run")
+
+        monkeypatch.setattr(strippack.packing, "check_rules", never)
+        assert len(adversary_run(SlotState, 100, F(1, 100)).packing) == 500
 
 
 # ---------------------------------------------------------------------------
