@@ -15,7 +15,8 @@ every square is an integer ``(l, r, b, t)``, and corners, areas, side
 lengths, cuts, virtual lids, diagonal crossings and charge segments are
 lattice integers, as is twice each hole's bound.  They become Fractions
 only where they leave the module (``Hole.area``, ``Hole.region``, the
-bound ``hole_area_bound`` returns, the analysis checks).
+bound ``hole_area_bound`` returns, the values the analysis checks print);
+the checks are decided on the integers, the ledger counted in halves.
 
 Raw holes come straight from those rects' sides: the parts that no
 opposite side covers are the pieces of the free space's boundary (Lemma 1:
@@ -65,8 +66,6 @@ TYPE_II = "II"
 KIND_INTERIOR = "interior"
 KIND_LEFT_WALL = "left-wall"
 KIND_RIGHT_WALL = "right-wall"
-
-MAX_CHARGE = Fraction(5, 2)     # no square collects more (Theorem 1)
 
 
 @dataclass(frozen=True)
@@ -580,12 +579,17 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
     return items
 
 
+def _twice_bound(terms: list[ChargeTerm]) -> int:
+    """Twice a hole's bound on the lattice: each squared segment times its
+    coefficient, 1/2 or 1, a virtual lid's bottom counting in full."""
+    return sum(t.segment ** 2 * (2 if t.virtual or t.coeff == ONE else 1)
+               for t in terms)
+
+
 def hole_area_bound(hole: Hole, terms: list[ChargeTerm]) -> Fraction:
-    """Bound the hole area by its charge terms and assert it: each squared
-    segment times its coefficient, 1/2 or 1, a virtual lid's bottom
-    counting in full, so that twice the bound is a lattice integer."""
-    twice = sum(t.segment ** 2 * (2 if t.virtual or t.coeff == ONE else 1)
-                for t in terms)
+    """Bound the hole area by its charge terms (``_twice_bound``) and
+    assert it."""
+    twice = _twice_bound(terms)
     bound = Fraction(twice, 2 * hole.ctx.scale ** 2)
     if 2 * hole.area_units > twice:
         raise AnalysisError(
@@ -622,9 +626,6 @@ class ChargeLedger:
         self.totals: dict[int, Fraction] = {}
         for (idx, _, _), coeff in self.max_coeff.items():
             self.totals[idx] = self.totals.get(idx, ZERO) + coeff
-
-    def total_charge(self, square_index: int) -> Fraction:
-        return self.totals.get(square_index, ZERO)
 
 
 def compute_charges(terms: Sequence[list[ChargeTerm]]) -> ChargeLedger:
@@ -689,31 +690,35 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     bounds = [hole_area_bound(h, t) for h, t in zip(finals, terms)]
     ledger = compute_charges(terms)
 
-    checks = []
-    area_sum = sum((pl.item.side ** 2 for pl in p.placements), ZERO)
-    unit = closed.lattice()[0] ** 2     # the unit square's lattice area
-    hole_sum = Fraction(sum(h.area_units for h in raw), unit)
-    height = p.height
-    checks.append(Check("height-identity", height == area_sum + hole_sum,
-                        str(height), "==", f"{area_sum} + {hole_sum}"))
-    final_sum = Fraction(sum(h.area_units for h in finals), unit)
-    checks.append(Check("split-conservation", final_sum == hole_sum,
-                        str(final_sum), "==", str(hole_sum)))
-    closed_area = area_sum + ONE
-    checks.append(Check("aggregate-bound",
-                        hole_sum <= MAX_CHARGE * closed_area,
-                        str(hole_sum), "<=", f"5/2 * {closed_area}"))
-    terms_sum = sum(bounds, ZERO)
-    checks.append(Check("terms-soundness", hole_sum <= terms_sum,
-                        str(hole_sum), "<=", str(terms_sum)))
-    ledger_sum = sum((ledger.total_charge(pl.item.index) * pl.item.side ** 2
-                      for pl in closed.placements), ZERO)
-    checks.append(Check("ledger-soundness", hole_sum <= ledger_sum,
-                        str(hole_sum), "<=", str(ledger_sum)))
-    max_charge = max(ledger.totals.values(), default=ZERO)
-    checks.append(Check("max-charge", max_charge <= MAX_CHARGE,
-                        str(max_charge), "<=", "5/2"))
-    checks.append(Check("theorem1",
-                        height <= Fraction(7, 2) * area_sum + Fraction(5, 2),
-                        str(height), "<=", f"7/2 * {area_sum} + 5/2"))
+    # decided at scale^2, the unit square's lattice area; a coefficient is
+    # 1/2 or 1, so the ledger is counted in halves (any other, exactly)
+    scale, rects = closed.lattice()
+    unit, halves = scale * scale, Counter()
+    for (idx, _, _), coeff in ledger.max_coeff.items():
+        halves[idx] += 1 if coeff == HALF else 2 if coeff == ONE else 2 * coeff
+    areas = [(r - l) ** 2 for l, r, _, _ in rects]
+    twice_ledger = sum(halves[pl.item.index] * a
+                       for pl, a in zip(closed.placements, areas))
+    area = sum(areas) - unit            # less the closing square's
+    level = rects[-1][2] * scale        # the height, where that square rests
+    hole_units = sum(h.area_units for h in raw)
+    final_units = sum(h.area_units for h in finals)
+    twice_terms = sum(_twice_bound(t) for t in terms)
+    area_sum, hole_sum = Fraction(area, unit), Fraction(hole_units, unit)
+    max_halves = max(halves.values(), default=0)
+    checks = [
+        Check("height-identity", level == area + hole_units,
+              str(p.height), "==", f"{area_sum} + {hole_sum}"),
+        Check("split-conservation", final_units == hole_units,
+              str(Fraction(final_units, unit)), "==", str(hole_sum)),
+        Check("aggregate-bound", 2 * hole_units <= 5 * (area + unit),
+              str(hole_sum), "<=", f"5/2 * {Fraction(area + unit, unit)}"),
+        Check("terms-soundness", 2 * hole_units <= twice_terms,
+              str(hole_sum), "<=", str(Fraction(twice_terms, 2 * unit))),
+        Check("ledger-soundness", 2 * hole_units <= twice_ledger,
+              str(hole_sum), "<=", str(Fraction(twice_ledger, 2 * unit))),
+        Check("max-charge", max_halves <= 5,
+              str(Fraction(max_halves, 2)), "<=", "5/2"),
+        Check("theorem1", 2 * level <= 7 * area + 5 * unit,
+              str(p.height), "<=", f"7/2 * {area_sum} + 5/2")]
     return BottomLeftAnalysis(closed, finals, bounds, ledger, checks)

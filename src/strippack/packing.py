@@ -204,7 +204,10 @@ class Packing:
         elif self._n < lat.sky_n:
             return None
         for l, r, _, t in lat.rects[lat.sky_n:self._n]:
-            lat.sky.raised(l, r, t)
+            if l < 0 or r > lat.scale:      # a query reads only the strip
+                l, r = max(l, 0), min(r, lat.scale)
+            if l < r:
+                lat.sky.raised(l, r, t)
         lat.sky_n = self._n
         return lat.sky
 

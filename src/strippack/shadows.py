@@ -12,8 +12,10 @@ The charge map runs on the packing's integer lattice, fitted so that every
 slot boundary is an integer: extents, widenings and charged regions are
 integer ``(l, r, b, t)``, and one x-sweep keeps the rects spanning the
 current column in sorted lists (Bentley's sweep for the measure of a union
-of rectangles), so no column rescans every square.  Fractions are made only
-for the reported areas.
+of rectangles), so no column rescans every square.  Each square's charged
+area is summed there in lattice units, and ``check_slot_bounds`` decides
+every bound on those sums and the squares' lattice sides; Fractions are
+made only for the values that the report prints.
 """
 
 from __future__ import annotations
@@ -22,34 +24,32 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numbers import ONE, ZERO, Scalar
-from .packing import Check, Packing, Placement
+from .numbers import Scalar
+from .packing import Check, Packing
 from .slots import round_to_dyadic
-
-EIGHT_THIRTEENTHS = Fraction(8, 13)
 
 LatticeRect = tuple[int, int, int, int]
 
 
 @dataclass
 class ChargeMap:
-    """Exact charged areas per square (by arrival index), and the charged
-    regions as ``(l, r, b, t)`` on the closed packing's lattice, at the
-    scale ``charge_map`` fitted it to (``Packing.lattice``)."""
+    """Charged areas per square (by arrival index): exact in ``areas``, and
+    in ``sums`` on the closed packing's lattice, as multiples of 1/scale^2;
+    the charged regions as ``(l, r, b, t)`` on that lattice, at the scale
+    ``charge_map`` fitted it to (``Packing.lattice``)."""
 
     areas: dict[int, Scalar]
     regions: dict[int, list[LatticeRect]]
-
-    def area_of(self, index: int) -> Scalar:
-        return self.areas.get(index, ZERO)
+    sums: dict[int, int]
 
 
-def _extent_and_widening(pl: Placement, rect: LatticeRect, scale: int
-                         ) -> tuple[LatticeRect, LatticeRect, tuple[int, int]]:
+def _extent_and_widening(k: int, rect: LatticeRect, scale: int
+                         ) -> tuple[LatticeRect, LatticeRect, int]:
     """The shadowed extent (square union shadow, clipped to the strip), the
-    widening (the extent clipped to the square's own slot) and the widening's
-    tie key ``(k, slot index)``, on a lattice where the square's slot width
-    ``scale >> k`` is an integer and, as ``SlotState`` places it, divides l.
+    widening (the extent clipped to the square's own slot) and the slot's
+    index, for a square rounded to level k on a lattice where its slot
+    width ``scale >> k`` is an integer and, as ``SlotState`` places it,
+    divides l.
 
     The extent is never charged to anybody: excluding the shadow together
     with the square is what lets the accounting subtract a square's area
@@ -59,7 +59,6 @@ def _extent_and_widening(pl: Placement, rect: LatticeRect, scale: int
     space below them.
     """
     l, r, b, t = rect
-    k, _ = round_to_dyadic(pl.item.side)
     w = scale >> k
     j = l // w
     s = r - l
@@ -71,8 +70,7 @@ def _extent_and_widening(pl: Placement, rect: LatticeRect, scale: int
         # the extent stays inside the parent slot, so inside the strip
         right = min(s, (j // 2 + 1) * 2 * w - r)
         lo, hi = l - (s - right), r + right
-    return ((lo, hi, b, t), (max(lo, j * w), min(hi, (j + 1) * w), b, t),
-            (k, j))
+    return (lo, hi, b, t), (max(lo, j * w), min(hi, (j + 1) * w), b, t), j
 
 
 def charge_map(p_closed: Packing) -> ChargeMap:
@@ -91,13 +89,13 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     its widening spans the strip at the highest bottom, so one tops every gap.
     """
     pls = p_closed.placements
-    scale, rects = p_closed.lattice(
-        *(round_to_dyadic(pl.item.side)[1] for pl in pls))
+    levels = [round_to_dyadic(pl.item.side) for pl in pls]
+    scale, rects = p_closed.lattice(*(w for _, w in levels))
     blockers: list[tuple[int, int, int]] = []       # (b, t, i) spanning x0
     stops: list[tuple[int, int, int, int]] = []     # (b, k, slot index, i)
     events: dict[int, list] = {0: [], scale: []}
-    for i, (pl, rect) in enumerate(zip(pls, rects)):
-        ext, wid, (k, j) = _extent_and_widening(pl, rect, scale)
+    for i, (rect, (k, _)) in enumerate(zip(rects, levels)):
+        ext, wid, j = _extent_and_widening(k, rect, scale)
         b, t = rect[2], rect[3]
         for active, (l, r, _, _), key in ((blockers, ext, (b, t, i)),
                                           (stops, wid, (b, k, j, i))):
@@ -126,31 +124,35 @@ def charge_map(p_closed: Packing) -> ChargeMap:
             sums[idx] = sums.get(idx, 0) + (g_hi - g_lo) * (x1 - x0)
             regions.setdefault(idx, []).append((x0, x1, g_lo, g_hi))
     areas = {idx: Fraction(v, scale * scale) for idx, v in sums.items()}
-    return ChargeMap(areas, regions)
+    return ChargeMap(areas, regions, sums)
 
 
 def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:
-    """Exact per-square and aggregate bounds implied by the charge map."""
-    checks = []
-    for pl in p_closed.placements:
-        charged = cm.area_of(pl.item.index)
-        limit = EIGHT_THIRTEENTHS * pl.item.side ** 2
-        if charged > limit:
+    """Exact per-square and aggregate bounds implied by the charge map,
+    decided on lattice integers at scale^2: a square of lattice side s has
+    area s^2, and the closing square rests at the open packing's height."""
+    scale, rects = p_closed.lattice()
+    unit, pls, checks = scale * scale, p_closed.placements, []
+    worst_c, worst_a, area = 0, 1, 0    # the largest c / s^2; the area
+    for pl, (l, r, _, _) in zip(pls, rects):
+        c, a = cm.sums.get(pl.item.index, 0), (r - l) ** 2
+        if 13 * c > 8 * a:
             checks.append(Check(f"slot-per-square-{pl.item.index}", False,
-                                str(charged), "<=", str(limit)))
-    worst = max((cm.area_of(pl.item.index) / pl.item.side ** 2
-                 for pl in p_closed.placements), default=ZERO)
-    checks.append(Check("slot-per-square", worst <= EIGHT_THIRTEENTHS,
-                        f"max |F|/a^2 = {worst}", "<=", "8/13"))
-    open_pls = p_closed.placements[:-1]
-    area_sum = sum((pl.item.side ** 2 for pl in open_pls), ZERO)
-    height = max((pl.top for pl in open_pls), default=ZERO)
-    charge_sum = sum(cm.areas.values(), ZERO)
+                                str(Fraction(c, unit)), "<=",
+                                str(Fraction(8 * a, 13 * unit))))
+        if c * worst_a > worst_c * a:
+            worst_c, worst_a = c, a
+        area += a
+    checks.append(Check("slot-per-square", 13 * worst_c <= 8 * worst_a,
+                        f"max |F|/a^2 = {Fraction(worst_c, worst_a)}", "<=",
+                        "8/13"))
+    height, open_area = rects[-1][2] * scale, area - unit
+    area_sum, charge_sum = Fraction(open_area, unit), sum(cm.sums.values())
     checks.append(Check("slot-height-decomposition",
-                        height <= 2 * area_sum + charge_sum,
-                        str(height), "<=", f"2*{area_sum} + {charge_sum}"))
-    closed_sum = area_sum + ONE
-    checks.append(Check("theorem2",
-                        height <= 2 * area_sum + EIGHT_THIRTEENTHS * closed_sum,
-                        str(height), "<=", f"2*{area_sum} + 8/13*{closed_sum}"))
+                        height <= 2 * open_area + charge_sum,
+                        str(pls[-1].y), "<=",
+                        f"2*{area_sum} + {Fraction(charge_sum, unit)}"))
+    checks.append(Check("theorem2", 13 * height <= 26 * open_area + 8 * area,
+                        str(pls[-1].y), "<=",
+                        f"2*{area_sum} + 8/13*{Fraction(area, unit)}"))
     return checks

@@ -16,7 +16,7 @@ from strippack.holes import (AnalysisError, extract_holes,
                              run_bottomleft_analysis)
 from strippack.packing import (Placement, SquareItem, close_packing, pack,
                                verify_packing)
-from strippack.shadows import EIGHT_THIRTEENTHS, charge_map
+from strippack.shadows import charge_map
 from strippack.slots import SlotState, slot_killer_instance
 
 CORPUS_SIZE = 1000
@@ -24,6 +24,7 @@ CORPUS_N = 30
 GRID = 2 ** 20
 MIN_NUM = GRID // 64      # sides in [1/64, 1]
 EPS = F(1, 100)
+EIGHT_THIRTEENTHS = F(8, 13)
 
 
 def corpus_instance(seed: int) -> list[SquareItem]:
@@ -66,7 +67,7 @@ def corpus():
         rec["hole_sum"] = hole_sum
         rec["analysis_ok"] = ana.ok
         rec["max_charge"] = max(
-            (ana.ledger.total_charge(pl.item.index)
+            (ana.ledger.totals.get(pl.item.index, F(0))
              for pl in ana.closed.placements), default=F(0))
         rec["aggregate_ok"] = hole_sum <= F(5, 2) * (area + 1)
         rec["theorem1"] = p.height <= F(7, 2) * area + F(5, 2)
@@ -76,7 +77,8 @@ def corpus():
         cm = charge_map(closed)
         rec["slot_height"] = sp.height
         rec["slot_per_square"] = all(
-            cm.area_of(pl.item.index) <= EIGHT_THIRTEENTHS * pl.item.side ** 2
+            cm.areas.get(pl.item.index, 0)
+            <= EIGHT_THIRTEENTHS * pl.item.side ** 2
             for pl in closed.placements)
         rec["theorem2"] = sp.height <= 2 * area + EIGHT_THIRTEENTHS * (area + 1)
         records.append(rec)

@@ -24,7 +24,7 @@ from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              ChargeTerm, Hole, compute_charges, extract_holes,
                              _charge_items, hole_area_bound,
                              run_bottomleft_analysis, split_hole)
-from strippack.packing import Packing, SquareItem, close_packing, pack
+from strippack.packing import Check, Packing, SquareItem, close_packing, pack
 from test_families import FAMILIES, family_items
 
 # the large-workload panel: 100 sides randint(2^14, 2^20) / 2^20
@@ -352,7 +352,7 @@ class TestCharges:
         ledger = compute_charges([_charge_items(h) for h in split_hole(hole)])
         assert ledger.max_coeff[(3, "bottom", False)] == 1     # lid
         assert ledger.max_coeff[(1, "right", False)] == F(1, 2)
-        assert ledger.total_charge(3) == 1
+        assert ledger.totals.get(3, 0) == 1
 
     def test_running_totals_equal_key_scan(self):
         # a side whose maximum rises counts only its new maximum
@@ -362,14 +362,14 @@ class TestCharges:
                                    ("right", False, "1/2"),
                                    ("right", False, "1/3"),
                                    ("bottom", True, "1/2"))])
-        assert ledger.total_charge(1) == 1 and ledger.total_charge(2) == 0
+        assert ledger.totals.get(1, 0) == 1 and ledger.totals.get(2, 0) == 0
         for seed in range(20):
             ana = run_bottomleft_analysis(
                 pack(BottomLeftState, corpus_items(seed)))
             coeffs = ana.ledger.max_coeff
             for pl in ana.closed.placements:
                 idx = pl.item.index
-                assert ana.ledger.total_charge(idx) == sum(
+                assert ana.ledger.totals.get(idx, 0) == sum(
                     (c for (i, _, _), c in coeffs.items() if i == idx), F(0))
 
     def test_virtual_owner_bottom_three_halves(self):
@@ -1194,3 +1194,84 @@ class TestGoldenReports:
         seq = LARGE_PANEL[0] if name == "large:0" else nondyadic_items(0)
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         assert _sha256(render_svg(ana.closed, ana.holes)) == SVG_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# the Fraction check block that the lattice one replaced, kept as its
+# reference
+# ---------------------------------------------------------------------------
+
+def reference_checks(p: Packing, ana) -> list[str]:
+    """The check lines of ``run_bottomleft_analysis`` from Fraction sums
+    over the analysis's holes, bounds and ledger."""
+    closed, ledger, zero = ana.closed, ana.ledger, F(0)
+    area_sum = sum((pl.item.side ** 2 for pl in p.placements), zero)
+    hole_sum = sum((h.area for h in holes.extract_holes(closed)), zero)
+    height = p.height
+    final_sum = sum((h.area for h in ana.holes), zero)
+    closed_area = area_sum + 1
+    terms_sum = sum(ana.bounds, zero)
+    ledger_sum = sum((ledger.totals.get(pl.item.index, zero)
+                      * pl.item.side ** 2 for pl in closed.placements), zero)
+    max_charge = max(ledger.totals.values(), default=zero)
+    return [c.line() for c in [
+        Check("height-identity", height == area_sum + hole_sum,
+              str(height), "==", f"{area_sum} + {hole_sum}"),
+        Check("split-conservation", final_sum == hole_sum,
+              str(final_sum), "==", str(hole_sum)),
+        Check("aggregate-bound", hole_sum <= F(5, 2) * closed_area,
+              str(hole_sum), "<=", f"5/2 * {closed_area}"),
+        Check("terms-soundness", hole_sum <= terms_sum,
+              str(hole_sum), "<=", str(terms_sum)),
+        Check("ledger-soundness", hole_sum <= ledger_sum,
+              str(hole_sum), "<=", str(ledger_sum)),
+        Check("max-charge", max_charge <= F(5, 2),
+              str(max_charge), "<=", "5/2"),
+        Check("theorem1", height <= F(7, 2) * area_sum + F(5, 2),
+              str(height), "<=", f"7/2 * {area_sum} + 5/2")]]
+
+
+CHECKS_PANEL = ([(f"corpus:{seed}", lambda seed=seed: corpus_items(seed))
+                 for seed in range(50)]
+                + [(f"large:{i}", lambda i=i: LARGE_PANEL[i])
+                   for i in range(len(LARGE_PANEL))]
+                + [(f"nondyadic:{seed}", lambda seed=seed: nondyadic_items(seed))
+                   for seed in range(3)])
+
+
+class TestChecksAgainstReference:
+    """The checks decided on lattice integers print the lines that the
+    Fraction sums printed, FAIL lines included."""
+
+    @pytest.mark.parametrize("seq", [seq for _, seq in CHECKS_PANEL],
+                             ids=[name for name, _ in CHECKS_PANEL])
+    def test_equal_to_reference(self, seq):
+        p = pack(BottomLeftState, seq())
+        ana = run_bottomleft_analysis(p)
+        assert [c.line() for c in ana.checks] == reference_checks(p, ana)
+
+    def test_failing_checks(self, monkeypatch):
+        """Analyses fed broken parts fail a check each, with the lines of
+        the Fraction sums: a raw hole left out fails ``height-identity``,
+        pieces counted twice ``split-conservation``, an empty ledger
+        ``ledger-soundness``, and a coefficient of 3, which no hole gives,
+        ``max-charge``, its ledger still counted exactly."""
+        extract, split, charge_items = (holes.extract_holes, holes.split_hole,
+                                        holes._charge_items)
+        patches = [
+            ("extract_holes", lambda closed: extract(closed)[1:]),
+            ("split_hole", lambda hole: split(hole) * 2),
+            ("compute_charges", lambda terms: ChargeLedger([])),
+            ("_charge_items", lambda hole: charge_items(hole)
+             + [replace(charge_items(hole)[0], coeff=F(3))])]
+        p = pack(BottomLeftState, items("7/8", 1, "1/2", "1/8", "3/8", "5/8"))
+        failed = []
+        for name, broken in patches:
+            with monkeypatch.context() as patch:
+                patch.setattr(holes, name, broken)
+                ana = run_bottomleft_analysis(p)
+                want = reference_checks(p, ana)
+            assert [c.line() for c in ana.checks] == want, name
+            failed.append([c.name for c in ana.checks if not c.ok])
+        assert failed == [["height-identity"], ["split-conservation"],
+                          ["ledger-soundness"], ["max-charge"]]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import NamedTuple
@@ -8,8 +9,8 @@ import pytest
 from conftest import (corpus_items, deep_items, items, nondyadic_items,
                       random_items)
 from strippack.geometry import Rect
-from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               close_packing, pack)
+from strippack.packing import (Check, Packing, PackingError, Placement,
+                               SquareItem, close_packing, pack)
 from strippack.shadows import (ChargeMap, _extent_and_widening, charge_map,
                                check_slot_bounds)
 from strippack.slots import SlotState, round_to_dyadic
@@ -164,7 +165,8 @@ def lattice_widenings(closed: Packing) -> list[Rect]:
     """The widenings ``_extent_and_widening`` gives on the closed packing's
     lattice, which ``charge_map`` fitted."""
     scale, rects = closed.lattice()
-    return [as_rect(scale, _extent_and_widening(q, rect, scale)[1])
+    return [as_rect(scale, _extent_and_widening(
+                round_to_dyadic(q.item.side)[0], rect, scale)[1])
             for q, rect in zip(closed.placements, rects)]
 
 
@@ -303,7 +305,9 @@ class TestBounds:
     def test_charge_above_the_bound_fails_per_square(self):
         # square 1 has side 1/2, so its bound is 8/13 * 1/4 = 2/13
         closed = close_packing(pack(SlotState, items("1/2")))
-        checks = check_slot_bounds(closed, ChargeMap({1: F(1, 4)}, {}))
+        scale = closed.lattice()[0]
+        checks = check_slot_bounds(
+            closed, ChargeMap({1: F(1, 4)}, {}, {1: scale * scale // 4}))
         assert [c.line() for c in checks[:2]] == [
             "CHECK slot-per-square-1 FAIL 1/4 <= 2/13",
             "CHECK slot-per-square FAIL max |F|/a^2 = 1 <= 8/13"]
@@ -361,3 +365,145 @@ class TestAgainstReference:
         assert list(cm.areas.items()) == list(areas.items())
         assert list(region_rects(cm, closed).items()) == list(regions.items())
         assert lattice_widenings(closed) == widenings
+
+
+# ---------------------------------------------------------------------------
+# the Fraction bounds check that the lattice one replaced, kept as its
+# reference, and charge maps raised or emptied to break each check
+# ---------------------------------------------------------------------------
+
+EIGHT_THIRTEENTHS = F(8, 13)
+
+
+def reference_slot_bounds(p_closed: Packing, areas: dict) -> list[Check]:
+    """``check_slot_bounds`` on the exact charged areas, in Fractions."""
+    checks = []
+    for q in p_closed.placements:
+        charged = areas.get(q.item.index, ZERO)
+        limit = EIGHT_THIRTEENTHS * q.item.side ** 2
+        if charged > limit:
+            checks.append(Check(f"slot-per-square-{q.item.index}", False,
+                                str(charged), "<=", str(limit)))
+    worst = max((areas.get(q.item.index, ZERO) / q.item.side ** 2
+                 for q in p_closed.placements), default=ZERO)
+    checks.append(Check("slot-per-square", worst <= EIGHT_THIRTEENTHS,
+                        f"max |F|/a^2 = {worst}", "<=", "8/13"))
+    open_pls = p_closed.placements[:-1]
+    area_sum = sum((q.item.side ** 2 for q in open_pls), ZERO)
+    height = max((q.top for q in open_pls), default=ZERO)
+    charge_sum = sum(areas.values(), ZERO)
+    checks.append(Check("slot-height-decomposition",
+                        height <= 2 * area_sum + charge_sum,
+                        str(height), "<=", f"2*{area_sum} + {charge_sum}"))
+    closed_sum = area_sum + ONE
+    checks.append(Check("theorem2",
+                        height <= 2 * area_sum + EIGHT_THIRTEENTHS * closed_sum,
+                        str(height), "<=", f"2*{area_sum} + 8/13*{closed_sum}"))
+    return checks
+
+
+def with_sums(closed: Packing, sums: dict[int, int]) -> ChargeMap:
+    """A charge map of the given lattice sums and their exact areas."""
+    unit = closed.lattice()[0] ** 2
+    return ChargeMap({i: F(c, unit) for i, c in sums.items()}, {}, sums)
+
+
+def at_the_bound(closed: Packing, over: int, first_only=False) -> ChargeMap:
+    """Each square (or the first only) charged the most lattice units
+    within 8/13 of its area, plus ``over``."""
+    pairs = list(zip(closed.placements, closed.lattice()[1]))
+    return with_sums(closed, {q.item.index: 8 * (r - l) ** 2 // 13 + over
+                              for q, (l, r, _, _) in pairs[:1 if first_only
+                                                           else None]})
+
+
+BROKEN_MAPS = {
+    "charge-map": lambda closed: charge_map(closed),
+    "at-the-bound": lambda closed: at_the_bound(closed, 0),
+    "first-over": lambda closed: at_the_bound(closed, 1, first_only=True),
+    "all-over": lambda closed: at_the_bound(closed, 1),
+    "uncharged": lambda closed: with_sums(closed, {}),
+}
+
+
+def lines(checks: list[Check]) -> list[str]:
+    return [c.line() for c in checks]
+
+
+class TestChecksAgainstReference:
+    """``check_slot_bounds`` decides on lattice integers and prints what
+    the Fraction checks printed: the same lines, FAIL lines included, on
+    the charge map and on maps charged at 8/13 of each area, one unit past
+    it, or not at all."""
+
+    @pytest.mark.parametrize("seq", [seq for _, seq in DIFFERENTIAL],
+                             ids=[name for name, _ in DIFFERENTIAL])
+    def test_equal_to_reference(self, seq):
+        closed = close_packing(pack(SlotState, seq()))
+        for name, make in BROKEN_MAPS.items():
+            cm = make(closed)
+            assert lines(check_slot_bounds(closed, cm)) == \
+                lines(reference_slot_bounds(closed, cm.areas)), name
+
+    def test_each_check_fails(self):
+        """Every check fails on one of the maps: a square past 8/13 fails
+        its own line and ``slot-per-square``, no charge fails the height
+        decomposition, and a square floating at height 3 fails theorem 2
+        whatever it is charged."""
+        tall = close_packing(Packing([pl("1/4", 0, 3)]))
+        failed = Counter()
+        for seq in (killer_32(), corpus_items(0)):
+            closed = close_packing(pack(SlotState, seq))
+            for name in ("first-over", "uncharged"):
+                failed.update(c.name for c in check_slot_bounds(
+                    closed, BROKEN_MAPS[name](closed)) if not c.ok)
+        for name, make in BROKEN_MAPS.items():
+            cm = make(tall)
+            got = check_slot_bounds(tall, cm)
+            assert lines(got) == lines(reference_slot_bounds(tall, cm.areas))
+            failed.update(c.name for c in got if not c.ok)
+        assert {"slot-per-square-1", "slot-per-square",
+                "slot-height-decomposition", "theorem2"} <= set(failed)
+        # theorem 2 holds with equality at height 81/104, and fails above
+        for y, ok in ((F(55, 104), True), (F(55, 104) + F(1, 2 ** 20), False)):
+            closed = close_packing(Packing([pl("1/4", 0, y)]))
+            cm = charge_map(closed)
+            got = check_slot_bounds(closed, cm)
+            assert lines(got) == lines(reference_slot_bounds(closed, cm.areas))
+            assert got[-1].ok == ok
+        assert lines(check_slot_bounds(tall, charge_map(tall))) == [
+            "CHECK slot-per-square-1 FAIL 3/4 <= 1/26",
+            "CHECK slot-per-square-2 FAIL 19/8 <= 8/13",
+            "CHECK slot-per-square FAIL max |F|/a^2 = 12 <= 8/13",
+            "CHECK slot-height-decomposition PASS 13/4 <= 2*1/16 + 25/8",
+            "CHECK theorem2 FAIL 13/4 <= 2*1/16 + 8/13*17/16"]
+
+
+FRACTION_OPS = ("__add__", "__mul__", "__truediv__", "__pow__", "__lt__",
+                "__le__", "__gt__", "__ge__")
+
+
+def fraction_ops(monkeypatch, run) -> Counter:
+    """The calls of Fraction's arithmetic and comparisons while ``run()``
+    runs; building and printing a Fraction is not counted."""
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for op in FRACTION_OPS:
+            def counted(*args, _op=getattr(F, op), _name=op):
+                calls[_name] += 1
+                return _op(*args)
+            patch.setattr(F, op, counted)
+        run()
+    return calls
+
+
+class TestNoFractionArithmetic:
+    @pytest.mark.parametrize("i", range(3))
+    def test_bounds_of_the_large_panel(self, i, monkeypatch):
+        closed = close_packing(pack(SlotState, random_items(f"large:{i}", 100)))
+        cm = charge_map(closed)
+        assert not fraction_ops(monkeypatch,
+                                lambda: check_slot_bounds(closed, cm))
+        # the counter sees the operations of the Fraction checks
+        assert fraction_ops(monkeypatch,
+                            lambda: reference_slot_bounds(closed, cm.areas))

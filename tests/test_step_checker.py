@@ -143,6 +143,18 @@ class TestAgainstCheckStep:
         assert check_step(sofar, inside) == check_rules(sofar, inside) == \
             "unreachable"
 
+    @pytest.mark.parametrize("x, free, over", [("-1/4", "1/2", 0),
+                                               ("3/4", "1/4", "3/4")])
+    def test_square_past_a_wall(self, x, free, over):
+        """A packing built directly from a square sticking out past a wall:
+        its skyline keeps the part in the strip, so a quarter beside it and
+        one on that part get the verdicts of the rules."""
+        sofar = Packing([Placement(SquareItem(1, F(1, 2)), F(x), F(0))])
+        for qx, want in ((free, None), (over, "overlap")):
+            at = rect_on(sofar, Placement(SquareItem(2, F(1, 4)), F(qx),
+                                          F(0)))
+            assert check_step(sofar, at) == check_rules(sofar, at) == want
+
     def test_skyline_settles_without_check_step(self, monkeypatch):
         """Squares at or above every top over their x-range, on the ground,
         on a top or floating, never reach the rules."""
