@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numbers import HALF, ONE, ZERO, Scalar
-from .packing import (Packing, PackingError, Placement, SquareItem,
-                      check_step, verify_packing)
+from .packing import (Packing, PackingError, Placement, SquareItem, _replay,
+                      check_step)
 
 QUARTER = Fraction(1, 4)
 
@@ -131,7 +131,7 @@ def optimal_packing_for_transcript(t: AdversaryTranscript) -> Packing:
             item = SquareItem(len(placements) + 1, side)
             placements.append(Placement(item, x, base + y))
         base += ONE + eps
-    failure = verify_packing([pl.item for pl in placements], placements)
+    failure, packing = _replay([pl.item for pl in placements], placements)
     if failure:
         raise PackingError(f"optimal construction invalid: {failure}")
-    return Packing(placements)
+    return packing

@@ -79,13 +79,12 @@ def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement
         parts = line.split(",")
         if len(parts) != 4:
             raise InstanceError(f"line {lineno}: expected 4 fields")
+        idx, side, x, y = parts
         try:
-            idx = int(parts[0])
-            side, x, y = (scalar(tok) for tok in parts[1:])
-            item = SquareItem(idx, side)
+            idx, side, x, y = int(idx), scalar(side), scalar(x), scalar(y)
+            pls.append(Placement(SquareItem(idx, side), x, y))
         except ValueError as exc:
             raise InstanceError(f"line {lineno}: {exc}") from exc
-        pls.append(Placement(item, x, y))
     if len(pls) != len(seq):
         raise InstanceError(f"{len(pls)} placements for {len(seq)} squares")
     for item, pl in zip(seq, pls):

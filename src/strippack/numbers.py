@@ -4,6 +4,7 @@ Sides, coordinates, areas and charges enter and leave as Fractions; inside,
 the geometry runs on integers of one lattice, each value converted once, in
 ``packing._Lattice``.  Floats never enter: contact and tie-breaking
 decisions are equality-sensitive, so one rounding error would corrupt them.
+A ``p/q`` token of ASCII digits, as the program writes, is read on integers.
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ def scalar(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ScalarParseError("empty scalar token")
-    _check_exponent(text)
+    p, _, q = text.partition("/")
+    ints = text.isascii() and p.isdigit() and q.isdigit()
+    if not ints:
+        _check_exponent(text)
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q)) if ints else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError(f"bad scalar token {text!r}: {exc}") from exc
 

@@ -49,7 +49,7 @@ class SquareItem:
     side: Scalar
 
     def __post_init__(self):
-        if not (ZERO < self.side <= ONE):
+        if not 0 < self.side.numerator <= self.side.denominator:
             raise PackingError(f"side {self.side} outside (0, 1]")
 
 
@@ -116,10 +116,16 @@ class _Lattice:
             self.scale = scale
 
     def units(self, *values: Scalar) -> list[int]:
-        """The values times ``scale``, fitted to them first."""
-        self.fit(*values)
-        scale = self.scale
-        return [v.numerator * (scale // v.denominator) for v in values]
+        """The values times ``scale``, fitted to them first if needed."""
+        out = []
+        for v in values:
+            f, rest = divmod(self.scale, v.denominator)
+            if rest:
+                self.fit(*values)
+                return [u.numerator * (self.scale // u.denominator)
+                        for u in values]
+            out.append(v.numerator * f)
+        return out
 
     def coords(self, pl: Placement) -> tuple[int, int, int, int]:
         """``pl``'s ``(l, r, b, t)`` on the lattice, fitted to it first."""
@@ -439,6 +445,11 @@ def verify_packing(seq: Sequence[SquareItem],
     first step that breaks a rule: ``"<rule> at step <k>"`` (k 1-based),
     or None if every step holds.  Each step converts its square once, on a
     lattice fitted to all."""
+    return _replay(seq, pls)[0]
+
+
+def _replay(seq, pls) -> tuple[Optional[str], Packing]:
+    """``verify_packing``'s verdict, and the packing of the steps it passed."""
     if len(seq) != len(pls):
         raise PackingError("sequence and placement lists differ in length")
     for item, pl in zip(seq, pls):
@@ -450,9 +461,9 @@ def verify_packing(seq: Sequence[SquareItem],
         at = sofar._lat.coords(pl)
         violation = check_step(sofar, at)
         if violation:
-            return f"{violation} at step {step}"
+            return f"{violation} at step {step}", sofar
         sofar = sofar.extended(pl, at)
-    return None
+    return None, sofar
 
 
 # ---------------------------------------------------------------------------

@@ -54,22 +54,23 @@ class SlotState:
     def __init__(self):
         self.packing = Packing()
 
-    def choose(self, w: int) -> int:
-        """Index j of the leftmost lowest slot [j w, (j+1) w], for a slot
-        width ``w`` in lattice units."""
-        return self.packing.skyline().lowest_cell(w)
+    def choose(self, w: int, sky=None) -> int:
+        """Index j of the leftmost lowest slot [j w, (j+1) w] for a width
+        ``w`` in lattice units, on ``sky`` or else the packing's skyline."""
+        return (sky or self.packing.skyline()).lowest_cell(w)
 
     def place(self, item: SquareItem) -> Placement:
         a = item.side
         _, width = round_to_dyadic(a)
         p = self.packing
         w, s, scale = p.units(width, a, ONE)    # ONE's units: the scale
-        l = self.choose(w) * w
+        sky = p.skyline()
+        l = self.choose(w, sky) * w
         r = l + s
         # the physical drop stops where the square itself lands; in the rare
         # case the slot's interior max sits beyond the footprint this is
         # lower, and it is what keeps the placement supported
-        b = p.skyline().max_over(l, r)
+        b = sky.max_over(l, r)
         pl = Placement(item, Fraction(l, scale), Fraction(b, scale))
         self.packing = p.extended(pl, (l, r, b, b + s))
         return pl

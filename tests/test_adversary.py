@@ -129,6 +129,9 @@ class TestOptimalConstruction:
         t = adversary_run(factory, 5, EPS)
         opt = optimal_packing_for_transcript(t)     # verifies internally
         assert opt.height <= 5 * (1 + 2 * EPS)
+        # the packing the verifier replayed is the one built from scratch
+        fresh = Packing(opt.placements)
+        assert opt.lattice() == fresh.lattice() and opt.height == fresh.height
 
     def test_invalid_band_is_refused(self, monkeypatch):
         """The band packing is verified before it is returned: a band whose

@@ -10,13 +10,14 @@ import pytest
 
 from conftest import items, packing_of
 from strippack import cli as cli_module
+from strippack import numbers
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import main
 from strippack.harness import (InstanceError, gen_random, instance_text,
                                parse_instance, parse_placements_csv,
                                placements_csv, render_svg, run_stats)
 from strippack.holes import run_bottomleft_analysis
-from strippack.numbers import ScalarParseError, scalar
+from strippack.numbers import ScalarParseError, format_scalar, scalar
 from strippack.packing import pack, verify_packing
 
 
@@ -396,6 +397,56 @@ class TestHugeExponent:
                       "1e-99999", "--out", str(tmp_path / "g.txt")]):
             assert main(argv) == 2, argv
             assert "exponent out of range" in capsys.readouterr().err
+
+
+class TestIntegerTokens:
+    """A ``p/q`` token of ASCII digits is read as ``Fraction(int(p),
+    int(q))``; it gives the value and the error text of ``Fraction``'s
+    string parser, and every other token takes that parser."""
+
+    INTEGER_PATH = ["007/08", "0/5", "1/0", " 1/2 ", "1" * 4301 + "/3"]
+    STRING_PATH = ["/3", "3/", "1/2/3", "+1/2", "-1/2", "1_0/3",
+                   "\uff11/\uff12", "1e-4299"]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of each ``Fraction`` call ``numbers`` makes."""
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return F(*args)
+        monkeypatch.setattr(numbers, "Fraction", recording)
+        return seen
+
+    @staticmethod
+    def strings(calls):
+        return [a for args in calls for a in args if isinstance(a, str)]
+
+    @pytest.mark.parametrize("token", INTEGER_PATH + STRING_PATH,
+                             ids=lambda t: t if len(t) < 20 else f"{len(t)}ch")
+    def test_same_value_or_message_as_fraction(self, token, calls):
+        text = token.strip()
+        try:
+            want = F(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            want = f"bad scalar token {text!r}: {exc}"
+        try:
+            got = scalar(token)
+        except ScalarParseError as exc:
+            got = str(exc)
+        assert type(got) is type(want) and got == want
+        assert self.strings(calls) == (
+            [] if token in self.INTEGER_PATH else [text])
+
+    def test_thousand_squares_pass_no_string(self, calls):
+        seq = gen_random(1000, 5)
+        assert parse_instance(instance_text(seq)) == seq
+        rows = [f"{it.index},{format_scalar(it.side)},0/1,{it.index}/7"
+                for it in seq]
+        pls = parse_placements_csv("\n".join(["id,side,x,y"] + rows), seq)
+        assert [pl.y for pl in pls] == [F(it.index, 7) for it in seq]
+        assert len(calls) == 4000 and self.strings(calls) == []
 
 
 class TestTinySides:
