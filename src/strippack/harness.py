@@ -87,9 +87,6 @@ def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement
             raise InstanceError(f"line {lineno}: {exc}") from exc
     if len(pls) != len(seq):
         raise InstanceError(f"{len(pls)} placements for {len(seq)} squares")
-    for item, pl in zip(seq, pls):
-        if item.index != pl.item.index or item.side != pl.item.side:
-            raise InstanceError(f"square {item.index}: id/side mismatch")
     return pls
 
 

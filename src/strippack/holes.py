@@ -269,13 +269,24 @@ class Hole:
         neighbor of the previous one, II if it rests on the previous one's
         top.  A pseudo-floor (ground or carve seam) before the last square
         acts as a top that is never charged, matching the Type I shape: a
-        run with no rect there is one of those, as the hole meets no wall."""
+        run with no rect there is one of those, as the hole meets no wall.
+
+        A corner contact, the previous top-right corner on the last square's
+        bottom-left, is Type I too: the boundary runs east along the
+        previous top and turns north up the last left side there, as Type I
+        does.  Type I's terms read neither square, and its bound needs the
+        right diagonal from that corner, ``runs[-1].points[0]`` in both
+        shapes, to miss the hole.  It heads southwest through the previous
+        square, left of the corner, and the shapes differ only right of it,
+        where Type I's last square reaches lower; so Type I's argument holds
+        (``_assert_right_diagonal`` checks every hole).  Type II's terms do
+        not fit: the last square's bottom bounds no hole."""
         prev_rect = self.runs[-2].rect(self.ctx)
         if prev_rect is None:
             return TYPE_I
         pl, pr, pb, pt = prev_rect
         l, r, b, t = self.runs[-1].rect(self.ctx)
-        if pr == l and min(pt, t) > max(pb, b):
+        if pr == l and (pt == b or min(pt, t) > max(pb, b)):
             return TYPE_I
         if pt == b and min(pr, r) > max(pl, l):
             return TYPE_II

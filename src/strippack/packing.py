@@ -21,8 +21,9 @@ lattice's skyline of the tops first: if the square lies in the strip and
 m, the highest top over its open x-range, is at most its bottom b, no
 earlier square reaches above b there, so (1) none overlaps it, (2) its
 straight drop from above is clear, obstacles being open, and (3) it is
-supported exactly when b == 0 or m == b.  Other squares, and snapshots the
-skyline has passed, go to ``check_rules``, so every verdict stays the same.
+supported exactly when b == 0 or m == b.  Other squares go to
+``check_rules``, so every verdict stays the same.  A packing grows as
+online placement does: from ``Packing()``, at the newest snapshot only.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class _Lattice:
     skyline of the first ``sky_n`` rects (``Packing.skyline``).  Rescaling
     multiplies every entry and ``sky`` in place, which changes the
     representation and not the geometry, so it keeps every sharing
-    snapshot valid.  ``of`` and the verifier know every placement at once
-    and fit them all first.
+    snapshot valid.  The verifier knows every placement at once and fits
+    them all first.
     """
 
     __slots__ = ("scale", "pls", "rects", "bottoms", "order", "sky", "sky_n")
@@ -132,46 +133,34 @@ class _Lattice:
         l, b, s = self.units(pl.x, pl.y, pl.item.side)
         return l, l + s, b, b + s
 
-    def append(self, pl: Placement, at=None) -> None:
-        rect = at or self.coords(pl)
-        k = bisect_right(self.bottoms, rect[2])
-        self.bottoms.insert(k, rect[2])
+    def append(self, pl: Placement, at) -> None:
+        k = bisect_right(self.bottoms, at[2])
+        self.bottoms.insert(k, at[2])
         self.order.insert(k, len(self.pls))
         self.pls.append(pl)
-        self.rects.append(rect)
-
-    @classmethod
-    def of(cls, pls: Sequence[Placement]) -> "_Lattice":
-        lat = cls()
-        lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
-        for pl in pls:
-            lat.append(pl)
-        return lat
+        self.rects.append(at)
 
 
 class Packing:
     """Immutable ordered packing on its integer lattice, and the index of
     its topmost placement (the first of equal tops), whose top is the
-    ``height``.  ``placements`` is a tuple view of the lattice's placements,
-    built on first use when the packing came from ``extended``.
+    ``height``.  ``Packing()`` is empty; every other packing comes from
+    ``extended``.  ``placements`` is a tuple view of the lattice's
+    placements, built on first use.
 
     ``extended`` appends to the lattice this packing shares with the one it
     came from, in O(1) amortized time plus a sorted insert, and finds the new
-    top by comparing two lattice integers; extending a packing that has been
-    extended before rebuilds its part of the lattice first, each time, so
-    both results stay valid.  ``at``, here and below, is the arriving
-    square's lattice ``(l, r, b, t)``, built here when the caller has none.
+    top by comparing two lattice integers.  Only the newest packing of a
+    chain extends; an older one raises ``PackingError``.  ``at``, here and
+    below, is the arriving square's lattice ``(l, r, b, t)``.
     """
 
     __slots__ = ("_lat", "_n", "_top", "_placements")
 
-    def __init__(self, placements: Sequence[Placement] = ()):
-        pls = tuple(placements)
-        self._lat = _Lattice.of(pls)
-        self._placements: Optional[tuple[Placement, ...]] = pls
-        self._n = len(pls)
-        rects = self._lat.rects
-        self._top = max(range(self._n), key=lambda i: rects[i][3], default=-1)
+    def __init__(self):
+        self._lat = _Lattice()
+        self._placements: Optional[tuple[Placement, ...]] = ()
+        self._n, self._top = 0, -1
 
     def __len__(self) -> int:
         return self._n
@@ -186,10 +175,10 @@ class Packing:
     def height(self) -> Scalar:
         return self._lat.pls[self._top].top if self._n else ZERO
 
-    def extended(self, pl: Placement, at=None) -> "Packing":
+    def extended(self, pl: Placement, at) -> "Packing":
         lat = self._lat
-        if len(lat.pls) != self._n:     # a second branch, on its own scale
-            lat, at = _Lattice.of(lat.pls[:self._n]), None
+        if len(lat.pls) != self._n:
+            raise PackingError(f"square {pl.item.index}: not the newest packing")
         lat.append(pl, at)
         top, rects = self._top, lat.rects
         nxt = Packing.__new__(Packing)
@@ -201,14 +190,17 @@ class Packing:
     def units(self, *values: Scalar) -> list[int]:
         return self._lat.units(*values)
 
-    def skyline(self) -> Optional[StepProfile]:
-        """The lattice's skyline, raised through this packing's rects, or
-        None if it has been raised past them.  Read-only."""
+    def skyline(self) -> StepProfile:
+        """The lattice's skyline, raised through this packing's rects.
+        Read-only.  A snapshot it has passed raises ``PackingError``; no
+        caller reads one: the verifier and the slot strategy read the newest
+        packing, the adversary the one before it, through which the slot
+        strategy's ``place``, or under BottomLeft the check, raised it."""
         lat = self._lat
         if lat.sky is None:
             lat.sky = StepProfile(lat.scale)
         elif self._n < lat.sky_n:
-            return None
+            raise PackingError(f"skyline raised past square {self._n}")
         for l, r, _, t in lat.rects[lat.sky_n:self._n]:
             if l < 0 or r > lat.scale:      # a query reads only the strip
                 l, r = max(l, 0), min(r, lat.scale)
@@ -410,13 +402,11 @@ def check_step(sofar: Packing, at) -> Optional[str]:
     from the skyline as the module docstring says, else by ``check_rules``."""
     l, r, b, _ = at
     if 0 <= l and r <= sofar._lat.scale:
-        sky = sofar.skyline()
-        if sky is not None:
-            m = sky.max_over(l, r)
-            if m < b:
-                return "unsupported"
-            if m == b:
-                return None
+        m = sofar.skyline().max_over(l, r)
+        if m < b:
+            return "unsupported"
+        if m == b:
+            return None
     return check_rules(sofar, at)
 
 

@@ -111,13 +111,21 @@ def fresh_python(code: str, timeout: float = 60) -> str:
     return proc.stdout
 
 
+def grown(pls) -> Packing:
+    """The packing of placements ``pls``, valid or not: ``Packing()``
+    extended by each in turn, the one way to build a packing.  A test that
+    wants a branch off a snapshot grows its prefix again."""
+    p = Packing()
+    for pl in pls:
+        p = p.extended(pl, rect_on(p, pl))
+    return p
+
+
 def packing_of(coords) -> Packing:
     """Build a packing directly from (side, x, y) triples."""
-    p = Packing()
-    for i, (side, x, y) in enumerate(coords, 1):
-        p = p.extended(Placement(SquareItem(i, Fraction(side)),
-                                 Fraction(x), Fraction(y)))
-    return p
+    return grown(Placement(SquareItem(i, Fraction(side)), Fraction(x),
+                           Fraction(y))
+                 for i, (side, x, y) in enumerate(coords, 1))
 
 
 def rest_height(p: Packing, x: Fraction, a: Fraction) -> Fraction:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import grown, rect_on
 from strippack import adversary
 from strippack.adversary import (TYPE_I, TYPE_II, adversary_run,
                                  classify_iteration,
@@ -57,8 +58,10 @@ class StackerState:
         self.packing = Packing()
 
     def place(self, item):
-        pl = Placement(item, F(0), self.packing.height)
-        self.packing = self.packing.extended(pl)
+        return self.put(Placement(item, F(0), self.packing.height))
+
+    def put(self, pl):
+        self.packing = self.packing.extended(pl, rect_on(self.packing, pl))
         return pl
 
 
@@ -89,17 +92,14 @@ class TestAdversaryRuns:
             """Drops every square at the origin: square 2 overlaps."""
 
             def place(self, item):
-                pl = Placement(item, F(0), F(0))
-                self.packing = self.packing.extended(pl)
-                return pl
+                return self.put(Placement(item, F(0), F(0)))
 
         class Floater(StackerState):
             """Hangs square 1 in the air above the strip bottom."""
 
             def place(self, item):
-                pl = Placement(item, F(0), self.packing.height + F(1, 8))
-                self.packing = self.packing.extended(pl)
-                return pl
+                return self.put(Placement(item, F(0),
+                                          self.packing.height + F(1, 8)))
 
         class Tunneller(StackerState):
             """Stacks two quarters and the 3/4+eps square at the wall, which
@@ -110,9 +110,7 @@ class TestAdversaryRuns:
             def place(self, item):
                 if item.index != 4:
                     return super().place(item)
-                pl = Placement(item, F(1, 4), F(0))
-                self.packing = self.packing.extended(pl)
-                return pl
+                return self.put(Placement(item, F(1, 4), F(0)))
 
         for strategy, square, violation in ((Teleporter, 2, "overlap"),
                                              (Floater, 1, "unsupported"),
@@ -130,7 +128,7 @@ class TestOptimalConstruction:
         opt = optimal_packing_for_transcript(t)     # verifies internally
         assert opt.height <= 5 * (1 + 2 * EPS)
         # the packing the verifier replayed is the one built from scratch
-        fresh = Packing(opt.placements)
+        fresh = grown(opt.placements)
         assert opt.lattice() == fresh.lattice() and opt.height == fresh.height
 
     def test_invalid_band_is_refused(self, monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import at_level, floor_rect, items, random_items, spans_at
+from conftest import (at_level, floor_rect, grown, items, random_items,
+                      spans_at)
 from strippack.adversary import adversary_run
 from span_reference import _in_open, merge_open_spans, spans_contain
 from strippack.bottomleft import BottomLeftState, bl_place_next
@@ -150,7 +151,7 @@ class TestFullScanDifferential:
         seq = items("9/16", 1, "1/8")
         p = pack(FullScanChecked, seq)
         assert coords(p)[-1] == (0, F(25, 16))
-        two = Packing(p.placements[:2])
+        two = grown(p.placements[:2])
         assert reachable_positions(two, floor_rect(two, F(1, 8))) == \
             (25, [(0, 14)])
         assert two.units(F(1)) == [16]
@@ -166,7 +167,7 @@ def gravity_packing(rng: random.Random, n: int, grid: int) -> Packing:
         y = max((pl.top for pl in pls if pl.left < x + a and x < pl.right),
                 default=ZERO)
         pls.append(Placement(SquareItem(i, a), x, y))
-    return Packing(pls)
+    return grown(pls)
 
 
 class TestUnbuiltPackings:

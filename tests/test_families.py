@@ -1,12 +1,14 @@
 """Structured side families: both strategies, n in 5-60.
 
-Six families whose equal sides, touching corners and coincident edges
+Seven families whose equal sides, touching corners and coincident edges
 random sides on the 2^-20 grid almost never produce: dyadic sides, unit
 fractions, four fixed values, sides just over 1/2 mixed with small ones,
-tiny sides mixed with ones near 1, and multiples of 1/27.  Every packing
-must pass the verifier and every analysis ``CHECK``, and BottomLeft must
-place each square where the full-scan reference does.  The instances come
-from seeded generators and are fixed data: they are never shrunk.
+tiny sides mixed with ones near 1, multiples of 1/27, and sixteenths of at
+most 1/2, where a hole's last square often meets the one before it at a
+single corner.  Every packing must pass the verifier and every analysis
+``CHECK``, and BottomLeft must place each square where the full-scan
+reference does.  The instances come from seeded generators and are fixed
+data: they are never shrunk.
 """
 
 import random
@@ -33,6 +35,7 @@ FAMILIES = {
                                   if rng.random() < 0.5
                                   else 1 - F(rng.randint(0, 16), 256)),
     "27ths": lambda rng: F(rng.randint(1, 27), 27),
+    "coarse-half": lambda rng: F(rng.randint(1, 8), 16),
 }
 
 SEEDS = 50              # instances per family and strategy

@@ -18,7 +18,7 @@ from strippack.harness import (InstanceError, gen_random, instance_text,
                                placements_csv, render_svg, run_stats)
 from strippack.holes import run_bottomleft_analysis
 from strippack.numbers import ScalarParseError, format_scalar, scalar
-from strippack.packing import pack, verify_packing
+from strippack.packing import PackingError, pack, verify_packing
 
 
 class TestParseInstance:
@@ -71,10 +71,12 @@ class TestPlacementsCsv:
         pls = parse_placements_csv(placements_csv(p), seq)
         assert verify_packing(seq, pls) is None
 
-    def test_mismatch_rejected(self):
+    def test_mismatch_rejected_by_the_verifier(self):
+        # the CSV is read as it stands; the replay checks ids and sides
         seq = items("1/2")
-        with pytest.raises(InstanceError):
-            parse_placements_csv("id,side,x,y\n1,1/3,0/1,0/1\n", seq)
+        pls = parse_placements_csv("id,side,x,y\n1,1/3,0/1,0/1\n", seq)
+        with pytest.raises(PackingError, match=r"^item mismatch at index 1$"):
+            verify_packing(seq, pls)
 
 
 class TestStats:
@@ -297,7 +299,9 @@ class TestInputErrors:
         ("id,side,x,y\n1,1/2,0\n", "line 2: expected 4 fields"),
         ("id,side,x,y\n1,1/2,0,0\n2,1/2,1/2,0\n",
          "2 placements for 3 squares"),
-        ("id,side,x,y\n1,3/2,0,0\n", "line 2: side 3/2 outside (0, 1]")])
+        ("id,side,x,y\n1,3/2,0,0\n", "line 2: side 3/2 outside (0, 1]"),
+        ("id,side,x,y\n1,1/2,0,0\n2,1/2,1/2,0\n3,1/3,0,1/2\n",
+         "item mismatch at index 3")])
     def test_verify_placements(self, three, tmp_path, capsys, rows, message):
         csv = tmp_path / "p.csv"
         csv.write_text(rows)

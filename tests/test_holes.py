@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (corpus_items, items, nondyadic_items, packing_of,
-                      random_items)
+from conftest import (assert_grows_linearly, corpus_items, items,
+                      nondyadic_items, packing_of, random_items)
 import grid_reference
 from grid_reference import GridError, grid as _grid, trace_boundary
 from strippack import cli as cli_module, holes
@@ -113,6 +113,42 @@ class TestExtraction:
         assert len(interior) == 1
         assert interior[0].classify() == TYPE_II
         assert interior[0].area == F(7, 256)
+
+
+class TestCornerContact:
+    """The last square of an interior hole touches the one before it only
+    at a corner: the previous top-right corner is its bottom-left one.
+    BottomLeft builds this on coarse grids, and ``classify`` reads it as
+    Type I; it used to raise ``lemma3`` on valid packings."""
+
+    # shrunk by greedy deletion from Random(42)'s 40 sides randint(1, 32)/64
+    SIDES = ("1/8", "1/32", "9/32", "1/4", "15/64", "9/64", "7/64", "3/32",
+             "7/16", "3/32", "7/32", "15/64", "1/32")
+
+    def test_analyze_prints_a_full_report(self, tmp_path, capsys):
+        inst = tmp_path / "corner.txt"
+        inst.write_text("\n".join(self.SIDES) + "\n")
+        assert main(["analyze", "--strategy", "bottomleft",
+                     "--input", str(inst)]) == 0
+        checks = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("CHECK")]
+        assert len(checks) == 7
+        assert all(ln.split()[2] == "PASS" for ln in checks)
+
+    def test_the_corner_hole_is_type_one(self):
+        # on the lattice of scale 64 the hole is [51, 57] x [21, 22]: lid
+        # square 12, left square 7, floor square 8, and square 13, which
+        # rests on square 10 and meets square 8 at (57, 21)
+        ana = run_bottomleft_analysis(pack(BottomLeftState, items(*self.SIDES)))
+        assert ana.ok
+        (hole,) = [h for h in ana.holes if h.runs[-1].owner == ("sq", 12)]
+        assert [r.owner for r in hole.runs] == [("sq", 11), ("sq", 6),
+                                                ("sq", 7), ("sq", 12)]
+        _, pr, _, pt = hole.runs[-2].rect(hole.ctx)
+        l, _, b, _ = hole.runs[-1].rect(hole.ctx)
+        assert (pr, pt) == (l, b) == (57, 21)
+        assert hole.kind == KIND_INTERIOR and hole.classify() == TYPE_I
+        assert hole.area == F(6, 64 * 64)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +1052,7 @@ class TestStarWalls:
     def test_wall_run_is_second_or_last(self, monkeypatch):
         """A star reads its walls from its second and last runs only, so
         ``classify`` takes a run with no rect before the last for the
-        ground or a seam.  On every star of the corpus start, the six
+        ground or a seam.  On every star of the corpus start, the
         families and the ladder n=480, a wall run is one of those two."""
         carve = holes._carve
         seen = Counter()
@@ -1050,9 +1086,12 @@ PAPER_GUARD_PINS = {
                    [("1/2", "1/2", 0), ("1/2", "1/2", "1/2"), ("3/4", 0, 1)]),
     "lemma4": ("lemma4: right diagonal cuts the hole",
                [("1/6", "1/3", 0), ("1/6", "1/2", 0), ("2/3", "1/6", "1/6")]),
+    # square 3 floats with its bottom-right corner on square 2's top-left
+    # one, and the hole runs under it (a corner the other way round is
+    # Type I)
     "lemma3": ("lemma3: last square neither right nor top neighbor",
-               [("1/4", "1/2", 0), ("1/2", "1/2", "1/4"), ("1/4", "1/4", 0),
-                ("1/4", "1/8", "1/4"), ("1/2", 0, "1/2")]),
+               [("1/4", 0, 0), ("1/8", "1/2", 0), ("1/8", "3/8", "1/8"),
+                (1, 0, "1/4")]),
     "lemma7": ("lemma7: cut 1 not shorter than 1",
                [("1/2", "1/4", 0), ("1/4", "1/4", "1/2"), (1, 0, "3/4"),
                 ("1/2", "1/2", "7/4"), (1, 0, "9/4"), (1, 0, "13/4"),
@@ -1264,9 +1303,10 @@ class TestChecksAgainstReference:
             ("compute_charges", lambda terms: ChargeLedger([])),
             ("_charge_items", lambda hole: charge_items(hole)
              + [replace(charge_items(hole)[0], coeff=F(3))])]
-        p = pack(BottomLeftState, items("7/8", 1, "1/2", "1/8", "3/8", "5/8"))
+        seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         failed = []
         for name, broken in patches:
+            p = pack(BottomLeftState, seq)  # each analysis closes its own
             with monkeypatch.context() as patch:
                 patch.setattr(holes, name, broken)
                 ana = run_bottomleft_analysis(p)
@@ -1275,3 +1315,28 @@ class TestChecksAgainstReference:
             failed.append([c.name for c in ana.checks if not c.ok])
         assert failed == [["height-identity"], ["split-conservation"],
                           ["ledger-soundness"], ["max-charge"]]
+
+
+# ---------------------------------------------------------------------------
+# growth gates: raw extraction and the charge terms, at n and at 4n
+# ---------------------------------------------------------------------------
+
+def ladder_raw_holes(n: int) -> list[Hole]:
+    """The raw holes of the closed BottomLeft packing of the ladder at n."""
+    seq = random_items(f"ladder:1:{n}", n)
+    return extract_holes(close_packing(pack(BottomLeftState, seq)))
+
+
+class TestAnalysisGrowth:
+    """Both layers are linear today: from n = 250 to 1000 the raw holes'
+    runs go from 352 to 1291 and the final holes' charge terms from 414 to
+    1630.  Work quadratic in n would give 16 times as much at 4n."""
+
+    def test_raw_hole_runs(self):
+        assert_grows_linearly(lambda n: sum(
+            len(h.runs) for h in ladder_raw_holes(n)), 250)
+
+    def test_charge_terms(self):
+        assert_grows_linearly(lambda n: sum(
+            len(_charge_items(piece)) for h in ladder_raw_holes(n)
+            for piece in split_hole(h)), 250)

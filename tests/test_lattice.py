@@ -9,17 +9,18 @@ from math import lcm
 
 import pytest
 
-from conftest import (at_level, floor_rect, items, packing_of, random_items,
-                      rect_on)
+from conftest import (at_level, floor_rect, grown, items, packing_of,
+                      random_items, rect_on)
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
 from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
 from strippack.geometry import Rect
-from strippack.packing import (Packing, Placement, SquareItem, _Lattice,
-                               check_step, is_supported, is_tetris_reachable,
-                               pack, reachable_positions, verify_packing)
+from strippack.packing import (Packing, PackingError, Placement, SquareItem,
+                               _Lattice, _replay, check_step, is_supported,
+                               is_tetris_reachable, pack, reachable_positions,
+                               verify_packing)
 from strippack.slots import SlotState
 from test_bottomleft import gravity_packing
 from test_families import FAMILIES, family_items
@@ -178,9 +179,9 @@ def assert_replay_agrees(pls):
     """Replay ``pls`` and compare every step's verdict with the reference."""
     sofar = Packing()
     for step, pl in enumerate(pls, start=1):
-        assert check_step(sofar, rect_on(sofar, pl)) == \
-            reference_step(sofar, pl), step
-        sofar = sofar.extended(pl)
+        at = rect_on(sofar, pl)
+        assert check_step(sofar, at) == reference_step(sofar, pl), step
+        sofar = sofar.extended(pl, at)
     return sofar
 
 
@@ -216,7 +217,7 @@ def corruptions(pls, seed: int, count: int):
 def assert_corruptions_agree(pls, seed, count):
     seen = set()
     for prefix, moved in corruptions(pls, seed, count):
-        sofar = Packing(prefix)
+        sofar = grown(prefix)
         verdict = check_step(sofar, rect_on(sofar, moved))
         assert verdict == reference_step(sofar, moved), (len(prefix), moved)
         seen.add(verdict)
@@ -248,10 +249,8 @@ class TestStepDifferential:
 
     def test_sealed_cavity(self):
         # two pillars under a lid: square 4 sits inside, out of reach
-        pls = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0),
-                          (1, 0, "1/4")]).placements
+        p = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0), (1, 0, "1/4")])
         inside = Placement(SquareItem(4, F(1, 4)), F(3, 8), F(0))
-        p = Packing(pls)
         verdict = check_step(p, rect_on(p, inside))
         assert verdict == "unreachable"
         assert verdict == reference_step(p, inside)
@@ -316,7 +315,7 @@ class TestLazySweep:
                 at = floor_rect(p, pl.item.side, floor)
                 assert reachable_positions(p, at) == \
                     eager_lowest(p, pl.item.side, floor), (pl, floor)
-            p = p.extended(pl)
+            p = p.extended(pl, rect_on(p, pl))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_corpus(self, seed):
@@ -346,7 +345,7 @@ class TestLazySweep:
             p._lat.rects = rects = _CountedRects(p._lat.rects)
             reachable_positions(p, floor_rect(p, pl.item.side))
             most = max(most, rects.reads)
-            p = p.extended(pl)
+            p = p.extended(pl, rect_on(p, pl))
         assert len(p) == 5 * m and most <= 8
 
     @pytest.mark.parametrize("m", [100, 400])
@@ -361,7 +360,7 @@ class TestLazySweep:
             swept, rects.reads = rects.reads, 0
             assert bl_place_next(p, pl.item)[0] == pl
             assert rects.reads == swept, pl
-            p = p.extended(pl)
+            p = p.extended(pl, rect_on(p, pl))
 
 
 class TestSweepLevelIsSupported:
@@ -389,8 +388,10 @@ class TestSweepLevelIsSupported:
                 assert reference_supported(p, pl), (item, x, y, scale)
 
     def assert_every_arrival(self, pls):
-        for k, pl in enumerate(pls):
-            self.assert_level_supported(Packing(pls[:k]), pl.item)
+        p = Packing()
+        for pl in pls:
+            self.assert_level_supported(p, pl.item)
+            p = p.extended(pl, rect_on(p, pl))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_corpus(self, seed):
@@ -450,18 +451,21 @@ class TestLatticeEdges:
              pl.top * scale) for pl in p.placements]
         assert p.height == max(pl.top for pl in p.placements)
 
-    def test_two_branches_from_one_snapshot(self):
+    def test_a_second_extension_raises(self):
+        """A chain grows only at its newest snapshot: extending an older one
+        raises and leaves the chain as it was, so a branch grows its prefix
+        again."""
         base = packing_of([("1/2", 0, 0), ("1/2", "1/2", 0)])
         left = Placement(SquareItem(3, F(1, 2)), F(0), F(1, 2))
         right = Placement(SquareItem(3, F(1, 3)), F(2, 3), F(1, 2))
-        one = base.extended(left)
-        two = base.extended(right)
-        assert one.placements[-1] == left and two.placements[-1] == right
+        one = base.extended(left, rect_on(base, left))
+        with pytest.raises(PackingError,
+                           match=r"^square 3: not the newest packing$"):
+            base.extended(right, rect_on(base, right))
+        assert base._lat.pls == [*base.placements, left]
+        two = grown([*base.placements, right])
         assert (len(base), len(one), len(two)) == (2, 3, 3)
         assert (one.height, two.height) == (F(1), F(5, 6))
-        for branch in (one, two):
-            assert verify_packing([pl.item for pl in branch.placements],
-                                  branch.placements) is None
         # each branch takes a square where only the other one's would clash
         on_right = Placement(SquareItem(4, F(1, 3)), F(2, 3), F(1, 2))
         on_left = Placement(SquareItem(4, F(1, 2)), F(0), F(1, 2))
@@ -469,48 +473,15 @@ class TestLatticeEdges:
         assert check_step(two, rect_on(two, on_left)) is None
         assert check_step(one, rect_on(one, on_left)) == "overlap"
         assert check_step(two, rect_on(two, on_right)) == "overlap"
-        # growing either branch further leaves the other as it was
-        three = one.extended(on_right)
-        assert len(three) == 4 and len(two) == 3
-        assert check_step(two, rect_on(two, on_left)) is None
-        scale, rects = two.lattice()
-        assert len(rects) == 3
-        assert rects[-1] == (2 * scale // 3, scale, scale // 2, 5 * scale // 6)
-
-    def test_branch_drops_a_rect_of_the_shared_lattice(self):
-        # the first branch's third square brings a 3 into the shared
-        # lattice; the second branch rebuilds on halves, a smaller scale
-        # than the one its ``at`` was computed on
-        base = packing_of([("1/2", 0, 0), ("1/2", "1/2", 0)])
-        first = Placement(SquareItem(3, F(1, 3)), F(0), F(1, 2))
-        second = Placement(SquareItem(3, F(1, 2)), F(1, 2), F(1, 2))
-        shared = base._lat
-        one = base.extended(first, shared.coords(first))
-        at = shared.coords(second)
-        assert shared.scale == 6 and at == (3, 6, 3, 6)
-        two = base.extended(second, at)
-        for branch, pl in ((one, first), (two, second)):
-            fresh = Packing([*base.placements, pl])
-            scale, rects = branch.lattice()
-            fresh_scale, fresh_rects = fresh.lattice()
-            assert (scale, list(rects)) == (fresh_scale, list(fresh_rects))
-            assert (branch.height, branch._top) == (fresh.height, fresh._top)
-            above = max(t for _, _, _, t in rects)   # above every bottom
-            for _, _, b, t in rects:
-                for lo, hi in ((b - scale, t), (b, above), (0, above)):
-                    assert branch.window(lo, hi) == fresh.window(lo, hi)
-        assert two.lattice() == (2, [(0, 1, 0, 1), (1, 2, 0, 1),
-                                     (1, 2, 1, 2)])
 
     def test_height_of_every_prefix(self):
-        # the top is tracked by index on the lattice, from a constructed
-        # packing as well as along a chain of extensions
+        # the top is tracked by index on the lattice along a chain of
+        # extensions
         pls = pack(BottomLeftState, random_items(77, 40)).placements
-        p = Packing(pls[:5])
-        for i in range(5, len(pls)):
-            p = p.extended(pls[i])
+        p = Packing()
+        for i, pl in enumerate(pls):
+            p = p.extended(pl, rect_on(p, pl))
             assert p.height == max(q.top for q in pls[:i + 1])
-        assert Packing(pls).height == p.height
 
     def test_empty_height_and_lattice(self):
         p = Packing()
@@ -518,22 +489,25 @@ class TestLatticeEdges:
         assert p.lattice() == (1, [])
 
 
-def assert_built_equals_grown(pls):
-    """``Packing(pls)`` is what extending the empty packing by each of
-    ``pls`` gives: the same placements, top, lattice and windows."""
-    built, grown = Packing(pls), Packing()
-    for pl in pls:
-        grown = grown.extended(pl)
-    assert built.placements == grown.placements == tuple(pls)
-    assert (built.height, built._top) == (grown.height, grown._top)
+def assert_built_equals_grown(pls) -> Packing:
+    """The verifier's replay of ``pls``, on a lattice fitted to all of
+    them first, is what extending the empty packing by each of ``pls``
+    gives, fitted as they come: the same placements, top, lattice and
+    windows.  Returns the replay's packing."""
+    failure, built = _replay([pl.item for pl in pls], pls)
+    assert failure is None
+    chain = grown(pls)
+    assert built.placements == chain.placements == tuple(pls)
+    assert (built.height, built._top) == (chain.height, chain._top)
     scale, rects = built.lattice()
-    grown_scale, grown_rects = grown.lattice()
-    assert (scale, list(rects)) == (grown_scale, list(grown_rects))
+    chain_scale, chain_rects = chain.lattice()
+    assert (scale, list(rects)) == (chain_scale, list(chain_rects))
     above = max((t for _, _, _, t in rects), default=0)  # above every bottom
-    assert built.window(0, above) == grown.window(0, above)
+    assert built.window(0, above) == chain.window(0, above)
     for _, _, b, t in rects:
         for lo, hi in ((b - scale, t), (b, above)):
-            assert built.window(lo, hi) == grown.window(lo, hi)
+            assert built.window(lo, hi) == chain.window(lo, hi)
+    return built
 
 
 class TestBuiltPacking:
@@ -555,8 +529,8 @@ class TestBuiltPacking:
         pls = [Placement(SquareItem(i, F(a)), F(x), F(y)) for i, (a, x, y)
                in enumerate([("1/4", 0, 0), ("1/2", "1/2", 0),
                              ("1/4", 0, "1/4")], 1)]
-        assert_built_equals_grown(pls)
-        assert Packing(pls)._top == 1 and Packing(pls).height == F(1, 2)
+        built = assert_built_equals_grown(pls)
+        assert built._top == 1 and built.height == F(1, 2)
 
 
 # ---------------------------------------------------------------------------

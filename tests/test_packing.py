@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (at_level, grid_bfs_reachable, items, packing_of,
-                      random_items, rect_on, rest_height)
+from conftest import (at_level, grid_bfs_reachable, grown, items,
+                      packing_of, random_items, rect_on, rest_height)
 from span_reference import (intersect_spans, merge_spans, spans_contain,
                             spans_meet, subtract_spans_open)
 import strippack.packing
@@ -36,7 +36,7 @@ class TestRestHeight:
     def test_antitone_in_obstacles(self):
         for seed in range(10):
             p = pack(BottomLeftState, random_items(seed, 6))
-            sub = Packing(p.placements[:3])
+            sub = grown(p.placements[:3])
             a = F(1, 4)
             for x in (F(0), F(1, 4), F(1, 2), F(3, 4)):
                 assert rest_height(sub, x, a) <= rest_height(p, x, a)
@@ -107,7 +107,7 @@ class TestReachability:
     def test_monotone_under_obstacle_removal(self):
         seq = random_items(3, 8, lo=F(1, 8), hi=F(1, 2))
         p = pack(BottomLeftState, seq)
-        smaller = Packing(p.placements[:-1])
+        smaller = grown(p.placements[:-1])
         a = F(3, 16)
         for y in [pl.top for pl in p.placements] + [F(0)]:
             for lo, hi in at_level(p, a, y):

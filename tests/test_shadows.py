@@ -6,8 +6,8 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import (corpus_items, deep_items, items, nondyadic_items,
-                      random_items)
+from conftest import (corpus_items, deep_items, grown, items,
+                      nondyadic_items, random_items)
 from strippack.geometry import Rect
 from strippack.packing import (Check, Packing, PackingError, Placement,
                                SquareItem, close_packing, pack)
@@ -450,7 +450,7 @@ class TestChecksAgainstReference:
         its own line and ``slot-per-square``, no charge fails the height
         decomposition, and a square floating at height 3 fails theorem 2
         whatever it is charged."""
-        tall = close_packing(Packing([pl("1/4", 0, 3)]))
+        tall = close_packing(grown([pl("1/4", 0, 3)]))
         failed = Counter()
         for seq in (killer_32(), corpus_items(0)):
             closed = close_packing(pack(SlotState, seq))
@@ -466,7 +466,7 @@ class TestChecksAgainstReference:
                 "slot-height-decomposition", "theorem2"} <= set(failed)
         # theorem 2 holds with equality at height 81/104, and fails above
         for y, ok in ((F(55, 104), True), (F(55, 104) + F(1, 2 ** 20), False)):
-            closed = close_packing(Packing([pl("1/4", 0, y)]))
+            closed = close_packing(grown([pl("1/4", 0, y)]))
             cm = charge_map(closed)
             got = check_slot_bounds(closed, cm)
             assert lines(got) == lines(reference_slot_bounds(closed, cm.areas))

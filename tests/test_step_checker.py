@@ -12,14 +12,14 @@ from fractions import Fraction as F
 import pytest
 
 import strippack.packing
-from conftest import (assert_grows_linearly, fresh_python, packing_of,
-                      random_items, rect_on, window_reads)
+from conftest import (assert_grows_linearly, fresh_python, grown,
+                      packing_of, random_items, rect_on, window_reads)
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
 from strippack.geometry import StepProfile
-from strippack.packing import (Packing, Placement, SquareItem, check_rules,
-                               check_step, pack, verify_packing)
+from strippack.packing import (Packing, PackingError, Placement, SquareItem,
+                               check_rules, check_step, pack, verify_packing)
 from strippack.slots import SlotState, slot_killer_instance
 from test_bottomleft import gravity_packing
 from test_lattice import EPS, corpus_items
@@ -60,8 +60,9 @@ def assert_checker_agrees(pls, seen: set):
     rescales the skyline mid-run, with ``assert_step_agrees`` at every
     step; every step is served by the one skyline of the chain.  Then
     recheck a few steps on their older snapshots, which the skyline has
-    passed, and on a branch from each, which gets a skyline of its own.
-    Returns the packing and the scales seen."""
+    passed, by the rules alone, and on a branch from each, which grows
+    the prefix again on a chain and skyline of its own.  Returns the
+    packing and the scales seen."""
     sofar, scales, snapshots = Packing(), set(), []
     for step, pl in enumerate(pls, start=1):
         at = rect_on(sofar, pl)
@@ -73,10 +74,10 @@ def assert_checker_agrees(pls, seen: set):
     assert sofar.skyline().end == sofar._lat.scale
     for k in range(0, len(pls) - 2, max(1, len(pls) // 5)):
         older = snapshots[k]
-        assert older.skyline() is None, k
-        assert_step_agrees(older, rect_on(older, pls[k]), seen, ("older", k))
-        branch = older.extended(pls[k])
-        assert branch._lat is not older._lat
+        with pytest.raises(PackingError, match="^skyline raised past"):
+            older.skyline()
+        assert check_rules(older, rect_on(older, pls[k])) is None, k
+        branch = grown(pls[:k + 1])
         assert_step_agrees(branch, rect_on(branch, pls[k + 1]), seen,
                            ("branch", k))
         assert branch.skyline() is branch._lat.sky is not sofar._lat.sky
@@ -149,7 +150,7 @@ class TestAgainstCheckStep:
         """A packing built directly from a square sticking out past a wall:
         its skyline keeps the part in the strip, so a quarter beside it and
         one on that part get the verdicts of the rules."""
-        sofar = Packing([Placement(SquareItem(1, F(1, 2)), F(x), F(0))])
+        sofar = packing_of([("1/2", x, 0)])
         for qx, want in ((free, None), (over, "overlap")):
             at = rect_on(sofar, Placement(SquareItem(2, F(1, 4)), F(qx),
                                           F(0)))
