@@ -451,7 +451,7 @@ class TestLatticeEdges:
              pl.top * scale) for pl in p.placements]
         assert p.height == max(pl.top for pl in p.placements)
 
-    def test_a_second_extension_raises(self):
+    def test_two_branches_from_one_snapshot(self):
         """A chain grows only at its newest snapshot: extending an older one
         raises and leaves the chain as it was, so a branch grows its prefix
         again."""
@@ -473,6 +473,34 @@ class TestLatticeEdges:
         assert check_step(two, rect_on(two, on_left)) is None
         assert check_step(one, rect_on(one, on_left)) == "overlap"
         assert check_step(two, rect_on(two, on_right)) == "overlap"
+
+    def test_branch_drops_a_rect_of_the_shared_lattice(self):
+        # the first branch's third square brings a 3 into the shared
+        # lattice; a second extension of the snapshot raises and leaves that
+        # lattice as it was, and the second branch, grown again, is on
+        # halves without the first branch's rect
+        base = packing_of([("1/2", 0, 0), ("1/2", "1/2", 0)])
+        first = Placement(SquareItem(3, F(1, 3)), F(0), F(1, 2))
+        second = Placement(SquareItem(3, F(1, 2)), F(1, 2), F(1, 2))
+        shared = base._lat
+        one = base.extended(first, shared.coords(first))
+        at = shared.coords(second)
+        assert shared.scale == 6 and at == (3, 6, 3, 6)
+        with pytest.raises(PackingError,
+                           match=r"^square 3: not the newest packing$"):
+            base.extended(second, at)
+        assert shared.pls == [*base.placements, first]
+        assert one.lattice() == (6, [(0, 3, 0, 3), (3, 6, 0, 3),
+                                     (0, 2, 3, 5)])
+        two = grown([*base.placements, second])
+        assert two.lattice() == (2, [(0, 1, 0, 1), (1, 2, 0, 1),
+                                     (1, 2, 1, 2)])
+        for branch, pl in ((one, first), (two, second)):
+            failure, built = _replay([q.item for q in branch.placements],
+                                     branch.placements)
+            assert failure is None
+            assert branch.placements == (*base.placements, pl)
+            assert (branch.height, branch._top) == (built.height, built._top)
 
     def test_height_of_every_prefix(self):
         # the top is tracked by index on the lattice along a chain of
