@@ -202,6 +202,11 @@ GROUND, LEFT_WALL, RIGHT_WALL = -1, -2, -3
 def _uncovered(sides: list, covers: list):
     """The parts ``(lo, hi, owner)`` of the sides ``(lo, hi, owner)`` on one
     line that none of the opposite sides ``covers`` on that line reaches."""
+    if not covers:
+        for side in sides:
+            if side[0] < side[1]:
+                yield side
+        return
     covers = sorted(covers)
     for lo, hi, k in sides:
         j = max(bisect_left(covers, (lo,)) - 1, 0)
@@ -214,21 +219,50 @@ def _uncovered(sides: list, covers: list):
             yield lo, hi, k
 
 
+_BLOCK = 256
+
+
 def _first_overlap(obstacles: Sequence[tuple]):
     """``(x, j, k)`` for the least x where an obstacle k starting there
     overlaps an obstacle j, the lowest one it overlaps; None if none do.
     Obstacles start in the order ``(l, b, t, k)``, and the active ones are
-    disjoint, so only the two beside k's place among them can overlap it."""
-    act, ends = [], []              # (b, t, k) bottom up; a heap of (r, ...)
+    disjoint, so only the two beside k's place among them can overlap it.
+
+    The active ones ``(b, t, k)`` are kept bottom up in blocks of fewer than
+    ``2 * _BLOCK``, each found by its first entry: a start or an end shifts
+    one block, where a single sorted list would shift every active obstacle
+    above it (in a tall packing, most of a column of them)."""
+    blocks, firsts, ends = [], [], []   # ends: a heap of (r, b, t, k)
     for l, b, t, k, r in sorted((l, b, t, k, r)
                                 for k, (l, r, b, t) in enumerate(obstacles)):
         while ends and ends[0][0] <= l:
-            del act[bisect_left(act, heappop(ends)[1:])]
-        i = bisect_left(act, (b, t, k))
-        for j in (i - 1, i):
-            if 0 <= j < len(act) and act[j][0] < t and b < act[j][1]:
-                return l, act[j][2], k
-        act.insert(i, (b, t, k))
+            gone = heappop(ends)[1:]
+            j = bisect_right(firsts, gone) - 1
+            block = blocks[j]
+            del block[bisect_left(block, gone)]
+            if block:
+                firsts[j] = block[0]
+            else:
+                del blocks[j], firsts[j]
+        new = (b, t, k)
+        if not blocks:
+            blocks.append([new])
+            firsts.append(new)
+        else:
+            j = max(bisect_right(firsts, new) - 1, 0)
+            block = blocks[j]
+            i = bisect_left(block, new)     # 0 only below every active one
+            for q in (block[i - 1] if i else None,
+                      block[i] if i < len(block)
+                      else blocks[j + 1][0] if j + 1 < len(blocks) else None):
+                if q is not None and q[0] < t and b < q[1]:
+                    return l, q[2], k
+            block.insert(i, new)
+            firsts[j] = block[0]
+            if len(block) == 2 * _BLOCK:
+                blocks.insert(j + 1, block[_BLOCK:])
+                firsts.insert(j + 1, block[_BLOCK])
+                del block[_BLOCK:]
         heappush(ends, (r, b, t, k))
     return None
 
@@ -284,10 +318,6 @@ class ObstacleGrid:
             raise AnalysisError("unbounded",
                                 f"a gap meets the ceiling at x = {reach}")
 
-    def __repr__(self):
-        return (f"ObstacleGrid({self.nx} x {self.ny} cells, "
-                f"{len(self.pieces)} pieces)")
-
     def free_components(self) -> list[list[tuple]]:
         """The boundary cycle of each free component, counterclockwise from
         its least point ``(x, y)``, in the order of that point.
@@ -298,9 +328,11 @@ class ObstacleGrid:
         least point northward is clockwise: it rings obstacles floating
         inside a component, which is then bounded by more than one cycle,
         and raises AnalysisError."""
-        out: dict = {}
-        for piece in self.pieces:
-            out.setdefault(piece[0], []).append(piece)
+        out, pinches = {}, {}           # the piece from a point, or None
+        for piece in self.pieces:       # and the two from a pinch vertex
+            first = out.setdefault(piece[0], piece)
+            if first is not piece:
+                out[piece[0]], pinches[piece[0]] = None, (first, piece)
         cycles, seen = [], set()
         for piece in self.pieces:
             cycle = []
@@ -308,10 +340,9 @@ class ObstacleGrid:
                 seen.add(piece)
                 cycle.append(piece)
                 (x0, y0), (x, y), _ = piece
-                outs = out[x, y]
                 # one way on, or at a pinch the left turn (positive cross product)
-                piece = outs[0] if len(outs) == 1 else next(
-                    q for q in outs
+                piece = out[x, y] or next(
+                    q for q in pinches[x, y]
                     if (x - x0) * (q[1][1] - y) > (y - y0) * (q[1][0] - x))
             if cycle:
                 i = cycle.index(min(cycle))

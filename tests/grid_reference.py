@@ -216,9 +216,9 @@ def traced_runs(grid: ObstacleGrid, owners: list, cycle: list) -> list[_Run]:
             _extend(points, (X[i2], Y[j2]))
         else:
             points = [(X[i1], Y[j1]), (X[i2], Y[j2])]
-            runs.append(_Run(owner, points))
+            runs.append((owner, points))
             last = owner
-    return runs
+    return [_Run(owner, tuple(points)) for owner, points in runs]
 
 
 def grid(ctx: _Context) -> ObstacleGrid:

@@ -1,10 +1,12 @@
+import heapq
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import (at_level, floor_rect, grown, items, random_items,
-                      spans_at)
+from conftest import (assert_grows_linearly, at_level, floor_rect, grown,
+                      items, random_items, spans_at)
+from strippack import packing as packing_module
 from strippack.adversary import adversary_run
 from span_reference import _in_open, merge_open_spans, spans_contain
 from strippack.bottomleft import BottomLeftState, bl_place_next
@@ -183,3 +185,27 @@ class TestUnbuiltPackings:
                 item = SquareItem(len(p.placements) + 1, a)
                 assert bl_place_next(p, item)[0] == full_scan_place(p, item), \
                     (case, a)
+
+
+class TestSweepGrowth:
+    """The sweep is linear on the random ladder: ``reachable_positions``
+    pushes 1,509 events while BottomLeft packs n = 250 squares, 5,431 at
+    n = 1000 and 25,583 at n = 4000.  Work quadratic in n would give 16
+    times as much at 4n."""
+
+    def test_events_pushed(self, monkeypatch):
+        def events(n: int) -> int:
+            pushed = 0
+
+            def counted(heap, event):
+                nonlocal pushed
+                pushed += 1
+                heapq.heappush(heap, event)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(packing_module, "heappush", counted)
+                pack(BottomLeftState, random_items(f"ladder:1:{n}", n))
+            return pushed
+
+        small, _ = assert_grows_linearly(events, 250)
+        assert small > 0

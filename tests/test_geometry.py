@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -329,3 +330,53 @@ class TestSweepFailures:
         with pytest.raises(geometry.AnalysisError) as err:
             geometry.ObstacleGrid(obstacles, 4, 7)
         assert str(err.value) == message
+
+    # blocks of three split at six, at x = 3; at x = 5 square 4, the second
+    # block's first, ends, and square 0 starts over square 2, which starts
+    # there too: only a first entry moved up to square 3 sends square 0 to
+    # the block that holds square 2
+    STALE_FIRST = [(5, 9, 27, 31), (0, 4, 20, 24), (5, 8, 25, 28),
+                   (3, 7, 60, 64), (2, 5, 26, 29), (3, 7, 4, 8), (3, 5, 1, 3),
+                   (1, 4, 37, 40)]
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_the_blocked_sweep_names_the_first_overlap(self, monkeypatch,
+                                                       block):
+        """With blocks of a few active obstacles, so that blocks split and
+        empty all the time, the overlap sweep names the fault that a search
+        of every earlier active obstacle names: the least x where an
+        obstacle starts over another, and the lowest one there.  Each
+        instance scatters disjoint squares over a strip 12 wide and drops up
+        to two more anywhere."""
+        def search(obstacles):
+            order = sorted((l, b, t, k, r)
+                           for k, (l, r, b, t) in enumerate(obstacles))
+            for i, (l, b, t, k, _) in enumerate(order):
+                hits = [(b2, t2, j) for _, b2, t2, j, r2 in order[:i]
+                        if r2 > l and b2 < t and b < t2]
+                if hits:
+                    return l, min(hits)[2], k
+            return None
+
+        def square(rng):
+            s = rng.randint(1, 4)
+            l, b = rng.randint(0, 12 - s), rng.randint(0, 60)
+            return l, l + s, b, b + s
+
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        assert geometry._first_overlap(self.STALE_FIRST) == \
+            search(self.STALE_FIRST) == (5, 2, 0)
+        rng = random.Random(block)
+        faults = 0
+        for _ in range(150):
+            obstacles = []
+            for _ in range(60):
+                l, r, b, t = square(rng)
+                if all(r <= l2 or r2 <= l or t <= b2 or t2 <= b
+                       for l2, r2, b2, t2 in obstacles):
+                    obstacles.append((l, r, b, t))
+            obstacles += [square(rng) for _ in range(rng.randint(0, 2))]
+            want = search(obstacles)
+            assert geometry._first_overlap(obstacles) == want
+            faults += want is not None
+        assert 0 < faults < 150

@@ -4,12 +4,12 @@ Every module under src/strippack is parsed with ``ast``.  A function,
 method or class defined there must be referenced, as a name or an
 attribute, somewhere in the package (dunder methods are called by the
 interpreter and are exempt), every attribute a method assigns on ``self``
-must be read somewhere in the package, as must every dataclass field and
-every ``__slots__`` name, and every name a module imports must be used in
-that module or listed in its ``__all__``.  A name that only the tests call
-belongs in the tests.  Reads are judged by attribute name only, so a name
-read on some other object counts as read; for a field, a name only called
-as a method (``fh.read()``) does not."""
+must be read somewhere in the package or by the per-layer bench, as must
+every dataclass field and every ``__slots__`` name, and every name a module
+imports must be used in that module or listed in its ``__all__``.  A name
+that only the tests call belongs in the tests.  Reads are judged by
+attribute name only, so a name read on some other object counts as read;
+for a field, a name only called as a method (``fh.read()``) does not."""
 
 import ast
 from pathlib import Path
@@ -104,6 +104,8 @@ def test_every_definition_is_referenced():
 def test_every_self_attribute_is_read():
     trees = _trees()
     read = set().union(*(_loaded_attributes(t) for t in trees.values()))
+    for path in OUTSIDE_READERS:
+        read |= _loaded_attributes(ast.parse(path.read_text(), str(path)))
     unread = [f"{name}:{node.lineno} self.{node.attr}"
               for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)
