@@ -198,11 +198,14 @@ def _heading(p: tuple[int, int], q: tuple[int, int]) -> int:
 
 
 def _owner_name(ctx: _Context, owner: tuple) -> str:
-    """A square or copy run's owner as a message names it, by arrival
-    index."""
+    """A run's owner as a message names it: a square or a copy by arrival
+    index, a wall, the ground or a seam by what it is."""
     if owner[0] == "copy":
         return f"the copy of square {owner[1].owner.item.index}"
-    return f"square {ctx.placements[owner[1]].item.index}"
+    if owner[0] == "sq":
+        return f"square {ctx.placements[owner[1]].item.index}"
+    return {"lwall": "the left wall", "rwall": "the right wall"}.get(
+        owner[0], f"the {owner[0]}")
 
 
 def _in_hole(hole: Hole) -> str:
@@ -238,23 +241,28 @@ class Hole:
             self.runs = _Ring(runs)
             self._settle(area_units)
             return
-        # Lemma 1: each square contributes one connected boundary curve
-        seen = set()
+        # Lemma 1: each square contributes one connected boundary curve; a
+        # fault is raised once the lid, which names the hole, is found
+        seen, twice = set(), None
         for r in runs:
             if r.owner[0] in ("sq", "copy", "lwall", "rwall"):
-                if r.owner in seen:
-                    raise AnalysisError(
-                        "lemma1", f"owner {r.owner} contributes twice")
+                if r.owner in seen and twice is None:
+                    twice = r.owner
                 seen.add(r.owner)
         self.touches_left = OWNER_LWALL in seen
         self.touches_right = OWNER_RWALL in seen
-        if self.touches_left and self.touches_right:
-            raise AnalysisError("two-walls", "hole touches both strip walls")
         lid_idx = self._lid_index(runs)
         self.runs = _Ring(runs[lid_idx:] + runs[:lid_idx] if lid_idx else runs)
         self.area_units = area_units
+        if twice is not None:
+            raise AnalysisError("lemma1", f"{_owner_name(ctx, twice)} "
+                                "contributes twice" + _in_hole(self))
+        if self.touches_left and self.touches_right:
+            raise AnalysisError("two-walls", "hole touches both strip walls"
+                                + _in_hole(self))
         if self.lid_virtual is not None and self.runs[0].owner[0] != "copy":
-            raise AnalysisError("lid", "virtual-lid hole traversed a real lid")
+            raise AnalysisError("lid", "virtual-lid hole traversed a real lid"
+                                + _in_hole(self))
 
     # -- construction -------------------------------------------------------
 
@@ -722,9 +730,10 @@ class ChargeTerm:
     segment: int               # the charged length, on the lattice
 
 
-def _side_length(ctx: _Context, run: _Run, side: str) -> int:
+def _side_length(hole: Hole, run: _Run, side: str) -> int:
     """The lattice length of one side of a square or copy run's owner
     along the run.  A copy owns only its cut, which lies on its bottom."""
+    ctx = hole.ctx
     l, r, b, t = run.rect(ctx)
     copy = run.owner[0] == "copy"
     if copy:
@@ -737,7 +746,7 @@ def _side_length(ctx: _Context, run: _Run, side: str) -> int:
             on = SIDE_BOTTOM if y1 == b else SIDE_TOP if y1 == t else None
         if on is None:
             raise AnalysisError("boundary", "edge off the sides of "
-                                + _owner_name(ctx, run.owner))
+                                + _owner_name(ctx, run.owner) + _in_hole(hole))
         if on == side:
             length += abs(x2 - x1) + abs(y2 - y1)
     return length
@@ -749,12 +758,12 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
     lid = hole.runs[0]
     lid_virtual, key = lid.owner[0] == "copy", lid.owner[1]
     lid_square = key.owner if lid_virtual else ctx.placements[key]
-    beta1 = _side_length(ctx, lid, SIDE_BOTTOM)
+    beta1 = _side_length(hole, lid, SIDE_BOTTOM)
     items = [ChargeTerm(lid_square.item.index, SIDE_BOTTOM, lid_virtual,
                         HALF if lid_virtual else ONE, beta1)]
 
     def term(run: _Run, side: str, coeff: Fraction):
-        seg = _side_length(ctx, run, side)
+        seg = _side_length(hole, run, side)
         sq = ctx.placements[run.owner[1]]
         items.append(ChargeTerm(sq.item.index, side, False, coeff, seg))
 
@@ -777,14 +786,13 @@ def _twice_bound(terms: list[ChargeTerm]) -> int:
                for t in terms)
 
 
-def hole_area_bound(hole: Hole, terms: list[ChargeTerm]) -> Fraction:
-    """Bound the hole area by its charge terms (``_twice_bound``) and
+def hole_area_bound(hole: Hole, twice: int) -> Fraction:
+    """Bound the hole area by its charge terms' ``_twice_bound`` and
     assert it."""
-    twice = _twice_bound(terms)
     bound = Fraction(twice, 2 * hole.ctx.scale ** 2)
     if 2 * hole.area_units > twice:
-        raise AnalysisError(
-            "area-bound", f"hole area {hole.area} exceeds bound {bound}")
+        raise AnalysisError("area-bound", f"hole area {hole.area} exceeds "
+                            f"bound {bound}" + _in_hole(hole))
     _assert_right_diagonal(hole)
     return bound
 
@@ -801,7 +809,9 @@ def _assert_right_diagonal(hole: Hole):
     for x0, x1, spans in hole.slabs():
         for y0, y1 in spans:
             if max(x0, d + y0) < min(x1, d + y1, qx):
-                raise AnalysisError("lemma4", "right diagonal cuts the hole")
+                who = _owner_name(hole.ctx, last.owner)
+                raise AnalysisError("lemma4", f"right diagonal from {who} "
+                                    "enters the free space" + _in_hole(hole))
 
 
 class ChargeLedger:
@@ -890,25 +900,26 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
         hole_units = sum(h.area_units for h in raw)     # a split reuses it
         finals = [piece for h in raw for piece in split_hole(h)]
         terms = [_charge_items(h) for h in finals]
-        bounds = [hole_area_bound(h, t) for h, t in zip(finals, terms)]
+        twices = [_twice_bound(t) for t in terms]
+        bounds = [hole_area_bound(h, tw) for h, tw in zip(finals, twices)]
         ledger = compute_charges(terms)
     finally:
         if collecting:
             gc.enable()
 
     # decided at scale^2, the unit square's lattice area; a coefficient is
-    # 1/2 or 1, so the ledger is counted in halves (any other, exactly)
+    # HALF or ONE itself, so the ledger counts halves (any other, exactly)
     scale, rects = closed.lattice()
     unit, halves = scale * scale, Counter()
     for (idx, _, _), coeff in ledger.max_coeff.items():
-        halves[idx] += 1 if coeff == HALF else 2 if coeff == ONE else 2 * coeff
+        halves[idx] += 1 if coeff is HALF else 2 if coeff is ONE else 2 * coeff
     areas = [(r - l) ** 2 for l, r, _, _ in rects]
     twice_ledger = sum(halves[pl.item.index] * a
                        for pl, a in zip(closed.placements, areas))
     area = sum(areas) - unit            # less the closing square's
     level = rects[-1][2] * scale        # the height, where that square rests
     final_units = sum(h.area_units for h in finals)
-    twice_terms = sum(_twice_bound(t) for t in terms)
+    twice_terms = sum(twices)
     area_sum, hole_sum = Fraction(area, unit), Fraction(hole_units, unit)
     max_halves = max(halves.values(), default=0)
     checks = [

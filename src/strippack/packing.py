@@ -292,13 +292,17 @@ def reachable_positions(p: Packing, at) -> tuple[int, list[tuple[int, int]]]:
         set of the slab above it, whose reachable spans are whole free
         components and so are what the unfloored sweep finds at the floor.
 
-    At each level, the spans reachable there are the free spans (``_free``)
-    of the active set that meet the spans of the slab above (``_meeting``),
-    and the slab below keeps the free spans of the new active set that meet
-    those.  A square enters the slab below from the level only at a point
-    free in both, but a free span below lies wholly in the free set below,
-    so it meets that common part exactly where it meets the spans at the
-    level.
+    At each level, the spans reachable there are the free spans of the
+    active set that meet the spans of the slab above, and the slab below
+    keeps the free spans of the new active set that meet those; one pass
+    over the active set, kept sorted, finds either (``_free_meeting``).  A
+    square enters the slab below from the level only at a point free in
+    both, but a free span below lies wholly in the free set below, so it
+    meets that common part exactly where it meets the spans at the level.
+    A slab's spans are whole free spans of its active set, so a level where
+    no shadow leaves keeps the spans above, and one where none enters
+    passes its spans below: a pass per kind of event at most.  Leaving
+    shadows only free points, so only an entering shadow seals.
 
     Only squares with t_j > floor are swept, and t_j <= b_j + 1, so the
     candidates come from the bottom-sorted window b_j > floor - 1.
@@ -323,14 +327,13 @@ def reachable_positions(p: Packing, at) -> tuple[int, list[tuple[int, int]]]:
     lat = p._lat
     sa, low, scale = at[1] - at[0], at[2], lat.scale
     w = scale - sa
-    full = [(0, w)]
     bottoms, order, rects, n = lat.bottoms, lat.order, lat.rects, p._n
     stop = bisect_right(bottoms, low - scale)   # the window b_j > floor - 1
     k = len(bottoms)
 
     heap: list[tuple[int, bool, int, int]] = []   # (-level, leaves, shadow)
     active: list[tuple[int, int]] = []            # open shadows (l_j - a, r_j)
-    lv, r_prev = None, full     # last event level, spans of the slab below
+    lv, r_prev = None, [(0, w)]     # last event level, spans of the slab below
     while True:
         while k > stop and (not heap or bottoms[k - 1] + scale >= -heap[0][0]):
             k -= 1
@@ -341,46 +344,46 @@ def reachable_positions(p: Packing, at) -> tuple[int, list[tuple[int, int]]]:
                     heappush(heap, (sa - b, True, l - sa, r))   # deactivates
         if not heap:
             return low, r_at if lv == low else r_prev
-        lv, entering = -heap[0][0], []
+        lv, entering, departed = -heap[0][0], [], False
         while heap and heap[0][0] == -lv:
             _, leaves, lo, hi = heappop(heap)
             if leaves:
-                active.remove((lo, hi))
+                del active[bisect_left(active, (lo, hi))]
+                departed = True
             else:
                 entering.append((lo, hi))
-        r_at = _meeting(_free(active, w), r_prev)
-        active += entering
-        r_prev = _meeting(_free(active, w), r_at)
-        if not r_prev:
-            return lv, r_at     # sealed: nothing below is reachable
+        if departed:
+            r_prev = _free_meeting(active, w, r_prev)
+        r_at = r_prev
+        if entering:
+            active += entering      # popped in order: sort merges two runs
+            active.sort()
+            r_prev = _free_meeting(active, w, r_at)
+            if not r_prev:
+                return lv, r_at     # sealed: nothing below is reachable
 
 
-def _free(opens, w):
-    """Closed spans of [0, w] outside every open span of ``opens``, in
-    ascending order; a point where two opens touch stays free, as a
-    single-point span.  Degenerate opens cover nothing."""
-    out, cur = [], 0
-    for lo, hi in sorted(opens):
-        if lo > w:
-            break
+def _free_meeting(opens, w, marks):
+    """Closed spans of [0, w] outside every open span of the sorted
+    ``opens`` that meet a span of ``marks`` (ascending, disjoint), in order;
+    a point where two opens touch stays free, as a single-point span.
+    Degenerate opens cover nothing."""
+    out, cur, j, m = [], 0, 0, len(marks)
+    for lo, hi in opens:
         if hi > cur and hi > lo:
             if lo >= cur:
-                out.append((cur, lo))
+                if lo > w:
+                    break
+                while j < m and marks[j][1] < cur:
+                    j += 1
+                if j < m and marks[j][0] <= lo:
+                    out.append((cur, lo))
             cur = hi
     if cur <= w:
-        out.append((cur, w))
-    return out
-
-
-def _meeting(spans, marks):
-    """The spans, in ascending disjoint order, that share a point with some
-    span of ``marks``, also ascending and disjoint."""
-    out, j = [], 0
-    for lo, hi in spans:
-        while j < len(marks) and marks[j][1] < lo:
+        while j < m and marks[j][1] < cur:
             j += 1
-        if j < len(marks) and marks[j][0] <= hi:
-            out.append((lo, hi))
+        if j < m and marks[j][0] <= w:
+            out.append((cur, w))
     return out
 
 

@@ -1,4 +1,3 @@
-import heapq
 import random
 from fractions import Fraction as F
 
@@ -190,22 +189,49 @@ class TestUnbuiltPackings:
 class TestSweepGrowth:
     """The sweep is linear on the random ladder: ``reachable_positions``
     pushes 1,509 events while BottomLeft packs n = 250 squares, 5,431 at
-    n = 1000 and 25,583 at n = 4000.  Work quadratic in n would give 16
-    times as much at 4n."""
+    n = 1000 and 25,583 at n = 4000, and runs 841 span passes at n = 250
+    and 2,917 at n = 1000.  Work quadratic in n would give 16 times as
+    much at 4n.  A level runs a span pass only for each kind of event it
+    has, so a sweep runs no more passes than it pops events; running both
+    passes at every level ran 1,682 at n = 250, and 5,894 for the 3,081
+    events popped on the 1/k prefix, k <= 100."""
+
+    @staticmethod
+    def counted(patch, name):
+        """Wrap ``packing.<name>`` and return the list its calls fill."""
+        calls, inner = [], getattr(packing_module, name)
+
+        def wrapper(*args):
+            calls.append(None)
+            return inner(*args)
+
+        patch.setattr(packing_module, name, wrapper)
+        return calls
 
     def test_events_pushed(self, monkeypatch):
         def events(n: int) -> int:
-            pushed = 0
-
-            def counted(heap, event):
-                nonlocal pushed
-                pushed += 1
-                heapq.heappush(heap, event)
-
             with monkeypatch.context() as patch:
-                patch.setattr(packing_module, "heappush", counted)
+                pushed = self.counted(patch, "heappush")
                 pack(BottomLeftState, random_items(f"ladder:1:{n}", n))
-            return pushed
+            return len(pushed)
 
         small, _ = assert_grows_linearly(events, 250)
         assert small > 0
+
+    def test_span_passes(self, monkeypatch):
+        def passes(n: int) -> int:
+            with monkeypatch.context() as patch:
+                run = self.counted(patch, "_free_meeting")
+                pack(BottomLeftState, random_items(f"ladder:1:{n}", n))
+            return len(run)
+
+        small, _ = assert_grows_linearly(passes, 250)
+        assert small > 0
+
+    def test_no_more_passes_than_events_popped(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            run = self.counted(patch, "_free_meeting")
+            popped = self.counted(patch, "heappop")
+            pack(BottomLeftState, [SquareItem(k, F(1, k))
+                                   for k in range(1, 101)])
+        assert 0 < len(run) <= len(popped), (len(run), len(popped))

@@ -23,7 +23,7 @@ from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
                              OWNER_SEAM, SIDE_BOTTOM, SIDE_LEFT, SIDE_RIGHT,
                              SIDE_TOP, TYPE_I, TYPE_II, ChargeLedger,
                              ChargeTerm, Hole, compute_charges, extract_holes,
-                             _charge_items, hole_area_bound,
+                             _charge_items, _twice_bound, hole_area_bound,
                              run_bottomleft_analysis, split_hole)
 from strippack.packing import (Check, Packing, PackingError, SquareItem,
                                close_packing, pack)
@@ -290,7 +290,17 @@ class TestSweepTraps:
         for extract in (extract_holes, grid_reference.extract_holes):
             with pytest.raises(holes.AnalysisError) as err:
                 extract(closed)
-            assert err.value.name == "lemma1"
+            assert str(err.value) == ("lemma1: square 2 contributes twice, "
+                                      "in the hole under square 6")
+
+    def test_hole_on_both_walls_names_its_lid(self):
+        """A hole that meets both walls is named by the run before the left
+        wall, where a left-wall hole's lid is."""
+        for extract in (extract_holes, grid_reference.extract_holes):
+            with pytest.raises(holes.AnalysisError) as err:
+                extract(packing_of([(1, 0, "1/4")]))
+            assert str(err.value) == ("two-walls: hole touches both strip "
+                                      "walls, in the hole under square 1")
 
     def test_gap_continues_where_its_owners_change(self):
         """Squares end beside a hole where others of the same height start,
@@ -340,7 +350,7 @@ class TestSplitting:
         owners = {h.lid_virtual.owner.item.index for h in virtual}
         assert owners == {2, 3}
         for h in ana.holes:
-            assert hole_area_bound(h, _charge_items(h)) >= h.area
+            assert hole_area_bound(h, _twice_bound(_charge_items(h))) >= h.area
 
     def test_copy_uniqueness_is_enforced(self):
         for seed in range(40):
@@ -362,7 +372,8 @@ class TestWallHoles:
         assert compute_charges([terms]).max_coeff == \
             {(2, "bottom", False): F(1), (1, "left", False): F(1, 2)}
         assert left.area == F(1, 16)
-        assert hole_area_bound(left, terms) == F(1, 16) + F(1, 32)
+        assert hole_area_bound(left, _twice_bound(terms)) == \
+            F(1, 16) + F(1, 32)
 
     def test_right_wall_charges(self):
         closed = close_packing(packing_of([("1/4", "1/4", 0)]))
@@ -428,7 +439,8 @@ class TestCharges:
         terms = _charge_items(hole)
         lid, s = terms[0], hole.ctx.scale
         assert (lid.square_index, lid.side, lid.virtual) == (6, "bottom", True)
-        assert lid.segment > 0 and hole_area_bound(hole, terms) == \
+        assert lid.segment > 0
+        assert hole_area_bound(hole, _twice_bound(terms)) == \
             F(lid.segment, s) ** 2 + _reference_bound(hole, terms[1:])
         assert lid.coeff == F(1, 2)
         assert ana.ledger.max_coeff[(6, "bottom", True)] == F(1, 2)
@@ -791,7 +803,7 @@ class TestReferenceRoutes:
             for run in hole.runs:
                 want = _measure_sides(ctx, run)
                 if want is not None:
-                    assert {side: holes._side_length(ctx, run, side)
+                    assert {side: holes._side_length(hole, run, side)
                             for side in want} == want
                     seen["runs"] += 1
             seen["holes"] += 1
@@ -870,9 +882,9 @@ class TestReferenceRoutes:
                 ([(cl, cb), (cl, ct)], ("copy", lid), copy),
                 ([(cr, ct), (cl, ct)], ("copy", lid), copy)):
             with pytest.raises(holes.AnalysisError) as err:
-                holes._side_length(ctx, holes._Run(owner, points), SIDE_LEFT)
-            assert err.value.name == "boundary"
-            assert str(err.value).endswith(f"off the sides of {name}")
+                holes._side_length(hole, holes._Run(owner, points), SIDE_LEFT)
+            assert str(err.value) == (f"boundary: edge off the sides of "
+                                      f"{name}, in the hole under square 7")
 
 
 # ---------------------------------------------------------------------------
@@ -1057,14 +1069,18 @@ class TestCarveGuards:
         rect, m = ((-1, 0, 1, 2), 2) if where[0] == "N" else ((1, 2, 2, 3), 1)
         lid = holes.VirtualLid(p.placements[0], rect, m)
         at = ring[-1] if where[0] == "N" else lid_run    # the run holding M
+        messages = []
         for carve in (_splice, holes._carve):
             hole = Hole(holes._Context(p), [lid_run] + ring, 4)
             with pytest.raises(holes.AnalysisError) as err:
                 carve(hole, lid, at)
-            assert err.value.name == "lid"
-        assert str(err.value) == ("lid: the star under the copy of square 1 "
-                                  "holds the parent's lid, in the hole under "
-                                  "square 1")
+            messages.append(str(err.value))
+        # the splice builds the star as a ``Hole``, which finds a real lid
+        assert messages == [
+            "lid: virtual-lid hole traversed a real lid, in the hole under "
+            "square 1",
+            "lid: the star under the copy of square 1 holds the parent's lid, "
+            "in the hole under square 1"]
 
     def test_star_on_the_run_of_m(self):
         """A cut whose ends lie on one run, M before N, peels the piece of
@@ -1130,9 +1146,11 @@ class TestStarWalls:
 # an earlier square, all but lemma5-no-square-below, which was built by
 # hand on the 1/16 grid
 PAPER_GUARD_PINS = {
-    "area-bound": ("area-bound: hole area 1/2 exceeds bound 3/8",
+    "area-bound": ("area-bound: hole area 1/2 exceeds bound 3/8, in the hole "
+                   "under square 3",
                    [("1/2", "1/2", 0), ("1/2", "1/2", "1/2"), ("3/4", 0, 1)]),
-    "lemma4": ("lemma4: right diagonal cuts the hole",
+    "lemma4": ("lemma4: right diagonal from square 3 enters the free space, "
+               "in the hole under square 4",
                [("1/6", "1/3", 0), ("1/6", "1/2", 0), ("2/3", "1/6", "1/6")]),
     # square 3 floats with its bottom-right corner on square 2's top-left
     # one, and the hole runs under it (a corner the other way round is

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (at_level, grid_bfs_reachable, grown, items,
+from conftest import (at_level, floor_rect, grid_bfs_reachable, grown, items,
                       packing_of, random_items, rect_on, rest_height)
-from span_reference import (intersect_spans, merge_spans, spans_contain,
-                            spans_meet, subtract_spans_open)
+from span_reference import (intersect_spans, merge_spans,
+                            reference_reachable, spans_contain, spans_meet,
+                            subtract_spans_open)
 import strippack.packing
 from strippack.bottomleft import BottomLeftState
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               _free, _meeting, check_step,
+                               _free_meeting, check_step,
                                is_supported, is_tetris_reachable, pack,
-                               verify_packing)
+                               reachable_positions, verify_packing)
 
 
 class TestRestHeight:
@@ -132,7 +133,8 @@ def closed_lists(draw):
 
 
 class TestSpanPasses:
-    """``_free`` and ``_meeting`` against the reference span algebra."""
+    """``_free_meeting``, the sweep's one span pass over a sorted active
+    set, against the reference span algebra."""
 
     @given(opens_lists, widths)
     @settings(max_examples=400)
@@ -143,7 +145,8 @@ class TestSpanPasses:
     @example([(-3, 0), (10, 14), (12, 30)], 10)     # touching 0 and w
     @example([(-5, -1), (11, 20)], 10)          # wholly outside
     def test_free_is_subtract_open(self, opens, w):
-        assert _free(opens, w) == subtract_spans_open([(0, w)], opens)
+        assert _free_meeting(sorted(opens), w, [(0, w)]) == \
+            subtract_spans_open([(0, w)], opens)
 
     @given(st.lists(st.tuples(st.fractions(-1, 2, max_denominator=12),
                               st.fractions(-1, 2, max_denominator=12))
@@ -151,27 +154,78 @@ class TestSpanPasses:
            st.fractions(0, 1, max_denominator=12))
     @settings(max_examples=200)
     def test_free_on_fractions(self, opens, w):
-        assert _free(opens, w) == subtract_spans_open([(0, w)], opens)
+        assert _free_meeting(sorted(opens), w, [(0, w)]) == \
+            subtract_spans_open([(0, w)], opens)
 
     @given(opens_lists, widths, closed_lists())
     @settings(max_examples=400)
     @example([(2, 5), (5, 9)], 12, [(5, 5)])    # marks a single point
     @example([(2, 5)], 12, [(0, 2), (5, 7)])    # marks touch both ends
+    @example([(2, 5)], 12, [(-3, -1)])          # marks end before the first
     def test_meeting_is_spans_meet_filter(self, opens, w, marks):
-        spans = _free(opens, w)
-        assert _meeting(spans, marks) == \
-            [s for s in spans if spans_meet([s], marks)]
+        assert _free_meeting(sorted(opens), w, marks) == \
+            [s for s in subtract_spans_open([(0, w)], opens)
+             if spans_meet([s], marks)]
 
     @given(opens_lists, opens_lists, widths, closed_lists())
     @settings(max_examples=400)
     def test_sweep_step_needs_no_entry(self, active, entering, w, marks):
         """A level's spans below meet the spans at it exactly where they
         meet the part of those that is free below as well."""
-        r_at = _meeting(_free(active, w), marks)
+        r_at = _free_meeting(sorted(active), w, marks)
         f_below = subtract_spans_open([(0, w)], active + entering)
         entry = intersect_spans(r_at, f_below)
-        assert _meeting(_free(active + entering, w), r_at) == \
+        assert _free_meeting(sorted(active + entering), w, r_at) == \
             [s for s in f_below if spans_meet([s], entry)]
+
+    @given(opens_lists, opens_lists, widths, closed_lists())
+    @settings(max_examples=400)
+    def test_a_level_without_some_event_needs_no_pass(self, stay, leave, w,
+                                                      marks):
+        """The two passes the sweep leaves out: the pass over the same
+        opens keeps spans it found, and once opens leave, every span found
+        before meets one found after."""
+        spans = _free_meeting(sorted(stay + leave), w, marks)
+        assert _free_meeting(sorted(stay + leave), w, spans) == spans
+        if spans:
+            assert _free_meeting(sorted(stay), w, spans)
+
+
+class TestSweepAgainstReference:
+    """``reachable_positions`` against the sweep that ran both span passes
+    at every level (``span_reference.reference_reachable``): the same
+    ``(level, spans)`` before each arrival of a BottomLeft packing, floored
+    at 0 as the BottomLeft search floors it and at the arrival's own bottom
+    as the verifier's fallback does."""
+
+    @staticmethod
+    def assert_every_arrival_agrees(seq):
+        p = Packing()
+        for pl in pack(BottomLeftState, seq).placements:
+            for floor in (F(0), pl.y):
+                at = floor_rect(p, pl.item.side, floor)
+                assert reachable_positions(p, at) == \
+                    reference_reachable(p, at), (pl, floor)
+            p = p.extended(pl, rect_on(p, pl))
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 200])
+    def test_tiny_row(self, n):
+        self.assert_every_arrival_agrees(
+            [SquareItem(i, F(1, 2 ** 20)) for i in range(1, n + 1)])
+
+    def test_unit_fractions(self):
+        # the 1/k prefix: deep stacks of ever smaller squares under
+        # overhangs, where the sweep walks hundreds of levels
+        self.assert_every_arrival_agrees(
+            [SquareItem(k, F(1, k)) for k in range(1, 121)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_corpus(self, seed):
+        self.assert_every_arrival_agrees(random_items(1_000_000 + seed, 30))
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_ladder(self, n):
+        self.assert_every_arrival_agrees(random_items(f"ladder:1:{n}", n))
 
 
 class TestBfsOracleAgreement:
