@@ -31,15 +31,15 @@ TYPE_I = "I"
 TYPE_II = "II"
 
 
-def classify_iteration(pl1: Placement, pl2: Placement,
-                       h_prev: Scalar) -> str:
-    """Type I iff the two quarters are stacked directly at the previous
-    height: one's bottom on the other's top with positive x-overlap, and the
-    lower bottom exactly at h_prev."""
-    lower, upper = (pl1, pl2) if pl1.y <= pl2.y else (pl2, pl1)
-    stacked = (upper.y == lower.top
-               and upper.left < lower.right and lower.left < upper.right)
-    if stacked and lower.y == h_prev:
+def classify_iteration(at1, at2, h_prev: int) -> str:
+    """Type I iff the two quarters, at lattice rects ``at1`` and ``at2``,
+    are stacked directly at the previous height ``h_prev``, in units of the
+    same lattice: one's bottom on the other's top with positive x-overlap,
+    and the lower bottom exactly at h_prev."""
+    lower, upper = (at1, at2) if at1[2] <= at2[2] else (at2, at1)
+    stacked = (upper[2] == lower[3]
+               and upper[0] < lower[1] and lower[0] < upper[1])
+    if stacked and lower[2] == h_prev:
         return TYPE_I
     return TYPE_II
 
@@ -98,21 +98,21 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         raise PackingError("epsilon must be in (0, 1/4)")
     state = strategy()
 
-    def send(side: Scalar) -> Placement:
+    def send(side: Scalar) -> None:
         before = state.packing
         count = len(before) + 1
-        pl = state.place(SquareItem(count, side))
-        violation = check_step(before, state.packing.lattice()[1][-1])
+        violation = check_step(before, state.place(SquareItem(count, side)))
         if violation:
             raise PackingError(f"strategy square {count}: {violation}")
-        return pl
 
     records = []
     h_prev = ZERO
     for _ in range(m):
-        pl1 = send(QUARTER)
-        pl2 = send(QUARTER)
-        kind = classify_iteration(pl1, pl2, h_prev)
+        send(QUARTER)
+        send(QUARTER)
+        p = state.packing       # the quarters' rects and h_prev on one scale
+        h, = p.units(h_prev)
+        kind = classify_iteration(*p.lattice()[1][-2:], h)
         for side, _, _ in _band(kind, eps)[2:]:
             send(side)
         h_prev = state.packing.height

@@ -70,8 +70,8 @@ class StepProfile:
     ``lowest_cell`` keeps the candidate cells of ``_w``, the last width it
     was asked about, which one scan (``_candidates``) lists at every width:
     ``_js`` their indices in order and ``_tops`` their heights.  ``raised``
-    grows ``[_lo, _hi]``, the range that the kept candidates have not seen,
-    and ``scale_by`` forgets the width.
+    grows ``[_lo, _hi]``, the range that the kept candidates have not seen.
+    A cell keeps its index under scaling, so ``scale_by`` keeps them too.
     """
 
     __slots__ = ("end", "starts", "values", "_w", "_js", "_tops", "_lo", "_hi")
@@ -80,7 +80,7 @@ class StepProfile:
         self.end = end
         self.starts = [0]
         self.values = [0]
-        self._w = self._js = self._tops = None
+        self._w, self._js, self._tops = 0, [], []
         self._lo, self._hi = end, 0
 
     def scale_by(self, f) -> None:
@@ -88,7 +88,8 @@ class StepProfile:
         self.end *= f
         self.starts = [s * f for s in self.starts]
         self.values = [v * f for v in self.values]
-        self._w = None
+        self._w, self._tops = self._w * f, [t * f for t in self._tops]
+        self._lo, self._hi = self._lo * f, self._hi * f
 
     def max_over(self, lo, hi):
         """Max of the profile over the OPEN interior (lo, hi), for

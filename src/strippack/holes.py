@@ -60,7 +60,7 @@ from typing import Iterable, Optional, Sequence
 from .geometry import (GROUND, LEFT_WALL, RIGHT_WALL, AnalysisError,
                        ObstacleGrid, Rect, trace_boundary)
 from .numbers import HALF, ONE
-from .packing import Check, Packing, Placement, close_packing
+from .packing import Check, Packing, SquareItem, close_packing
 
 SIDE_LEFT = "left"
 SIDE_BOTTOM = "bottom"
@@ -83,7 +83,7 @@ class VirtualLid:
     one, under a different square (``_carve``), so a lid is compared and
     hashed by identity."""
 
-    owner: Placement
+    owner: SquareItem
     rect: tuple[int, int, int, int]
     mn_left: int
 
@@ -102,11 +102,11 @@ class _Context:
     ``window`` is the packing's bottom-sorted index of those rects
     (``Packing.window``); splits read the squares near a point or a cut's
     line from it.  ``copies`` holds the index of each square that has a
-    virtual lid.
+    virtual lid, and ``items[k]`` is square k, as a message names it.
     """
 
     def __init__(self, p: Packing):
-        self.placements = p.placements
+        self.items = p.items
         self.scale, self.rects = p.lattice()
         self.window = p.window
         self.copies: set[int] = set()
@@ -201,9 +201,9 @@ def _owner_name(ctx: _Context, owner: tuple) -> str:
     """A run's owner as a message names it: a square or a copy by arrival
     index, a wall, the ground or a seam by what it is."""
     if owner[0] == "copy":
-        return f"the copy of square {owner[1].owner.item.index}"
+        return f"the copy of square {owner[1].owner.index}"
     if owner[0] == "sq":
-        return f"square {ctx.placements[owner[1]].item.index}"
+        return f"square {ctx.items[owner[1]].index}"
     return {"lwall": "the left wall", "rwall": "the right wall"}.get(
         owner[0], f"the {owner[0]}")
 
@@ -499,8 +499,8 @@ def _find_split(hole: Hole) -> Optional[tuple[VirtualLid, _Run]]:
     if not (ub == lt and ul < lr and ll < ur):
         raise AnalysisError(
             "lemma5", "split pair not stacked: "
-            f"up={ctx.placements[up].item.index} "
-            f"low={ctx.placements[low].item.index}" + _in_hole(hole))
+            f"up={ctx.items[up].index} "
+            f"low={ctx.items[low].index}" + _in_hole(hole))
     # The cut starts at M = (lr, lt).  As up's run and low's are adjacent,
     # the boundary leaves M down low's right side, so the lattice cell
     # southeast of M is free: no square spanning the cut's line from below
@@ -515,7 +515,7 @@ def _find_split(hole: Hole) -> Optional[tuple[VirtualLid, _Run]]:
         raise AnalysisError(
             "lemma7", f"cut {x_n - x_m} under {_owner_name(ctx, up_run.owner)}"
             f" not shorter than {side}" + _in_hole(hole))
-    return VirtualLid(owner=ctx.placements[up],
+    return VirtualLid(owner=ctx.items[up],
                       rect=(x_n - side, x_n, lt, lt + side),
                       mn_left=x_m), low_run
 
@@ -543,7 +543,7 @@ def _carve(hole: Hole, lid: VirtualLid,
     neighbours.
     """
     ctx = hole.ctx
-    key = lid.owner.item.index
+    key = lid.owner.index
     if key in ctx.copies:
         raise AnalysisError("copy-uniqueness", f"square {key} used as a "
                             "virtual lid twice" + _in_hole(hole))
@@ -757,15 +757,15 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
     ctx = hole.ctx
     lid = hole.runs[0]
     lid_virtual, key = lid.owner[0] == "copy", lid.owner[1]
-    lid_square = key.owner if lid_virtual else ctx.placements[key]
+    lid_square = key.owner if lid_virtual else ctx.items[key]
     beta1 = _side_length(hole, lid, SIDE_BOTTOM)
-    items = [ChargeTerm(lid_square.item.index, SIDE_BOTTOM, lid_virtual,
+    items = [ChargeTerm(lid_square.index, SIDE_BOTTOM, lid_virtual,
                         HALF if lid_virtual else ONE, beta1)]
 
     def term(run: _Run, side: str, coeff: Fraction):
         seg = _side_length(hole, run, side)
-        sq = ctx.placements[run.owner[1]]
-        items.append(ChargeTerm(sq.item.index, side, False, coeff, seg))
+        sq = ctx.items[run.owner[1]]
+        items.append(ChargeTerm(sq.index, side, False, coeff, seg))
 
     if hole.touches_left:
         term(hole.runs[-1], SIDE_LEFT, HALF)
@@ -914,8 +914,8 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
     for (idx, _, _), coeff in ledger.max_coeff.items():
         halves[idx] += 1 if coeff is HALF else 2 if coeff is ONE else 2 * coeff
     areas = [(r - l) ** 2 for l, r, _, _ in rects]
-    twice_ledger = sum(halves[pl.item.index] * a
-                       for pl, a in zip(closed.placements, areas))
+    twice_ledger = sum(halves[item.index] * a
+                       for item, a in zip(closed.items, areas))
     area = sum(areas) - unit            # less the closing square's
     level = rects[-1][2] * scale        # the height, where that square rests
     final_units = sum(h.area_units for h in finals)

@@ -22,14 +22,15 @@ m, the highest top over its open x-range, is at most its bottom b, no
 earlier square reaches above b there, so (1) none overlaps it, (2) its
 straight drop from above is clear, obstacles being open, and (3) it is
 supported exactly when b == 0 or m == b.  Other squares go to
-``check_rules``, so every verdict stays the same.  A packing grows as
-online placement does: from ``Packing()``, at the newest snapshot only.
+``check_rules``, so every verdict stays the same.  A packing grows as online
+placement does, at the newest snapshot only, by a square and its rect.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 from typing import Optional, Sequence
@@ -61,14 +62,6 @@ class Placement:
     y: Scalar
 
     @property
-    def left(self) -> Scalar:
-        return self.x
-
-    @property
-    def right(self) -> Scalar:
-        return self.x + self.item.side
-
-    @property
     def top(self) -> Scalar:
         return self.y + self.item.side
 
@@ -77,22 +70,25 @@ class _Lattice:
     """The integer coordinates of a chain of packings, and the one place
     where a rational becomes an integer (``units``).
 
-    ``rects[i]`` is placement i's ``(l, r, b, t)`` times ``scale``, the LCM
-    of every denominator fitted so far.  ``bottoms`` holds every ``b`` in
-    ascending order and ``order`` the placement index of each.  The
-    snapshots of one chain share a lattice and each reads the first entries,
-    as many as it has placements; only the newest appends.  ``sky`` is the
-    skyline of the first ``sky_n`` rects (``Packing.skyline``).  Rescaling
-    multiplies every entry and ``sky`` in place, which changes the
-    representation and not the geometry, so it keeps every sharing
-    snapshot valid.  The verifier knows every placement at once and fits
-    them all first.
+    ``items[i]`` is square i and ``rects[i]`` its ``(l, r, b, t)`` times
+    ``scale``, the LCM of every denominator fitted so far; ``pls`` caches
+    the ``Placement``s of a prefix of them, built on read.  ``bottoms``
+    holds every ``b`` in ascending order and ``order`` the square index of
+    each.  The snapshots of one chain share a lattice and each reads the
+    first entries, as many as it has squares; only the newest appends.
+    ``sky`` is the skyline of the first ``sky_n`` rects
+    (``Packing.skyline``).  Rescaling multiplies every entry and ``sky`` in
+    place, which changes the representation and not the geometry, so it
+    keeps every sharing snapshot valid.  The verifier knows every placement
+    at once and fits them all first.
     """
 
-    __slots__ = ("scale", "pls", "rects", "bottoms", "order", "sky", "sky_n")
+    __slots__ = ("scale", "items", "pls", "rects", "bottoms", "order", "sky",
+                 "sky_n")
 
     def __init__(self):
         self.scale = 1
+        self.items: list[SquareItem] = []
         self.pls: list[Placement] = []
         self.rects: list[tuple[int, int, int, int]] = []
         self.bottoms: list[int] = []
@@ -128,31 +124,28 @@ class _Lattice:
             out.append(v.numerator * f)
         return out
 
-    def coords(self, pl: Placement) -> tuple[int, int, int, int]:
-        """``pl``'s ``(l, r, b, t)`` on the lattice, fitted to it first."""
-        l, b, s = self.units(pl.x, pl.y, pl.item.side)
-        return l, l + s, b, b + s
-
-    def append(self, pl: Placement, at) -> None:
+    def append(self, item: SquareItem, at) -> None:
         k = bisect_right(self.bottoms, at[2])
         self.bottoms.insert(k, at[2])
-        self.order.insert(k, len(self.pls))
-        self.pls.append(pl)
+        self.order.insert(k, len(self.items))
+        self.items.append(item)
         self.rects.append(at)
 
 
 class Packing:
     """Immutable ordered packing on its integer lattice, and the index of
-    its topmost placement (the first of equal tops), whose top is the
+    its topmost square (the first of equal tops), whose top is the
     ``height``.  ``Packing()`` is empty; every other packing comes from
-    ``extended``.  ``placements`` is a tuple view of the lattice's
-    placements, built on first use.
+    ``extended``.  ``items`` lists its squares; ``placements`` builds their
+    ``Placement``s from the rects on first read, once per square for a
+    chain (``Fraction`` normalises, so a rescale changes none).
 
-    ``extended`` appends to the lattice this packing shares with the one it
-    came from, in O(1) amortized time plus a sorted insert, and finds the new
-    top by comparing two lattice integers.  Only the newest packing of a
-    chain extends; an older one raises ``PackingError``.  ``at``, here and
-    below, is the arriving square's lattice ``(l, r, b, t)``.
+    ``extended`` appends a square and its rect to the lattice this packing
+    shares with the one it came from, in O(1) amortized time plus a sorted
+    insert, and finds the new top by comparing two lattice integers.  Only
+    the newest packing of a chain extends; an older one raises
+    ``PackingError``.  ``at``, here and below, is the arriving square's
+    lattice ``(l, r, b, t)``.
     """
 
     __slots__ = ("_lat", "_n", "_top", "_placements")
@@ -166,20 +159,29 @@ class Packing:
         return self._n
 
     @property
+    def items(self) -> list[SquareItem]:
+        return self._lat.items[:self._n]
+
+    @property
     def placements(self) -> tuple[Placement, ...]:
         if self._placements is None:
-            self._placements = tuple(self._lat.pls[:self._n])
+            lat, n = self._lat, self._n
+            pls, s, k = lat.pls, lat.scale, len(lat.pls)
+            pls += [Placement(item, Fraction(r[0], s), Fraction(r[2], s))
+                    for item, r in zip(lat.items[k:n], lat.rects[k:n])]
+            self._placements = tuple(pls[:n])
         return self._placements
 
     @property
     def height(self) -> Scalar:
-        return self._lat.pls[self._top].top if self._n else ZERO
-
-    def extended(self, pl: Placement, at) -> "Packing":
         lat = self._lat
-        if len(lat.pls) != self._n:
-            raise PackingError(f"square {pl.item.index}: not the newest packing")
-        lat.append(pl, at)
+        return Fraction(lat.rects[self._top][3], lat.scale) if self._n else ZERO
+
+    def extended(self, item: SquareItem, at) -> "Packing":
+        lat = self._lat
+        if len(lat.items) != self._n:
+            raise PackingError(f"square {item.index}: not the newest packing")
+        lat.append(item, at)
         top, rects = self._top, lat.rects
         nxt = Packing.__new__(Packing)
         nxt._lat, nxt._n = lat, self._n + 1
@@ -230,8 +232,9 @@ class Packing:
 def pack(strategy, seq: Sequence[SquareItem]) -> Packing:
     """Place ``seq`` online with a fresh ``strategy()``.
 
-    A strategy is a class whose instances place one square at a time:
-    ``place(item) -> Placement`` on their own ``.packing``.
+    A strategy is a class whose instances place one square at a time on
+    their own ``.packing``: ``place(item)`` extends it by the square and
+    returns the square's lattice ``(l, r, b, t)``.
     """
     state = strategy()
     for item in seq:
@@ -242,9 +245,8 @@ def pack(strategy, seq: Sequence[SquareItem]) -> Packing:
 def close_packing(p: Packing) -> Packing:
     """Append the side-1 closing square; it can only rest at the packing
     height with its left side on the wall."""
-    closing = SquareItem(len(p) + 1, ONE)
     s, t = p._lat.scale, p._lat.rects[p._top][3] if len(p) else 0
-    return p.extended(Placement(closing, ZERO, p.height), (0, s, t, t + s))
+    return p.extended(SquareItem(len(p) + 1, ONE), (0, s, t, t + s))
 
 
 def is_supported(p: Packing, at) -> bool:
@@ -451,11 +453,12 @@ def _replay(seq, pls) -> tuple[Optional[str], Packing]:
     sofar = Packing()
     sofar._lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
     for step, pl in enumerate(pls, start=1):
-        at = sofar._lat.coords(pl)
+        l, b, s = sofar._lat.units(pl.x, pl.y, pl.item.side)
+        at = (l, l + s, b, b + s)
         violation = check_step(sofar, at)
         if violation:
             return f"{violation} at step {step}", sofar
-        sofar = sofar.extended(pl, at)
+        sofar = sofar.extended(pl.item, at)
     return None, sofar
 
 

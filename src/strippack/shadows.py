@@ -88,8 +88,8 @@ def charge_map(p_closed: Packing) -> ChargeMap:
     per gap below the top.  ``p_closed`` ends with ``close_packing``'s square:
     its widening spans the strip at the highest bottom, so one tops every gap.
     """
-    pls = p_closed.placements
-    levels = [round_to_dyadic(pl.item.side) for pl in pls]
+    items = p_closed.items
+    levels = [round_to_dyadic(item.side) for item in items]
     scale, rects = p_closed.lattice(*(w for _, w in levels))
     blockers: list[tuple[int, int, int]] = []       # (b, t, i) spanning x0
     stops: list[tuple[int, int, int, int]] = []     # (b, k, slot index, i)
@@ -120,7 +120,7 @@ def charge_map(p_closed: Packing) -> ChargeMap:
         si = 0
         for g_lo, g_hi in gaps:
             si = bisect_left(stops, (g_hi,), si)
-            idx = pls[stops[si][3]].item.index
+            idx = items[stops[si][3]].index
             sums[idx] = sums.get(idx, 0) + (g_hi - g_lo) * (x1 - x0)
             regions.setdefault(idx, []).append((x0, x1, g_lo, g_hi))
     areas = {idx: Fraction(v, scale * scale) for idx, v in sums.items()}
@@ -132,12 +132,12 @@ def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:
     decided on lattice integers at scale^2: a square of lattice side s has
     area s^2, and the closing square rests at the open packing's height."""
     scale, rects = p_closed.lattice()
-    unit, pls, checks = scale * scale, p_closed.placements, []
+    unit, checks = scale * scale, []
     worst_c, worst_a, area = 0, 1, 0    # the largest c / s^2; the area
-    for pl, (l, r, _, _) in zip(pls, rects):
-        c, a = cm.sums.get(pl.item.index, 0), (r - l) ** 2
+    for item, (l, r, _, _) in zip(p_closed.items, rects):
+        c, a = cm.sums.get(item.index, 0), (r - l) ** 2
         if 13 * c > 8 * a:
-            checks.append(Check(f"slot-per-square-{pl.item.index}", False,
+            checks.append(Check(f"slot-per-square-{item.index}", False,
                                 str(Fraction(c, unit)), "<=",
                                 str(Fraction(8 * a, 13 * unit))))
         if c * worst_a > worst_c * a:
@@ -147,12 +147,12 @@ def check_slot_bounds(p_closed: Packing, cm: ChargeMap) -> list[Check]:
                         f"max |F|/a^2 = {Fraction(worst_c, worst_a)}", "<=",
                         "8/13"))
     height, open_area = rects[-1][2] * scale, area - unit
+    y = str(Fraction(rects[-1][2], scale))      # the closing square's bottom
     area_sum, charge_sum = Fraction(open_area, unit), sum(cm.sums.values())
     checks.append(Check("slot-height-decomposition",
-                        height <= 2 * open_area + charge_sum,
-                        str(pls[-1].y), "<=",
+                        height <= 2 * open_area + charge_sum, y, "<=",
                         f"2*{area_sum} + {Fraction(charge_sum, unit)}"))
     checks.append(Check("theorem2", 13 * height <= 26 * open_area + 8 * area,
-                        str(pls[-1].y), "<=",
+                        y, "<=",
                         f"2*{area_sum} + 8/13*{Fraction(area, unit)}"))
     return checks

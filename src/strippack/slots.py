@@ -10,13 +10,13 @@ keeps, one step profile of the tops on the lattice's integers, raised in
 place and rescaled with the lattice.  The lowest slot is found among the
 skyline's candidate cells: the leftmost whole slot of each segment and
 every slot that straddles a breakpoint.  One scan lists them at every
-width.  The skyline
-keeps the candidates of the width it was last asked about, so a square of
-the same level as the one before it rescans only the slots that square
-touched, and a square of a new level lists them all once.  No level keeps
-a table of its 2^k slots, and a level is bounded only by the size of the
-integers.  Tests cross-check every choice against the rest heights of the
-raw packing.
+width.  The skyline keeps the candidates of the width it was last asked
+about, through a rescale too, so a square of the same level as the one
+before it rescans only the slots that square touched, and a square of a
+new level lists them all once.  No level keeps a table of its 2^k slots,
+and a level is bounded only by the size of the integers.  A placement
+converts only the side and its width, and makes no Fraction.  Tests
+cross-check every choice against the rest heights of the raw packing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numbers import ONE, ZERO, Scalar
-from .packing import Packing, PackingError, Placement, SquareItem
+from .packing import Packing, PackingError, SquareItem
 
 
 def round_to_dyadic(a: Scalar) -> tuple[int, Scalar]:
@@ -59,11 +59,10 @@ class SlotState:
         ``w`` in lattice units, on ``sky`` or else the packing's skyline."""
         return (sky or self.packing.skyline()).lowest_cell(w)
 
-    def place(self, item: SquareItem) -> Placement:
+    def place(self, item: SquareItem) -> tuple[int, int, int, int]:
         a = item.side
-        _, width = round_to_dyadic(a)
         p = self.packing
-        w, s, scale = p.units(width, a, ONE)    # ONE's units: the scale
+        w, s = p.units(round_to_dyadic(a)[1], a)
         sky = p.skyline()
         l = self.choose(w, sky) * w
         r = l + s
@@ -71,9 +70,9 @@ class SlotState:
         # case the slot's interior max sits beyond the footprint this is
         # lower, and it is what keeps the placement supported
         b = sky.max_over(l, r)
-        pl = Placement(item, Fraction(l, scale), Fraction(b, scale))
-        self.packing = p.extended(pl, (l, r, b, b + s))
-        return pl
+        at = (l, r, b, b + s)
+        self.packing = p.extended(item, at)
+        return at
 
 
 def slot_killer_instance(k: int, delta: Scalar, n: int) -> list[SquareItem]:

@@ -55,8 +55,15 @@ def deep_items(i: int) -> list[SquareItem]:
 
 def rect_on(p: Packing, pl: Placement) -> tuple[int, int, int, int]:
     """``pl``'s ``(l, r, b, t)`` on ``p``'s lattice, the input of the step
-    checks."""
-    return p._lat.coords(pl)
+    checks, fitting the lattice to it first."""
+    l, b, s = p.units(pl.x, pl.y, pl.item.side)
+    return l, l + s, b, b + s
+
+
+def placement_at(p: Packing, item: SquareItem, at) -> Placement:
+    """The ``Placement`` of ``item`` at lattice rect ``at`` of ``p``."""
+    (scale,) = p.units(Fraction(1))
+    return Placement(item, Fraction(at[0], scale), Fraction(at[2], scale))
 
 
 def floor_rect(p: Packing, a: Fraction,
@@ -117,7 +124,7 @@ def grown(pls) -> Packing:
     wants a branch off a snapshot grows its prefix again."""
     p = Packing()
     for pl in pls:
-        p = p.extended(pl, rect_on(p, pl))
+        p = p.extended(pl.item, rect_on(p, pl))
     return p
 
 
@@ -135,7 +142,8 @@ def rest_height(p: Packing, x: Fraction, a: Fraction) -> Fraction:
     if not (0 <= x <= 1 - a):
         raise PackingError(f"x={x} out of range for side {a}")
     return max((pl.top for pl in p.placements
-                if pl.left < x + a and x < pl.right), default=Fraction(0))
+                if pl.x < x + a and x < pl.x + pl.item.side),
+               default=Fraction(0))
 
 
 def spans_at(p: Packing, a: Fraction, y: Fraction) -> list[tuple[int, int]]:
@@ -173,8 +181,8 @@ def grid_bfs_reachable(p: Packing, a: Fraction, step: Fraction):
     # strict inequalities make index ranges half-open on both sides
     blocked = [bytearray(ny + 1) for _ in range(nx + 1)]
     for pl in p.placements:
-        ix_lo = _strict_above((pl.left - a) / step)
-        ix_hi = _strict_below(pl.right / step, nx)
+        ix_lo = _strict_above((pl.x - a) / step)
+        ix_hi = _strict_below((pl.x + pl.item.side) / step, nx)
         iy_lo = _strict_above((pl.y - a) / step)
         iy_hi = _strict_below(pl.top / step, ny)
         for ix in range(ix_lo, ix_hi + 1):

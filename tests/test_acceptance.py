@@ -174,14 +174,15 @@ def test_criterion_7_reachability_oracle():
 def _mutate_overlap(seq, p):
     shift = F(1, 32)
     pls = list(p.placements)
+    right = lambda q: q.x + q.item.side
     for j, pl in enumerate(pls):
         for other in pls[:j]:
-            if other.right == pl.left \
+            if right(other) == pl.x \
                     and min(other.top, pl.top) > max(other.y, pl.y):
                 pls[j] = Placement(pl.item, pl.x - shift, pl.y)
                 return pls, j + 1
             if other.top == pl.y \
-                    and min(other.right, pl.right) > max(other.left, pl.left):
+                    and min(right(other), right(pl)) > max(other.x, pl.x):
                 pls[j] = Placement(pl.item, pl.x, pl.y - shift)
                 return pls, j + 1
     raise AssertionError("no touching pair to mutate")

@@ -33,22 +33,29 @@ GOLDEN_M100_SHA256 = {
 }
 
 
-def q(idx, x, y):
-    return Placement(SquareItem(idx, F(1, 4)), F(x), F(y))
+def q(x, y):
+    """A quarter's lattice rect at scale 8, its corner at (x, y) / 8."""
+    return x, x + 2, y, y + 2
 
 
 class TestClassification:
     def test_stacked_at_height_is_type_one(self):
-        assert classify_iteration(q(1, 0, 0), q(2, 0, "1/4"), F(0)) == TYPE_I
+        assert classify_iteration(q(0, 0), q(0, 2), 0) == TYPE_I
 
     def test_side_by_side_is_type_two(self):
-        assert classify_iteration(q(1, 0, 0), q(2, "1/4", 0), F(0)) == TYPE_II
+        assert classify_iteration(q(0, 0), q(2, 0), 0) == TYPE_II
 
     def test_stacked_above_height_is_type_two(self):
-        assert classify_iteration(q(1, 0, "1/8"), q(2, 0, "3/8"), F(0)) == TYPE_II
+        assert classify_iteration(q(0, 1), q(0, 3), 0) == TYPE_II
 
     def test_order_independent(self):
-        assert classify_iteration(q(2, 0, "1/4"), q(1, 0, 0), F(0)) == TYPE_I
+        assert classify_iteration(q(0, 2), q(0, 0), 0) == TYPE_I
+
+    def test_corner_contact_is_type_two(self):
+        assert classify_iteration(q(0, 0), q(2, 2), 0) == TYPE_II
+
+    def test_stacked_at_a_later_height_is_type_one(self):
+        assert classify_iteration(q(3, 5), q(4, 7), 5) == TYPE_I
 
 
 class StackerState:
@@ -61,8 +68,9 @@ class StackerState:
         return self.put(Placement(item, F(0), self.packing.height))
 
     def put(self, pl):
-        self.packing = self.packing.extended(pl, rect_on(self.packing, pl))
-        return pl
+        at = rect_on(self.packing, pl)
+        self.packing = self.packing.extended(pl.item, at)
+        return at
 
 
 class TestAdversaryRuns:

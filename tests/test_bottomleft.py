@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (assert_grows_linearly, at_level, floor_rect, grown,
-                      items, random_items, spans_at)
+                      items, placement_at, random_items, spans_at)
 from strippack import packing as packing_module
 from strippack.adversary import adversary_run
 from span_reference import _in_open, merge_open_spans, spans_contain
@@ -49,17 +49,18 @@ def full_scan_place(p: Packing, item: SquareItem) -> Placement:
 class FullScanChecked(BottomLeftState):
     """BottomLeft that checks every placement against the full scan."""
 
-    def place(self, item: SquareItem) -> Placement:
+    def place(self, item: SquareItem) -> tuple[int, int, int, int]:
         expected = full_scan_place(self.packing, item)
-        pl = super().place(item)
-        assert pl == expected, item
-        return pl
+        at = super().place(item)
+        assert placement_at(self.packing, item, at) == expected, item
+        return at
 
 
 class TestPlacementRule:
     def test_empty_strip_leftmost_bottom(self):
-        pl, at = bl_place_next(Packing(), SquareItem(1, F(1, 2)))
-        assert (pl.x, pl.y) == (0, 0) and at == (0, 1, 0, 1)
+        p = Packing()
+        at = bl_place_next(p, SquareItem(1, F(1, 2)))
+        assert at == (0, 1, 0, 1) and p.units(F(1)) == [2]
 
     def test_ground_row_before_stacking(self):
         p = pack(BottomLeftState, items("1/4", "1/4"))
@@ -103,9 +104,9 @@ class TestLocalOptimality:
             seq = random_items(200 + seed, 8, lo=F(1, 8))
             p = Packing()
             for item in seq:
-                pl, at = bl_place_next(p, item)
-                self._assert_minimal(p, item, pl)
-                p = p.extended(pl, at)
+                at = bl_place_next(p, item)
+                self._assert_minimal(p, item, placement_at(p, item, at))
+                p = p.extended(item, at)
 
     @staticmethod
     def _assert_minimal(p, item, chosen):
@@ -118,7 +119,8 @@ class TestLocalOptimality:
             if not reach:
                 continue
             supports = [(F(0), F(1) - a)] if y == 0 else merge_open_spans(
-                [(q.left - a, q.right) for q in p.placements if q.top == y])
+                [(q.x - a, q.x + q.item.side) for q in p.placements
+                 if q.top == y])
             candidates = sorted({lo for lo, _ in reach}
                                 | {lo for lo, _ in supports})
             for x in candidates:
@@ -165,8 +167,8 @@ def gravity_packing(rng: random.Random, n: int, grid: int) -> Packing:
     for i in range(1, n + 1):
         k = rng.randint(1, grid)
         a, x = F(k, grid), F(rng.randint(0, grid - k), grid)
-        y = max((pl.top for pl in pls if pl.left < x + a and x < pl.right),
-                default=ZERO)
+        y = max((pl.top for pl in pls
+                 if pl.x < x + a and x < pl.x + pl.item.side), default=ZERO)
         pls.append(Placement(SquareItem(i, a), x, y))
     return grown(pls)
 
@@ -182,8 +184,9 @@ class TestUnbuiltPackings:
             p = gravity_packing(rng, rng.randint(2, 8), rng.choice([4, 6, 8]))
             for a in sides:
                 item = SquareItem(len(p.placements) + 1, a)
-                assert bl_place_next(p, item)[0] == full_scan_place(p, item), \
-                    (case, a)
+                at = bl_place_next(p, item)
+                assert placement_at(p, item, at) == \
+                    full_scan_place(p, item), (case, a)
 
 
 class TestSweepGrowth:

@@ -161,6 +161,52 @@ class TestStepProfile:
         prof.scale_by(8)
         assert (prof.end, prof.starts, prof.values) == (8, [0, 2, 4], [0, 3, 0])
 
+    @staticmethod
+    def brute_lowest(prof, w):
+        return min(range(prof.end // w),
+                   key=lambda j: (prof.max_over(j * w, (j + 1) * w), j))
+
+    def test_scale_by_keeps_the_candidates(self, monkeypatch):
+        """A query at one width before and after a rescale: the first lists
+        every cell, the second, after a raise, only the cells the raise
+        dirtied, and neither a rescale nor a repeat lists any."""
+        listed = []
+        candidates = StepProfile._candidates
+
+        def recorded(self, w, j0, j1):
+            listed.append((w, j0, j1))
+            return candidates(self, w, j0, j1)
+
+        monkeypatch.setattr(StepProfile, "_candidates", recorded)
+        prof = StepProfile(16)
+        for lo, hi, v in ((0, 4, 3), (5, 6, 1), (9, 16, 2)):
+            prof.raised(lo, hi, v)
+        assert prof.lowest_cell(2) == self.brute_lowest(prof, 2) == 3
+        prof.scale_by(3)
+        assert prof.lowest_cell(6) == self.brute_lowest(prof, 6) == 3
+        prof.raised(18, 27, 6)
+        assert prof.lowest_cell(6) == self.brute_lowest(prof, 6) == 2
+        assert listed == [(2, 0, 8), (6, 3, 6)]
+
+    def test_scale_by_matches_brute_force(self):
+        """Seeded raises, each followed by a query at one lattice width,
+        with rescales in between: every answer is the brute-force one."""
+        rng = random.Random("scale-by")
+        for case in range(40):
+            cells = rng.choice(CELLS)
+            prof, f = StepProfile(16), 1
+            for _ in range(12):
+                if rng.random() < 0.3:
+                    g = rng.choice([2, 3, 5])
+                    prof.scale_by(g)
+                    f *= g
+                else:
+                    lo = rng.randrange(16)
+                    hi = rng.randint(lo + 1, 16)
+                    prof.raised(lo * f, hi * f, rng.randint(0, 9) * f)
+                w = 16 // cells * f
+                assert prof.lowest_cell(w) == self.brute_lowest(prof, w), case
+
     @given(st.lists(st.one_of(
                st.tuples(st.integers(0, 15), st.integers(1, 16),
                          st.integers(0, 9),
@@ -173,8 +219,9 @@ class TestStepProfile:
         by ``f``.  After every raise, ``lowest_cell`` is asked at ``cells``
         cells, and now and then at a second count, which sends the next
         query at ``cells`` back to a cold scan.  An integer step multiplies
-        the profile through, which must drop what it kept: after a
-        doubling, the first query asks at the lattice width asked last."""
+        the profile through, what it kept included: after a doubling, the
+        first query asks at the lattice width asked last, which the kept
+        candidates, now at twice that width, must not serve."""
         prof = StepProfile(16)
         dense, f, asked = [0] * 16, 1, [1]
 

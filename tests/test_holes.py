@@ -335,7 +335,7 @@ class TestSplitting:
         assert len(ana.holes) == 3
         virtual = [h for h in ana.holes if h.lid_virtual is not None]
         assert len(virtual) == 1
-        assert virtual[0].lid_virtual.owner.item.index == 6
+        assert virtual[0].lid_virtual.owner.index == 6
         assert virtual[0].area == F(3, 32)
         assert sum(h.area for h in ana.holes) == sum(h.area for h in raw)
 
@@ -347,7 +347,7 @@ class TestSplitting:
         assert ana.ok
         virtual = [h for h in ana.holes if h.lid_virtual is not None]
         assert len(virtual) == 2
-        owners = {h.lid_virtual.owner.item.index for h in virtual}
+        owners = {h.lid_virtual.owner.index for h in virtual}
         assert owners == {2, 3}
         for h in ana.holes:
             assert hole_area_bound(h, _twice_bound(_charge_items(h))) >= h.area
@@ -356,7 +356,7 @@ class TestSplitting:
         for seed in range(40):
             seq = random_items(seed, 10)
             ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
-            owners = [h.lid_virtual.owner.item.index
+            owners = [h.lid_virtual.owner.index
                       for h in ana.holes if h.lid_virtual is not None]
             assert len(owners) == len(set(owners))
 
@@ -873,9 +873,9 @@ class TestReferenceRoutes:
         ctx = hole.ctx
         run = next(r for r in hole.runs if r.owner[0] == "sq")
         l, r, b, t = run.rect(ctx)
-        square = f"square {ctx.placements[run.owner[1]].item.index}"
+        square = f"square {ctx.items[run.owner[1]].index}"
         cl, cr, cb, ct = lid.rect
-        copy = f"the copy of square {lid.owner.item.index}"
+        copy = f"the copy of square {lid.owner.index}"
         for points, owner, name in (
                 ([(l - 1, b), (l - 1, t)], run.owner, square),
                 ([(l, b - 1), (r, b - 1)], run.owner, square),
@@ -1040,7 +1040,7 @@ class TestCarveGuards:
         assert hole.corners[(1, 1)] == 2
         # M at the pinch, or M at (0, 1) and N at the pinch
         m, r = (1, 2) if end == "M" else (0, 1)
-        lid = holes.VirtualLid(p.placements[0], (r - 1, r, 1, 2), m)
+        lid = holes.VirtualLid(p.items[0], (r - 1, r, 1, 2), m)
         with pytest.raises(holes.AnalysisError) as err:
             _splice(hole, lid)
         assert str(err.value) == "split: cut end (1, 1) on the boundary 2 times"
@@ -1067,7 +1067,7 @@ class TestCarveGuards:
             ring = [holes._Run(OWNER_GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])]
         # M = (2, 1) and N = (0, 1); or M = (1, 2) and N = (2, 2)
         rect, m = ((-1, 0, 1, 2), 2) if where[0] == "N" else ((1, 2, 2, 3), 1)
-        lid = holes.VirtualLid(p.placements[0], rect, m)
+        lid = holes.VirtualLid(p.items[0], rect, m)
         at = ring[-1] if where[0] == "N" else lid_run    # the run holding M
         messages = []
         for carve in (_splice, holes._carve):
@@ -1091,7 +1091,7 @@ class TestCarveGuards:
         lid_run = holes._Run(("sq", 0), [(2, 2), (0, 2)])
         ring = holes._Run(OWNER_GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])
         hole = Hole(holes._Context(p), [lid_run, ring], 4)
-        lid = holes.VirtualLid(p.placements[0], (1, 2, 1, 2), 0)
+        lid = holes.VirtualLid(p.items[0], (1, 2, 1, 2), 0)
         want = _splice(hole, lid)
         star, remainder = holes._carve(hole, lid, ring)
         _same_piece(star, want[0])

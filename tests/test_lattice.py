@@ -9,8 +9,8 @@ from math import lcm
 
 import pytest
 
-from conftest import (at_level, floor_rect, grown, items, packing_of,
-                      random_items, rect_on)
+from conftest import (at_level, floor_rect, grown, items, nondyadic_items,
+                      packing_of, placement_at, random_items, rect_on)
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
@@ -18,10 +18,10 @@ from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
 from strippack.geometry import Rect
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               _Lattice, _replay, check_step, is_supported,
-                               is_tetris_reachable, pack, reachable_positions,
-                               verify_packing)
-from strippack.slots import SlotState
+                               _Lattice, _replay, check_step, close_packing,
+                               is_supported, is_tetris_reachable, pack,
+                               reachable_positions, verify_packing)
+from strippack.slots import SlotState, slot_killer_instance
 from test_bottomleft import gravity_packing
 from test_families import FAMILIES, family_items
 
@@ -141,21 +141,22 @@ def eager_lowest(p: Packing, a, floor=F(0)):
 
 
 def rect_of(pl: Placement) -> Rect:
-    return Rect(pl.left, pl.right, pl.y, pl.top)
+    return Rect(pl.x, pl.x + pl.item.side, pl.y, pl.top)
 
 
 def reference_supported(sofar: Packing, pl: Placement) -> bool:
     """On the strip bottom, or on the top of some earlier square with
     positive overlap."""
+    rect = rect_of(pl)
     return pl.y == 0 or any(
-        q.top == pl.y and q.left < pl.right and pl.left < q.right
-        for q in sofar.placements)
+        q.top == pl.y and q.left < rect.right and rect.left < q.right
+        for q in map(rect_of, sofar.placements))
 
 
 def reference_step(sofar: Packing, pl: Placement):
     """The first of the three rules ``pl`` breaks, or None."""
     rect = rect_of(pl)
-    if not (0 <= pl.x and pl.right <= 1 and pl.y >= 0) or any(
+    if not (0 <= rect.left and rect.right <= 1 and pl.y >= 0) or any(
             rect.interior_overlaps(rect_of(q)) for q in sofar.placements):
         return "overlap"
     if not reference_supported(sofar, pl):
@@ -181,7 +182,7 @@ def assert_replay_agrees(pls):
     for step, pl in enumerate(pls, start=1):
         at = rect_on(sofar, pl)
         assert check_step(sofar, at) == reference_step(sofar, pl), step
-        sofar = sofar.extended(pl, at)
+        sofar = sofar.extended(pl.item, at)
     return sofar
 
 
@@ -315,7 +316,7 @@ class TestLazySweep:
                 at = floor_rect(p, pl.item.side, floor)
                 assert reachable_positions(p, at) == \
                     eager_lowest(p, pl.item.side, floor), (pl, floor)
-            p = p.extended(pl, rect_on(p, pl))
+            p = p.extended(pl.item, rect_on(p, pl))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_corpus(self, seed):
@@ -345,7 +346,7 @@ class TestLazySweep:
             p._lat.rects = rects = _CountedRects(p._lat.rects)
             reachable_positions(p, floor_rect(p, pl.item.side))
             most = max(most, rects.reads)
-            p = p.extended(pl, rect_on(p, pl))
+            p = p.extended(pl.item, rect_on(p, pl))
         assert len(p) == 5 * m and most <= 8
 
     @pytest.mark.parametrize("m", [100, 400])
@@ -358,9 +359,9 @@ class TestLazySweep:
             p._lat.rects = rects = _CountedRects(p._lat.rects)
             reachable_positions(p, floor_rect(p, pl.item.side))
             swept, rects.reads = rects.reads, 0
-            assert bl_place_next(p, pl.item)[0] == pl
+            assert placement_at(p, pl.item, bl_place_next(p, pl.item)) == pl
             assert rects.reads == swept, pl
-            p = p.extended(pl, rect_on(p, pl))
+            p = p.extended(pl.item, rect_on(p, pl))
 
 
 class TestSweepLevelIsSupported:
@@ -391,7 +392,7 @@ class TestSweepLevelIsSupported:
         p = Packing()
         for pl in pls:
             self.assert_level_supported(p, pl.item)
-            p = p.extended(pl, rect_on(p, pl))
+            p = p.extended(pl.item, rect_on(p, pl))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_corpus(self, seed):
@@ -447,7 +448,7 @@ class TestLatticeEdges:
         scale, rects = p.lattice()
         assert scale % 15 == 0
         assert list(rects) == [
-            (pl.left * scale, pl.right * scale, pl.y * scale,
+            (pl.x * scale, (pl.x + pl.item.side) * scale, pl.y * scale,
              pl.top * scale) for pl in p.placements]
         assert p.height == max(pl.top for pl in p.placements)
 
@@ -458,11 +459,12 @@ class TestLatticeEdges:
         base = packing_of([("1/2", 0, 0), ("1/2", "1/2", 0)])
         left = Placement(SquareItem(3, F(1, 2)), F(0), F(1, 2))
         right = Placement(SquareItem(3, F(1, 3)), F(2, 3), F(1, 2))
-        one = base.extended(left, rect_on(base, left))
+        one = base.extended(left.item, rect_on(base, left))
         with pytest.raises(PackingError,
                            match=r"^square 3: not the newest packing$"):
-            base.extended(right, rect_on(base, right))
-        assert base._lat.pls == [*base.placements, left]
+            base.extended(right.item, rect_on(base, right))
+        assert base._lat.items == [*base.items, left.item]
+        assert one.placements == (*base.placements, left)
         two = grown([*base.placements, right])
         assert (len(base), len(one), len(two)) == (2, 3, 3)
         assert (one.height, two.height) == (F(1), F(5, 6))
@@ -483,13 +485,13 @@ class TestLatticeEdges:
         first = Placement(SquareItem(3, F(1, 3)), F(0), F(1, 2))
         second = Placement(SquareItem(3, F(1, 2)), F(1, 2), F(1, 2))
         shared = base._lat
-        one = base.extended(first, shared.coords(first))
-        at = shared.coords(second)
+        one = base.extended(first.item, rect_on(base, first))
+        at = rect_on(base, second)
         assert shared.scale == 6 and at == (3, 6, 3, 6)
         with pytest.raises(PackingError,
                            match=r"^square 3: not the newest packing$"):
-            base.extended(second, at)
-        assert shared.pls == [*base.placements, first]
+            base.extended(second.item, at)
+        assert shared.items == [*base.items, first.item]
         assert one.lattice() == (6, [(0, 3, 0, 3), (3, 6, 0, 3),
                                      (0, 2, 3, 5)])
         two = grown([*base.placements, second])
@@ -508,7 +510,7 @@ class TestLatticeEdges:
         pls = pack(BottomLeftState, random_items(77, 40)).placements
         p = Packing()
         for i, pl in enumerate(pls):
-            p = p.extended(pl, rect_on(p, pl))
+            p = p.extended(pl.item, rect_on(p, pl))
             assert p.height == max(q.top for q in pls[:i + 1])
 
     def test_empty_height_and_lattice(self):
@@ -617,14 +619,16 @@ class TestOneConversion:
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_adversary_checks_convert_nothing(self, conversions, name):
         # the strategy converts each square as it places it; the check of
-        # each step reads the rect the extension stored
+        # each step reads the rect the strategy returns, and only the
+        # classification converts a value: the previous height, once per
+        # iteration
         transcript = adversary_run(STRATEGIES[name], 30, EPS)
         during_run = conversions["units"]
         conversions.update(units=0)
         alone = pack(STRATEGIES[name],
                      [pl.item for pl in transcript.packing.placements])
         assert alone.placements == transcript.packing.placements
-        assert during_run == conversions["units"] > 0
+        assert during_run == conversions["units"] + 30 > 30
 
     def test_verify_fits_the_prime_family_once(self, conversions):
         seq = prime_items(700)
@@ -633,3 +637,83 @@ class TestOneConversion:
         conversions.update(units=0, rescales=0)
         assert verify_packing(seq, pls) is None
         assert conversions == {"units": 700, "rescales": 1}
+
+
+# ---------------------------------------------------------------------------
+# placements: built on read from the lattice, once per square
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def built(monkeypatch):
+    """The number of ``Placement``s constructed so far."""
+    counts = {"placements": 0}
+    init = Placement.__init__
+
+    def counted(self, *args, **kwargs):
+        counts["placements"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Placement, "__init__", counted)
+    return counts
+
+
+class TestPlacementsOnRead:
+    @staticmethod
+    def assert_built_on_read(built, strategy, seq):
+        """Packing builds no ``Placement``; the first read of the
+        placements builds one per square, a second read none, and the
+        closed packing's read only the closing square's."""
+        p = pack(strategy, seq)
+        assert built["placements"] == 0
+        assert len(p.placements) == len(seq) == built["placements"]
+        assert p.placements is p.placements
+        closed = close_packing(p)
+        assert closed.placements[:-1] == p.placements
+        assert built["placements"] == len(seq) + 1
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_killer(self, built, n):
+        self.assert_built_on_read(
+            built, SlotState, slot_killer_instance(6, F(1, 4096), n))
+
+    @pytest.mark.parametrize("n", [120, 480])
+    def test_ladder(self, built, n):
+        self.assert_built_on_read(
+            built, BottomLeftState, random_items(f"ladder:1:{n}", n))
+
+    @staticmethod
+    def assert_read_at_every_arrival_or_once(strategy, seq) -> int:
+        """Placements read after every arrival, and read once at the end,
+        are the Fractions of each square's rect at its arrival, and the
+        height is the highest top.  A snapshot of the second chain, read
+        first after the newest, keeps its own prefix.  Returns the number
+        of scales the lattice took."""
+        state, eager, scales = strategy(), [], set()
+        for item in seq:
+            at = state.place(item)
+            p = state.packing
+            eager.append(placement_at(p, item, at))
+            scales.add(p.units(F(1))[0])
+            assert p.placements == tuple(eager)
+            assert p.height == max(pl.top for pl in eager)
+        once, snapshots = strategy(), []
+        for item in seq:
+            once.place(item)
+            snapshots.append(once.packing)
+        assert once.packing.placements == tuple(eager)
+        assert once.packing.height == state.packing.height
+        assert all(s.placements == tuple(eager[:len(s)]) for s in snapshots)
+        return len(scales)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_read_between_rescales(self, name):
+        # every square brings a new prime, so every read but the first
+        # comes after a rescale of what the read before it built
+        seq = prime_items(60)
+        assert self.assert_read_at_every_arrival_or_once(
+            STRATEGIES[name], seq) == len(seq)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_nondyadic_and_corpus(self, name):
+        for seq in [nondyadic_items(0)] + [corpus_items(s) for s in range(20)]:
+            self.assert_read_at_every_arrival_or_once(STRATEGIES[name], seq)

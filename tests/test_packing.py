@@ -206,7 +206,7 @@ class TestSweepAgainstReference:
                 at = floor_rect(p, pl.item.side, floor)
                 assert reachable_positions(p, at) == \
                     reference_reachable(p, at), (pl, floor)
-            p = p.extended(pl, rect_on(p, pl))
+            p = p.extended(pl.item, rect_on(p, pl))
 
     @pytest.mark.parametrize("n", [1, 2, 60, 200])
     def test_tiny_row(self, n):

@@ -65,22 +65,22 @@ def slot_of(pl: Placement) -> Slot:
 
 def shadow_of(pl: Placement, k: int) -> Shadow:
     a = pl.item.side
-    y = pl.y, pl.top
+    y, right = (pl.y, pl.top), pl.x + a
     if k == 0:
         # sides above 1/2 enlarge to the right only, clipped to the strip
-        hi = min(ONE, pl.right + a)
-        piece = Rect(pl.right, hi, *y)
-        return Shadow(pl, (piece,) if hi > pl.right else (), a, a)
+        hi = min(ONE, right + a)
+        piece = Rect(right, hi, *y)
+        return Shadow(pl, (piece,) if hi > right else (), a, a)
     slot = Slot(k, int(pl.x / F(1, 2 ** k)))
     parent_right = Slot(k - 1, slot.index // 2).right
-    delta = parent_right - pl.right
+    delta = parent_right - right
     delta_prime = min(a, delta)
     pieces = []
     if delta_prime > ZERO:
-        pieces.append(Rect(pl.right, pl.right + delta_prime, *y))
+        pieces.append(Rect(right, right + delta_prime, *y))
     left = a - delta_prime
     if left > ZERO:
-        pieces.append(Rect(pl.left - left, pl.left, *y))
+        pieces.append(Rect(pl.x - left, pl.x, *y))
     return Shadow(pl, tuple(pieces), delta, delta_prime)
 
 
@@ -88,7 +88,7 @@ def shadowed_extent(pl: Placement) -> Rect:
     """Square union shadow at the owner's y-range, clipped to the strip."""
     k, _ = round_to_dyadic(pl.item.side)
     shadow = shadow_of(pl, k)
-    lo, hi = pl.left, pl.right
+    lo, hi = pl.x, pl.x + pl.item.side
     for piece in shadow.pieces:
         lo = min(lo, piece.left)
         hi = max(hi, piece.right)
@@ -208,7 +208,7 @@ class TestShadow:
             for q in p.placements:
                 k, _ = round_to_dyadic(q.item.side)
                 ext = shadowed_extent(q)
-                assert ext.left <= q.left and q.right <= ext.right
+                assert ext.left <= q.x and q.x + q.item.side <= ext.right
                 for piece in shadow_of(q, k).pieces:
                     assert ext.left <= piece.left and piece.right <= ext.right
 

@@ -121,7 +121,7 @@ class TestRuns:
             for pl in p.placements:
                 level, width = round_to_dyadic(pl.item.side)
                 assert (pl.x / width).denominator == 1
-                assert pl.right <= pl.x - (pl.x % width) + width
+                assert pl.x + pl.item.side <= pl.x - (pl.x % width) + width
 
 
 def lowest_slot(p, k):
@@ -156,7 +156,8 @@ class TestTreeGeometryConsistency:
             for item in seq:
                 k, width = round_to_dyadic(item.side)
                 j = lowest_slot(s.packing, k)
-                assert s.place(item).x == j * width
+                l, _, _, _ = s.place(item)
+                assert l == j * s.packing.units(width)[0]
 
 
 class _Reads(list):

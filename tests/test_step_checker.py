@@ -70,7 +70,7 @@ def assert_checker_agrees(pls, seen: set):
         assert_step_agrees(sofar, at, seen, step)
         assert sofar.skyline() is sofar._lat.sky
         snapshots.append(sofar)
-        sofar = sofar.extended(pl, at)
+        sofar = sofar.extended(pl.item, at)
     assert sofar.skyline().end == sofar._lat.scale
     for k in range(0, len(pls) - 2, max(1, len(pls) // 5)):
         older = snapshots[k]
@@ -119,7 +119,7 @@ class TestAgainstCheckStep:
             sofar, _ = assert_checker_agrees(p.placements, seen)
             for a in sides:
                 item = SquareItem(len(sofar) + 1, a)
-                at = rect_on(sofar, bl_place_next(sofar, item)[0])
+                at = bl_place_next(sofar, item)
                 assert check_step(sofar, at) == check_rules(sofar, at) \
                     is None, (sofar.placements, a)
         assert_each_rule_broken(seen)
