@@ -196,8 +196,9 @@ class AnalysisError(AssertionError):
         super().__init__(f"{name}: {detail}" if detail else name)
 
 
-# owners of a boundary piece that lies on no obstacle
-GROUND, LEFT_WALL, RIGHT_WALL = -1, -2, -3
+# owners of a boundary piece that lies on no obstacle; a seam closes the
+# cut of a hole's split (``holes``)
+GROUND, LEFT_WALL, RIGHT_WALL, SEAM = -1, -2, -3, -4
 
 
 def _uncovered(sides: list, covers: list):

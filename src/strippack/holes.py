@@ -7,8 +7,9 @@ how its last boundary square attaches to the previous one; left-leaning
 diagonals are removed by splitting holes and covering each cut with a
 virtual copy of the square above it; the resulting diagonal-free holes are
 bounded by the squared lengths of at most four boundary segments, and those
-terms are charged to square sides.  A square never accumulates more than
-5/2 in total charge.
+terms are charged to square sides.  Each charged side counts once, with a
+weight fixed by the side: 1 for a bottom, 1/2 for a copy's bottom, a left
+or a right side.  So a square's charge is at most 5/2.
 
 Geometry runs on the closed packing's own lattice (``Packing.lattice``):
 every square is an integer ``(l, r, b, t)``, and corners, areas, side
@@ -18,15 +19,17 @@ only where they leave the module (``Hole.area``, ``Hole.region``, the
 bound ``hole_area_bound`` returns, the values the analysis checks print);
 the checks are decided on the integers, the ledger counted in halves.
 
-Raw holes come straight from those rects' sides: the parts that no
-opposite side covers are the pieces of the free space's boundary (Lemma 1:
-each square adds one connected piece of a hole's boundary), one walk joins
-them into a counterclockwise cycle per hole, and each cycle keeps only its
-corners, in runs of the square, wall or ground outside.  From then on a
-hole is just those runs of corners, linked in a ring from its lid, and the
-squares near a point come from the packing's bottom-sorted index
-(``Packing.window``).  A hole's area comes from the shoelace formula, a
-boundary point's side from the boundary's turn there, and the right
+Raw holes come straight from those rects' sides: the parts that no opposite
+side covers are the pieces of the free space's boundary (Lemma 1: each
+square adds one connected piece of a hole's boundary), one walk joins them
+into a counterclockwise cycle per hole, and each cycle keeps only its
+corners, in runs of the square, wall or ground outside, named as the
+obstacle sweep names them (a square's index, ``GROUND``, ``LEFT_WALL``,
+``RIGHT_WALL``); a split adds a ``SEAM`` and a copy's ``VirtualLid``.  From
+then on a hole is just those runs of corners, linked in a ring from its
+lid, and the squares near a point come from the packing's bottom-sorted
+index (``Packing.window``).  A hole's area comes from the shoelace formula,
+a boundary point's side from the boundary's turn there, and the right
 diagonal is checked against the hole's slabs (maximal x-strips of constant
 cross-section).  A split cuts a hole along a horizontal line from M to N
 into the star below it (under a virtual lid) and the remainder: the star is
@@ -52,14 +55,12 @@ from __future__ import annotations
 
 import gc
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .geometry import (GROUND, LEFT_WALL, RIGHT_WALL, AnalysisError,
+from .geometry import (GROUND, LEFT_WALL, RIGHT_WALL, SEAM, AnalysisError,
                        ObstacleGrid, Rect, trace_boundary)
-from .numbers import HALF, ONE
 from .packing import Check, Packing, SquareItem, close_packing
 
 SIDE_LEFT = "left"
@@ -88,12 +89,6 @@ class VirtualLid:
     mn_left: int
 
 
-OWNER_GROUND = ("ground",)
-OWNER_LWALL = ("lwall",)
-OWNER_RWALL = ("rwall",)
-OWNER_SEAM = ("seam",)
-
-
 class _Context:
     """Shared lattice for all holes of one closed packing.
 
@@ -113,23 +108,23 @@ class _Context:
 
 
 class _Run:
-    """A maximal stretch of a hole's boundary with one owner: its corners
-    on the lattice, and the runs before and after it on the hole's ring."""
+    """A maximal stretch of a hole's boundary with one owner (a square's
+    index, ``GROUND``, a wall, ``SEAM`` or a copy's ``VirtualLid``): its
+    corners on the lattice, and the runs before and after it on the ring."""
 
     __slots__ = ("owner", "points", "prev", "next")
 
-    def __init__(self, owner: tuple, points: Sequence[tuple[int, int]]):
+    def __init__(self, owner, points: Sequence[tuple[int, int]]):
         self.owner = owner
         self.points = points            # corners (x, y) on the lattice
 
     def rect(self, ctx: _Context) -> Optional[tuple[int, int, int, int]]:
         """The owner's ``(l, r, b, t)`` on the lattice, or None for a
         ground, wall or seam run."""
-        if self.owner[0] == "sq":
-            return ctx.rects[self.owner[1]]
-        if self.owner[0] == "copy":
-            return self.owner[1].rect
-        return None
+        owner = self.owner
+        if isinstance(owner, VirtualLid):
+            return owner.rect
+        return ctx.rects[owner] if owner >= 0 else None
 
 
 def _chain(runs: list[_Run]):
@@ -197,15 +192,36 @@ def _heading(p: tuple[int, int], q: tuple[int, int]) -> int:
     return 2 * (q[0] < p[0]) if p[1] == q[1] else 1 + 2 * (q[1] < p[1])
 
 
-def _owner_name(ctx: _Context, owner: tuple) -> str:
+def _owner_name(ctx: _Context, owner) -> str:
     """A run's owner as a message names it: a square or a copy by arrival
     index, a wall, the ground or a seam by what it is."""
-    if owner[0] == "copy":
-        return f"the copy of square {owner[1].owner.index}"
-    if owner[0] == "sq":
-        return f"square {ctx.items[owner[1]].index}"
-    return {"lwall": "the left wall", "rwall": "the right wall"}.get(
-        owner[0], f"the {owner[0]}")
+    if isinstance(owner, VirtualLid):
+        return f"the copy of square {owner.owner.index}"
+    if owner >= 0:
+        return f"square {ctx.items[owner].index}"
+    return {GROUND: "the ground", LEFT_WALL: "the left wall",
+            RIGHT_WALL: "the right wall", SEAM: "the seam"}[owner]
+
+
+def _lid_index(runs: list[_Run], left: bool, right: bool) -> int:
+    """The index of a raw hole's lid among its runs."""
+    if left:
+        # lid run precedes the (southward) wall run counterclockwise
+        w = next(i for i, r in enumerate(runs) if r.owner == LEFT_WALL)
+        return (w - 1) % len(runs)
+    if right:
+        # lid run follows the (northward) wall run
+        w = next(i for i, r in enumerate(runs) if r.owner == RIGHT_WALL)
+        return (w + 1) % len(runs)
+    # the highest westward edge (interior below), leftmost among those
+    best = best_y = best_x = None
+    for idx, r in enumerate(runs):
+        for (x1, y1), (x2, y2) in zip(r.points, r.points[1:]):
+            if y1 == y2 and x2 < x1 and (
+                    best is None or y1 > best_y
+                    or (y1 == best_y and x2 < best_x)):
+                best, best_y, best_x = idx, y1, x2
+    return best
 
 
 def _in_hole(hole: Hole) -> str:
@@ -217,84 +233,62 @@ class Hole:
     """One hole: its counterclockwise boundary as runs of corners.
 
     ``runs`` (a ``_Ring``) cuts the boundary (interior on the left) into
-    maximal runs with one owner, the lid's first.  A run's ``points`` are its corners on the
-    lattice, from the point where the run before it ends to the point where
-    the run after it starts.  ``area_units`` is the area on the lattice;
-    ``corners`` counts the visits to each corner (the points of each run
-    but its first), two at a pinch.  A carve's piece (``piece``) comes lid
-    first, and Lemma 1 held for its parent, so neither is sought again; its
-    walls are its second and last runs, next to the lid.  In every hole
-    ``runs[1]`` and ``runs[-1]`` are square runs unless they are walls: a
-    cycle of one owner would ring an island, a copy is only a lid, and the
-    ground and seams head east, so they meet no end of a lid, which heads
-    west along the hole's top or turns onto a vertical side.  The side of a
-    carve that stays in place keeps its ``Hole`` (``_settle``).
+    maximal runs with one owner, the lid's first.  A run's ``points`` are
+    its corners on the lattice, from the point where the run before it ends
+    to the point where the run after it starts.  ``area_units`` is the area
+    on the lattice; ``corners`` counts the visits to each corner (the
+    points of each run but its first), two at a pinch.  A carve's piece
+    (``piece``) comes lid first, and Lemma 1 held for its parent, so
+    neither is sought again.  In every hole ``runs[1]`` and ``runs[-1]``
+    are square runs unless they are walls, which ``touches_left`` and
+    ``touches_right`` read: the left wall heads south from the lid, the
+    right wall north into it.  A cycle of one owner would ring an island, a
+    copy is only a lid, and the ground and seams head east, so they meet no
+    end of a lid, which heads west along the hole's top or turns onto a
+    vertical side.  The side of a carve that stays in place keeps its
+    ``Hole``.
     """
 
     def __init__(self, ctx: _Context, runs: list[_Run], area_units: int,
                  lid_virtual: Optional[VirtualLid] = None, piece=False):
         self.ctx = ctx
         self.lid_virtual = lid_virtual
+        self.area_units = area_units
         self.corners: dict[tuple[int, int], int] = {}
         _tally(self.corners, runs, 1)
         if piece:
             self.runs = _Ring(runs)
-            self._settle(area_units)
             return
         # Lemma 1: each square contributes one connected boundary curve; a
         # fault is raised once the lid, which names the hole, is found
         seen, twice = set(), None
         for r in runs:
-            if r.owner[0] in ("sq", "copy", "lwall", "rwall"):
+            if r.owner != GROUND and r.owner != SEAM:
                 if r.owner in seen and twice is None:
                     twice = r.owner
                 seen.add(r.owner)
-        self.touches_left = OWNER_LWALL in seen
-        self.touches_right = OWNER_RWALL in seen
-        lid_idx = self._lid_index(runs)
+        left, right = LEFT_WALL in seen, RIGHT_WALL in seen
+        lid_idx = _lid_index(runs, left, right)
         self.runs = _Ring(runs[lid_idx:] + runs[:lid_idx] if lid_idx else runs)
-        self.area_units = area_units
         if twice is not None:
             raise AnalysisError("lemma1", f"{_owner_name(ctx, twice)} "
                                 "contributes twice" + _in_hole(self))
-        if self.touches_left and self.touches_right:
+        if left and right:
             raise AnalysisError("two-walls", "hole touches both strip walls"
                                 + _in_hole(self))
-        if self.lid_virtual is not None and self.runs[0].owner[0] != "copy":
+        if lid_virtual and not isinstance(self.runs[0].owner, VirtualLid):
             raise AnalysisError("lid", "virtual-lid hole traversed a real lid"
                                 + _in_hole(self))
 
-    # -- construction -------------------------------------------------------
-
-    def _settle(self, area_units: int):
-        """A carve's piece: its area, and its walls from the runs next to
-        its lid."""
-        self.area_units = area_units
-        head = self.runs.head
-        ends = (head.next.owner, head.prev.owner)
-        self.touches_left = OWNER_LWALL in ends
-        self.touches_right = OWNER_RWALL in ends
-
-    def _lid_index(self, runs) -> int:
-        if self.touches_left:
-            # lid run precedes the (southward) wall run counterclockwise
-            w = next(i for i, r in enumerate(runs) if r.owner == OWNER_LWALL)
-            return (w - 1) % len(runs)
-        if self.touches_right:
-            # lid run follows the (northward) wall run
-            w = next(i for i, r in enumerate(runs) if r.owner == OWNER_RWALL)
-            return (w + 1) % len(runs)
-        # the highest westward edge (interior below), leftmost among those
-        best = best_y = best_x = None
-        for idx, r in enumerate(runs):
-            for (x1, y1), (x2, y2) in zip(r.points, r.points[1:]):
-                if y1 == y2 and x2 < x1 and (
-                        best is None or y1 > best_y
-                        or (y1 == best_y and x2 < best_x)):
-                    best, best_y, best_x = idx, y1, x2
-        return best
-
     # -- structure accessors ------------------------------------------------
+
+    @property
+    def touches_left(self) -> bool:
+        return self.runs.head.next.owner == LEFT_WALL
+
+    @property
+    def touches_right(self) -> bool:
+        return self.runs.head.prev.owner == RIGHT_WALL
 
     @property
     def area(self) -> Fraction:
@@ -444,7 +438,7 @@ def _ray_hit(hole: Hole, origin) -> Optional[tuple]:
 
 
 def _enters_hole_southeast(hole: Hole, run: _Run, x: int, y: int,
-                           turn=None) -> Optional[tuple]:
+                           turn) -> Optional[tuple]:
     """If the hole lies immediately southeast of the lattice point (x, y)
     on ``run`` (``Hole.contains`` with ``turn``) and a square immediately
     northwest, that square's rect; otherwise None.  The square has
@@ -475,24 +469,24 @@ def _find_split(hole: Hole) -> Optional[tuple[VirtualLid, _Run]]:
     if run.rect(ctx) != rect:       # its side ends at the point
         run = run.prev
     if run.rect(ctx) != rect:
-        crossing = _owner_name(ctx, ("sq", ctx.rects.index(rect)))
+        crossing = _owner_name(ctx, ctx.rects.index(rect))
         raise AnalysisError("split", f"crossing {crossing} has no run at the "
                             "crossing" + _in_hole(hole))
     # a boundary point (a cut's too) lies in no square's open interior, so
     # the point is on the square's bottom or, if above it, on its right
     if y == rect[2]:            # on its bottom: it overhangs the next run
         up_run, low_run = run, run.next
-        if low_run.owner[0] != "sq":
+        if isinstance(low_run.owner, VirtualLid) or low_run.owner < 0:
             raise AnalysisError(
                 "lemma5", "no square below the overhang of "
                 + _owner_name(ctx, up_run.owner) + _in_hole(hole))
     else:                       # on its right: it carries the run before
         up_run, low_run = run.prev, run
-        if up_run.owner[0] != "sq":
+        if isinstance(up_run.owner, VirtualLid) or up_run.owner < 0:
             raise AnalysisError(
                 "lemma5", "no square above the split point on "
                 + _owner_name(ctx, low_run.owner) + _in_hole(hole))
-    up, low = up_run.owner[1], low_run.owner[1]
+    up, low = up_run.owner, low_run.owner
     ul, ur, ub, _ = ctx.rects[up]
     ll, lr, _, lt = ctx.rects[low]
     # Lemma: the upper square rests on the lower one
@@ -600,29 +594,27 @@ def _carve(hole: Hole, lid: VirtualLid,
     if star_moves:
         before, after = at.prev, end.next
         _tally(corners, before_m + [from_n], 1)
-        seam = _closed(from_n, (before_m or [before])[-1], OWNER_SEAM, m, n,
-                       corners)
+        seam = _closed(from_n, (before_m or [before])[-1], SEAM, m, n, corners)
         _chain([before] + before_m + [seam, from_n, after])
         runs = [from_m] + ahead + to_n
-        runs.insert(0, _closed(from_m, runs[-1], ("copy", lid), n, m))
+        runs.insert(0, _closed(from_m, runs[-1], lid, n, m))
         moved = Hole(ctx, runs, _shoelace(runs), lid, piece=True)
         star, remainder = moved, hole
     else:
         # the forward walk read at.next first, so runs lie between M's and
         # N's, and the star keeps them
         _tally(corners, [from_m] + to_n, 1)
-        copy = _closed(from_m, (to_n or [end.prev])[-1], ("copy", lid), n, m,
-                       corners)
+        copy = _closed(from_m, (to_n or [end.prev])[-1], lid, n, m, corners)
         _chain([copy, from_m, at.next])
         _chain([end.prev] + to_n + [copy])
         rest = behind[lid_at::-1] + before_m
-        rest.append(_closed(from_n, rest[-1], OWNER_SEAM, m, n))
+        rest.append(_closed(from_n, rest[-1], SEAM, m, n))
         rest += [from_n] + behind[:lid_at:-1]
         moved = Hole(ctx, rest, _shoelace(rest), hole.lid_virtual, piece=True)
         hole.runs.head, hole.lid_virtual = copy, lid
         star, remainder = hole, moved
     ctx.copies.add(key)
-    hole._settle(hole.area_units - moved.area_units)
+    hole.area_units -= moved.area_units
     return star, remainder if remainder.area_units else None
 
 
@@ -668,7 +660,7 @@ def _split(run: _Run, s: int, p: tuple[int, int]) -> tuple[list, _Run]:
             _Run(run.owner, (p, *pts[s + 1:])))
 
 
-def _closed(first: _Run, last: _Run, owner: tuple, a: tuple[int, int],
+def _closed(first: _Run, last: _Run, owner, a: tuple[int, int],
             b: tuple[int, int], corners: Optional[dict] = None) -> _Run:
     """The run of ``owner`` along the cut from a to b that closes the
     boundary from b, where ``first`` starts, to a, where ``last`` ends,
@@ -723,11 +715,17 @@ def split_hole(hole: Hole) -> list[Hole]:
 
 @dataclass(frozen=True)
 class ChargeTerm:
+    """A charged side and its length; the side fixes its ledger weight in
+    ``halves``: 1 for a real bottom, 1/2 for a copy's bottom or a side."""
+
     square_index: int          # 1-based arrival index (n+1 = closing square)
-    side: str
+    side: str                  # SIDE_BOTTOM, SIDE_LEFT or SIDE_RIGHT
     virtual: bool              # charged to the square's virtual copy
-    coeff: Fraction            # ledger coefficient (virtual lid bottom: 1/2)
     segment: int               # the charged length, on the lattice
+
+    @property
+    def halves(self) -> int:
+        return 2 if self.side == SIDE_BOTTOM and not self.virtual else 1
 
 
 def _side_length(hole: Hole, run: _Run, side: str) -> int:
@@ -735,8 +733,7 @@ def _side_length(hole: Hole, run: _Run, side: str) -> int:
     along the run.  A copy owns only its cut, which lies on its bottom."""
     ctx = hole.ctx
     l, r, b, t = run.rect(ctx)
-    copy = run.owner[0] == "copy"
-    if copy:
+    if isinstance(run.owner, VirtualLid):
         l = r = t = None
     length = 0
     for (x1, y1), (x2, y2) in zip(run.points, run.points[1:]):
@@ -756,33 +753,31 @@ def _charge_items(hole: Hole) -> list[ChargeTerm]:
     """Charged boundary terms of one diagonal-free hole, by hole kind."""
     ctx = hole.ctx
     lid = hole.runs[0]
-    lid_virtual, key = lid.owner[0] == "copy", lid.owner[1]
-    lid_square = key.owner if lid_virtual else ctx.items[key]
+    lid_virtual = isinstance(lid.owner, VirtualLid)
+    lid_square = lid.owner.owner if lid_virtual else ctx.items[lid.owner]
     beta1 = _side_length(hole, lid, SIDE_BOTTOM)
-    items = [ChargeTerm(lid_square.index, SIDE_BOTTOM, lid_virtual,
-                        HALF if lid_virtual else ONE, beta1)]
+    items = [ChargeTerm(lid_square.index, SIDE_BOTTOM, lid_virtual, beta1)]
 
-    def term(run: _Run, side: str, coeff: Fraction):
+    def term(run: _Run, side: str):
         seg = _side_length(hole, run, side)
-        sq = ctx.items[run.owner[1]]
-        items.append(ChargeTerm(sq.index, side, False, coeff, seg))
+        items.append(ChargeTerm(ctx.items[run.owner].index, side, False, seg))
 
     if hole.touches_left:
-        term(hole.runs[-1], SIDE_LEFT, HALF)
+        term(hole.runs[-1], SIDE_LEFT)
         return items
-    term(hole.runs[1], SIDE_RIGHT, HALF)
+    term(hole.runs[1], SIDE_RIGHT)
     if hole.touches_right:
         return items
     if hole.classify() == TYPE_II:
-        term(hole.runs[-1], SIDE_BOTTOM, ONE)
-        term(hole.runs[-2], SIDE_LEFT, HALF)
+        term(hole.runs[-1], SIDE_BOTTOM)
+        term(hole.runs[-2], SIDE_LEFT)
     return items
 
 
 def _twice_bound(terms: list[ChargeTerm]) -> int:
-    """Twice a hole's bound on the lattice: each squared segment times its
-    coefficient, 1/2 or 1, a virtual lid's bottom counting in full."""
-    return sum(t.segment ** 2 * (2 if t.virtual or t.coeff == 1 else 1)
+    """Twice a hole's bound on the lattice: each squared segment, a bottom's
+    (a virtual lid's too) counting in full and a side's by half."""
+    return sum(t.segment ** 2 * (2 if t.side == SIDE_BOTTOM else 1)
                for t in terms)
 
 
@@ -815,21 +810,18 @@ def _assert_right_diagonal(hole: Hole):
 
 
 class ChargeLedger:
-    """Per-square, per-side maximum charge coefficients of the terms, and
-    each square's sum of them (``totals``).  Every coefficient is positive,
-    so the squares with a charge term are exactly the keys of ``totals``."""
+    """The charged sides ``(index, side, virtual)``, each once in the order
+    first charged, with its weight in halves (``sides``), and each square's
+    total in halves (``halves``), whose keys are the charged squares."""
 
     def __init__(self, terms: Iterable[ChargeTerm]):
-        self.max_coeff: dict[tuple[int, str, bool], Fraction] = {}
+        self.sides: dict[tuple[int, str, bool], int] = {}
+        self.halves: dict[int, int] = {}
         for t in terms:
             key = (t.square_index, t.side, t.virtual)
-            old = self.max_coeff.get(key)
-            if old is None or old < t.coeff:
-                self.max_coeff[key] = t.coeff
-        self.totals: dict[int, Fraction] = {}
-        for (idx, _, _), coeff in self.max_coeff.items():
-            old = self.totals.get(idx)
-            self.totals[idx] = coeff if old is None else old + coeff
+            if key not in self.sides:
+                self.sides[key] = t.halves
+                self.halves[key[0]] = self.halves.get(key[0], 0) + t.halves
 
 
 def compute_charges(terms: Sequence[list[ChargeTerm]]) -> ChargeLedger:
@@ -848,12 +840,9 @@ def extract_holes(p_closed: Packing) -> list[Hole]:
     ctx = _Context(p_closed)
     rects = ctx.rects
     grid = ObstacleGrid(rects, ctx.scale, max((t for *_, t in rects), default=0))
-    walls = {GROUND: OWNER_GROUND, LEFT_WALL: OWNER_LWALL,
-             RIGHT_WALL: OWNER_RWALL}
     holes = []
     for comp in grid.free_components():
-        runs = [_Run(walls[k] if k < 0 else ("sq", k), tuple(points))
-                for k, points in trace_boundary(comp)]
+        runs = [_Run(k, tuple(points)) for k, points in trace_boundary(comp)]
         holes.append(Hole(ctx, runs, _shoelace(runs)))
     return holes
 
@@ -878,8 +867,8 @@ class BottomLeftAnalysis:
             lid = "virtual" if h.lid_virtual is not None else "real"
             lines.append(f"hole {i}: kind={kind} type={typ} lid={lid} "
                          f"area={h.area} bound={bound}")
-        for idx, total in sorted(self.ledger.totals.items()):
-            lines.append(f"square {idx}: charge={total}")
+        for idx, halves in sorted(self.ledger.halves.items()):
+            lines.append(f"square {idx}: charge={Fraction(halves, 2)}")
         lines.extend(c.line() for c in self.checks)
         return "\n".join(lines)
 
@@ -907,14 +896,11 @@ def run_bottomleft_analysis(p: Packing) -> BottomLeftAnalysis:
         if collecting:
             gc.enable()
 
-    # decided at scale^2, the unit square's lattice area; a coefficient is
-    # HALF or ONE itself, so the ledger counts halves (any other, exactly)
+    # decided on the ledger's halves at scale^2, the unit square's area
     scale, rects = closed.lattice()
-    unit, halves = scale * scale, Counter()
-    for (idx, _, _), coeff in ledger.max_coeff.items():
-        halves[idx] += 1 if coeff is HALF else 2 if coeff is ONE else 2 * coeff
+    unit, halves = scale * scale, ledger.halves
     areas = [(r - l) ** 2 for l, r, _, _ in rects]
-    twice_ledger = sum(halves[item.index] * a
+    twice_ledger = sum(halves.get(item.index, 0) * a
                        for item, a in zip(closed.items, areas))
     area = sum(areas) - unit            # less the closing square's
     level = rects[-1][2] * scale        # the height, where that square rests

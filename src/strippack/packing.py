@@ -71,8 +71,7 @@ class _Lattice:
     where a rational becomes an integer (``units``).
 
     ``items[i]`` is square i and ``rects[i]`` its ``(l, r, b, t)`` times
-    ``scale``, the LCM of every denominator fitted so far; ``pls`` caches
-    the ``Placement``s of a prefix of them, built on read.  ``bottoms``
+    ``scale``, the LCM of every denominator fitted so far.  ``bottoms``
     holds every ``b`` in ascending order and ``order`` the square index of
     each.  The snapshots of one chain share a lattice and each reads the
     first entries, as many as it has squares; only the newest appends.
@@ -83,13 +82,11 @@ class _Lattice:
     at once and fits them all first.
     """
 
-    __slots__ = ("scale", "items", "pls", "rects", "bottoms", "order", "sky",
-                 "sky_n")
+    __slots__ = ("scale", "items", "rects", "bottoms", "order", "sky", "sky_n")
 
     def __init__(self):
         self.scale = 1
         self.items: list[SquareItem] = []
-        self.pls: list[Placement] = []
         self.rects: list[tuple[int, int, int, int]] = []
         self.bottoms: list[int] = []
         self.order: list[int] = []
@@ -137,8 +134,9 @@ class Packing:
     its topmost square (the first of equal tops), whose top is the
     ``height``.  ``Packing()`` is empty; every other packing comes from
     ``extended``.  ``items`` lists its squares; ``placements`` builds their
-    ``Placement``s from the rects on first read, once per square for a
-    chain (``Fraction`` normalises, so a rescale changes none).
+    ``Placement``s from the rects on its first read (``Fraction``
+    normalises, so a rescale changes none).  Each snapshot keeps its own:
+    no caller reads the placements of two snapshots of one chain.
 
     ``extended`` appends a square and its rect to the lattice this packing
     shares with the one it came from, in O(1) amortized time plus a sorted
@@ -166,10 +164,10 @@ class Packing:
     def placements(self) -> tuple[Placement, ...]:
         if self._placements is None:
             lat, n = self._lat, self._n
-            pls, s, k = lat.pls, lat.scale, len(lat.pls)
-            pls += [Placement(item, Fraction(r[0], s), Fraction(r[2], s))
-                    for item, r in zip(lat.items[k:n], lat.rects[k:n])]
-            self._placements = tuple(pls[:n])
+            s = lat.scale
+            self._placements = tuple(
+                Placement(item, Fraction(r[0], s), Fraction(r[2], s))
+                for item, r in zip(lat.items[:n], lat.rects[:n]))
         return self._placements
 
     @property

@@ -54,10 +54,10 @@ class SlotState:
     def __init__(self):
         self.packing = Packing()
 
-    def choose(self, w: int, sky=None) -> int:
+    def choose(self, w: int, sky) -> int:
         """Index j of the leftmost lowest slot [j w, (j+1) w] for a width
-        ``w`` in lattice units, on ``sky`` or else the packing's skyline."""
-        return (sky or self.packing.skyline()).lowest_cell(w)
+        ``w`` in lattice units, on the packing's skyline ``sky``."""
+        return sky.lowest_cell(w)
 
     def place(self, item: SquareItem) -> tuple[int, int, int, int]:
         a = item.side

@@ -14,8 +14,8 @@ instances of a few hundred squares.
 
 from typing import Optional, Sequence
 
-from strippack.holes import (OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
-                             AnalysisError, Hole, _Context, _Run, _shoelace)
+from strippack.geometry import GROUND, LEFT_WALL, RIGHT_WALL
+from strippack.holes import AnalysisError, Hole, _Context, _Run, _shoelace
 
 
 class GridError(ValueError):
@@ -170,48 +170,37 @@ def _extend(points: list, p: tuple[int, int]):
     points.append(p)
 
 
-def traced_runs(grid: ObstacleGrid, owners: list, cycle: list) -> list[_Run]:
+def traced_runs(grid: ObstacleGrid, cycle: list) -> list[_Run]:
     """Group a traced cycle of unit grid edges into maximal runs of edges
     with one owner, kept as lattice corners.
 
     An edge's owner is what lies on its right, outside the hole: a square
-    (``owners`` of the grid's obstacle index), the ground or a wall.  The
-    cycle starts at the lower-left corner of the hole's smallest cell: the
-    first edge has the cell below or the ground outside, the last the cell
-    to the left or the left wall, and a square holding both would hold that
-    cell, so the first and last runs never share an owner.
+    (the grid's obstacle index), the ground or a wall, as the obstacle
+    sweep names them.  The cycle starts at the lower-left corner of the
+    hole's smallest cell: the first edge has the cell below or the ground
+    outside, the last the cell to the left or the left wall, and a square
+    holding both would hold that cell, so the first and last runs never
+    share an owner.
     """
     X, Y = grid.xs, grid.ys
     nx, ny, cell_owner = grid.nx, grid.ny, grid.owner
     runs = []
     last = points = None
     for (i1, j1), (i2, j2) in cycle:
-        owner = None
         if j1 == j2:
             if i2 > i1:                     # eastward: outside below
-                if j1 == 0:
-                    owner = OWNER_GROUND
-                else:
-                    idx = cell_owner[i1][j1 - 1]
+                owner = GROUND if j1 == 0 else cell_owner[i1][j1 - 1]
             else:                           # westward: outside above
                 if j1 == ny:
                     raise AnalysisError("unbounded", "hole touches the ceiling")
-                idx = cell_owner[i2][j1]
+                owner = cell_owner[i2][j1]
         elif j2 > j1:                       # northward: outside right
-            if i1 == nx:
-                owner = OWNER_RWALL
-            else:
-                idx = cell_owner[i1][j1]
+            owner = RIGHT_WALL if i1 == nx else cell_owner[i1][j1]
         else:                               # southward: outside left
-            if i1 == 0:
-                owner = OWNER_LWALL
-            else:
-                idx = cell_owner[i1 - 1][j2]
+            owner = LEFT_WALL if i1 == 0 else cell_owner[i1 - 1][j2]
         if owner is None:
-            if idx is None:
-                raise AnalysisError(
-                    "boundary", f"free cell outside the hole at {(i1, j1)}")
-            owner = owners[idx]
+            raise AnalysisError(
+                "boundary", f"free cell outside the hole at {(i1, j1)}")
         if owner == last:
             _extend(points, (X[i2], Y[j2]))
         else:
@@ -232,10 +221,9 @@ def extract_holes(p_closed) -> list[Hole]:
     """The raw holes of a closed packing, found on the dense grid."""
     ctx = _Context(p_closed)
     g = grid(ctx)
-    owners = [("sq", k) for k in range(len(ctx.rects))]
     holes = []
     for comp in g.free_components():
         if comp["bounded"]:
-            runs = traced_runs(g, owners, trace_boundary(comp["cells"]))
+            runs = traced_runs(g, trace_boundary(comp["cells"]))
             holes.append(Hole(ctx, runs, _shoelace(runs)))
     return holes

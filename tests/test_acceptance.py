@@ -67,7 +67,7 @@ def corpus():
         rec["hole_sum"] = hole_sum
         rec["analysis_ok"] = ana.ok
         rec["max_charge"] = max(
-            (ana.ledger.totals.get(pl.item.index, F(0))
+            (F(ana.ledger.halves.get(pl.item.index, 0), 2)
              for pl in ana.closed.placements), default=F(0))
         rec["aggregate_ok"] = hole_sum <= F(5, 2) * (area + 1)
         rec["theorem1"] = p.height <= F(7, 2) * area + F(5, 2)

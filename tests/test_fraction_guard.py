@@ -2,19 +2,19 @@
 
 ``holes`` measures corners, areas, side lengths and charge segments on
 the closed packing's lattice, sums each hole's bound as an integer (twice
-the bound) and keeps the ledger's coefficients as the shared constants of
-``numbers``.  A value becomes a Fraction only where it leaves the module.
-``holes.py`` is parsed with ``ast``, and a ``Fraction(...)`` call fails
-unless it lies in one of those boundary definitions: the hole's area and
-region, the bound ``hole_area_bound`` returns, the 5/2 charge limit and
-the checks of ``run_bottomleft_analysis``."""
+the bound) and counts the ledger in halves, each charged side's weight
+fixed by the side.  A value becomes a Fraction only where it leaves the
+module.  ``holes.py`` is parsed with ``ast``, and a ``Fraction(...)`` call
+fails unless it lies in one of those boundary definitions: the hole's area
+and region, the bound ``hole_area_bound`` returns, the charges the report
+prints and the checks of ``run_bottomleft_analysis``."""
 
 import ast
 from pathlib import Path
 
 HOLES = Path(__file__).resolve().parents[1] / "src" / "strippack" / "holes.py"
-BOUNDARIES = {"Hole.area", "Hole.region", "hole_area_bound", "MAX_CHARGE",
-              "run_bottomleft_analysis"}
+BOUNDARIES = {"Hole.area", "Hole.region", "hole_area_bound",
+              "BottomLeftAnalysis.report", "run_bottomleft_analysis"}
 
 
 def _definitions(tree):

@@ -15,14 +15,14 @@ from grid_reference import GridError, grid as _grid, trace_boundary
 from strippack import cli as cli_module, holes
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import main
-from strippack.geometry import (GROUND, LEFT_WALL, ObstacleGrid, Rect,
+from strippack.geometry import (GROUND, LEFT_WALL, RIGHT_WALL, SEAM,
+                                ObstacleGrid, Rect,
                                 trace_boundary as sweep_trace)
 from strippack.harness import instance_text, render_svg
 from strippack.holes import (KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL,
-                             OWNER_GROUND, OWNER_LWALL, OWNER_RWALL,
-                             OWNER_SEAM, SIDE_BOTTOM, SIDE_LEFT, SIDE_RIGHT,
-                             SIDE_TOP, TYPE_I, TYPE_II, ChargeLedger,
-                             ChargeTerm, Hole, compute_charges, extract_holes,
+                             SIDE_BOTTOM, SIDE_LEFT, SIDE_RIGHT, SIDE_TOP,
+                             TYPE_I, TYPE_II, ChargeLedger, ChargeTerm, Hole,
+                             VirtualLid, compute_charges, extract_holes,
                              _charge_items, _twice_bound, hole_area_bound,
                              run_bottomleft_analysis, split_hole)
 from strippack.packing import (Check, Packing, PackingError, SquareItem,
@@ -94,8 +94,8 @@ class TestExtraction:
         assert h.area == F(6, 25)
         assert h.kind == KIND_RIGHT_WALL
         # closing square is the lid, the step square bounds on the left
-        assert h.runs[0].owner == ("sq", 3)
-        assert len([r for r in h.runs if r.owner[0] == "sq"]) == 3
+        assert h.runs[0].owner == 3
+        assert len([r for r in h.runs if r.owner >= 0]) == 3
 
     def test_ground_gap_u_shape(self):
         p = packing_of([("2/5", 0, 0), ("2/5", "3/5", 0), (1, 0, "2/5")])
@@ -104,7 +104,7 @@ class TestExtraction:
         h = holes[0]
         assert h.kind == KIND_INTERIOR
         assert h.area == F(2, 25)
-        assert len([r for r in h.runs if r.owner[0] == "sq"]) == 3
+        assert len([r for r in h.runs if r.owner >= 0]) == 3
         assert h.classify() == TYPE_I
 
     def test_flush_stack_is_type_two(self):
@@ -143,9 +143,8 @@ class TestCornerContact:
         # rests on square 10 and meets square 8 at (57, 21)
         ana = run_bottomleft_analysis(pack(BottomLeftState, items(*self.SIDES)))
         assert ana.ok
-        (hole,) = [h for h in ana.holes if h.runs[-1].owner == ("sq", 12)]
-        assert [r.owner for r in hole.runs] == [("sq", 11), ("sq", 6),
-                                                ("sq", 7), ("sq", 12)]
+        (hole,) = [h for h in ana.holes if h.runs[-1].owner == 12]
+        assert [r.owner for r in hole.runs] == [11, 6, 7, 12]
         _, pr, _, pt = hole.runs[-2].rect(hole.ctx)
         l, _, b, _ = hole.runs[-1].rect(hole.ctx)
         assert (pr, pt) == (l, b) == (57, 21)
@@ -261,7 +260,7 @@ class TestSweepTraps:
                              (1, 0, "5/4")])
         raw = extract_holes(closed)
         assert [(h.kind, h.area) for h in raw] == [(KIND_LEFT_WALL, F(1, 16))] * 3
-        assert [h.runs[0].owner for h in raw] == [("sq", 0), ("sq", 1), ("sq", 6)]
+        assert [h.runs[0].owner for h in raw] == [0, 1, 6]
         for got, want in zip(raw, grid_reference.extract_holes(closed)):
             _same_raw_hole(got, want)
 
@@ -312,9 +311,9 @@ class TestSweepTraps:
                              (1, 0, "3/4")])
         hole, = extract_holes(closed)
         assert [(r.owner, r.points) for r in hole.runs] == [
-            (("sq", 3), ((1, 2), (0, 2))), (OWNER_LWALL, ((0, 2), (0, 1))),
-            (("sq", 0), ((0, 1), (1, 1))), (("sq", 1), ((1, 1), (2, 1))),
-            (("sq", 2), ((2, 1), (2, 2))), (("sq", 4), ((2, 2), (1, 2)))]
+            (3, ((1, 2), (0, 2))), (LEFT_WALL, ((0, 2), (0, 1))),
+            (0, ((0, 1), (1, 1))), (1, ((1, 1), (2, 1))),
+            (2, ((2, 1), (2, 2))), (4, ((2, 2), (1, 2)))]
         _same_raw_hole(hole, *grid_reference.extract_holes(closed))
 
 
@@ -367,10 +366,10 @@ class TestWallHoles:
         holes = extract_holes(closed)
         left = next(h for h in holes if h.kind == KIND_LEFT_WALL)
         terms = _charge_items(left)
-        assert [(t.square_index, t.side, t.coeff) for t in terms] == \
-            [(2, "bottom", F(1)), (1, "left", F(1, 2))]
-        assert compute_charges([terms]).max_coeff == \
-            {(2, "bottom", False): F(1), (1, "left", False): F(1, 2)}
+        assert [(t.square_index, t.side, t.halves) for t in terms] == \
+            [(2, "bottom", 2), (1, "left", 1)]
+        assert compute_charges([terms]).sides == \
+            {(2, "bottom", False): 2, (1, "left", False): 1}
         assert left.area == F(1, 16)
         assert hole_area_bound(left, _twice_bound(terms)) == \
             F(1, 16) + F(1, 32)
@@ -380,10 +379,10 @@ class TestWallHoles:
         holes = extract_holes(closed)
         right = next(h for h in holes if h.kind == KIND_RIGHT_WALL)
         terms = _charge_items(right)
-        assert [(t.square_index, t.side, t.coeff) for t in terms] == \
-            [(2, "bottom", F(1)), (1, "right", F(1, 2))]
-        assert compute_charges([terms]).max_coeff == \
-            {(2, "bottom", False): F(1), (1, "right", False): F(1, 2)}
+        assert [(t.square_index, t.side, t.halves) for t in terms] == \
+            [(2, "bottom", 2), (1, "right", 1)]
+        assert compute_charges([terms]).sides == \
+            {(2, "bottom", False): 2, (1, "right", False): 1}
 
     def test_ground_rows_have_no_wall_holes(self):
         p = pack(BottomLeftState, items("1/2", "1/2"))
@@ -393,46 +392,37 @@ class TestWallHoles:
 class TestCharges:
     def test_no_holes_no_charges(self):
         ledger = compute_charges([])
-        assert ledger.max_coeff == {} and ledger.totals == {}
+        assert ledger.sides == {} and ledger.halves == {}
 
     def test_type_one_charges(self):
         p = packing_of([("2/5", 0, 0), ("2/5", "3/5", 0), (1, 0, "2/5")])
         hole = extract_holes(p)[0]
         ledger = compute_charges([_charge_items(h) for h in split_hole(hole)])
-        assert ledger.max_coeff[(3, "bottom", False)] == 1     # lid
-        assert ledger.max_coeff[(1, "right", False)] == F(1, 2)
-        assert ledger.totals.get(3, 0) == 1
+        assert ledger.sides[(3, "bottom", False)] == 2     # lid
+        assert ledger.sides[(1, "right", False)] == 1
+        assert ledger.halves.get(3, 0) == 2
 
     def test_running_totals_equal_key_scan(self):
-        # a side whose maximum rises counts only its new maximum
-        ledger = ChargeLedger([ChargeTerm(1, side, virtual, F(c), 1)
-                               for side, virtual, c in (
-                                   ("right", False, "1/4"),
-                                   ("right", False, "1/2"),
-                                   ("right", False, "1/3"),
-                                   ("bottom", True, "1/2"))])
-        assert ledger.totals.get(1, 0) == 1 and ledger.totals.get(2, 0) == 0
         for seed in range(20):
             ana = run_bottomleft_analysis(
                 pack(BottomLeftState, corpus_items(seed)))
-            coeffs = ana.ledger.max_coeff
+            sides = ana.ledger.sides
             for pl in ana.closed.placements:
                 idx = pl.item.index
-                assert ana.ledger.totals.get(idx, 0) == sum(
-                    (c for (i, _, _), c in coeffs.items() if i == idx), F(0))
+                assert ana.ledger.halves.get(idx, 0) == sum(
+                    h for (i, _, _), h in sides.items() if i == idx)
 
     def test_virtual_owner_bottom_three_halves(self):
         seq = items("15/16", "3/16", "9/16", "7/8", "3/8", "1/8", "1/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
-        coeffs = ana.ledger.max_coeff
-        assert coeffs[(4, "bottom", False)] == 1
-        assert coeffs[(4, "bottom", True)] == F(1, 2)
-        assert coeffs[(4, "bottom", False)] + \
-            coeffs[(4, "bottom", True)] == F(3, 2)
+        sides = ana.ledger.sides
+        assert sides[(4, "bottom", False)] == 2
+        assert sides[(4, "bottom", True)] == 1
+        assert sides[(4, "bottom", False)] + sides[(4, "bottom", True)] == 3
 
     def test_virtual_lid_bottom_counts_in_full_in_the_bound(self):
-        # the copy's bottom enters the hole's own bound with coefficient 1
-        # and the owner's ledger with 1/2
+        # the copy's bottom enters the hole's own bound in full and the
+        # owner's ledger with 1/2
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         hole, = (h for h in ana.holes if h.lid_virtual is not None)
@@ -442,8 +432,8 @@ class TestCharges:
         assert lid.segment > 0
         assert hole_area_bound(hole, _twice_bound(terms)) == \
             F(lid.segment, s) ** 2 + _reference_bound(hole, terms[1:])
-        assert lid.coeff == F(1, 2)
-        assert ana.ledger.max_coeff[(6, "bottom", True)] == F(1, 2)
+        assert lid.halves == 1
+        assert ana.ledger.sides[(6, "bottom", True)] == 1
 
 
 class TestOverhangTypeTwo:
@@ -469,7 +459,7 @@ class TestOverhangTypeTwo:
         assert fig4 is not None
         h, terms = fig4
         assert [t.side for t in terms] == ["bottom", "right", "bottom", "left"]
-        assert [t.coeff for t in terms] == [1, F(1, 2), 1, F(1, 2)]
+        assert [t.halves for t in terms] == [2, 1, 2, 1]
         assert h.area <= _reference_bound(h, terms)
 
 
@@ -478,37 +468,38 @@ class TestOverhangTypeTwo:
 # ---------------------------------------------------------------------------
 
 def _reference_bound(hole, terms):
-    """A hole's bound as the Fraction route summed it: each term's
+    """A hole's bound as the Fraction route summed it: each term's ledger
     coefficient times its squared segment in strip units, a virtual lid's
     bottom counting in full."""
     s = hole.ctx.scale
-    return sum(((F(1) if t.virtual else t.coeff) * F(t.segment, s) ** 2
+    return sum(((F(1) if t.virtual else F(t.halves, 2)) * F(t.segment, s) ** 2
                 for t in terms), F(0))
 
 
 class _ReferenceLedger:
-    """The ledger term by term: a term that raises its side's maximum adds
-    the rise to its square's running total."""
+    """The ledger term by term, as Fractions: a term that raises its side's
+    maximum coefficient adds the rise to its square's running total."""
 
     def __init__(self):
         self.max_coeff, self.totals = {}, {}
 
     def add(self, terms):
         for t in terms:
-            key = (t.square_index, t.side, t.virtual)
+            key, coeff = (t.square_index, t.side, t.virtual), F(t.halves, 2)
             old = self.max_coeff.get(key, F(0))
-            if old < t.coeff:
-                self.max_coeff[key] = t.coeff
+            if old < coeff:
+                self.max_coeff[key] = coeff
                 self.totals[t.square_index] = (
-                    self.totals.get(t.square_index, F(0)) + t.coeff - old)
+                    self.totals.get(t.square_index, F(0)) + coeff - old)
 
 
 class TestLatticeCharges:
     @pytest.mark.parametrize("panel", sorted(SWEEP_PANELS))
     def test_bounds_and_ledger_equal_the_fraction_route(self, panel):
         """Every final hole's bound, from twice the bound on the lattice,
-        equals the Fraction sum of its terms; the ledger's maxima (in key
-        order) and totals equal the term-by-term ledger's."""
+        equals the Fraction sum of its terms; the ledger's sides and
+        weights (in key order) and totals equal the term-by-term ledger's
+        maxima and totals."""
         count = 0
         for seq in SWEEP_PANELS[panel]():
             ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
@@ -517,9 +508,10 @@ class TestLatticeCharges:
                 terms = _charge_items(h)
                 assert bound == _reference_bound(h, terms)
                 ref.add(terms)
-            assert list(ana.ledger.max_coeff.items()) == \
-                list(ref.max_coeff.items())
-            assert list(ana.ledger.totals.items()) == list(ref.totals.items())
+            assert [(key, F(h, 2)) for key, h in ana.ledger.sides.items()] \
+                == list(ref.max_coeff.items())
+            assert [(idx, F(h, 2)) for idx, h in ana.ledger.halves.items()] \
+                == list(ref.totals.items())
             count += len(ana.holes)
         assert count > 0
 
@@ -538,6 +530,41 @@ class TestLatticeCharges:
             built.clear()
             ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
             assert built == Counter(id(h) for h in ana.holes)
+
+    @pytest.mark.parametrize("panel", sorted(SWEEP_PANELS))
+    def test_terms_charge_a_bottom_or_a_side(self, panel):
+        """Every charge term of every final hole is on a bottom, a left or
+        a right side, and only a bottom is a copy's: so each square has at
+        most four charged sides, 1 + 3 * 1/2 = 5/2 in all."""
+        seen = Counter()
+        for seq in SWEEP_PANELS[panel]():
+            ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
+            for h in ana.holes:
+                for t in _charge_items(h):
+                    assert t.side in (SIDE_BOTTOM, SIDE_LEFT, SIDE_RIGHT)
+                    assert t.side == SIDE_BOTTOM or not t.virtual
+                    seen[t.side, t.virtual] += 1
+        assert len(seen) == 4           # each of the four charged sides
+
+
+class TestWallsFromTheRing:
+    @pytest.mark.parametrize("panel", sorted(SWEEP_PANELS))
+    def test_walls_next_to_the_lid_equal_a_ring_scan(self, panel):
+        """Every raw and every final hole touches the left or the right
+        wall, as read from the runs next to its lid, exactly where a run
+        of its ring is that wall."""
+        kinds = Counter()
+        for seq in SWEEP_PANELS[panel]():
+            raw = extract_holes(close_packing(pack(BottomLeftState, seq)))
+            # the raw holes are read before the splits change them
+            for stage in (raw, [h for r in raw for h in split_hole(r)]):
+                for h in stage:
+                    owners = {run.owner for run in h.runs}
+                    assert (h.touches_left, h.touches_right) == \
+                        (LEFT_WALL in owners, RIGHT_WALL in owners)
+                    kinds[h.kind] += 1
+        assert all(kinds[kind] > 0 for kind in (
+            KIND_INTERIOR, KIND_LEFT_WALL, KIND_RIGHT_WALL))
 
 
 class TestRegionConsistency:
@@ -605,16 +632,14 @@ def _cell_runs(grid, cells, overrides):
             if key in overrides:
                 owner = overrides[key]
             elif i2 > i1:
-                owner = OWNER_GROUND if j1 == 0 else grid.owner[i1][j1 - 1]
+                owner = GROUND if j1 == 0 else grid.owner[i1][j1 - 1]
             else:
                 owner = grid.owner[i2][j1]
         elif j2 > j1:
-            owner = OWNER_RWALL if i1 == grid.nx else grid.owner[i1][j1]
+            owner = RIGHT_WALL if i1 == grid.nx else grid.owner[i1][j1]
         else:
-            owner = OWNER_LWALL if i1 == 0 else grid.owner[i1 - 1][j2]
+            owner = LEFT_WALL if i1 == 0 else grid.owner[i1 - 1][j2]
         assert owner is not None, "free cell outside the hole"
-        if isinstance(owner, int):
-            owner = ("sq", owner)
         if runs and runs[-1][0] == owner:
             runs[-1][1].append((X[i2], Y[j2]))
         else:
@@ -707,8 +732,8 @@ class TestIncrementalCarve:
             rest = cells - below
             over_star, over_rest = dict(overrides), dict(overrides)
             for i in cut:
-                over_star[(i, j_top)] = ("copy", lid)
-                over_rest[(i, j_top)] = OWNER_SEAM
+                over_star[(i, j_top)] = lid
+                over_rest[(i, j_top)] = SEAM
             _assert_cell_route(star, grid, below, over_star, lid)
             known[id(star)] = (star, below, over_star)
             if rest:
@@ -742,11 +767,11 @@ def _measure_sides(ctx, run):
     """The reference for ``_side_length``: the four side lengths of a run's
     owner along it, on the lattice, or None for a ground, wall or seam
     run."""
-    kind = run.owner[0]
-    if kind == "sq":
-        l, r, b, t = ctx.rects[run.owner[1]]
-    elif kind == "copy":
+    copy = isinstance(run.owner, VirtualLid)
+    if copy:
         l = r = b = t = None
+    elif run.owner >= 0:
+        l, r, b, t = ctx.rects[run.owner]
     else:
         return None
     left = bottom = right = top = 0
@@ -762,7 +787,7 @@ def _measure_sides(ctx, run):
         else:
             length = abs(x2 - x1)
             # copies own only their cut line
-            if kind == "copy" or y1 == b:
+            if copy or y1 == b:
                 bottom += length
             elif y1 == t:
                 top += length
@@ -821,7 +846,7 @@ class TestReferenceRoutes:
                     check_sides(piece)
             return pieces
 
-        def looked_up(hole, run, x, y, turn=None):
+        def looked_up(hole, run, x, y, turn):
             ctx = hole.ctx
             if ctx not in grids:
                 grids[ctx] = _grid(ctx)
@@ -859,7 +884,8 @@ class TestReferenceRoutes:
             for hole in raw:
                 for run in hole.runs:
                     for x, y in run.points:
-                        got = holes._enters_hole_southeast(hole, run, x, y)
+                        got = holes._enters_hole_southeast(hole, run, x,
+                                                           y, None)
                         want = _grid_enters_hole_southeast(grid, hole, x, y)
                         assert got == (None if want is None
                                        else ctx.rects[want])
@@ -871,16 +897,17 @@ class TestReferenceRoutes:
         owner; a copy's only side is its cut."""
         hole, lid, _ = _first_carve()
         ctx = hole.ctx
-        run = next(r for r in hole.runs if r.owner[0] == "sq")
+        run = next(r for r in hole.runs
+                   if not isinstance(r.owner, VirtualLid) and r.owner >= 0)
         l, r, b, t = run.rect(ctx)
-        square = f"square {ctx.items[run.owner[1]].index}"
+        square = f"square {ctx.items[run.owner].index}"
         cl, cr, cb, ct = lid.rect
         copy = f"the copy of square {lid.owner.index}"
         for points, owner, name in (
                 ([(l - 1, b), (l - 1, t)], run.owner, square),
                 ([(l, b - 1), (r, b - 1)], run.owner, square),
-                ([(cl, cb), (cl, ct)], ("copy", lid), copy),
-                ([(cr, ct), (cl, ct)], ("copy", lid), copy)):
+                ([(cl, cb), (cl, ct)], lid, copy),
+                ([(cr, ct), (cl, ct)], lid, copy)):
             with pytest.raises(holes.AnalysisError) as err:
                 holes._side_length(hole, holes._Run(owner, points), SIDE_LEFT)
             assert str(err.value) == (f"boundary: edge off the sides of "
@@ -924,15 +951,14 @@ def _splice(hole, lid, at=None):
     before_m, from_m = _cut(runs, m)
     to_n, from_n = _cut(from_m + before_m, n)
     star_runs = list(to_n)
-    star_runs.append(holes._closed(star_runs[0], star_runs[-1],
-                                   ("copy", lid), n, m))
+    star_runs.append(holes._closed(star_runs[0], star_runs[-1], lid, n, m))
     star_area = holes._shoelace(star_runs)
     assert 0 < star_area <= hole.area_units
     star = Hole(ctx, star_runs, star_area, lid)
     if star_area == hole.area_units:
         return star, None
     rest = list(from_n)
-    rest.append(holes._closed(rest[0], rest[-1], OWNER_SEAM, m, n))
+    rest.append(holes._closed(rest[0], rest[-1], SEAM, m, n))
     return star, Hole(ctx, rest, hole.area_units - star_area, hole.lid_virtual)
 
 
@@ -989,9 +1015,9 @@ def _pinch_hole():
     p = packing_of([("1/4", "1/4", "1/2")])
     ctx = holes._Context(p)
     assert ctx.rects[0] == (1, 2, 2, 3)
-    lid_run = holes._Run(("sq", 0), [(2, 2), (1, 2)])
-    chain = holes._Run(OWNER_GROUND, [(1, 2), (1, 1), (0, 1), (0, 0),
-                                      (1, 0), (1, 1), (2, 1), (2, 2)])
+    lid_run = holes._Run(0, [(2, 2), (1, 2)])
+    chain = holes._Run(GROUND, [(1, 2), (1, 1), (0, 1), (0, 0),
+                                (1, 0), (1, 1), (2, 1), (2, 2)])
     return p, Hole(ctx, [lid_run, chain], 2)
 
 
@@ -1059,12 +1085,12 @@ class TestCarveGuards:
         a lattice of scale 2 the hole is the box [0, 2]^2 under the square
         [0, 1] x [2, 3]."""
         p = packing_of([("1/2", 0, 1)])
-        lid_run = holes._Run(("sq", 0), [(2, 2), (0, 2)])
+        lid_run = holes._Run(0, [(2, 2), (0, 2)])
         if where == "N on the run before M":    # down the left side first
-            ring = [holes._Run(OWNER_GROUND, [(0, 2), (0, 0)]),
-                    holes._Run(OWNER_GROUND, [(0, 0), (2, 0), (2, 2)])]
+            ring = [holes._Run(GROUND, [(0, 2), (0, 0)]),
+                    holes._Run(GROUND, [(0, 0), (2, 0), (2, 2)])]
         else:
-            ring = [holes._Run(OWNER_GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])]
+            ring = [holes._Run(GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])]
         # M = (2, 1) and N = (0, 1); or M = (1, 2) and N = (2, 2)
         rect, m = ((-1, 0, 1, 2), 2) if where[0] == "N" else ((1, 2, 2, 3), 1)
         lid = holes.VirtualLid(p.items[0], rect, m)
@@ -1088,8 +1114,8 @@ class TestCarveGuards:
         the whole-ring splice does; the remainder keeps the hole.  The hole
         is the box above, cut at half height from M = (0, 1) to N = (2, 1)."""
         p = packing_of([("1/2", 0, 1)])
-        lid_run = holes._Run(("sq", 0), [(2, 2), (0, 2)])
-        ring = holes._Run(OWNER_GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])
+        lid_run = holes._Run(0, [(2, 2), (0, 2)])
+        ring = holes._Run(GROUND, [(0, 2), (0, 0), (2, 0), (2, 2)])
         hole = Hole(holes._Context(p), [lid_run, ring], 4)
         lid = holes.VirtualLid(p.items[0], (1, 2, 1, 2), 0)
         want = _splice(hole, lid)
@@ -1125,7 +1151,7 @@ class TestStarWalls:
             runs = list(star.runs)
             last = len(runs) - 1
             walls = {i for i, run in enumerate(runs)
-                     if run.owner in (OWNER_LWALL, OWNER_RWALL)}
+                     if run.owner in (LEFT_WALL, RIGHT_WALL)}
             assert walls <= {1, last}
             seen["wall" if walls else "no wall"] += 1
             return star, remainder
@@ -1195,6 +1221,19 @@ PAPER_GUARD_PINS = {
 }
 
 
+def _overcharged(terms):
+    """The terms and a term on each side of the first term's square: its
+    bottom, its copy's bottom, its left and right sides, and its top, which
+    no hole charges.  The square's charge becomes 6/2, over 5/2."""
+    t = terms[0]
+    return terms + [ChargeTerm(t.square_index, side, virtual, t.segment)
+                    for side, virtual in ((SIDE_BOTTOM, False),
+                                          (SIDE_BOTTOM, True),
+                                          (SIDE_LEFT, False),
+                                          (SIDE_RIGHT, False),
+                                          (SIDE_TOP, False))]
+
+
 class TestPaperGuards:
     @pytest.mark.parametrize("message, squares", PAPER_GUARD_PINS.values(),
                              ids=PAPER_GUARD_PINS)
@@ -1220,17 +1259,12 @@ class TestPaperGuards:
         """A square charged over 5/2 raises nothing: ``analyze`` prints the
         full report, whose ``max-charge`` check fails, and exits 1."""
         charge_items = holes._charge_items
-
-        def lifted(hole):
-            # the lid side's coefficient becomes 3
-            terms = charge_items(hole)
-            return terms + [replace(terms[0], coeff=F(3))]
-
-        monkeypatch.setattr(holes, "_charge_items", lifted)
+        monkeypatch.setattr(holes, "_charge_items",
+                            lambda hole: _overcharged(charge_items(hole)))
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         failed = [c.line() for c in ana.checks if not c.ok]
-        assert failed == ["CHECK max-charge FAIL 7/2 <= 5/2"]
+        assert failed == ["CHECK max-charge FAIL 3 <= 5/2"]
         inst = tmp_path / "squares.txt"
         inst.write_text(instance_text(seq))
         assert main(["analyze", "--strategy", "bottomleft",
@@ -1322,9 +1356,10 @@ def reference_checks(p: Packing, ana) -> list[str]:
     final_sum = sum((h.area for h in ana.holes), zero)
     closed_area = area_sum + 1
     terms_sum = sum(ana.bounds, zero)
-    ledger_sum = sum((ledger.totals.get(pl.item.index, zero)
+    totals = {idx: F(h, 2) for idx, h in ledger.halves.items()}
+    ledger_sum = sum((totals.get(pl.item.index, zero)
                       * pl.item.side ** 2 for pl in closed.placements), zero)
-    max_charge = max(ledger.totals.values(), default=zero)
+    max_charge = max(totals.values(), default=zero)
     return [c.line() for c in [
         Check("height-identity", height == area_sum + hole_sum,
               str(height), "==", f"{area_sum} + {hole_sum}"),
@@ -1365,16 +1400,16 @@ class TestChecksAgainstReference:
         """Analyses fed broken parts fail a check each, with the lines of
         the Fraction sums: a raw hole left out fails ``height-identity``,
         pieces counted twice ``split-conservation``, an empty ledger
-        ``ledger-soundness``, and a coefficient of 3, which no hole gives,
-        ``max-charge``, its ledger still counted exactly."""
+        ``ledger-soundness``, and every side of a square charged, its top
+        too, which no hole charges, ``max-charge``, its ledger still
+        counted exactly."""
         extract, split, charge_items = (holes.extract_holes, holes.split_hole,
                                         holes._charge_items)
         patches = [
             ("extract_holes", lambda closed: extract(closed)[1:]),
             ("split_hole", lambda hole: split(hole) * 2),
             ("compute_charges", lambda terms: ChargeLedger([])),
-            ("_charge_items", lambda hole: charge_items(hole)
-             + [replace(charge_items(hole)[0], coeff=F(3))])]
+            ("_charge_items", lambda hole: _overcharged(charge_items(hole)))]
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         failed = []
         for name, broken in patches:

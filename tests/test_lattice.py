@@ -662,14 +662,14 @@ class TestPlacementsOnRead:
     def assert_built_on_read(built, strategy, seq):
         """Packing builds no ``Placement``; the first read of the
         placements builds one per square, a second read none, and the
-        closed packing's read only the closing square's."""
+        closed packing's read its own n + 1."""
         p = pack(strategy, seq)
         assert built["placements"] == 0
         assert len(p.placements) == len(seq) == built["placements"]
         assert p.placements is p.placements
         closed = close_packing(p)
         assert closed.placements[:-1] == p.placements
-        assert built["placements"] == len(seq) + 1
+        assert built["placements"] == len(seq) + len(closed)
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_killer(self, built, n):

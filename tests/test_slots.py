@@ -53,7 +53,7 @@ class TestRounding:
 
 def choose(s, width):
     """``s.choose`` for a slot width given as a rational."""
-    return s.choose(*s.packing.units(width))
+    return s.choose(*s.packing.units(width), s.packing.skyline())
 
 
 class TestChooseSlot:
