@@ -7,8 +7,9 @@ square of side 1/2+eps and two halves.  Either way the strategy's height
 grows by at least 5/4 per iteration on average, while the same squares fit
 into bands of height 1+eps that also satisfy the Tetris and gravity rules.
 
-The band constructions keep a flat ledge over [0, 3/4+eps] at all times, so
-iterations chain regardless of the mix of types:
+The band packing, built and checked square by square on the lattice, keeps
+a flat ledge over [0, 3/4+eps] at all times, so iterations chain regardless
+of the mix of types:
 
   type I   quarters side by side on the ledge, the big square on top;
   type II  the 1/2+eps square on the ledge at the wall, the quarter pair
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numbers import HALF, ONE, ZERO, Scalar
-from .packing import (Packing, PackingError, Placement, SquareItem, _replay,
-                      check_step)
+from .packing import Packing, PackingError, SquareItem, check_step, replay_steps
 
 QUARTER = Fraction(1, 4)
 
@@ -75,13 +75,12 @@ class AdversaryTranscript:
     def serialize(self) -> str:
         """One line per iteration; the sides of a type I iteration are
         padded to five with zeros."""
-        lines = [f"epsilon {self.epsilon}"]
-        for i, rec in enumerate(self.iterations, 1):
-            sides = [str(a) for a, _, _ in _band(rec.kind, self.epsilon)]
-            sides += ["0"] * (5 - len(sides))
-            lines.append(f"iteration {i} type {rec.kind} sides "
-                         f"{' '.join(sides)} height {rec.height_after}")
-        return "\n".join(lines)
+        sides = {k: " ".join(([str(a) for a, _, _ in _band(k, self.epsilon)]
+                              + ["0"] * 5)[:5]) for k in (TYPE_I, TYPE_II)}
+        return "\n".join([f"epsilon {self.epsilon}"] + [
+            f"iteration {i} type {rec.kind} sides {sides[rec.kind]} "
+            f"height {rec.height_after}"
+            for i, rec in enumerate(self.iterations, 1)])
 
 
 def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
@@ -105,6 +104,7 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         if violation:
             raise PackingError(f"strategy square {count}: {violation}")
 
+    tails = {k: [a for a, _, _ in _band(k, eps)[2:]] for k in (TYPE_I, TYPE_II)}
     records = []
     h_prev = ZERO
     for _ in range(m):
@@ -113,7 +113,7 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
         p = state.packing       # the quarters' rects and h_prev on one scale
         h, = p.units(h_prev)
         kind = classify_iteration(*p.lattice()[1][-2:], h)
-        for side, _, _ in _band(kind, eps)[2:]:
+        for side in tails[kind]:
             send(side)
         h_prev = state.packing.height
         records.append(IterationRecord(kind, h_prev))
@@ -122,16 +122,19 @@ def adversary_run(strategy, m: int, eps: Scalar) -> AdversaryTranscript:
 
 def optimal_packing_for_transcript(t: AdversaryTranscript) -> Packing:
     """A verified packing of the transcript's squares using bands of height
-    1 + eps per iteration (so height <= m*(1 + 2*eps))."""
-    eps = t.epsilon
-    base = ZERO
-    placements: list[Placement] = []
-    for rec in t.iterations:
-        for side, x, y in _band(rec.kind, eps):
-            item = SquareItem(len(placements) + 1, side)
-            placements.append(Placement(item, x, base + y))
-        base += ONE + eps
-    failure, packing = _replay([pl.item for pl in placements], placements)
+    1 + eps per iteration (so height <= m*(1 + 2*eps)), built and checked
+    on the lattice: each kind's rows are converted once, and every square
+    is checked by ``check_step`` as in the verifier's replay."""
+    p, eps = Packing(), t.epsilon
+    kinds = {k: _band(k, eps) for k in (TYPE_I, TYPE_II)}
+    band = p.units(ONE + eps, *(v for k in kinds for row in kinds[k]
+                                for v in row))[0]
+    rows = {k: [(a, *p.units(a, x, y)) for a, x, y in kinds[k]] for k in kinds}
+    squares = ((a, s, x, i * band + y) for i, rec in enumerate(t.iterations)
+               for a, s, x, y in rows[rec.kind])
+    failure, packing = replay_steps(p, (
+        (SquareItem(n, a), (x, x + s, y, y + s))
+        for n, (a, s, x, y) in enumerate(squares, 1)))
     if failure:
         raise PackingError(f"optimal construction invalid: {failure}")
     return packing

@@ -335,14 +335,14 @@ class Hole:
                           Fraction(y0, s), Fraction(y1, s))
                      for x0, x1, spans in self.slabs() for y0, y1 in spans)
 
-    def contains(self, x: int, y: int, turn=None) -> bool:
+    def contains(self, x: int, y: int, turn) -> bool:
         """Whether the hole holds the lattice unit square southeast of the
         point (x, y).  With ``turn``, the boundary's headings (``_heading``)
         into and out of the point, the hole near it lies counterclockwise
         from the heading out to the heading back, and the square, 7/8 of a
         turn from east, lies wholly in or out of that.  At a pinch (passed
-        twice) or without ``turn``, count the crossings of the ray east from
-        the square's centre, which meets no corner."""
+        twice) or with ``turn`` None, count the crossings of the ray east
+        from the square's centre, which meets no corner."""
         if turn is not None and self.corners.get((x, y), 0) < 2:
             into, out = turn
             return (7 - 2 * out) % 8 < 2 * ((into + 2 - out) % 4)

@@ -450,13 +450,19 @@ def _replay(seq, pls) -> tuple[Optional[str], Packing]:
             raise PackingError(f"item mismatch at index {item.index}")
     sofar = Packing()
     sofar._lat.fit(*(v for pl in pls for v in (pl.x, pl.y, pl.item.side)))
-    for step, pl in enumerate(pls, start=1):
-        l, b, s = sofar._lat.units(pl.x, pl.y, pl.item.side)
-        at = (l, l + s, b, b + s)
+    return replay_steps(sofar, (
+        (pl.item, (l, l + s, b, b + s)) for pl in pls
+        for l, b, s in [sofar._lat.units(pl.x, pl.y, pl.item.side)]))
+
+
+def replay_steps(sofar: Packing, steps) -> tuple[Optional[str], Packing]:
+    """Extend ``sofar`` by each ``(item, at)`` of ``steps`` up to the first
+    that ``check_step`` refuses: ``("<rule> at step <k>" or None, packing)``."""
+    for step, (item, at) in enumerate(steps, start=1):
         violation = check_step(sofar, at)
         if violation:
             return f"{violation} at step {step}", sofar
-        sofar = sofar.extended(pl.item, at)
+        sofar = sofar.extended(item, at)
     return None, sofar
 
 

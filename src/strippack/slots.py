@@ -4,19 +4,20 @@ vertical drop along the chosen slot's left boundary.
 The strip is divided, for every level k, into 2^k slots of width 2^-k; a
 slot is its index j, and spans [j 2^-k, (j+1) 2^-k].  A square is rounded
 up to the nearest power of 1/2 and dropped in the level-k slot with the
-lowest rest height (ties to the leftmost slot).  The strategy keeps no
-state besides its packing: it reads the skyline that the packing's lattice
-keeps, one step profile of the tops on the lattice's integers, raised in
-place and rescaled with the lattice.  The lowest slot is found among the
-skyline's candidate cells: the leftmost whole slot of each segment and
-every slot that straddles a breakpoint.  One scan lists them at every
-width.  The skyline keeps the candidates of the width it was last asked
-about, through a rescale too, so a square of the same level as the one
-before it rescans only the slots that square touched, and a square of a
-new level lists them all once.  No level keeps a table of its 2^k slots,
-and a level is bounded only by the size of the integers.  A placement
-converts only the side and its width, and makes no Fraction.  Tests
-cross-check every choice against the rest heights of the raw packing.
+lowest rest height (ties to the leftmost slot).  The strategy keeps its
+packing and the last side's conversion: it reads the skyline that the
+packing's lattice keeps, one step profile of the tops on the lattice's
+integers, raised in place and rescaled with the lattice.  The lowest slot
+is found among the skyline's candidate cells: the leftmost whole slot of
+each segment and every slot that straddles a breakpoint.  One scan lists
+them at every width.  The skyline keeps the candidates of the width it was
+last asked about, through a rescale too, so a square of the same level as
+the one before it rescans only the slots that square touched, and a square
+of a new level lists them all once.  No level keeps a table of its 2^k
+slots, and a level is bounded only by the size of the integers.  A
+placement makes no Fraction and converts the side and its width only if
+the side is a new object or the scale changed.  Tests cross-check every
+choice against the rest heights of the raw packing.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class SlotState:
 
     def __init__(self):
         self.packing = Packing()
+        self._last = (None, 0, 0, 0)    # side, scale, w, s of the last square
 
     def choose(self, w: int, sky) -> int:
         """Index j of the leftmost lowest slot [j w, (j+1) w] for a width
@@ -62,8 +64,11 @@ class SlotState:
     def place(self, item: SquareItem) -> tuple[int, int, int, int]:
         a = item.side
         p = self.packing
-        w, s = p.units(round_to_dyadic(a)[1], a)
-        sky = p.skyline()
+        sky = p.skyline()               # its end is the lattice's scale
+        side, scale, w, s = self._last
+        if a is not side or sky.end != scale:
+            w, s = p.units(round_to_dyadic(a)[1], a)
+            self._last = a, sky.end, w, s
         l = self.choose(w, sky) * w
         r = l + s
         # the physical drop stops where the square itself lands; in the rare

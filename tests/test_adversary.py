@@ -1,18 +1,20 @@
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import grown, rect_on
 from strippack import adversary
-from strippack.adversary import (TYPE_I, TYPE_II, adversary_run,
+from strippack.adversary import (TYPE_I, TYPE_II, AdversaryTranscript,
+                                 IterationRecord, adversary_run,
                                  classify_iteration,
                                  optimal_packing_for_transcript)
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES, main
 from strippack.harness import placements_csv
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               pack, verify_packing)
+                               _replay, pack, verify_packing)
 from strippack.slots import SlotState, slot_killer_instance
 
 EPS = F(1, 100)
@@ -126,6 +128,83 @@ class TestAdversaryRuns:
             with pytest.raises(PackingError) as exc:
                 adversary_run(strategy, 2, EPS)
             assert str(exc.value) == f"strategy square {square}: {violation}"
+
+
+def fraction_bands(t: AdversaryTranscript) -> Packing:
+    """The reference band packing, built as before the lattice: a
+    ``Placement`` per square from ``_band`` with Fraction bases, replayed
+    by ``_replay``."""
+    eps, base, pls = t.epsilon, F(0), []
+    for rec in t.iterations:
+        for side, x, y in adversary._band(rec.kind, eps):
+            pls.append(Placement(SquareItem(len(pls) + 1, side), x, base + y))
+        base += 1 + eps
+    failure, packing = _replay([pl.item for pl in pls], pls)
+    if failure:
+        raise PackingError(f"optimal construction invalid: {failure}")
+    return packing
+
+
+def serialized(t: AdversaryTranscript) -> str:
+    """The reference transcript text, each iteration's sides rebuilt from
+    ``_band``."""
+    lines = [f"epsilon {t.epsilon}"]
+    for i, rec in enumerate(t.iterations, 1):
+        sides = [str(a) for a, _, _ in adversary._band(rec.kind, t.epsilon)]
+        sides += ["0"] * (5 - len(sides))
+        lines.append(f"iteration {i} type {rec.kind} sides "
+                     f"{' '.join(sides)} height {rec.height_after}")
+    return "\n".join(lines)
+
+
+def bands_or_refusal(construct, t):
+    """The band packing's placements and height, or the refusal's text."""
+    try:
+        p = construct(t)
+    except PackingError as err:
+        return str(err)
+    return p.placements, p.height
+
+
+BAND_EPSILONS = [F(1, 100), F(1, 3), F(1, 7), F(249, 1000), F(1, 2 ** 40)]
+
+
+class TestLatticeBands:
+    """The band packing built on the lattice equals the Fraction reference
+    on the transcripts of both strategies, of the stacker and of a mix of
+    kinds.  An epsilon outside the adversary's range (0, 1/4) is given to a
+    transcript played at 1/100; its bands leave the strip, and both
+    constructions refuse them, with the same text where every iteration is
+    of one kind.  On a mix, the reference builds every square before it
+    replays, so its first square of side over 1 fails first; the lattice
+    build meets the squares in order."""
+
+    @staticmethod
+    def transcript(name, m, eps) -> AdversaryTranscript:
+        if name == "mixed":
+            rng = random.Random(f"mixed:{m}")
+            return AdversaryTranscript(eps, [
+                IterationRecord(rng.choice((TYPE_I, TYPE_II)), F(0))
+                for _ in range(m)], Packing())
+        t = adversary_run(STRATEGIES.get(name, StackerState), m,
+                          eps if eps < F(1, 4) else EPS)
+        return AdversaryTranscript(eps, t.iterations, t.packing)
+
+    @pytest.mark.parametrize("eps", BAND_EPSILONS)
+    @pytest.mark.parametrize("m", [1, 7, 40])
+    @pytest.mark.parametrize("name",
+                             sorted(STRATEGIES) + ["stacker", "mixed"])
+    def test_equal_to_the_fraction_bands(self, name, m, eps):
+        t = self.transcript(name, m, eps)
+        got = bands_or_refusal(optimal_packing_for_transcript, t)
+        want = bands_or_refusal(fraction_bands, t)
+        if eps < F(1, 4):
+            assert got == want and got[1] == m * (1 + eps)
+        elif name == "mixed":
+            assert isinstance(got, str) and isinstance(want, str)
+        else:
+            assert isinstance(got, str) and got == want
+        assert t.serialize() == serialized(t)
 
 
 class TestOptimalConstruction:

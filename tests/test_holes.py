@@ -797,6 +797,11 @@ def _measure_sides(ctx, run):
             SIDE_RIGHT: right, SIDE_TOP: top}
 
 
+def crossings(hole, x, y) -> bool:
+    """``Hole.contains`` by the crossing count alone, with no turn."""
+    return hole.contains(x, y, None)
+
+
 def _grid_enters_hole_southeast(grid, hole, x, y):
     """The reference for ``_enters_hole_southeast``, on the obstacle grid:
     the index of the square owning the cell northwest of (x, y) if the
@@ -807,7 +812,7 @@ def _grid_enters_hole_southeast(grid, hole, x, y):
     if not (0 <= iw < grid.nx and 0 <= jn < grid.ny):
         return None
     owner = grid.owner[iw][jn]
-    if owner is None or not hole.contains(x, y):
+    if owner is None or not crossings(hole, x, y):
         return None
     return owner
 
@@ -1133,7 +1138,7 @@ class TestCarveGuards:
         _, hole = _pinch_hole()
         # south then west, and north then east
         for turn in ((3, 2), (1, 0)):
-            assert hole.contains(1, 1, turn) is hole.contains(1, 1) is False
+            assert hole.contains(1, 1, turn) is crossings(hole, 1, 1) is False
         assert hole.contains(1, 2, (2, 3)) and hole.contains(0, 1, (2, 3))
 
 
@@ -1280,10 +1285,10 @@ class TestLocalContains:
         contains = Hole.contains
         seen = Counter()
 
-        def checked(hole, x, y, turn=None):
+        def checked(hole, x, y, turn):
             got = contains(hole, x, y, turn)
             if turn is not None:
-                assert got == contains(hole, x, y)
+                assert got == contains(hole, x, y, None)
                 seen[got] += 1
             return got
 
@@ -1306,7 +1311,7 @@ class TestLocalContains:
                                                ring[1:] + ring[:1]):
                     turn = (holes._heading(back, (x, y)),
                             holes._heading((x, y), ahead))
-                    assert hole.contains(x, y, turn) == hole.contains(x, y)
+                    assert hole.contains(x, y, turn) == crossings(hole, x, y)
                     turns[turn] += 1
         # all eight quarter turns, left and right, occur
         assert {(a, b) for a in range(4) for b in range(4)

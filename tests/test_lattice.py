@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (at_level, floor_rect, grown, items, nondyadic_items,
                       packing_of, placement_at, random_items, rect_on)
-from strippack.adversary import adversary_run
+from strippack.adversary import adversary_run, optimal_packing_for_transcript
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
 from span_reference import (intersect_spans, spans_contain, spans_meet,
@@ -618,10 +618,12 @@ class TestOneConversion:
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_adversary_checks_convert_nothing(self, conversions, name):
-        # the strategy converts each square as it places it; the check of
-        # each step reads the rect the strategy returns, and only the
-        # classification converts a value: the previous height, once per
-        # iteration
+        # the strategy converts each square's side as it places it (the
+        # slot strategy only a side object other than the last one's, or
+        # after a rescale, and both runs send the same side objects); the
+        # check of each step reads the rect the strategy returns, and only
+        # the classification converts a value: the previous height, once
+        # per iteration
         transcript = adversary_run(STRATEGIES[name], 30, EPS)
         during_run = conversions["units"]
         conversions.update(units=0)
@@ -629,6 +631,42 @@ class TestOneConversion:
                      [pl.item for pl in transcript.packing.placements])
         assert alone.placements == transcript.packing.placements
         assert during_run == conversions["units"] + 30 > 30
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_band_packing_converts_per_kind(self, conversions, name):
+        # one fit to both kinds and the band height, then each kind's five
+        # or three rows once, whatever the number of iterations
+        counts = []
+        for m in (5, 40):
+            transcript = adversary_run(STRATEGIES[name], m, EPS)
+            conversions.update(units=0)
+            optimal_packing_for_transcript(transcript)
+            counts.append(conversions["units"])
+        assert counts == [1 + 8, 1 + 8]
+
+    def test_killer_converts_its_side_once_per_rescale(self, conversions):
+        # every square of the killer shares one side object, so the slot
+        # strategy converts it once, at the one rescale its first square
+        # brings
+        pack(SlotState, slot_killer_instance(6, F(1, 4096), 256))
+        assert conversions == {"units": 1, "rescales": 1}
+
+    def test_repeated_side_converts_again_after_a_rescale(self, conversions):
+        # the side object of the square before is converted once, but a
+        # rescale between two squares (here a caller's conversion of 1/3)
+        # makes the next convert it again; equal but distinct sides convert
+        # every time, and both packings are the same
+        a, state = F(1, 4), SlotState()
+        for i in (1, 2):
+            state.place(SquareItem(i, a))
+        assert conversions == {"units": 1, "rescales": 1}
+        state.packing.units(F(1, 3))
+        state.place(SquareItem(3, a))
+        assert conversions == {"units": 3, "rescales": 2}
+        conversions.update(units=0)
+        distinct = pack(SlotState, items("1/4", "1/4", "1/4"))
+        assert conversions["units"] == 3
+        assert state.packing.placements == distinct.placements
 
     def test_verify_fits_the_prime_family_once(self, conversions):
         seq = prime_items(700)
