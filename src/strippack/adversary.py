@@ -126,6 +126,9 @@ def optimal_packing_for_transcript(t: AdversaryTranscript) -> Packing:
     on the lattice: each kind's rows are converted once, and every square
     is checked by ``check_step`` as in the verifier's replay."""
     p, eps = Packing(), t.epsilon
+    if not ZERO < eps < QUARTER:
+        raise PackingError(
+            f"optimal construction invalid: epsilon {eps} outside (0, 1/4)")
     kinds = {k: _band(k, eps) for k in (TYPE_I, TYPE_II)}
     band = p.units(ONE + eps, *(v for k in kinds for row in kinds[k]
                                 for v in row))[0]

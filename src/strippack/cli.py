@@ -18,7 +18,8 @@ from .harness import (InstanceError, gen_random, instance_text, parse_instance,
                       run_stats)
 from .holes import AnalysisError, run_bottomleft_analysis
 from .numbers import ScalarParseError, format_scalar, scalar
-from .packing import PackingError, close_packing, pack, verify_packing
+from .packing import (PackingError, close_packing, pack, recheck_packing,
+                      verify_packing)
 from .shadows import charge_map, check_slot_bounds
 from .slots import SlotState, slot_killer_instance
 
@@ -38,7 +39,7 @@ def _write(path: str, text: str) -> None:
 def cmd_run(args) -> int:
     seq = parse_instance(_read(args.input))
     p = pack(STRATEGIES[args.strategy], seq)
-    failure = verify_packing(seq, p.placements)
+    failure = recheck_packing(p)
     if failure:
         print(f"CHECK run-self-verify FAIL {failure}")
         return 1

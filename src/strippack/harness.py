@@ -1,8 +1,8 @@
 """Instance I/O, random generation, placement CSV, statistics, SVG output.
 
-All serialization is exact: rationals are written as ``p/q`` and parsed
-back without loss, so run -> csv -> verify round-trips exactly.  SVG output
-is deterministic (byte-identical for identical inputs).
+All serialization is exact: rationals are written as ``p/q`` (a CSV corner
+from its lattice integer) and parsed back without loss, so run -> csv ->
+verify round-trips exactly.  SVG output is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numbers import ONE, ZERO, Scalar, format_scalar, scalar
+from .numbers import ONE, ZERO, Scalar, format_scalar, format_units, scalar
 from .packing import Packing, Placement, SquareItem
 
 GRID = 2 ** 20
@@ -63,11 +63,10 @@ def gen_random(n: int, seed: int, min_side: Scalar = Fraction(1, 64),
 # ---------------------------------------------------------------------------
 
 def placements_csv(p: Packing) -> str:
-    lines = ["id,side,x,y"]
-    for pl in p.placements:
-        lines.append(",".join((str(pl.item.index), format_scalar(pl.item.side),
-                               format_scalar(pl.x), format_scalar(pl.y))))
-    return "\n".join(lines) + "\n"
+    s, rects = p.lattice()
+    return "".join(["id,side,x,y\n"] + [
+        f"{it.index},{format_scalar(it.side)},{format_units(l, s)},"
+        f"{format_units(b, s)}\n" for it, (l, _, b, _) in zip(p.items, rects)])
 
 
 def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement]:
@@ -82,7 +81,9 @@ def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement
         idx, side, x, y = parts
         try:
             idx, side, x, y = int(idx), scalar(side), scalar(x), scalar(y)
-            pls.append(Placement(SquareItem(idx, side), x, y))
+            it = seq[len(pls)] if len(pls) < len(seq) else None
+            same = it is not None and it.index == idx and it.side == side
+            pls.append(Placement(it if same else SquareItem(idx, side), x, y))
         except ValueError as exc:
             raise InstanceError(f"line {lineno}: {exc}") from exc
     if len(pls) != len(seq):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 Scalar = Fraction
 
@@ -67,3 +68,9 @@ def scalar(text: str) -> Fraction:
 def format_scalar(x: Fraction) -> str:
     """Serialize as ``p/q`` with the denominator always present."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_units(v: int, scale: int) -> str:
+    """``format_scalar(Fraction(v, scale))``, without the Fraction."""
+    g = gcd(v, scale)
+    return f"{v // g}/{scale // g}"

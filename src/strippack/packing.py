@@ -24,6 +24,8 @@ straight drop from above is clear, obstacles being open, and (3) it is
 supported exactly when b == 0 or m == b.  Other squares go to
 ``check_rules``, so every verdict stays the same.  A packing grows as online
 placement does, at the newest snapshot only, by a square and its rect.
+``recheck_packing`` replays a packing's own rects at their scale, to the
+verdict of ``verify_packing``, as no rule depends on the scale.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class _Lattice:
 
     __slots__ = ("scale", "items", "rects", "bottoms", "order", "sky", "sky_n")
 
-    def __init__(self):
-        self.scale = 1
+    def __init__(self, scale: int = 1):
+        self.scale = scale
         self.items: list[SquareItem] = []
         self.rects: list[tuple[int, int, int, int]] = []
         self.bottoms: list[int] = []
@@ -132,11 +134,11 @@ class _Lattice:
 class Packing:
     """Immutable ordered packing on its integer lattice, and the index of
     its topmost square (the first of equal tops), whose top is the
-    ``height``.  ``Packing()`` is empty; every other packing comes from
-    ``extended``.  ``items`` lists its squares; ``placements`` builds their
-    ``Placement``s from the rects on its first read (``Fraction``
-    normalises, so a rescale changes none).  Each snapshot keeps its own:
-    no caller reads the placements of two snapshots of one chain.
+    ``height``.  ``Packing(scale)`` is empty, on a lattice of that scale;
+    every other comes from ``extended``.  ``items`` lists its squares;
+    ``placements`` builds their ``Placement``s from the rects on first read
+    (``Fraction`` normalises, so a rescale changes none), and each snapshot
+    keeps its own: no caller reads those of two snapshots of one chain.
 
     ``extended`` appends a square and its rect to the lattice this packing
     shares with the one it came from, in O(1) amortized time plus a sorted
@@ -148,8 +150,8 @@ class Packing:
 
     __slots__ = ("_lat", "_n", "_top", "_placements")
 
-    def __init__(self):
-        self._lat = _Lattice()
+    def __init__(self, scale: int = 1):
+        self._lat = _Lattice(scale)
         self._placements: Optional[tuple[Placement, ...]] = ()
         self._n, self._top = 0, -1
 
@@ -439,6 +441,12 @@ def verify_packing(seq: Sequence[SquareItem],
     or None if every step holds.  Each step converts its square once, on a
     lattice fitted to all."""
     return _replay(seq, pls)[0]
+
+
+def recheck_packing(p: Packing) -> Optional[str]:
+    """``verify_packing``'s verdict on ``p``'s own squares and rects."""
+    scale, rects = p.lattice()
+    return replay_steps(Packing(scale), zip(p.items, rects))[0]
 
 
 def _replay(seq, pls) -> tuple[Optional[str], Packing]:

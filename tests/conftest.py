@@ -1,4 +1,4 @@
-"""Shared helpers: instance builders and brute-force oracles."""
+"""Shared helpers: instance builders, brute-force oracles and work counters."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               reachable_positions)
+                               _Lattice, reachable_positions)
 
 GRID = 2 ** 20
 
@@ -216,3 +218,38 @@ def _strict_below(v: Fraction, cap: int) -> int:
     f = v.__floor__()
     idx = f - 1 if f == v else f
     return min(idx, cap)
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of ``_Lattice.units`` calls and of rescales, as they happen."""
+    counts = {"units": 0, "rescales": 0}
+    units, fit = _Lattice.units, _Lattice.fit
+
+    def counted_units(self, *values):
+        counts["units"] += 1
+        return units(self, *values)
+
+    def counted_fit(self, *values):
+        scale = self.scale
+        f = fit(self, *values)
+        counts["rescales"] += self.scale != scale
+        return f
+
+    monkeypatch.setattr(_Lattice, "units", counted_units)
+    monkeypatch.setattr(_Lattice, "fit", counted_fit)
+    return counts
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The number of ``Placement``s constructed so far."""
+    counts = {"placements": 0}
+    init = Placement.__init__
+
+    def counted(self, *args, **kwargs):
+        counts["placements"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Placement, "__init__", counted)
+    return counts

@@ -173,11 +173,8 @@ class TestLatticeBands:
     """The band packing built on the lattice equals the Fraction reference
     on the transcripts of both strategies, of the stacker and of a mix of
     kinds.  An epsilon outside the adversary's range (0, 1/4) is given to a
-    transcript played at 1/100; its bands leave the strip, and both
-    constructions refuse them, with the same text where every iteration is
-    of one kind.  On a mix, the reference builds every square before it
-    replays, so its first square of side over 1 fails first; the lattice
-    build meets the squares in order."""
+    transcript played at 1/100; its bands would leave the strip, and the
+    lattice construction refuses it by name before it builds any band."""
 
     @staticmethod
     def transcript(name, m, eps) -> AdversaryTranscript:
@@ -200,10 +197,10 @@ class TestLatticeBands:
         want = bands_or_refusal(fraction_bands, t)
         if eps < F(1, 4):
             assert got == want and got[1] == m * (1 + eps)
-        elif name == "mixed":
-            assert isinstance(got, str) and isinstance(want, str)
         else:
-            assert isinstance(got, str) and got == want
+            assert got == (f"optimal construction invalid: epsilon {eps} "
+                           "outside (0, 1/4)")
+            assert isinstance(want, str)
         assert t.serialize() == serialized(t)
 
 
@@ -227,6 +224,16 @@ class TestOptimalConstruction:
         with pytest.raises(PackingError) as err:
             optimal_packing_for_transcript(t)
         assert str(err.value) == "optimal construction invalid: overlap at step 2"
+
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 100), F(1, 4), F(1, 3)])
+    def test_epsilon_outside_the_range_is_refused_by_name(self, eps):
+        # the adversary's own range, checked before any band is built
+        played = adversary_run(BottomLeftState, 2, EPS)
+        t = AdversaryTranscript(eps, played.iterations, played.packing)
+        with pytest.raises(PackingError) as err:
+            optimal_packing_for_transcript(t)
+        assert str(err.value) == ("optimal construction invalid: epsilon "
+                                  f"{eps} outside (0, 1/4)")
 
     def test_ratio_exceeds_competitive_floor(self):
         t = adversary_run(BottomLeftState, 4, EPS)

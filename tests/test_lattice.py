@@ -18,7 +18,7 @@ from span_reference import (intersect_spans, spans_contain, spans_meet,
                             subtract_spans_open)
 from strippack.geometry import Rect
 from strippack.packing import (Packing, PackingError, Placement, SquareItem,
-                               _Lattice, _replay, check_step, close_packing,
+                               _replay, check_step, close_packing,
                                is_supported, is_tetris_reachable, pack,
                                reachable_positions, verify_packing)
 from strippack.slots import SlotState, slot_killer_instance
@@ -578,27 +578,6 @@ def prime_items(n: int):
     return [SquareItem(i, F(q // 3, q)) for i, q in enumerate(primes[10:], 1)]
 
 
-@pytest.fixture
-def conversions(monkeypatch):
-    """Counts of ``_Lattice.units`` calls and of rescales, as they happen."""
-    counts = {"units": 0, "rescales": 0}
-    units, fit = _Lattice.units, _Lattice.fit
-
-    def counted_units(self, *values):
-        counts["units"] += 1
-        return units(self, *values)
-
-    def counted_fit(self, *values):
-        scale = self.scale
-        f = fit(self, *values)
-        counts["rescales"] += self.scale != scale
-        return f
-
-    monkeypatch.setattr(_Lattice, "units", counted_units)
-    monkeypatch.setattr(_Lattice, "fit", counted_fit)
-    return counts
-
-
 class TestOneConversion:
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_strategy_converts_each_square_once(self, conversions, name):
@@ -680,20 +659,6 @@ class TestOneConversion:
 # ---------------------------------------------------------------------------
 # placements: built on read from the lattice, once per square
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def built(monkeypatch):
-    """The number of ``Placement``s constructed so far."""
-    counts = {"placements": 0}
-    init = Placement.__init__
-
-    def counted(self, *args, **kwargs):
-        counts["placements"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Placement, "__init__", counted)
-    return counts
-
 
 class TestPlacementsOnRead:
     @staticmethod
