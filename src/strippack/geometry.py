@@ -6,8 +6,7 @@ obstacles' sides, the walls and the ground that no opposite side covers
 are the pieces of their boundaries, one walk joins the pieces into cycles,
 and each cycle keeps its corners.  Coordinates may be any exactly ordered
 numeric type: the step checks and the boundary pieces run on the packing's
-lattice integers, and hole regions leave the analysis as Fraction
-rectangles.
+lattice integers.
 
 Conventions:
   * squares/rectangles are closed sets; "overlap" means interiors intersect;
@@ -32,21 +31,14 @@ from .numbers import Scalar
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned closed rectangle ``(left, right, bottom, top)``, in the
-    order of the lattice tuples; degenerate sides allowed.  Callers build
-    it with ``left <= right`` and ``bottom <= top``."""
+    order of the lattice tuples, as the step checker's overlap test reads
+    them; degenerate sides allowed.  Callers build it with
+    ``left <= right`` and ``bottom <= top``."""
 
     left: Scalar
     right: Scalar
     bottom: Scalar
     top: Scalar
-
-    @property
-    def width(self) -> Scalar:
-        return self.right - self.left
-
-    @property
-    def height(self) -> Scalar:
-        return self.top - self.bottom
 
     def interior_overlaps(self, other: "Rect") -> bool:
         return (self.left < other.right and other.left < self.right

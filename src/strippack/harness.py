@@ -2,7 +2,8 @@
 
 All serialization is exact: rationals are written as ``p/q`` (a CSV corner
 from its lattice integer) and parsed back without loss, so run -> csv ->
-verify round-trips exactly.  SVG output is deterministic.
+verify round-trips exactly.  SVG output is deterministic, and drawn from
+the lattice integers too.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ def placements_csv(p: Packing) -> str:
 
 
 def parse_placements_csv(text: str, seq: Sequence[SquareItem]) -> list[Placement]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "id,side,x,y":
+    """The CSV's rows; a message names a row by its line in the file."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1].strip() != "id,side,x,y":
         raise InstanceError("placements CSV must start with 'id,side,x,y'")
     pls = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 4:
             raise InstanceError(f"line {lineno}: expected 4 fields")
@@ -139,15 +142,17 @@ def _fmt(v: float) -> str:
 
 def render_svg(p: Packing, holes: Optional[Sequence] = None) -> str:
     """Deterministic SVG: strip outline, one labeled rect per square in
-    arrival order, optional hatched hole overlays (y axis points up)."""
+    arrival order, optional hatched hole overlays (y axis points up).  A
+    lattice integer over ``p``'s or a hole's scale rounds as its Fraction."""
     W = _SVG_SCALE
-    total_h = float(p.height or ONE) * _SVG_SCALE
+    s, rects = p.lattice()
+    total_h = max((t for *_, t in rects), default=s) / s * W
 
-    def X(v) -> str:
-        return _fmt(float(v) * _SVG_SCALE)
+    def X(v, scale=s) -> str:
+        return _fmt(v / scale * W)
 
-    def Y(v) -> str:
-        return _fmt(total_h - float(v) * _SVG_SCALE)
+    def Y(v, scale=s) -> str:
+        return _fmt(total_h - v / scale * W)
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>',
            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -155,22 +160,21 @@ def render_svg(p: Packing, holes: Optional[Sequence] = None) -> str:
            f'viewBox="0 0 {W} {_fmt(total_h)}">']
     out.append(f'<rect x="0" y="0" width="{W}" height="{_fmt(total_h)}" '
                'fill="white" stroke="black" stroke-width="1"/>')
-    for pl in p.placements:
-        fill = _FILLS[(pl.item.index - 1) % len(_FILLS)]
-        side = float(pl.item.side) * _SVG_SCALE
-        out.append(f'<rect x="{X(pl.x)}" y="{Y(pl.top)}" '
+    for it, (l, r, b, t) in zip(p.items, rects):
+        fill = _FILLS[(it.index - 1) % len(_FILLS)]
+        side = (r - l) / s * W
+        out.append(f'<rect x="{X(l)}" y="{Y(t)}" '
                    f'width="{_fmt(side)}" height="{_fmt(side)}" '
                    f'fill="{fill}" stroke="black" stroke-width="0.5"/>')
-        out.append(f'<text x="{X(pl.x + pl.item.side / 2)}" '
-                   f'y="{Y(pl.y + pl.item.side / 2)}" '
+        out.append(f'<text x="{X(l + r, 2 * s)}" y="{Y(b + t, 2 * s)}" '
                    f'font-size="{_fmt(max(side / 3, 8.0))}" '
                    'text-anchor="middle" dominant-baseline="middle">'
-                   f'{pl.item.index}</text>')
-    for hole in holes or ():
-        for rect in hole.region():
-            out.append(f'<rect x="{X(rect.left)}" y="{Y(rect.top)}" '
-                       f'width="{_fmt(float(rect.width) * _SVG_SCALE)}" '
-                       f'height="{_fmt(float(rect.height) * _SVG_SCALE)}" '
-                       'fill="#d62728" fill-opacity="0.35" stroke="none"/>')
+                   f'{it.index}</text>')
+    cells = ((h.ctx.scale, x0, x1, y0, y1) for h in holes or ()
+             for x0, x1, spans in h.slabs() for y0, y1 in spans)
+    for hs, x0, x1, y0, y1 in cells:
+        out.append(f'<rect x="{X(x0, hs)}" y="{Y(y1, hs)}" '
+                   f'width="{X(x1 - x0, hs)}" height="{X(y1 - y0, hs)}" '
+                   'fill="#d62728" fill-opacity="0.35" stroke="none"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

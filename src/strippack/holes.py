@@ -15,9 +15,10 @@ Geometry runs on the closed packing's own lattice (``Packing.lattice``):
 every square is an integer ``(l, r, b, t)``, and corners, areas, side
 lengths, cuts, virtual lids, diagonal crossings and charge segments are
 lattice integers, as is twice each hole's bound.  They become Fractions
-only where they leave the module (``Hole.area``, ``Hole.region``, the
-bound ``hole_area_bound`` returns, the values the analysis checks print);
-the checks are decided on the integers, the ledger counted in halves.
+only where they leave the module (``Hole.area``, the bound
+``hole_area_bound`` returns, the values the analysis checks print); the
+SVG draws a hole from its lattice ``slabs``, the checks are decided on
+the integers, and the ledger is counted in halves.
 
 Raw holes come straight from those rects' sides: the parts that no opposite
 side covers are the pieces of the free space's boundary (Lemma 1: each
@@ -60,7 +61,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (GROUND, LEFT_WALL, RIGHT_WALL, SEAM, AnalysisError,
-                       ObstacleGrid, Rect, trace_boundary)
+                       ObstacleGrid, trace_boundary)
 from .packing import Check, Packing, SquareItem, close_packing
 
 SIDE_LEFT = "left"
@@ -326,14 +327,6 @@ class Hole:
             else:
                 out.append((x0, x1, spans))
         return out
-
-    def region(self) -> tuple[Rect, ...]:
-        """The hole in strip coordinates (Fractions): its slabs as
-        interior-disjoint rects."""
-        s = self.ctx.scale
-        return tuple(Rect(Fraction(x0, s), Fraction(x1, s),
-                          Fraction(y0, s), Fraction(y1, s))
-                     for x0, x1, spans in self.slabs() for y0, y1 in spans)
 
     def contains(self, x: int, y: int, turn) -> bool:
         """Whether the hole holds the lattice unit square southeast of the

@@ -25,7 +25,8 @@ supported exactly when b == 0 or m == b.  Other squares go to
 ``check_rules``, so every verdict stays the same.  A packing grows as online
 placement does, at the newest snapshot only, by a square and its rect.
 ``recheck_packing`` replays a packing's own rects at their scale, to the
-verdict of ``verify_packing``, as no rule depends on the scale.
+verdict of ``verify_packing``, as no rule depends on the scale.  Outputs
+read the items and rects too; a ``Placement`` is only a parsed CSV row.
 """
 
 from __future__ import annotations
@@ -59,13 +60,11 @@ class SquareItem:
 
 @dataclass(frozen=True)
 class Placement:
+    """A square's corner, as a CSV row gives it to ``verify_packing``."""
+
     item: SquareItem
     x: Scalar
     y: Scalar
-
-    @property
-    def top(self) -> Scalar:
-        return self.y + self.item.side
 
 
 class _Lattice:
@@ -135,10 +134,8 @@ class Packing:
     """Immutable ordered packing on its integer lattice, and the index of
     its topmost square (the first of equal tops), whose top is the
     ``height``.  ``Packing(scale)`` is empty, on a lattice of that scale;
-    every other comes from ``extended``.  ``items`` lists its squares;
-    ``placements`` builds their ``Placement``s from the rects on first read
-    (``Fraction`` normalises, so a rescale changes none), and each snapshot
-    keeps its own: no caller reads those of two snapshots of one chain.
+    every other comes from ``extended``.  ``items`` lists its squares and
+    ``lattice`` their rects; only ``height`` builds a Fraction.
 
     ``extended`` appends a square and its rect to the lattice this packing
     shares with the one it came from, in O(1) amortized time plus a sorted
@@ -148,11 +145,10 @@ class Packing:
     lattice ``(l, r, b, t)``.
     """
 
-    __slots__ = ("_lat", "_n", "_top", "_placements")
+    __slots__ = ("_lat", "_n", "_top")
 
     def __init__(self, scale: int = 1):
         self._lat = _Lattice(scale)
-        self._placements: Optional[tuple[Placement, ...]] = ()
         self._n, self._top = 0, -1
 
     def __len__(self) -> int:
@@ -161,16 +157,6 @@ class Packing:
     @property
     def items(self) -> list[SquareItem]:
         return self._lat.items[:self._n]
-
-    @property
-    def placements(self) -> tuple[Placement, ...]:
-        if self._placements is None:
-            lat, n = self._lat, self._n
-            s = lat.scale
-            self._placements = tuple(
-                Placement(item, Fraction(r[0], s), Fraction(r[2], s))
-                for item, r in zip(lat.items[:n], lat.rects[:n]))
-        return self._placements
 
     @property
     def height(self) -> Scalar:
@@ -185,7 +171,6 @@ class Packing:
         top, rects = self._top, lat.rects
         nxt = Packing.__new__(Packing)
         nxt._lat, nxt._n = lat, self._n + 1
-        nxt._placements = None
         nxt._top = self._n if top < 0 or rects[-1][3] > rects[top][3] else top
         return nxt
 

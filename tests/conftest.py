@@ -68,6 +68,14 @@ def placement_at(p: Packing, item: SquareItem, at) -> Placement:
     return Placement(item, Fraction(at[0], scale), Fraction(at[2], scale))
 
 
+def placements(p: Packing) -> tuple[Placement, ...]:
+    """``p``'s squares as ``Placement``s, built from its items and lattice
+    rects at every call."""
+    s, rects = p.lattice()
+    return tuple(Placement(item, Fraction(l, s), Fraction(b, s))
+                 for item, (l, _, b, _) in zip(p.items, rects))
+
+
 def floor_rect(p: Packing, a: Fraction,
                floor: Fraction = Fraction(0)) -> tuple[int, int, int, int]:
     """The lattice rect of a side-``a`` square at x = 0 with its bottom on
@@ -143,7 +151,7 @@ def rest_height(p: Packing, x: Fraction, a: Fraction) -> Fraction:
     x-extent overlaps the open footprint (x, x+a)."""
     if not (0 <= x <= 1 - a):
         raise PackingError(f"x={x} out of range for side {a}")
-    return max((pl.top for pl in p.placements
+    return max((pl.y + pl.item.side for pl in placements(p)
                 if pl.x < x + a and x < pl.x + pl.item.side),
                default=Fraction(0))
 
@@ -182,11 +190,11 @@ def grid_bfs_reachable(p: Packing, a: Fraction, step: Fraction):
     # blocked[ix][iy]: the closed square's interior would hit an obstacle;
     # strict inequalities make index ranges half-open on both sides
     blocked = [bytearray(ny + 1) for _ in range(nx + 1)]
-    for pl in p.placements:
+    for pl in placements(p):
         ix_lo = _strict_above((pl.x - a) / step)
         ix_hi = _strict_below((pl.x + pl.item.side) / step, nx)
         iy_lo = _strict_above((pl.y - a) / step)
-        iy_hi = _strict_below(pl.top / step, ny)
+        iy_hi = _strict_below((pl.y + pl.item.side) / step, ny)
         for ix in range(ix_lo, ix_hi + 1):
             row = blocked[ix]
             for iy in range(iy_lo, iy_hi + 1):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import at_level, grid_bfs_reachable
+from conftest import at_level, grid_bfs_reachable, placements
 from strippack.adversary import adversary_run, optimal_packing_for_transcript
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES
@@ -68,7 +68,7 @@ def corpus():
         rec["analysis_ok"] = ana.ok
         rec["max_charge"] = max(
             (F(ana.ledger.halves.get(pl.item.index, 0), 2)
-             for pl in ana.closed.placements), default=F(0))
+             for pl in placements(ana.closed)), default=F(0))
         rec["aggregate_ok"] = hole_sum <= F(5, 2) * (area + 1)
         rec["theorem1"] = p.height <= F(7, 2) * area + F(5, 2)
 
@@ -79,7 +79,7 @@ def corpus():
         rec["slot_per_square"] = all(
             cm.areas.get(pl.item.index, 0)
             <= EIGHT_THIRTEENTHS * pl.item.side ** 2
-            for pl in closed.placements)
+            for pl in placements(closed))
         rec["theorem2"] = sp.height <= 2 * area + EIGHT_THIRTEENTHS * (area + 1)
         records.append(rec)
     return {"records": records, "packings": packings,
@@ -173,15 +173,16 @@ def test_criterion_7_reachability_oracle():
 
 def _mutate_overlap(seq, p):
     shift = F(1, 32)
-    pls = list(p.placements)
+    pls = list(placements(p))
     right = lambda q: q.x + q.item.side
+    top = lambda q: q.y + q.item.side
     for j, pl in enumerate(pls):
         for other in pls[:j]:
             if right(other) == pl.x \
-                    and min(other.top, pl.top) > max(other.y, pl.y):
+                    and min(top(other), top(pl)) > max(other.y, pl.y):
                 pls[j] = Placement(pl.item, pl.x - shift, pl.y)
                 return pls, j + 1
-            if other.top == pl.y \
+            if top(other) == pl.y \
                     and min(right(other), right(pl)) > max(other.x, pl.x):
                 pls[j] = Placement(pl.item, pl.x, pl.y - shift)
                 return pls, j + 1
@@ -189,8 +190,8 @@ def _mutate_overlap(seq, p):
 
 
 def _mutate_float(seq, p):
-    pls = list(p.placements)
-    j = max(range(len(pls)), key=lambda i: (pls[i].top, i))
+    pls = list(placements(p))
+    j = max(range(len(pls)), key=lambda i: (pls[i].y + pls[i].item.side, i))
     pls[j] = Placement(pls[j].item, pls[j].x, p.height + F(1, 32))
     return pls, j + 1
 
@@ -206,7 +207,7 @@ def _extend_sealed(seq, p):
         (SquareItem(n + 5, F(1, 4)), F(3, 8), h + 1),   # inside the cavity
     ]
     seq2 = list(seq) + [item for item, _, _ in extra]
-    pls2 = list(p.placements) + [Placement(it, x, y) for it, x, y in extra]
+    pls2 = list(placements(p)) + [Placement(it, x, y) for it, x, y in extra]
     return seq2, pls2, n + 5
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import grown, rect_on
+from conftest import grown, placements, rect_on
 from strippack import adversary
 from strippack.adversary import (TYPE_I, TYPE_II, AdversaryTranscript,
                                  IterationRecord, adversary_run,
@@ -163,7 +163,7 @@ def bands_or_refusal(construct, t):
         p = construct(t)
     except PackingError as err:
         return str(err)
-    return p.placements, p.height
+    return placements(p), p.height
 
 
 BAND_EPSILONS = [F(1, 100), F(1, 3), F(1, 7), F(249, 1000), F(1, 2 ** 40)]
@@ -212,7 +212,7 @@ class TestOptimalConstruction:
         opt = optimal_packing_for_transcript(t)     # verifies internally
         assert opt.height <= 5 * (1 + 2 * EPS)
         # the packing the verifier replayed is the one built from scratch
-        fresh = grown(opt.placements)
+        fresh = grown(placements(opt))
         assert opt.lattice() == fresh.lattice() and opt.height == fresh.height
 
     def test_invalid_band_is_refused(self, monkeypatch):
@@ -250,9 +250,9 @@ class TestOptimalConstruction:
     def test_emitted_items_replay(self):
         t = adversary_run(BottomLeftState, 3, EPS)
         band = optimal_packing_for_transcript(t)
-        emitted = [pl.item for pl in band.placements]
+        emitted = [pl.item for pl in placements(band)]
         assert emitted[0].side == F(1, 4)
-        assert verify_packing(emitted, t.packing.placements) is None
+        assert verify_packing(emitted, placements(t.packing)) is None
 
 
 class TestKillerInstance:

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (assert_grows_linearly, at_level, floor_rect, grown,
-                      items, placement_at, random_items, spans_at)
+                      items, placement_at, placements, random_items,
+                      spans_at)
 from strippack import packing as packing_module
 from strippack.adversary import adversary_run
 from span_reference import _in_open, merge_open_spans, spans_contain
@@ -15,7 +16,7 @@ from strippack.packing import (Packing, PackingError, Placement, SquareItem,
 
 
 def coords(p):
-    return [(pl.x, pl.y) for pl in p.placements]
+    return [(pl.x, pl.y) for pl in placements(p)]
 
 
 def full_scan_place(p: Packing, item: SquareItem) -> Placement:
@@ -88,7 +89,7 @@ class TestRuns:
         for seed in range(8):
             seq = random_items(seed, 12)
             p = pack(BottomLeftState, seq)
-            assert verify_packing(seq, p.placements) is None
+            assert verify_packing(seq, placements(p)) is None
 
     def test_theorem1_bound(self):
         for seed in range(8):
@@ -111,7 +112,7 @@ class TestLocalOptimality:
     @staticmethod
     def _assert_minimal(p, item, chosen):
         a = item.side
-        levels = sorted({F(0)} | {q.top for q in p.placements})
+        levels = sorted({F(0)} | {q.y + q.item.side for q in placements(p)})
         for y in levels:
             if y > chosen.y:
                 break
@@ -119,8 +120,8 @@ class TestLocalOptimality:
             if not reach:
                 continue
             supports = [(F(0), F(1) - a)] if y == 0 else merge_open_spans(
-                [(q.x - a, q.x + q.item.side) for q in p.placements
-                 if q.top == y])
+                [(q.x - a, q.x + q.item.side) for q in placements(p)
+                 if q.y + q.item.side == y])
             candidates = sorted({lo for lo, _ in reach}
                                 | {lo for lo, _ in supports})
             for x in candidates:
@@ -154,7 +155,7 @@ class TestFullScanDifferential:
         seq = items("9/16", 1, "1/8")
         p = pack(FullScanChecked, seq)
         assert coords(p)[-1] == (0, F(25, 16))
-        two = grown(p.placements[:2])
+        two = grown(placements(p)[:2])
         assert reachable_positions(two, floor_rect(two, F(1, 8))) == \
             (25, [(0, 14)])
         assert two.units(F(1)) == [16]
@@ -167,7 +168,7 @@ def gravity_packing(rng: random.Random, n: int, grid: int) -> Packing:
     for i in range(1, n + 1):
         k = rng.randint(1, grid)
         a, x = F(k, grid), F(rng.randint(0, grid - k), grid)
-        y = max((pl.top for pl in pls
+        y = max((pl.y + pl.item.side for pl in pls
                  if pl.x < x + a and x < pl.x + pl.item.side), default=ZERO)
         pls.append(Placement(SquareItem(i, a), x, y))
     return grown(pls)
@@ -183,7 +184,7 @@ class TestUnbuiltPackings:
         for case in range(300):
             p = gravity_packing(rng, rng.randint(2, 8), rng.choice([4, 6, 8]))
             for a in sides:
-                item = SquareItem(len(p.placements) + 1, a)
+                item = SquareItem(len(p) + 1, a)
                 at = bl_place_next(p, item)
                 assert placement_at(p, item, at) == \
                     full_scan_place(p, item), (case, a)

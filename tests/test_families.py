@@ -16,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import placements
 from strippack.cli import STRATEGIES
 from strippack.holes import run_bottomleft_analysis
 from strippack.packing import SquareItem, close_packing, pack, verify_packing
@@ -64,7 +65,7 @@ def test_verify_and_checks(family, strategy):
     for seed in range(SEEDS):
         seq = family_items(family, seed)
         p = pack(STRATEGIES[strategy], seq)
-        failure = verify_packing(seq, p.placements)
+        failure = verify_packing(seq, placements(p))
         assert failure is None, (seed, failure)
         assert not failed_checks(strategy, p), seed
 

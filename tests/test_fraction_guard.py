@@ -5,16 +5,20 @@ the closed packing's lattice, sums each hole's bound as an integer (twice
 the bound) and counts the ledger in halves, each charged side's weight
 fixed by the side.  A value becomes a Fraction only where it leaves the
 module.  ``holes.py`` is parsed with ``ast``, and a ``Fraction(...)`` call
-fails unless it lies in one of those boundary definitions: the hole's area
-and region, the bound ``hole_area_bound`` returns, the charges the report
-prints and the checks of ``run_bottomleft_analysis``."""
+fails unless it lies in one of those boundary definitions: the hole's area,
+the bound ``hole_area_bound`` returns, the charges the report prints and
+the checks of ``run_bottomleft_analysis``.  A packing keeps its squares as
+items and lattice rects, and ``packing.py`` builds a Fraction only for the
+height it prints."""
 
 import ast
 from pathlib import Path
 
 HOLES = Path(__file__).resolve().parents[1] / "src" / "strippack" / "holes.py"
-BOUNDARIES = {"Hole.area", "Hole.region", "hole_area_bound",
-              "BottomLeftAnalysis.report", "run_bottomleft_analysis"}
+BOUNDARIES = {"Hole.area", "hole_area_bound", "BottomLeftAnalysis.report",
+              "run_bottomleft_analysis"}
+PACKING = HOLES.with_name("packing.py")
+PACKING_BOUNDARIES = {"Packing.height"}
 
 
 def _definitions(tree):
@@ -39,12 +43,25 @@ def _fraction_calls(tree):
                 yield node.lineno, name
 
 
+def _outside(tree, boundaries) -> list[str]:
+    """``"<line> in <definition>"`` of each ``Fraction(...)`` call outside
+    ``boundaries``."""
+    return [f"{line} in {name or 'module'}"
+            for line, name in _fraction_calls(tree) if name not in boundaries]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def test_fractions_are_built_only_at_the_boundary():
-    outside = [f"holes.py:{line} in {name or 'module'}"
-               for line, name in _fraction_calls(
-                   ast.parse(HOLES.read_text(), str(HOLES)))
-               if name not in BOUNDARIES]
+    outside = _outside(_parse(HOLES), BOUNDARIES)
     assert not outside, f"Fraction built inside the accounting: {outside}"
+
+
+def test_packing_builds_a_fraction_only_for_its_height():
+    outside = _outside(_parse(PACKING), PACKING_BOUNDARIES)
+    assert not outside, f"Fraction built in packing.py: {outside}"
 
 
 def test_the_guard_sees_a_call():
@@ -58,3 +75,19 @@ def test_the_guard_sees_a_call():
                      "LIMIT = Fraction(5, 2)\n")
     assert list(_fraction_calls(tree)) == [(3, "Term.part"), (5, "bound"),
                                            (6, "LIMIT")]
+
+
+def test_the_packing_guard_sees_a_call():
+    # corners built from a packing's rects as Fractions, in a property, are
+    # found and named; the height's Fraction is not
+    tree = ast.parse("class Packing:\n"
+                     "    @property\n"
+                     "    def corners(self):\n"
+                     "        s = self.scale\n"
+                     "        return [Fraction(r[0], s) for r in self.rects]\n"
+                     "    @property\n"
+                     "    def height(self):\n"
+                     "        return Fraction(self.top, self.scale)\n")
+    assert list(_fraction_calls(tree)) == [(5, "Packing.corners"),
+                                           (8, "Packing.height")]
+    assert _outside(tree, PACKING_BOUNDARIES) == ["5 in Packing.corners"]

@@ -303,7 +303,8 @@ class TestFreeComponents:
                      rect(0, "1/2", 1, "3/2")]
         ceiling = F(3, 2)
         bounded = bounded_components(obstacles, ceiling)
-        total_free = ceiling * 1 - sum(r.width * r.height for r in obstacles)
+        total_free = ceiling * 1 - sum((r.right - r.left) * (r.top - r.bottom)
+                                      for r in obstacles)
         unbounded = total_free - sum(area for _, area in bounded)
         assert unbounded == 0   # lid spans the strip: nothing escapes
 

@@ -102,8 +102,8 @@ class TestSvg:
         p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
         ana = run_bottomleft_analysis(p)
         svg = render_svg(ana.closed, ana.holes)
-        assert svg.count("fill-opacity") == len(
-            [r for h in ana.holes for r in h.region()])
+        assert svg.count("fill-opacity") == sum(
+            len(spans) for h in ana.holes for _, _, spans in h.slabs())
 
 
 @pytest.fixture
@@ -307,6 +307,26 @@ class TestInputErrors:
         csv.write_text(rows)
         self.assert_rejected(["verify", "--input", str(three),
                               "--placements", str(csv)], message, capsys)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("\n\nid,side,x,y\n1,1/2,0,0\n\n2,1/2,zz,0\n3,3/5,0,1/2\n",
+         "line 6: bad scalar token 'zz': Invalid literal for Fraction: 'zz'"),
+        ("\nid,side,x,y\n1,1/2,0\n", "line 3: expected 4 fields"),
+        ("id,side,x,y\n1,1/2,0,0\n  \n\n2,3/2,1/2,0\n",
+         "line 5: side 3/2 outside (0, 1]")])
+    def test_verify_placements_names_the_file_line(self, three, tmp_path,
+                                                   capsys, rows, message):
+        # blank lines before the header and between rows are skipped, and
+        # still counted in the line a message names
+        csv = tmp_path / "p.csv"
+        csv.write_text(rows)
+        self.assert_rejected(["verify", "--input", str(three),
+                              "--placements", str(csv)], message, capsys)
+        csv.write_text("\n\nid,side,x,y\n1,1/2,0,0\n\n2,1/2,1/2,0\n"
+                       "3,3/5,0,1/2\n\n")
+        assert main(["verify", "--input", str(three),
+                     "--placements", str(csv)]) == 0
+        assert capsys.readouterr().out == "valid\n"
 
     @pytest.mark.parametrize("text, message", [
         ("1/2\n3/2\n", "line 2: side 3/2 outside (0, 1]"),

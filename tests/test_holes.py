@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (assert_grows_linearly, corpus_items, items,
-                      nondyadic_items, packing_of, random_items)
+                      nondyadic_items, packing_of, placements, random_items)
 import grid_reference
 from grid_reference import GridError, grid as _grid, trace_boundary
 from strippack import cli as cli_module, holes
@@ -67,18 +67,18 @@ def _sha256(text: str) -> str:
 class TestClosePacking:
     def test_empty(self):
         closed = close_packing(Packing())
-        assert closed.placements[-1].x == 0
-        assert closed.placements[-1].y == 0
+        assert placements(closed)[-1].x == 0
+        assert placements(closed)[-1].y == 0
         assert closed.height == 1
 
     def test_half(self):
         closed = close_packing(packing_of([("1/2", 0, 0)]))
-        assert closed.placements[-1].y == F(1, 2)
+        assert placements(closed)[-1].y == F(1, 2)
 
     def test_three_square(self):
         p = pack(BottomLeftState, items("1/2", "1/2", "3/5"))
         closed = close_packing(p)
-        assert closed.placements[-1].y == F(11, 10)
+        assert placements(closed)[-1].y == F(11, 10)
 
 
 class TestExtraction:
@@ -168,13 +168,13 @@ SWEEP_PANELS = {
 
 def _same_raw_hole(got, want):
     """Equal runs (owners and corners, the lid first), corner counts,
-    area, kind, lid and slab rects."""
+    area, kind, lid and slabs."""
     assert [(r.owner, r.points) for r in got.runs] == \
         [(r.owner, r.points) for r in want.runs]
     assert got.corners == want.corners
     assert (got.area_units, got.area, got.kind, got.lid_virtual) == \
         (want.area_units, want.area, want.kind, want.lid_virtual)
-    assert got.region() == want.region()
+    assert got.slabs() == want.slabs()
 
 
 def _pieces(closed):
@@ -407,7 +407,7 @@ class TestCharges:
             ana = run_bottomleft_analysis(
                 pack(BottomLeftState, corpus_items(seed)))
             sides = ana.ledger.sides
-            for pl in ana.closed.placements:
+            for pl in placements(ana.closed):
                 idx = pl.item.index
                 assert ana.ledger.halves.get(idx, 0) == sum(
                     h for (i, _, _), h in sides.items() if i == idx)
@@ -572,8 +572,10 @@ class TestRegionConsistency:
         seq = items("7/8", 1, "1/2", "1/8", "3/8", "5/8")
         ana = run_bottomleft_analysis(pack(BottomLeftState, seq))
         for h in extract_holes(ana.closed) + ana.holes:
-            rects = h.region()
-            assert sum(r.width * r.height for r in rects) == h.area
+            rects = [Rect(x0, x1, y0, y1)
+                     for x0, x1, spans in h.slabs() for y0, y1 in spans]
+            assert sum((r.right - r.left) * (r.top - r.bottom)
+                       for r in rects) == h.area_units
             for i, a in enumerate(rects):
                 for b in rects[i + 1:]:
                     assert not a.interior_overlaps(b)
@@ -657,10 +659,10 @@ def _corners(points):
     return (points[0], *turns, points[-1])
 
 
-def _cell_rects(grid, s, cells):
-    """Vertical-slab decomposition of a cell set in strip coordinates (the
-    lattice scaled down by ``s``): maximal vertical runs per grid column,
-    equal neighbouring columns fused, sorted by left then bottom."""
+def _cell_slabs(grid, cells):
+    """Vertical-slab decomposition of a cell set on the lattice, as
+    ``Hole.slabs`` gives it: maximal vertical runs per grid column, equal
+    neighbouring columns fused, left to right."""
     X, Y = grid.xs, grid.ys
     cols = {}
     for i, j in sorted(cells):
@@ -675,9 +677,8 @@ def _cell_rects(grid, s, cells):
             slabs[-1][1] = i
         else:
             slabs.append([i, i, runs])
-    rects = [Rect(F(X[i0], s), F(X[i1 + 1], s), F(Y[j0], s), F(Y[j1], s))
-             for i0, i1, runs in slabs for j0, j1 in runs]
-    return tuple(sorted(rects, key=lambda r: (r.left, r.bottom)))
+    return [(X[i0], X[i1 + 1], [(Y[j0], Y[j1]) for j0, j1 in runs])
+            for i0, i1, runs in slabs]
 
 
 def _assert_cell_route(got, grid, cells, overrides, lid_virtual):
@@ -693,7 +694,7 @@ def _assert_cell_route(got, grid, cells, overrides, lid_virtual):
     assert (got.area, got.area_units, got.kind) == \
         (want.area, want.area_units, want.kind)
     assert got.lid_virtual is want.lid_virtual
-    assert got.region() == _cell_rects(grid, ctx.scale, cells)
+    assert got.slabs() == _cell_slabs(grid, cells)
 
 
 class TestIncrementalCarve:
@@ -1355,7 +1356,7 @@ def reference_checks(p: Packing, ana) -> list[str]:
     """The check lines of ``run_bottomleft_analysis`` from Fraction sums
     over the analysis's holes, bounds and ledger."""
     closed, ledger, zero = ana.closed, ana.ledger, F(0)
-    area_sum = sum((pl.item.side ** 2 for pl in p.placements), zero)
+    area_sum = sum((pl.item.side ** 2 for pl in placements(p)), zero)
     hole_sum = sum((h.area for h in holes.extract_holes(closed)), zero)
     height = p.height
     final_sum = sum((h.area for h in ana.holes), zero)
@@ -1363,7 +1364,7 @@ def reference_checks(p: Packing, ana) -> list[str]:
     terms_sum = sum(ana.bounds, zero)
     totals = {idx: F(h, 2) for idx, h in ledger.halves.items()}
     ledger_sum = sum((totals.get(pl.item.index, zero)
-                      * pl.item.side ** 2 for pl in closed.placements), zero)
+                      * pl.item.side ** 2 for pl in placements(closed)), zero)
     max_charge = max(totals.values(), default=zero)
     return [c.line() for c in [
         Check("height-identity", height == area_sum + hole_sum,

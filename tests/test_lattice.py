@@ -10,7 +10,8 @@ from math import lcm
 import pytest
 
 from conftest import (at_level, floor_rect, grown, items, nondyadic_items,
-                      packing_of, placement_at, random_items, rect_on)
+                      packing_of, placement_at, placements, random_items,
+                      rect_on)
 from strippack.adversary import adversary_run, optimal_packing_for_transcript
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
@@ -41,7 +42,7 @@ def corpus_items(seed: int):
 def reference_spans(p: Packing, a, y):
     """Reachable left-edge spans at level y: the whole sweep over every
     square, on a lattice built for this call."""
-    pls = p.placements
+    pls = placements(p)
     scale = lcm(a.denominator, *(d for pl in pls for d in (
         pl.x.denominator, pl.y.denominator, pl.item.side.denominator)))
     sa = int(a * scale)
@@ -141,7 +142,7 @@ def eager_lowest(p: Packing, a, floor=F(0)):
 
 
 def rect_of(pl: Placement) -> Rect:
-    return Rect(pl.x, pl.x + pl.item.side, pl.y, pl.top)
+    return Rect(pl.x, pl.x + pl.item.side, pl.y, pl.y + pl.item.side)
 
 
 def reference_supported(sofar: Packing, pl: Placement) -> bool:
@@ -150,14 +151,14 @@ def reference_supported(sofar: Packing, pl: Placement) -> bool:
     rect = rect_of(pl)
     return pl.y == 0 or any(
         q.top == pl.y and q.left < rect.right and rect.left < q.right
-        for q in map(rect_of, sofar.placements))
+        for q in map(rect_of, placements(sofar)))
 
 
 def reference_step(sofar: Packing, pl: Placement):
     """The first of the three rules ``pl`` breaks, or None."""
     rect = rect_of(pl)
     if not (0 <= rect.left and rect.right <= 1 and pl.y >= 0) or any(
-            rect.interior_overlaps(rect_of(q)) for q in sofar.placements):
+            rect.interior_overlaps(rect_of(q)) for q in placements(sofar)):
         return "overlap"
     if not reference_supported(sofar, pl):
         return "unsupported"
@@ -210,7 +211,7 @@ def corruptions(pls, seed: int, count: int):
             moved = Placement(pl.item, pl.x, pl.y + rng.choice(offsets))
         else:
             x = min(other.x + rng.choice(offsets) * other.item.side, 1 - a)
-            moved = Placement(pl.item, x, other.top)
+            moved = Placement(pl.item, x, other.y + other.item.side)
         out.append((pls[:k], moved))
     return out
 
@@ -235,14 +236,14 @@ class TestStepDifferential:
         seq = corpus_items(seed)
         seen = set()
         for strategy in (BottomLeftState, SlotState):
-            pls = pack(strategy, seq).placements
+            pls = placements(pack(strategy, seq))
             assert_replay_agrees(pls)
             seen |= assert_corruptions_agree(pls, seed, 40)
         assert {"overlap", "unsupported"} <= seen
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_adversary(self, adversary_packings, name):
-        pls = adversary_packings[name].placements
+        pls = placements(adversary_packings[name])
         final = assert_replay_agrees(pls)
         assert final.height == adversary_packings[name].height
         seen = assert_corruptions_agree(pls, 7, 150)
@@ -263,7 +264,7 @@ class TestReachFloor:
         """The sweep floored at each level finds there what the reference
         finds, or, with ``reference`` off, what ``eager_sweep`` over every
         square records there."""
-        levels = sorted({F(0)} | {pl.top for pl in p.placements})
+        levels = sorted({F(0)} | {pl.y + pl.item.side for pl in placements(p)})
         for a in sides:
             scale, _ = p.lattice(a)
             record = eager_sweep(p, a)      # floor 0: every square
@@ -280,7 +281,7 @@ class TestReachFloor:
     @pytest.mark.parametrize("seed", range(50))
     def test_corpus_every_top(self, seed):
         p = pack(BottomLeftState, corpus_items(seed))
-        sides = [F(1, 64), F(1, 3), F(1), p.placements[seed % 30].item.side]
+        sides = [F(1, 64), F(1, 3), F(1), placements(p)[seed % 30].item.side]
         self.assert_floor_exact(p, sides)
 
     def test_slide_under_a_square_at_the_floor(self):
@@ -322,18 +323,18 @@ class TestLazySweep:
     def test_corpus(self, seed):
         for strategy in (BottomLeftState, SlotState):
             self.assert_every_arrival_agrees(
-                pack(strategy, corpus_items(seed)).placements)
+                placements(pack(strategy, corpus_items(seed))))
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_adversary(self, adversary_packings, name):
-        self.assert_every_arrival_agrees(adversary_packings[name].placements)
+        self.assert_every_arrival_agrees(placements(adversary_packings[name]))
 
     def test_side_one_top_where_another_square_leaves(self):
         # for a = 1/4 the quarter at (0, 5/4) leaves at level 1, the top of
         # the side-1 square, whose bottom is exactly 1 below that level
-        self.assert_every_arrival_agrees(packing_of([
+        self.assert_every_arrival_agrees(placements(packing_of([
             (1, 0, 0), ("1/4", 0, 1), ("1/2", "1/4", 1), ("1/4", 0, "5/4"),
-            ("1/4", "1/4", "3/2")]).placements)
+            ("1/4", "1/4", "3/2")])))
 
     @pytest.mark.parametrize("m", [100, 400])
     def test_bottomleft_reads_do_not_grow_with_m(self, m):
@@ -341,7 +342,7 @@ class TestLazySweep:
         # just under the top and reads the same few squares at any m: the
         # top square's rect, then the rect of each index entry it consumes
         p, most = Packing(), 0
-        for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
+        for pl in placements(adversary_run(BottomLeftState, m, EPS).packing):
             p.units(pl.item.side)       # a rescale would replace the rects
             p._lat.rects = rects = _CountedRects(p._lat.rects)
             reachable_positions(p, floor_rect(p, pl.item.side))
@@ -354,7 +355,7 @@ class TestLazySweep:
         # the candidate levels and their supports come from the sweep, so
         # a placement reads no rect of the lattice beyond the sweep's reads
         p = Packing()
-        for pl in adversary_run(BottomLeftState, m, EPS).packing.placements:
+        for pl in placements(adversary_run(BottomLeftState, m, EPS).packing):
             p.units(pl.item.side)       # a rescale would replace the rects
             p._lat.rects = rects = _CountedRects(p._lat.rects)
             reachable_positions(p, floor_rect(p, pl.item.side))
@@ -397,11 +398,11 @@ class TestSweepLevelIsSupported:
     @pytest.mark.parametrize("seed", range(50))
     def test_corpus(self, seed):
         self.assert_every_arrival(
-            pack(BottomLeftState, corpus_items(seed)).placements)
+            placements(pack(BottomLeftState, corpus_items(seed))))
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_adversary(self, adversary_packings, name):
-        self.assert_every_arrival(adversary_packings[name].placements)
+        self.assert_every_arrival(placements(adversary_packings[name]))
 
     def test_gravity_drops(self):
         rng = random.Random("gravity-drop")
@@ -443,14 +444,14 @@ class TestLatticeEdges:
         seq = items("1/2", "1/4", "1/8", "1/2", "1/16", "1/3", "1/5", "1/4",
                     "1/3", "3/5")
         p = pack(BottomLeftState, seq)
-        assert verify_packing(seq, p.placements) is None
-        assert_replay_agrees(p.placements)
+        assert verify_packing(seq, placements(p)) is None
+        assert_replay_agrees(placements(p))
         scale, rects = p.lattice()
         assert scale % 15 == 0
         assert list(rects) == [
             (pl.x * scale, (pl.x + pl.item.side) * scale, pl.y * scale,
-             pl.top * scale) for pl in p.placements]
-        assert p.height == max(pl.top for pl in p.placements)
+             (pl.y + pl.item.side) * scale) for pl in placements(p)]
+        assert p.height == max(pl.y + pl.item.side for pl in placements(p))
 
     def test_two_branches_from_one_snapshot(self):
         """A chain grows only at its newest snapshot: extending an older one
@@ -464,8 +465,8 @@ class TestLatticeEdges:
                            match=r"^square 3: not the newest packing$"):
             base.extended(right.item, rect_on(base, right))
         assert base._lat.items == [*base.items, left.item]
-        assert one.placements == (*base.placements, left)
-        two = grown([*base.placements, right])
+        assert placements(one) == (*placements(base), left)
+        two = grown([*placements(base), right])
         assert (len(base), len(one), len(two)) == (2, 3, 3)
         assert (one.height, two.height) == (F(1), F(5, 6))
         # each branch takes a square where only the other one's would clash
@@ -494,24 +495,24 @@ class TestLatticeEdges:
         assert shared.items == [*base.items, first.item]
         assert one.lattice() == (6, [(0, 3, 0, 3), (3, 6, 0, 3),
                                      (0, 2, 3, 5)])
-        two = grown([*base.placements, second])
+        two = grown([*placements(base), second])
         assert two.lattice() == (2, [(0, 1, 0, 1), (1, 2, 0, 1),
                                      (1, 2, 1, 2)])
         for branch, pl in ((one, first), (two, second)):
-            failure, built = _replay([q.item for q in branch.placements],
-                                     branch.placements)
+            failure, built = _replay([q.item for q in placements(branch)],
+                                     placements(branch))
             assert failure is None
-            assert branch.placements == (*base.placements, pl)
+            assert placements(branch) == (*placements(base), pl)
             assert (branch.height, branch._top) == (built.height, built._top)
 
     def test_height_of_every_prefix(self):
         # the top is tracked by index on the lattice along a chain of
         # extensions
-        pls = pack(BottomLeftState, random_items(77, 40)).placements
+        pls = placements(pack(BottomLeftState, random_items(77, 40)))
         p = Packing()
         for i, pl in enumerate(pls):
             p = p.extended(pl.item, rect_on(p, pl))
-            assert p.height == max(q.top for q in pls[:i + 1])
+            assert p.height == max(q.y + q.item.side for q in pls[:i + 1])
 
     def test_empty_height_and_lattice(self):
         p = Packing()
@@ -527,7 +528,7 @@ def assert_built_equals_grown(pls) -> Packing:
     failure, built = _replay([pl.item for pl in pls], pls)
     assert failure is None
     chain = grown(pls)
-    assert built.placements == chain.placements == tuple(pls)
+    assert placements(built) == placements(chain) == tuple(pls)
     assert (built.height, built._top) == (chain.height, chain._top)
     scale, rects = built.lattice()
     chain_scale, chain_rects = chain.lattice()
@@ -544,7 +545,7 @@ class TestBuiltPacking:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     def test_corpus(self, strategy):
         for seed in range(20):
-            pls = pack(STRATEGIES[strategy], corpus_items(seed)).placements
+            pls = placements(pack(STRATEGIES[strategy], corpus_items(seed)))
             assert_built_equals_grown(pls)
 
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
@@ -552,7 +553,7 @@ class TestBuiltPacking:
     def test_families(self, family, strategy):
         for seed in range(5):
             p = pack(STRATEGIES[strategy], family_items(family, seed))
-            assert_built_equals_grown(p.placements)
+            assert_built_equals_grown(placements(p))
 
     def test_shared_top_keeps_the_first(self):
         # tops 1/4, 1/2, 1/2: the second square is the topmost
@@ -590,7 +591,7 @@ class TestOneConversion:
 
     def test_verify_converts_each_placement_once(self, conversions):
         seq = random_items(5, 100)
-        pls = pack(BottomLeftState, seq).placements
+        pls = placements(pack(BottomLeftState, seq))
         conversions.update(units=0, rescales=0)
         assert verify_packing(seq, pls) is None
         assert conversions == {"units": 100, "rescales": 1}
@@ -607,8 +608,8 @@ class TestOneConversion:
         during_run = conversions["units"]
         conversions.update(units=0)
         alone = pack(STRATEGIES[name],
-                     [pl.item for pl in transcript.packing.placements])
-        assert alone.placements == transcript.packing.placements
+                     [pl.item for pl in placements(transcript.packing)])
+        assert placements(alone) == placements(transcript.packing)
         assert during_run == conversions["units"] + 30 > 30
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -645,11 +646,11 @@ class TestOneConversion:
         conversions.update(units=0)
         distinct = pack(SlotState, items("1/4", "1/4", "1/4"))
         assert conversions["units"] == 3
-        assert state.packing.placements == distinct.placements
+        assert placements(state.packing) == placements(distinct)
 
     def test_verify_fits_the_prime_family_once(self, conversions):
         seq = prime_items(700)
-        pls = pack(SlotState, seq).placements
+        pls = placements(pack(SlotState, seq))
         assert conversions["rescales"] >= 700   # online: one per new prime
         conversions.update(units=0, rescales=0)
         assert verify_packing(seq, pls) is None
@@ -657,31 +658,27 @@ class TestOneConversion:
 
 
 # ---------------------------------------------------------------------------
-# placements: built on read from the lattice, once per square
+# placements: none built by packing, read from the lattice at any time
 # ---------------------------------------------------------------------------
 
 class TestPlacementsOnRead:
     @staticmethod
-    def assert_built_on_read(built, strategy, seq):
-        """Packing builds no ``Placement``; the first read of the
-        placements builds one per square, a second read none, and the
-        closed packing's read its own n + 1."""
+    def assert_packing_builds_none(built, strategy, seq):
+        """Packing and closing build no ``Placement``, and the closed
+        packing's placements extend the open one's."""
         p = pack(strategy, seq)
-        assert built["placements"] == 0
-        assert len(p.placements) == len(seq) == built["placements"]
-        assert p.placements is p.placements
         closed = close_packing(p)
-        assert closed.placements[:-1] == p.placements
-        assert built["placements"] == len(seq) + len(closed)
+        assert built["placements"] == 0
+        assert placements(closed)[:-1] == placements(p)
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_killer(self, built, n):
-        self.assert_built_on_read(
+        self.assert_packing_builds_none(
             built, SlotState, slot_killer_instance(6, F(1, 4096), n))
 
     @pytest.mark.parametrize("n", [120, 480])
     def test_ladder(self, built, n):
-        self.assert_built_on_read(
+        self.assert_packing_builds_none(
             built, BottomLeftState, random_items(f"ladder:1:{n}", n))
 
     @staticmethod
@@ -697,15 +694,15 @@ class TestPlacementsOnRead:
             p = state.packing
             eager.append(placement_at(p, item, at))
             scales.add(p.units(F(1))[0])
-            assert p.placements == tuple(eager)
-            assert p.height == max(pl.top for pl in eager)
+            assert placements(p) == tuple(eager)
+            assert p.height == max(pl.y + pl.item.side for pl in eager)
         once, snapshots = strategy(), []
         for item in seq:
             once.place(item)
             snapshots.append(once.packing)
-        assert once.packing.placements == tuple(eager)
+        assert placements(once.packing) == tuple(eager)
         assert once.packing.height == state.packing.height
-        assert all(s.placements == tuple(eager[:len(s)]) for s in snapshots)
+        assert all(placements(s) == tuple(eager[:len(s)]) for s in snapshots)
         return len(scales)
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))

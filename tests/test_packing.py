@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (at_level, floor_rect, grid_bfs_reachable, grown, items,
-                      packing_of, random_items, rect_on, rest_height)
+                      packing_of, placements, random_items, rect_on,
+                      rest_height)
 from span_reference import (intersect_spans, merge_spans,
                             reference_reachable, spans_contain, spans_meet,
                             subtract_spans_open)
@@ -37,7 +38,7 @@ class TestRestHeight:
     def test_antitone_in_obstacles(self):
         for seed in range(10):
             p = pack(BottomLeftState, random_items(seed, 6))
-            sub = grown(p.placements[:3])
+            sub = grown(placements(p)[:3])
             a = F(1, 4)
             for x in (F(0), F(1, 4), F(1, 2), F(3, 4)):
                 assert rest_height(sub, x, a) <= rest_height(p, x, a)
@@ -79,8 +80,8 @@ class TestReachability:
         spans = at_level(p, a, F(0))
         assert spans == [(F(1, 4), F(3, 4))]
         third = Placement(SquareItem(3, a), F(1, 4), F(0))
-        assert verify_packing([pl.item for pl in p.placements] + [third.item],
-                              list(p.placements) + [third]) is None
+        assert verify_packing([pl.item for pl in placements(p)] + [third.item],
+                              list(placements(p)) + [third]) is None
         reach, nx, _ = grid_bfs_reachable(p, a, step)
         assert {ix for ix in range(nx + 1) if spans_contain(spans, ix * step)} \
             == {ix for ix, iy in reach if iy == 0} == set(range(2, nx + 1))
@@ -108,9 +109,9 @@ class TestReachability:
     def test_monotone_under_obstacle_removal(self):
         seq = random_items(3, 8, lo=F(1, 8), hi=F(1, 2))
         p = pack(BottomLeftState, seq)
-        smaller = grown(p.placements[:-1])
+        smaller = grown(placements(p)[:-1])
         a = F(3, 16)
-        for y in [pl.top for pl in p.placements] + [F(0)]:
+        for y in [pl.y + pl.item.side for pl in placements(p)] + [F(0)]:
             for lo, hi in at_level(p, a, y):
                 spans = at_level(smaller, a, y)
                 assert any(slo <= lo and hi <= shi for slo, shi in spans)
@@ -201,7 +202,7 @@ class TestSweepAgainstReference:
     @staticmethod
     def assert_every_arrival_agrees(seq):
         p = Packing()
-        for pl in pack(BottomLeftState, seq).placements:
+        for pl in placements(pack(BottomLeftState, seq)):
             for floor in (F(0), pl.y):
                 at = floor_rect(p, pl.item.side, floor)
                 assert reachable_positions(p, at) == \
@@ -309,7 +310,7 @@ class TestVerifier:
 
         monkeypatch.setattr(strippack.packing, "check_step", counted)
         seq = random_items(3, 100)
-        packed = pack(BottomLeftState, seq).placements
+        packed = placements(pack(BottomLeftState, seq))
         assert verify_packing(seq, packed) is None
         assert len(calls) == 100
         pls = list(packed)

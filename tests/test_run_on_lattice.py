@@ -6,16 +6,18 @@
 a ``Placement`` per square: ``verify_packing`` on the placements, and
 ``format_scalar`` on their Fractions.  The families are the first 100
 corpus instances, the structured families, the killer, a prime family that
-rescales between squares, and packings with squares on both axes.  A
-strategy that places a square wrongly fails ``run`` with the check line of
-the placement route, and ``run --csv`` builds no ``Placement`` and converts
-no value beyond what packing converts."""
+rescales between squares, non-dyadic sides, and packings with squares on
+both axes.  A strategy that places a square wrongly fails ``run`` with the
+check line of the placement route, and ``run --csv`` builds no
+``Placement`` and converts no value beyond what packing converts;
+``--svg`` adds neither."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import items, packing_of, random_items
+from conftest import (items, nondyadic_items, packing_of, placements,
+                      random_items)
 from strippack.bottomleft import BottomLeftState
 from strippack.cli import STRATEGIES, main
 from strippack.harness import (instance_text, parse_instance,
@@ -31,7 +33,7 @@ from test_lattice import corpus_items, prime_items
 def fraction_csv(p) -> str:
     """The CSV as written from the ``Placement``s."""
     lines = ["id,side,x,y"]
-    for pl in p.placements:
+    for pl in placements(p):
         lines.append(",".join((str(pl.item.index), format_scalar(pl.item.side),
                                format_scalar(pl.x), format_scalar(pl.y))))
     return "\n".join(lines) + "\n"
@@ -46,11 +48,13 @@ def instances(kind: str):
         return [slot_killer_instance(6, F(1, 4096), n) for n in (64, 256)]
     if kind == "prime":
         return [prime_items(60)]
+    if kind == "nondyadic":
+        return [nondyadic_items(s) for s in range(3)]
     return [[], items(1), items("1/2", "1/2", "3/5"),
             items("1/4", "1/4", "1", "1/4"), items(*["1/3"] * 7)]
 
 
-KINDS = ["corpus", "families", "killer", "prime", "axes"]
+KINDS = ["corpus", "families", "killer", "prime", "nondyadic", "axes"]
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -61,7 +65,7 @@ def test_csv_and_verdict_equal_the_placement_route(kind, name):
         csv = placements_csv(p)
         assert csv == fraction_csv(p)
         assert recheck_packing(p) is None
-        assert verify_packing(seq, p.placements) is None
+        assert verify_packing(seq, placements(p)) is None
         if kind == "axes" and seq:
             assert f"\n1,{format_scalar(seq[0].side)},0/1,0/1\n" in csv
 
@@ -79,7 +83,7 @@ def test_invalid_packings_get_the_verifier_verdict():
     for coords, want in cases:
         p = packing_of(coords)
         assert recheck_packing(p) == want
-        assert verify_packing(p.items, p.placements) == want
+        assert verify_packing(p.items, placements(p)) == want
 
 
 def test_recheck_shares_nothing_but_rects():
@@ -106,7 +110,7 @@ def test_parse_reuses_the_instance_squares():
     p = pack(BottomLeftState, seq)
     pls = parse_placements_csv(placements_csv(p), seq)
     assert all(pl.item is it for pl, it in zip(pls, seq))
-    assert pls == list(p.placements)
+    assert pls == list(placements(p))
     text = placements_csv(p).replace("\n2,1/2,", "\n2,1/3,")
     pls = parse_placements_csv(text, seq)
     assert pls[1].item == SquareItem(2, F(1, 3)) and pls[1].item is not seq[1]
@@ -142,7 +146,7 @@ def test_faulty_strategy_fails_run(want, tmp_path, monkeypatch, capsys):
     inst, csv = tmp_path / "bar.txt", tmp_path / "out.csv"
     inst.write_text("1/4\n1/4\n1\n1/4\n")
     seq = parse_instance(inst.read_text())
-    assert verify_packing(seq, pack(fault, seq).placements) == want
+    assert verify_packing(seq, placements(pack(fault, seq))) == want
     monkeypatch.setitem(STRATEGIES, "bottomleft", fault)
     assert main(["run", "--strategy", "bottomleft", "--input", str(inst),
                  "--csv", str(csv)]) == 1
@@ -153,7 +157,8 @@ def test_faulty_strategy_fails_run(want, tmp_path, monkeypatch, capsys):
 class TestRunWork:
     """Growth gate: ``run --csv`` builds no ``Placement`` on the ladder, and
     converts exactly what packing alone converts, so the self-check and the
-    CSV convert nothing."""
+    CSV convert nothing.  ``--svg`` builds none either, and adds no
+    conversion to ``run --csv`` or to either analysis."""
 
     @pytest.mark.parametrize("n", [120, 480])
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -171,3 +176,21 @@ class TestRunWork:
         assert capsys.readouterr().out == f"height {format_scalar(p.height)}\n"
         assert csv.read_text() == fraction_csv(p)
 
+
+    @pytest.mark.parametrize("n", [120, 480])
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_svg(self, built, conversions, tmp_path, capsys, command, name,
+                 n):
+        inst, svg = tmp_path / "ladder.txt", tmp_path / "out.svg"
+        inst.write_text(instance_text(random_items(f"ladder:1:{n}", n)))
+        argv = [command, "--strategy", name, "--input", str(inst)]
+        if command == "run":
+            argv += ["--csv", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        plain, alone = capsys.readouterr().out, conversions["units"]
+        conversions.update(units=0)
+        assert main(argv + ["--svg", str(svg)]) == 0
+        assert conversions["units"] == alone and built["placements"] == 0
+        assert capsys.readouterr().out == plain
+        assert svg.read_text().endswith("</svg>\n")

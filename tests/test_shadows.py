@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import (corpus_items, deep_items, grown, items,
-                      nondyadic_items, random_items)
+                      nondyadic_items, placements, random_items)
 from strippack.geometry import Rect
 from strippack.packing import (Check, Packing, PackingError, Placement,
                                SquareItem, close_packing, pack)
@@ -36,7 +36,8 @@ class Shadow:
 
     @property
     def area(self) -> F:
-        return sum((r.width * r.height for r in self.pieces), ZERO)
+        return sum(((r.right - r.left) * (r.top - r.bottom)
+                    for r in self.pieces), ZERO)
 
 
 class Slot(NamedTuple):
@@ -65,7 +66,7 @@ def slot_of(pl: Placement) -> Slot:
 
 def shadow_of(pl: Placement, k: int) -> Shadow:
     a = pl.item.side
-    y, right = (pl.y, pl.top), pl.x + a
+    y, right = (pl.y, pl.y + a), pl.x + a
     if k == 0:
         # sides above 1/2 enlarge to the right only, clipped to the strip
         hi = min(ONE, right + a)
@@ -92,7 +93,7 @@ def shadowed_extent(pl: Placement) -> Rect:
     for piece in shadow.pieces:
         lo = min(lo, piece.left)
         hi = max(hi, piece.right)
-    return Rect(max(lo, ZERO), min(hi, ONE), pl.y, pl.top)
+    return Rect(max(lo, ZERO), min(hi, ONE), pl.y, pl.y + pl.item.side)
 
 
 def widening_of(pl: Placement) -> Rect:
@@ -100,12 +101,12 @@ def widening_of(pl: Placement) -> Rect:
     ext = shadowed_extent(pl)
     slot = slot_of(pl)
     return Rect(max(ext.left, slot.left), min(ext.right, slot.right),
-                pl.y, pl.top)
+                pl.y, pl.y + pl.item.side)
 
 
 def reference_charge_map(p_closed: Packing):
     """(areas, regions, widenings) with Fraction ``Rect`` regions."""
-    pls = p_closed.placements
+    pls = placements(p_closed)
     if not pls or pls[-1].item.side != ONE:
         raise PackingError("charge_map needs a packing closed with a side-1 square")
     recs = []
@@ -117,7 +118,7 @@ def reference_charge_map(p_closed: Packing):
                  for x in (region.left, region.right)} | {ZERO, ONE})
     areas: dict[int, F] = {}
     regions: dict[int, list[Rect]] = {}
-    ceiling = pls[-1].top
+    ceiling = pls[-1].y + pls[-1].item.side
     for x0, x1 in zip(xs, xs[1:]):
         blockers = sorted((e.bottom, e.top) for _, _, _, _, e in recs
                           if e.left <= x0 and e.right >= x1)
@@ -167,7 +168,7 @@ def lattice_widenings(closed: Packing) -> list[Rect]:
     scale, rects = closed.lattice()
     return [as_rect(scale, _extent_and_widening(
                 round_to_dyadic(q.item.side)[0], rect, scale)[1])
-            for q, rect in zip(closed.placements, rects)]
+            for q, rect in zip(placements(closed), rects)]
 
 
 def assert_bounds_hold(checks):
@@ -205,7 +206,7 @@ class TestShadow:
         for seed in range(30):
             seq = random_items(1000 + seed, 8)
             p = pack(SlotState, seq)
-            for q in p.placements:
+            for q in placements(p):
                 k, _ = round_to_dyadic(q.item.side)
                 ext = shadowed_extent(q)
                 assert ext.left <= q.x and q.x + q.item.side <= ext.right
@@ -216,7 +217,7 @@ class TestShadow:
         for seed in range(20):
             seq = random_items(1100 + seed, 8)
             p = pack(SlotState, seq)
-            for q in p.placements:
+            for q in placements(p):
                 slot = slot_of(q)
                 w = widening_of(q)
                 ext = shadowed_extent(q)
@@ -274,8 +275,8 @@ class TestChargeMap:
             seq = random_items(1300 + seed, 10)
             closed = close_packing(pack(SlotState, seq))
             cm = charge_map(closed)
-            stops = [(q, widening_of(q)) for q in closed.placements]
-            extents = [shadowed_extent(q) for q in closed.placements]
+            stops = [(q, widening_of(q)) for q in placements(closed)]
+            extents = [shadowed_extent(q) for q in placements(closed)]
             rng = random.Random(seed)
             for _ in range(60):
                 x = F(rng.randint(1, 2 ** 12 - 1), 2 ** 12)
@@ -378,19 +379,19 @@ EIGHT_THIRTEENTHS = F(8, 13)
 def reference_slot_bounds(p_closed: Packing, areas: dict) -> list[Check]:
     """``check_slot_bounds`` on the exact charged areas, in Fractions."""
     checks = []
-    for q in p_closed.placements:
+    for q in placements(p_closed):
         charged = areas.get(q.item.index, ZERO)
         limit = EIGHT_THIRTEENTHS * q.item.side ** 2
         if charged > limit:
             checks.append(Check(f"slot-per-square-{q.item.index}", False,
                                 str(charged), "<=", str(limit)))
     worst = max((areas.get(q.item.index, ZERO) / q.item.side ** 2
-                 for q in p_closed.placements), default=ZERO)
+                 for q in placements(p_closed)), default=ZERO)
     checks.append(Check("slot-per-square", worst <= EIGHT_THIRTEENTHS,
                         f"max |F|/a^2 = {worst}", "<=", "8/13"))
-    open_pls = p_closed.placements[:-1]
+    open_pls = placements(p_closed)[:-1]
     area_sum = sum((q.item.side ** 2 for q in open_pls), ZERO)
-    height = max((q.top for q in open_pls), default=ZERO)
+    height = max((q.y + q.item.side for q in open_pls), default=ZERO)
     charge_sum = sum(areas.values(), ZERO)
     checks.append(Check("slot-height-decomposition",
                         height <= 2 * area_sum + charge_sum,
@@ -411,7 +412,7 @@ def with_sums(closed: Packing, sums: dict[int, int]) -> ChargeMap:
 def at_the_bound(closed: Packing, over: int, first_only=False) -> ChargeMap:
     """Each square (or the first only) charged the most lattice units
     within 8/13 of its area, plus ``over``."""
-    pairs = list(zip(closed.placements, closed.lattice()[1]))
+    pairs = list(zip(placements(closed), closed.lattice()[1]))
     return with_sums(closed, {q.item.index: 8 * (r - l) ** 2 // 13 + over
                               for q, (l, r, _, _) in pairs[:1 if first_only
                                                            else None]})

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (deep_items, floor_rect, fresh_python, items,
-                      nondyadic_items, random_items, rest_height)
+                      nondyadic_items, placements, random_items, rest_height)
 from strippack.cli import main
 from strippack.geometry import StepProfile
 from strippack.harness import instance_text, parse_instance, placements_csv
@@ -78,13 +78,13 @@ class TestSkylineScale:
     def test_query_between_arrivals_rescales(self, seq):
         # each query fits a new odd denominator into the strategy's
         # lattice; the skyline must follow it, not only its own fits
-        plain = pack(SlotState, seq).placements
+        plain = placements(pack(SlotState, seq))
         s = SlotState()
         for i, item in enumerate(seq):
             s.place(item)
             p = s.packing
             reachable_positions(p, floor_rect(p, F(1, 2 * i + 3)))
-        assert s.packing.placements == plain
+        assert placements(s.packing) == plain
 
 
 class TestRuns:
@@ -93,32 +93,32 @@ class TestRuns:
 
     def test_halves_stack_in_left_slot(self):
         p = pack(SlotState, items("1/2", "1/2", "1/2"))
-        assert [(pl.x, pl.y) for pl in p.placements] == \
+        assert [(pl.x, pl.y) for pl in placements(p)] == \
             [(0, 0), (F(1, 2), 0), (0, F(1, 2))]
         assert p.height == 1
 
     def test_three_tenths_run(self):
         p = pack(SlotState, items("3/10", "3/10", "1/5"))
-        assert [(pl.x, pl.y) for pl in p.placements] == \
+        assert [(pl.x, pl.y) for pl in placements(p)] == \
             [(0, 0), (F(1, 2), 0), (0, F(3, 10))]
 
     def test_killer_two_slots(self):
         seq = items(*(["17/64"] * 8))
         p = pack(SlotState, seq)
         assert p.height == F(17, 16)
-        assert verify_packing(seq, p.placements) is None
+        assert verify_packing(seq, placements(p)) is None
 
     def test_outputs_verify_and_support(self):
         for seed in range(8):
             seq = random_items(400 + seed, 15)
             p = pack(SlotState, seq)
-            assert verify_packing(seq, p.placements) is None
+            assert verify_packing(seq, placements(p)) is None
 
     def test_slot_containment(self):
         for seed in range(6):
             seq = random_items(500 + seed, 12)
             p = pack(SlotState, seq)
-            for pl in p.placements:
+            for pl in placements(p):
                 level, width = round_to_dyadic(pl.item.side)
                 assert (pl.x / width).denominator == 1
                 assert pl.x + pl.item.side <= pl.x - (pl.x % width) + width

@@ -13,7 +13,8 @@ import pytest
 
 import strippack.packing
 from conftest import (assert_grows_linearly, fresh_python, grown,
-                      packing_of, random_items, rect_on, window_reads)
+                      packing_of, placements, random_items, rect_on,
+                      window_reads)
 from strippack.adversary import adversary_run
 from strippack.bottomleft import BottomLeftState, bl_place_next
 from strippack.cli import STRATEGIES
@@ -98,14 +99,14 @@ class TestAgainstCheckStep:
         for seed in range(50):
             for strategy in (BottomLeftState, SlotState):
                 assert_checker_agrees(
-                    pack(strategy, corpus_items(seed)).placements, seen)
+                    placements(pack(strategy, corpus_items(seed))), seen)
         assert_each_rule_broken(seen)
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_killer(self, name):
         seen = set()
         seq = slot_killer_instance(KILLER_K, F(1, 2 ** 12), 128)
-        assert_checker_agrees(pack(STRATEGIES[name], seq).placements, seen)
+        assert_checker_agrees(placements(pack(STRATEGIES[name], seq)), seen)
         assert_each_rule_broken(seen)
 
     def test_gravity_drops_and_their_bottomleft_spots(self):
@@ -116,19 +117,19 @@ class TestAgainstCheckStep:
         seen = set()
         for _ in range(300):
             p = gravity_packing(rng, rng.randint(2, 8), rng.choice([4, 6, 8]))
-            sofar, _ = assert_checker_agrees(p.placements, seen)
+            sofar, _ = assert_checker_agrees(placements(p), seen)
             for a in sides:
                 item = SquareItem(len(sofar) + 1, a)
                 at = bl_place_next(sofar, item)
                 assert check_step(sofar, at) == check_rules(sofar, at) \
-                    is None, (sofar.placements, a)
+                    is None, (placements(sofar), a)
         assert_each_rule_broken(seen)
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_adversary(self, name):
         # the 3/4 + eps square brings a denominator the quarters lack
         seen = set()
-        pls = adversary_run(STRATEGIES[name], 100, EPS).packing.placements
+        pls = placements(adversary_run(STRATEGIES[name], 100, EPS).packing)
         _, scales = assert_checker_agrees(pls, seen)
         assert len(scales) > 1
         assert_each_rule_broken(seen)
@@ -136,8 +137,8 @@ class TestAgainstCheckStep:
     def test_sealed_cavity(self):
         # two pillars under a lid: the skyline over the cavity is the lid's
         # top, so check_step falls back and names the cavity unreachable
-        pls = packing_of([("1/4", 0, 0), ("1/4", "3/4", 0),
-                          (1, 0, "1/4")]).placements
+        pls = placements(packing_of([("1/4", 0, 0), ("1/4", "3/4", 0),
+                                     (1, 0, "1/4")]))
         sofar, _ = assert_checker_agrees(pls, set())
         inside = rect_on(sofar, Placement(SquareItem(4, F(1, 4)),
                                           F(3, 8), F(0)))
@@ -217,7 +218,7 @@ def fallback_reads(family, strategy):
     packing ``strategy`` makes of ``family(n)``, as a function of n."""
     def count(n):
         seq = family(n)
-        pls = pack(strategy, seq).placements
+        pls = placements(pack(strategy, seq))
         return window_reads(lambda: verify_packing(seq, pls))
     return count
 
@@ -252,11 +253,14 @@ class TestVerifyGrowth:
         and about 0.04 s with it (Python 3.11.7, 2 vCPUs)."""
         child = ("import time\n"
                  "from fractions import Fraction\n"
-                 "from strippack.packing import pack, verify_packing\n"
+                 "from strippack.packing import Placement, pack, "
+                 "verify_packing\n"
                  "from strippack.slots import (SlotState,\n"
                  "                             slot_killer_instance)\n"
                  "seq = slot_killer_instance(12, Fraction(1, 2 ** 20), 8192)\n"
-                 "pls = pack(SlotState, seq).placements\n"
+                 "s, rects = pack(SlotState, seq).lattice()\n"
+                 "pls = [Placement(it, Fraction(l, s), Fraction(b, s))\n"
+                 "       for it, (l, _, b, _) in zip(seq, rects)]\n"
                  "start = time.perf_counter()\n"
                  "verdict = verify_packing(seq, pls)\n"
                  "print(time.perf_counter() - start, verdict)\n")
